@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import NotTotal, TooLarge
-from .palg import PalgMorphism, PartialAlgebra, Term
+from .palg import UNDEFINED, PalgMorphism, PartialAlgebra, Term, shortest_path
 from .semilattice import JoinSemilattice, SemMorphism
 from .util import sort_key
 
@@ -74,8 +74,13 @@ def _require_total(algebra):
 
 
 class _UnionFind:
-    def __init__(self, items):
+    """Disjoint sets over items; roots are arbitrary, so callers compare
+    find results only for equality."""
+
+    def __init__(self, items, pairs=()):
         self.parent = {x: x for x in items}
+        for x, y in pairs:
+            self.union(x, y)
 
     def find(self, x):
         p = self.parent
@@ -90,8 +95,6 @@ class _UnionFind:
         rx, ry = self.find(x), self.find(y)
         if rx == ry:
             return False
-        if sort_key(ry) < sort_key(rx):
-            rx, ry = ry, rx
         self.parent[ry] = rx
         return True
 
@@ -203,14 +206,8 @@ def least_congruence_bruteforce(algebra, x, y, bound=7):
 
 def con_join(a, b):
     """Join of congruences: transitive closure of the union (already compatible)."""
-    uf = _UnionFind([x for blk in a.blocks for x in blk])
-    for theta in (a, b):
-        for blk in theta.blocks:
-            it = iter(sorted(blk, key=sort_key))
-            first = next(it)
-            for x in it:
-                uf.union(first, x)
-    return uf.partition()
+    pairs = ((next(iter(blk)), x) for theta in (a, b) for blk in theta.blocks for x in blk)
+    return _UnionFind([x for blk in a.blocks for x in blk], pairs).partition()
 
 
 def con_meet(a, b):
@@ -390,30 +387,46 @@ def _relational_n_permutable(algebra, n, congruences):
     return True, None
 
 
+def chain_interpolants(sem, dist, xs, first, last, middle, meets=None):
+    """Interpolants of the chain condition for the tuple xs = (x0, ..., xn).
+
+    Yields, in product(middle, repeat=n-1) order, every ys with ys[0] = first
+    and ys[n] = last whose every step dist[ys[k], ys[k+1]] lies under the
+    join in sem of the opposite-parity steps of xs. dist is a pair-keyed
+    mapping into sem. With a meet table, only chains are yielded: ys[i] meet
+    ys[j] = ys[i] both ways round for all i <= j, undefined cells failing.
+    """
+    n = len(xs) - 1
+    steps = [dist[(xs[i], xs[i + 1])] for i in range(n)]
+    even, odd = sem.join_all(steps[0::2]), sem.join_all(steps[1::2])
+    bounds = [odd if k % 2 == 0 else even for k in range(n)]
+    leq = sem.leq
+    for mid in product(middle, repeat=n - 1):
+        ys = (first,) + mid + (last,)
+        if meets is not None and not _is_chain(ys, meets):
+            continue
+        for k in range(n):
+            if not leq(dist[(ys[k], ys[k + 1])], bounds[k]):
+                break
+        else:
+            yield ys
+
+
+def _is_chain(ys, meets):
+    for i, a in enumerate(ys):
+        for b in ys[i:]:
+            if meets.get((a, b), UNDEFINED) != a or meets.get((b, a), UNDEFINED) != a:
+                return False
+    return True
+
+
 def _elementwise_n_permutable(algebra, n, cong_sl):
     """Chain condition: every (n+1)-tuple admits interpolants y with the
     parity containments between generated congruences."""
     universe = algebra.universe
-    theta = {}
-    for x in universe:
-        for y in universe:
-            theta[(x, y)] = cong_sl.principal(x, y)
+    theta = {(x, y): cong_sl.principal(x, y) for x in universe for y in universe}
     for xs in product(universe, repeat=n + 1):
-        even = cong_sl.join_all(theta[(xs[i], xs[i + 1])] for i in range(n) if i % 2 == 0)
-        odd = cong_sl.join_all(theta[(xs[i], xs[i + 1])] for i in range(n) if i % 2 == 1)
-        found = False
-        for mid in product(universe, repeat=n - 1):
-            ys = (xs[0],) + mid + (xs[n],)
-            ok = True
-            for k in range(n):
-                bound = even if k % 2 == 1 else odd
-                if not cong_sl.leq(theta[(ys[k], ys[k + 1])], bound):
-                    ok = False
-                    break
-            if ok:
-                found = True
-                break
-        if not found:
+        if next(chain_interpolants(cong_sl, theta, xs, xs[0], xs[n], universe), None) is None:
             return False, xs
     return True, None
 
@@ -556,28 +569,11 @@ def malcev_witness(algebra, x, y, xs, ys, depth_bound=3, param_bound=16):
             if a != b:
                 edges.setdefault(a, []).append((b, i, False, f))
                 edges.setdefault(b, []).append((a, i, True, f))
-    from collections import deque
-
-    prev = {x: None}
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        if u == y:
-            break
-        for (v, i, swapped, f) in sorted(edges.get(u, []), key=repr):
-            if v not in prev:
-                prev[v] = (u, i, swapped, f)
-                queue.append(v)
-    if y not in prev:
+    path = shortest_path(
+        x, y, lambda u: ((v, step) for v, *step in sorted(edges.get(u, []), key=repr))
+    )
+    if path is None:
         return UnknownAtBound({"depth_bound": depth_bound, "param_bound": param_bound})
-
-    steps = []
-    node = y
-    while prev[node] is not None:
-        u, i, swapped, f = prev[node]
-        steps.append((u, node, i, swapped, f))
-        node = u
-    steps.reverse()
 
     # package: term j evaluates to u_j forward and u_{j+1} under swapped blocks
     params = []
@@ -601,12 +597,12 @@ def malcev_witness(algebra, x, y, xs, ys, depth_bound=3, param_bound=16):
         return Term.app(name, *args)
 
     terms = []
-    for (u, v, i, swapped, f) in steps:
+    for _, _, (i, swapped, f) in path:
         base = Term.v(m + i) if swapped else Term.v(i)
         terms.append(translation_term(f, base))
     terms.append(Term.v(param_slot(y)))
     if len(params) > param_bound:
         return UnknownAtBound({"depth_bound": depth_bound, "param_bound": param_bound})
-    witness = MalcevWitness(len(steps), tuple(params), tuple(terms), m)
+    witness = MalcevWitness(len(path), tuple(params), tuple(terms), m)
     assert witness.validate(algebra, x, y, xs, ys), "constructed witness must validate"
     return witness

@@ -246,6 +246,9 @@ def build_square(base, n):
         base = build_named(base)
     K = base.algebra
     sp = base.special
+    missing = [k for k in ("x1", "x2", "x3") if k not in sp]
+    if missing:
+        raise HypothesisFailed(f"{base.name} lacks the marked elements {', '.join(missing)}")
     zero, one = sp["zero"], sp["one"]
     x1, x2, x3 = sp["x1"], sp["x2"], sp["x3"]
     if K.ops["meet"][(x1, x2)] != zero:
@@ -588,42 +591,6 @@ def _transport_candidate(square, cand, expected):
     return Diagram(diagram.poset, new_objects, new_arrows)
 
 
-def _search_lattice_witness(g, xs, n):
-    """Interpolants for one tuple under the lattice permutability property."""
-    S = g.sem
-    meets = g.outer.ops["meet"]
-    joins = g.outer.ops["join"]
-    m1 = meets.get((xs[0], xs[n]), UNDEFINED)
-    j1 = joins.get((xs[0], xs[n]), UNDEFINED)
-    if m1 is UNDEFINED or j1 is UNDEFINED:
-        return None
-    joins_even = S.join_all(g.delta(xs[i], xs[i + 1]) for i in range(n) if i % 2 == 0)
-    joins_odd = S.join_all(g.delta(xs[i], xs[i + 1]) for i in range(n) if i % 2 == 1)
-    outer = sorted(g.outer.universe, key=sort_key)
-    for mid in product(outer, repeat=n - 1):
-        ys = (m1,) + mid + (j1,)
-        ok = True
-        for i in range(n + 1):
-            for j in range(i, n + 1):
-                if meets.get((ys[i], ys[j]), UNDEFINED) != ys[i]:
-                    ok = False
-                    break
-                if meets.get((ys[j], ys[i]), UNDEFINED) != ys[i]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            for k in range(n):
-                bound = joins_even if k % 2 == 1 else joins_odd
-                if not S.leq(g.delta(ys[k], ys[k + 1]), bound):
-                    ok = False
-                    break
-        if ok:
-            return ys
-    return None
-
-
 def refute_candidate(square, cand, n, precheck=True):
     """Execute the no-extension proof on a candidate, checking every step.
 
@@ -653,7 +620,16 @@ def refute_candidate(square, cand, n, precheck=True):
     cs0 = g0.sem
     d0 = g0.delta
 
-    ys = _search_lattice_witness(g0, tuple(a), n)
+    meets, joins = g0.outer.ops["meet"], g0.outer.ops["join"]
+    first = meets.get((a[0], a[n]), UNDEFINED)
+    last = joins.get((a[0], a[n]), UNDEFINED)
+    ys = None
+    if first is not UNDEFINED and last is not UNDEFINED:
+        outer = sorted(g0.outer.universe, key=sort_key)
+        ys = next(
+            _cong.chain_interpolants(cs0, g0.pregamp.dist, tuple(a), first, last, outer, meets),
+            None,
+        )
     record("witness", ys, ys is not None)
     b = list(ys)
     record("witness-endpoints", (b[0], b[n]), b[0] == a[0] and b[n] == a[n])
@@ -905,6 +881,10 @@ class _NodeState:
     def universe(self):
         return list(self.inner.universe) + self.pads
 
+    def __getitem__(self, pair):
+        """Pair-keyed view of delta."""
+        return self.delta(*pair)
+
     def delta(self, x, y):
         if x == y:
             return self.cs.zero
@@ -1037,22 +1017,10 @@ def _nonzero_row_options(state, pad):
 
 def _witness_options(state, xs, n):
     """Interpolant vectors for one tuple, with the meet cells they force."""
-    cs = state.cs
     first = state.inner.ops["meet"][(xs[0], xs[n])]
     last = state.inner.ops["join"][(xs[0], xs[n])]
-    joins_even = cs.join_all(state.delta(xs[i], xs[i + 1]) for i in range(n) if i % 2 == 0)
-    joins_odd = cs.join_all(state.delta(xs[i], xs[i + 1]) for i in range(n) if i % 2 == 1)
     options = []
-    for mid in product(state.universe(), repeat=n - 1):
-        ys = (first,) + mid + (last,)
-        ok = True
-        for k in range(n):
-            bound = joins_even if k % 2 == 1 else joins_odd
-            if not cs.leq(state.delta(ys[k], ys[k + 1]), bound):
-                ok = False
-                break
-        if not ok:
-            continue
+    for ys in _cong.chain_interpolants(state.cs, state, xs, first, last, state.universe()):
         forced = {}
         for i in range(n + 1):
             for j in range(i, n + 1):

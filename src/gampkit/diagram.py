@@ -301,7 +301,9 @@ def natural_equivalence_search(d1, d2, budget=200_000):
 
     def candidate_isos(p):
         if p not in candidates:
-            candidates[p] = _all_pregamp_isos(d1.objects[p], d2.objects[p], budget)
+            candidates[p] = list(
+                _pregamp.pregamp_isomorphisms(d1.objects[p], d2.objects[p], budget)
+            )
         return candidates[p]
 
     assignment = {}
@@ -335,45 +337,3 @@ def natural_equivalence_search(d1, d2, budget=200_000):
 
     return extend(0)
 
-
-def _all_pregamp_isos(pg1, pg2, budget):
-    """All pregamp isomorphisms between two small pregamps."""
-    from .palg import is_palg_isomorphism
-    from .pregamp import _sem_isomorphisms
-
-    out = []
-    if len(pg1.carrier) != len(pg2.carrier) or len(pg1.sem) != len(pg2.sem):
-        return out
-    u1 = list(pg1.carrier.universe)
-    for smap in _sem_isomorphisms(pg1.sem, pg2.sem, budget):
-        smor = SemMorphism(pg1.sem, pg2.sem, smap, validate=False)
-
-        def extend(mapping, used):
-            if len(mapping) == len(u1):
-                try:
-                    f = PalgMorphism(pg1.carrier, pg2.carrier, dict(mapping))
-                except ValueError:
-                    return
-                if not is_palg_isomorphism(f):
-                    return
-                m = PregampMorphism(pg1, pg2, f, smor, validate=False)
-                try:
-                    m.validate()
-                except ValueError:
-                    return
-                out.append(m)
-                return
-            x = u1[len(mapping)]
-            for y in pg2.carrier.universe:
-                if y in used:
-                    continue
-                if any(smor(pg1.delta(x, a)) != pg2.delta(y, fa) for a, fa in mapping.items()):
-                    continue
-                mapping[x] = y
-                used.add(y)
-                extend(mapping, used)
-                del mapping[x]
-                used.discard(y)
-
-        extend({}, set())
-    return out

@@ -5,6 +5,7 @@ congruence n-permutable, and their lattice and through-phi variants),
 realizations, quotients, the four forgetful/embedding functors, chains, and
 the buttress construction of diagrams of finite subgamps."""
 
+from collections import deque
 from itertools import combinations, product
 
 from .errors import BudgetExceeded, NotIdealInduced, NotStrong, WrongSignature
@@ -14,6 +15,8 @@ from .palg import (
     generated_sub,
     image_palg,
     is_strong_sub,
+    product_closure,
+    shortest_path,
 )
 from .pregamp import (
     Pregamp,
@@ -302,28 +305,12 @@ def _check_tractable(g, phi, m_cap):
     bounds = {"m_cap": m_cap}
     points = list(g.inner.universe)
     kernel = {a for a in g.sem.elements if phi(a) == phi.target.zero}
-
-    def find_with_kernel(pairs):
-        # allow kernel-sized jumps between chain steps: quotient the reachability
-        find = chain_connectivity(g.outer, pairs)
-        parent = {}
-
-        def find2(x):
-            r = find(x)
-            while parent.get(r, r) != r:
-                r = parent[r]
-            return r
-
-        for x in g.outer.universe:
-            for y in g.outer.universe:
-                if g.delta(x, y) in kernel:
-                    rx, ry = find2(x), find2(y)
-                    if rx != ry:
-                        parent[rx] = ry
-        return find2
-
+    # kernel-sized jumps are allowed between chain steps
+    kernel_pairs = [
+        (x, y) for x in g.outer.universe for y in g.outer.universe if g.delta(x, y) in kernel
+    ]
     for chosen, members in congruence_tractable_instances(pggl(g), points, phi, m_cap):
-        find = find_with_kernel(list(chosen))
+        find = chain_connectivity(g.outer, list(chosen), kernel_pairs)
         for (x, y) in members:
             if find(x) != find(y):
                 return Verdict.false((x, y, chosen), bounds)
@@ -340,16 +327,12 @@ def _check_n_permutable(g, n, lattice_form):
         raise ValueError("n must be positive")
     if lattice_form and not g.is_lattice_signature():
         raise WrongSignature("lattice permutability requires the lattice signature")
-    S = g.sem
     inner = list(g.inner.universe)
     outer = list(g.outer.universe)
     meets = g.outer.ops.get("meet", {})
     joins = g.outer.ops.get("join", {})
     witnesses = {}
     for xs in product(inner, repeat=n + 1):
-        joins_even = S.join_all(g.delta(xs[i], xs[i + 1]) for i in range(n) if i % 2 == 0)
-        joins_odd = S.join_all(g.delta(xs[i], xs[i + 1]) for i in range(n) if i % 2 == 1)
-
         if lattice_form:
             m1 = meets.get((xs[0], xs[n]), UNDEFINED)
             m2 = meets.get((xs[n], xs[0]), UNDEFINED)
@@ -360,27 +343,12 @@ def _check_n_permutable(g, n, lattice_form):
             first, last = m1, j1
         else:
             first, last = xs[0], xs[n]
-
-        def ok_step(k, a, b):
-            bound = joins_even if k % 2 == 1 else joins_odd
-            return S.leq(g.delta(a, b), bound)
-
-        def chain_ok(ys):
-            if lattice_form:
-                for i in range(n + 1):
-                    for j in range(i, n + 1):
-                        if meets.get((ys[i], ys[j]), UNDEFINED) != ys[i]:
-                            return False
-                        if meets.get((ys[j], ys[i]), UNDEFINED) != ys[i]:
-                            return False
-            return all(ok_step(k, ys[k], ys[k + 1]) for k in range(n))
-
-        found = None
-        for mid in product(outer, repeat=n - 1):
-            ys = (first,) + mid + (last,)
-            if chain_ok(ys):
-                found = ys
-                break
+        found = next(
+            _cong.chain_interpolants(
+                g.sem, g.pregamp.dist, xs, first, last, outer, meets if lattice_form else None
+            ),
+            None,
+        )
         if found is None:
             return Verdict.false(("no interpolants", xs))
         witnesses[xs] = found
@@ -469,44 +437,34 @@ def _check_cuttable(fm, phi, chains, x_cap):
     meets = tgt.outer.ops.get("meet", {})
     joins = tgt.outer.ops.get("join", {})
 
-    def step_ok(a, b, xset):
-        v = phi(tgt.delta(a, b))
-        return any(S.leq(v, u) for u in xset) or v == S.zero
-
-    from collections import deque
-
     # X ranges over nonempty finite subsets: the empty instance would force
     # the phi-kernel to be trivial on images, which no proper quotient
     # projection can satisfy.
     for r in range(1, x_cap + 1):
         for xset in combinations(sorted_elements(S.elements), r):
             bound = S.join_all(xset)
+            allowed = {v for v in S.elements if v == S.zero or any(S.leq(v, u) for u in xset)}
+
+            def step_ok(a, b):
+                return phi(tgt.delta(a, b)) in allowed
+
+            def neighbours(u):
+                return ((v, None) for v in inner if step_ok(u, v))
+
             for x in fm.source.outer.universe:
                 for y in fm.source.outer.universe:
                     if not S.leq(phi(tgt.delta(fm.f(x), fm.f(y))), bound):
                         continue
                     fx, fy = fm.f(x), fm.f(y)
                     if not chains:
-                        seen = {fx}
-                        queue = deque([fx])
-                        hit = fx == fy
-                        while queue and not hit:
-                            u = queue.popleft()
-                            for v in inner:
-                                if v not in seen and step_ok(u, v, xset):
-                                    if v == fy:
-                                        hit = True
-                                        break
-                                    seen.add(v)
-                                    queue.append(v)
-                        if not hit:
+                        if shortest_path(fx, fy, neighbours) is None:
                             return Verdict.false((x, y, xset), bounds)
                     else:
                         m = meets.get((fx, fy), UNDEFINED)
                         j = joins.get((fx, fy), UNDEFINED)
                         if m is UNDEFINED or j is UNDEFINED:
                             return Verdict.false(("endpoints undefined", x, y, xset), bounds)
-                        if not _chain_walk(fm.target, m, j, lambda a, b: step_ok(a, b, xset)):
+                        if not _chain_walk(fm.target, m, j, step_ok):
                             return Verdict.false((x, y, xset), bounds)
     return Verdict.true(None, bounds)
 
@@ -524,8 +482,6 @@ def _chain_walk(g, lo, hi, step_ok):
 
     def below(a, b):
         return meets.get((a, b), UNDEFINED) == a
-
-    from collections import deque
 
     if not (lo in g.inner and hi in g.inner):
         return False
@@ -718,7 +674,6 @@ def buttress(
     from .diagram import Diagram
 
     cs = _cong.conc(algebra)
-    glob = ga(algebra)
     for p in poset.elements:
         ok, _ = is_ideal_induced(phis[p])
         if not ok:
@@ -824,17 +779,13 @@ def _cut_walk_in_algebra(algebra, cs, phi, x, y, xset, with_chains):
     X set (or to zero); with chains, the walk climbs a maximal chain from
     the meet to the join in the interval.
     """
-    s_r = phi.target
-    lifts = []
-    for u in xset:
-        theta = next(t for t in cs.elements if phi(t) == u)
-        lifts.append(theta)
-    kernel = [t for t in cs.elements if phi(t) == s_r.zero]
-    big = _cong.Congruence.identity(algebra.universe)
-    for t in lifts + [max(kernel, key=lambda t: len(algebra.universe) - len(t.blocks))]:
-        big = _cong.con_join(big, t)
     if not with_chains:
         # a path within the join exists blockwise; walk via the block
+        lifts = [next(t for t in cs.elements if phi(t) == u) for u in xset]
+        kernel = [t for t in cs.elements if phi(t) == phi.target.zero]
+        big = _cong.Congruence.identity(algebra.universe)
+        for t in lifts + [max(kernel, key=lambda t: len(algebra.universe) - len(t.blocks))]:
+            big = _cong.con_join(big, t)
         blk = big.block(x)
         if y not in blk:
             return []
@@ -857,77 +808,32 @@ def _cut_walk_in_algebra(algebra, cs, phi, x, y, xset, with_chains):
 
 def _tractability_values(algebra, cs, phi, inner, m_cap):
     """All values of witness term chains for the bounded tractability instances."""
-    out = set()
     inner_l = sorted(inner, key=sort_key)
     pool = [(a, b) for i, a in enumerate(inner_l) for b in inner_l[i + 1 :]]
-    from .palg import product_closure
-
+    kernel_pairs = []
+    for t in cs.elements:
+        if phi(t) == phi.target.zero:
+            for blk in t.blocks:
+                bl = sorted(blk, key=sort_key)
+                kernel_pairs.extend(zip(bl, bl[1:]))
+    # every instance is needed: x = y always lies under its bound
+    out = set()
     for m in range(0, m_cap + 1):
         for chosen in combinations(pool, m):
-            bound = phi.target.join_all(phi(cs.principal(a, b)) for a, b in chosen)
-            kernel_pairs = []
-            for t in cs.elements:
-                if phi(t) == phi.target.zero:
-                    for blk in t.blocks:
-                        bl = sorted(blk, key=sort_key)
-                        kernel_pairs.extend(zip(bl, bl[1:]))
-            closure = product_closure(algebra, list(chosen) + kernel_pairs)
-            # collect all components touched by needed chains
-            find = {}
-            parent = {u: u for u in algebra.universe}
-
-            def fnd(a):
-                while parent[a] != a:
-                    parent[a] = parent[parent[a]]
-                    a = parent[a]
-                return a
-
-            for (a, b) in closure:
-                ra, rb = fnd(a), fnd(b)
-                if ra != rb:
-                    parent[ra] = rb
-            needed = False
-            for x in inner_l:
-                for y in inner_l:
-                    if phi.target.leq(phi(cs.principal(x, y)), bound):
-                        needed = True
-            if needed:
-                for (a, b) in closure:
-                    out.update((a, b))
+            for (a, b) in product_closure(algebra, list(chosen) + kernel_pairs):
+                out.update((a, b))
     return out
 
 
 def _permutability_interpolants(algebra, cs, inner, n):
     """Interpolant tuples witnessing the chain condition over inner tuples."""
     out = set()
-    inner_l = sorted(inner, key=sort_key)
     universe = algebra.universe
-    for xs in product(inner_l, repeat=n + 1):
-        even = cs.join_all(cs.principal(xs[i], xs[i + 1]) for i in range(n) if i % 2 == 0)
-        odd = cs.join_all(cs.principal(xs[i], xs[i + 1]) for i in range(n) if i % 2 == 1)
-        meets, joins = algebra.ops["meet"], algebra.ops["join"]
-        first = meets[(xs[0], xs[n])]
-        last = joins[(xs[0], xs[n])]
-        found = None
-        for mid in product(universe, repeat=n - 1):
-            ys = (first,) + mid + (last,)
-            ok = True
-            for i in range(n + 1):
-                for j in range(i, n + 1):
-                    if meets[(ys[i], ys[j])] != ys[i]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                for k in range(n):
-                    bound = even if k % 2 == 1 else odd
-                    if not cs.leq(cs.principal(ys[k], ys[k + 1]), bound):
-                        ok = False
-                        break
-            if ok:
-                found = ys
-                break
+    meets, joins = algebra.ops["meet"], algebra.ops["join"]
+    dist = {(x, y): cs.principal(x, y) for x in universe for y in universe}
+    for xs in product(sorted(inner, key=sort_key), repeat=n + 1):
+        first, last = meets[(xs[0], xs[n])], joins[(xs[0], xs[n])]
+        found = next(_cong.chain_interpolants(cs, dist, xs, first, last, universe, meets), None)
         assert found is not None, "base algebra permutability must provide interpolants"
         out.update(found)
     return out

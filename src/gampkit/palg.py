@@ -1,6 +1,7 @@
 """Finite partial algebras: term evaluation with definedness, subalgebra
 calculus, identity satisfaction, images, and stabilizing chain colimits."""
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
@@ -596,22 +597,35 @@ def term_chain_search(algebra, x, y, pairs):
     adj = {}
     for (a, b) in closure:
         adj.setdefault(a, set()).add(b)
-    if x == y:
-        return []
-    from collections import deque
+    steps = shortest_path(x, y, lambda u: ((v, None) for v in sorted(adj.get(u, ()), key=repr)))
+    return None if steps is None else [(u, v) for u, v, _ in steps]
 
-    prev = {x: None}
-    queue = deque([x])
+
+def shortest_path(start, goal, neighbours):
+    """Breadth-first shortest path from start to goal.
+
+    neighbours(u) yields (v, label) pairs in the order they are explored, so
+    the path found is determined by that order. Returns the (u, v, label)
+    steps of the path, [] when start equals goal, or None when goal is
+    unreachable.
+    """
+    if start == goal:
+        return []
+    prev = {start: None}
+    queue = deque([start])
     while queue:
         u = queue.popleft()
-        for v in sorted(adj.get(u, ()), key=repr):
-            if v not in prev:
-                prev[v] = u
-                if v == y:
-                    path = [v]
-                    while prev[path[-1]] is not None:
-                        path.append(prev[path[-1]])
-                    path.reverse()
-                    return [(path[i], path[i + 1]) for i in range(len(path) - 1)]
-                queue.append(v)
+        for v, label in neighbours(u):
+            if v in prev:
+                continue
+            prev[v] = (u, label)
+            if v == goal:
+                steps = []
+                while prev[v] is not None:
+                    u, label = prev[v]
+                    steps.append((u, v, label))
+                    v = u
+                steps.reverse()
+                return steps
+            queue.append(v)
     return None

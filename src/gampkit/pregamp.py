@@ -1,9 +1,9 @@
 """Partial algebras with semilattice-valued distances: axioms, the functor
 from total algebras, quotients, induced morphisms, identity satisfaction."""
 
-from itertools import combinations
+from itertools import chain, combinations
 
-from .errors import IdealNotMapped, InvalidIdeal
+from .errors import BudgetExceeded, IdealNotMapped, InvalidIdeal
 from .palg import (
     PalgMorphism,
     PartialAlgebra,
@@ -316,22 +316,10 @@ def _unordered_pairs(points):
     return [(a, b) for i, a in enumerate(points) for b in points[i + 1 :]]
 
 
-def chain_connectivity(algebra, pairs):
-    """Connected components of the joint-evaluation closure over the given pairs."""
-    closure = product_closure(algebra, pairs)
-    parent = {x: x for x in algebra.universe}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (a, b) in closure:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return find
+def chain_connectivity(algebra, pairs, extra=()):
+    """Connected components of the joint-evaluation closure over the given
+    pairs, with the extra pairs also joined; returns the find function."""
+    return _cong._UnionFind(algebra.universe, chain(product_closure(algebra, pairs), extra)).find
 
 
 def congruence_tractable_instances(pg, points, sem_phi, m_cap):
@@ -388,8 +376,6 @@ def _sem_isomorphisms(s1, s2, budget):
     Exceeding the budget raises rather than silently truncating, so an
     exhausted generator really means there are no more.
     """
-    from .errors import BudgetExceeded
-
     if len(s1) != len(s2):
         return
     e1 = list(s1.elements)
@@ -431,14 +417,16 @@ def _sem_isomorphisms(s1, s2, budget):
     yield from extend({}, set())
 
 
-def pregamp_isomorphism_search(pg1, pg2, budget=200_000):
-    """Backtracking search for an isomorphism of pregamps; small sizes only.
+def pregamp_isomorphisms(pg1, pg2, budget=200_000):
+    """Generate every isomorphism of two small pregamps by backtracking.
 
-    Returns a morphism or None (genuinely none); an exhausted budget raises.
+    Semilattice isomorphisms are tried first, then carrier bijections that
+    intertwine the distances. Exceeding the budget raises BudgetExceeded
+    rather than truncating, so an exhausted generator means there are no more.
     """
     A1, A2 = pg1.carrier, pg2.carrier
     if len(A1) != len(A2) or len(pg1.sem) != len(pg2.sem):
-        return None
+        return
     u1 = list(A1.universe)
 
     for smap in _sem_isomorphisms(pg1.sem, pg2.sem, budget):
@@ -449,15 +437,16 @@ def pregamp_isomorphism_search(pg1, pg2, budget=200_000):
                 try:
                     f = PalgMorphism(A1, A2, mapping)
                 except ValueError:
-                    return None
+                    return
                 if not is_palg_isomorphism(f):
-                    return None
+                    return
                 m = PregampMorphism(pg1, pg2, f, smor, validate=False)
                 try:
                     m.validate()
                 except ValueError:
-                    return None
-                return m
+                    return
+                yield m
+                return
             x = u1[len(mapping)]
             for y in A2.universe:
                 if y in used:
@@ -466,17 +455,17 @@ def pregamp_isomorphism_search(pg1, pg2, budget=200_000):
                     continue
                 mapping[x] = y
                 used.add(y)
-                res = extend(mapping, used)
-                if res is not None:
-                    return res
+                yield from extend(mapping, used)
                 del mapping[x]
                 used.discard(y)
-            return None
 
-        found = extend({}, set())
-        if found is not None:
-            return found
-    return None
+        yield from extend({}, set())
+
+
+def pregamp_isomorphism_search(pg1, pg2, budget=200_000):
+    """The first pregamp isomorphism, or None when there is genuinely none;
+    an exhausted budget raises."""
+    return next(pregamp_isomorphisms(pg1, pg2, budget), None)
 
 
 def distance_comparison_morphism(pg, conc_bound=160):

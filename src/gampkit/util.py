@@ -1,7 +1,5 @@
-"""Small shared helpers: deterministic ordering, three-valued verdicts, workers."""
+"""Small shared helpers: deterministic ordering and three-valued verdicts."""
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 
@@ -81,20 +79,3 @@ def combine_verdicts(verdicts):
             return Verdict(UNKNOWN, v.witness, v.bounds, v.detail)
     return Verdict.true()
 
-
-def worker_count():
-    try:
-        n = int(os.environ.get("GAMPKIT_THREADS", "1"))
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def pmap(fn, items):
-    """Order-preserving map honoring the GAMPKIT_THREADS worker cap."""
-    items = list(items)
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gampkit import build_named
 from gampkit.congruence import (
+    _elementwise_n_permutable,
     Congruence,
     MalcevWitness,
     NoContainment,
@@ -23,7 +25,7 @@ from gampkit.congruence import (
     quotient_algebra,
 )
 from gampkit.errors import NotTotal
-from gampkit.palg import LATTICE_TYPE, PalgMorphism, PartialAlgebra
+from gampkit.palg import LATTICE_TYPE, PalgMorphism, PartialAlgebra, SimilarityType
 from gampkit.semilattice import SemIdeal, is_ideal_induced, ker0
 
 
@@ -185,6 +187,33 @@ class TestNPermutable:
         assert rel[0] == {0, 1}
         rel_rev = alternating_composite(beta, alpha, 2, chain3.universe)
         assert 2 in rel_rev[0]
+
+
+@st.composite
+def small_unary_binary_algebras(draw):
+    size = draw(st.integers(1, 4))
+    u = list(range(size))
+    # a narrow value range gives tables with repeats, hence proper
+    # congruences and algebras that are not permutable
+    value = st.integers(0, draw(st.integers(0, size - 1)))
+    f = draw(st.lists(value, min_size=size * size, max_size=size * size))
+    g = draw(st.lists(value, min_size=size, max_size=size))
+    ops = {
+        "f": {(a, b): f[a * size + b] for a in u for b in u},
+        "g": {(a,): g[a] for a in u},
+    }
+    return PartialAlgebra(SimilarityType((("f", 2), ("g", 1))), u, ops)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_unary_binary_algebras())
+def test_permutability_characterizations_agree_on_random_algebras(alg):
+    # is_n_permutable cross-checks the relational answer against the
+    # element-wise one itself; comparing here as well keeps the check under -O
+    for n in (2, 3):
+        ok, _ = is_n_permutable(alg, n)
+        ok_el, _ = _elementwise_n_permutable(alg, n, conc(alg))
+        assert ok == ok_el, n
 
 
 class TestMalcev:

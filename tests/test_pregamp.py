@@ -24,6 +24,7 @@ from gampkit.pregamp import (
     pga,
     pga_mor,
     pregamp_isomorphism_search,
+    pregamp_isomorphisms,
     pregamp_satisfies_identity,
     quotient_pregamp,
     sub_pregamp,
@@ -335,6 +336,14 @@ class TestIsoSearch:
 
     def test_mismatch_refused(self, chain3, m3):
         assert pregamp_isomorphism_search(theta_pregamp(chain3), theta_pregamp(m3)) is None
+
+    @pytest.mark.parametrize("name, count", [("M3", 6), ("N5", 1)])
+    def test_self_isomorphism_counts(self, fixture_lattices, name, count):
+        # |Aut(M3)| = |S3| = 6 and N5 is rigid
+        pg = pga(fixture_lattices[name])
+        isos = list(pregamp_isomorphisms(pg, pg))
+        assert len(isos) == count
+        assert pregamp_isomorphism_search(pg, pg) == isos[0]
 
 
 class TestColimitQuotientExchange:

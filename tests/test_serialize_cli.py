@@ -166,6 +166,11 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["facts"]["ok"]
 
+    @pytest.mark.parametrize("base", ["N5", "X1", "X2", "two", "chain:4"])
+    def test_repro_unliftable_without_marked_elements_exit_3(self, base, capsys):
+        assert run(["repro", "unliftable", "--K", base, "--n", "2"]) == 3
+        assert "marked elements" in capsys.readouterr().err
+
     def test_malformed_json_exit_3(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -217,16 +222,6 @@ class TestWitnessMode:
             "--depth-bound", "0",
         ])
         assert code == 2
-
-
-def test_worker_pool_contract(monkeypatch):
-    from gampkit.util import pmap, worker_count
-
-    monkeypatch.setenv("GAMPKIT_THREADS", "3")
-    assert worker_count() == 3
-    assert pmap(lambda x: x * x, range(6)) == [0, 1, 4, 9, 16, 25]
-    monkeypatch.setenv("GAMPKIT_THREADS", "junk")
-    assert worker_count() == 1
 
 
 class TestQuotientBundles:
