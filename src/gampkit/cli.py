@@ -1,22 +1,24 @@
 """Command-line front door.
 
 Exit codes: 0 verified/true, 1 refuted/false, 2 unknown at the stated
-bounds, 3 input error. Reports are deterministic for fixed inputs and
-bounds.
+bounds, 3 input error, 4 internal error. Only a false verdict exits 1.
+Reports are deterministic for fixed inputs and bounds.
 """
 
 import argparse
 import json
 import sys
 import time
+import traceback
 
 from . import congruence as _cong
 from . import serialize as ser
 from .errors import GampkitError, PreconditionFailed, SchemaError, StepFailed
-from .gamp import buttress, check_property
+from .diagram import is_operational_diagram, is_partial_lifting
+from .gamp import Realization, buttress, check_property, quotient_gamp
 from .poset import bm_le2, kposet, kposet_cover_check, KPosetSpec
+from .pregamp import quotient_pregamp
 from .semilattice import SemIdeal, SemMorphism, quotient
-from .util import sort_key
 
 
 def _emit(args, payload, text=None):
@@ -80,21 +82,19 @@ def cmd_permutable(args):
 
 def _malcev_mode(args, alg):
     """Witness search for one principal-congruence containment instance."""
-    from .congruence import MalcevWitness, NoContainment, UnknownAtBound
-
-    x, y = (_parse_el(t, alg) for t in args.witness.split("/"))
+    x, y = _parse_pair(args.witness, alg)
     xs, ys = [], []
     for token in (args.pairs or "").split(","):
         if not token:
             continue
-        a, b = (_parse_el(t, alg) for t in token.split("/"))
+        a, b = _parse_pair(token, alg)
         xs.append(a)
         ys.append(b)
     res = _cong.malcev_witness(
         alg, x, y, tuple(xs), tuple(ys),
         depth_bound=args.depth_bound, param_bound=args.param_bound,
     )
-    if isinstance(res, MalcevWitness):
+    if isinstance(res, _cong.MalcevWitness):
         payload = {
             "found": True,
             "steps": res.n,
@@ -103,10 +103,10 @@ def _malcev_mode(args, alg):
         }
         _emit(args, payload, text=f"witness chain of length {res.n}")
         return 0
-    if isinstance(res, NoContainment):
+    if isinstance(res, _cong.NoContainment):
         _emit(args, {"found": False, "reason": "no containment"}, text="no containment")
         return 1
-    assert isinstance(res, UnknownAtBound)
+    assert isinstance(res, _cong.UnknownAtBound)
     _emit(
         args, {"found": False, "reason": "unknown at bound", "bounds": res.bounds},
         text="unknown at bound",
@@ -139,16 +139,12 @@ def cmd_quotient(args):
         _emit(args, ser.semilattice_to_json(q))
         return 0
     if "dist" in data and "inner" not in data:
-        from .pregamp import quotient_pregamp
-
         pg = ser.pregamp_from_json(data)
         ideal = SemIdeal.generated(pg.sem, _ideal_generators(pg.sem, args.ideal))
         q, _ = quotient_pregamp(pg, ideal)
         _emit(args, ser.pregamp_to_json(q))
         return 0
     if "inner" in data:
-        from .gamp import quotient_gamp
-
         g = ser.gamp_from_json(data)
         ideal = SemIdeal.generated(g.sem, _ideal_generators(g.sem, args.ideal))
         q, _ = quotient_gamp(g, ideal)
@@ -174,9 +170,6 @@ def cmd_gamp_check(args):
 
 
 def cmd_diagram_verify(args):
-    from .diagram import is_operational_diagram, is_partial_lifting
-    from .gamp import Realization
-
     data = _load_json(args.diagram)
     diagram = ser.diagram_from_json(data)
     if args.kind == "operational":
@@ -228,15 +221,15 @@ def cmd_poset(args):
         return 0
     if args.kposet is not None:
         data = _load_json(args.kposet)
-        base = ser.poset_from_json(data["base"])
-        spec = KPosetSpec(
-            base,
-            tuple(ser.decode_el(x) for x in data["marks"]),
-            tuple(
-                (ser.decode_el(m), tuple(rs)) for m, rs in data["branch"]
-            ),
-            data["depth"],
-        )
+        try:
+            spec = KPosetSpec(
+                ser.poset_from_json(data["base"]),
+                tuple(ser.decode_el(x) for x in data["marks"]),
+                tuple((ser.decode_el(m), tuple(rs)) for m, rs in data["branch"]),
+                data["depth"],
+            )
+        except (KeyError, TypeError) as e:
+            raise SchemaError(f"kposet spec: {e!r}")
         poset, tree = kposet(spec)
         if args.check_covers:
             ok, _, _ = kposet_cover_check(spec)
@@ -264,21 +257,16 @@ def cmd_buttress(args):
     cs = _cong.conc(alg)
     phis = {}
     specs = dict(kv.split("=", 1) for kv in args.ideal)
-    from .semilattice import quotient as sem_quotient
-
     for p in poset.elements:
         raw = specs.get(str(p), "")
         if raw:
             gens = set()
             for token in raw.split(","):
-                pair = token.split("/")
-                gens.add(
-                    cs.principal(_parse_el(pair[0], alg), _parse_el(pair[1], alg))
-                )
+                gens.add(cs.principal(*_parse_pair(token, alg)))
             ideal = SemIdeal.generated(cs, gens)
         else:
             ideal = SemIdeal.zero(cs)
-        _, proj = sem_quotient(cs, ideal)
+        _, proj = quotient(cs, ideal)
         phis[p] = proj
     diagram = buttress(
         alg, poset, phis, with_chains=args.chains,
@@ -299,10 +287,20 @@ def cmd_buttress(args):
     return 0
 
 
-def _parse_el(token, algebra=None):
-    if algebra is not None and token in algebra:
+def _parse_el(token, algebra):
+    if token in algebra:
         return token
-    return int(token) if token.lstrip("-").isdigit() else token
+    el = int(token) if token.lstrip("-").isdigit() else token
+    if el not in algebra:
+        raise SchemaError(f"{token!r} is not an element of the algebra")
+    return el
+
+
+def _parse_pair(token, algebra):
+    parts = token.split("/")
+    if len(parts) != 2:
+        raise SchemaError(f"{token!r} is not a pair x/y")
+    return tuple(_parse_el(t, algebra) for t in parts)
 
 
 def cmd_repro(args):
@@ -330,10 +328,10 @@ def cmd_repro(args):
                 cand = outcome.candidate
                 stats["candidates"] += 1
                 try:
-                    cert = refute_candidate(square, cand, args.n)
+                    refute_candidate(square, cand, args.n)
                 except PreconditionFailed as e:
                     stats["rejected"][e.reason] = stats["rejected"].get(e.reason, 0) + 1
-                except StepFailed as e:
+                except StepFailed:
                     stats["step_failures"] += 1
                 else:
                     stats["certificates"] += 1
@@ -427,8 +425,6 @@ def build_parser():
     p.add_argument("--K", default="M3")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--exhaustive-bound", type=int, default=None)
-    p.add_argument("--depth-bound", type=int, default=3)
-    p.add_argument("--param-bound", type=int, default=16)
     common(p)
     p.set_defaults(fn=cmd_repro)
 
@@ -446,6 +442,11 @@ def run(argv):
     except (SchemaError, GampkitError, OSError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 3
+    except Exception as e:
+        # a crash is not a verdict: report it with its traceback, never as exit 1
+        sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n")
+        traceback.print_exc()
+        return 4
 
 
 def main():

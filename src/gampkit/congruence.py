@@ -5,7 +5,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import NotTotal, TooLarge
-from .palg import UNDEFINED, PalgMorphism, PartialAlgebra, Term, shortest_path
+from .palg import UNDEFINED, PalgMorphism, PartialAlgebra, Term, is_lattice_algebra, shortest_path
+from .poset import FinitePoset
 from .semilattice import JoinSemilattice, SemMorphism
 from .util import sort_key
 
@@ -221,26 +222,6 @@ def con_meet(a, b):
     return Congruence(blocks)
 
 
-def _comparable_pairs(algebra):
-    """Pairs (u, v) with u = meet(u, v), for the lattice fast path."""
-    meet_t = algebra.ops["meet"]
-    out = []
-    for u in algebra.universe:
-        for v in algebra.universe:
-            if u != v and meet_t[(u, v)] == u:
-                out.append((u, v))
-    return out
-
-
-def _lattice_cover_pairs(algebra):
-    comp = set(_comparable_pairs(algebra))
-    covers = []
-    for (u, v) in comp:
-        if not any((u, w) in comp and (w, v) in comp for w in algebra.universe if w != u and w != v):
-            covers.append((u, v))
-    return covers
-
-
 def con_lattice(algebra, bound=160):
     """All congruences of a small finite total algebra.
 
@@ -249,13 +230,13 @@ def con_lattice(algebra, bound=160):
     principal congruences are generated from cover pairs only, which keeps
     medium-sized instances tractable.
     """
-    from .palg import is_lattice_algebra
-
     _require_total(algebra)
     if len(algebra.universe) > bound:
         raise TooLarge(f"con_lattice capped at {bound} elements (got {len(algebra.universe)})")
     if is_lattice_algebra(algebra):
-        gen_pairs = _lattice_cover_pairs(algebra)
+        meet = algebra.ops["meet"]
+        order = [(u, v) for u in algebra.universe for v in algebra.universe if meet[(u, v)] == u]
+        gen_pairs = FinitePoset(algebra.universe, order, validate=False).covers()
     else:
         gen_pairs = [
             (x, y)
@@ -448,7 +429,7 @@ def is_n_permutable(algebra, n, elementwise_limit=2_000_000, conc_bound=160):
     cost = size ** (n + 1) * max(1, size ** (n - 1))
     if cost <= elementwise_limit:
         cs = ConcSemilattice(algebra, congruences)
-        ok_el, wit_el = _elementwise_n_permutable(algebra, n, cs)
+        ok_el, _ = _elementwise_n_permutable(algebra, n, cs)
         assert ok_rel == ok_el, "n-permutability characterizations disagree"
     return (ok_rel, wit_rel)
 
@@ -470,8 +451,6 @@ class MalcevWitness:
         return tuple(xs) + tuple(ys) + tuple(self.params)
 
     def validate(self, algebra, x, y, xs, ys):
-        from .palg import UNDEFINED
-
         fwd = self._env(xs, ys)
         rev = self._env(ys, xs)
         first = self.terms[0].eval(algebra, fwd)

@@ -19,6 +19,8 @@ from .palg import (
     PartialAlgebra,
     UNDEFINED,
     is_lattice_algebra,
+    is_palg_isomorphism,
+    satisfies_identity,
 )
 from .poset import FinitePoset
 from .semilattice import SemMorphism, ker0
@@ -28,12 +30,10 @@ from .gamp import (
     GampMorphism,
     check_morphism_property,
     check_property,
-    ga,
-    ga_mor,
     pggl,
     pggl_mor,
 )
-from .diagram import Diagram, DiagramIdeal, NaturalTransformation, quotient_diagram
+from .diagram import Diagram, DiagramIdeal, NaturalTransformation, apply_functor, quotient_diagram
 from .util import sort_key
 from . import congruence as _cong
 
@@ -224,12 +224,13 @@ def _sublattice(base_alg, subset, name):
     return sub
 
 
-def _count_isotone_surjections(chain_els, target_chain):
+def _count_isotone_surjections(chain, target):
+    """Isotone surjections from a chain onto a lattice algebra, by brute force."""
+    meet = target.ops["meet"]
     count = 0
-    for vals in product(range(len(target_chain)), repeat=len(chain_els)):
-        if all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1)) and set(vals) == set(
-            range(len(target_chain))
-        ):
+    for vals in product(target.universe, repeat=len(chain.universe)):
+        isotone = all(meet[(u, v)] == u for u, v in zip(vals, vals[1:]))
+        if isotone and set(vals) == set(target.universe):
             count += 1
     return count
 
@@ -238,9 +239,10 @@ def build_square(base, n):
     """Both squares over the square poset, from a base lattice with marked
     elements and a chain of length n.
 
-    Hypotheses: x1 meet x2 = 0 and x3 join x1 = x3 join x2 = 1 in the base;
-    violations raise with the failing equation. The surjection index set is
-    materialized and its size checked against an independent brute count.
+    Hypotheses: x1 meet x2 = 0, x3 join x1 = x3 join x2 = 1 and 0 < x3 < 1
+    in the base; violations raise with the failing relation. The surjection
+    index set is materialized and its size checked against an independent
+    brute count of the isotone surjections onto X0.
     """
     if isinstance(base, str):
         base = build_named(base)
@@ -256,6 +258,8 @@ def build_square(base, n):
     for xk in (x1, x2):
         if K.ops["join"][(x3, xk)] != one:
             raise HypothesisFailed(f"x3 join {xk} = 1 fails")
+    if x3 in (zero, one):
+        raise HypothesisFailed("0 < x3 < 1 fails")
     if n < 2:
         raise HypothesisFailed("n must be at least 2")
 
@@ -283,10 +287,9 @@ def build_square(base, n):
     )
 
     chain = _chain_lattice(n + 1)
-    x0_chain = [zero, x3, one]
     cuts = tuple((i, j) for i in range(n - 1) for j in range(i + 1, n))
     assert len(cuts) == n * (n - 1) // 2
-    assert len(cuts) == _count_isotone_surjections(chain.universe, x0_chain)
+    assert len(cuts) == _count_isotone_surjections(chain, x0)
     t_maps = {}
     for (i, j) in cuts:
         t_maps[(i, j)] = {
@@ -361,7 +364,6 @@ def verify_square_facts(square, direct_bound=30):
     n = square.n
     report = {"n": n, "base": square.base.name, "facts": {}}
     sp = square.base.special
-    zero_el = sp["zero"]
     one_el = sp["one"]
 
     # (a)
@@ -471,8 +473,6 @@ class RefutationCertificate:
 
 def _expected_inner_square(square):
     """The inner-pregamp square every candidate must match on the nose."""
-    from .diagram import apply_functor
-
     return apply_functor(square.a_square, "PGA")
 
 
@@ -481,7 +481,7 @@ def _require(cond, reason, detail=None):
         raise PreconditionFailed(reason, detail)
 
 
-def _gamp_square_preconditions(square, cand, n, steps):
+def _gamp_square_preconditions(square, cand, n):
     """All stated candidate preconditions, checked exhaustively.
 
     The candidate is first brought onto the algebra square on the nose
@@ -500,27 +500,20 @@ def _gamp_square_preconditions(square, cand, n, steps):
         ok, viol = is_pregamp_of(g.pregamp, LATTICE_IDENTITIES)
         _require(ok, "lattice-variety", (p, viol))
     expected = _expected_inner_square(square)
-    if cand.equivalence is None:
-        for p in SQUARE_NODES:
-            _require(pggl(diagram.objects[p]) == expected.objects[p], "inner-image", p)
-        for (p, q), arrow in diagram.arrows.items():
-            _require(
-                pggl_mor(arrow) == expected.arrows[(p, q)], "inner-image-arrow", (p, q)
-            )
-    else:
+    if cand.equivalence is not None:
         # transport along the supplied equivalence; non-invertible components
         # are precondition-rejected rather than coerced
         try:
             cand.equivalence.validate()
         except ValueError as e:
             raise PreconditionFailed("naturality", str(e))
-        diagram = _transport_candidate(square, cand, expected)
-        for p in SQUARE_NODES:
-            _require(pggl(diagram.objects[p]) == expected.objects[p], "inner-image", p)
-        for (p, q), arrow in diagram.arrows.items():
-            _require(
-                pggl_mor(arrow) == expected.arrows[(p, q)], "inner-image-arrow", (p, q)
-            )
+        diagram = _transport_candidate(cand, expected)
+    for p in SQUARE_NODES:
+        _require(pggl(diagram.objects[p]) == expected.objects[p], "inner-image", p)
+    for (p, q), arrow in diagram.arrows.items():
+        _require(
+            pggl_mor(arrow) == expected.arrows[(p, q)], "inner-image-arrow", (p, q)
+        )
     okop = all(
         bool(check_morphism_property(diagram.arrows[(p, q)], "operational"))
         for p in SQUARE_NODES
@@ -534,11 +527,9 @@ def _gamp_square_preconditions(square, cand, n, steps):
     return diagram
 
 
-def _transport_candidate(square, cand, expected):
+def _transport_candidate(cand, expected):
     """Rename a candidate along its equivalence so the inner image is the
     algebra square on the nose."""
-    from .palg import is_palg_isomorphism
-
     diagram = cand.diagram
     new_objects = {}
     renamings = {}
@@ -610,7 +601,7 @@ def refute_candidate(square, cand, n, precheck=True):
             raise StepFailed(name, detail)
 
     if precheck:
-        diagram = _gamp_square_preconditions(square, cand, n, steps)
+        diagram = _gamp_square_preconditions(square, cand, n)
     else:
         diagram = cand.diagram
 
@@ -858,8 +849,6 @@ class CandidateOutcome:
 
 def algebra_square_candidate(square):
     """The candidate whose gamps are the algebra gamps of the square itself."""
-    from .diagram import apply_functor
-
     return CandidateSquare(apply_functor(square.a_square, "GA"), None, "algebra-square")
 
 
@@ -936,8 +925,6 @@ class _NodeState:
         return True
 
     def full_identities_ok(self):
-        from .palg import satisfies_identity
-
         alg = self.materialize()
         for _, t1, t2 in LATTICE_IDENTITIES:
             ok, _ = satisfies_identity(alg, t1, t2)
@@ -1129,7 +1116,11 @@ def enumerate_candidates(square, n, size_bound=1, max_nodes=5_000_000):
 
     states = {p: _NodeState(a_algs[p], cs[p], theta[p]) for p in SQUARE_NODES}
     pads = {p: f"p{p}" for p in SQUARE_NODES}
-    images = {}  # wing or top images of the propagated pads
+    inner_maps = {
+        (p, q): {x: square.a_square.arrows[(p, q)](x) for x in a_algs[p].universe}
+        for (p, q) in (("b", "l"), ("b", "r"), ("l", "t"), ("r", "t"))
+    }
+    arrow_maps = {}  # cover arrow -> element map of the current placement
 
     def stage_bottom():
         state = states["b"]
@@ -1167,63 +1158,101 @@ def enumerate_candidates(square, n, size_bound=1, max_nodes=5_000_000):
             yield CandidateOutcome("pruned", "lattice-n-permutable", detail=("b", xs))
 
     def stage_wing(node):
-        state = states[node]
-        arrow = square.a_square.arrows[("b", node)]
-        pad_w = pads[node]
-        for image in list(state.inner.universe) + [pad_w]:
+        """Each image of the bottom pad in the wing, an inner element or the
+        wing's own pad."""
+        for image in list(states[node].inner.universe) + [pads[node]]:
             tick()
-            images[node] = image
-            state.pads = [pad_w] if image == pad_w else []
-            state.rows = {}
-            state.cells = {}
-            gmap = {x: arrow(x) for x in a_algs["b"].universe}
-            gmap[pads["b"]] = image
-            push = conc_f[("b", node)]
-            ok = True
-            forced_row = {}
-            for x in a_algs["b"].universe:
-                want = push(states["b"].delta(pads["b"], x))
-                if image in state.inner:
-                    if state.delta(image, gmap[x]) != want:
-                        ok = False
-                        break
-                else:
-                    if forced_row.get(gmap[x], want) != want or (
-                        want == cs[node].zero and image != gmap[x]
-                    ):
-                        ok = False
-                        break
-                    forced_row[gmap[x]] = want
-            if not ok:
-                yield CandidateOutcome(
-                    "pruned", "distance-equivariance", detail=(node, image)
+            yield from place_arrows(
+                node,
+                {("b", node): {**inner_maps[("b", node)], pads["b"]: image}},
+                after=lambda: stage_wing("r") if node == "l" else stage_top(),
+            )
+
+    def stage_top():
+        """Each pair of top images of the wing pads; the two routes of the
+        bottom pad to the top must agree."""
+        def pad_images(wing):
+            if not states[wing].pads:
+                return [{}]
+            return [{pads[wing]: v} for v in list(states["t"].inner.universe) + [pads["t"]]]
+
+        for l_pad in pad_images("l"):
+            for r_pad in pad_images("r"):
+                tick()
+                maps = {
+                    ("l", "t"): {**inner_maps[("l", "t")], **l_pad},
+                    ("r", "t"): {**inner_maps[("r", "t")], **r_pad},
+                }
+                top_l, top_r = (
+                    maps[(w, "t")][arrow_maps[("b", w)][pads["b"]]] for w in ("l", "r")
                 )
-                continue
-            if image == pad_w:
-                rows = [
-                    row
-                    for row in _nonzero_row_options(state, pad_w)
-                    if all(row.get(k) == v for k, v in forced_row.items())
-                ]
-                if not rows:
+                if top_l != top_r:
                     yield CandidateOutcome(
-                        "pruned", "distance-equivariance", detail=(node, image)
+                        "pruned", "square-commutes", detail=(top_l, top_r)
                     )
                     continue
-            else:
-                rows = [None]
-            for row in rows:
-                tick()
-                state.rows = {pad_w: row} if row is not None else {}
-                added = _push_cells(state, states["b"].cells, gmap)
-                if added is None:
-                    yield CandidateOutcome("pruned", "morphism", detail=(node, image))
-                    continue
-                yield from fill_node(
-                    node,
-                    forced_pool=[image] if image == pad_w else [],
-                    after=lambda node=node: stage_wing("r") if node == "l" else stage_top(),
+                yield from place_arrows(
+                    "t", maps, after=lambda: iter([materialize_candidate()])
                 )
+
+    def place_arrows(node, maps, after):
+        """Place the arrows maps[(p, node)] into node, then continue with after.
+
+        In order: distance equivariance over all pairs of each source, which
+        also forces the distance row of the node's pad when an arrow hits it;
+        the pad rows agreeing with that forced row; the source cells pushed
+        along the maps; the operational fill of the node.
+        """
+        state = states[node]
+        pad = pads[node]
+        used_pad = any(pad in m.values() for m in maps.values())
+        state.pads = [pad] if used_pad else []
+        state.rows = {}
+        state.cells = {}
+        arrow_maps.update(maps)
+        placed = tuple(m[pads[p]] for (p, _), m in maps.items() if pads[p] in m)
+        forced_row = {}
+        for (p, _), m in maps.items():
+            src = states[p]
+            push = conc_f[(p, node)]
+            for x in src.universe():
+                for y in src.universe():
+                    want = push(src.delta(x, y))
+                    u, v = m[x], m[y]
+                    if u == v or pad not in (u, v):
+                        ok = state.delta(u, v) == want
+                    else:
+                        ok = forced_row.setdefault(v if u == pad else u, want) == want
+                    if not ok:
+                        yield CandidateOutcome(
+                            "pruned", "distance-equivariance", detail=(node, placed)
+                        )
+                        return
+        rows = [None]
+        if used_pad:
+            rows = [
+                row
+                for row in _nonzero_row_options(state, pad)
+                if forced_row.items() <= row.items()
+            ]
+            if not rows:
+                yield CandidateOutcome(
+                    "pruned", "distance-equivariance", detail=(node, placed)
+                )
+                return
+        for row in rows:
+            tick()
+            state.rows = {pad: row} if row is not None else {}
+            added = []
+            for (p, _), m in maps.items():
+                more = _push_cells(state, states[p].cells, m)
+                if more is None:
+                    _undo_cells(state, added)
+                    yield CandidateOutcome("pruned", "morphism", detail=(node, placed))
+                    break
+                added += more
+            else:
+                yield from fill_node(node, [pad] if used_pad else [], after)
                 _undo_cells(state, added)
 
     def _push_cells(state, src_cells, gmap):
@@ -1276,128 +1305,18 @@ def enumerate_candidates(square, n, size_bound=1, max_nodes=5_000_000):
 
         yield from fill(0)
 
-    def stage_top():
-        state = states["t"]
-        pad_t = pads["t"]
-        l_state, r_state = states["l"], states["r"]
-        arrows = {w: square.a_square.arrows[(w, "t")] for w in ("l", "r")}
-        options_t = list(state.inner.universe) + [pad_t]
-
-        def images_for(wing):
-            st = states[wing]
-            if not st.pads:
-                yield None
-                return
-            for v in options_t:
-                yield v
-
-        for l_img in images_for("l"):
-            for r_img in images_for("r"):
-                tick()
-                gl = {x: arrows["l"](x) for x in a_algs["l"].universe}
-                if l_img is not None:
-                    gl[pads["l"]] = l_img
-                gr = {x: arrows["r"](x) for x in a_algs["r"].universe}
-                if r_img is not None:
-                    gr[pads["r"]] = r_img
-                top_l = gl[images["l"]]
-                top_r = gr[images["r"]]
-                if top_l != top_r:
-                    yield CandidateOutcome(
-                        "pruned", "square-commutes", detail=(top_l, top_r)
-                    )
-                    continue
-                used_pad = pad_t in gl.values() or pad_t in gr.values()
-                state.pads = [pad_t] if used_pad else []
-                state.rows = {}
-                state.cells = {}
-                ok = True
-                forced_row = {}
-                for (w, gm, st) in (("l", gl, l_state), ("r", gr, r_state)):
-                    push = conc_f[(w, "t")]
-                    for x in st.universe():
-                        for y2 in st.universe():
-                            want = push(st.delta(x, y2))
-                            u, v = gm[x], gm[y2]
-                            if u in state.inner and v in state.inner:
-                                if state.delta(u, v) != want:
-                                    ok = False
-                            elif u == v:
-                                if want != cs["t"].zero:
-                                    ok = False
-                            else:
-                                other = v if u == pad_t else u
-                                if forced_row.get(other, want) != want:
-                                    ok = False
-                                forced_row[other] = want
-                            if not ok:
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    yield CandidateOutcome("pruned", "distance-equivariance", detail="t")
-                    continue
-                if used_pad:
-                    rows = [
-                        row
-                        for row in _nonzero_row_options(state, pad_t)
-                        if all(row.get(k) == v for k, v in forced_row.items())
-                    ]
-                    if not rows:
-                        yield CandidateOutcome(
-                            "pruned", "distance-equivariance", detail="t"
-                        )
-                        continue
-                else:
-                    rows = [None]
-                for row in rows:
-                    tick()
-                    state.rows = {pad_t: row} if row is not None else {}
-                    added_l = _push_cells(state, l_state.cells, gl)
-                    if added_l is None:
-                        yield CandidateOutcome("pruned", "morphism", detail="t")
-                        continue
-                    added_r = _push_cells(state, r_state.cells, gr)
-                    if added_r is None:
-                        _undo_cells(state, added_l)
-                        yield CandidateOutcome("pruned", "morphism", detail="t")
-                        continue
-                    yield from fill_node(
-                        "t",
-                        forced_pool=[pad_t] if used_pad else [],
-                        after=lambda gl=gl, gr=gr: iter(
-                            [materialize_candidate(gl, gr)]
-                        ),
-                    )
-                    _undo_cells(state, added_r)
-                    _undo_cells(state, added_l)
-
-    def materialize_candidate(gl, gr):
-        poset = square.a_square.poset
+    def materialize_candidate():
         gamps = {p: states[p].gamp() for p in SQUARE_NODES}
-        maps = {
-            ("b", "l"): {
-                **{x: square.a_square.arrows[("b", "l")](x) for x in a_algs["b"].universe},
-                pads["b"]: images["l"],
-            },
-            ("b", "r"): {
-                **{x: square.a_square.arrows[("b", "r")](x) for x in a_algs["b"].universe},
-                pads["b"]: images["r"],
-            },
-            ("l", "t"): dict(gl),
-            ("r", "t"): dict(gr),
-        }
         try:
-            cover_arrows = {}
-            for (p, q), mp in maps.items():
-                cover_arrows[(p, q)] = GampMorphism(
+            cover_arrows = {
+                (p, q): GampMorphism(
                     gamps[p], gamps[q],
                     PalgMorphism(gamps[p].outer, gamps[q].outer, mp),
                     SemMorphism(gamps[p].sem, gamps[q].sem, conc_f[(p, q)].mapping),
                 )
-            diagram = Diagram.from_generators(poset, gamps, cover_arrows)
+                for (p, q), mp in arrow_maps.items()
+            }
+            diagram = Diagram.from_generators(square.a_square.poset, gamps, cover_arrows)
         except (ValueError, KeyError) as e:
             return CandidateOutcome("pruned", "morphism", detail=str(e))
         padded = [p for p in SQUARE_NODES if states[p].pads]

@@ -2,9 +2,10 @@
 validation, quotients, functor application, lifting verification."""
 
 from .errors import DomainMismatch, InvalidIdeal, MissingRealization
+from .gamp import Gamp, GampMorphism
 from .palg import PalgMorphism, PartialAlgebra
 from .pregamp import Pregamp, PregampMorphism
-from .semilattice import JoinSemilattice, SemMorphism
+from .semilattice import JoinSemilattice, SemMorphism, induced_morphism, quotient
 from .util import Verdict, combine_verdicts
 from . import congruence as _cong
 from . import gamp as _gamp
@@ -12,8 +13,6 @@ from . import pregamp as _pregamp
 
 
 def _identity_morphism(obj):
-    from .gamp import Gamp, GampMorphism
-
     if isinstance(obj, JoinSemilattice):
         return SemMorphism.identity(obj)
     if isinstance(obj, PartialAlgebra):
@@ -136,11 +135,7 @@ class NaturalTransformation:
 
 
 def _quotient_node(obj, ideal):
-    from .gamp import Gamp
-
     if isinstance(obj, JoinSemilattice):
-        from .semilattice import quotient
-
         return quotient(obj, ideal)
     if isinstance(obj, Pregamp):
         return _pregamp.quotient_pregamp(obj, ideal)
@@ -150,11 +145,7 @@ def _quotient_node(obj, ideal):
 
 
 def _induced_arrow(arrow, ideal_p, ideal_q):
-    from .gamp import GampMorphism
-
     if isinstance(arrow, SemMorphism):
-        from .semilattice import induced_morphism
-
         return induced_morphism(arrow, ideal_p, ideal_q)
     if isinstance(arrow, PregampMorphism):
         return _pregamp.induced_pregamp_morphism(arrow, ideal_p, ideal_q)
@@ -280,7 +271,7 @@ def is_partial_lifting(
         if p == q:
             continue
         for prop in ("strong", "cuttable") + (("cuttable_chains",) if lattice else ()):
-            v = _gamp.check_morphism_property(arrow, prop, m_cap=m_cap, x_cap=x_cap)
+            v = _gamp.check_morphism_property(arrow, prop, x_cap=x_cap)
             detail[(prop, (p, q))] = v
             verdicts.append(v)
     return combine_verdicts(verdicts), detail

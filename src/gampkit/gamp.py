@@ -12,17 +12,23 @@ from .errors import BudgetExceeded, NotIdealInduced, NotStrong, WrongSignature
 from .palg import (
     PalgMorphism,
     UNDEFINED,
+    chain_cocone,
     generated_sub,
     image_palg,
+    is_palg_isomorphism,
     is_strong_sub,
     product_closure,
     shortest_path,
 )
+from .poset import FinitePoset
 from .pregamp import (
     Pregamp,
     PregampMorphism,
+    _unordered_pairs,
     chain_connectivity,
     congruence_tractable_instances,
+    induced_pregamp_morphism,
+    is_congruence_tractable_morphism,
     pga,
     pga_mor,
     quotient_pregamp,
@@ -237,17 +243,8 @@ def is_chain(g, xs):
 def covers_of_gamp(g):
     """Cover pairs u < v of inner elements with no inner chain strictly between."""
     els = list(g.inner.universe)
-    lt = []
-    for u in els:
-        for v in els:
-            if u != v and is_chain(g, [u, v]):
-                lt.append((u, v))
-    ltset = set(lt)
-    return [
-        (u, v)
-        for (u, v) in lt
-        if not any((u, w) in ltset and (w, v) in ltset for w in els if w not in (u, v))
-    ]
+    lt = [(u, v) for u in els for v in els if u != v and is_chain(g, [u, v])]
+    return FinitePoset(els, lt, validate=False).covers()
 
 
 def presqueordre_facts(g, xs):
@@ -392,7 +389,7 @@ def _image_with_inner(fm):
     return seen
 
 
-def check_morphism_property(fm, which, m_cap=2, x_cap=3):
+def check_morphism_property(fm, which, x_cap=3):
     """strong / operational / cuttable / cuttable_chains for a gamp morphism."""
     if which == "strong":
         img = image_palg(fm.f)
@@ -501,7 +498,7 @@ def _chain_walk(g, lo, hi, step_ok):
     return False
 
 
-def check_through_phi(obj, phi, which, n=None, m_cap=2, x_cap=3):
+def check_through_phi(obj, phi, which, m_cap=2, x_cap=3):
     """Through-phi variants of the distance and cutting properties.
 
     obj is a gamp for dg / dg_chains / tractable and a gamp morphism for
@@ -546,7 +543,7 @@ def transport_realization(g, r, ideal):
     if theta is None:
         theta = _cong.Congruence.identity(big.universe)
     qbig, proj = _cong.quotient_algebra(big, theta)
-    qg, qproj = quotient_gamp(g, ideal)
+    qg, _ = quotient_gamp(g, ideal)
     conc_q = _cong.conc(qbig)
     cmor = _cong.conc_morphism(proj, target_conc=conc_q, source_conc=r.chi.target)
     mapping = {}
@@ -558,8 +555,6 @@ def transport_realization(g, r, ideal):
 
 
 def induced_gamp_morphism(fm, ideal_i, ideal_j):
-    from .pregamp import induced_pregamp_morphism
-
     ind = induced_pregamp_morphism(fm.pg, ideal_i, ideal_j)
     qsrc, _ = quotient_gamp(fm.source, ideal_i)
     qtgt, _ = quotient_gamp(fm.target, ideal_j)
@@ -577,24 +572,8 @@ def gamp_chain_colimit(morphisms, window=1, expect_algebra=False):
     partial-lifting colimit fact: stable strong plus tractable links force the
     result to be an algebra gamp, and the total algebra is returned alongside.
     """
-    from .errors import NotComposable
-    from .palg import is_palg_isomorphism
-    from .pregamp import is_congruence_tractable_morphism
-
     morphisms = list(morphisms)
-    if not morphisms:
-        raise NotComposable("empty chain")
-    for f, g2 in zip(morphisms, morphisms[1:]):
-        if f.target != g2.source:
-            raise NotComposable("chain does not compose")
-    top = morphisms[-1].target
-    cocone = []
-    acc = GampMorphism.identity(top)
-    for f in reversed(morphisms):
-        acc = acc.after(f)
-        cocone.append(acc)
-    cocone.reverse()
-    cocone.append(GampMorphism.identity(top))
+    top, cocone = chain_cocone(morphisms, GampMorphism.identity)
     tail = morphisms[-window:] if window > 0 else []
     stabilized = all(
         is_palg_isomorphism(f.f) and f.fsem.is_injective() and f.fsem.is_surjective()
@@ -704,22 +683,30 @@ def buttress(
             theta = next(t for t in cs.elements if phi(t) == s)
             for (x, y) in _principal_pair_cover(cs, theta, with_chains, algebra):
                 inner.update((x, y))
+        # per X set: its bound, and without chains the congruence whose
+        # blocks carry the cutting walks
+        cuts = []
+        if preds:
+            kernel = [t for t in cs.elements if phi(t) == s_r.zero]
+            kernel_top = max(kernel, key=lambda t: len(algebra.universe) - len(t.blocks))
+            for r_sz in range(1, len(s_r.elements) + 1):
+                for xset in combinations(sorted_elements(s_r.elements), r_sz):
+                    lifts = [next(t for t in cs.elements if phi(t) == u) for u in xset]
+                    big = None if with_chains else cs.join_all(lifts + [kernel_top])
+                    cuts.append((s_r.join_all(xset), big))
         for p in preds:
             prev_outer = outer_parts[p]
             inner |= set(generated_sub(algebra, prev_outer, 1).universe)
             # walks for congruence-cutting through phi below r
-            for r_sz in range(1, len(s_r.elements) + 1):
-                for xset in combinations(sorted_elements(s_r.elements), r_sz):
-                    bound = s_r.join_all(xset)
-                    for x in prev_outer:
-                        for y in prev_outer:
-                            if not s_r.leq(phi(cs.principal(x, y)), bound):
-                                continue
-                            inner |= set(
-                                _cut_walk_in_algebra(
-                                    algebra, cs, phi, x, y, xset, with_chains
-                                )
-                            )
+            for bound, big in cuts:
+                for x in prev_outer:
+                    for y in prev_outer:
+                        if not s_r.leq(phi(cs.principal(x, y)), bound):
+                            continue
+                        if with_chains:
+                            inner.update(_maximal_chain(algebra, x, y))
+                        elif big.same(x, y):
+                            inner |= big.block(x)
         if not inner:
             inner = {algebra.universe[0]}
         inner = frozenset(inner)
@@ -772,24 +759,9 @@ def buttress(
     return diagram
 
 
-def _cut_walk_in_algebra(algebra, cs, phi, x, y, xset, with_chains):
-    """Concrete walk certifying the cutting property inside the total algebra.
-
-    Steps move inside one congruence that phi sends under some member of the
-    X set (or to zero); with chains, the walk climbs a maximal chain from
-    the meet to the join in the interval.
-    """
-    if not with_chains:
-        # a path within the join exists blockwise; walk via the block
-        lifts = [next(t for t in cs.elements if phi(t) == u) for u in xset]
-        kernel = [t for t in cs.elements if phi(t) == phi.target.zero]
-        big = _cong.Congruence.identity(algebra.universe)
-        for t in lifts + [max(kernel, key=lambda t: len(algebra.universe) - len(t.blocks))]:
-            big = _cong.con_join(big, t)
-        blk = big.block(x)
-        if y not in blk:
-            return []
-        return sorted(blk, key=sort_key)
+def _maximal_chain(algebra, x, y):
+    """A maximal chain of the lattice algebra from the meet of x and y to
+    their join, climbing to a least upper cover at each step."""
     meets, joins = algebra.ops["meet"], algebra.ops["join"]
     lo, hi = meets[(x, y)], joins[(x, y)]
     chain = [lo]
@@ -808,8 +780,7 @@ def _cut_walk_in_algebra(algebra, cs, phi, x, y, xset, with_chains):
 
 def _tractability_values(algebra, cs, phi, inner, m_cap):
     """All values of witness term chains for the bounded tractability instances."""
-    inner_l = sorted(inner, key=sort_key)
-    pool = [(a, b) for i, a in enumerate(inner_l) for b in inner_l[i + 1 :]]
+    pool = _unordered_pairs(sorted(inner, key=sort_key))
     kernel_pairs = []
     for t in cs.elements:
         if phi(t) == phi.target.zero:

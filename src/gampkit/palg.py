@@ -473,6 +473,26 @@ class ChainColimit:
     stabilized: bool
 
 
+def chain_cocone(morphisms, identity):
+    """Top object and cocone of a finite composable chain of morphisms; the
+    cocone's k-th leg runs from the k-th object to the top, ending with
+    identity(top)."""
+    if not morphisms:
+        raise NotComposable("empty chain")
+    for f, g in zip(morphisms, morphisms[1:]):
+        if f.target != g.source:
+            raise NotComposable("chain does not compose")
+    top = morphisms[-1].target
+    cocone = []
+    acc = identity(top)
+    for f in reversed(morphisms):
+        acc = acc.after(f)
+        cocone.append(acc)
+    cocone.reverse()
+    cocone.append(identity(top))
+    return top, cocone
+
+
 def chain_colimit(morphisms, window=1):
     """Colimit of a finite chain A0 -> A1 -> ... -> Am with stabilization report.
 
@@ -483,19 +503,7 @@ def chain_colimit(morphisms, window=1):
     colimit of the simulated endless chain is total, which is asserted.
     """
     morphisms = list(morphisms)
-    if not morphisms:
-        raise NotComposable("empty chain")
-    for f, g in zip(morphisms, morphisms[1:]):
-        if f.target != g.source:
-            raise NotComposable("chain does not compose")
-    top = morphisms[-1].target
-    cocone = []
-    acc = PalgMorphism.identity(top)
-    for f in reversed(morphisms):
-        acc = acc.after(f)
-        cocone.append(acc)
-    cocone.reverse()
-    cocone.append(PalgMorphism.identity(top))
+    top, cocone = chain_cocone(morphisms, PalgMorphism.identity)
     tail = morphisms[-window:] if window > 0 else []
     stabilized = all(is_palg_isomorphism(f) for f in tail)
     if stabilized and tail and all(is_strong_morphism(f) for f in tail):

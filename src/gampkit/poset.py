@@ -42,17 +42,11 @@ class FinitePoset:
     def downset(self, x):
         return frozenset(y for y in self.elements if (y, x) in self._leq)
 
-    def upset(self, x):
-        return frozenset(y for y in self.elements if (x, y) in self._leq)
-
     def least(self):
         for x in self.elements:
             if all((x, y) in self._leq for y in self.elements):
                 return x
         return None
-
-    def maximal_elements(self):
-        return [x for x in self.elements if not any(self.lt(x, y) for y in self.elements)]
 
     def covers(self):
         """Cover pairs (u, v): u < v with nothing strictly between."""

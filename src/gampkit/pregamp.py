@@ -10,7 +10,7 @@ from .palg import (
     image_palg,
     is_palg_isomorphism,
     product_closure,
-    term_chain_search,
+    satisfies_identity,
 )
 from .semilattice import (
     SemIdeal,
@@ -168,10 +168,6 @@ def pga_mor(f, source_pg=None, target_pg=None):
     return PregampMorphism(src, tgt, f, fsem, validate=False)
 
 
-def cpg(pg):
-    return pg.sem
-
-
 def sub_pregamp(pg, subalgebra, subsem=None):
     """Sub-pregamp on a partial subalgebra, over a join-subsemilattice
     containing the restricted distances."""
@@ -286,6 +282,20 @@ def is_ideal_induced_pg(fm):
     return definitional
 
 
+def _ideal_quotients(pg, ideal_bound):
+    """Each ideal of the distance semilattice with its quotient carrier."""
+    for ideal in enumerate_ideals(pg.sem, bound=ideal_bound):
+        yield ideal, quotient_pregamp(pg, ideal)[0].carrier
+
+
+def _first_failure(quotients, t1, t2):
+    for ideal, carrier in quotients:
+        ok, ce = satisfies_identity(carrier, t1, t2)
+        if not ok:
+            return ideal, ce
+    return None
+
+
 def pregamp_satisfies_identity(pg, t1, t2, ideal_bound=4096):
     """Identity satisfaction for pregamps: every ideal quotient must satisfy it.
 
@@ -293,21 +303,18 @@ def pregamp_satisfies_identity(pg, t1, t2, ideal_bound=4096):
     carrier satisfying the identity. Returns (True, None) or
     (False, (ideal, counterexample tuple)).
     """
-    from .palg import satisfies_identity
-
-    for ideal in enumerate_ideals(pg.sem, bound=ideal_bound):
-        q, _ = quotient_pregamp(pg, ideal)
-        ok, ce = satisfies_identity(q.carrier, t1, t2)
-        if not ok:
-            return False, (ideal, ce)
-    return True, None
+    wit = _first_failure(_ideal_quotients(pg, ideal_bound), t1, t2)
+    return wit is None, wit
 
 
 def is_pregamp_of(pg, identities, ideal_bound=4096):
-    """Membership in the variety cut out by the named identity list."""
+    """Membership in the variety cut out by the named identity list; the
+    witness is the first failing identity with its first failing ideal.
+    Each ideal quotient is computed once for all identities."""
+    quotients = list(_ideal_quotients(pg, ideal_bound))
     for name, t1, t2 in identities:
-        ok, wit = pregamp_satisfies_identity(pg, t1, t2, ideal_bound)
-        if not ok:
+        wit = _first_failure(quotients, t1, t2)
+        if wit is not None:
             return False, (name, wit)
     return True, None
 
@@ -362,12 +369,6 @@ def is_congruence_tractable_morphism(fm, m_cap=2):
             if find(fm.f(x)) != find(fm.f(y)):
                 return Verdict.false((x, y, chosen), bounds)
     return Verdict.true(None, bounds)
-
-
-def tractability_witness(fm, x, y, chosen):
-    """Explicit term chain for one tractability instance, if one exists."""
-    pairs = [(fm.f(a), fm.f(b)) for a, b in chosen]
-    return term_chain_search(fm.target.carrier, fm.f(x), fm.f(y), pairs)
 
 
 def _sem_isomorphisms(s1, s2, budget):

@@ -115,24 +115,6 @@ class JoinSemilattice:
         return cls(els, 0, table, validate=False)
 
     @classmethod
-    def from_leq(cls, elements, leq_pairs):
-        """Build from an order relation that happens to have all finite joins."""
-        elements = list(elements)
-        leq = {(x, y) for x, y in leq_pairs} | {(x, x) for x in elements}
-        table = {}
-        for x in elements:
-            for y in elements:
-                ub = [z for z in elements if (x, z) in leq and (y, z) in leq]
-                least = [z for z in ub if all((z, w) in leq for w in ub)]
-                if len(least) != 1:
-                    raise ValueError(f"no join for {(x, y)}")
-                table[(x, y)] = least[0]
-        zero = [x for x in elements if all((x, y) in leq for y in elements)]
-        if len(zero) != 1:
-            raise ValueError("no least element")
-        return cls(elements, zero[0], table, validate=False)
-
-    @classmethod
     def product(cls, s, t):
         els = [(x, y) for x in s.elements for y in t.elements]
         table = {

@@ -3,17 +3,22 @@ diagrams, plus the DOT exports. Round trips are identity modulo key order."""
 
 import json
 
+from .congruence import Congruence
+from .diagram import Diagram
 from .errors import SchemaError
-from .palg import PartialAlgebra, SimilarityType
+from .gamp import Gamp, GampMorphism
+from .palg import PalgMorphism, PartialAlgebra, SimilarityType
 from .poset import FinitePoset
 from .pregamp import Pregamp
-from .semilattice import JoinSemilattice
+from .semilattice import JoinSemilattice, SemMorphism
 from .util import sort_key
 
 SCHEMA = "gampkit/1"
 
 
 def _check_schema(data, where):
+    if not isinstance(data, dict):
+        raise SchemaError(f"{where}: expected a JSON object, got {type(data).__name__}")
     tag = data.get("schema", SCHEMA)
     major = tag.split("/")[0]
     if major != "gampkit":
@@ -29,8 +34,6 @@ def encode_el(x):
         return {"set": [encode_el(a) for a in sorted(x, key=sort_key)]}
     if isinstance(x, (str, int, bool)) or x is None:
         return x
-    from .congruence import Congruence
-
     if isinstance(x, Congruence):
         blocks = sorted(
             (sorted(b, key=sort_key) for b in x.blocks), key=lambda b: sort_key(tuple(b))
@@ -46,8 +49,6 @@ def decode_el(x):
         if "set" in x:
             return frozenset(decode_el(a) for a in x["set"])
         if "congruence" in x:
-            from .congruence import Congruence
-
             return Congruence([{decode_el(e) for e in b} for b in x["congruence"]])
         raise SchemaError(f"cannot decode element {x!r}")
     return x
@@ -176,8 +177,6 @@ def gamp_to_json(g):
 
 
 def gamp_from_json(data):
-    from .gamp import Gamp
-
     _check_schema(data, "gamp")
     try:
         inner = algebra_from_json(data["inner"])
@@ -223,11 +222,6 @@ def diagram_to_json(diagram, kind="gamp"):
 
 
 def diagram_from_json(data):
-    from .diagram import Diagram
-    from .gamp import GampMorphism
-    from .palg import PalgMorphism
-    from .semilattice import SemMorphism
-
     _check_schema(data, "diagram")
     kind = data.get("kind", "gamp")
     poset = poset_from_json(data["poset"])
@@ -265,12 +259,8 @@ def _dot_name(x):
 
 def _hasse_dot(elements, leq, title):
     order = sorted(elements, key=sort_key)
-    lt = {(a, b) for a in order for b in order if a != b and leq(a, b)}
-    covers = [
-        (a, b)
-        for (a, b) in sorted(lt, key=lambda p: (sort_key(p[0]), sort_key(p[1])))
-        if not any((a, w) in lt and (w, b) in lt for w in order)
-    ]
+    rel = [(a, b) for a in order for b in order if leq(a, b)]
+    covers = FinitePoset(order, rel, validate=False).covers()
     lines = [f"digraph {json.dumps(title)} {{", "  rankdir=BT;"]
     for x in order:
         lines.append(f"  {_dot_name(x)};")
@@ -283,8 +273,6 @@ def _hasse_dot(elements, leq, title):
 def export_dot(obj, title="gampkit"):
     """Deterministic Hasse-diagram DOT for posets, semilattices, lattice
     algebras, and the shape of a diagram."""
-    from .diagram import Diagram
-
     if isinstance(obj, FinitePoset):
         return _hasse_dot(obj.elements, obj.leq, title)
     if isinstance(obj, JoinSemilattice):

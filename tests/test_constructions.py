@@ -4,6 +4,7 @@ from gampkit.congruence import con_meet, conc, principal_congruence, Congruence
 from gampkit.constructions import (
     CandidateSquare,
     SQUARE_NODES,
+    UnliftableSquare,
     algebra_square_candidate,
     build_named,
     build_square,
@@ -15,6 +16,7 @@ from gampkit.diagram import Diagram, apply_functor
 from gampkit.errors import HypothesisFailed, PreconditionFailed, StepFailed, UnknownName
 from gampkit.gamp import Gamp, GampMorphism
 from gampkit.palg import LATTICE_TYPE, PalgMorphism, PartialAlgebra, is_lattice_algebra
+from gampkit.poset import FinitePoset
 from gampkit.pregamp import Pregamp
 from gampkit.semilattice import SemMorphism
 
@@ -73,10 +75,13 @@ class TestBuildSquare:
         assert len(sq.a_square.objects["t"].universe) == 125
 
     def test_degenerate_marks_rejected(self):
-        two = build_named("two")
-        two.special.update({"x1": 1, "x2": 1, "x3": 0})
-        with pytest.raises(HypothesisFailed):
-            build_square(two, 2)
+        # (1, 1, 0) breaks x1 meet x2 = 0; (0, 0, 1) meets every equation
+        # but has x3 = 1, so X0 = {0, 1} is no three-element chain
+        for x1, x2, x3 in ((1, 1, 0), (0, 0, 1)):
+            two = build_named("two")
+            two.special.update({"x1": x1, "x2": x2, "x3": x3})
+            with pytest.raises(HypothesisFailed):
+                build_square(two, 2)
 
     def test_l2_square(self):
         sq = build_square("L2", 2)
@@ -155,6 +160,7 @@ class TestRefutation:
 
     def test_exhaustive_bound_one(self, square):
         candidates = 0
+        rejected = {}
         pruned = {}
         stepfails = 0
         certificates = 0
@@ -164,8 +170,8 @@ class TestRefutation:
                 candidates += 1
                 try:
                     refute_candidate(square, cand, 2)
-                except PreconditionFailed:
-                    pass
+                except PreconditionFailed as e:
+                    rejected[e.reason] = rejected.get(e.reason, 0) + 1
                 except StepFailed:
                     stepfails += 1
                 else:
@@ -173,13 +179,43 @@ class TestRefutation:
             else:
                 pruned[out.reason] = pruned.get(out.reason, 0) + 1
         assert stepfails == 0 and certificates == 0
-        assert candidates >= 1
-        assert set(pruned) <= {
-            "distance-axioms", "lattice-identities", "lattice-variety",
-            "lattice-n-permutable", "distance-equivariance", "morphism",
-            "square-commutes", "operational-cell",
+        assert candidates == 1
+        assert rejected == {"lattice-n-permutable": 1}
+        assert pruned == {
+            "distance-equivariance": 8, "lattice-n-permutable": 5, "square-commutes": 1,
         }
-        assert sum(pruned.values()) > 0
+
+    def test_exhaustive_stream_reaches_top_placement(self):
+        # both wings identify the top two chain elements and the top node is
+        # a wing again, so the bottom pad reaches the top placement and a
+        # padded candidate is materialized
+        c3, two = build_named("chain:3").algebra, build_named("two").algebra
+        onto = {0: 0, 1: 1, 2: 1}
+        a_square = Diagram.from_generators(
+            FinitePoset.square(),
+            {"b": c3, "l": two, "r": two, "t": two},
+            {
+                ("b", "l"): PalgMorphism(c3, two, onto),
+                ("b", "r"): PalgMorphism(c3, two, onto),
+                ("l", "t"): PalgMorphism.identity(two),
+                ("r", "t"): PalgMorphism.identity(two),
+            },
+        )
+        square = UnliftableSquare(2, None, None, a_square, (), {}, {})
+        outcomes = list(enumerate_candidates(square, 2, size_bound=1))
+        stream = [
+            (o.status, o.reason, o.candidate.label if o.candidate else None)
+            for o in outcomes
+        ]
+        assert stream == (
+            [("candidate", "", "algebra-square"), ("candidate", "", "padded[b]")]
+            + [("pruned", "distance-equivariance", None)] * 4
+            + [("pruned", "lattice-n-permutable", None)] * 5
+        )
+        diagram = outcomes[1].candidate.diagram
+        assert diagram.validate()[0]
+        for node in ("l", "r", "t"):
+            assert diagram.arrows[("b", node)].f("pb") == 0
 
 
 def _padded_non_commuting_candidate(square):

@@ -171,10 +171,55 @@ class TestCli:
         assert run(["repro", "unliftable", "--K", base, "--n", "2"]) == 3
         assert "marked elements" in capsys.readouterr().err
 
-    def test_malformed_json_exit_3(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert run(["conc", str(path)]) == 3
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["conc", "{bad}"], id="not-json"),
+            pytest.param(["conc", "{list}"], id="conc-list"),
+            pytest.param(["gamp-check", "{list}", "--property", "strong"], id="gamp-check-list"),
+            pytest.param(
+                ["diagram-verify", "{list}", "--kind", "operational"], id="diagram-verify-list"
+            ),
+            pytest.param(["poset", "{list}"], id="poset-list"),
+            pytest.param(["poset", "--kposet", "{list}"], id="kposet-list"),
+            pytest.param(
+                ["buttress", "--algebra", "{m3}", "--poset", "{chain2}", "--ideal", "0=zz/1"],
+                id="buttress-foreign-element",
+            ),
+            pytest.param(
+                ["buttress", "--algebra", "{m3}", "--poset", "{chain2}", "--ideal", "0=x1"],
+                id="buttress-not-a-pair",
+            ),
+            pytest.param(
+                ["permutable", "{c3}", "--witness", "0/zz"], id="witness-foreign-element"
+            ),
+        ],
+    )
+    def test_malformed_json_exit_3(self, argv, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        paths = {
+            "bad": str(bad),
+            "list": self.write(tmp_path, "list.json", [1, 2]),
+            "m3": self.write(tmp_path, "m3.json", {"named": "M3"}),
+            "c3": self.write(tmp_path, "c3.json", {"named": "chain:3"}),
+            "chain2": self.write(
+                tmp_path, "chain2.json", ser.poset_to_json(FinitePoset.chain(2))
+            ),
+        }
+        assert run([a.format(**paths) for a in argv]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_internal_error_exit_4(self, tmp_path, monkeypatch, capsys):
+        import gampkit.cli as cli
+
+        def crash(args):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(cli, "cmd_conc", crash)
+        path = self.write(tmp_path, "m3.json", {"named": "M3"})
+        assert run(["conc", path]) == 4
+        assert capsys.readouterr().err.startswith("internal error: KeyError")
 
     def test_dot_output(self, tmp_path, m3, capsys):
         path = self.write(tmp_path, "m3.json", ser.algebra_to_json(m3))
