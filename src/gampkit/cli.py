@@ -106,7 +106,6 @@ def _malcev_mode(args, alg):
     if isinstance(res, _cong.NoContainment):
         _emit(args, {"found": False, "reason": "no containment"}, text="no containment")
         return 1
-    assert isinstance(res, _cong.UnknownAtBound)
     _emit(
         args, {"found": False, "reason": "unknown at bound", "bounds": res.bounds},
         text="unknown at bound",
@@ -132,6 +131,8 @@ def _ideal_generators(sem, raw):
 
 def cmd_quotient(args):
     data = _load_json(args.input)
+    if not isinstance(data, dict):
+        raise SchemaError(f"quotient input: expected a JSON object, got {type(data).__name__}")
     if "join" in data:
         sem = ser.semilattice_from_json(data)
         ideal = SemIdeal.generated(sem, _ideal_generators(sem, args.ideal))
@@ -256,7 +257,15 @@ def cmd_buttress(args):
     poset = ser.poset_from_json(_load_json(args.poset))
     cs = _cong.conc(alg)
     phis = {}
-    specs = dict(kv.split("=", 1) for kv in args.ideal)
+    nodes = {str(p) for p in poset.elements}
+    specs = {}
+    for kv in args.ideal:
+        node, eq, raw = kv.partition("=")
+        if not eq:
+            raise SchemaError(f"--ideal {kv!r} is not NODE=x/y,...")
+        if node not in nodes:
+            raise SchemaError(f"--ideal {kv!r} names no node of the poset")
+        specs[node] = raw
     for p in poset.elements:
         raw = specs.get(str(p), "")
         if raw:
@@ -361,7 +370,7 @@ def build_parser():
 
     p = sub.add_parser("conc", help="compact congruence semilattice of an algebra")
     p.add_argument("algebra")
-    p.add_argument("--bound", type=int, default=160)
+    p.add_argument("--bound", type=int, default=_cong.CON_BOUND, help="largest algebra for Con")
     common(p)
     p.set_defaults(fn=cmd_conc)
 

@@ -4,7 +4,7 @@ congruence semilattice, Mal'cev witness chains, quotients, n-permutability."""
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import NotTotal, TooLarge
+from .errors import NotTotal, TooLarge, cross_check
 from .palg import UNDEFINED, PalgMorphism, PartialAlgebra, Term, is_lattice_algebra, shortest_path
 from .poset import FinitePoset
 from .semilattice import JoinSemilattice, SemMorphism
@@ -201,7 +201,7 @@ def least_congruence_bruteforce(algebra, x, y, bound=7):
     best = candidates[0]
     for t in candidates[1:]:
         best = con_meet(best, t)
-    assert is_congruence(algebra, best), "meet of congruences must be a congruence"
+    cross_check(is_congruence(algebra, best), "meet of congruences must be a congruence")
     return best
 
 
@@ -222,13 +222,19 @@ def con_meet(a, b):
     return Congruence(blocks)
 
 
-def con_lattice(algebra, bound=160):
-    """All congruences of a small finite total algebra.
+# The one size bound on Con(A), in elements of A; `gampkit conc --bound` is
+# the only override.
+CON_BOUND = 160
+
+
+def con_join_closure(algebra, bound=CON_BOUND):
+    """All congruences of a small finite total algebra, with their join table.
 
     Every congruence of a finite algebra is a join of principal ones, so the
     lattice is the join closure of the principal congruences. For lattices,
     principal congruences are generated from cover pairs only, which keeps
-    medium-sized instances tractable.
+    medium-sized instances tractable. Each join of the table is computed
+    once. Returns the congruences in con_lattice order and the table.
     """
     _require_total(algebra)
     if len(algebra.universe) > bound:
@@ -243,51 +249,61 @@ def con_lattice(algebra, bound=160):
             for i, x in enumerate(algebra.universe)
             for y in algebra.universe[i + 1 :]
         ]
-    principals = {congruence_closure(algebra, [p]) for p in gen_pairs}
-    found = {Congruence.identity(algebra.universe)} | principals
-    frontier = list(principals)
-    while frontier:
-        theta = frontier.pop()
-        for other in list(found):
-            j = con_join(theta, other)
-            if j not in found:
-                found.add(j)
-                frontier.append(j)
-    return sorted(found, key=lambda t: t._sort_key())
+    zero = Congruence.identity(algebra.universe)
+    found = list(dict.fromkeys([zero] + [congruence_closure(algebra, [p]) for p in gen_pairs]))
+    seen = set(found)
+    table = {}
+    for i, a in enumerate(found):  # found grows while it is walked
+        table[(a, a)] = table[(a, zero)] = table[(zero, a)] = a
+        for b in found[1:i]:
+            j = table[(a, b)] = table[(b, a)] = con_join(a, b)
+            if j not in seen:
+                seen.add(j)
+                found.append(j)
+    return sorted(found, key=lambda t: t._sort_key()), table
+
+
+def con_lattice(algebra, bound=CON_BOUND):
+    """All congruences of a small finite total algebra, in a fixed order."""
+    return con_join_closure(algebra, bound)[0]
 
 
 class ConcSemilattice(JoinSemilattice):
-    """Semilattice of compact congruences, with the principal-congruence generator map."""
+    """Semilattice of compact congruences, with the principal-congruence
+    generator map and its all-pairs distance table."""
 
-    def __init__(self, algebra, congruences):
+    def __init__(self, algebra, congruences, joins):
         self.algebra = algebra
-        table = {(a, b): con_join(a, b) for a in congruences for b in congruences}
         zero = Congruence.identity(algebra.universe)
         order = sorted(
             congruences,
             key=lambda t: (len(algebra.universe) - len(t.blocks), t._sort_key()),
         )
-        super().__init__(order, zero, table, validate=False)
+        super().__init__(order, zero, joins, validate=False)
         self._principal = {}
 
     def principal(self, x, y):
-        key = (x, y)
-        if key not in self._principal:
+        theta = self._principal.get((x, y))
+        if theta is None:
             theta = principal_congruence(self.algebra, x, y)
-            assert theta in self, "principal congruence missing from Conc"
-            self._principal[key] = theta
-        return self._principal[key]
+            cross_check(theta in self, "principal congruence missing from Conc")
+            self._principal[(x, y)] = self._principal[(y, x)] = theta
+        return theta
+
+    def distances(self):
+        """The principal distance (x, y) -> Theta(x, y) over all pairs of the algebra."""
+        universe = self.algebra.universe
+        return {(x, y): self.principal(x, y) for x in universe for y in universe}
 
 
-def conc(algebra, bound=160):
+def conc(algebra, bound=CON_BOUND):
     """The join-semilattice of compact congruences of a finite algebra.
 
     For a finite algebra this carries the whole congruence lattice; the
     elements are Congruence values and the generator map is exposed as
     .principal(x, y).
     """
-    congruences = con_lattice(algebra, bound)
-    return ConcSemilattice(algebra, congruences)
+    return ConcSemilattice(algebra, *con_join_closure(algebra, bound))
 
 
 def conc_morphism(f, source_conc=None, target_conc=None):
@@ -307,7 +323,7 @@ def conc_morphism(f, source_conc=None, target_conc=None):
             for x, y in zip(bl, bl[1:]):
                 pairs.add((f(x), f(y)))
         image = congruence_closure(f.target, pairs)
-        assert image in tgt, "Conc image not a congruence of the target"
+        cross_check(image in tgt, "Conc image not a congruence of the target")
         mapping[theta] = image
     return SemMorphism(src, tgt, mapping)
 
@@ -405,32 +421,37 @@ def _elementwise_n_permutable(algebra, n, cong_sl):
     """Chain condition: every (n+1)-tuple admits interpolants y with the
     parity containments between generated congruences."""
     universe = algebra.universe
-    theta = {(x, y): cong_sl.principal(x, y) for x in universe for y in universe}
+    theta = cong_sl.distances()
     for xs in product(universe, repeat=n + 1):
         if next(chain_interpolants(cong_sl, theta, xs, xs[0], xs[n], universe), None) is None:
             return False, xs
     return True, None
 
 
-def is_n_permutable(algebra, n, elementwise_limit=2_000_000, conc_bound=160):
+# Largest |A|^(2n) for which is_n_permutable also runs the element-wise
+# chain condition as a cross-check.
+ELEMENTWISE_LIMIT = 2_000_000
+
+
+def is_n_permutable(algebra, n):
     """Congruence n-permutability, by relational composition of congruence pairs.
 
     The element-wise chain characterization is run as well whenever the
-    instance fits under elementwise_limit, and the two answers are asserted
-    to agree. Returns (bool, witness) where the witness is a violating
-    congruence pair or tuple.
+    instance fits under ELEMENTWISE_LIMIT, and the two answers must agree.
+    Returns (bool, witness) where the witness is a violating congruence pair
+    or tuple.
     """
     _require_total(algebra)
     if n < 2:
         raise ValueError("n must be at least 2")
-    congruences = con_lattice(algebra, conc_bound)
+    congruences, joins = con_join_closure(algebra)
     ok_rel, wit_rel = _relational_n_permutable(algebra, n, congruences)
     size = len(algebra.universe)
     cost = size ** (n + 1) * max(1, size ** (n - 1))
-    if cost <= elementwise_limit:
-        cs = ConcSemilattice(algebra, congruences)
+    if cost <= ELEMENTWISE_LIMIT:
+        cs = ConcSemilattice(algebra, congruences, joins)
         ok_el, _ = _elementwise_n_permutable(algebra, n, cs)
-        assert ok_rel == ok_el, "n-permutability characterizations disagree"
+        cross_check(ok_rel == ok_el, "n-permutability characterizations disagree")
     return (ok_rel, wit_rel)
 
 
@@ -583,5 +604,5 @@ def malcev_witness(algebra, x, y, xs, ys, depth_bound=3, param_bound=16):
     if len(params) > param_bound:
         return UnknownAtBound({"depth_bound": depth_bound, "param_bound": param_bound})
     witness = MalcevWitness(len(path), tuple(params), tuple(terms), m)
-    assert witness.validate(algebra, x, y, xs, ys), "constructed witness must validate"
+    cross_check(witness.validate(algebra, x, y, xs, ys), "constructed witness must validate")
     return witness

@@ -3,6 +3,7 @@ lattice and a chain, verification of their stated facts, and a refutation
 engine that executes the no-permutable-extension proof as a checked program."""
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 
 from .errors import (
@@ -11,6 +12,7 @@ from .errors import (
     PreconditionFailed,
     StepFailed,
     UnknownName,
+    cross_check,
 )
 from .palg import (
     LATTICE_IDENTITIES,
@@ -70,7 +72,7 @@ def lattice_from_covers(elements, covers):
     alg = PartialAlgebra.total_from_fn(
         LATTICE_TYPE, elements, {"meet": meet_fn, "join": join_fn}
     )
-    assert is_lattice_algebra(alg)
+    cross_check(is_lattice_algebra(alg), "covers must give a lattice")
     return alg
 
 
@@ -216,6 +218,13 @@ class UnliftableSquare:
     def chain_algebra(self):
         return self.a_square.objects["b"]
 
+    @cached_property
+    def ga_square(self):
+        """The algebra gamps of the companion square, built on first use; their
+        pregamps are its PGA image, which every candidate's inner pregamps
+        must match on the nose."""
+        return apply_functor(self.a_square, "GA")
+
 
 def _sublattice(base_alg, subset, name):
     sub = base_alg.restrict_full(subset)
@@ -288,8 +297,8 @@ def build_square(base, n):
 
     chain = _chain_lattice(n + 1)
     cuts = tuple((i, j) for i in range(n - 1) for j in range(i + 1, n))
-    assert len(cuts) == n * (n - 1) // 2
-    assert len(cuts) == _count_isotone_surjections(chain, x0)
+    surjections = _count_isotone_surjections(chain, x0)
+    cross_check(len(cuts) == n * (n - 1) // 2 == surjections, "cuts are the surjections onto X0")
     t_maps = {}
     for (i, j) in cuts:
         t_maps[(i, j)] = {
@@ -351,7 +360,12 @@ def _is_boolean_with_atoms(cs, expected_atoms):
     return len(seen) == len(cs)
 
 
-def verify_square_facts(square, direct_bound=30):
+# Largest node carrier whose permutability verify_square_facts checks
+# directly; larger nodes are checked through their factor.
+DIRECT_BOUND = 30
+
+
+def verify_square_facts(square):
     """The stated finite facts about the two squares.
 
     (a) the two principal congruences at the marked elements meet trivially
@@ -386,7 +400,7 @@ def verify_square_facts(square, direct_bound=30):
     fact_c = {}
     for node in SQUARE_NODES:
         alg = square.a_square.objects[node]
-        if len(alg.universe) <= direct_bound:
+        if len(alg.universe) <= DIRECT_BOUND:
             ok, _ = _cong.is_n_permutable(alg, n + 1)
             fact_c[node] = {"ok": ok, "method": "direct"}
         else:
@@ -464,16 +478,11 @@ class RefutationCertificate:
     def validate(self, square):
         """Re-run every recorded step check; the final inequality must fail in
         the chain's congruence semilattice."""
-        assert all(s.ok for s in self.steps)
-        cs = _cong.conc(square.chain_algebra)
+        cross_check(all(s.ok for s in self.steps), "a recorded step failed")
+        cs = square.ga_square.objects["b"].sem
         lhs, rhs_parts = self.final_inequality
         rhs = cs.join_all(rhs_parts)
         return not cs.leq(lhs, rhs)
-
-
-def _expected_inner_square(square):
-    """The inner-pregamp square every candidate must match on the nose."""
-    return apply_functor(square.a_square, "PGA")
 
 
 def _require(cond, reason, detail=None):
@@ -499,7 +508,7 @@ def _gamp_square_preconditions(square, cand, n):
         _require(ok, "distance-axioms", (p, viol))
         ok, viol = is_pregamp_of(g.pregamp, LATTICE_IDENTITIES)
         _require(ok, "lattice-variety", (p, viol))
-    expected = _expected_inner_square(square)
+    expected = square.ga_square
     if cand.equivalence is not None:
         # transport along the supplied equivalence; non-invertible components
         # are precondition-rejected rather than coerced
@@ -509,10 +518,10 @@ def _gamp_square_preconditions(square, cand, n):
             raise PreconditionFailed("naturality", str(e))
         diagram = _transport_candidate(cand, expected)
     for p in SQUARE_NODES:
-        _require(pggl(diagram.objects[p]) == expected.objects[p], "inner-image", p)
+        _require(pggl(diagram.objects[p]) == expected.objects[p].pregamp, "inner-image", p)
     for (p, q), arrow in diagram.arrows.items():
         _require(
-            pggl_mor(arrow) == expected.arrows[(p, q)], "inner-image-arrow", (p, q)
+            pggl_mor(arrow) == expected.arrows[(p, q)].pg, "inner-image-arrow", (p, q)
         )
     okop = all(
         bool(check_morphism_property(diagram.arrows[(p, q)], "operational"))
@@ -563,7 +572,7 @@ def _transport_candidate(cand, expected):
             for x in g.outer.universe
             for y in g.outer.universe
         }
-        inner = expected.objects[p].carrier
+        inner = expected.objects[p].inner
         new_objects[p] = Gamp(inner, Pregamp(outer, dist, sem), validate=False)
     new_arrows = {}
     for (p, q), arrow in diagram.arrows.items():
@@ -638,7 +647,7 @@ def refute_candidate(square, cand, n, precheck=True):
     record("comparison", i, cs0.leq(d0(a[0], b[i]), d0(a[0], a[i])))
     record("step-escape", i, not cs0.leq(d0(b[i], b[i + 1]), d0(a[0], a[i])))
 
-    conc_chain = _cong.conc(chain)
+    conc_chain = square.ga_square.objects["b"].sem
     atoms = [conc_chain.principal(k, k + 1) for k in range(n)]
     record("chain-boolean", None, _is_boolean_with_atoms(conc_chain, atoms))
     js = [
@@ -656,12 +665,11 @@ def refute_candidate(square, cand, n, precheck=True):
 
     # ideal family from the projection kernels
     proj = square.projections[cut]
-    ideals = {}
-    for p in SQUARE_NODES:
-        conc_proj = _cong.conc_morphism(
-            proj[p], source_conc=diagram.objects[p].sem
-        )
-        ideals[p] = ker0(conc_proj)
+    xcs = {p: _cong.conc(square.x_square.objects[p]) for p in SQUARE_NODES}
+    conc_proj = {
+        p: _cong.conc_morphism(proj[p], diagram.objects[p].sem, xcs[p]) for p in SQUARE_NODES
+    }
+    ideals = {p: ker0(conc_proj[p]) for p in SQUARE_NODES}
     dideal = DiagramIdeal(diagram, ideals)
     qdiagram, qtransform = quotient_diagram(diagram, dideal, validate=False)
     record("quotient", {p: len(qdiagram.objects[p].outer) for p in SQUARE_NODES})
@@ -679,17 +687,13 @@ def refute_candidate(square, cand, n, precheck=True):
         record(f"equivalence-carrier[{p}]", None, ok and set(fwd.values()) == set(xk_alg.universe))
         xi[p] = {v: k for k, v in fwd.items()}
 
-    xcs = {p: _cong.conc(square.x_square.objects[p]) for p in SQUARE_NODES}
     xi_sem = {}
     for p in SQUARE_NODES:
         qg = qdiagram.objects[p]
         fwd = {}
-        conc_proj = _cong.conc_morphism(
-            proj[p], source_conc=diagram.objects[p].sem, target_conc=xcs[p]
-        )
         proj_q = qtransform.components[p]
         for t in diagram.objects[p].sem.elements:
-            fwd[proj_q.fsem(t)] = conc_proj(t)
+            fwd[proj_q.fsem(t)] = conc_proj[p](t)
         ok = len(set(fwd.values())) == len(fwd) and set(fwd.keys()) == set(qg.sem.elements)
         record(f"equivalence-sem[{p}]", None, ok)
         xi_sem[p] = {v: k for k, v in fwd.items()}
@@ -849,7 +853,7 @@ class CandidateOutcome:
 
 def algebra_square_candidate(square):
     """The candidate whose gamps are the algebra gamps of the square itself."""
-    return CandidateSquare(apply_functor(square.a_square, "GA"), None, "algebra-square")
+    return CandidateSquare(square.ga_square, None, "algebra-square")
 
 
 class _NodeState:
@@ -1061,7 +1065,11 @@ def _undo_cells(state, added):
         del state.cells[k]
 
 
-def enumerate_candidates(square, n, size_bound=1, max_nodes=5_000_000):
+# Search nodes one enumeration may visit before it gives up.
+MAX_NODES = 5_000_000
+
+
+def enumerate_candidates(square, n, size_bound=1):
     """Exhaustive stream of padded candidate squares at the given bound.
 
     Enumerates, with constraint propagation, the minimal candidates: outer
@@ -1078,43 +1086,31 @@ def enumerate_candidates(square, n, size_bound=1, max_nodes=5_000_000):
 
     Yields CandidateOutcome items in a fixed order: materialized candidates,
     and pruned branches tagged with the violated constraint. Only padding
-    bounds 0 and 1 are supported.
+    bounds 0 and 1 are supported; the carrier cap of padded enumeration is
+    checked before the first item.
     """
     if size_bound < 0 or size_bound > 1:
         raise BudgetExceeded("only padding bounds 0 and 1 are implemented")
+    a_algs = {p: square.a_square.objects[p] for p in SQUARE_NODES}
+    if size_bound == 1 and any(len(a.universe) > 16 for a in a_algs.values()):
+        raise BudgetExceeded(
+            "padded enumeration is a desk-scale tool; a node carrier exceeds 16"
+        )
     yield CandidateOutcome("candidate", candidate=algebra_square_candidate(square))
     if size_bound == 0:
         return
 
-    a_algs = {p: square.a_square.objects[p] for p in SQUARE_NODES}
-    if any(len(a.universe) > 16 for a in a_algs.values()):
-        raise BudgetExceeded(
-            "padded enumeration is a desk-scale tool; a node carrier exceeds 16"
-        )
-    cs = {p: _cong.conc(a_algs[p]) for p in SQUARE_NODES}
-    theta = {
-        p: {
-            (x, y): cs[p].principal(x, y)
-            for x in a_algs[p].universe
-            for y in a_algs[p].universe
-        }
-        for p in SQUARE_NODES
-    }
-    conc_f = {
-        (p, q): _cong.conc_morphism(square.a_square.arrows[(p, q)], cs[p], cs[q])
-        for p in SQUARE_NODES
-        for q in SQUARE_NODES
-        if square.a_square.poset.leq(p, q)
-    }
+    gas = square.ga_square
+    conc_f = {pq: m.fsem for pq, m in gas.arrows.items()}
 
     counter = {"nodes": 0}
 
     def tick():
         counter["nodes"] += 1
-        if counter["nodes"] > max_nodes:
+        if counter["nodes"] > MAX_NODES:
             raise BudgetExceeded("enumeration budget exhausted")
 
-    states = {p: _NodeState(a_algs[p], cs[p], theta[p]) for p in SQUARE_NODES}
+    states = {p: _NodeState(a_algs[p], g.sem, g.pregamp.dist) for p, g in gas.objects.items()}
     pads = {p: f"p{p}" for p in SQUARE_NODES}
     inner_maps = {
         (p, q): {x: square.a_square.arrows[(p, q)](x) for x in a_algs[p].universe}

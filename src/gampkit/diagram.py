@@ -179,23 +179,23 @@ def quotient_diagram(diagram, diagram_ideal, validate=True):
     return result, transform
 
 
-def apply_functor(diagram, name, bound=160):
+def apply_functor(diagram, name):
     """Nodewise functor application: Conc, PGA, GA, CG, PGGL, PGGR."""
     poset = diagram.poset
     if name == "Conc":
-        objs = {p: _cong.conc(diagram.objects[p], bound) for p in poset.elements}
+        objs = {p: _cong.conc(diagram.objects[p]) for p in poset.elements}
         arrows = {
             (p, q): _cong.conc_morphism(diagram.arrows[(p, q)], objs[p], objs[q])
             for (p, q) in diagram.arrows
         }
     elif name == "PGA":
-        objs = {p: _pregamp.pga(diagram.objects[p], bound) for p in poset.elements}
+        objs = {p: _pregamp.pga(diagram.objects[p]) for p in poset.elements}
         arrows = {
             (p, q): _pregamp.pga_mor(diagram.arrows[(p, q)], objs[p], objs[q])
             for (p, q) in diagram.arrows
         }
     elif name == "GA":
-        objs = {p: _gamp.ga(diagram.objects[p], bound) for p in poset.elements}
+        objs = {p: _gamp.ga(diagram.objects[p]) for p in poset.elements}
         arrows = {
             (p, q): _gamp.ga_mor(diagram.arrows[(p, q)], objs[p], objs[q])
             for (p, q) in diagram.arrows
@@ -277,7 +277,7 @@ def is_partial_lifting(
     return combine_verdicts(verdicts), detail
 
 
-def natural_equivalence_search(d1, d2, budget=200_000):
+def natural_equivalence_search(d1, d2):
     """Nodewise pregamp isomorphisms commuting with the arrows.
 
     Backtracks over per-node isomorphisms in linear-extension order, checking
@@ -293,7 +293,7 @@ def natural_equivalence_search(d1, d2, budget=200_000):
     def candidate_isos(p):
         if p not in candidates:
             candidates[p] = list(
-                _pregamp.pregamp_isomorphisms(d1.objects[p], d2.objects[p], budget)
+                _pregamp.pregamp_isomorphisms(d1.objects[p], d2.objects[p])
             )
         return candidates[p]
 

@@ -97,3 +97,18 @@ class BudgetExceeded(GampkitError):
 
 class SchemaError(GampkitError):
     """Malformed serialized input; message carries the offending path."""
+
+
+class CrossCheckFailed(AssertionError):
+    """Two independent computations of one fact disagree.
+
+    An internal fault, never an input error: it subclasses neither
+    GampkitError nor ValueError, so the CLI reports it as exit 4. Raised
+    explicitly, so the cross-checks also run under python -O.
+    """
+
+
+def cross_check(ok, message):
+    """Raise CrossCheckFailed(message) unless ok is true."""
+    if not ok:
+        raise CrossCheckFailed(message)

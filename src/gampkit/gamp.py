@@ -8,7 +8,7 @@ the buttress construction of diagrams of finite subgamps."""
 from collections import deque
 from itertools import combinations, product
 
-from .errors import BudgetExceeded, NotIdealInduced, NotStrong, WrongSignature
+from .errors import BudgetExceeded, NotIdealInduced, NotStrong, WrongSignature, cross_check
 from .palg import (
     PalgMorphism,
     UNDEFINED,
@@ -175,10 +175,9 @@ def check_realization(g, r):
     return True
 
 
-def ga(algebra, bound=160):
+def ga(algebra):
     """The gamp of a total algebra: inner part equal to the whole algebra."""
-    pg = pga(algebra, bound)
-    return Gamp(algebra, pg, validate=False)
+    return Gamp(algebra, pga(algebra), validate=False)
 
 
 def ga_mor(f, source=None, target=None):
@@ -253,22 +252,23 @@ def presqueordre_facts(g, xs):
     if not check_property(g, "strong"):
         raise NotStrong("the almost-order facts require a strong gamp")
     xs = list(xs)
-    assert is_chain(g, xs), "input must be a chain"
+    cross_check(is_chain(g, xs), "input must be a chain")
     n = len(xs)
     meets, joins = g.outer.ops["meet"], g.outer.ops["join"]
     for i in range(n):
         for j in range(i, n):
             a, b = xs[i], xs[j]
-            assert meets[(a, b)] == a and meets[(b, a)] == a
-            assert joins[(a, b)] == b and joins[(b, a)] == b
+            cross_check(meets[(a, b)] == a == meets[(b, a)], f"chain meet at {(a, b)}")
+            cross_check(joins[(a, b)] == b == joins[(b, a)], f"chain join at {(a, b)}")
     S = g.sem
     for i in range(n):
         for j in range(i, n):
             for k in range(i, j + 1):
                 for k2 in range(k, j + 1):
-                    assert S.leq(g.delta(xs[k], xs[k2]), g.delta(xs[i], xs[j]))
+                    d = g.delta(xs[k], xs[k2])
+                    cross_check(S.leq(d, g.delta(xs[i], xs[j])), f"distance law at {(i, j)}")
             total = S.join_all(g.delta(xs[k], xs[k + 1]) for k in range(i, j))
-            assert g.delta(xs[i], xs[j]) == total
+            cross_check(g.delta(xs[i], xs[j]) == total, f"distance sum at {(i, j)}")
     return True
 
 
@@ -568,7 +568,7 @@ def induced_gamp_morphism(fm, ideal_i, ideal_j):
 def gamp_chain_colimit(morphisms, window=1, expect_algebra=False):
     """Colimit of a finite chain of gamps: the top object with its cocone.
 
-    Reports stabilization over the window; with expect_algebra, asserts the
+    Reports stabilization over the window; with expect_algebra, checks the
     partial-lifting colimit fact: stable strong plus tractable links force the
     result to be an algebra gamp, and the total algebra is returned alongside.
     """
@@ -586,10 +586,11 @@ def gamp_chain_colimit(morphisms, window=1, expect_algebra=False):
             bool(is_congruence_tractable_morphism(f.pg)) for f in tail
         )
         if strong_links and tractable_links:
-            assert top.outer.is_total(), "stable strong chain must close the operations"
-            assert top.inner == top.outer or set(top.inner.universe) == set(
-                top.outer.universe
-            ), "inner part must exhaust the carrier"
+            cross_check(top.outer.is_total(), "stable strong chain must close the operations")
+            cross_check(
+                set(top.inner.universe) == set(top.outer.universe),
+                "inner part must exhaust the carrier",
+            )
             extracted = top.outer
     return top, cocone, stabilized, extracted
 
@@ -623,8 +624,12 @@ def _principal_pair_cover(cs, theta, comparable_only, algebra):
             acc = cs.join(acc, p)
             if acc == theta:
                 break
-    assert acc == theta, "principal pairs must cover the congruence"
+    cross_check(acc == theta, "principal pairs must cover the congruence")
     return pairs
+
+
+# Most elements the outer part of one buttress node may reach.
+BUTTRESS_SIZE_BUDGET = 4000
 
 
 def buttress(
@@ -634,7 +639,6 @@ def buttress(
     with_chains=False,
     n_permutable=None,
     m_cap=2,
-    size_budget=4000,
 ):
     """Diagram of finite subgamps of the gamp of a finite algebra.
 
@@ -720,8 +724,8 @@ def buttress(
         if n_permutable is not None:
             outer |= _permutability_interpolants(algebra, cs, inner, n_permutable)
         outer = frozenset(outer)
-        if len(outer) > size_budget:
-            raise BudgetExceeded(f"node {r!r} outer part exceeds {size_budget}")
+        if len(outer) > BUTTRESS_SIZE_BUDGET:
+            raise BudgetExceeded(f"node {r!r} outer part exceeds {BUTTRESS_SIZE_BUDGET}")
 
         # semilattice stage: generated congruences, extended to keep phi
         # ideal-induced on the node
@@ -772,7 +776,7 @@ def _maximal_chain(algebra, x, y):
             if v != cur and meets[(cur, v)] == cur and meets[(v, hi)] == v:
                 if step is None or meets[(v, step)] == v:
                     step = v
-        assert step is not None
+        cross_check(step is not None, "a lattice interval has an upper cover")
         chain.append(step)
         cur = step
     return chain
@@ -801,11 +805,11 @@ def _permutability_interpolants(algebra, cs, inner, n):
     out = set()
     universe = algebra.universe
     meets, joins = algebra.ops["meet"], algebra.ops["join"]
-    dist = {(x, y): cs.principal(x, y) for x in universe for y in universe}
+    dist = cs.distances()
     for xs in product(sorted(inner, key=sort_key), repeat=n + 1):
         first, last = meets[(xs[0], xs[n])], joins[(xs[0], xs[n])]
         found = next(_cong.chain_interpolants(cs, dist, xs, first, last, universe, meets), None)
-        assert found is not None, "base algebra permutability must provide interpolants"
+        cross_check(found is not None, "base algebra permutability must provide interpolants")
         out.update(found)
     return out
 
@@ -816,20 +820,24 @@ def _verify_buttress(diagram, phis, with_chains, n_permutable, m_cap):
         g = diagram.objects[p]
         phi_p = phis[p].restrict(g.sem)
         ok, _ = is_ideal_induced(phi_p)
-        assert ok, f"phi restriction at {p!r} must stay ideal-induced"
-        assert bool(check_property(g, "strong")), f"node {p!r} must be strong"
-        assert bool(check_through_phi(g, phi_p, "dg")), f"node {p!r} must generate distances"
-        assert bool(check_through_phi(g, phi_p, "tractable", m_cap=m_cap))
+        fails = f"buttress node {p!r} fails"
+        cross_check(ok, f"{fails}: phi restriction stays ideal-induced")
+        cross_check(check_property(g, "strong"), f"{fails}: strong")
+        cross_check(check_through_phi(g, phi_p, "dg"), f"{fails}: dg")
+        cross_check(check_through_phi(g, phi_p, "tractable", m_cap=m_cap), f"{fails}: tractable")
         if with_chains:
-            assert bool(check_through_phi(g, phi_p, "dg_chains"))
+            cross_check(check_through_phi(g, phi_p, "dg_chains"), f"{fails}: dg_chains")
         if n_permutable is not None:
-            assert bool(check_property(g, "n_permutable", n=n_permutable))
+            cross_check(check_property(g, "n_permutable", n=n_permutable), f"{fails}: permutable")
     for (p, q), arrow in diagram.arrows.items():
         if p == q:
             continue
-        assert is_subgamp(diagram.objects[p], diagram.objects[q])
+        fails = f"buttress arrow {(p, q)!r} fails"
+        cross_check(is_subgamp(diagram.objects[p], diagram.objects[q]), f"{fails}: subgamp")
         phi_q = phis[q].restrict(diagram.objects[q].sem)
-        assert bool(check_morphism_property(arrow, "strong"))
-        assert bool(check_through_phi(arrow, phi_q, "cuttable", x_cap=len(phi_q.target.elements)))
+        x_cap = len(phi_q.target.elements)
+        cross_check(check_morphism_property(arrow, "strong"), f"{fails}: strong")
+        cross_check(check_through_phi(arrow, phi_q, "cuttable", x_cap=x_cap), f"{fails}: cuttable")
         if with_chains:
-            assert bool(check_through_phi(arrow, phi_q, "cuttable_chains", x_cap=len(phi_q.target.elements)))
+            ok = check_through_phi(arrow, phi_q, "cuttable_chains", x_cap=x_cap)
+            cross_check(ok, f"{fails}: cuttable_chains")

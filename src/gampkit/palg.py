@@ -5,7 +5,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import ArityMismatch, NotComposable, NotSubset
+from .errors import ArityMismatch, NotComposable, NotSubset, cross_check
 
 
 class _Undefined:
@@ -500,14 +500,14 @@ def chain_colimit(morphisms, window=1):
     structure (every defined tuple of an earlier stage pushes into a defined
     tuple of the last). The last `window` links count as stable when they are
     isomorphisms of partial algebras; when they are moreover strong, the
-    colimit of the simulated endless chain is total, which is asserted.
+    colimit of the simulated endless chain is total, which is cross-checked.
     """
     morphisms = list(morphisms)
     top, cocone = chain_cocone(morphisms, PalgMorphism.identity)
     tail = morphisms[-window:] if window > 0 else []
     stabilized = all(is_palg_isomorphism(f) for f in tail)
     if stabilized and tail and all(is_strong_morphism(f) for f in tail):
-        assert top.is_total(), "stable strong tail must yield a total colimit"
+        cross_check(top.is_total(), "stable strong tail must yield a total colimit")
     return ChainColimit(top, cocone, stabilized)
 
 

@@ -5,7 +5,7 @@ analogue of the free-set combinatorial relation."""
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import BudgetExceeded, TooLarge
+from .errors import BudgetExceeded, TooLarge, cross_check
 from .util import sort_key, sorted_elements
 
 
@@ -154,7 +154,7 @@ def kernel_containing(poset, f_set):
         trial = v - {u}
         if is_kernel(poset, trial):
             v = trial
-    assert is_kernel(poset, v)
+    cross_check(is_kernel(poset, v), "kernel_containing must return a kernel")
     return frozenset(v)
 
 
@@ -270,14 +270,14 @@ def kposet(spec, budget=100_000):
     prefix and, across levels, by the base order against the next mark.
 
     Returns (poset, tree nodes). The exact size law |A| = |T| * |P| is
-    asserted.
+    cross-checked on the element set.
     """
     tree = _tree_nodes(spec)
     size = len(tree) * len(spec.base)
     if size > budget:
         raise BudgetExceeded(f"kposet would have {size} elements")
     elements = [(n, xs, rs, p) for (n, xs, rs) in tree for p in spec.base.elements]
-    assert len(elements) == len(tree) * len(spec.base)
+    cross_check(len(set(elements)) == size, "kposet size law |A| = |T| * |P| fails")
 
     def tree_leq(a, b):
         (m, xs, rs), (n, ys, ss) = a, b
@@ -395,17 +395,21 @@ def finite_comb_search(poset, kappa, lam, big_f, budget=2_000_000):
     for p in poset.elements:
         for q in poset.elements:
             if poset.leq(p, q):
-                assert check_pair(found, p, q), "definitional recheck failed"
+                cross_check(check_pair(found, p, q), "definitional recheck failed")
     return found
 
 
-def _linear_extensions(poset, cap):
-    """All linear extensions as tuples, up to a hard cap."""
+# Most linear extensions order_dimension_at_most lists before it refuses.
+EXTENSION_CAP = 3000
+
+
+def _linear_extensions(poset):
+    """All linear extensions as tuples, up to EXTENSION_CAP."""
     out = []
 
     def extend(prefix, remaining):
-        if len(out) > cap:
-            raise TooLarge(f"more than {cap} linear extensions")
+        if len(out) > EXTENSION_CAP:
+            raise TooLarge(f"more than {EXTENSION_CAP} linear extensions")
         if not remaining:
             out.append(tuple(prefix))
             return
@@ -421,7 +425,7 @@ def _linear_extensions(poset, cap):
     return out
 
 
-def order_dimension_at_most(poset, k, extension_cap=3000):
+def order_dimension_at_most(poset, k):
     """Brute-force check that k linear extensions realize the order.
 
     Plumbing only: intended for k <= 3 and small posets; anything beyond the
@@ -439,7 +443,7 @@ def order_dimension_at_most(poset, k, extension_cap=3000):
     ]
     if not incomparable:
         return True  # a chain: one extension realizes it
-    exts = _linear_extensions(poset, extension_cap)
+    exts = _linear_extensions(poset)
     index = {p: i for i, p in enumerate(incomparable)}
 
     def realized(ext):

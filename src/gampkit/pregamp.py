@@ -3,7 +3,7 @@ from total algebras, quotients, induced morphisms, identity satisfaction."""
 
 from itertools import chain, combinations
 
-from .errors import BudgetExceeded, IdealNotMapped, InvalidIdeal
+from .errors import BudgetExceeded, IdealNotMapped, InvalidIdeal, cross_check
 from .palg import (
     PalgMorphism,
     PartialAlgebra,
@@ -150,14 +150,10 @@ class PregampMorphism:
         )
 
 
-def pga(algebra, bound=160):
+def pga(algebra):
     """The pregamp of a total algebra: its principal-congruence distance."""
-    cs = _cong.conc(algebra, bound)
-    dist = {}
-    for x in algebra.universe:
-        for y in algebra.universe:
-            dist[(x, y)] = cs.principal(x, y)
-    return Pregamp(algebra, dist, cs)
+    cs = _cong.conc(algebra)
+    return Pregamp(algebra, cs.distances(), cs)
 
 
 def pga_mor(f, source_pg=None, target_pg=None):
@@ -254,7 +250,7 @@ def induced_pregamp_morphism(fm, ideal_i, ideal_j):
         validate=False,
     )
     induced.validate()
-    assert induced.after(pi) == pj.after(fm), "induced morphism square must commute"
+    cross_check(induced.after(pi) == pj.after(fm), "induced morphism square must commute")
     return induced
 
 
@@ -278,13 +274,17 @@ def is_ideal_induced_pg(fm):
             and induced.fsem.is_injective()
             and induced.fsem.is_surjective()
         )
-    assert definitional == via_quotient, "ideal-induced criteria disagree"
+    cross_check(definitional == via_quotient, "ideal-induced criteria disagree")
     return definitional
 
 
-def _ideal_quotients(pg, ideal_bound):
+# Most ideals whose quotients an identity check walks through.
+IDEAL_BOUND = 4096
+
+
+def _ideal_quotients(pg):
     """Each ideal of the distance semilattice with its quotient carrier."""
-    for ideal in enumerate_ideals(pg.sem, bound=ideal_bound):
+    for ideal in enumerate_ideals(pg.sem, bound=IDEAL_BOUND):
         yield ideal, quotient_pregamp(pg, ideal)[0].carrier
 
 
@@ -296,22 +296,22 @@ def _first_failure(quotients, t1, t2):
     return None
 
 
-def pregamp_satisfies_identity(pg, t1, t2, ideal_bound=4096):
+def pregamp_satisfies_identity(pg, t1, t2):
     """Identity satisfaction for pregamps: every ideal quotient must satisfy it.
 
     Quotients can gain definedness, so this is strictly stronger than the
     carrier satisfying the identity. Returns (True, None) or
     (False, (ideal, counterexample tuple)).
     """
-    wit = _first_failure(_ideal_quotients(pg, ideal_bound), t1, t2)
+    wit = _first_failure(_ideal_quotients(pg), t1, t2)
     return wit is None, wit
 
 
-def is_pregamp_of(pg, identities, ideal_bound=4096):
+def is_pregamp_of(pg, identities):
     """Membership in the variety cut out by the named identity list; the
     witness is the first failing identity with its first failing ideal.
     Each ideal quotient is computed once for all identities."""
-    quotients = list(_ideal_quotients(pg, ideal_bound))
+    quotients = list(_ideal_quotients(pg))
     for name, t1, t2 in identities:
         wit = _first_failure(quotients, t1, t2)
         if wit is not None:
@@ -371,10 +371,14 @@ def is_congruence_tractable_morphism(fm, m_cap=2):
     return Verdict.true(None, bounds)
 
 
-def _sem_isomorphisms(s1, s2, budget):
+# Backtracking steps an isomorphism search may take before it gives up.
+ISO_BUDGET = 200_000
+
+
+def _sem_isomorphisms(s1, s2):
     """Generate all semilattice isomorphisms by backtracking.
 
-    Exceeding the budget raises rather than silently truncating, so an
+    Exceeding ISO_BUDGET raises rather than silently truncating, so an
     exhausted generator really means there are no more.
     """
     if len(s1) != len(s2):
@@ -390,7 +394,7 @@ def _sem_isomorphisms(s1, s2, budget):
         x = e1[len(mapping)]
         for y in s2.elements:
             steps += 1
-            if steps > budget:
+            if steps > ISO_BUDGET:
                 raise BudgetExceeded("isomorphism search budget exhausted")
             if y in used:
                 continue
@@ -418,11 +422,11 @@ def _sem_isomorphisms(s1, s2, budget):
     yield from extend({}, set())
 
 
-def pregamp_isomorphisms(pg1, pg2, budget=200_000):
+def pregamp_isomorphisms(pg1, pg2):
     """Generate every isomorphism of two small pregamps by backtracking.
 
     Semilattice isomorphisms are tried first, then carrier bijections that
-    intertwine the distances. Exceeding the budget raises BudgetExceeded
+    intertwine the distances. Exceeding ISO_BUDGET raises BudgetExceeded
     rather than truncating, so an exhausted generator means there are no more.
     """
     A1, A2 = pg1.carrier, pg2.carrier
@@ -430,7 +434,7 @@ def pregamp_isomorphisms(pg1, pg2, budget=200_000):
         return
     u1 = list(A1.universe)
 
-    for smap in _sem_isomorphisms(pg1.sem, pg2.sem, budget):
+    for smap in _sem_isomorphisms(pg1.sem, pg2.sem):
         smor = SemMorphism(pg1.sem, pg2.sem, smap, validate=False)
 
         def extend(mapping, used):
@@ -463,23 +467,17 @@ def pregamp_isomorphisms(pg1, pg2, budget=200_000):
         yield from extend({}, set())
 
 
-def pregamp_isomorphism_search(pg1, pg2, budget=200_000):
+def pregamp_isomorphism_search(pg1, pg2):
     """The first pregamp isomorphism, or None when there is genuinely none;
     an exhausted budget raises."""
-    return next(pregamp_isomorphisms(pg1, pg2, budget), None)
+    return next(pregamp_isomorphisms(pg1, pg2), None)
 
 
-def distance_comparison_morphism(pg, conc_bound=160):
+def distance_comparison_morphism(pg):
     """For a pregamp on a total carrier: the unique semilattice map from the
     compact congruences sending each principal congruence to the distance of
     its generating pair. An embedding; an isomorphism when the pregamp is
     distance-generated. Returns the morphism or a Refusal."""
-    algebra = pg.carrier
-    cs = _cong.conc(algebra, conc_bound)
-    f = {}
-    g = {}
-    for x in algebra.universe:
-        for y in algebra.universe:
-            f[(x, y)] = cs.principal(x, y)
-            g[(x, y)] = pg.delta(x, y)
-    return hom_from_generators(cs, pg.sem, f, g)
+    cs = _cong.conc(pg.carrier)
+    theta = cs.distances()
+    return hom_from_generators(cs, pg.sem, theta, {pair: pg.dist[pair] for pair in theta})

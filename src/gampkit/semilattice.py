@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from .errors import InvalidIdeal, IdealNotMapped, NotGenerated, NotIdealInduced
+from .errors import InvalidIdeal, IdealNotMapped, NotGenerated, NotIdealInduced, cross_check
 from .util import sort_key, sorted_elements
 
 
@@ -396,7 +396,7 @@ def is_ideal_induced(phi):
 
     induced = induced_morphism(phi, ker0(phi), SemIdeal.zero(t))
     via_quotient = induced.is_injective() and induced.is_surjective()
-    assert definitional == via_quotient, "ideal-induced characterizations disagree"
+    cross_check(definitional == via_quotient, "ideal-induced characterizations disagree")
     return definitional, witness
 
 

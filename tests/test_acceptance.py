@@ -9,7 +9,6 @@ import pytest
 from gampkit import build_named, build_square
 from gampkit.congruence import (
     Congruence,
-    ConcSemilattice,
     MalcevWitness,
     NoContainment,
     _elementwise_n_permutable,
@@ -87,7 +86,7 @@ def test_criterion_3_permutability_characterizations(fixture_lattices):
     for name in CORPUS:
         alg = fixture_lattices[name]
         congs = con_lattice(alg)
-        cs = ConcSemilattice(alg, congs)
+        cs = conc(alg)
         for n in (2, 3, 4):
             rel, _ = _relational_n_permutable(alg, n, congs)
             el, _ = _elementwise_n_permutable(alg, n, cs)

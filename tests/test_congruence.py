@@ -1,9 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gampkit import build_named
+import gampkit
+from gampkit import build_named, congruence
+from gampkit.cli import run
 from gampkit.congruence import (
     _elementwise_n_permutable,
     Congruence,
@@ -24,7 +30,7 @@ from gampkit.congruence import (
     principal_congruence,
     quotient_algebra,
 )
-from gampkit.errors import NotTotal
+from gampkit.errors import CrossCheckFailed, GampkitError, NotTotal
 from gampkit.palg import LATTICE_TYPE, PalgMorphism, PartialAlgebra, SimilarityType
 from gampkit.semilattice import SemIdeal, is_ideal_induced, ker0
 
@@ -102,6 +108,23 @@ class TestConc:
         for a in x1.universe:
             for b in x1.universe:
                 assert cs.principal(a, b) == principal_congruence(x1, a, b)
+        assert cs.distances() == {
+            (a, b): principal_congruence(x1, a, b) for a in x1.universe for b in x1.universe
+        }
+
+    def test_each_join_computed_once(self, x1, monkeypatch):
+        # the closure's join table is the semilattice's: the closure joins
+        # each pair of nonzero congruences once, and building Conc joins
+        # nothing again
+        real = congruence.con_join
+        calls = []
+        monkeypatch.setattr(
+            congruence, "con_join", lambda a, b: calls.append((a, b)) or real(a, b)
+        )
+        cs = conc(x1)
+        k = len(cs) - 1
+        assert len(calls) == k * (k - 1) // 2
+        assert all(cs.join(a, b) == real(a, b) for a in cs.elements for b in cs.elements)
 
 
 class TestConcMorphism:
@@ -261,3 +284,43 @@ class TestMalcev:
                 for a, b in zip(xs, ys):
                     gen = con_join(gen, principal_congruence(alg, a, b))
                 assert not gen.same(x, y)
+
+
+class TestCrossChecks:
+    def test_cross_check_failure_is_an_internal_error(self, m3, monkeypatch, tmp_path):
+        assert not issubclass(CrossCheckFailed, (GampkitError, ValueError))
+        real = congruence._elementwise_n_permutable
+        monkeypatch.setattr(
+            congruence, "_elementwise_n_permutable",
+            lambda alg, n, cs: (not real(alg, n, cs)[0], None),
+        )
+        with pytest.raises(CrossCheckFailed):
+            is_n_permutable(m3, 2)
+        path = tmp_path / "m3.json"
+        path.write_text('{"named": "M3"}')
+        assert run(["permutable", str(path)]) == 4
+
+    def test_cross_check_survives_optimize(self):
+        code = textwrap.dedent(
+            """
+            import sys
+            from gampkit import build_named, congruence
+            from gampkit.errors import CrossCheckFailed
+
+            real = congruence._elementwise_n_permutable
+            congruence._elementwise_n_permutable = (
+                lambda alg, n, cs: (not real(alg, n, cs)[0], None)
+            )
+            try:
+                congruence.is_n_permutable(build_named("M3").algebra, 2)
+            except CrossCheckFailed:
+                print("optimize", sys.flags.optimize, "raised")
+            """
+        )
+        src = os.path.dirname(os.path.dirname(gampkit.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.split() == ["optimize", "1", "raised"]

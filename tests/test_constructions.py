@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from gampkit.congruence import con_meet, conc, principal_congruence, Congruence
@@ -217,6 +219,34 @@ class TestRefutation:
         for node in ("l", "r", "t"):
             assert diagram.arrows[("b", node)].f("pb") == 0
 
+    def test_exhaustive_stream_pushes_pad_cells(self):
+        # every node and arrow is the identity of `two`, so a pad may map to
+        # the next node's pad; its decided cells are then pushed along the
+        # arrow, and at the top the cells pushed from the two wings conflict
+        two = build_named("two").algebra
+        ident = PalgMorphism.identity(two)
+        a_square = Diagram.from_generators(
+            FinitePoset.square(),
+            {p: two for p in ("b", "l", "r", "t")},
+            {cover: ident for cover in (("b", "l"), ("b", "r"), ("l", "t"), ("r", "t"))},
+        )
+        square = UnliftableSquare(2, None, None, a_square, (), {}, {})
+        outcomes = list(enumerate_candidates(square, 2, size_bound=1))
+        assert Counter((o.status, o.reason) for o in outcomes) == {
+            ("candidate", ""): 4,
+            ("pruned", "distance-equivariance"): 26,
+            ("pruned", "lattice-identities"): 12,
+            ("pruned", "morphism"): 6,
+            ("pruned", "operational-cell"): 8,
+            ("pruned", "square-commutes"): 54,
+        }
+        assert [o.detail for o in outcomes if o.reason == "morphism"] == [("t", ("pt", "pt"))] * 6
+        candidates = [o.candidate for o in outcomes if o.status == "candidate"]
+        assert [c.label for c in candidates] == ["algebra-square"] + ["padded[b,l,r,t]"] * 3
+        for cand in candidates[1:]:
+            assert cand.diagram.validate()[0]
+            assert cand.diagram.arrows[("b", "t")].f("pb") == "pt"
+
 
 def _padded_non_commuting_candidate(square):
     """Bottom node padded with the forced interpolant, wings and top the
@@ -289,6 +319,14 @@ class TestPreconditionSurface:
 
         with pytest.raises(BudgetExceeded):
             list(enumerate_candidates(square, 2, size_bound=2))
+
+    def test_padded_carrier_cap_fires_before_first_item(self):
+        from gampkit.errors import BudgetExceeded
+
+        # M3 at n = 3 has a 125-element top node: the cap must fire before
+        # the algebra-square candidate is built and yielded
+        with pytest.raises(BudgetExceeded):
+            next(enumerate_candidates(build_square("M3", 3), 3, 1))
 
     def test_inner_image_mismatch_rejected(self, square):
         # a candidate over the wrong inner algebras must be refused

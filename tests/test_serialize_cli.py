@@ -176,6 +176,7 @@ class TestCli:
         [
             pytest.param(["conc", "{bad}"], id="not-json"),
             pytest.param(["conc", "{list}"], id="conc-list"),
+            pytest.param(["conc", "{m3}", "--bound", "4"], id="conc-over-bound"),
             pytest.param(["gamp-check", "{list}", "--property", "strong"], id="gamp-check-list"),
             pytest.param(
                 ["diagram-verify", "{list}", "--kind", "operational"], id="diagram-verify-list"
@@ -193,6 +194,19 @@ class TestCli:
             pytest.param(
                 ["permutable", "{c3}", "--witness", "0/zz"], id="witness-foreign-element"
             ),
+            pytest.param(
+                ["buttress", "--algebra", "{m3}", "--poset", "{chain2}", "--ideal", "7=0/x1"],
+                id="buttress-ideal-unknown-node",
+            ),
+            pytest.param(
+                ["buttress", "--algebra", "{m3}", "--poset", "{chain2}", "--ideal", "0/x1"],
+                id="buttress-ideal-without-node",
+            ),
+            pytest.param(["quotient", "{list}", "--ideal", "#0"], id="quotient-list"),
+            pytest.param(["quotient", "{number}", "--ideal", "#0"], id="quotient-number"),
+            pytest.param(["quotient", "{sem}", "--ideal", "zz"], id="quotient-unknown-generator"),
+            pytest.param(["repro", "nosuch"], id="repro-unknown-target"),
+            pytest.param(["repro", "unliftable", "--K", "chain:0"], id="repro-empty-chain"),
         ],
     )
     def test_malformed_json_exit_3(self, argv, tmp_path, capsys):
@@ -206,9 +220,21 @@ class TestCli:
             "chain2": self.write(
                 tmp_path, "chain2.json", ser.poset_to_json(FinitePoset.chain(2))
             ),
+            "number": self.write(tmp_path, "number.json", 5),
+            "sem": self.write(
+                tmp_path, "sem.json", ser.semilattice_to_json(JoinSemilattice.chain(2))
+            ),
         }
         assert run([a.format(**paths) for a in argv]) == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("token", ["7=0/x1", "0/x1"])
+    def test_buttress_bad_ideal_is_named(self, token, tmp_path, capsys):
+        apath = self.write(tmp_path, "a.json", {"named": "M3"})
+        ppath = self.write(tmp_path, "p.json", ser.poset_to_json(FinitePoset.chain(2)))
+        argv = ["buttress", "--algebra", apath, "--poset", ppath, "--ideal", token]
+        assert run(argv) == 3
+        assert repr(token) in capsys.readouterr().err
 
     def test_internal_error_exit_4(self, tmp_path, monkeypatch, capsys):
         import gampkit.cli as cli
