@@ -609,12 +609,13 @@ def refute_candidate(square, cand, n, precheck=True):
         if not ok:
             raise StepFailed(name, detail)
 
+    chain = square.chain_algebra
+    _require(len(chain) == n + 1, "chain-length", (len(chain), n + 1))
     if precheck:
         diagram = _gamp_square_preconditions(square, cand, n)
     else:
         diagram = cand.diagram
 
-    chain = square.chain_algebra
     a = list(chain.universe)
     g0 = diagram.objects["b"]
     cs0 = g0.sem

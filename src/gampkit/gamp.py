@@ -8,37 +8,29 @@ the buttress construction of diagrams of finite subgamps."""
 from collections import deque
 from itertools import combinations, product
 
-from .errors import BudgetExceeded, NotIdealInduced, NotStrong, WrongSignature, cross_check
+from .errors import NotIdealInduced, NotStrong, WrongSignature, cross_check
 from .palg import (
     PalgMorphism,
     UNDEFINED,
     chain_cocone,
-    generated_sub,
     image_palg,
     is_palg_isomorphism,
     is_strong_sub,
-    product_closure,
     shortest_path,
 )
 from .poset import FinitePoset
 from .pregamp import (
     Pregamp,
     PregampMorphism,
-    _unordered_pairs,
-    chain_connectivity,
-    congruence_tractable_instances,
     induced_pregamp_morphism,
     is_congruence_tractable_morphism,
     pga,
     pga_mor,
     quotient_pregamp,
+    tractability_verdict,
 )
-from .semilattice import (
-    SemMorphism,
-    is_ideal_induced,
-    restrict_ideal_induced,
-)
-from .util import Verdict, sort_key, sorted_elements
+from .semilattice import SemMorphism, is_ideal_induced
+from .util import Verdict, sorted_elements
 from . import congruence as _cong
 
 
@@ -299,19 +291,13 @@ def _check_distance_generated(g, phi, chains_only):
 def _check_tractable(g, phi, m_cap):
     """Property (4)/(4'): instances over inner points, term chains in the outer
     part, equalities up to the phi-kernel."""
-    bounds = {"m_cap": m_cap}
     points = list(g.inner.universe)
     kernel = {a for a in g.sem.elements if phi(a) == phi.target.zero}
     # kernel-sized jumps are allowed between chain steps
     kernel_pairs = [
         (x, y) for x in g.outer.universe for y in g.outer.universe if g.delta(x, y) in kernel
     ]
-    for chosen, members in congruence_tractable_instances(pggl(g), points, phi, m_cap):
-        find = chain_connectivity(g.outer, list(chosen), kernel_pairs)
-        for (x, y) in members:
-            if find(x) != find(y):
-                return Verdict.false((x, y, chosen), bounds)
-    return Verdict.true(None, bounds)
+    return tractability_verdict(pggl(g), points, phi, m_cap, lambda x: x, g.outer, kernel_pairs)
 
 
 def _check_n_permutable(g, n, lattice_form):
@@ -628,10 +614,6 @@ def _principal_pair_cover(cs, theta, comparable_only, algebra):
     return pairs
 
 
-# Most elements the outer part of one buttress node may reach.
-BUTTRESS_SIZE_BUDGET = 4000
-
-
 def buttress(
     algebra,
     poset,
@@ -643,13 +625,13 @@ def buttress(
     """Diagram of finite subgamps of the gamp of a finite algebra.
 
     phis maps each poset element p to an ideal-induced morphism from the
-    compact congruences of the algebra onto a finite semilattice. Nodes are
-    grown along a linear extension: inner parts collect distance generators,
-    walk chains for the cutting property below earlier nodes, and one
-    generation step over earlier outer parts; outer parts add the values
-    needed for strongness, bounded tractability term chains, and optionally
-    permutability interpolants; the node semilattice extends the generated
-    congruences so the restriction of phi stays ideal-induced.
+    compact congruences of the algebra onto a finite semilattice. Every node
+    is the algebra's own pregamp (the whole algebra, the principal distance
+    and Conc A) with an inner part, and every arrow is the inclusion. A
+    minimal node's inner part holds the pairs of a greedy principal cover of
+    one lift of each value of phi (comparable pairs only, with chains); every
+    other node's inner part is the whole algebra. m_cap, the bound on the
+    tractability instances checked, must be at least 0 (else ValueError).
 
     Postconditions (ideal-induced restrictions, node and arrow properties)
     are re-verified by the property checkers before returning.
@@ -668,89 +650,22 @@ def buttress(
         if not ok:
             raise ValueError(f"base algebra is not {n_permutable}-permutable")
 
-    order = poset.linear_extension()
-    inner_parts = {}
-    outer_parts = {}
-    sems = {}
-
-    for r in order:
+    whole = Gamp(algebra, Pregamp(algebra, cs.distances(), cs), validate=False)
+    if with_chains and not whole.is_lattice_signature():
+        raise WrongSignature("chains require the lattice signature")
+    nodes = {}
+    for r in poset.elements:
+        if any(poset.lt(p, r) for p in poset.elements):
+            nodes[r] = whole
+            continue
         phi = phis[r]
-        s_r = phi.target
-        preds = [p for p in order if poset.leq(p, r) and p != r]
-
-        # inner stage: distance generators through phi, cut walks, and one
-        # generation step over earlier outer parts
         inner = set()
-        for p in preds:
-            inner |= set(inner_parts[p])
-        for s in s_r.elements:
+        for s in phi.target.elements:
             theta = next(t for t in cs.elements if phi(t) == s)
             for (x, y) in _principal_pair_cover(cs, theta, with_chains, algebra):
                 inner.update((x, y))
-        # per X set: its bound, and without chains the congruence whose
-        # blocks carry the cutting walks
-        cuts = []
-        if preds:
-            kernel = [t for t in cs.elements if phi(t) == s_r.zero]
-            kernel_top = max(kernel, key=lambda t: len(algebra.universe) - len(t.blocks))
-            for r_sz in range(1, len(s_r.elements) + 1):
-                for xset in combinations(sorted_elements(s_r.elements), r_sz):
-                    lifts = [next(t for t in cs.elements if phi(t) == u) for u in xset]
-                    big = None if with_chains else cs.join_all(lifts + [kernel_top])
-                    cuts.append((s_r.join_all(xset), big))
-        for p in preds:
-            prev_outer = outer_parts[p]
-            inner |= set(generated_sub(algebra, prev_outer, 1).universe)
-            # walks for congruence-cutting through phi below r
-            for bound, big in cuts:
-                for x in prev_outer:
-                    for y in prev_outer:
-                        if not s_r.leq(phi(cs.principal(x, y)), bound):
-                            continue
-                        if with_chains:
-                            inner.update(_maximal_chain(algebra, x, y))
-                        elif big.same(x, y):
-                            inner |= big.block(x)
-        if not inner:
-            inner = {algebra.universe[0]}
-        inner = frozenset(inner)
-
-        # outer stage: close once for strongness, add tractability term values
-        # and permutability interpolants
-        outer = set(generated_sub(algebra, inner, 1).universe)
-        for p in preds:
-            outer |= set(outer_parts[p])
-        outer |= _tractability_values(algebra, cs, phi, inner, m_cap)
-        if n_permutable is not None:
-            outer |= _permutability_interpolants(algebra, cs, inner, n_permutable)
-        outer = frozenset(outer)
-        if len(outer) > BUTTRESS_SIZE_BUDGET:
-            raise BudgetExceeded(f"node {r!r} outer part exceeds {BUTTRESS_SIZE_BUDGET}")
-
-        # semilattice stage: generated congruences, extended to keep phi
-        # ideal-induced on the node
-        gens = {
-            cs.principal(x, y)
-            for x in outer
-            for y in outer
-        }
-        for p in preds:
-            gens |= set(sems[p].elements)
-        base = cs.sub(cs.join_closure(gens))
-        sems[r] = restrict_ideal_induced(phi, base.elements)
-        inner_parts[r] = inner
-        outer_parts[r] = outer
-
-    nodes = {}
-    for p in order:
-        inner_alg = algebra.restrict_full(inner_parts[p])
-        outer_alg = algebra.restrict_full(outer_parts[p])
-        dist = {
-            (x, y): cs.principal(x, y)
-            for x in outer_alg.universe
-            for y in outer_alg.universe
-        }
-        nodes[p] = Gamp(inner_alg, Pregamp(outer_alg, dist, sems[p]), validate=False)
+        inner_alg = algebra.restrict_full(inner or {algebra.universe[0]})
+        nodes[r] = Gamp(inner_alg, whole.pregamp, validate=False)
 
     arrows = {}
     for p in poset.elements:
@@ -761,57 +676,6 @@ def buttress(
     diagram = Diagram(poset, nodes, arrows)
     _verify_buttress(diagram, phis, with_chains, n_permutable, m_cap)
     return diagram
-
-
-def _maximal_chain(algebra, x, y):
-    """A maximal chain of the lattice algebra from the meet of x and y to
-    their join, climbing to a least upper cover at each step."""
-    meets, joins = algebra.ops["meet"], algebra.ops["join"]
-    lo, hi = meets[(x, y)], joins[(x, y)]
-    chain = [lo]
-    cur = lo
-    while cur != hi:
-        step = None
-        for v in algebra.universe:
-            if v != cur and meets[(cur, v)] == cur and meets[(v, hi)] == v:
-                if step is None or meets[(v, step)] == v:
-                    step = v
-        cross_check(step is not None, "a lattice interval has an upper cover")
-        chain.append(step)
-        cur = step
-    return chain
-
-
-def _tractability_values(algebra, cs, phi, inner, m_cap):
-    """All values of witness term chains for the bounded tractability instances."""
-    pool = _unordered_pairs(sorted(inner, key=sort_key))
-    kernel_pairs = []
-    for t in cs.elements:
-        if phi(t) == phi.target.zero:
-            for blk in t.blocks:
-                bl = sorted(blk, key=sort_key)
-                kernel_pairs.extend(zip(bl, bl[1:]))
-    # every instance is needed: x = y always lies under its bound
-    out = set()
-    for m in range(0, m_cap + 1):
-        for chosen in combinations(pool, m):
-            for (a, b) in product_closure(algebra, list(chosen) + kernel_pairs):
-                out.update((a, b))
-    return out
-
-
-def _permutability_interpolants(algebra, cs, inner, n):
-    """Interpolant tuples witnessing the chain condition over inner tuples."""
-    out = set()
-    universe = algebra.universe
-    meets, joins = algebra.ops["meet"], algebra.ops["join"]
-    dist = cs.distances()
-    for xs in product(sorted(inner, key=sort_key), repeat=n + 1):
-        first, last = meets[(xs[0], xs[n])], joins[(xs[0], xs[n])]
-        found = next(_cong.chain_interpolants(cs, dist, xs, first, last, universe, meets), None)
-        cross_check(found is not None, "base algebra permutability must provide interpolants")
-        out.update(found)
-    return out
 
 
 def _verify_buttress(diagram, phis, with_chains, n_permutable, m_cap):
@@ -829,6 +693,9 @@ def _verify_buttress(diagram, phis, with_chains, n_permutable, m_cap):
             cross_check(check_through_phi(g, phi_p, "dg_chains"), f"{fails}: dg_chains")
         if n_permutable is not None:
             cross_check(check_property(g, "n_permutable", n=n_permutable), f"{fails}: permutable")
+            if g.is_lattice_signature():
+                ok = check_property(g, "lattice_n_permutable", n=n_permutable)
+                cross_check(ok, f"{fails}: lattice permutable")
     for (p, q), arrow in diagram.arrows.items():
         if p == q:
             continue

@@ -332,6 +332,8 @@ def chain_connectivity(algebra, pairs, extra=()):
 def congruence_tractable_instances(pg, points, sem_phi, m_cap):
     """Instances phi(delta(x,y)) <= join phi(delta(xk,yk)) with <= m_cap pairs,
     grouped by the generating pair tuple."""
+    if m_cap < 0:
+        raise ValueError("m_cap must be at least 0")
     pool = _unordered_pairs(list(points))
     grouped = []
     for m in range(0, m_cap + 1):
@@ -350,6 +352,19 @@ def congruence_tractable_instances(pg, points, sem_phi, m_cap):
     return grouped
 
 
+def tractability_verdict(pg, points, sem_phi, m_cap, f, carrier, extra=()):
+    """Every instance of congruence_tractable_instances must be met by term
+    chains in carrier along the f-images of its generating pairs, with the
+    extra pairs joined; the first failure is witnessed as (x, y, chosen)."""
+    bounds = {"m_cap": m_cap}
+    for chosen, members in congruence_tractable_instances(pg, points, sem_phi, m_cap):
+        find = chain_connectivity(carrier, [(f(a), f(b)) for a, b in chosen], extra)
+        for (x, y) in members:
+            if find(f(x)) != find(f(y)):
+                return Verdict.false((x, y, chosen), bounds)
+    return Verdict.true(None, bounds)
+
+
 def is_congruence_tractable_morphism(fm, m_cap=2):
     """Bounded congruence-tractability of a pregamp morphism.
 
@@ -359,16 +374,9 @@ def is_congruence_tractable_morphism(fm, m_cap=2):
     exactly by the closure of simultaneous evaluations; the tuple-length cap
     is the only approximation and is reported in the verdict bounds.
     """
-    bounds = {"m_cap": m_cap}
     ident = SemMorphism.identity(fm.source.sem)
     points = list(fm.source.carrier.universe)
-    for chosen, members in congruence_tractable_instances(fm.source, points, ident, m_cap):
-        pairs = [(fm.f(a), fm.f(b)) for a, b in chosen]
-        find = chain_connectivity(fm.target.carrier, pairs)
-        for (x, y) in members:
-            if find(fm.f(x)) != find(fm.f(y)):
-                return Verdict.false((x, y, chosen), bounds)
-    return Verdict.true(None, bounds)
+    return tractability_verdict(fm.source, points, ident, m_cap, fm.f, fm.target.carrier)
 
 
 # Backtracking steps an isomorphism search may take before it gives up.

@@ -223,15 +223,7 @@ class TestRefutation:
         # every node and arrow is the identity of `two`, so a pad may map to
         # the next node's pad; its decided cells are then pushed along the
         # arrow, and at the top the cells pushed from the two wings conflict
-        two = build_named("two").algebra
-        ident = PalgMorphism.identity(two)
-        a_square = Diagram.from_generators(
-            FinitePoset.square(),
-            {p: two for p in ("b", "l", "r", "t")},
-            {cover: ident for cover in (("b", "l"), ("b", "r"), ("l", "t"), ("r", "t"))},
-        )
-        square = UnliftableSquare(2, None, None, a_square, (), {}, {})
-        outcomes = list(enumerate_candidates(square, 2, size_bound=1))
+        outcomes = list(enumerate_candidates(_all_two_square(), 2, size_bound=1))
         assert Counter((o.status, o.reason) for o in outcomes) == {
             ("candidate", ""): 4,
             ("pruned", "distance-equivariance"): 26,
@@ -246,6 +238,29 @@ class TestRefutation:
         for cand in candidates[1:]:
             assert cand.diagram.validate()[0]
             assert cand.diagram.arrows[("b", "t")].f("pb") == "pt"
+
+    def test_refute_rejects_a_chain_shorter_than_n_plus_1(self):
+        # the bottom node `two` has 2 elements, but n = 2 needs a 3-chain
+        square = _all_two_square()
+        outcomes = list(enumerate_candidates(square, 2, size_bound=1))
+        candidates = [o.candidate for o in outcomes if o.status == "candidate"]
+        assert len(candidates) == 4
+        for cand in candidates:
+            with pytest.raises(PreconditionFailed) as e:
+                refute_candidate(square, cand, 2)
+            assert (e.value.reason, e.value.detail) == ("chain-length", (2, 3))
+
+
+def _all_two_square():
+    """Companion square whose nodes and arrows are all the identity of `two`."""
+    two = build_named("two").algebra
+    ident = PalgMorphism.identity(two)
+    a_square = Diagram.from_generators(
+        FinitePoset.square(),
+        {p: two for p in ("b", "l", "r", "t")},
+        {cover: ident for cover in (("b", "l"), ("b", "r"), ("l", "t"), ("r", "t"))},
+    )
+    return UnliftableSquare(2, None, None, a_square, (), {}, {})
 
 
 def _padded_non_commuting_candidate(square):

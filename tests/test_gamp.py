@@ -27,7 +27,7 @@ from gampkit.gamp import (
     quotient_gamp,
     transport_realization,
 )
-from gampkit.palg import LATTICE_TYPE, PalgMorphism, PartialAlgebra
+from gampkit.palg import LATTICE_TYPE, PalgMorphism, PartialAlgebra, SimilarityType
 from gampkit.poset import FinitePoset
 from gampkit.pregamp import Pregamp, pga, pregamp_isomorphism_search
 from gampkit.semilattice import SemIdeal, SemMorphism, enumerate_ideals, is_ideal_induced, quotient
@@ -357,3 +357,38 @@ class TestButtress:
         diagram = buttress(m3, poset, phis, with_chains=True, n_permutable=2)
         ok, _ = diagram.validate()
         assert ok
+
+    @pytest.mark.parametrize("chains", [False, True])
+    @pytest.mark.parametrize(
+        "base, poset, kernel, bottom_inner",
+        [
+            ("X1", FinitePoset.chain(2), ("0", "x3"), {"m", "x1"}),
+            ("M3", FinitePoset.square(), ("0", "x2"), {"0"}),
+        ],
+        ids=["X1-chain2", "M3-square"],
+    )
+    def test_node_shapes(self, base, poset, kernel, bottom_inner, chains):
+        # every node is the algebra's own pregamp; only the minimal node has
+        # a proper inner part
+        alg = build_named(base).algebra
+        bottom = poset.linear_extension()[0]
+        phis = self._phis(alg, poset, {bottom: {principal_congruence(alg, *kernel)}})
+        diagram = buttress(alg, poset, phis, with_chains=chains)
+        cs = conc(alg)
+        for p, g in diagram.objects.items():
+            inner = bottom_inner if p == bottom else set(alg.universe)
+            assert set(g.inner.universe) == inner, p
+            assert g.outer == alg and g.sem == cs, p
+
+    def test_non_lattice_with_permutability(self):
+        # Z4 with x - y is a group reduct, hence 2-permutable; the lattice
+        # form of permutability does not apply to it
+        stype = SimilarityType((("f", 2),))
+        z4 = PartialAlgebra.total_from_fn(stype, range(4), {"f": lambda x, y: (x - y) % 4})
+        poset = FinitePoset.chain(2)
+        phis = self._phis(z4, poset, {0: {principal_congruence(z4, 0, 2)}})
+        diagram = buttress(z4, poset, phis, n_permutable=2)
+        assert diagram.validate()[0]
+        assert set(diagram.objects[0].inner.universe) == {0, 1}
+        with pytest.raises(WrongSignature):
+            buttress(z4, poset, phis, with_chains=True)

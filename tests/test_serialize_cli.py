@@ -202,6 +202,14 @@ class TestCli:
                 ["buttress", "--algebra", "{m3}", "--poset", "{chain2}", "--ideal", "0/x1"],
                 id="buttress-ideal-without-node",
             ),
+            pytest.param(
+                ["buttress", "--algebra", "{m3}", "--poset", "{chain2}", "--m-cap", "-1"],
+                id="buttress-negative-m-cap",
+            ),
+            pytest.param(
+                ["gamp-check", "{gm3}", "--property", "congruence_tractable", "--m-cap", "-1"],
+                id="gamp-check-negative-m-cap",
+            ),
             pytest.param(["quotient", "{list}", "--ideal", "#0"], id="quotient-list"),
             pytest.param(["quotient", "{number}", "--ideal", "#0"], id="quotient-number"),
             pytest.param(["quotient", "{sem}", "--ideal", "zz"], id="quotient-unknown-generator"),
@@ -216,6 +224,9 @@ class TestCli:
             "bad": str(bad),
             "list": self.write(tmp_path, "list.json", [1, 2]),
             "m3": self.write(tmp_path, "m3.json", {"named": "M3"}),
+            "gm3": self.write(
+                tmp_path, "gm3.json", ser.gamp_to_json(ga(build_named("M3").algebra))
+            ),
             "c3": self.write(tmp_path, "c3.json", {"named": "chain:3"}),
             "chain2": self.write(
                 tmp_path, "chain2.json", ser.poset_to_json(FinitePoset.chain(2))
