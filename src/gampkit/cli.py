@@ -1,7 +1,9 @@
 """Command-line front door.
 
 Exit codes: 0 verified/true, 1 refuted/false, 2 unknown at the stated
-bounds, 3 input error, 4 internal error. Only a false verdict exits 1.
+bounds (a search that exhausts its budget part way included), 3 input
+error (a bound refused before any work included), 4 internal error. Only
+a false verdict exits 1.
 Reports are deterministic for fixed inputs and bounds.
 """
 
@@ -13,7 +15,7 @@ import traceback
 
 from . import congruence as _cong
 from . import serialize as ser
-from .errors import GampkitError, PreconditionFailed, SchemaError, StepFailed
+from .errors import GampkitError, PreconditionFailed, SchemaError, SearchExhausted, StepFailed
 from .diagram import is_operational_diagram, is_partial_lifting
 from .gamp import Realization, buttress, check_property, quotient_gamp
 from .poset import bm_le2, kposet, kposet_cover_check, KPosetSpec
@@ -332,25 +334,31 @@ def cmd_repro(args):
     report = {"K": args.K, "n": args.n, "facts": verify_square_facts(square)}
     if args.exhaustive_bound is not None:
         stats = {"candidates": 0, "rejected": {}, "pruned": {}, "certificates": 0, "step_failures": 0}
-        for outcome in enumerate_candidates(square, args.n, args.exhaustive_bound):
-            if outcome.status == "candidate":
-                cand = outcome.candidate
-                stats["candidates"] += 1
-                try:
-                    refute_candidate(square, cand, args.n)
-                except PreconditionFailed as e:
-                    stats["rejected"][e.reason] = stats["rejected"].get(e.reason, 0) + 1
-                except StepFailed:
-                    stats["step_failures"] += 1
+        note = "no candidate at this bound survives its preconditions"
+        try:
+            for outcome in enumerate_candidates(square, args.n, args.exhaustive_bound):
+                if outcome.status == "candidate":
+                    cand = outcome.candidate
+                    stats["candidates"] += 1
+                    try:
+                        refute_candidate(square, cand, args.n)
+                    except PreconditionFailed as e:
+                        stats["rejected"][e.reason] = stats["rejected"].get(e.reason, 0) + 1
+                    except StepFailed:
+                        stats["step_failures"] += 1
+                    else:
+                        stats["certificates"] += 1
                 else:
-                    stats["certificates"] += 1
-            else:
-                stats["pruned"][outcome.reason] = stats["pruned"].get(outcome.reason, 0) + 1
+                    stats["pruned"][outcome.reason] = stats["pruned"].get(outcome.reason, 0) + 1
+        except SearchExhausted as e:
+            # exhaustion leaves the answer unknown unless it is already false
+            if report["facts"]["ok"] and not stats["step_failures"] and not stats["certificates"]:
+                raise
+            note = f"search stopped part way ({e}); the answer is false already"
         report["exhaustive"] = {
             "bound": args.exhaustive_bound,
             **stats,
-            "note": "pruned branches are rejected candidate classes; "
-            "no candidate at this bound survives its preconditions",
+            "note": f"pruned branches are rejected candidate classes; {note}",
         }
     report["seconds"] = round(time.time() - t0, 3)
     _emit(args, report, text=json.dumps(report["facts"]["facts"], sort_keys=True))
@@ -448,6 +456,10 @@ def run(argv):
         return 3 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except SearchExhausted as e:
+        # a search that ran out part way has no verdict: unknown at its bound
+        sys.stderr.write(f"unknown at bound: {e}\n")
+        return 2
     except (SchemaError, GampkitError, OSError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 3

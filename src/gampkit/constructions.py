@@ -10,6 +10,7 @@ from .errors import (
     BudgetExceeded,
     HypothesisFailed,
     PreconditionFailed,
+    SearchExhausted,
     StepFailed,
     UnknownName,
     cross_check,
@@ -1109,7 +1110,7 @@ def enumerate_candidates(square, n, size_bound=1):
     def tick():
         counter["nodes"] += 1
         if counter["nodes"] > MAX_NODES:
-            raise BudgetExceeded("enumeration budget exhausted")
+            raise SearchExhausted("search nodes of the candidate enumeration", MAX_NODES)
 
     states = {p: _NodeState(a_algs[p], g.sem, g.pregamp.dist) for p, g in gas.objects.items()}
     pads = {p: f"p{p}" for p in SQUARE_NODES}

@@ -95,6 +95,15 @@ class BudgetExceeded(GampkitError):
     pass
 
 
+class SearchExhausted(BudgetExceeded):
+    """A search ran out of its budget part way through: the answer is
+    unknown at that bound, not an input error. Carries the bound."""
+
+    def __init__(self, what, bound):
+        super().__init__(f"budget exhausted: more than {bound} {what}")
+        self.bound = bound
+
+
 class SchemaError(GampkitError):
     """Malformed serialized input; message carries the offending path."""
 

@@ -3,9 +3,9 @@ calculus, identity satisfaction, images, and stabilizing chain colimits."""
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 
-from .errors import ArityMismatch, NotComposable, NotSubset, cross_check
+from .errors import ArityMismatch, NotComposable, NotSubset, NotTotal, cross_check
 
 
 class _Undefined:
@@ -60,6 +60,8 @@ class PartialAlgebra:
         for name, _ in stype.symbols:
             self.ops.setdefault(name, {})
         self._uset = frozenset(self.universe)
+        # the factor algebras when this is a direct product; set by product only
+        self.factors = None
         if validate:
             self.validate()
 
@@ -140,22 +142,37 @@ class PartialAlgebra:
 
     @classmethod
     def product(cls, algebras):
-        """Direct product of total algebras of one similarity type."""
+        """Direct product of total algebras of one similarity type.
+
+        The universe is the tuples of factor elements in itertools.product
+        order, and each table lists its argument tuples in that order too.
+        Every factor must be total (else NotTotal), and there must be at
+        least one factor, all of one similarity type (else ValueError). The
+        result records the factors in `factors`; only this constructor sets
+        it, and nothing changes a product's tables afterwards, so a product
+        always equals the direct product of its recorded factors.
+        """
         algebras = list(algebras)
+        if not algebras:
+            raise ValueError("product of no algebras")
         stype = algebras[0].stype
+        if any(a.stype != stype for a in algebras):
+            raise ValueError("product factors of different similarity types")
+        for i, a in enumerate(algebras):
+            if not a.is_total():
+                raise NotTotal(f"product factor {i} is partial")
         universe = list(product(*(a.universe for a in algebras)))
         ops = {}
         for name, ar in stype.symbols:
-            table = {}
-            for args in product(universe, repeat=ar):
-                val = tuple(
-                    a.ops[name][tuple(arg[i] for arg in args)] for i, a in enumerate(algebras)
-                )
-                if UNDEFINED in val:
-                    continue
-                table[args] = val
-            ops[name] = table
-        return cls(stype, universe, ops, validate=False)
+            tables = [a.ops[name] for a in algebras]
+            # zip(*args) lists each factor's argument tuple; a constant has ()
+            ops[name] = {
+                args: tuple(map(dict.__getitem__, tables, zip(*args) if ar else repeat(())))
+                for args in product(universe, repeat=ar)
+            }
+        alg = cls(stype, universe, ops, validate=False)
+        alg.factors = tuple(algebras)
+        return alg
 
 
 class Term:
@@ -252,8 +269,18 @@ def def_set(algebra, term, nvars=None):
     return out
 
 
+# Largest source on which PalgMorphism.validate cross-checks its factorwise
+# verdict against the exhaustive check of every table entry.
+FACTORWISE_CHECK_BOUND = 36
+
+
 class PalgMorphism:
-    """Total map preserving every defined operation."""
+    """Total map preserving every defined operation.
+
+    Maps out of a recorded product are decided factorwise when they are
+    coordinatewise; otherwise, and whenever a factor map fails, every table
+    entry is checked, so a failure always names the first failing entry.
+    """
 
     def __init__(self, source, target, mapping, validate=True):
         self.source = source
@@ -268,6 +295,53 @@ class PalgMorphism:
         for x in self.source.universe:
             if self.mapping.get(x) not in self.target:
                 raise ValueError(f"map not into target at {x!r}")
+        factorwise = self._factorwise_verdict()
+        if factorwise and len(self.source) > FACTORWISE_CHECK_BOUND:
+            return
+        try:
+            self._check_tables()
+        except ValueError:
+            cross_check(factorwise is not True, "factorwise check passed a map the tables refute")
+            raise
+        cross_check(factorwise is not False, "factorwise check refuted a map the tables pass")
+
+    def _factorwise_verdict(self):
+        """Decide a map out of a recorded product factor by factor.
+
+        Applies when every target coordinate (the whole value, for a target
+        that is not a recorded product) depends on one source coordinate
+        only, which is checked on every element. Then the map is a morphism
+        iff every factor map is, since the factors are total: True or False.
+        None when the source is not a nonempty recorded product or the map
+        is not coordinatewise.
+        """
+        src, tgt = self.source, self.target
+        if src.factors is None or not src.universe:
+            return None
+        images = [self.mapping[x] for x in src.universe]
+        if tgt.factors is None:
+            tfactors, images = (tgt,), [(y,) for y in images]
+        else:
+            tfactors = tgt.factors
+        factor_maps = []
+        for j, tf in enumerate(tfactors):
+            for i, sf in enumerate(src.factors):
+                g = {}
+                if all(g.setdefault(x[i], y[j]) == y[j] for x, y in zip(src.universe, images)):
+                    factor_maps.append((sf, tf, g))
+                    break
+            else:
+                return None
+        for sf, tf, g in factor_maps:
+            try:
+                PalgMorphism(sf, tf, g)
+            except ValueError:
+                return False
+        return True
+
+    def _check_tables(self):
+        """Every defined source entry maps to a defined, equal target entry;
+        raises ValueError at the first that does not."""
         for name, table in self.source.ops.items():
             for args, val in table.items():
                 im = tuple(self.mapping[a] for a in args)

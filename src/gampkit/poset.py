@@ -5,7 +5,7 @@ analogue of the free-set combinatorial relation."""
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import BudgetExceeded, TooLarge, cross_check
+from .errors import BudgetExceeded, SearchExhausted, TooLarge, cross_check
 from .util import sort_key, sorted_elements
 
 
@@ -378,7 +378,7 @@ def finite_comb_search(poset, kappa, lam, big_f, budget=2_000_000):
         for v in range(kappa):
             steps += 1
             if steps > budget:
-                raise BudgetExceeded("search budget exhausted")
+                raise SearchExhausted("steps of the comb search", budget)
             if v in assign.values():
                 continue
             assign[p] = v

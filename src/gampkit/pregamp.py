@@ -3,7 +3,7 @@ from total algebras, quotients, induced morphisms, identity satisfaction."""
 
 from itertools import chain, combinations
 
-from .errors import BudgetExceeded, IdealNotMapped, InvalidIdeal, cross_check
+from .errors import IdealNotMapped, InvalidIdeal, SearchExhausted, cross_check
 from .palg import (
     PalgMorphism,
     PartialAlgebra,
@@ -403,7 +403,7 @@ def _sem_isomorphisms(s1, s2):
         for y in s2.elements:
             steps += 1
             if steps > ISO_BUDGET:
-                raise BudgetExceeded("isomorphism search budget exhausted")
+                raise SearchExhausted("steps of the isomorphism search", ISO_BUDGET)
             if y in used:
                 continue
             mapping[x] = y
@@ -434,7 +434,7 @@ def pregamp_isomorphisms(pg1, pg2):
     """Generate every isomorphism of two small pregamps by backtracking.
 
     Semilattice isomorphisms are tried first, then carrier bijections that
-    intertwine the distances. Exceeding ISO_BUDGET raises BudgetExceeded
+    intertwine the distances. Exceeding ISO_BUDGET raises SearchExhausted
     rather than truncating, so an exhausted generator means there are no more.
     """
     A1, A2 = pg1.carrier, pg2.carrier

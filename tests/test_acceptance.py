@@ -67,10 +67,10 @@ def test_criterion_1_congruence_oracle_equivalence(fixture_lattices):
     _report(1, "principal congruences match brute-force least congruences", t0, 10)
 
 
-@pytest.mark.parametrize("n,budget", [(2, 60), (3, 600)])
-def test_criterion_2_square_facts(n, budget):
+@pytest.mark.parametrize("K,n,budget", [("M3", 2, 60), ("M3", 3, 60), ("L2", 3, 60)])
+def test_criterion_2_square_facts(K, n, budget):
     t0 = time.monotonic()
-    square = build_square("M3", n)
+    square = build_square(K, n)
     report = verify_square_facts(square)
     facts = report["facts"]
     assert facts["meet_of_principals_zero"] == {"l": True, "r": True}
@@ -78,7 +78,7 @@ def test_criterion_2_square_facts(n, budget):
     assert all(v["ok"] for v in facts["nodes_n_plus_1_permutable"].values())
     assert facts["squares_commute"]
     assert all(facts["projections_natural"].values())
-    _report(2, f"square facts for K=M3, n={n}", t0, budget)
+    _report(2, f"square facts for K={K}, n={n}", t0, budget)
 
 
 def test_criterion_3_permutability_characterizations(fixture_lattices):

@@ -85,6 +85,30 @@ class TestBuildSquare:
             with pytest.raises(HypothesisFailed):
                 build_square(two, 2)
 
+    def test_power_morphisms_are_checked_factorwise(self, monkeypatch):
+        # the exhaustive table loop runs only on small sources: the chain
+        # maps, the wing inclusions, and the factor maps of the powers, the
+        # largest of which is the identity of the 7-element base lattice
+        checked = []
+        exhaustive = PalgMorphism._check_tables
+
+        def spy(f):
+            checked.append(len(f.source))
+            return exhaustive(f)
+
+        monkeypatch.setattr(PalgMorphism, "_check_tables", spy)
+        sq = build_square("L2", 3)
+        assert checked and max(checked) == 7
+        # the 3 cuts give 12 projections: the 9 out of the powers A_l, A_r,
+        # A_t (125 and 343 elements) are decided factorwise, the 3 out of
+        # the chain A_b have no factors
+        projections = [(node, sq.projections[c][node]) for c in sq.cuts for node in SQUARE_NODES]
+        assert len(projections) == 12
+        for node, f in projections:
+            assert f._factorwise_verdict() is (None if node == "b" else True)
+        for pq in (("l", "t"), ("r", "t")):
+            assert sq.a_square.arrows[pq]._factorwise_verdict() is True
+
     def test_l2_square(self):
         sq = build_square("L2", 2)
         # the wing sublattices here are genuinely five-element

@@ -1,13 +1,19 @@
+from itertools import product
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gampkit.errors import ArityMismatch, NotComposable
+from gampkit import build_named
+from gampkit import palg
+from gampkit.errors import ArityMismatch, CrossCheckFailed, NotComposable, NotTotal
 from gampkit.palg import (
     LATTICE_IDENTITIES,
     LATTICE_TYPE,
     MODULAR_LAW,
     PalgMorphism,
     PartialAlgebra,
+    SimilarityType,
     Term,
     UNDEFINED,
     chain_colimit,
@@ -165,6 +171,164 @@ class TestMorphisms:
         ident = PalgMorphism.identity(chain3)
         assert is_palg_isomorphism(ident)
         assert image_palg(ident) == chain3
+
+
+# Random factors for the product properties: one binary and one unary op.
+FG_TYPE = SimilarityType((("f", 2), ("g", 1)))
+
+
+@st.composite
+def fg_algebras(draw, max_size=3, total=True):
+    size = draw(st.integers(1, max_size))
+    u = list(range(size))
+    value = st.sampled_from(u)
+    ops = {"f": {(a, b): draw(value) for a in u for b in u}, "g": {(a,): draw(value) for a in u}}
+    if not total:
+        ops = {name: {k: v for k, v in t.items() if draw(st.booleans())} for name, t in ops.items()}
+    return PartialAlgebra(FG_TYPE, u, ops)
+
+
+def elementwise_product(algebras):
+    """The direct product table by table, one entry and one coordinate at a
+    time: the reference that PartialAlgebra.product must reproduce."""
+    universe = list(product(*(a.universe for a in algebras)))
+    ops = {}
+    for name, ar in algebras[0].stype.symbols:
+        ops[name] = {
+            args: tuple(a.ops[name][tuple(arg[i] for arg in args)] for i, a in enumerate(algebras))
+            for args in product(universe, repeat=ar)
+        }
+    return universe, ops
+
+
+def table_error(f):
+    """The message of the exhaustive table check of f, or None."""
+    try:
+        f._check_tables()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def validate_error(f):
+    try:
+        f.validate()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+class TestProduct:
+    def test_tables_match_elementwise_definition_in_key_order(self, m3):
+        alg = build_named("power:M3:2").algebra
+        universe, ops = elementwise_product([m3, m3])
+        assert list(alg.universe) == universe
+        for name in ("meet", "join"):
+            assert list(alg.ops[name].items()) == list(ops[name].items())
+
+    def test_records_factors(self, m3, chain3):
+        alg = PartialAlgebra.product([m3, chain3])
+        assert alg.factors == (m3, chain3)
+        assert m3.factors is None
+        assert alg.restrict_full(alg.universe).factors is None
+
+    def test_constants_are_multiplied(self):
+        stype = SimilarityType((("c", 0), ("g", 1)))
+        a = PartialAlgebra(stype, [0, 1], {"c": {(): 1}, "g": {(0,): 1, (1,): 0}})
+        b = PartialAlgebra(stype, ["x"], {"c": {(): "x"}, "g": {("x",): "x"}})
+        alg = PartialAlgebra.product([a, b])
+        assert alg.ops["c"] == {(): (1, "x")}
+        assert list(alg.ops["g"].items()) == list(elementwise_product([a, b])[1]["g"].items())
+
+    def test_rejects_no_factors(self):
+        with pytest.raises(ValueError, match="no algebras"):
+            PartialAlgebra.product([])
+
+    def test_rejects_mixed_similarity_types(self, m3):
+        other = PartialAlgebra.total_from_fn(FG_TYPE, [0], {"f": lambda a, b: 0, "g": lambda a: 0})
+        with pytest.raises(ValueError, match="similarity types"):
+            PartialAlgebra.product([m3, other])
+
+    def test_rejects_partial_factor(self, m3):
+        with pytest.raises(NotTotal, match="factor 1"):
+            PartialAlgebra.product([m3, sparse_algebra()])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(fg_algebras(), min_size=1, max_size=3))
+    def test_tables_match_elementwise_definition(self, factors):
+        alg = PartialAlgebra.product(factors)
+        universe, ops = elementwise_product(factors)
+        assert list(alg.universe) == universe
+        assert {n: list(t.items()) for n, t in alg.ops.items()} == {
+            n: list(t.items()) for n, t in ops.items()
+        }
+
+
+class TestFactorwiseMorphisms:
+    """Maps out of recorded products: the factorwise path must agree with
+    the exhaustive table loop on every verdict and every message."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_factorwise_agrees_with_exhaustive(self, data):
+        src = PartialAlgebra.product(data.draw(st.lists(fg_algebras(), min_size=1, max_size=3)))
+        k = len(src.factors)
+        kind = data.draw(st.sampled_from(["projection", "coordinatewise", "arbitrary"]))
+        if kind == "projection":
+            i = data.draw(st.integers(0, k - 1))
+            tgt = src.factors[i]
+            mapping = {x: x[i] for x in src.universe}
+        elif kind == "coordinatewise":
+            picks, tfactors = [], []
+            for _ in range(data.draw(st.integers(1, 3))):
+                i = data.draw(st.integers(0, k - 1))
+                sf = src.factors[i]
+                if data.draw(st.booleans()):
+                    tf, g = sf, {a: a for a in sf.universe}
+                else:
+                    tf = data.draw(fg_algebras())
+                    g = {a: data.draw(st.sampled_from(tf.universe)) for a in sf.universe}
+                picks.append((i, g))
+                tfactors.append(tf)
+            if len(picks) == 1 and data.draw(st.booleans()):
+                # a plain target, possibly partial: the value reads one coordinate
+                (i, g), = picks
+                tgt = data.draw(fg_algebras(total=False))
+                g = {a: data.draw(st.sampled_from(tgt.universe)) for a in g}
+                mapping = {x: g[x[i]] for x in src.universe}
+            else:
+                tgt = PartialAlgebra.product(tfactors)
+                mapping = {x: tuple(g[x[i]] for i, g in picks) for x in src.universe}
+        else:
+            tgt = data.draw(st.sampled_from([src, src.factors[0], data.draw(fg_algebras())]))
+            mapping = {x: data.draw(st.sampled_from(tgt.universe)) for x in src.universe}
+        f = PalgMorphism(src, tgt, mapping, validate=False)
+        expected = table_error(f)
+        verdict = f._factorwise_verdict()
+        if kind != "arbitrary":
+            assert verdict is not None
+        if verdict is not None:
+            assert verdict == (expected is None)
+        assert validate_error(f) == expected
+        # the factorwise path alone, as on a source past the cross-check bound
+        with mock.patch.object(palg, "FACTORWISE_CHECK_BOUND", 0):
+            assert validate_error(f) == expected
+
+    def test_disagreement_is_a_cross_check_failure(self, m3):
+        src = PartialAlgebra.product([m3, m3])
+        f = PalgMorphism(src, m3, {x: x[0] for x in src.universe}, validate=False)
+        with mock.patch.object(PalgMorphism, "_factorwise_verdict", lambda self: False):
+            with pytest.raises(CrossCheckFailed):
+                f.validate()
+
+    def test_non_coordinatewise_map_is_left_to_the_tables(self, m3):
+        src = PartialAlgebra.product([m3, m3])
+        meets = m3.ops["meet"]
+        f = PalgMorphism(src, src, {x: (meets[x], x[1]) for x in src.universe}, validate=False)
+        assert f._factorwise_verdict() is None
+        assert validate_error(f) == table_error(f) is not None
+        swap = PalgMorphism(src, src, {x: x[::-1] for x in src.universe}, validate=False)
+        assert swap._factorwise_verdict() is True
 
 
 class TestChainColimit:

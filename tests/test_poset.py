@@ -178,6 +178,13 @@ class TestCombSearch:
         with pytest.raises(BudgetExceeded):
             finite_comb_search(p, 30, 30, lambda s: set(), budget=3)
 
+    def test_budget_is_search_exhausted(self):
+        from gampkit.errors import SearchExhausted
+
+        with pytest.raises(SearchExhausted) as exc:
+            finite_comb_search(FinitePoset.chain(3), 30, 30, lambda s: set(), budget=3)
+        assert exc.value.bound == 3
+
 
 class TestOrderDimension:
     def test_chain_is_one(self):

@@ -337,6 +337,16 @@ class TestIsoSearch:
     def test_mismatch_refused(self, chain3, m3):
         assert pregamp_isomorphism_search(theta_pregamp(chain3), theta_pregamp(m3)) is None
 
+    def test_budget_is_search_exhausted(self, m3, monkeypatch):
+        from gampkit import pregamp
+        from gampkit.errors import SearchExhausted
+
+        monkeypatch.setattr(pregamp, "ISO_BUDGET", 2)
+        pg = pga(m3)
+        with pytest.raises(SearchExhausted) as exc:
+            pregamp_isomorphism_search(pg, pg)
+        assert exc.value.bound == 2
+
     @pytest.mark.parametrize("name, count", [("M3", 6), ("N5", 1)])
     def test_self_isomorphism_counts(self, fixture_lattices, name, count):
         # |Aut(M3)| = |S3| = 6 and N5 is rigid

@@ -166,6 +166,44 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["facts"]["ok"]
 
+    def test_repro_exhausted_enumeration_exit_2(self, monkeypatch, capsys):
+        from gampkit import constructions
+
+        monkeypatch.setattr(constructions, "MAX_NODES", 3)
+        argv = ["repro", "unliftable", "--K", "M3", "--n", "2", "--exhaustive-bound", "1"]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("unknown at bound: budget exhausted: more than 3 search nodes")
+
+    def test_repro_exhausted_after_false_facts_exit_1(self, monkeypatch, capsys):
+        from gampkit import constructions
+
+        real_facts = constructions.verify_square_facts
+
+        def failing_facts(square):
+            return {**real_facts(square), "ok": False}
+
+        monkeypatch.setattr(constructions, "verify_square_facts", failing_facts)
+        monkeypatch.setattr(constructions, "MAX_NODES", 3)
+        argv = ["repro", "unliftable", "--K", "M3", "--n", "2", "--exhaustive-bound", "1"]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        report = json.loads(captured.out)
+        assert not report["facts"]["ok"]
+        assert "more than 3 search nodes" in report["exhaustive"]["note"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["--n", "2", "--exhaustive-bound", "2"], id="padding-bound-2"),
+            pytest.param(["--n", "3", "--exhaustive-bound", "1"], id="carrier-cap"),
+        ],
+    )
+    def test_repro_refused_bound_exit_3(self, argv, capsys):
+        assert run(["repro", "unliftable", "--K", "M3", *argv]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("base", ["N5", "X1", "X2", "two", "chain:4"])
     def test_repro_unliftable_without_marked_elements_exit_3(self, base, capsys):
         assert run(["repro", "unliftable", "--K", base, "--n", "2"]) == 3
@@ -215,6 +253,7 @@ class TestCli:
             pytest.param(["quotient", "{sem}", "--ideal", "zz"], id="quotient-unknown-generator"),
             pytest.param(["repro", "nosuch"], id="repro-unknown-target"),
             pytest.param(["repro", "unliftable", "--K", "chain:0"], id="repro-empty-chain"),
+            pytest.param(["repro", "unliftable", "--K", "power:M3:0"], id="repro-empty-power"),
         ],
     )
     def test_malformed_json_exit_3(self, argv, tmp_path, capsys):
