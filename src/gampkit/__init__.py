@@ -8,16 +8,13 @@ squares that admit no congruence n-permutable extension square.
 
 from .semilattice import (
     JoinSemilattice,
-    Refusal,
     SemIdeal,
     SemMorphism,
     enumerate_ideals,
-    hom_from_generators,
     induced_morphism,
     is_ideal_induced,
     ker0,
     quotient,
-    restrict_ideal_induced,
 )
 from .palg import (
     LATTICE_TYPE,
@@ -27,10 +24,7 @@ from .palg import (
     Term,
     UNDEFINED,
     chain_colimit,
-    eval_term,
-    generated_sub,
     image_palg,
-    is_full_sub,
     is_strong_morphism,
     is_strong_sub,
     preimage_palg,
@@ -78,14 +72,9 @@ from .gamp import (
 from .poset import (
     FinitePoset,
     KPosetSpec,
-    NormCovering,
     bm_le2,
-    finite_comb_search,
-    is_supported,
-    kernel_containing,
     kposet,
     kposet_cover_check,
-    sharp_ideals,
 )
 from .diagram import (
     Diagram,
@@ -94,7 +83,6 @@ from .diagram import (
     apply_functor,
     is_operational_diagram,
     is_partial_lifting,
-    natural_equivalence_search,
     quotient_diagram,
 )
 from .constructions import (

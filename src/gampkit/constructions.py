@@ -170,29 +170,42 @@ _BUILDERS["X2"] = lambda: _build_xk(2)
 
 
 def build_named(name):
-    """Named lattice registry; supports chain:k, dual:NAME, power:NAME:k."""
+    """Named lattice registry; supports chain:k, dual:NAME and power:NAME:k
+    with k >= 1. Any other spec raises UnknownName naming it."""
     if name in _BUILDERS:
         return _BUILDERS[name]()
-    if name.startswith("chain:"):
-        k = int(name.split(":", 1)[1])
-        if k < 1:
-            raise UnknownName(name)
+    kind, _, rest = name.partition(":")
+    if kind == "chain":
+        k = _count(name, rest)
         alg = _chain_lattice(k)
         return NamedLattice(name, alg, {"zero": 0, "one": k - 1})
-    if name.startswith("dual:"):
-        base = build_named(name.split(":", 1)[1])
+    if kind == "dual":
+        base = build_named(rest)
         special = dict(base.special)
         special["zero"], special["one"] = special.get("one"), special.get("zero")
         return NamedLattice(name, dual_lattice(base.algebra), special)
-    if name.startswith("power:"):
-        _, base_name, k = name.split(":")
+    if kind == "power" and rest.count(":") == 1:
+        base_name, k = rest.split(":")
+        k = _count(name, k)
         base = build_named(base_name)
-        alg = PartialAlgebra.product([base.algebra] * int(k))
-        special = {
-            key: tuple([val] * int(k)) for key, val in base.special.items() if val is not None
-        }
+        alg = PartialAlgebra.product([base.algebra] * k)
+        special = {key: tuple([val] * k) for key, val in base.special.items() if val is not None}
         return NamedLattice(name, alg, special)
-    raise UnknownName(name)
+    raise _unknown(name)
+
+
+def _count(name, token):
+    """The exponent or length k of a spec, which must be a decimal k >= 1."""
+    if token.isdecimal() and int(token) >= 1:
+        return int(token)
+    raise _unknown(name)
+
+
+def _unknown(name):
+    return UnknownName(
+        f"unknown lattice {name!r}: expected one of {', '.join(sorted(_BUILDERS))}, "
+        "chain:k with k >= 1, dual:NAME or power:NAME:k with k >= 1"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -275,56 +275,3 @@ def is_partial_lifting(
             detail[(prop, (p, q))] = v
             verdicts.append(v)
     return combine_verdicts(verdicts), detail
-
-
-def natural_equivalence_search(d1, d2):
-    """Nodewise pregamp isomorphisms commuting with the arrows.
-
-    Backtracks over per-node isomorphisms in linear-extension order, checking
-    the naturality squares into already-assigned nodes. Returns a
-    NaturalTransformation, or None when the (budgeted) search is exhausted.
-    """
-    poset = d1.poset
-    if d2.poset != poset:
-        return None
-    order = poset.linear_extension()
-    candidates = {}
-
-    def candidate_isos(p):
-        if p not in candidates:
-            candidates[p] = list(
-                _pregamp.pregamp_isomorphisms(d1.objects[p], d2.objects[p])
-            )
-        return candidates[p]
-
-    assignment = {}
-
-    def consistent(p, iso):
-        for q in assignment:
-            if poset.leq(q, p):
-                left = iso.after(d1.arrows[(q, p)])
-                right = d2.arrows[(q, p)].after(assignment[q])
-                if left != right:
-                    return False
-            if poset.leq(p, q):
-                left = assignment[q].after(d1.arrows[(p, q)])
-                right = d2.arrows[(p, q)].after(iso)
-                if left != right:
-                    return False
-        return True
-
-    def extend(i):
-        if i == len(order):
-            return NaturalTransformation(d1, d2, dict(assignment))
-        p = order[i]
-        for iso in candidate_isos(p):
-            if consistent(p, iso):
-                assignment[p] = iso
-                res = extend(i + 1)
-                if res is not None:
-                    return res
-                del assignment[p]
-        return None
-
-    return extend(0)
-

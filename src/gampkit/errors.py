@@ -5,10 +5,6 @@ class GampkitError(Exception):
     pass
 
 
-class NotGenerated(GampkitError):
-    """The given generators do not join-generate the semilattice."""
-
-
 class InvalidIdeal(GampkitError):
     pass
 
@@ -18,10 +14,6 @@ class IdealNotMapped(GampkitError):
 
 
 class NotIdealInduced(GampkitError):
-    pass
-
-
-class ArityMismatch(GampkitError):
     pass
 
 

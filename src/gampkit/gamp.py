@@ -18,7 +18,6 @@ from .palg import (
     is_strong_sub,
     shortest_path,
 )
-from .poset import FinitePoset
 from .pregamp import (
     Pregamp,
     PregampMorphism,
@@ -229,13 +228,6 @@ def is_chain(g, xs):
             if meets.get((x, y), UNDEFINED) != x:
                 return False
     return True
-
-
-def covers_of_gamp(g):
-    """Cover pairs u < v of inner elements with no inner chain strictly between."""
-    els = list(g.inner.universe)
-    lt = [(u, v) for u in els for v in els if u != v and is_chain(g, [u, v])]
-    return FinitePoset(els, lt, validate=False).covers()
 
 
 def presqueordre_facts(g, xs):
@@ -516,28 +508,6 @@ def quotient_gamp(g, ideal):
     inner_q = image_palg(proj.f, g.inner)
     qg = Gamp(inner_q, qpg, validate=False)
     return qg, GampMorphism(g, qg, proj.f, proj.fsem, validate=False)
-
-
-def transport_realization(g, r, ideal):
-    """Realization of the quotient over the ambient modulo the join of the
-    pushed ideal."""
-    big = r.ambient
-    theta = None
-    for a in ideal.carrier:
-        img = r.chi(a)
-        theta = img if theta is None else _cong.con_join(theta, img)
-    if theta is None:
-        theta = _cong.Congruence.identity(big.universe)
-    qbig, proj = _cong.quotient_algebra(big, theta)
-    qg, _ = quotient_gamp(g, ideal)
-    conc_q = _cong.conc(qbig)
-    cmor = _cong.conc_morphism(proj, target_conc=conc_q, source_conc=r.chi.target)
-    mapping = {}
-    for d in qg.sem.elements:
-        # pick any preimage: d is its own class representative
-        mapping[d] = cmor(r.chi(d))
-    chi2 = SemMorphism(qg.sem, conc_q, mapping)
-    return Realization(qbig, chi2)
 
 
 def induced_gamp_morphism(fm, ideal_i, ideal_j):

@@ -3,9 +3,9 @@ calculus, identity satisfaction, images, and stabilizing chain colimits."""
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product, repeat
+from itertools import chain, product, repeat
 
-from .errors import ArityMismatch, NotComposable, NotSubset, NotTotal, cross_check
+from .errors import NotComposable, NotSubset, NotTotal, cross_check
 
 
 class _Undefined:
@@ -165,11 +165,18 @@ class PartialAlgebra:
         ops = {}
         for name, ar in stype.symbols:
             tables = [a.ops[name] for a in algebras]
-            # zip(*args) lists each factor's argument tuple; a constant has ()
-            ops[name] = {
-                args: tuple(map(dict.__getitem__, tables, zip(*args) if ar else repeat(())))
-                for args in product(universe, repeat=ar)
-            }
+            if not ar:
+                ops[name] = {(): tuple(t[()] for t in tables)}
+                continue
+            table = ops[name] = {}
+            for lead in product(universe, repeat=ar - 1):
+                # each factor's row of values over its last argument; their
+                # product lists the row's values in universe order
+                heads = zip(*lead) if lead else repeat(())
+                rows = [
+                    [t[h + (x,)] for x in a.universe] for t, a, h in zip(tables, algebras, heads)
+                ]
+                table.update(zip([lead + (u,) for u in universe], product(*rows)))
         alg = cls(stype, universe, ops, validate=False)
         alg.factors = tuple(algebras)
         return alg
@@ -251,22 +258,6 @@ MODULAR_LAW = (
     meet(Term.v(0), join(Term.v(1), meet(Term.v(0), Term.v(2)))),
     join(meet(Term.v(0), Term.v(1)), meet(Term.v(0), Term.v(2))),
 )
-
-
-def eval_term(algebra, term, args):
-    if len(args) < term.nvars():
-        raise ArityMismatch(f"term needs {term.nvars()} variables, got {len(args)}")
-    return term.eval(algebra, tuple(args))
-
-
-def def_set(algebra, term, nvars=None):
-    """All tuples on which the term evaluates; exponential in nvars."""
-    n = term.nvars() if nvars is None else nvars
-    out = set()
-    for args in product(algebra.universe, repeat=n):
-        if term.eval(algebra, args) is not UNDEFINED:
-            out.add(args)
-    return out
 
 
 # Largest source on which PalgMorphism.validate cross-checks its factorwise
@@ -389,23 +380,6 @@ class PalgMorphism:
         return cls(algebra, algebra, {x: x for x in algebra.universe}, validate=False)
 
 
-def is_full_sub(sub, algebra):
-    """Full partial subalgebra: defined exactly when the ambient value stays inside."""
-    if not sub._uset <= algebra._uset:
-        raise NotSubset("not a subset")
-    if not sub.is_partial_sub_of(algebra):
-        return False
-    for name, _ in algebra.stype.symbols:
-        want = {
-            args
-            for args, val in algebra.ops[name].items()
-            if set(args) <= sub._uset and val in sub._uset
-        }
-        if set(sub.ops[name].keys()) != want:
-            return False
-    return True
-
-
 def is_strong_sub(sub, algebra):
     """Strong partial subalgebra: every tuple over the subset is defined in the ambient."""
     if not sub._uset <= algebra._uset:
@@ -427,37 +401,6 @@ def is_strong_morphism(f):
             if args not in f.target.ops[name]:
                 return False
     return True
-
-
-def generation_stages(algebra, gens, max_stage):
-    """Stages <X>^0, <X>^1, ... as full partial subalgebras; reports the fixpoint.
-
-    Stage 0 is the generators plus any defined constants; each later stage
-    adds every defined value on tuples from the previous stage.
-    """
-    current = set(gens)
-    for name, ar in algebra.stype.symbols:
-        if ar == 0 and () in algebra.ops[name]:
-            current.add(algebra.ops[name][()])
-    stages = [algebra.restrict_full(current)]
-    stabilized_at = None
-    for n in range(1, max_stage + 1):
-        nxt = set(current)
-        for name, table in algebra.ops.items():
-            for args, val in table.items():
-                if set(args) <= current:
-                    nxt.add(val)
-        stages.append(algebra.restrict_full(nxt))
-        if nxt == current and stabilized_at is None:
-            stabilized_at = n - 1
-        current = nxt
-    return stages, stabilized_at
-
-
-def generated_sub(algebra, gens, stage):
-    """The full partial subalgebra on <gens>^stage."""
-    stages, _ = generation_stages(algebra, gens, stage)
-    return stages[stage]
 
 
 def image_palg(f, sub=None):
@@ -588,99 +531,38 @@ def chain_colimit(morphisms, window=1):
 def product_closure(algebra, pairs):
     """Pairs of simultaneous term evaluations under two substitutions.
 
-    Closure of the given pairs, their swaps, and the diagonal inside the
-    square of the algebra, applying an operation only when both component
-    tuples are defined. Each closure element is exactly (t(sigma), t(sigma'))
-    for one term t with parameters, so reachability along these pairs decides
-    term-chain existence with definedness. Parent pointers are kept so a
-    witness term can be rebuilt.
+    The least set of pairs that contains the diagonal, the given pairs and
+    their swaps, and is closed under every operation applied componentwise
+    wherever both component tuples are defined. Each member is exactly
+    (t(sigma), t(sigma')) for one term t with parameters, so reachability
+    along these pairs decides term-chain existence with definedness.
     """
-    parents = {}
-    for x in algebra.universe:
-        parents.setdefault((x, x), ("param", x))
-    for i, (a, b) in enumerate(pairs):
-        parents.setdefault((a, b), ("gen", i, False))
-        parents.setdefault((b, a), ("gen", i, True))
-    members = set(parents.keys())
+    members = {(x, x) for x in algebra.universe}
+    for a, b in pairs:
+        members |= {(a, b), (b, a)}
     fresh = set(members)
+    ops = [(algebra.ops[name], ar) for name, ar in algebra.stype.symbols if ar]
     while fresh:
+        old = members - fresh
         new = set()
-        for name, ar in algebra.stype.symbols:
-            if ar == 0:
-                continue
-            table = algebra.ops[name]
+        for table, ar in ops:
             # semi-naive: only tuples touching a fresh pair can yield new pairs
-            fresh_l = sorted(fresh, key=repr)
-            members_l = sorted(members, key=repr)
             if ar == 2:
-                old = sorted(members - fresh, key=repr)
-                candidate_args = [(a, b) for a in fresh_l for b in members_l]
-                candidate_args += [(a, b) for a in old for b in fresh_l]
+                candidates = chain(product(fresh, members), product(old, fresh))
             else:
-                candidate_args = [
-                    args
-                    for args in product(members_l, repeat=ar)
-                    if any(a in fresh for a in args)
-                ]
-            for args in candidate_args:
-                left = tuple(p[0] for p in args)
-                right = tuple(p[1] for p in args)
-                lv = table.get(left, UNDEFINED)
+                candidates = (
+                    args for args in product(members, repeat=ar) if not fresh.isdisjoint(args)
+                )
+            for args in candidates:
+                lv = table.get(tuple(p[0] for p in args), UNDEFINED)
                 if lv is UNDEFINED:
                     continue
-                rv = table.get(right, UNDEFINED)
-                if rv is UNDEFINED:
-                    continue
-                pair = (lv, rv)
-                if pair not in members:
-                    members.add(pair)
-                    parents[pair] = ("op", name, args)
-                    new.add(pair)
-        fresh = new
-    return parents
-
-
-def rebuild_term(parents, pair, npairs):
-    """Reconstruct a witness term for a closure pair.
-
-    Variables 0..m-1 stand for the left generator entries, m..2m-1 for the
-    right ones; parameters get fresh slots past 2m, returned as a list in
-    slot order. Evaluating the term at (left gens, right gens, params) gives
-    pair[0] and at the blocks swapped gives pair[1].
-    """
-    params = []
-    slot_of = {}
-
-    def build(p):
-        tag = parents[p]
-        if tag[0] == "param":
-            c = tag[1]
-            if c not in slot_of:
-                slot_of[c] = 2 * npairs + len(params)
-                params.append(c)
-            return Term.v(slot_of[c])
-        if tag[0] == "gen":
-            _, i, swapped = tag
-            return Term.v(npairs + i if swapped else i)
-        _, name, args = tag
-        return Term.app(name, *(build(a) for a in args))
-
-    return build(pair), params
-
-
-def term_chain_search(algebra, x, y, pairs):
-    """Chain x = v0, ..., vn = y where consecutive values are joint term evaluations.
-
-    Returns the list of closure pairs along a shortest path, or None. This
-    decides exactly whether a term chain in the sense of the congruence
-    witness format exists in a partial algebra.
-    """
-    closure = product_closure(algebra, pairs)
-    adj = {}
-    for (a, b) in closure:
-        adj.setdefault(a, set()).add(b)
-    steps = shortest_path(x, y, lambda u: ((v, None) for v in sorted(adj.get(u, ()), key=repr)))
-    return None if steps is None else [(u, v) for u, v, _ in steps]
+                rv = table.get(tuple(p[1] for p in args), UNDEFINED)
+                if rv is not UNDEFINED:
+                    new.add((lv, rv))
+        fresh = new - members
+        members |= fresh
+    return members
 
 
 def shortest_path(start, goal, neighbours):

@@ -1,12 +1,11 @@
-"""Finite poset combinatorics: kernels, norm-coverings, sharp ideals, the
-lexicographic tree-over-poset construction with its cover law, and a finite
-analogue of the free-set combinatorial relation."""
+"""Finite poset combinatorics: the lexicographic tree-over-poset
+construction with its cover law, the size-two-subsets poset, and bounded
+order dimension."""
 
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import BudgetExceeded, SearchExhausted, TooLarge, cross_check
-from .util import sort_key, sorted_elements
+from .errors import BudgetExceeded, TooLarge, cross_check
 
 
 class FinitePoset:
@@ -116,122 +115,6 @@ class FinitePoset:
         return cls(elements, leq)
 
 
-def is_kernel(poset, v_set):
-    """Every element has a largest lower bound inside v_set."""
-    v_set = set(v_set)
-    for u in poset.elements:
-        lowers = [v for v in v_set if poset.leq(v, u)]
-        if not lowers:
-            return False
-        if not any(all(poset.leq(w, v) for w in lowers) for v in lowers):
-            return False
-    return True
-
-
-def kernel_containing(poset, f_set):
-    """A kernel containing f_set, greedily closed then pruned to local minimality.
-
-    Elements whose lower bounds in the current set lack a top are added
-    themselves (fixing them and possibly others); the loop terminates because
-    the whole poset is always a kernel.
-    """
-    v = set(f_set)
-    if not v <= set(poset.elements):
-        raise ValueError("subset leaves the poset")
-    while not is_kernel(poset, v):
-        for u in poset.linear_extension():
-            if u in v:
-                continue
-            lowers = [w for w in v if poset.leq(w, u)]
-            if not lowers or not any(
-                all(poset.leq(w2, w) for w2 in lowers) for w in lowers
-            ):
-                v.add(u)
-                break
-        else:
-            v = set(poset.elements)
-    for u in sorted_elements(set(v) - set(f_set)):
-        trial = v - {u}
-        if is_kernel(poset, trial):
-            v = trial
-    cross_check(is_kernel(poset, v), "kernel_containing must return a kernel")
-    return frozenset(v)
-
-
-def is_supported(poset):
-    """Every finite subset extends to a kernel.
-
-    For a finite poset the whole poset is a kernel containing any subset, so
-    this is always true; the quantified check is still run with that witness.
-    """
-    whole = frozenset(poset.elements)
-    if not is_kernel(poset, whole):
-        return False
-    # the single witness settles every subset instance at once
-    return True
-
-
-@dataclass
-class NormCovering:
-    """Supported poset with an isotone boundary map into the base poset."""
-
-    cover: FinitePoset
-    base: FinitePoset
-    boundary: dict
-
-    def __post_init__(self):
-        for u in self.cover.elements:
-            if self.boundary.get(u) not in self.base:
-                raise ValueError(f"boundary not into the base at {u!r}")
-        for u in self.cover.elements:
-            for v in self.cover.elements:
-                if self.cover.leq(u, v) and not self.base.leq(self.boundary[u], self.boundary[v]):
-                    raise ValueError(f"boundary not isotone at {(u, v)}")
-        if not is_supported(self.cover):
-            raise ValueError("cover poset is not supported")
-
-
-def poset_ideals(poset, bound=100_000):
-    """Nonempty, downward-closed, directed subsets, smallest first."""
-    downs = set()
-    frontier = []
-    for x in poset.elements:
-        d = poset.downset(x)
-        if d not in downs:
-            downs.add(d)
-            frontier.append(d)
-    while frontier:
-        cur = frontier.pop()
-        for x in poset.elements:
-            if x in cur:
-                continue
-            nxt = frozenset(cur | poset.downset(x))
-            if nxt not in downs:
-                downs.add(nxt)
-                frontier.append(nxt)
-                if len(downs) > bound:
-                    raise TooLarge("too many downsets")
-
-    def directed(c):
-        return all(
-            any(poset.leq(a, z) and poset.leq(b, z) for z in c) for a in c for b in c
-        )
-
-    out = [c for c in downs if directed(c)]
-    return sorted(out, key=lambda c: (len(c), tuple(sorted(map(sort_key, c)))))
-
-
-def sharp_ideals(nc, bound=100_000):
-    """Ideals of the covering poset whose boundary image has a largest element."""
-    out = []
-    for ideal in poset_ideals(nc.cover, bound):
-        image = {nc.boundary[u] for u in ideal}
-        tops = [p for p in image if all(nc.base.leq(q, p) for q in image)]
-        if tops:
-            out.append((ideal, tops[0]))
-    return out
-
-
 @dataclass(frozen=True)
 class KPosetSpec:
     """Base poset with least element, marked subset, branching sets, depth."""
@@ -336,69 +219,6 @@ def bm_le2(m):
     return FinitePoset(els, leq, validate=False)
 
 
-def finite_comb_search(poset, kappa, lam, big_f, budget=2_000_000):
-    """Finite-instance analogue of the free-set relation.
-
-    Searches for an injective map f from the poset into range(kappa) with
-    big_f(f(down p)) meeting f(down q) only inside f(down p), for all p <= q.
-    big_f must send frozensets of integers to sets of fewer than lam
-    integers; isotonicity of big_f is the caller's business, and every found
-    map is rechecked definitionally over all comparable pairs. Returns the
-    assignment dict or None. No claim transfers to the infinite relation.
-    """
-    order = poset.linear_extension()
-    downs = {p: poset.downset(p) for p in poset.elements}
-    steps = 0
-
-    def f_down(assign, p):
-        return frozenset(assign[x] for x in downs[p] if x in assign)
-
-    def check_pair(assign, p, q):
-        fp = f_down(assign, p)
-        fq = f_down(assign, q)
-        image = big_f(fp)
-        if len(image) >= lam:
-            raise ValueError("big_f image too large")
-        return (image & fq) <= fp
-
-    def ok_so_far(assign):
-        placed = set(assign)
-        for p in placed:
-            for q in placed:
-                if poset.leq(p, q) and downs[p] <= placed and downs[q] <= placed:
-                    if not check_pair(assign, p, q):
-                        return False
-        return True
-
-    def extend(assign):
-        nonlocal steps
-        if len(assign) == len(order):
-            return dict(assign)
-        p = order[len(assign)]
-        for v in range(kappa):
-            steps += 1
-            if steps > budget:
-                raise SearchExhausted("steps of the comb search", budget)
-            if v in assign.values():
-                continue
-            assign[p] = v
-            if ok_so_far(assign):
-                res = extend(assign)
-                if res is not None:
-                    return res
-            del assign[p]
-        return None
-
-    found = extend({})
-    if found is None:
-        return None
-    for p in poset.elements:
-        for q in poset.elements:
-            if poset.leq(p, q):
-                cross_check(check_pair(found, p, q), "definitional recheck failed")
-    return found
-
-
 # Most linear extensions order_dimension_at_most lists before it refuses.
 EXTENSION_CAP = 3000
 
@@ -428,11 +248,11 @@ def _linear_extensions(poset):
 def order_dimension_at_most(poset, k):
     """Brute-force check that k linear extensions realize the order.
 
-    Plumbing only: intended for k <= 3 and small posets; anything beyond the
-    extension cap raises rather than guessing.
+    Plumbing only: intended for 1 <= k <= 3 and small posets; anything
+    beyond the extension cap raises rather than guessing.
     """
     if k < 1 or k > 3:
-        raise ValueError("only k <= 3 is supported")
+        raise ValueError(f"k = {k}: only 1 <= k <= 3 is supported")
     if len(poset.elements) > 10:
         raise TooLarge("order-dimension plumbing is capped at 10 elements")
     incomparable = [

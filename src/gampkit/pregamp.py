@@ -16,7 +16,6 @@ from .semilattice import (
     SemIdeal,
     SemMorphism,
     enumerate_ideals,
-    hom_from_generators,
     induced_morphism,
     is_ideal_induced,
     ker0,
@@ -473,19 +472,3 @@ def pregamp_isomorphisms(pg1, pg2):
                 used.discard(y)
 
         yield from extend({}, set())
-
-
-def pregamp_isomorphism_search(pg1, pg2):
-    """The first pregamp isomorphism, or None when there is genuinely none;
-    an exhausted budget raises."""
-    return next(pregamp_isomorphisms(pg1, pg2), None)
-
-
-def distance_comparison_morphism(pg):
-    """For a pregamp on a total carrier: the unique semilattice map from the
-    compact congruences sending each principal congruence to the distance of
-    its generating pair. An embedding; an isomorphism when the pregamp is
-    distance-generated. Returns the morphism or a Refusal."""
-    cs = _cong.conc(pg.carrier)
-    theta = cs.distances()
-    return hom_from_generators(cs, pg.sem, theta, {pair: pg.dist[pair] for pair in theta})

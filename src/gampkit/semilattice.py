@@ -1,8 +1,6 @@
 """Finite join-semilattices with zero: ideals, quotients, ideal-induced maps."""
 
-from dataclasses import dataclass
-
-from .errors import InvalidIdeal, IdealNotMapped, NotGenerated, NotIdealInduced, cross_check
+from .errors import InvalidIdeal, IdealNotMapped, cross_check
 from .util import sort_key, sorted_elements
 
 
@@ -247,78 +245,6 @@ def ker0(phi):
     return SemIdeal(phi.source, carrier, validate=False)
 
 
-@dataclass(frozen=True)
-class Refusal:
-    """Witness that the join-implication transfer fails: f(x) <= vf(ys) but not g(x) <= vg(ys).
-
-    direction is "forward" for the defining implication, "converse" for the
-    extra implication checked when an isomorphism was requested.
-    """
-
-    x: object
-    ys: tuple
-    direction: str = "forward"
-
-
-def _implication_violation(s, t, f, g, xs):
-    """First (x, ys) with f(x) <= join f(ys) in s but g(x) !<= join g(ys) in t.
-
-    Arbitrary tuples reduce to finite subsets, and a subset only matters
-    through the pair (join f(Y), join g(Y)); these pairs form the
-    subsemilattice of s x t generated by the (f, g)-images, which is closed
-    incrementally with one witness subset per pair. The empty subset covers
-    the f(x) = 0 instances needed for zero preservation.
-    """
-    xs = sorted_elements(xs)
-    pairs = {(s.zero, t.zero): ()}
-    frontier = [(s.zero, t.zero)]
-    while frontier:
-        a, b = frontier.pop()
-        ys = pairs[(a, b)]
-        for y in xs:
-            na, nb = s.join(a, f[y]), t.join(b, g[y])
-            if (na, nb) not in pairs:
-                pairs[(na, nb)] = ys + (y,)
-                frontier.append((na, nb))
-    for x in xs:
-        for (a, b) in sorted(pairs, key=sort_key):
-            if s.leq(f[x], a) and not t.leq(g[x], b):
-                return x, pairs[(a, b)]
-    return None
-
-
-def hom_from_generators(s, t, f, g, iso=False):
-    """Unique morphism phi: s -> t with phi(f(x)) = g(x), if the transfer holds.
-
-    f, g are dicts on a common generator index set X. Requires f(X) to
-    join-generate s. Returns the morphism, or a Refusal carrying a violating
-    (x, ys) instance. With iso=True also demands the converse implication and
-    that g(X) join-generates t, and then the result is an isomorphism.
-    """
-    xs = sorted_elements(f.keys())
-    if set(g.keys()) != set(xs):
-        raise ValueError("f and g must share their index set")
-    if s.join_closure(f[x] for x in xs) != frozenset(s.elements):
-        raise NotGenerated("f(X) does not join-generate the source")
-    bad = _implication_violation(s, t, f, g, xs)
-    if bad is not None:
-        return Refusal(bad[0], bad[1], "forward")
-    if iso:
-        bad = _implication_violation(t, s, g, f, xs)
-        if bad is not None:
-            return Refusal(bad[0], bad[1], "converse")
-        if t.join_closure(g[x] for x in xs) != frozenset(t.elements):
-            raise NotGenerated("g(X) does not join-generate the target")
-    mapping = {}
-    for a in s.elements:
-        # a is a join of generators; any generating subset gives the same image.
-        gens = [x for x in xs if s.leq(f[x], a)]
-        if s.join_all(f[x] for x in gens) != a:
-            raise NotGenerated(f"{a!r} is not a join of generators")
-        mapping[a] = t.join_all(g[x] for x in gens)
-    return SemMorphism(s, t, mapping)
-
-
 def quotient(sem, ideal):
     """Quotient by the congruence x ~ y iff x v u = y v u for some u in the ideal.
 
@@ -398,35 +324,6 @@ def is_ideal_induced(phi):
     via_quotient = induced.is_injective() and induced.is_surjective()
     cross_check(definitional == via_quotient, "ideal-induced characterizations disagree")
     return definitional, witness
-
-
-def restrict_ideal_induced(phi, xs=()):
-    """Finite join-subsemilattice S' containing xs with phi|S' ideal-induced.
-
-    Follows the finite-restriction construction: a section Y of phi extended
-    by xs, absorbers u_{x,y} for phi-identified pairs of Y, and the join
-    closure of their union.
-    """
-    ok, _ = is_ideal_induced(phi)
-    if not ok:
-        raise NotIdealInduced("phi is not ideal-induced")
-    s, t = phi.source, phi.target
-    xs = set(xs)
-    if not xs <= set(s.elements):
-        raise ValueError("xs must be source elements")
-    section = {}
-    for v in t.elements:
-        section[v] = next(x for x in s.elements if phi(x) == v)
-    y_set = s.join_closure(xs | set(section.values()))
-    kernel = [z for z in s.elements if phi(z) == t.zero]
-    absorbers = set()
-    for x in y_set:
-        for y in y_set:
-            if sort_key(x) < sort_key(y) and phi(x) == phi(y):
-                z = next(z for z in kernel if s.join(x, z) == s.join(y, z))
-                absorbers.add(z)
-    closed = s.join_closure(y_set | absorbers)
-    return s.sub(closed)
 
 
 def enumerate_ideals(sem, bound=None):

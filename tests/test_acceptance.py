@@ -40,7 +40,6 @@ from gampkit.gamp import (
 )
 from gampkit.palg import PalgMorphism
 from gampkit.poset import FinitePoset, KPosetSpec, kposet, kposet_cover_check
-from gampkit.pregamp import pregamp_isomorphism_search
 from gampkit.semilattice import SemIdeal, SemMorphism, enumerate_ideals, quotient
 
 

@@ -9,7 +9,6 @@ from gampkit.diagram import (
     apply_functor,
     is_operational_diagram,
     is_partial_lifting,
-    natural_equivalence_search,
     quotient_diagram,
 )
 from gampkit.errors import InvalidIdeal, MissingRealization
@@ -238,56 +237,3 @@ class TestPartialLifting:
         verdict, detail = is_partial_lifting(d, realizations, x_cap=1)
         assert not bool(verdict)
         assert detail[("strong", (0, 1))].status == "false"
-
-
-class TestNaturalEquivalence:
-    def test_identity_family(self, square):
-        d = apply_functor(square.x_square, "PGA")
-        nt = natural_equivalence_search(d, d)
-        assert nt is not None
-
-    def test_relabeled_copy(self, square):
-        d = apply_functor(square.x_square, "PGA")
-        # relabel the bottom object's carrier
-        import copy
-
-        from gampkit.pregamp import Pregamp, PregampMorphism
-
-        relabel = {"0": "zero", "x3": "mid", "1": "one"}
-        b = d.objects["b"]
-        alg2 = PartialAlgebra(
-            LATTICE_TYPE,
-            [relabel[x] for x in b.carrier.universe],
-            {
-                name: {
-                    tuple(relabel[a] for a in args): relabel[v] for args, v in tb.items()
-                }
-                for name, tb in b.carrier.ops.items()
-            },
-        )
-        dist2 = {(relabel[x], relabel[y]): v for (x, y), v in b.dist.items()}
-        b2 = Pregamp(alg2, dist2, b.sem)
-        objects = dict(d.objects)
-        objects["b"] = b2
-        arrows = dict(d.arrows)
-        for q in ("l", "r", "t"):
-            old = d.arrows[("b", q)]
-            arrows[("b", q)] = PregampMorphism(
-                b2, d.objects[q],
-                PalgMorphism(alg2, old.f.target, {relabel[x]: old.f(x) for x in b.carrier.universe}),
-                old.fsem,
-            )
-        arrows[("b", "b")] = PregampMorphism.identity(b2)
-        d2 = Diagram(d.poset, objects, arrows)
-        nt = natural_equivalence_search(d, d2)
-        assert nt is not None
-
-    def test_mismatched_semilattices_refused(self, square):
-        d1 = apply_functor(square.x_square, "PGA")
-        d2 = apply_functor(square.a_square, "PGA")
-        # bottom objects differ (3-chain versus 3-chain: same) but the wings
-        # have different carriers entirely for n = 2? they match in size, so
-        # compare against a genuinely different square instead
-        bigger = build_square("L2", 2)
-        d3 = apply_functor(bigger.x_square, "PGA")
-        assert natural_equivalence_search(d1, d3) is None

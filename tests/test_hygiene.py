@@ -1,8 +1,10 @@
 """Source hygiene: every name a module of the package imports is used there,
-and every private module-level definition is read somewhere in the package.
+every private module-level definition is read somewhere in the package, and
+every public one is read by another part of the package or is listed, with
+the paper statement or the caller it serves, in API_ONLY.
 
-The package's __init__ is exempt from the import check: it imports names
-only to re-export them.
+The package's __init__ is exempt from the import check, and its reads do not
+count for public definitions: it imports names only to re-export them.
 """
 
 import ast
@@ -28,36 +30,100 @@ def unused_imports(source):
     return sorted(imported - used)
 
 
+def _reads(tree):
+    """Names that expressions under the node read, attribute names included."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def _defined_names(node):
+    """Names a module-level statement defines. A definition under a called
+    decorator such as @_register("two") is read by that registration, so it
+    counts as defining nothing."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if any(isinstance(d, ast.Call) for d in node.decorator_list):
+            return []
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
 def unread_private_definitions(sources):
     """Private module-level functions, classes and constants of the given
     {module name: source} that no expression of any source reads, as
-    (module, name) pairs. A definition under a called decorator such as
-    @_register("two") is read by that registration and so exempt."""
+    (module, name) pairs."""
     trees = {name: ast.parse(src) for name, src in sources.items()}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = set().union(*map(_reads, trees.values()))
     unread = []
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if any(isinstance(d, ast.Call) for d in node.decorator_list):
-                    continue
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [t.id for t in targets if isinstance(t, ast.Name)]
-            else:
-                continue
-            for name in names:
+            for name in _defined_names(node):
                 private = name.startswith("_") and not name.startswith("__")
                 if private and name not in read:
                     unread.append((module, name))
     return sorted(unread)
+
+
+def unread_public_definitions(sources):
+    """Public module-level functions, classes and constants of the given
+    {module name: source} that no module-level statement outside their own
+    definition reads, as (module, name) pairs. The module "__init__" only
+    re-exports: its reads do not count and its names are not checked."""
+    statements = [
+        (module, node)
+        for module, src in sources.items()
+        if module != "__init__"
+        for node in ast.parse(src).body
+    ]
+    reads = [_reads(node) for _, node in statements]
+    unread = []
+    for i, (module, node) in enumerate(statements):
+        for name in _defined_names(node):
+            others = (r for j, r in enumerate(reads) if j != i)
+            if not name.startswith("_") and not any(name in r for r in others):
+                unread.append((module, name))
+    return sorted(unread)
+
+
+# Public definitions that no other part of the package reads, each with the
+# paper statement or the caller outside the package that it serves.
+API_ONLY = {
+    ("congruence", "con_lattice"): "perfbench's congruence jobs call it for Con(A) in order",
+    ("congruence", "least_congruence_bruteforce"): (
+        "the brute-force oracle the principal-congruence tests check closure against"
+    ),
+    ("congruence", "quotient_algebra"): (
+        "the acceptance tests: a quotient of GA(A) is GA of the quotient algebra"
+    ),
+    ("gamp", "gamp_chain_colimit"): "the chain-colimit fact behind partial liftings",
+    ("gamp", "presqueordre_facts"): "the paper's displayed distance laws along a chain",
+    ("palg", "MODULAR_LAW"): (
+        "the modular law, which M3 and so every lattice of the paper's variety M_3 satisfies"
+    ),
+    ("palg", "chain_colimit"): "the chain-colimit fact behind partial liftings",
+    ("palg", "preimage_palg"): (
+        "the sub/quotient exchange: a sub of a quotient lifts to its preimage"
+    ),
+    ("poset", "order_dimension_at_most"): (
+        "the main theorem's hypothesis that P has order-dimension d"
+    ),
+    ("pregamp", "is_ideal_induced_pg"): "the quotient-of-quotient lemma for pregamps",
+    ("pregamp", "pregamp_isomorphisms"): (
+        "the quotient lemmas' tests, which compare quotients up to isomorphism"
+    ),
+    ("pregamp", "pregamp_satisfies_identity"): (
+        "perfbench's pregamp.satisfies_identity metrics trace it"
+    ),
+    ("pregamp", "sub_pregamp"): "the sub/quotient exchange for pregamps",
+    ("serialize", "diagram_to_json"): "it writes the diagram-verify input format",
+}
 
 
 def test_private_detector_flags_unread_and_keeps_read():
@@ -79,6 +145,31 @@ def test_private_detector_flags_unread_and_keeps_read():
     assert unread_private_definitions(sources) == [
         ("a", "_Gone"), ("a", "_LIMIT"), ("a", "_Plain"), ("a", "_dead"),
     ]
+
+
+def test_public_detector_flags_unread_and_keeps_read():
+    sources = {
+        "__init__": "from .a import Exported\n__version__ = '1'\n",
+        "a": (
+            "LIMIT = 3\n"
+            "SEEN = 4\n"
+            "def dead(): return dead()\n"
+            "def helper(): return SEEN\n"
+            "class Exported: pass\n"
+            "@_register('x')\n"
+            "def registered(): pass\n"
+            "def _private(): pass\n"
+        ),
+        "b": "from .a import helper\nimport a\nprint(helper(), a.Kept)\nclass Kept: pass\n",
+    }
+    assert unread_public_definitions(sources) == [
+        ("a", "Exported"), ("a", "LIMIT"), ("a", "dead"),
+    ]
+
+
+def test_public_definitions_are_read():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_public_definitions(sources) == sorted(API_ONLY)
 
 
 def test_private_definitions_are_read():

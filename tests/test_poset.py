@@ -3,21 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gampkit.errors import BudgetExceeded
-from gampkit.poset import (
-    FinitePoset,
-    KPosetSpec,
-    NormCovering,
-    bm_le2,
-    finite_comb_search,
-    is_kernel,
-    is_supported,
-    kernel_containing,
-    kposet,
-    kposet_cover_check,
-    poset_ideals,
-    sharp_ideals,
-)
+from gampkit.poset import FinitePoset, KPosetSpec, bm_le2, kposet, kposet_cover_check
 
 
 def square_with_bottom():
@@ -41,59 +27,6 @@ class TestFinitePoset:
         for i, x in enumerate(order):
             for y in order[i + 1 :]:
                 assert not p.lt(y, x)
-
-
-class TestKernels:
-    def test_whole_poset_is_kernel(self):
-        p = square_with_bottom()
-        assert is_kernel(p, set(p.elements))
-        assert kernel_containing(p, set(p.elements)) == frozenset(p.elements)
-
-    def test_two_incomparable_need_bottom(self):
-        p = square_with_bottom()
-        v = kernel_containing(p, {"l", "r"})
-        assert "b" in v
-        assert is_kernel(p, v)
-
-    def test_empty_seed(self):
-        p = FinitePoset.chain(3)
-        v = kernel_containing(p, set())
-        assert is_kernel(p, v)
-        assert v == frozenset({0})
-
-    def test_supported(self):
-        for p in (FinitePoset.chain(4), FinitePoset.antichain(3), square_with_bottom()):
-            assert is_supported(p)
-
-
-class TestSharpIdeals:
-    def test_identity_covering(self):
-        p = FinitePoset.chain(3)
-        nc = NormCovering(p, p, {x: x for x in p.elements})
-        out = sharp_ideals(nc)
-        # every ideal of a chain is principal, hence sharp
-        assert len(out) == len(poset_ideals(p)) == 3
-        for ideal, val in out:
-            assert val == max(ideal)
-
-    def test_antichain_over_chain(self):
-        u = FinitePoset.antichain(2)
-        base = FinitePoset.chain(2)
-        nc = NormCovering(u, base, {0: 0, 1: 1})
-        out = sharp_ideals(nc)
-        assert [set(i) for i, _ in out] == [{0}, {1}]
-
-    def test_antichain_image_excluded(self):
-        u = square_with_bottom()
-        base = FinitePoset.antichain(2)
-        big = FinitePoset(["b", "l", "r", "t"], [("b", "l"), ("b", "r"), ("b", "t"), ("l", "t"), ("r", "t")])
-        # boundary sending the two middles to distinct incomparable points
-        base2 = FinitePoset([0, 1, 2, 3], [(0, 1), (0, 2), (1, 3), (2, 3), (0, 3)])
-        nc = NormCovering(big, base2, {"b": 0, "l": 1, "r": 2, "t": 3})
-        out = dict(sharp_ideals(nc))
-        assert frozenset({"b", "l", "r", "t"}) in out
-        # the downset {b, l, r} is not directed, so it is not an ideal at all
-        assert frozenset({"b", "l", "r"}) not in out
 
 
 class TestKPoset:
@@ -147,46 +80,18 @@ class TestBm:
             assert p.leq(x, full)
 
 
-class TestCombSearch:
-    def test_constant_empty(self):
-        p = FinitePoset.chain(3)
-        f = finite_comb_search(p, 5, 3, lambda s: set())
-        assert f is not None and len(set(f.values())) == 3
-
-    def test_singleton(self):
-        p = FinitePoset(["*"], [])
-        assert finite_comb_search(p, 2, 2, lambda s: set()) is not None
-
-    def test_adversarial(self):
-        p = FinitePoset.chain(2)
-
-        def big_f(s):
-            # tries to pollute every downset with the other values
-            return {v + 1 for v in s if v + 1 < 3}
-
-        found = finite_comb_search(p, 3, 3, big_f)
-        if found is not None:
-            for q in p.elements:
-                for r in p.elements:
-                    if p.leq(q, r):
-                        fp = frozenset(found[x] for x in p.elements if p.leq(x, q))
-                        fq = frozenset(found[x] for x in p.elements if p.leq(x, r))
-                        assert big_f(fp) & fq <= fp
-
-    def test_budget(self):
-        p = FinitePoset.chain(3)
-        with pytest.raises(BudgetExceeded):
-            finite_comb_search(p, 30, 30, lambda s: set(), budget=3)
-
-    def test_budget_is_search_exhausted(self):
-        from gampkit.errors import SearchExhausted
-
-        with pytest.raises(SearchExhausted) as exc:
-            finite_comb_search(FinitePoset.chain(3), 30, 30, lambda s: set(), budget=3)
-        assert exc.value.bound == 3
-
-
 class TestOrderDimension:
+    """The main theorem's hypothesis: P is a finite lattice of
+    order-dimension d > 0, and a diagram over P with no partial lifting in
+    the gamps of W gives a critical point at aleph_{d-1}."""
+
+    @pytest.mark.parametrize("k", [0, 4])
+    def test_k_out_of_range(self, k):
+        from gampkit.poset import order_dimension_at_most
+
+        with pytest.raises(ValueError, match="1 <= k <= 3"):
+            order_dimension_at_most(FinitePoset.square(), k)
+
     def test_chain_is_one(self):
         from gampkit.poset import order_dimension_at_most
 

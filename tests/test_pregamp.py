@@ -16,14 +16,12 @@ from gampkit.pregamp import (
     PregampMorphism,
     canonical_embedding,
     check_axioms,
-    distance_comparison_morphism,
     is_congruence_tractable_morphism,
     is_distance_generated,
     is_ideal_induced_pg,
     induced_pregamp_morphism,
     pga,
     pga_mor,
-    pregamp_isomorphism_search,
     pregamp_isomorphisms,
     pregamp_satisfies_identity,
     quotient_pregamp,
@@ -124,7 +122,7 @@ class TestQuotient:
         q, _ = quotient_pregamp(pg, ideal)
         qalg, _ = quotient_algebra(x1, theta)
         other = theta_pregamp(qalg)
-        assert pregamp_isomorphism_search(q, other) is not None
+        assert next(pregamp_isomorphisms(q, other), None) is not None
 
     def test_quotient_preserves_generation(self, x1):
         pg = theta_pregamp(x1)
@@ -148,7 +146,7 @@ class TestQuotient:
                 from gampkit.pregamp import ker0_pg
 
                 q3, _ = quotient_pregamp(pg, ker0_pg(composite))
-                assert pregamp_isomorphism_search(q2, q3) is not None
+                assert next(pregamp_isomorphisms(q2, q3), None) is not None
 
 
 class TestSubPregamps:
@@ -301,23 +299,6 @@ class TestTractable:
         assert {x, y} != set(sum(chosen, ()))
 
 
-class TestComparisonMorphism:
-    def test_total_stable_chain_comparison(self, x1):
-        pg = theta_pregamp(x1)
-        phi = distance_comparison_morphism(pg)
-        assert isinstance(phi, SemMorphism)
-        assert phi.is_injective() and phi.is_surjective()
-
-    def test_embedding_when_sem_bigger(self, chain3):
-        pg0 = theta_pregamp(chain3)
-        big = JoinSemilattice.product(pg0.sem, JoinSemilattice.chain(2))
-        dist = {k: (v, 0) for k, v in pg0.dist.items()}
-        pg = Pregamp(pg0.carrier, dist, big)
-        phi = distance_comparison_morphism(pg)
-        assert isinstance(phi, SemMorphism)
-        assert phi.is_injective() and not phi.is_surjective()
-
-
 class TestIsoSearch:
     def test_relabeled_copy_found(self, chain3):
         pg = theta_pregamp(chain3)
@@ -332,10 +313,10 @@ class TestIsoSearch:
         )
         dist2 = {(relabel[x], relabel[y]): d for (x, y), d in pg.dist.items()}
         pg2 = Pregamp(alg2, dist2, pg.sem)
-        assert pregamp_isomorphism_search(pg, pg2) is not None
+        assert next(pregamp_isomorphisms(pg, pg2), None) is not None
 
     def test_mismatch_refused(self, chain3, m3):
-        assert pregamp_isomorphism_search(theta_pregamp(chain3), theta_pregamp(m3)) is None
+        assert next(pregamp_isomorphisms(theta_pregamp(chain3), theta_pregamp(m3)), None) is None
 
     def test_budget_is_search_exhausted(self, m3, monkeypatch):
         from gampkit import pregamp
@@ -344,7 +325,7 @@ class TestIsoSearch:
         monkeypatch.setattr(pregamp, "ISO_BUDGET", 2)
         pg = pga(m3)
         with pytest.raises(SearchExhausted) as exc:
-            pregamp_isomorphism_search(pg, pg)
+            next(pregamp_isomorphisms(pg, pg), None)
         assert exc.value.bound == 2
 
     @pytest.mark.parametrize("name, count", [("M3", 6), ("N5", 1)])
@@ -353,7 +334,7 @@ class TestIsoSearch:
         pg = pga(fixture_lattices[name])
         isos = list(pregamp_isomorphisms(pg, pg))
         assert len(isos) == count
-        assert pregamp_isomorphism_search(pg, pg) == isos[0]
+        assert next(pregamp_isomorphisms(pg, pg), None) == isos[0]
 
 
 class TestColimitQuotientExchange:

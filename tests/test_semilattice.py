@@ -1,19 +1,16 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gampkit.errors import IdealNotMapped, InvalidIdeal, NotGenerated
+from gampkit.errors import IdealNotMapped, InvalidIdeal
 from gampkit.semilattice import (
     JoinSemilattice,
-    Refusal,
     SemIdeal,
     SemMorphism,
     enumerate_ideals,
-    hom_from_generators,
     induced_morphism,
     is_ideal_induced,
     ker0,
     quotient,
-    restrict_ideal_induced,
 )
 
 
@@ -67,38 +64,6 @@ class TestBasics:
             SemIdeal(s, {0, 2})  # not downward closed
         with pytest.raises(InvalidIdeal):
             SemIdeal(s, {1})  # missing zero
-
-
-class TestHomFromGenerators:
-    def test_identity_case(self):
-        s = two()
-        phi = hom_from_generators(s, s, {"*": 1}, {"*": 1})
-        assert isinstance(phi, SemMorphism)
-        assert phi(1) == 1 and phi(0) == 0
-
-    def test_collapse_chain(self):
-        s = chain3()
-        t = two()
-        # generated by {a=1, top=2}
-        f = {"a": 1, "t": 2}
-        g = {"a": 1, "t": 1}
-        phi = hom_from_generators(s, t, f, g)
-        assert isinstance(phi, SemMorphism)
-        # oracle: scan all join equations
-        assert phi(0) == 0 and phi(1) == 1 and phi(2) == 1
-
-    def test_refusal_with_witness(self):
-        # f(x)=1 in a chain, g(x)=0: converse implication fails with empty ys
-        s = two()
-        t = two()
-        res = hom_from_generators(s, t, {"x": 1}, {"x": 0}, iso=True)
-        assert isinstance(res, Refusal)
-        assert res.direction == "converse" and res.ys == ()
-
-    def test_not_generated(self):
-        s = chain3()
-        with pytest.raises(NotGenerated):
-            hom_from_generators(s, two(), {"a": 1}, {"a": 1})
 
 
 class TestQuotient:
@@ -179,29 +144,6 @@ class TestIdealInduced:
             _, proj = quotient(s, ideal)
             psi = induced_morphism(proj, ker0(proj), SemIdeal.zero(proj.target))
             assert psi.is_injective() and psi.is_surjective()
-
-
-class TestRestrictIdealInduced:
-    def test_bijective_case(self):
-        s = chain3()
-        phi = SemMorphism.identity(s)
-        sub = restrict_ideal_induced(phi, [])
-        restricted = phi.restrict(sub)
-        ok, _ = is_ideal_induced(restricted)
-        assert ok
-
-    def test_projection_with_seed(self):
-        s, t = square_sem(), two()
-        phi = SemMorphism(s, t, {(a, b): a for a in (0, 1) for b in (0, 1)})
-        sub = restrict_ideal_induced(phi, [(0, 1)])
-        assert (0, 1) in sub
-        ok, _ = is_ideal_induced(phi.restrict(sub))
-        assert ok
-
-    def test_identity_whole(self):
-        s = square_sem()
-        sub = restrict_ideal_induced(SemMorphism.identity(s), s.elements)
-        assert set(sub.elements) == set(s.elements)
 
 
 class TestEnumerateIdeals:

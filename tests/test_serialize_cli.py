@@ -254,6 +254,12 @@ class TestCli:
             pytest.param(["repro", "nosuch"], id="repro-unknown-target"),
             pytest.param(["repro", "unliftable", "--K", "chain:0"], id="repro-empty-chain"),
             pytest.param(["repro", "unliftable", "--K", "power:M3:0"], id="repro-empty-power"),
+            pytest.param(["repro", "unliftable", "--K", "chain:x"], id="repro-chain-not-a-number"),
+            pytest.param(["repro", "unliftable", "--K", "chain:"], id="repro-chain-without-length"),
+            pytest.param(["repro", "unliftable", "--K", "power:M3"], id="repro-power-without-k"),
+            pytest.param(
+                ["repro", "unliftable", "--K", "power:M3:2:1"], id="repro-power-extra-part"
+            ),
         ],
     )
     def test_malformed_json_exit_3(self, argv, tmp_path, capsys):
@@ -276,7 +282,11 @@ class TestCli:
             ),
         }
         assert run([a.format(**paths) for a in argv]) == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if "--K" in argv:
+            # a lattice spec is named back, with the forms it may take
+            assert repr(argv[-1]) in err and "power:NAME:k" in err
 
     @pytest.mark.parametrize("token", ["7=0/x1", "0/x1"])
     def test_buttress_bad_ideal_is_named(self, token, tmp_path, capsys):
