@@ -1062,13 +1062,11 @@ def _try_add_cells(state, forced):
         cur = state.cell(op, a, b)
         if cur is not UNDEFINED:
             if cur != v:
-                for k in added:
-                    del state.cells[k]
+                _undo_cells(state, added)
                 return None
             continue
         if not state.quick_identities_ok(op, a, b, v) or not state.compatible_with(op, a, b, v):
-            for k in added:
-                del state.cells[k]
+            _undo_cells(state, added)
             return None
         state.cells[(op, a, b)] = v
         added.append((op, a, b))
@@ -1085,7 +1083,7 @@ MAX_NODES = 5_000_000
 
 
 def enumerate_candidates(square, n, size_bound=1):
-    """Exhaustive stream of padded candidate squares at the given bound.
+    """Exhaustive stream of padded candidate diagrams at the given bound.
 
     Enumerates, with constraint propagation, the minimal candidates: outer
     carriers extend the inner algebras by at most size_bound fresh elements
@@ -1095,10 +1093,12 @@ def enumerate_candidates(square, n, size_bound=1):
     axiom-consistent choices. Every candidate at the bound extends one of
     these cellwise with the same rows, and every rejection check is monotone
     under adding cells, so exhausting this stream refutes every candidate at
-    the bound. Pads at non-bottom nodes appear exactly when an arrow image
+    the bound. Pads at non-minimal nodes appear exactly when an arrow image
     requires them; a pad never hit by an arrow can only serve as witness
     room, and the nodes here already witness their tuples internally.
 
+    Nodes are placed one at a time along a linear extension of the poset;
+    square-commutes prunes a branch where two routes of a lower pad disagree.
     Yields CandidateOutcome items in a fixed order: materialized candidates,
     and pruned branches tagged with the violated constraint. Only padding
     bounds 0 and 1 are supported; the carrier cap of padded enumeration is
@@ -1106,7 +1106,8 @@ def enumerate_candidates(square, n, size_bound=1):
     """
     if size_bound < 0 or size_bound > 1:
         raise BudgetExceeded("only padding bounds 0 and 1 are implemented")
-    a_algs = {p: square.a_square.objects[p] for p in SQUARE_NODES}
+    poset = square.a_square.poset
+    a_algs = square.a_square.objects
     if size_bound == 1 and any(len(a.universe) > 16 for a in a_algs.values()):
         raise BudgetExceeded(
             "padded enumeration is a desk-scale tool; a node carrier exceeds 16"
@@ -1125,98 +1126,92 @@ def enumerate_candidates(square, n, size_bound=1):
         if counter["nodes"] > MAX_NODES:
             raise SearchExhausted("search nodes of the candidate enumeration", MAX_NODES)
 
+    order = poset.linear_extension()
     states = {p: _NodeState(a_algs[p], g.sem, g.pregamp.dist) for p, g in gas.objects.items()}
-    pads = {p: f"p{p}" for p in SQUARE_NODES}
+    pads = {p: f"p{p}" for p in order}
+    covers = poset.covers()
+    lower = {q: [p for (p, q2) in covers if q2 == q] for q in order}
     inner_maps = {
         (p, q): {x: square.a_square.arrows[(p, q)](x) for x in a_algs[p].universe}
-        for (p, q) in (("b", "l"), ("b", "r"), ("l", "t"), ("r", "t"))
+        for (p, q) in covers
     }
     arrow_maps = {}  # cover arrow -> element map of the current placement
+    reach = {}  # node -> {pad at or below it: its image there}
 
-    def stage_bottom():
-        state = states["b"]
-        state.pads = [pads["b"]]
-        for row in _nonzero_row_options(state, pads["b"]):
-            tick()
-            state.rows = {pads["b"]: row}
-            state.cells = {}
-            deficient = _deficient_tuples(state, n)
-            yield from choose_witnesses(state, deficient, 0)
-        state.pads = []
-        state.rows = {}
-        state.cells = {}
-
-    def choose_witnesses(state, deficient, idx):
-        if idx == len(deficient):
-            bad = state.node_checks("b", n)
-            if bad is not None:
-                yield bad
-                return
-            yield from stage_wing("l")
+    def stage(k):
+        """Place order[k]: each lower cover's pad goes to an inner element or
+        to the node's own pad, which a minimal node always carries."""
+        if k == len(order):
+            yield materialize_candidate()
             return
+        node = order[k]
+        if not lower[node]:
+            reach[node] = {pads[node]: pads[node]}
+            yield from place_arrows(k, {})
+            return
+        images = [*states[node].inner.universe, pads[node]]
+        choices = [
+            [{pads[p]: v} for v in images] if states[p].pads else [{}]
+            for p in lower[node]
+        ]
+        for picks in product(*choices):
+            tick()
+            maps = {
+                (p, node): {**inner_maps[(p, node)], **pick}
+                for p, pick in zip(lower[node], picks)
+            }
+            seen, clashes = {}, []  # lower pad -> its image; disagreeing routes
+            for (p, _), m in maps.items():
+                for pad, x in reach[p].items():
+                    if seen.setdefault(pad, m[x]) != m[x]:
+                        clashes.append((seen[pad], m[x]))
+            if clashes:
+                yield CandidateOutcome("pruned", "square-commutes", detail=clashes[0])
+                continue
+            if pads[node] in seen.values():
+                seen[pads[node]] = pads[node]
+            reach[node] = seen
+            yield from place_arrows(k, maps)
+
+    def close(k):
+        """The node checks of order[k], then the next stage."""
+        bad = states[order[k]].node_checks(order[k], n)
+        if bad is not None:
+            yield bad
+            return
+        yield from stage(k + 1)
+
+    def choose_witnesses(k, deficient, idx):
+        if idx == len(deficient):
+            yield from close(k)
+            return
+        state = states[order[k]]
         xs = deficient[idx]
-        opts = _witness_options(state, xs, n)
         progressed = False
-        for ys, forced in opts:
+        for _, forced in _witness_options(state, xs, n):
             tick()
             added = _try_add_cells(state, forced)
             if added is None:
                 continue
             progressed = True
-            yield from choose_witnesses(state, deficient, idx + 1)
+            yield from choose_witnesses(k, deficient, idx + 1)
             _undo_cells(state, added)
         if not progressed:
-            yield CandidateOutcome("pruned", "lattice-n-permutable", detail=("b", xs))
+            yield CandidateOutcome("pruned", "lattice-n-permutable", detail=(order[k], xs))
 
-    def stage_wing(node):
-        """Each image of the bottom pad in the wing, an inner element or the
-        wing's own pad."""
-        for image in list(states[node].inner.universe) + [pads[node]]:
-            tick()
-            yield from place_arrows(
-                node,
-                {("b", node): {**inner_maps[("b", node)], pads["b"]: image}},
-                after=lambda: stage_wing("r") if node == "l" else stage_top(),
-            )
-
-    def stage_top():
-        """Each pair of top images of the wing pads; the two routes of the
-        bottom pad to the top must agree."""
-        def pad_images(wing):
-            if not states[wing].pads:
-                return [{}]
-            return [{pads[wing]: v} for v in list(states["t"].inner.universe) + [pads["t"]]]
-
-        for l_pad in pad_images("l"):
-            for r_pad in pad_images("r"):
-                tick()
-                maps = {
-                    ("l", "t"): {**inner_maps[("l", "t")], **l_pad},
-                    ("r", "t"): {**inner_maps[("r", "t")], **r_pad},
-                }
-                top_l, top_r = (
-                    maps[(w, "t")][arrow_maps[("b", w)][pads["b"]]] for w in ("l", "r")
-                )
-                if top_l != top_r:
-                    yield CandidateOutcome(
-                        "pruned", "square-commutes", detail=(top_l, top_r)
-                    )
-                    continue
-                yield from place_arrows(
-                    "t", maps, after=lambda: iter([materialize_candidate()])
-                )
-
-    def place_arrows(node, maps, after):
-        """Place the arrows maps[(p, node)] into node, then continue with after.
+    def place_arrows(k, maps):
+        """Place the arrows maps[(p, node)] into node = order[k].
 
         In order: distance equivariance over all pairs of each source, which
         also forces the distance row of the node's pad when an arrow hits it;
         the pad rows agreeing with that forced row; the source cells pushed
-        along the maps; the operational fill of the node.
+        along the maps; the operational fill of the node, or at a minimal
+        node the witness choice.
         """
+        node = order[k]
         state = states[node]
         pad = pads[node]
-        used_pad = any(pad in m.values() for m in maps.values())
+        used_pad = pad in reach[node]
         state.pads = [pad] if used_pad else []
         state.rows = {}
         state.cells = {}
@@ -1246,7 +1241,7 @@ def enumerate_candidates(square, n, size_bound=1):
                 for row in _nonzero_row_options(state, pad)
                 if forced_row.items() <= row.items()
             ]
-            if not rows:
+            if not rows and maps:  # a minimal node without rows has no arrow to blame
                 yield CandidateOutcome(
                     "pruned", "distance-equivariance", detail=(node, placed)
                 )
@@ -1263,7 +1258,10 @@ def enumerate_candidates(square, n, size_bound=1):
                     break
                 added += more
             else:
-                yield from fill_node(node, [pad] if used_pad else [], after)
+                if maps:
+                    yield from fill_node(k)
+                else:
+                    yield from choose_witnesses(k, _deficient_tuples(state, n), 0)
                 _undo_cells(state, added)
 
     def _push_cells(state, src_cells, gmap):
@@ -1276,11 +1274,12 @@ def enumerate_candidates(square, n, size_bound=1):
             forced[key] = val
         return _try_add_cells(state, forced)
 
-    def fill_node(node, forced_pool, after):
+    def fill_node(k):
         """Operationality: fill every cell over the inner part and the
-        propagated pads, then run the node checks and continue."""
+        propagated pad, then close the node."""
+        node = order[k]
         state = states[node]
-        pool = sorted(set(list(state.inner.universe) + forced_pool), key=sort_key)
+        pool = sorted({*state.inner.universe, *state.pads}, key=sort_key)
         missing = [
             (op, a, b)
             for op in ("meet", "join")
@@ -1291,11 +1290,7 @@ def enumerate_candidates(square, n, size_bound=1):
 
         def fill(idx):
             if idx == len(missing):
-                bad = state.node_checks(node, n)
-                if bad is not None:
-                    yield bad
-                    return
-                yield from after()
+                yield from close(k)
                 return
             op, a, b = missing[idx]
             hit = False
@@ -1317,7 +1312,7 @@ def enumerate_candidates(square, n, size_bound=1):
         yield from fill(0)
 
     def materialize_candidate():
-        gamps = {p: states[p].gamp() for p in SQUARE_NODES}
+        gamps = {p: states[p].gamp() for p in order}
         try:
             cover_arrows = {
                 (p, q): GampMorphism(
@@ -1327,13 +1322,13 @@ def enumerate_candidates(square, n, size_bound=1):
                 )
                 for (p, q), mp in arrow_maps.items()
             }
-            diagram = Diagram.from_generators(square.a_square.poset, gamps, cover_arrows)
-        except (ValueError, KeyError) as e:
+            diagram = Diagram.from_generators(poset, gamps, cover_arrows)
+        except ValueError as e:
             return CandidateOutcome("pruned", "morphism", detail=str(e))
-        padded = [p for p in SQUARE_NODES if states[p].pads]
+        padded = [p for p in order if states[p].pads]
         return CandidateOutcome(
             "candidate",
             candidate=CandidateSquare(diagram, None, f"padded[{','.join(padded)}]"),
         )
 
-    yield from stage_bottom()
+    yield from stage(0)

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+from gampkit import constructions
 from gampkit.congruence import con_meet, conc, principal_congruence, Congruence
 from gampkit.constructions import (
     CandidateSquare,
@@ -15,7 +16,13 @@ from gampkit.constructions import (
     verify_square_facts,
 )
 from gampkit.diagram import Diagram, apply_functor
-from gampkit.errors import HypothesisFailed, PreconditionFailed, StepFailed, UnknownName
+from gampkit.errors import (
+    HypothesisFailed,
+    PreconditionFailed,
+    SearchExhausted,
+    StepFailed,
+    UnknownName,
+)
 from gampkit.gamp import Gamp, GampMorphism
 from gampkit.palg import LATTICE_TYPE, PalgMorphism, PartialAlgebra, is_lattice_algebra
 from gampkit.poset import FinitePoset
@@ -184,7 +191,14 @@ class TestRefutation:
         with pytest.raises(PreconditionFailed):
             refute_candidate(square, cand, 2)
 
-    def test_exhaustive_bound_one(self, square):
+    @pytest.mark.parametrize("K, expected_pruned", [
+        ("M3", {"distance-equivariance": 8, "lattice-n-permutable": 5, "square-commutes": 1}),
+        ("L2", {"distance-equivariance": 5, "lattice-n-permutable": 6}),
+        ("L3", {"distance-equivariance": 9, "lattice-n-permutable": 6}),
+        ("L4", {"distance-equivariance": 8, "lattice-n-permutable": 5, "square-commutes": 1}),
+    ], ids=["M3", "L2", "L3", "L4"])
+    def test_exhaustive_bound_one(self, K, expected_pruned):
+        square = build_square(K, 2)
         candidates = 0
         rejected = {}
         pruned = {}
@@ -207,28 +221,26 @@ class TestRefutation:
         assert stepfails == 0 and certificates == 0
         assert candidates == 1
         assert rejected == {"lattice-n-permutable": 1}
-        assert pruned == {
-            "distance-equivariance": 8, "lattice-n-permutable": 5, "square-commutes": 1,
-        }
+        assert pruned == expected_pruned
+
+    @pytest.mark.parametrize("fixture, nodes", [
+        ("M3", 20), ("L2", 116), ("L3", 122), ("L4", 20), ("all-two", 743),
+    ])
+    def test_search_node_count(self, monkeypatch, fixture, nodes):
+        # the enumeration visits exactly this many search nodes: one fewer
+        # exhausts the budget, and exactly this many completes
+        square = _all_two_square() if fixture == "all-two" else build_square(fixture, 2)
+        monkeypatch.setattr(constructions, "MAX_NODES", nodes - 1)
+        with pytest.raises(SearchExhausted):
+            list(enumerate_candidates(square, 2, size_bound=1))
+        monkeypatch.setattr(constructions, "MAX_NODES", nodes)
+        list(enumerate_candidates(square, 2, size_bound=1))
 
     def test_exhaustive_stream_reaches_top_placement(self):
         # both wings identify the top two chain elements and the top node is
         # a wing again, so the bottom pad reaches the top placement and a
         # padded candidate is materialized
-        c3, two = build_named("chain:3").algebra, build_named("two").algebra
-        onto = {0: 0, 1: 1, 2: 1}
-        a_square = Diagram.from_generators(
-            FinitePoset.square(),
-            {"b": c3, "l": two, "r": two, "t": two},
-            {
-                ("b", "l"): PalgMorphism(c3, two, onto),
-                ("b", "r"): PalgMorphism(c3, two, onto),
-                ("l", "t"): PalgMorphism.identity(two),
-                ("r", "t"): PalgMorphism.identity(two),
-            },
-        )
-        square = UnliftableSquare(2, None, None, a_square, (), {}, {})
-        outcomes = list(enumerate_candidates(square, 2, size_bound=1))
+        outcomes = list(enumerate_candidates(_chain_onto_two_square(), 2, size_bound=1))
         stream = [
             (o.status, o.reason, o.candidate.label if o.candidate else None)
             for o in outcomes
@@ -273,6 +285,90 @@ class TestRefutation:
             with pytest.raises(PreconditionFailed) as e:
                 refute_candidate(square, cand, 2)
             assert (e.value.reason, e.value.detail) == ("chain-length", (2, 3))
+
+    def test_one_element_bottom_has_no_padded_branch(self):
+        # Con of a one-element algebra is trivial, so the bottom pad has no
+        # nonzero distance row: nothing is placed and nothing is pruned
+        outcomes = list(enumerate_candidates(_chain_onto_two_square(1), 2, size_bound=1))
+        assert [(o.status, o.candidate.label) for o in outcomes] == [
+            ("candidate", "algebra-square"),
+        ]
+
+    def test_materialization_lets_a_key_error_through(self, monkeypatch):
+        # only a map that is not a morphism prunes at materialization; any
+        # other error, here one injected into the diagram build, propagates
+        square = _chain_onto_two_square()
+        square.ga_square
+
+        def broken(*args):
+            raise KeyError("injected")
+
+        monkeypatch.setattr(Diagram, "from_generators", broken)
+        with pytest.raises(KeyError, match="injected"):
+            list(enumerate_candidates(square, 2, size_bound=1))
+
+    @pytest.mark.parametrize("bottom, labels, pruned", [
+        (
+            "chain:3",
+            ["algebra-square", "padded[o]"],
+            {"distance-equivariance": 6, "lattice-n-permutable": 5},
+        ),
+        (
+            "two",
+            ["algebra-square"] + ["padded[o,x,y,z,xy,xz,yz,xyz]"] * 3,
+            {
+                "distance-equivariance": 110, "lattice-identities": 39, "morphism": 24,
+                "operational-cell": 26, "square-commutes": 306,
+            },
+        ),
+    ], ids=["chain:3", "two"])
+    def test_exhaustive_stream_over_a_cube(self, bottom, labels, pruned):
+        # the enumerator walks any finite poset, not only the square: over
+        # the 2^3 cube each node sits over up to three lower covers, and the
+        # bottom pad reaches the top along six routes
+        outcomes = list(enumerate_candidates(_cube_square(build_named(bottom).algebra), 2, 1))
+        candidates = [o.candidate for o in outcomes if o.status == "candidate"]
+        assert [c.label for c in candidates] == labels
+        assert Counter(o.reason for o in outcomes if o.status == "pruned") == pruned
+        for cand in candidates:
+            assert cand.diagram.validate()[0]
+
+
+def _chain_onto_two_square(k=3):
+    """Companion square with the k-element chain at the bottom, mapped onto
+    `two` at both wings, and identities of `two` into the top."""
+    chain, two = build_named(f"chain:{k}").algebra, build_named("two").algebra
+    onto = {x: min(x, 1) for x in chain.universe}
+    a_square = Diagram.from_generators(
+        FinitePoset.square(),
+        {"b": chain, "l": two, "r": two, "t": two},
+        {
+            ("b", "l"): PalgMorphism(chain, two, onto),
+            ("b", "r"): PalgMorphism(chain, two, onto),
+            ("l", "t"): PalgMorphism.identity(two),
+            ("r", "t"): PalgMorphism.identity(two),
+        },
+    )
+    return UnliftableSquare(2, None, None, a_square, (), {}, {})
+
+
+def _cube_square(bottom):
+    """Companion diagram over the 2^3 cube: `bottom` at the least node,
+    mapped onto `two` at the three atoms, and identities of `two` above."""
+    two = build_named("two").algebra
+    nodes = ["o", "x", "y", "z", "xy", "xz", "yz", "xyz"]
+    covers = [("o", a) for a in "xyz"] + [
+        (u, v) for u in nodes[1:] for v in nodes[1:] if len(v) == len(u) + 1 and set(u) < set(v)
+    ]
+    objects = {p: two for p in nodes}
+    objects["o"] = bottom
+    onto = {x: min(x, 1) for x in bottom.universe}
+    arrows = {
+        (u, v): PalgMorphism(bottom, two, onto) if u == "o" else PalgMorphism.identity(two)
+        for (u, v) in covers
+    }
+    a_diagram = Diagram.from_generators(FinitePoset.from_covers(nodes, covers), objects, arrows)
+    return UnliftableSquare(2, None, None, a_diagram, (), {}, {})
 
 
 def _all_two_square():

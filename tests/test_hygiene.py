@@ -196,3 +196,20 @@ def test_modules_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def assert_lines(source):
+    """Line numbers of the assert statements in the source."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert))
+
+
+def test_assert_detector_flags_asserts():
+    source = "def f(x):\n    assert x\n    return x\nassert f(1), 'one'\n"
+    assert assert_lines(source) == [2, 4]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_asserts(path):
+    # python -O strips assert statements; a source check is an
+    # errors.cross_check, which raises either way
+    assert assert_lines(path.read_text()) == []
