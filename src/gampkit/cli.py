@@ -175,6 +175,8 @@ def cmd_gamp_check(args):
 def cmd_diagram_verify(args):
     data = _load_json(args.diagram)
     diagram = ser.diagram_from_json(data)
+    if data.get("kind", "gamp") != "gamp":
+        raise SchemaError("diagram-verify needs a diagram of gamps")
     if args.kind == "operational":
         ok, witness = is_operational_diagram(diagram)
         payload = {"kind": "operational", "ok": ok, "witness": repr(witness)}

@@ -45,7 +45,7 @@ class Congruence:
         return self._key
 
     def __eq__(self, other):
-        return isinstance(other, Congruence) and self.blocks == other.blocks
+        return self is other or (isinstance(other, Congruence) and self.blocks == other.blocks)
 
     def __hash__(self):
         return hash(self.blocks)
@@ -234,7 +234,8 @@ def con_join_closure(algebra, bound=CON_BOUND):
     lattice is the join closure of the principal congruences. For lattices,
     principal congruences are generated from cover pairs only, which keeps
     medium-sized instances tractable. Each join of the table is computed
-    once. Returns the congruences in con_lattice order and the table.
+    once, and every value of the table is the returned object for its
+    congruence. Returns the congruences in con_lattice order and the table.
     """
     _require_total(algebra)
     if len(algebra.universe) > bound:
@@ -251,15 +252,18 @@ def con_join_closure(algebra, bound=CON_BOUND):
         ]
     zero = Congruence.identity(algebra.universe)
     found = list(dict.fromkeys([zero] + [congruence_closure(algebra, [p]) for p in gen_pairs]))
-    seen = set(found)
+    canonical = {t: t for t in found}
     table = {}
     for i, a in enumerate(found):  # found grows while it is walked
         table[(a, a)] = table[(a, zero)] = table[(zero, a)] = a
         for b in found[1:i]:
-            j = table[(a, b)] = table[(b, a)] = con_join(a, b)
-            if j not in seen:
-                seen.add(j)
+            j = con_join(a, b)
+            if j in canonical:
+                j = canonical[j]
+            else:
+                canonical[j] = j
                 found.append(j)
+            table[(a, b)] = table[(b, a)] = j
     return sorted(found, key=lambda t: t._sort_key()), table
 
 
@@ -270,7 +274,12 @@ def con_lattice(algebra, bound=CON_BOUND):
 
 class ConcSemilattice(JoinSemilattice):
     """Semilattice of compact congruences, with the principal-congruence
-    generator map and its all-pairs distance table."""
+    generator map and its all-pairs distance table.
+
+    The zero and every congruence principal() returns are the semilattice's
+    own element objects, so comparisons and table probes on them succeed on
+    identity.
+    """
 
     def __init__(self, algebra, congruences, joins):
         self.algebra = algebra
@@ -279,7 +288,7 @@ class ConcSemilattice(JoinSemilattice):
             congruences,
             key=lambda t: (len(algebra.universe) - len(t.blocks), t._sort_key()),
         )
-        super().__init__(order, zero, joins, validate=False)
+        super().__init__(order, order[order.index(zero)], joins, validate=False)
         self._principal = {}
 
     def principal(self, x, y):
@@ -287,6 +296,7 @@ class ConcSemilattice(JoinSemilattice):
         if theta is None:
             theta = principal_congruence(self.algebra, x, y)
             cross_check(theta in self, "principal congruence missing from Conc")
+            theta = self.elements[self.index(theta)]
             self._principal[(x, y)] = self._principal[(y, x)] = theta
         return theta
 
@@ -311,7 +321,7 @@ def conc_morphism(f, source_conc=None, target_conc=None):
 
     Sends a congruence to the congruence generated by the images of its
     pairs; on principal congruences this is Theta(f(x), f(y)) extended
-    join-linearly.
+    join-linearly. Images are the target's own element objects.
     """
     src = source_conc if source_conc is not None else conc(f.source)
     tgt = target_conc if target_conc is not None else conc(f.target)
@@ -324,7 +334,7 @@ def conc_morphism(f, source_conc=None, target_conc=None):
                 pairs.add((f(x), f(y)))
         image = congruence_closure(f.target, pairs)
         cross_check(image in tgt, "Conc image not a congruence of the target")
-        mapping[theta] = image
+        mapping[theta] = tgt.elements[tgt.index(image)]
     return SemMorphism(src, tgt, mapping)
 
 
@@ -392,6 +402,10 @@ def chain_interpolants(sem, dist, xs, first, last, middle, meets=None):
     join in sem of the opposite-parity steps of xs. dist is a pair-keyed
     mapping into sem. With a meet table, only chains are yielded: ys[i] meet
     ys[j] = ys[i] both ways round for all i <= j, undefined cells failing.
+
+    The search reads xs only through its length, the endpoints first and
+    last, and the two parity joins of its steps; first_interpolants relies
+    on this.
     """
     n = len(xs) - 1
     steps = [dist[(xs[i], xs[i + 1])] for i in range(n)]
@@ -417,13 +431,45 @@ def _is_chain(ys, meets):
     return True
 
 
+def first_interpolants(sem, dist, middle, meets=None):
+    """The first interpolants of the chain condition, searched once per
+    bound pair.
+
+    Returns find(xs, first, last), which equals
+    next(chain_interpolants(sem, dist, xs, first, last, middle, meets), None).
+    That search depends on xs only through its length, the endpoints and the
+    two parity joins, so find memoizes on those, the joins taken as indices
+    into sem.elements. The memo lives as long as the returned function.
+    """
+    index = {x: i for i, x in enumerate(sem.elements)}
+    joins = [[index[sem.join(a, b)] for b in sem.elements] for a in sem.elements]
+    zero = index[sem.zero]
+    steps = {}
+    memo = {}
+
+    def find(xs, first, last):
+        parity = [zero, zero]
+        for k in range(len(xs) - 1):
+            pair = (xs[k], xs[k + 1])
+            step = steps.get(pair)
+            if step is None:
+                step = steps[pair] = index[dist[pair]]
+            parity[k % 2] = joins[parity[k % 2]][step]
+        key = (len(xs), first, last, *parity)
+        if key not in memo:
+            memo[key] = next(chain_interpolants(sem, dist, xs, first, last, middle, meets), None)
+        return memo[key]
+
+    return find
+
+
 def _elementwise_n_permutable(algebra, n, cong_sl):
     """Chain condition: every (n+1)-tuple admits interpolants y with the
     parity containments between generated congruences."""
     universe = algebra.universe
-    theta = cong_sl.distances()
+    find = first_interpolants(cong_sl, cong_sl.distances(), universe)
     for xs in product(universe, repeat=n + 1):
-        if next(chain_interpolants(cong_sl, theta, xs, xs[0], xs[n], universe), None) is None:
+        if find(xs, xs[0], xs[n]) is None:
             return False, xs
     return True, None
 

@@ -295,9 +295,12 @@ def _check_tractable(g, phi, m_cap):
 def _check_n_permutable(g, n, lattice_form):
     """Property (8) or the lattice-specific strengthening.
 
-    Full witness search over outer tuples; small instances only. Returns the
-    witness map on success.
+    Every (n+1)-tuple of inner points gets the first interpolants found among
+    the outer points; small instances only. Returns the witness map on
+    success.
     """
+    if n is None:
+        raise ValueError("n-permutability needs n")
     if n < 1:
         raise ValueError("n must be positive")
     if lattice_form and not g.is_lattice_signature():
@@ -306,6 +309,7 @@ def _check_n_permutable(g, n, lattice_form):
     outer = list(g.outer.universe)
     meets = g.outer.ops.get("meet", {})
     joins = g.outer.ops.get("join", {})
+    find = _cong.first_interpolants(g.sem, g.pregamp.dist, outer, meets if lattice_form else None)
     witnesses = {}
     for xs in product(inner, repeat=n + 1):
         if lattice_form:
@@ -318,12 +322,7 @@ def _check_n_permutable(g, n, lattice_form):
             first, last = m1, j1
         else:
             first, last = xs[0], xs[n]
-        found = next(
-            _cong.chain_interpolants(
-                g.sem, g.pregamp.dist, xs, first, last, outer, meets if lattice_form else None
-            ),
-            None,
-        )
+        found = find(xs, first, last)
         if found is None:
             return Verdict.false(("no interpolants", xs))
         witnesses[xs] = found

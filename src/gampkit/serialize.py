@@ -223,8 +223,16 @@ def diagram_to_json(diagram, kind="gamp"):
 
 def diagram_from_json(data):
     _check_schema(data, "diagram")
+    for part in ("poset", "nodes", "arrows"):
+        if not isinstance(data.get(part), dict):
+            raise SchemaError(f"diagram: {part!r} missing or not a JSON object")
     kind = data.get("kind", "gamp")
+    if kind not in ("gamp", "algebra"):
+        raise SchemaError(f"diagram: unsupported kind {kind!r}")
     poset = poset_from_json(data["poset"])
+    by_name = {}
+    for x in poset.elements:
+        by_name.setdefault(str(x), x)
     nodes = {}
     for p in poset.elements:
         raw = data["nodes"].get(str(p))
@@ -233,12 +241,20 @@ def diagram_from_json(data):
         nodes[p] = gamp_from_json(raw) if kind == "gamp" else algebra_from_json(raw)
     arrows = {}
     for key, entry in data["arrows"].items():
-        ps, qs = key.split("->")
-        p = next(x for x in poset.elements if str(x) == ps)
-        q = next(x for x in poset.elements if str(x) == qs)
-        fmap = {decode_el(a): decode_el(b) for a, b in entry["map"]}
+        ends = key.split("->")
+        if len(ends) != 2:
+            raise SchemaError(f"diagram: arrow key {key!r} is not of the form p->q")
+        unknown = [e for e in ends if e not in by_name]
+        if unknown:
+            raise SchemaError(f"diagram: arrow {key!r} names unknown node {unknown[0]!r}")
+        p, q = (by_name[e] for e in ends)
+        try:
+            fmap = {decode_el(a): decode_el(b) for a, b in entry["map"]}
+            if kind == "gamp":
+                smap = {decode_el(a): decode_el(b) for a, b in entry["sem_map"]}
+        except (KeyError, TypeError, ValueError) as e:
+            raise SchemaError(f"diagram: arrow {key!r}: {e}")
         if kind == "gamp":
-            smap = {decode_el(a): decode_el(b) for a, b in entry["sem_map"]}
             arrows[(p, q)] = GampMorphism(
                 nodes[p], nodes[q],
                 PalgMorphism(nodes[p].outer, nodes[q].outer, fmap),

@@ -66,7 +66,7 @@ def test_criterion_1_congruence_oracle_equivalence(fixture_lattices):
     _report(1, "principal congruences match brute-force least congruences", t0, 10)
 
 
-@pytest.mark.parametrize("K,n,budget", [("M3", 2, 60), ("M3", 3, 60), ("L2", 3, 60)])
+@pytest.mark.parametrize("K,n,budget", [("M3", 2, 10), ("M3", 3, 10), ("L2", 3, 10)])
 def test_criterion_2_square_facts(K, n, budget):
     t0 = time.monotonic()
     square = build_square(K, n)

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,11 +19,13 @@ from gampkit.congruence import (
     UnknownAtBound,
     all_congruences_bruteforce,
     alternating_composite,
+    chain_interpolants,
     con_join,
     con_lattice,
     con_meet,
     conc,
     conc_morphism,
+    first_interpolants,
     is_congruence,
     is_n_permutable,
     least_congruence_bruteforce,
@@ -31,6 +34,7 @@ from gampkit.congruence import (
     quotient_algebra,
 )
 from gampkit.errors import CrossCheckFailed, GampkitError, NotTotal
+from gampkit.gamp import check_property, ga
 from gampkit.palg import LATTICE_TYPE, PalgMorphism, PartialAlgebra, SimilarityType
 from gampkit.semilattice import SemIdeal, is_ideal_induced, ker0
 
@@ -125,6 +129,29 @@ class TestConc:
         k = len(cs) - 1
         assert len(calls) == k * (k - 1) // 2
         assert all(cs.join(a, b) == real(a, b) for a in cs.elements for b in cs.elements)
+
+
+def _is_own_element(cs, theta):
+    return any(theta is e for e in cs.elements)
+
+
+def _assert_canonical(alg):
+    cs = conc(alg)
+    assert _is_own_element(cs, cs.zero)
+    for x in alg.universe:
+        for y in alg.universe:
+            assert _is_own_element(cs, cs.principal(x, y))
+    for a in cs.elements:
+        for b in cs.elements:
+            assert _is_own_element(cs, cs.join(a, b))
+
+
+@pytest.mark.parametrize("name", ["two", "chain:3", "M3", "N5", "X1", "X2"])
+def test_conc_objects_are_canonical(name, fixture_lattices):
+    _assert_canonical(fixture_lattices[name])
+    cs = conc(fixture_lattices[name])
+    image = conc_morphism(PalgMorphism.identity(fixture_lattices[name]), cs, cs)
+    assert all(_is_own_element(cs, image(t)) for t in cs.elements)
 
 
 class TestConcMorphism:
@@ -237,6 +264,80 @@ def test_permutability_characterizations_agree_on_random_algebras(alg):
         ok, _ = is_n_permutable(alg, n)
         ok_el, _ = _elementwise_n_permutable(alg, n, conc(alg))
         assert ok == ok_el, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_unary_binary_algebras())
+def test_principal_congruence_matches_bruteforce_on_random_algebras(alg):
+    for x in alg.universe:
+        for y in alg.universe:
+            assert principal_congruence(alg, x, y) == least_congruence_bruteforce(alg, x, y)
+    _assert_canonical(alg)
+
+
+def _unmemoized_elementwise(alg, n, cs):
+    dist = cs.distances()
+    for xs in product(alg.universe, repeat=n + 1):
+        if next(chain_interpolants(cs, dist, xs, xs[0], xs[n], alg.universe), None) is None:
+            return False, xs
+    return True, None
+
+
+def _assert_memo_exact(alg, n, meets):
+    cs = conc(alg)
+    dist = cs.distances()
+    universe = alg.universe
+    for table in (None, meets):
+        find = first_interpolants(cs, dist, universe, table)
+        for xs in product(universe, repeat=n + 1):
+            first, last = xs[0], xs[n]
+            expected = next(chain_interpolants(cs, dist, xs, first, last, universe, table), None)
+            assert find(xs, first, last) == expected, (xs, table is None)
+    assert _elementwise_n_permutable(alg, n, cs) == _unmemoized_elementwise(alg, n, cs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_unary_binary_algebras())
+def test_first_interpolants_equal_the_search_on_random_algebras(alg):
+    # the binary table stands in for a meet table: only its cells are read
+    for n in (2, 3):
+        _assert_memo_exact(alg, n, alg.ops["f"])
+
+
+# chain:3 is not 2-permutable, so its first failing tuple is compared too
+@pytest.mark.parametrize("name", ["two", "chain:3", "chain:4", "M3", "N5", "X1", "X2"])
+def test_first_interpolants_equal_the_search_on_named_lattices(name, fixture_lattices):
+    alg = fixture_lattices[name]
+    _assert_memo_exact(alg, 2, alg.ops["meet"])
+
+
+def _unmemoized_witnesses(g, n, lattice_form):
+    meets, joins = g.outer.ops["meet"], g.outer.ops["join"]
+    outer = list(g.outer.universe)
+    witnesses = {}
+    for xs in product(g.inner.universe, repeat=n + 1):
+        if lattice_form:
+            first, last, table = meets[(xs[0], xs[n])], joins[(xs[0], xs[n])], meets
+        else:
+            first, last, table = xs[0], xs[n], None
+        witnesses[xs] = next(
+            chain_interpolants(g.sem, g.pregamp.dist, xs, first, last, outer, table), None
+        )
+    return witnesses
+
+
+@pytest.mark.parametrize("name", ["two", "chain:3", "M3", "N5", "X1", "X2"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("which", ["n_permutable", "lattice_n_permutable"])
+def test_n_permutable_witnesses_unchanged(which, name, n, fixture_lattices):
+    g = ga(fixture_lattices[name])
+    v = check_property(g, which, n)
+    expected = _unmemoized_witnesses(g, n, which == "lattice_n_permutable")
+    failing = [xs for xs, ys in expected.items() if ys is None]
+    if failing:
+        assert v.status == "false" and v.witness == ("no interpolants", failing[0])
+    else:
+        assert v.status == "true" and v.witness == expected
 
 
 class TestMalcev:

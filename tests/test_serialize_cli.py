@@ -248,6 +248,41 @@ class TestCli:
                 ["gamp-check", "{gm3}", "--property", "congruence_tractable", "--m-cap", "-1"],
                 id="gamp-check-negative-m-cap",
             ),
+            pytest.param(
+                ["gamp-check", "{gm3}", "--property", "n_permutable"],
+                id="gamp-check-n-permutable-without-n",
+            ),
+            pytest.param(
+                ["gamp-check", "{gm3}", "--property", "lattice_n_permutable"],
+                id="gamp-check-lattice-n-permutable-without-n",
+            ),
+            pytest.param(
+                ["diagram-verify", "{gm3}", "--kind", "operational"], id="diagram-verify-gamp"
+            ),
+            pytest.param(
+                ["diagram-verify", "{no_arrows}", "--kind", "operational"],
+                id="diagram-verify-without-arrows",
+            ),
+            pytest.param(
+                ["diagram-verify", "{arrow_key}", "--kind", "operational"],
+                id="diagram-verify-arrow-key-without-separator",
+            ),
+            pytest.param(
+                ["diagram-verify", "{arrow_node}", "--kind", "operational"],
+                id="diagram-verify-arrow-unknown-node",
+            ),
+            pytest.param(
+                ["diagram-verify", "{arrow_map}", "--kind", "operational"],
+                id="diagram-verify-arrow-without-map",
+            ),
+            pytest.param(
+                ["diagram-verify", "{algebras}", "--kind", "operational"],
+                id="diagram-verify-algebra-diagram",
+            ),
+            pytest.param(
+                ["diagram-verify", "{kind_foo}", "--kind", "operational"],
+                id="diagram-verify-unknown-kind",
+            ),
             pytest.param(["quotient", "{list}", "--ideal", "#0"], id="quotient-list"),
             pytest.param(["quotient", "{number}", "--ideal", "#0"], id="quotient-number"),
             pytest.param(["quotient", "{sem}", "--ideal", "zz"], id="quotient-unknown-generator"),
@@ -265,7 +300,29 @@ class TestCli:
     def test_malformed_json_exit_3(self, argv, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
+        two_nodes = {
+            "kind": "algebra",
+            "poset": ser.poset_to_json(FinitePoset.chain(2)),
+            "nodes": {"0": {"named": "two"}, "1": {"named": "two"}},
+        }
         paths = {
+            "no_arrows": self.write(tmp_path, "no_arrows.json", two_nodes),
+            "arrow_key": self.write(
+                tmp_path, "arrow_key.json", {**two_nodes, "arrows": {"01": {"map": []}}}
+            ),
+            "arrow_node": self.write(
+                tmp_path, "arrow_node.json", {**two_nodes, "arrows": {"0->7": {"map": []}}}
+            ),
+            "arrow_map": self.write(
+                tmp_path, "arrow_map.json", {**two_nodes, "arrows": {"0->1": {}}}
+            ),
+            "algebras": self.write(
+                tmp_path, "algebras.json",
+                {**two_nodes, "arrows": {"0->1": {"map": [[0, 0], [1, 1]]}}},
+            ),
+            "kind_foo": self.write(
+                tmp_path, "kind_foo.json", {**two_nodes, "kind": "foo", "arrows": {}}
+            ),
             "bad": str(bad),
             "list": self.write(tmp_path, "list.json", [1, 2]),
             "m3": self.write(tmp_path, "m3.json", {"named": "M3"}),
