@@ -121,7 +121,10 @@ def _ideal_generators(sem, raw):
     gens = set()
     for token in raw.split(","):
         if token.startswith("#"):
-            gens.add(sem.elements[int(token[1:])])
+            k = token[1:]
+            if not (k.isdecimal() and int(k) < len(sem.elements)):
+                raise SchemaError(f"--ideal token {token!r} names no element")
+            gens.add(sem.elements[int(k)])
         elif token.lstrip("-").isdigit() and int(token) in sem._index:
             gens.add(int(token))
         elif token in sem._index:

@@ -76,10 +76,10 @@ def _require_total(algebra):
 
 class _UnionFind:
     """Disjoint sets over items; roots are arbitrary, so callers compare
-    find results only for equality."""
+    find results only for equality. Over range(n) the parents are a list."""
 
     def __init__(self, items, pairs=()):
-        self.parent = {x: x for x in items}
+        self.parent = list(items) if isinstance(items, range) else {x: x for x in items}
         for x, y in pairs:
             self.union(x, y)
 
@@ -99,10 +99,12 @@ class _UnionFind:
         self.parent[ry] = rx
         return True
 
-    def partition(self):
+    def partition(self, labels=None):
+        """The classes as a Congruence, in order of first member; over
+        range(n), index i is named labels[i]."""
         classes = {}
-        for x in self.parent:
-            classes.setdefault(self.find(x), set()).add(x)
+        for x in self.parent if labels is None else range(len(labels)):
+            classes.setdefault(self.find(x), set()).add(x if labels is None else labels[x])
         return Congruence(classes.values())
 
 
@@ -113,28 +115,20 @@ def congruence_closure(algebra, pairs):
     v is propagated through each operation with u, v placed in one slot and
     parameters everywhere else. Chained translations are covered by
     transitivity of the union-find, which is the standard generation
-    argument.
+    argument. The closure runs on universe indices, over the algebra's
+    compiled translation rows; labels return only in the Congruence.
     """
     _require_total(algebra)
-    uf = _UnionFind(algebra.universe)
-    work = []
-    for x, y in pairs:
-        if uf.union(x, y):
-            work.append((x, y))
-    universe = algebra.universe
-    symbols = [(name, ar) for name, ar in algebra.stype.symbols if ar > 0]
+    index, rows = algebra.translation_rows
+    uf = _UnionFind(range(len(rows)))
+    union, parent = uf.union, uf.parent
+    work = [(index[x], index[y]) for x, y in pairs]
     while work:
         u, v = work.pop()
-        for name, ar in symbols:
-            table = algebra.ops[name]
-            for pos in range(ar):
-                for params in product(universe, repeat=ar - 1):
-                    a = params[:pos] + (u,) + params[pos:]
-                    b = params[:pos] + (v,) + params[pos:]
-                    fa, fb = table[a], table[b]
-                    if uf.union(fa, fb):
-                        work.append((fa, fb))
-    return uf.partition()
+        # equal parents mean one class already: the cheap, common case
+        if parent[u] != parent[v] and union(u, v):
+            work.extend(set(zip(rows[u], rows[v])))
+    return uf.partition(algebra.universe)
 
 
 def principal_congruence(algebra, x, y):
@@ -589,12 +583,15 @@ def malcev_witness(algebra, x, y, xs, ys, depth_bound=3, param_bound=16):
     unary-polynomial translation steps between x and y, each step moving
     along one generator pair, and packages it into the multi-variable term
     format with fresh parameter slots. Sound by construction: a returned
-    witness always validates. Inconclusive searches report bounds.
+    witness always validates. Inconclusive searches report bounds, which
+    must be at least 0 (else ValueError).
     """
     _require_total(algebra)
     xs, ys = tuple(xs), tuple(ys)
     if len(xs) != len(ys):
         raise ValueError("generator tuples must have equal length")
+    if depth_bound < 0 or param_bound < 0:
+        raise ValueError("depth_bound and param_bound must be at least 0")
     m = len(xs)
     theta = congruence_closure(algebra, list(zip(xs, ys)))
     if not theta.same(x, y):

@@ -3,6 +3,7 @@ calculus, identity satisfaction, images, and stabilizing chain colimits."""
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, product, repeat
 
 from .errors import NotComposable, NotSubset, NotTotal, cross_check
@@ -75,6 +76,24 @@ class PartialAlgebra:
                     raise ValueError(f"{name}: arity mismatch at {args}")
                 if not set(args) <= self._uset or val not in self._uset:
                     raise ValueError(f"{name}: entry {args}->{val} leaves the universe")
+
+    @cached_property
+    def translation_rows(self):
+        """The index map of a total algebra's universe, and for each element u
+        the indices of u's images under each distinct one-step unary
+        translation (an operation, u in one slot, parameters in the others),
+        in (operation, slot, parameters) order. Compiled on first use and
+        kept: nothing changes an algebra's tables after construction."""
+        universe = self.universe
+        index = {x: i for i, x in enumerate(universe)}
+        columns = dict.fromkeys(
+            tuple(index[t[ps[:pos] + (u,) + ps[pos:]]] for u in universe)
+            for name, ar in self.stype.symbols
+            for t in (self.ops[name],)
+            for pos in range(ar)
+            for ps in product(universe, repeat=ar - 1)
+        )
+        return index, list(zip(*columns)) or [()] * len(universe)
 
     def defined(self, name):
         return self.ops[name].keys()

@@ -282,3 +282,12 @@ def test_criterion_8_malcev_soundness(fixture_lattices):
             assert not gen.same(x, y)
     assert validated > 100
     _report(8, f"1000 randomized queries, {validated} witnesses validated", t0, 60)
+
+
+def test_budget_conc_distances_on_m3_squared():
+    # the principal distance table of a 25-element power: 325 closures
+    t0 = time.monotonic()
+    cs = conc(build_named("power:M3:2").algebra)
+    dist = cs.distances()
+    assert len(cs) == 4 and len(dist) == 625
+    _report("budget", "conc(power:M3:2).distances()", t0, 1)

@@ -25,6 +25,7 @@ from gampkit.congruence import (
     con_meet,
     conc,
     conc_morphism,
+    congruence_closure,
     first_interpolants,
     is_congruence,
     is_n_permutable,
@@ -275,6 +276,75 @@ def test_principal_congruence_matches_bruteforce_on_random_algebras(alg):
     _assert_canonical(alg)
 
 
+# Non-integer labels, shuffled, so that a universe index read as a label (or
+# a label as an index) cannot pass unseen.
+LABELS = ("d", ("a", 1), "b", "c")
+
+
+@st.composite
+def small_labelled_algebras(draw):
+    """Algebras of at most 4 elements on shuffled non-integer labels, with a
+    constant, a unary and a ternary operation."""
+    size = draw(st.integers(1, 4))
+    u = draw(st.permutations(LABELS))[:size]
+    # values from a prefix of the universe, as above, for proper congruences
+    value = st.sampled_from(u[: draw(st.integers(1, size))])
+    g = draw(st.lists(value, min_size=size, max_size=size))
+    t = draw(st.lists(value, min_size=size**3, max_size=size**3))
+    ops = {
+        "c": {(): draw(st.sampled_from(u))},
+        "g": dict(zip(product(u, repeat=1), g)),
+        "t": dict(zip(product(u, repeat=3), t)),
+    }
+    return PartialAlgebra(SimilarityType((("c", 0), ("g", 1), ("t", 3))), u, ops)
+
+
+def _least(congruences):
+    """The least of the given congruences, which must exist."""
+    least = [t for t in congruences if all(t.leq(s) for s in congruences)]
+    assert len(least) == 1
+    return least[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_labelled_algebras(), st.data())
+def test_closure_matches_bruteforce_on_labelled_algebras(alg, data):
+    element = st.sampled_from(alg.universe)
+    pairs = data.draw(st.lists(st.tuples(element, element), min_size=1, max_size=3))
+    everything = all_congruences_bruteforce(alg)
+    above = [t for t in everything if all(t.same(x, y) for x, y in pairs)]
+    assert congruence_closure(alg, pairs) == _least(above)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_labelled_algebras(), st.data())
+def test_con_join_matches_bruteforce_on_labelled_algebras(alg, data):
+    everything = all_congruences_bruteforce(alg)
+    a, b = data.draw(st.lists(st.sampled_from(everything), min_size=2, max_size=2))
+    assert con_join(a, b) == _least([t for t in everything if a.leq(t) and b.leq(t)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_labelled_algebras(), st.data())
+def test_conc_is_a_functor_on_labelled_algebras(alg, data):
+    c0 = conc(alg)
+    identity = conc_morphism(PalgMorphism.identity(alg), c0, c0)
+    assert all(identity(t) == t for t in c0.elements)
+    # two successive quotient projections and their composite
+    q1_alg, q1 = quotient_algebra(alg, data.draw(st.sampled_from(c0.elements)))
+    c1 = conc(q1_alg)
+    q2_alg, q2 = quotient_algebra(q1_alg, data.draw(st.sampled_from(c1.elements)))
+    c2 = conc(q2_alg)
+    f1, f2 = conc_morphism(q1, c0, c1), conc_morphism(q2, c1, c2)
+    q = q2.after(q1)
+    f = conc_morphism(q, c0, c2)
+    assert f.mapping == f2.after(f1).mapping
+    for x in alg.universe:
+        for y in alg.universe:
+            assert f(c0.principal(x, y)) == c2.principal(q(x), q(y))
+            assert f1(c0.principal(x, y)) == c1.principal(q1(x), q1(y))
+
+
 def _unmemoized_elementwise(alg, n, cs):
     dist = cs.distances()
     for xs in product(alg.universe, repeat=n + 1):
@@ -365,6 +435,15 @@ class TestMalcev:
         assert isinstance(res, (UnknownAtBound, MalcevWitness))
         if isinstance(res, MalcevWitness):
             assert res.validate(m3, "x2", "x3", ("0",), ("x1",))
+
+    @pytest.mark.parametrize("bounds", [{"depth_bound": -1}, {"param_bound": -1}])
+    def test_negative_bound_is_refused(self, m3, bounds):
+        with pytest.raises(ValueError, match="at least 0"):
+            malcev_witness(m3, "x1", "0", ("x2",), ("0",), **bounds)
+        # a bound of 0 is a valid, if tight, search
+        bounds = {key: 0 for key in bounds}
+        res = malcev_witness(m3, "x1", "0", ("x2",), ("0",), **bounds)
+        assert isinstance(res, (UnknownAtBound, MalcevWitness))
 
     def test_randomized_soundness(self, fixture_lattices):
         rng = random.Random(7)

@@ -286,6 +286,19 @@ class TestCli:
             pytest.param(["quotient", "{list}", "--ideal", "#0"], id="quotient-list"),
             pytest.param(["quotient", "{number}", "--ideal", "#0"], id="quotient-number"),
             pytest.param(["quotient", "{sem}", "--ideal", "zz"], id="quotient-unknown-generator"),
+            pytest.param(["quotient", "{sem}", "--ideal", "#2"], id="quotient-index-out-of-range"),
+            pytest.param(["quotient", "{sem}", "--ideal", "#-1"], id="quotient-negative-index"),
+            pytest.param(["quotient", "{sem}", "--ideal", "#x"], id="quotient-index-not-a-number"),
+            pytest.param(["quotient", "{sem}", "--ideal", "#"], id="quotient-index-missing"),
+            pytest.param(["quotient", "{sem}", "--ideal", "#²"], id="quotient-index-not-decimal"),
+            pytest.param(
+                ["permutable", "{m3}", "--witness", "x1/0", "--pairs", "x2/0", "--depth-bound", "-1"],
+                id="witness-negative-depth-bound",
+            ),
+            pytest.param(
+                ["permutable", "{m3}", "--witness", "x1/0", "--pairs", "x2/0", "--param-bound", "-1"],
+                id="witness-negative-param-bound",
+            ),
             pytest.param(["repro", "nosuch"], id="repro-unknown-target"),
             pytest.param(["repro", "unliftable", "--K", "chain:0"], id="repro-empty-chain"),
             pytest.param(["repro", "unliftable", "--K", "power:M3:0"], id="repro-empty-power"),
@@ -341,6 +354,9 @@ class TestCli:
         assert run([a.format(**paths) for a in argv]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        if "{sem}" in argv:
+            # a bad generator token is named back
+            assert repr(argv[-1]) in err
         if "--K" in argv:
             # a lattice spec is named back, with the forms it may take
             assert repr(argv[-1]) in err and "power:NAME:k" in err
