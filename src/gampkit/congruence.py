@@ -457,14 +457,36 @@ def first_interpolants(sem, dist, middle, meets=None):
     return find
 
 
+def _chain_condition_failures(sem, dist, inner, outer, n, meets=None, joins=None):
+    """The (n+1)-tuples of inner points without interpolants among the outer
+    points, as (reason, xs) in product order.
+
+    With meet and join tables (the lattice form) the interpolants run from
+    x0 meet xn to x0 join xn and must be chains; a tuple whose endpoints are
+    not defined both ways round, or differ between them, fails with
+    "endpoints undefined". Otherwise they run from x0 to xn. One
+    first_interpolants memo serves the whole walk.
+    """
+    find = first_interpolants(sem, dist, outer, meets)
+    for xs in product(inner, repeat=n + 1):
+        first, last = xs[0], xs[n]
+        if meets is not None:
+            m1, m2 = meets.get((first, last), UNDEFINED), meets.get((last, first), UNDEFINED)
+            j1, j2 = joins.get((first, last), UNDEFINED), joins.get((last, first), UNDEFINED)
+            if UNDEFINED in (m1, m2, j1, j2) or m1 != m2 or j1 != j2:
+                yield "endpoints undefined", xs
+                continue
+            first, last = m1, j1
+        if find(xs, first, last) is None:
+            yield "no interpolants", xs
+
+
 def _elementwise_n_permutable(algebra, n, cong_sl):
     """Chain condition: every (n+1)-tuple admits interpolants y with the
     parity containments between generated congruences."""
     universe = algebra.universe
-    find = first_interpolants(cong_sl, cong_sl.distances(), universe)
-    for xs in product(universe, repeat=n + 1):
-        if find(xs, xs[0], xs[n]) is None:
-            return False, xs
+    for _, xs in _chain_condition_failures(cong_sl, cong_sl.distances(), universe, universe, n):
+        return False, xs
     return True, None
 
 

@@ -22,7 +22,6 @@ from .palg import (
     PartialAlgebra,
     UNDEFINED,
     is_lattice_algebra,
-    is_palg_isomorphism,
     satisfies_identity,
 )
 from .poset import FinitePoset
@@ -458,12 +457,10 @@ def verify_square_facts(square):
 
 @dataclass
 class CandidateSquare:
-    """Gamp square over the square poset, with an optional natural equivalence
-    onto the inner-pregamp image; None means the image is the algebra square
-    on the nose and the equivalence is the identity."""
+    """Gamp square over the square poset whose inner-pregamp image is the
+    algebra square on the nose."""
 
     diagram: Diagram
-    equivalence: object = None
     label: str = ""
 
 
@@ -505,13 +502,7 @@ def _require(cond, reason, detail=None):
 
 
 def _gamp_square_preconditions(square, cand, n):
-    """All stated candidate preconditions, checked exhaustively.
-
-    The candidate is first brought onto the algebra square on the nose
-    (transporting along the supplied equivalence when there is one); the
-    operation and permutability checks are isomorphism-invariant, so they
-    run on the transported diagram.
-    """
+    """All stated candidate preconditions, checked exhaustively."""
     diagram = cand.diagram
     _require(diagram.poset == square.a_square.poset, "index-poset")
     ok, viol = diagram.validate()
@@ -523,14 +514,6 @@ def _gamp_square_preconditions(square, cand, n):
         ok, viol = is_pregamp_of(g.pregamp, LATTICE_IDENTITIES)
         _require(ok, "lattice-variety", (p, viol))
     expected = square.ga_square
-    if cand.equivalence is not None:
-        # transport along the supplied equivalence; non-invertible components
-        # are precondition-rejected rather than coerced
-        try:
-            cand.equivalence.validate()
-        except ValueError as e:
-            raise PreconditionFailed("naturality", str(e))
-        diagram = _transport_candidate(cand, expected)
     for p in SQUARE_NODES:
         _require(pggl(diagram.objects[p]) == expected.objects[p].pregamp, "inner-image", p)
     for (p, q), arrow in diagram.arrows.items():
@@ -547,62 +530,6 @@ def _gamp_square_preconditions(square, cand, n):
     for p in SQUARE_NODES:
         v = check_property(diagram.objects[p], "lattice_n_permutable", n=n)
         _require(bool(v), "lattice-n-permutable", (p, v.witness))
-    return diagram
-
-
-def _transport_candidate(cand, expected):
-    """Rename a candidate along its equivalence so the inner image is the
-    algebra square on the nose."""
-    diagram = cand.diagram
-    new_objects = {}
-    renamings = {}
-    sem_renamings = {}
-    for p in SQUARE_NODES:
-        comp = cand.equivalence.components[p]
-        _require(
-            is_palg_isomorphism(comp.f)
-            and comp.fsem.is_injective()
-            and comp.fsem.is_surjective(),
-            "naturality",
-            ("component not invertible", p),
-        )
-        g = diagram.objects[p]
-        inv = {comp.f(x): x for x in comp.f.source.universe}
-        rename = {}
-        for x in g.outer.universe:
-            rename[x] = inv[x] if x in inv else ("ext", x)
-        sem_inv = {comp.fsem(a): a for a in comp.fsem.source.elements}
-        renamings[p] = rename
-        sem_renamings[p] = sem_inv
-        uni = [rename[x] for x in g.outer.universe]
-        ops = {
-            name: {tuple(rename[a] for a in args): rename[v] for args, v in table.items()}
-            for name, table in g.outer.ops.items()
-        }
-        outer = PartialAlgebra(g.outer.stype, uni, ops, validate=False)
-        sem = expected.objects[p].sem
-        dist = {
-            (rename[x], rename[y]): sem_inv[g.delta(x, y)]
-            for x in g.outer.universe
-            for y in g.outer.universe
-        }
-        inner = expected.objects[p].inner
-        new_objects[p] = Gamp(inner, Pregamp(outer, dist, sem), validate=False)
-    new_arrows = {}
-    for (p, q), arrow in diagram.arrows.items():
-        fmap = {
-            renamings[p][x]: renamings[q][arrow.f(x)] for x in arrow.f.source.universe
-        }
-        smap = {
-            sem_renamings[p][a]: sem_renamings[q][arrow.fsem(a)]
-            for a in arrow.fsem.source.elements
-        }
-        new_arrows[(p, q)] = GampMorphism(
-            new_objects[p], new_objects[q],
-            PalgMorphism(new_objects[p].outer, new_objects[q].outer, fmap),
-            SemMorphism(new_objects[p].sem, new_objects[q].sem, smap),
-        )
-    return Diagram(diagram.poset, new_objects, new_arrows)
 
 
 def refute_candidate(square, cand, n, precheck=True):
@@ -626,9 +553,8 @@ def refute_candidate(square, cand, n, precheck=True):
     chain = square.chain_algebra
     _require(len(chain) == n + 1, "chain-length", (len(chain), n + 1))
     if precheck:
-        diagram = _gamp_square_preconditions(square, cand, n)
-    else:
-        diagram = cand.diagram
+        _gamp_square_preconditions(square, cand, n)
+    diagram = cand.diagram
 
     a = list(chain.universe)
     g0 = diagram.objects["b"]
@@ -641,10 +567,8 @@ def refute_candidate(square, cand, n, precheck=True):
     ys = None
     if first is not UNDEFINED and last is not UNDEFINED:
         outer = sorted(g0.outer.universe, key=sort_key)
-        ys = next(
-            _cong.chain_interpolants(cs0, g0.pregamp.dist, tuple(a), first, last, outer, meets),
-            None,
-        )
+        find = _cong.first_interpolants(cs0, g0.pregamp.dist, outer, meets)
+        ys = find(tuple(a), first, last)
     record("witness", ys, ys is not None)
     b = list(ys)
     record("witness-endpoints", (b[0], b[n]), b[0] == a[0] and b[n] == a[n])
@@ -868,7 +792,7 @@ class CandidateOutcome:
 
 def algebra_square_candidate(square):
     """The candidate whose gamps are the algebra gamps of the square itself."""
-    return CandidateSquare(square.ga_square, None, "algebra-square")
+    return CandidateSquare(square.ga_square, "algebra-square")
 
 
 class _NodeState:
@@ -951,11 +875,15 @@ class _NodeState:
                 return False
         return True
 
-    def materialize(self):
+    def tables(self):
+        """The inner meet and join tables overlaid with the decided cells."""
         ops = {op: dict(self.inner.ops[op]) for op in ("meet", "join")}
         for (op, a, b), v in self.cells.items():
             ops[op][(a, b)] = v
-        return PartialAlgebra(LATTICE_TYPE, self.universe(), ops, validate=False)
+        return ops
+
+    def materialize(self):
+        return PartialAlgebra(LATTICE_TYPE, self.universe(), self.tables(), validate=False)
 
     def pregamp(self):
         alg = self.materialize()
@@ -1044,15 +972,13 @@ def _witness_options(state, xs, n):
 
 
 def _deficient_tuples(state, n):
-    """Tuples with no interpolants realized by the already-decided structure."""
-    out = []
-    for xs in product(state.inner.universe, repeat=n + 1):
-        opts = _witness_options(state, xs, n)
-        if not any(
-            all(state.cell(*k) == v for k, v in forced.items()) for _, forced in opts
-        ):
-            out.append(xs)
-    return out
+    """Tuples with no interpolants realized by the already-decided structure:
+    no chain in the current meets."""
+    ops = state.tables()
+    failures = _cong._chain_condition_failures(
+        state.cs, state, state.inner.universe, state.universe(), n, ops["meet"], ops["join"]
+    )
+    return [xs for _, xs in failures]
 
 
 def _try_add_cells(state, forced):
@@ -1328,7 +1254,7 @@ def enumerate_candidates(square, n, size_bound=1):
         padded = [p for p in order if states[p].pads]
         return CandidateOutcome(
             "candidate",
-            candidate=CandidateSquare(diagram, None, f"padded[{','.join(padded)}]"),
+            candidate=CandidateSquare(diagram, f"padded[{','.join(padded)}]"),
         )
 
     yield from stage(0)

@@ -5,7 +5,6 @@ congruence n-permutable, and their lattice and through-phi variants),
 realizations, quotients, the four forgetful/embedding functors, chains, and
 the buttress construction of diagrams of finite subgamps."""
 
-from collections import deque
 from itertools import combinations, product
 
 from .errors import NotIdealInduced, NotStrong, WrongSignature, cross_check
@@ -295,9 +294,8 @@ def _check_tractable(g, phi, m_cap):
 def _check_n_permutable(g, n, lattice_form):
     """Property (8) or the lattice-specific strengthening.
 
-    Every (n+1)-tuple of inner points gets the first interpolants found among
-    the outer points; small instances only. Returns the witness map on
-    success.
+    Every (n+1)-tuple of inner points needs interpolants among the outer
+    points; small instances only. A failure names its reason and tuple.
     """
     if n is None:
         raise ValueError("n-permutability needs n")
@@ -305,28 +303,12 @@ def _check_n_permutable(g, n, lattice_form):
         raise ValueError("n must be positive")
     if lattice_form and not g.is_lattice_signature():
         raise WrongSignature("lattice permutability requires the lattice signature")
-    inner = list(g.inner.universe)
-    outer = list(g.outer.universe)
-    meets = g.outer.ops.get("meet", {})
-    joins = g.outer.ops.get("join", {})
-    find = _cong.first_interpolants(g.sem, g.pregamp.dist, outer, meets if lattice_form else None)
-    witnesses = {}
-    for xs in product(inner, repeat=n + 1):
-        if lattice_form:
-            m1 = meets.get((xs[0], xs[n]), UNDEFINED)
-            m2 = meets.get((xs[n], xs[0]), UNDEFINED)
-            j1 = joins.get((xs[0], xs[n]), UNDEFINED)
-            j2 = joins.get((xs[n], xs[0]), UNDEFINED)
-            if UNDEFINED in (m1, m2, j1, j2) or m1 != m2 or j1 != j2:
-                return Verdict.false(("endpoints undefined", xs))
-            first, last = m1, j1
-        else:
-            first, last = xs[0], xs[n]
-        found = find(xs, first, last)
-        if found is None:
-            return Verdict.false(("no interpolants", xs))
-        witnesses[xs] = found
-    return Verdict.true(witnesses)
+    tables = (g.outer.ops["meet"], g.outer.ops["join"]) if lattice_form else ()
+    failures = _cong._chain_condition_failures(
+        g.sem, g.pregamp.dist, g.inner.universe, g.outer.universe, n, *tables
+    )
+    failure = next(failures, None)
+    return Verdict.true() if failure is None else Verdict.false(failure)
 
 
 def check_property(g, which, n=None, m_cap=2):
@@ -397,8 +379,10 @@ def _check_cuttable(fm, phi, chains, x_cap):
     Image a partial sublattice of the target's inner part; for each small
     X inside phi's target and each source pair under the X-join bound, a walk
     (or chain) inside the inner part whose steps have phi-distance under some
-    member of X.
+    member of X. x_cap must be at least 0 (else ValueError).
     """
+    if x_cap < 0:
+        raise ValueError("x_cap must be at least 0")
     if chains and not fm.target.is_lattice_signature():
         raise WrongSignature("chain cutting requires the lattice signature")
     bounds = {"x_cap": x_cap}
@@ -447,32 +431,26 @@ def _chain_walk(g, lo, hi, step_ok):
     """Chain lo = c0 < c1 < ... < ck = hi of inner elements with allowed steps.
 
     Chain comparability only requires the one-sided meet equations, exactly
-    as in the chain definition.
+    as in the chain definition. Whether a chain extends by v depends on all
+    its members, so the search runs over (last element, members) states.
     """
     if lo == hi:
         return True
+    if not (lo in g.inner and hi in g.inner):
+        return False
     inner = list(g.inner.universe)
     meets = g.outer.ops["meet"]
 
     def below(a, b):
         return meets.get((a, b), UNDEFINED) == a
 
-    if not (lo in g.inner and hi in g.inner):
-        return False
-    queue = deque([(lo,)])
-    seen = {lo}
-    while queue:
-        path = queue.popleft()
-        u = path[-1]
+    def extensions(state):
+        u, members = state
         for v in inner:
-            if v in seen or v == u:
-                continue
-            if below(u, v) and step_ok(u, v) and all(below(w, v) for w in path):
-                if v == hi:
-                    return True
-                seen.add(v)
-                queue.append(path + (v,))
-    return False
+            if v not in members and all(below(w, v) for w in members) and step_ok(u, v):
+                yield ((hi, None) if v == hi else (v, members | {v})), None
+
+    return shortest_path((lo, frozenset([lo])), (hi, None), extensions) is not None
 
 
 def check_through_phi(obj, phi, which, m_cap=2, x_cap=3):

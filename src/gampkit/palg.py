@@ -565,13 +565,11 @@ def product_closure(algebra, pairs):
         old = members - fresh
         new = set()
         for table, ar in ops:
-            # semi-naive: only tuples touching a fresh pair can yield new pairs
-            if ar == 2:
-                candidates = chain(product(fresh, members), product(old, fresh))
-            else:
-                candidates = (
-                    args for args in product(members, repeat=ar) if not fresh.isdisjoint(args)
-                )
+            # semi-naive: only tuples touching a fresh pair can yield new
+            # pairs; slot k holds the first fresh one
+            candidates = chain.from_iterable(
+                product(*[old] * k, fresh, *[members] * (ar - k - 1)) for k in range(ar)
+            )
             for args in candidates:
                 lv = table.get(tuple(p[0] for p in args), UNDEFINED)
                 if lv is UNDEFINED:

@@ -407,7 +407,7 @@ def test_n_permutable_witnesses_unchanged(which, name, n, fixture_lattices):
     if failing:
         assert v.status == "false" and v.witness == ("no interpolants", failing[0])
     else:
-        assert v.status == "true" and v.witness == expected
+        assert v.status == "true" and v.witness is None
 
 
 class TestMalcev:

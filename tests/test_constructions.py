@@ -27,7 +27,6 @@ from gampkit.gamp import Gamp, GampMorphism
 from gampkit.palg import LATTICE_TYPE, PalgMorphism, PartialAlgebra, is_lattice_algebra
 from gampkit.poset import FinitePoset
 from gampkit.pregamp import Pregamp
-from gampkit.semilattice import SemMorphism
 
 
 class TestNamedLattices:
@@ -439,7 +438,7 @@ def _padded_non_commuting_candidate(square):
     for p in SQUARE_NODES:
         arrows[(p, p)] = GampMorphism.identity(nodes[p])
     diagram = Diagram(a_sq.poset, nodes, arrows, validate=False)
-    return CandidateSquare(diagram, None, "non-commuting-pad")
+    return CandidateSquare(diagram, "non-commuting-pad")
 
 
 class TestPreconditionSurface:
@@ -470,97 +469,3 @@ class TestPreconditionSurface:
         with pytest.raises(PreconditionFailed) as exc:
             refute_candidate(square, cand, 2)
         assert exc.value.reason in ("inner-image", "lattice-n-permutable")
-
-
-class TestTransport:
-    def test_relabeled_candidate_transported_and_rejected(self, square):
-        # a candidate presented through a non-identity equivalence must be
-        # renamed onto the algebra square before the trace; the relabeled
-        # algebra candidate then fails permutability exactly like the
-        # on-the-nose one
-        from gampkit.diagram import NaturalTransformation, apply_functor
-        from gampkit.pregamp import Pregamp, PregampMorphism
-        from gampkit.semilattice import SemMorphism
-
-        ga_sq = apply_functor(square.a_square, "GA")
-        relabel = {0: "zero", 1: "mid", 2: "one"}
-        chain = square.chain_algebra
-        alg2 = PartialAlgebra(
-            LATTICE_TYPE,
-            [relabel[x] for x in chain.universe],
-            {
-                name: {
-                    tuple(relabel[a] for a in args): relabel[v]
-                    for args, v in tb.items()
-                }
-                for name, tb in chain.ops.items()
-            },
-        )
-        g0 = ga_sq.objects["b"]
-        dist2 = {
-            (relabel[x], relabel[y]): g0.delta(x, y)
-            for x in chain.universe
-            for y in chain.universe
-        }
-        new_b = Gamp(alg2, Pregamp(alg2, dist2, g0.sem))
-        nodes = dict(ga_sq.objects)
-        nodes["b"] = new_b
-        arrows = dict(ga_sq.arrows)
-        arrows[("b", "b")] = GampMorphism.identity(new_b)
-        for q in ("l", "r", "t"):
-            old = ga_sq.arrows[("b", q)]
-            arrows[("b", q)] = GampMorphism(
-                new_b, nodes[q],
-                PalgMorphism(
-                    alg2, nodes[q].outer,
-                    {relabel[x]: old.f(x) for x in chain.universe},
-                ),
-                old.fsem,
-            )
-        diagram = Diagram(square.a_square.poset, nodes, arrows)
-
-        pga_sq = apply_functor(square.a_square, "PGA")
-        pggl_sq = apply_functor(diagram, "PGGL")
-        components = {}
-        for p in square.a_square.poset.elements:
-            mapping = relabel if p == "b" else {
-                x: x for x in pga_sq.objects[p].carrier.universe
-            }
-            components[p] = PregampMorphism(
-                pga_sq.objects[p], pggl_sq.objects[p],
-                PalgMorphism(pga_sq.objects[p].carrier, pggl_sq.objects[p].carrier, mapping),
-                SemMorphism.identity(pga_sq.objects[p].sem),
-            )
-        xi = NaturalTransformation(pga_sq, pggl_sq, components)
-        cand = CandidateSquare(diagram, xi, "relabeled-algebra-square")
-        with pytest.raises(PreconditionFailed) as exc:
-            refute_candidate(square, cand, 2)
-        assert exc.value.reason == "lattice-n-permutable"
-
-    def test_non_invertible_component_rejected(self, square):
-        from gampkit.diagram import NaturalTransformation, apply_functor
-        from gampkit.pregamp import PregampMorphism
-        from gampkit.semilattice import SemMorphism
-
-        ga_sq = apply_functor(square.a_square, "GA")
-        pga_sq = apply_functor(square.a_square, "PGA")
-        pggl_sq = apply_functor(ga_sq, "PGGL")
-        components = {
-            p: PregampMorphism.identity(pga_sq.objects[p])
-            for p in square.a_square.poset.elements
-        }
-        # collapse one component's carrier: no longer an isomorphism
-        bad = pga_sq.objects["t"]
-        squash = {x: bad.carrier.universe[0] for x in bad.carrier.universe}
-        zero_sem = SemMorphism(
-            bad.sem, bad.sem, {a: bad.sem.zero for a in bad.sem.elements}
-        )
-        components["t"] = PregampMorphism(
-            bad, bad, PalgMorphism(bad.carrier, bad.carrier, squash), zero_sem,
-            validate=False,
-        )
-        xi = NaturalTransformation(pga_sq, pggl_sq, components, validate=False)
-        cand = CandidateSquare(ga_sq, xi, "squashed-equivalence")
-        with pytest.raises(PreconditionFailed) as exc:
-            refute_candidate(square, cand, 2)
-        assert exc.value.reason == "naturality"

@@ -177,6 +177,35 @@ class TestMorphismProperties:
         assert not bool(v)
         assert v.witness[0] == "join" and set(v.witness[1]) == {"x1", "x3"}
 
+    def test_negative_x_cap_is_refused(self, chain3, x1):
+        fm = ga_mor(PalgMorphism(chain3, x1, {0: "0", 1: "x3", 2: "1"}))
+        for prop in ("cuttable", "cuttable_chains"):
+            with pytest.raises(ValueError):
+                check_morphism_property(fm, prop, x_cap=-1)
+            with pytest.raises(ValueError):
+                check_through_phi(fm, SemMorphism.identity(fm.target.sem), prop, x_cap=-1)
+        # a cap of 0 checks no instance and holds vacuously
+        assert bool(check_morphism_property(fm, "cuttable", x_cap=0))
+
+    def test_chain_walk_keeps_every_chain_member(self):
+        # v is first reached through a, which is not below hi; the chain
+        # lo < b < v < hi must still be found through b
+        from types import SimpleNamespace
+
+        from gampkit.gamp import _chain_walk
+
+        below = {("lo", "a"), ("lo", "b"), ("lo", "v"), ("lo", "hi"),
+                 ("a", "v"), ("b", "v"), ("b", "hi"), ("v", "hi")}
+        universe = ["lo", "a", "b", "v", "hi"]
+        meets = {(x, x): x for x in universe}
+        for x, y in below:
+            meets[(x, y)] = meets[(y, x)] = x
+        alg = PartialAlgebra(LATTICE_TYPE, universe, {"meet": meets, "join": {}})
+        g = SimpleNamespace(inner=alg, outer=alg)
+        steps = {("lo", "a"), ("lo", "b"), ("a", "v"), ("b", "v"), ("v", "hi")}
+        assert _chain_walk(g, "lo", "hi", lambda u, v: (u, v) in steps)
+        assert not _chain_walk(g, "lo", "hi", lambda u, v: (u, v) in steps - {("b", "v")})
+
 
 class TestChains:
     def test_single_element_chain(self, m3):

@@ -149,19 +149,23 @@ class TestMorphisms:
         assert image_palg(ident) == chain3
 
 
-# Random factors for the product properties: one binary and one unary op.
+# Random factors for the product properties: one binary and one unary op;
+# with ternary, also a ternary op h.
 FG_TYPE = SimilarityType((("f", 2), ("g", 1)))
+FGH_TYPE = SimilarityType((("f", 2), ("g", 1), ("h", 3)))
 
 
 @st.composite
-def fg_algebras(draw, max_size=3, total=True):
+def fg_algebras(draw, max_size=3, total=True, ternary=False):
     size = draw(st.integers(1, max_size))
     u = list(range(size))
     value = st.sampled_from(u)
     ops = {"f": {(a, b): draw(value) for a in u for b in u}, "g": {(a,): draw(value) for a in u}}
+    if ternary:
+        ops["h"] = {args: draw(value) for args in product(u, repeat=3)}
     if not total:
         ops = {name: {k: v for k, v in t.items() if draw(st.booleans())} for name, t in ops.items()}
-    return PartialAlgebra(FG_TYPE, u, ops)
+    return PartialAlgebra(FGH_TYPE if ternary else FG_TYPE, u, ops)
 
 
 def elementwise_product(algebras):
@@ -376,10 +380,19 @@ class TestTermChains:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_closure_is_the_naive_fixpoint(self, data):
-        alg = data.draw(fg_algebras(max_size=4, total=False))
+        alg = data.draw(fg_algebras(max_size=4, total=False, ternary=True))
         element = st.sampled_from(alg.universe)
         pairs = data.draw(st.lists(st.tuples(element, element), max_size=3))
         assert product_closure(alg, pairs) == naive_product_closure(alg, pairs)
+
+    def test_closure_reaches_the_last_slot_of_a_ternary_operation(self):
+        # (4, 0) comes only from h((0,0), (0,0), (2,3)), in the second round,
+        # where the one fresh pair sits in the last slot; random draws reach
+        # such a case in about one algebra in a thousand
+        h = {(0, 0, 0): 2, (1, 1, 1): 3, (0, 0, 2): 4, (0, 0, 3): 0}
+        alg = PartialAlgebra(SimilarityType((("h", 3),)), list(range(5)), {"h": h})
+        closure = product_closure(alg, [(0, 1)])
+        assert (4, 0) in closure and closure == naive_product_closure(alg, [(0, 1)])
 
     def test_chain_search_in_total_chain(self, chain3):
         find = chain_connectivity(chain3, [(0, 1), (1, 2)])

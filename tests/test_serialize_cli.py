@@ -87,6 +87,21 @@ class TestDot:
         assert dot.count("->") == 4
 
 
+def lifting_bundle(algebras):
+    """The GA image of an algebra diagram, with each node realized by its own
+    algebra, as a diagram-verify --kind partial-lifting bundle."""
+    d = apply_functor(algebras, "GA")
+    data = ser.diagram_to_json(d)
+    data["realizations"] = {
+        str(p): {
+            "ambient": ser.algebra_to_json(algebras.objects[p]),
+            "chi": [[ser.encode_el(a), ser.encode_el(a)] for a in d.objects[p].sem.elements],
+        }
+        for p in d.poset.elements
+    }
+    return data
+
+
 class TestCli:
     def write(self, tmp_path, name, data):
         path = tmp_path / name
@@ -120,6 +135,15 @@ class TestCli:
         assert out["status"] == "true"
         assert run(["gamp-check", path, "--property", "lattice_n_permutable", "--n", "3"]) == 0
 
+    @pytest.mark.parametrize("which", ["n_permutable", "lattice_n_permutable"])
+    def test_gamp_check_n_permutable_prints_no_witness(self, which, tmp_path, capsys):
+        # a successful chain-condition check reports its status, not the
+        # interpolants of every tuple
+        path = self.write(tmp_path, "g.json", ser.gamp_to_json(ga(build_named("M3").algebra)))
+        assert run(["gamp-check", path, "--property", which, "--n", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["status"] == "true" and out["witness"] is None
+
     def test_diagram_verify_operational(self, tmp_path, capsys):
         sq = build_square("M3", 2)
         d = apply_functor(sq.a_square, "GA")
@@ -127,17 +151,7 @@ class TestCli:
         assert run(["diagram-verify", path, "--kind", "operational"]) == 0
 
     def test_diagram_verify_partial_lifting(self, tmp_path, capsys):
-        sq = build_square("M3", 2)
-        d = apply_functor(sq.a_square, "GA")
-        data = ser.diagram_to_json(d)
-        data["realizations"] = {}
-        for p in d.poset.elements:
-            g = d.objects[p]
-            data["realizations"][str(p)] = {
-                "ambient": ser.algebra_to_json(sq.a_square.objects[p]),
-                "chi": [[ser.encode_el(a), ser.encode_el(a)] for a in g.sem.elements],
-            }
-        path = self.write(tmp_path, "d.json", data)
+        path = self.write(tmp_path, "d.json", lifting_bundle(build_square("M3", 2).a_square))
         assert run(["diagram-verify", path, "--kind", "partial-lifting", "--x-cap", "2"]) == 0
 
     def test_poset_commands(self, tmp_path, capsys):
@@ -260,6 +274,10 @@ class TestCli:
                 ["diagram-verify", "{gm3}", "--kind", "operational"], id="diagram-verify-gamp"
             ),
             pytest.param(
+                ["diagram-verify", "{lifting}", "--kind", "partial-lifting", "--x-cap", "-1"],
+                id="diagram-verify-negative-x-cap",
+            ),
+            pytest.param(
                 ["diagram-verify", "{no_arrows}", "--kind", "operational"],
                 id="diagram-verify-without-arrows",
             ),
@@ -336,6 +354,9 @@ class TestCli:
             "kind_foo": self.write(
                 tmp_path, "kind_foo.json", {**two_nodes, "kind": "foo", "arrows": {}}
             ),
+            "lifting": self.write(tmp_path, "lifting.json", lifting_bundle(ser.diagram_from_json(
+                {**two_nodes, "arrows": {"0->1": {"map": [[0, 0], [1, 1]]}}}
+            ))),
             "bad": str(bad),
             "list": self.write(tmp_path, "list.json", [1, 2]),
             "m3": self.write(tmp_path, "m3.json", {"named": "M3"}),
