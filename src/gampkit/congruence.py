@@ -221,6 +221,13 @@ def con_meet(a, b):
 CON_BOUND = 160
 
 
+def _require_con_bound(algebra, bound):
+    """Refuse an algebra whose Con is not built: partial, or over the bound."""
+    _require_total(algebra)
+    if len(algebra.universe) > bound:
+        raise TooLarge(f"con_lattice capped at {bound} elements (got {len(algebra.universe)})")
+
+
 def con_join_closure(algebra, bound=CON_BOUND):
     """All congruences of a small finite total algebra, with their join table.
 
@@ -231,9 +238,7 @@ def con_join_closure(algebra, bound=CON_BOUND):
     once, and every value of the table is the returned object for its
     congruence. Returns the congruences in con_lattice order and the table.
     """
-    _require_total(algebra)
-    if len(algebra.universe) > bound:
-        raise TooLarge(f"con_lattice capped at {bound} elements (got {len(algebra.universe)})")
+    _require_con_bound(algebra, bound)
     if is_lattice_algebra(algebra):
         meet = algebra.ops["meet"]
         order = [(u, v) for u in algebra.universe for v in algebra.universe if meet[(u, v)] == u]

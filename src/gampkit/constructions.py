@@ -4,7 +4,7 @@ engine that executes the no-permutable-extension proof as a checked program."""
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 
 from .errors import (
     BudgetExceeded,
@@ -22,7 +22,6 @@ from .palg import (
     PartialAlgebra,
     UNDEFINED,
     is_lattice_algebra,
-    satisfies_identity,
 )
 from .poset import FinitePoset
 from .semilattice import SemMorphism, ker0
@@ -30,12 +29,14 @@ from .pregamp import Pregamp, check_axioms, is_pregamp_of
 from .gamp import (
     Gamp,
     GampMorphism,
-    check_morphism_property,
     check_property,
     pggl,
     pggl_mor,
 )
-from .diagram import Diagram, DiagramIdeal, NaturalTransformation, apply_functor, quotient_diagram
+from .diagram import (
+    Diagram, DiagramIdeal, NaturalTransformation, apply_functor, is_operational_diagram,
+    quotient_diagram,
+)
 from .util import sort_key
 from . import congruence as _cong
 
@@ -457,8 +458,8 @@ def verify_square_facts(square):
 
 @dataclass
 class CandidateSquare:
-    """Gamp square over the square poset whose inner-pregamp image is the
-    algebra square on the nose."""
+    """Gamp diagram over the companion diagram's poset whose inner-pregamp
+    image is its algebra gamp diagram on the nose."""
 
     diagram: Diagram
     label: str = ""
@@ -501,35 +502,40 @@ def _require(cond, reason, detail=None):
         raise PreconditionFailed(reason, detail)
 
 
-def _gamp_square_preconditions(square, cand, n):
-    """All stated candidate preconditions, checked exhaustively."""
-    diagram = cand.diagram
-    _require(diagram.poset == square.a_square.poset, "index-poset")
+def _node_conditions(g, n):
+    """The conditions on one node of a candidate, in order, each computed
+    when it is reached: the distance axioms, the lattice variety, then
+    lattice n-permutability up to its first deficient tuple. Yields
+    (reason, ok, violation); the enumerator's node checks and the
+    preconditions both walk it."""
+    yield ("distance-axioms", *check_axioms(g.pregamp))
+    yield ("lattice-variety", *is_pregamp_of(g.pregamp, LATTICE_IDENTITIES))
+    v = check_property(g, "lattice_n_permutable", n=n)
+    yield "lattice-n-permutable", bool(v), v.witness
+
+
+def _candidate_preconditions(expected, diagram, n):
+    """All stated preconditions on a candidate diagram over the algebra gamp
+    diagram `expected`, checked exhaustively at every node of the index
+    poset: each node's axioms and variety, the inner images of nodes and
+    arrows, operational arrows, then each node's n-permutability."""
+    _require(diagram.poset == expected.poset, "index-poset")
     ok, viol = diagram.validate()
     _require(ok, "diagram", viol)
-    for p in SQUARE_NODES:
-        g = diagram.objects[p]
-        ok, viol = check_axioms(g.pregamp)
-        _require(ok, "distance-axioms", (p, viol))
-        ok, viol = is_pregamp_of(g.pregamp, LATTICE_IDENTITIES)
-        _require(ok, "lattice-variety", (p, viol))
-    expected = square.ga_square
-    for p in SQUARE_NODES:
+    nodes = diagram.poset.elements
+    pending = {p: _node_conditions(diagram.objects[p], n) for p in nodes}
+    for p in nodes:
+        for reason, ok, viol in islice(pending[p], 2):  # the axioms and the variety
+            _require(ok, reason, (p, viol))
+    for p in nodes:
         _require(pggl(diagram.objects[p]) == expected.objects[p].pregamp, "inner-image", p)
-    for (p, q), arrow in diagram.arrows.items():
-        _require(
-            pggl_mor(arrow) == expected.arrows[(p, q)].pg, "inner-image-arrow", (p, q)
-        )
-    okop = all(
-        bool(check_morphism_property(diagram.arrows[(p, q)], "operational"))
-        for p in SQUARE_NODES
-        for q in SQUARE_NODES
-        if diagram.poset.lt(p, q)
-    )
-    _require(okop, "operational")
-    for p in SQUARE_NODES:
-        v = check_property(diagram.objects[p], "lattice_n_permutable", n=n)
-        _require(bool(v), "lattice-n-permutable", (p, v.witness))
+    for pq, arrow in diagram.arrows.items():
+        _require(pggl_mor(arrow) == expected.arrows[pq].pg, "inner-image-arrow", pq)
+    ok, viol = is_operational_diagram(diagram)
+    _require(ok, "operational", viol)
+    for p in nodes:
+        for reason, ok, viol in pending[p]:
+            _require(ok, reason, (p, viol))
 
 
 def refute_candidate(square, cand, n, precheck=True):
@@ -553,7 +559,7 @@ def refute_candidate(square, cand, n, precheck=True):
     chain = square.chain_algebra
     _require(len(chain) == n + 1, "chain-length", (len(chain), n + 1))
     if precheck:
-        _gamp_square_preconditions(square, cand, n)
+        _candidate_preconditions(square.ga_square, cand.diagram, n)
     diagram = cand.diagram
 
     a = list(chain.universe)
@@ -867,14 +873,6 @@ class _NodeState:
             return False
         return True
 
-    def full_identities_ok(self):
-        alg = self.materialize()
-        for _, t1, t2 in LATTICE_IDENTITIES:
-            ok, _ = satisfies_identity(alg, t1, t2)
-            if not ok:
-                return False
-        return True
-
     def tables(self):
         """The inner meet and join tables overlaid with the decided cells."""
         ops = {op: dict(self.inner.ops[op]) for op in ("meet", "join")}
@@ -882,37 +880,21 @@ class _NodeState:
             ops[op][(a, b)] = v
         return ops
 
-    def materialize(self):
-        return PartialAlgebra(LATTICE_TYPE, self.universe(), self.tables(), validate=False)
-
-    def pregamp(self):
-        alg = self.materialize()
-        dist = {}
-        for x in alg.universe:
-            for y in alg.universe:
-                dist[(x, y)] = self.delta(x, y)
-        return Pregamp(alg, dist, self.cs)
-
     def gamp(self):
-        return Gamp(self.inner, self.pregamp(), validate=False)
+        """The node as it stands: its inner part in the decided outer structure."""
+        universe = self.universe()
+        alg = PartialAlgebra(LATTICE_TYPE, universe, self.tables(), validate=False)
+        dist = {(x, y): self.delta(x, y) for x in universe for y in universe}
+        return Gamp(self.inner, Pregamp(alg, dist, self.cs), validate=False)
 
     def node_checks(self, label, n):
-        """Full node validation; None when fine, a pruning outcome otherwise."""
-        pg = self.pregamp()
-        ok, viol = check_axioms(pg)
-        if not ok:
-            return CandidateOutcome("pruned", "distance-axioms", detail=(label, viol))
-        if not self.full_identities_ok():
-            return CandidateOutcome("pruned", "lattice-identities", detail=label)
-        ok, viol = is_pregamp_of(pg, LATTICE_IDENTITIES)
-        if not ok:
-            return CandidateOutcome("pruned", "lattice-variety", detail=(label, viol))
-        deficient = _deficient_tuples(self, n)
-        if deficient:
-            return CandidateOutcome(
-                "pruned", "lattice-n-permutable", detail=(label, deficient[0])
-            )
-        return None
+        """The node conditions of a candidate; None when fine, a pruning
+        outcome at the first failure otherwise."""
+        for reason, ok, viol in _node_conditions(self.gamp(), n):
+            if not ok:
+                if reason == "lattice-n-permutable":
+                    viol = viol[1]  # the deficient tuple
+                return CandidateOutcome("pruned", reason, detail=(label, viol))
 
 
 def _nonzero_row_options(state, pad):

@@ -60,9 +60,6 @@ class Diagram:
                             return False, ("composition", (p, q, r))
         return True, None
 
-    def arrow(self, p, q):
-        return self.arrows[(p, q)]
-
     @classmethod
     def from_generators(cls, poset, objects, cover_arrows):
         """Expand a generators-only arrow family to all comparable pairs.
@@ -180,8 +177,12 @@ def quotient_diagram(diagram, diagram_ideal, validate=True):
 
 
 def apply_functor(diagram, name):
-    """Nodewise functor application: Conc, PGA, GA, CG, PGGL, PGGR."""
+    """Nodewise functor application: Conc, PGA, GA, CG, PGGL, PGGR. The
+    functors through Con refuse every node before any node's Con is built."""
     poset = diagram.poset
+    if name in ("Conc", "PGA", "GA"):
+        for p in poset.elements:
+            _cong._require_con_bound(diagram.objects[p], _cong.CON_BOUND)
     if name == "Conc":
         objs = {p: _cong.conc(diagram.objects[p]) for p in poset.elements}
         arrows = {

@@ -95,9 +95,6 @@ class PartialAlgebra:
         )
         return index, list(zip(*columns)) or [()] * len(universe)
 
-    def defined(self, name):
-        return self.ops[name].keys()
-
     def apply(self, name, args):
         return self.ops[name].get(tuple(args), UNDEFINED)
 

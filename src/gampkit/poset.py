@@ -38,9 +38,6 @@ class FinitePoset:
     def lt(self, x, y):
         return x != y and (x, y) in self._leq
 
-    def downset(self, x):
-        return frozenset(y for y in self.elements if (y, x) in self._leq)
-
     def least(self):
         for x in self.elements:
             if all((x, y) in self._leq for y in self.elements):
@@ -90,10 +87,6 @@ class FinitePoset:
         return cls(range(k), [(i, j) for i in range(k) for j in range(i, k)], validate=False)
 
     @classmethod
-    def antichain(cls, k):
-        return cls(range(k), [], validate=False)
-
-    @classmethod
     def square(cls):
         """The 2x2 lattice as a poset: bottom, two middles, top."""
         els = ["b", "l", "r", "t"]
@@ -137,6 +130,10 @@ class KPosetSpec:
             raise ValueError("marks must be base elements")
         if {m for m, _ in self.branch} != set(self.marks):
             raise ValueError("branch sets must index the marks")
+        if len(set(self.marks)) < len(self.marks) or any(len(set(r)) < len(r) for _, r in self.branch):
+            raise ValueError("marks and each branch set must not repeat an element")
+        if type(self.depth) is not int or self.depth < 1:
+            raise ValueError(f"depth must be an integer >= 1, got {self.depth!r}")
 
 
 def _tree_nodes(spec):
@@ -152,13 +149,21 @@ def kposet(spec, budget=100_000):
     """The tree-over-base poset: elements (n, xs, rs, p), ordered by tree
     prefix and, across levels, by the base order against the next mark.
 
-    Returns (poset, tree nodes). The exact size law |A| = |T| * |P| is
-    cross-checked on the element set.
+    Returns (poset, tree nodes). The size law |A| = |T| * |P|, with
+    |T| the sum of B^k over k < depth for B branch labels in all, is checked
+    against the budget before the tree is built, and cross-checked on the
+    element set after.
     """
-    tree = _tree_nodes(spec)
-    size = len(tree) * len(spec.base)
+    labels = sum(len(spec.branch_of(x)) for x in spec.marks)
+    size = level = len(spec.base)
+    for _ in range(1, spec.depth):
+        if size > budget or not level:
+            break
+        level *= labels
+        size += level
     if size > budget:
-        raise BudgetExceeded(f"kposet would have {size} elements")
+        raise BudgetExceeded(f"kposet would have {size} elements or more, over {budget}")
+    tree = _tree_nodes(spec)
     elements = [(n, xs, rs, p) for (n, xs, rs) in tree for p in spec.base.elements]
     cross_check(len(set(elements)) == size, "kposet size law |A| = |T| * |P| fails")
 

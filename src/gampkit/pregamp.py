@@ -59,8 +59,8 @@ class Pregamp:
         return f"Pregamp({len(self.carrier)} points over {len(self.sem)} distances)"
 
 
-def check_axioms(pg, require_generated=False):
-    """Verify the four distance axioms, optionally distance-generation.
+def check_axioms(pg):
+    """Verify the four distance axioms.
 
     Returns (True, None) or (False, violation) with the axiom name and the
     offending tuple.
@@ -84,12 +84,11 @@ def check_axioms(pg, require_generated=False):
                 bound = S.join_all(d[(a, b)] for a, b in zip(args1, args2))
                 if not S.leq(d[(table[args1], table[args2])], bound):
                     return False, ("compatibility", (name, args1, args2))
-    if require_generated and not is_distance_generated(pg):
-        return False, ("distance-generation", None)
     return True, None
 
 
 def is_distance_generated(pg):
+    """Distance-generation: the distances join-generate the semilattice."""
     gen = pg.sem.join_closure(
         pg.dist[(x, y)] for x in pg.carrier.universe for y in pg.carrier.universe
     )
@@ -134,12 +133,6 @@ class PregampMorphism:
 
     def __repr__(self):
         return f"PregampMorphism({self.f!r}, {self.fsem!r})"
-
-    @classmethod
-    def make(cls, source, target, fmap, smap):
-        f = PalgMorphism(source.carrier, target.carrier, fmap)
-        fs = SemMorphism(source.sem, target.sem, smap)
-        return cls(source, target, f, fs)
 
     @classmethod
     def identity(cls, pg):

@@ -20,10 +20,10 @@ def _check_schema(data, where):
     if not isinstance(data, dict):
         raise SchemaError(f"{where}: expected a JSON object, got {type(data).__name__}")
     tag = data.get("schema", SCHEMA)
-    major = tag.split("/")[0]
-    if major != "gampkit":
-        raise SchemaError(f"{where}: unknown schema {tag!r}")
-    if tag.split("/")[1] != "1":
+    name, sep, major = tag.partition("/") if isinstance(tag, str) else (None, "", None)
+    if name != "gampkit" or not sep:
+        raise SchemaError(f"{where}: unknown schema {tag!r}, expected 'gampkit/<major>'")
+    if major != "1":
         raise SchemaError(f"{where}: unsupported schema major {tag!r}")
 
 
@@ -51,6 +51,8 @@ def decode_el(x):
         if "congruence" in x:
             return Congruence([{decode_el(e) for e in b} for b in x["congruence"]])
         raise SchemaError(f"cannot decode element {x!r}")
+    if isinstance(x, list):
+        raise SchemaError(f"cannot decode element {x!r}: a tuple is written {{\"tuple\": [...]}}")
     return x
 
 
@@ -100,11 +102,13 @@ def algebra_from_json(data):
 
     if isinstance(data, str):
         return build_named(data).algebra
-    if "named" in data:
-        return build_named(data["named"]).algebra
     _check_schema(data, "algebra")
+    if "named" in data:
+        if not isinstance(data["named"], str):
+            raise SchemaError(f"algebra: 'named' must be a lattice spec, got {data['named']!r}")
+        return build_named(data["named"]).algebra
     try:
-        stype = SimilarityType(tuple((n, a) for n, a in data["type"]))
+        symbols = tuple((n, a) for n, a in data["type"])
         universe = [decode_el(x) for x in data["universe"]]
         ops = {}
         for name, spec in data["ops"].items():
@@ -112,9 +116,15 @@ def algebra_from_json(data):
             for args, val in zip(spec["defined"], spec["table"]):
                 table[tuple(decode_el(a) for a in args)] = decode_el(val)
             ops[name] = table
-    except (KeyError, TypeError) as e:
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"algebra: {e}")
-    return PartialAlgebra(stype, universe, ops)
+    for n, a in symbols:
+        if not isinstance(n, str) or type(a) is not int or a < 0:
+            raise SchemaError(f"algebra: type entry {[n, a]!r} is not [name, arity >= 0]")
+    unknown = [name for name in ops if name not in {n for n, _ in symbols}]
+    if unknown:
+        raise SchemaError(f"algebra: operations {unknown} are not in the type")
+    return PartialAlgebra(SimilarityType(symbols), universe, ops)
 
 
 def poset_to_json(poset):

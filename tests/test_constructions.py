@@ -262,7 +262,7 @@ class TestRefutation:
         assert Counter((o.status, o.reason) for o in outcomes) == {
             ("candidate", ""): 4,
             ("pruned", "distance-equivariance"): 26,
-            ("pruned", "lattice-identities"): 12,
+            ("pruned", "lattice-variety"): 12,
             ("pruned", "morphism"): 6,
             ("pruned", "operational-cell"): 8,
             ("pruned", "square-commutes"): 54,
@@ -316,7 +316,7 @@ class TestRefutation:
             "two",
             ["algebra-square"] + ["padded[o,x,y,z,xy,xz,yz,xyz]"] * 3,
             {
-                "distance-equivariance": 110, "lattice-identities": 39, "morphism": 24,
+                "distance-equivariance": 110, "lattice-variety": 39, "morphism": 24,
                 "operational-cell": 26, "square-commutes": 306,
             },
         ),
@@ -331,6 +331,20 @@ class TestRefutation:
         assert Counter(o.reason for o in outcomes if o.status == "pruned") == pruned
         for cand in candidates:
             assert cand.diagram.validate()[0]
+
+    def test_cube_preconditions_walk_the_index_poset(self):
+        # the preconditions are checked at every node of the candidate's own
+        # poset: over the 2^3 cube the algebra candidate fails permutability
+        # at the bottom node, and the padded candidate passes them all
+        square = _cube_square(build_named("chain:3").algebra)
+        outcomes = enumerate_candidates(square, 2, 1)
+        algebra, padded = [o.candidate for o in outcomes if o.status == "candidate"]
+        with pytest.raises(PreconditionFailed) as exc:
+            constructions._candidate_preconditions(square.ga_square, algebra.diagram, 2)
+        assert exc.value.reason == "lattice-n-permutable"
+        assert exc.value.detail == ("o", ("no interpolants", (0, 1, 2)))
+        assert padded.label == "padded[o]"
+        constructions._candidate_preconditions(square.ga_square, padded.diagram, 2)
 
 
 def _chain_onto_two_square(k=3):

@@ -1,6 +1,6 @@
 import pytest
 
-from gampkit import build_named, build_square
+from gampkit import build_named, build_square, congruence
 from gampkit.congruence import conc, principal_congruence
 from gampkit.diagram import (
     Diagram,
@@ -11,7 +11,7 @@ from gampkit.diagram import (
     is_partial_lifting,
     quotient_diagram,
 )
-from gampkit.errors import InvalidIdeal, MissingRealization
+from gampkit.errors import InvalidIdeal, MissingRealization, TooLarge
 from gampkit.gamp import Realization, ga, ga_mor
 from gampkit.palg import LATTICE_TYPE, PalgMorphism, PartialAlgebra
 from gampkit.poset import FinitePoset
@@ -132,6 +132,19 @@ class TestApplyFunctor:
         d = Diagram(poset, {"*": m3}, {("*", "*"): PalgMorphism.identity(m3)})
         gd = apply_functor(d, "GA")
         assert gd.objects["*"] == ga(m3)
+
+    @pytest.mark.parametrize("name", ["Conc", "PGA", "GA"])
+    def test_over_bound_node_refused_before_any_con(self, name, monkeypatch):
+        # L2 at n = 3 has 125-element wings and a 343-element top node, which
+        # is over CON_BOUND: the functor refuses it before any node's Con
+        a_square = build_square("L2", 3).a_square
+
+        def spy(algebra, bound=None):
+            raise AssertionError(f"Con built on {len(algebra)} elements")
+
+        monkeypatch.setattr(congruence, "con_join_closure", spy)
+        with pytest.raises(TooLarge, match=r"capped at 160 elements \(got 343\)"):
+            apply_functor(a_square, name)
 
 
 class TestOperational:

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module of the package imports is used there,
-every private module-level definition is read somewhere in the package, and
+every private module-level definition is read somewhere in the package,
 every public one is read by another part of the package or is listed, with
-the paper statement or the caller it serves, in API_ONLY.
+the paper statement or the caller it serves, in API_ONLY, and every public
+method of a module-level class is read outside its own body.
 
 The package's __init__ is exempt from the import check, and its reads do not
 count for public definitions: it imports names only to re-export them.
@@ -92,6 +93,31 @@ def unread_public_definitions(sources):
     return sorted(unread)
 
 
+def unread_public_methods(sources):
+    """Public methods of module-level classes of the given {module name:
+    source} whose name no expression of the package reads outside the
+    method's own body, as (module, "Class.method") pairs. As for public
+    definitions, the reads of the module "__init__" do not count."""
+    units = []  # module-level statements, with each class split into its parts
+    for module, src in sources.items():
+        if module == "__init__":
+            continue
+        for node in ast.parse(src).body:
+            if isinstance(node, ast.ClassDef):
+                parts = node.body + node.bases + node.keywords + node.decorator_list
+                units += [(module, node.name, part) for part in parts]
+            else:
+                units.append((module, None, node))
+    reads = [_reads(part) for _, _, part in units]
+    unread = []
+    for i, (module, cls, part) in enumerate(units):
+        if cls is None or not isinstance(part, ast.FunctionDef) or part.name.startswith("_"):
+            continue
+        if not any(part.name in r for j, r in enumerate(reads) if j != i):
+            unread.append((module, f"{cls}.{part.name}"))
+    return sorted(unread)
+
+
 # Public definitions that no other part of the package reads, each with the
 # paper statement or the caller outside the package that it serves.
 API_ONLY = {
@@ -113,6 +139,10 @@ API_ONLY = {
     ),
     ("poset", "order_dimension_at_most"): (
         "the main theorem's hypothesis that P has order-dimension d"
+    ),
+    ("pregamp", "is_distance_generated"): (
+        "the definition of a distance-generated pregamp: its distances join-generate "
+        "the semilattice"
     ),
     ("pregamp", "is_ideal_induced_pg"): "the quotient-of-quotient lemma for pregamps",
     ("pregamp", "pregamp_isomorphisms"): (
@@ -165,6 +195,33 @@ def test_public_detector_flags_unread_and_keeps_read():
     assert unread_public_definitions(sources) == [
         ("a", "Exported"), ("a", "LIMIT"), ("a", "dead"),
     ]
+
+
+def test_method_detector_flags_unread_and_keeps_read():
+    sources = {
+        "__init__": "from .a import Point\nPoint.exported()\n",
+        "a": (
+            "class Point:\n"
+            "    def __init__(self): self.norm()\n"
+            "    def norm(self): return self.scale()\n"
+            "    def scale(self): return 2\n"
+            "    def dead(self): return self.dead()\n"
+            "    def exported(self): pass\n"
+            "    def _private(self): pass\n"
+            "    @property\n"
+            "    def size(self): return 1\n"
+            "def helper(p): return p.size\n"
+        ),
+        "b": "class Line:\n    def norm(self): pass\n    def length(self): pass\n",
+    }
+    assert unread_public_methods(sources) == [
+        ("a", "Point.dead"), ("a", "Point.exported"), ("b", "Line.length"),
+    ]
+
+
+def test_public_methods_are_read():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert unread_public_methods(sources) == []
 
 
 def test_public_definitions_are_read():

@@ -3,6 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gampkit import poset as poset_module
+from gampkit.errors import BudgetExceeded
 from gampkit.poset import FinitePoset, KPosetSpec, bm_le2, kposet, kposet_cover_check
 
 
@@ -52,6 +54,18 @@ class TestKPoset:
         poset, _ = kposet(self.spec(depth=3))
         for a in poset.elements:
             assert len([1 for (u, v) in poset.covers() if u == a]) < len(poset.elements)
+
+    def test_over_budget_refused_before_the_tree(self, monkeypatch):
+        # marks 1 and 0 carry 1 and 2 branch labels, so depth 30 gives
+        # 3^0 + ... + 3^29 tree nodes: the size law refuses them unbuilt
+        spec = KPosetSpec(FinitePoset.chain(2), (1, 0), ((1, ("r",)), (0, ("s", "t"))), 30)
+
+        def spy(spec):
+            raise AssertionError("the tree was built")
+
+        monkeypatch.setattr(poset_module, "_tree_nodes", spy)
+        with pytest.raises(BudgetExceeded):
+            kposet(spec)
 
     def test_randomized_cover_checks(self):
         rng = random.Random(11)

@@ -63,7 +63,7 @@ def commutativity_gap_fixture():
 class TestAxioms:
     def test_pga_passes_and_generates(self, m3):
         pg = theta_pregamp(m3)
-        ok, _ = check_axioms(pg, require_generated=True)
+        ok, _ = check_axioms(pg)
         assert ok
         assert is_distance_generated(pg)
 

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gampkit import build_named, build_square
+from gampkit import build_named, build_square, congruence
 from gampkit.cli import run
 from gampkit.congruence import conc
 from gampkit.diagram import apply_functor
@@ -210,12 +210,23 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [
-            pytest.param(["--n", "2", "--exhaustive-bound", "2"], id="padding-bound-2"),
-            pytest.param(["--n", "3", "--exhaustive-bound", "1"], id="carrier-cap"),
+            pytest.param(["M3", "--n", "2", "--exhaustive-bound", "2"], id="padding-bound-2"),
+            pytest.param(["M3", "--n", "3", "--exhaustive-bound", "1"], id="carrier-cap"),
+            pytest.param(["L2", "--n", "3", "--exhaustive-bound", "0"], id="L2-con-bound"),
         ],
     )
-    def test_repro_refused_bound_exit_3(self, argv, capsys):
-        assert run(["repro", "unliftable", "--K", "M3", *argv]) == 3
+    def test_repro_refused_bound_exit_3(self, argv, monkeypatch, capsys):
+        # each refusal comes before the work it refuses: no Con of a node
+        # over 30 elements is built on the way
+        real = congruence.con_join_closure
+
+        def small_only(algebra, *args):
+            if len(algebra) > 30:
+                raise AssertionError(f"Con built on {len(algebra)} elements")
+            return real(algebra, *args)
+
+        monkeypatch.setattr(congruence, "con_join_closure", small_only)
+        assert run(["repro", "unliftable", "--K", *argv]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("base", ["N5", "X1", "X2", "two", "chain:4"])
@@ -326,6 +337,13 @@ class TestCli:
             pytest.param(
                 ["repro", "unliftable", "--K", "power:M3:2:1"], id="repro-power-extra-part"
             ),
+            pytest.param(["poset", "{list_element}"], id="poset-list-element"),
+            pytest.param(["conc", "{op_not_in_type}"], id="algebra-op-not-in-type"),
+            pytest.param(["conc", "{arity_not_int}"], id="algebra-arity-not-an-int"),
+            pytest.param(["conc", "{ops_list}"], id="algebra-ops-not-an-object"),
+            pytest.param(["poset", "{schema_int}"], id="schema-not-a-string"),
+            pytest.param(["poset", "{schema_no_major}"], id="schema-without-major"),
+            pytest.param(["conc", "{named_int}"], id="named-not-a-string"),
         ],
     )
     def test_malformed_json_exit_3(self, argv, tmp_path, capsys):
@@ -368,6 +386,26 @@ class TestCli:
                 tmp_path, "chain2.json", ser.poset_to_json(FinitePoset.chain(2))
             ),
             "number": self.write(tmp_path, "number.json", 5),
+            "list_element": self.write(
+                tmp_path, "list_element.json", {"elements": [[0], [1]], "leq": []}
+            ),
+            "op_not_in_type": self.write(tmp_path, "op_not_in_type.json", {
+                "type": [["meet", 2]], "universe": [0],
+                "ops": {"join": {"defined": [], "table": []}},
+            }),
+            "arity_not_int": self.write(
+                tmp_path, "arity_not_int.json", {"type": [["meet", "2"]], "universe": [0], "ops": {}}
+            ),
+            "ops_list": self.write(
+                tmp_path, "ops_list.json", {"type": [["meet", 2]], "universe": [0], "ops": []}
+            ),
+            "schema_int": self.write(
+                tmp_path, "schema_int.json", {"schema": 5, "elements": [0], "leq": []}
+            ),
+            "schema_no_major": self.write(
+                tmp_path, "schema_no_major.json", {"schema": "gampkit", "elements": [0], "leq": []}
+            ),
+            "named_int": self.write(tmp_path, "named_int.json", {"named": 5}),
             "sem": self.write(
                 tmp_path, "sem.json", ser.semilattice_to_json(JoinSemilattice.chain(2))
             ),
@@ -381,6 +419,32 @@ class TestCli:
         if "--K" in argv:
             # a lattice spec is named back, with the forms it may take
             assert repr(argv[-1]) in err and "power:NAME:k" in err
+
+    @pytest.mark.parametrize("change", [
+        pytest.param({"depth": "2"}, id="depth-string"),
+        pytest.param({"depth": 2.5}, id="depth-float"),
+        pytest.param({"depth": None}, id="depth-null"),
+        pytest.param({"depth": 0}, id="depth-0"),
+        pytest.param({"depth": -1}, id="depth-negative"),
+        pytest.param({"marks": [1, 1]}, id="repeated-mark"),
+        pytest.param({"branch": [[1, ["r", "r"]]]}, id="repeated-branch-label"),
+    ])
+    def test_kposet_bad_spec_exit_3(self, change, tmp_path, capsys):
+        spec = {
+            "base": ser.poset_to_json(FinitePoset.chain(2)),
+            "marks": [1],
+            "branch": [[1, ["r"]]],
+            "depth": 2,
+            **change,
+        }
+        assert run(["poset", "--kposet", self.write(tmp_path, "spec.json", spec)]) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("arity", [-1, "2", 2.5, None])
+    def test_bad_arity_is_named(self, arity, tmp_path, capsys):
+        bundle = {"type": [["meet", arity]], "universe": [0], "ops": {}}
+        assert run(["conc", self.write(tmp_path, "a.json", bundle)]) == 3
+        assert "is not [name, arity >= 0]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("token", ["7=0/x1", "0/x1"])
     def test_buttress_bad_ideal_is_named(self, token, tmp_path, capsys):
