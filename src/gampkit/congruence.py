@@ -64,10 +64,6 @@ class Congruence:
     def identity(cls, universe):
         return cls([{x} for x in universe])
 
-    @classmethod
-    def full(cls, universe):
-        return cls([set(universe)])
-
 
 def _require_total(algebra):
     if not algebra.is_total():

@@ -314,8 +314,9 @@ def _check_n_permutable(g, n, lattice_form):
 def check_property(g, which, n=None, m_cap=2):
     """Dispatch for the gamp property zoo; see the module docstring.
 
-    congruence_tractable is bounded (three-valued via the reported cap); the
-    others are decided exactly on finite gamps.
+    congruence_tractable is true or false over the instances of at most m_cap
+    generating pairs, with m_cap reported in the verdict's bounds; the others
+    are decided exactly on finite gamps.
     """
     if which == "strong":
         ok = is_strong_sub(g.inner, g.outer)

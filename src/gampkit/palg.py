@@ -477,13 +477,50 @@ def satisfies_identity(algebra, t1, t2):
     return True, None
 
 
+# Largest algebra on which is_lattice_algebra cross-checks its order verdict
+# against the lattice identities.
+LATTICE_CHECK_BOUND = 8
+
+
+def _is_lattice_order(algebra):
+    """Lattice-ness of a total algebra in the lattice signature, from its meet
+    order u <= v iff meet(u, v) = u: a partial order in which meet(u, v) is
+    the glb and join(u, v) the lub of u and v. Down-sets and up-sets are
+    bitmasks over universe indices."""
+    meet_t, join_t = algebra.ops["meet"], algebra.ops["join"]
+    index = {x: i for i, x in enumerate(algebra.universe)}
+    cells = list(product(enumerate(algebra.universe), repeat=2))
+    down, up = [0] * len(index), [0] * len(index)
+    for (u, x), (v, y) in cells:
+        if meet_t[(x, y)] == x:
+            down[v] |= 1 << u
+            up[u] |= 1 << v
+    # reflexive and antisymmetric: only u is both below and above u. The meet
+    # equation then makes <= transitive: u <= v gives down(u) = down(u) & down(v)
+    if any(below & up[u] != 1 << u for u, below in enumerate(down)):
+        return False
+    return all(
+        down[index[meet_t[(x, y)]]] == down[u] & down[v]
+        and up[index[join_t[(x, y)]]] == up[u] & up[v]
+        for (u, x), (v, y) in cells
+    )
+
+
 def is_lattice_algebra(algebra):
-    """Total algebra in the lattice signature satisfying all lattice identities."""
-    if set(algebra.stype.names) != {"meet", "join"}:
+    """Total algebra in the lattice signature satisfying all lattice identities.
+
+    Decided from the meet order; on at most LATTICE_CHECK_BOUND elements the
+    identities are evaluated too, and the two verdicts cross-checked.
+    """
+    if dict(algebra.stype.symbols) != {"meet": 2, "join": 2} or not algebra.is_total():
         return False
-    if not algebra.is_total():
-        return False
-    return all(satisfies_identity(algebra, t1, t2)[0] for _, t1, t2 in LATTICE_IDENTITIES)
+    ok = _is_lattice_order(algebra)
+    if len(algebra) <= LATTICE_CHECK_BOUND:
+        by_identities = all(
+            satisfies_identity(algebra, t1, t2)[0] for _, t1, t2 in LATTICE_IDENTITIES
+        )
+        cross_check(ok == by_identities, "meet order and lattice identities disagree")
+    return ok
 
 
 def is_palg_isomorphism(f):

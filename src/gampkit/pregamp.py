@@ -316,9 +316,20 @@ def _unordered_pairs(points):
 
 
 def chain_connectivity(algebra, pairs, extra=()):
-    """Connected components of the joint-evaluation closure over the given
-    pairs, with the extra pairs also joined; returns the find function."""
-    return _cong._UnionFind(algebra.universe, chain(product_closure(algebra, pairs), extra)).find
+    """Connected components of the term chains along the given pairs, with
+    the extra pairs joined but not closed; returns the find function.
+
+    On a partial carrier the components are those of the joint-evaluation
+    closure, since definedness decides which chains exist. On a total one
+    the transitive closure of that reflexive compatible relation is a
+    congruence, so they are the classes of Cg(pairs) (Mal'cev).
+    """
+    if algebra.is_total():
+        blocks = _cong.congruence_closure(algebra, pairs).blocks
+        linked = ((next(iter(b)), x) for b in blocks for x in b)
+    else:
+        linked = product_closure(algebra, pairs)
+    return _cong._UnionFind(algebra.universe, chain(linked, extra)).find
 
 
 def congruence_tractable_instances(pg, points, sem_phi, m_cap):
@@ -347,7 +358,9 @@ def congruence_tractable_instances(pg, points, sem_phi, m_cap):
 def tractability_verdict(pg, points, sem_phi, m_cap, f, carrier, extra=()):
     """Every instance of congruence_tractable_instances must be met by term
     chains in carrier along the f-images of its generating pairs, with the
-    extra pairs joined; the first failure is witnessed as (x, y, chosen)."""
+    extra pairs joined; the first failure is witnessed as (x, y, chosen).
+    Chains are found by chain_connectivity: Cg of the image pairs on a total
+    carrier, the joint-evaluation closure on a partial one."""
     bounds = {"m_cap": m_cap}
     for chosen, members in congruence_tractable_instances(pg, points, sem_phi, m_cap):
         find = chain_connectivity(carrier, [(f(a), f(b)) for a, b in chosen], extra)
@@ -363,8 +376,9 @@ def is_congruence_tractable_morphism(fm, m_cap=2):
     For every source instance delta(x,y) <= join delta(xk,yk) with at most
     m_cap pairs, a defined term chain from f(x) to f(y) along the image
     pairs must exist in the target. Chain existence per instance is decided
-    exactly by the closure of simultaneous evaluations; the tuple-length cap
-    is the only approximation and is reported in the verdict bounds.
+    exactly: by the closure of simultaneous evaluations on a partial target,
+    by the generated congruence on a total one. The tuple-length cap is the
+    only approximation and is reported in the verdict bounds.
     """
     ident = SemMorphism.identity(fm.source.sem)
     points = list(fm.source.carrier.universe)

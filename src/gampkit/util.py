@@ -56,10 +56,6 @@ class Verdict:
     def false(cls, witness=None, bounds=None, detail=""):
         return cls(FALSE, witness, dict(bounds or {}), detail)
 
-    @classmethod
-    def unknown(cls, witness=None, bounds=None, detail=""):
-        return cls(UNKNOWN, witness, dict(bounds or {}), detail)
-
     def __bool__(self):
         return self.status == TRUE
 

@@ -38,7 +38,7 @@ from gampkit.gamp import (
     is_chain,
     quotient_gamp,
 )
-from gampkit.palg import PalgMorphism
+from gampkit.palg import PalgMorphism, is_lattice_algebra
 from gampkit.poset import FinitePoset, KPosetSpec, kposet, kposet_cover_check
 from gampkit.semilattice import SemIdeal, SemMorphism, enumerate_ideals, quotient
 
@@ -185,7 +185,7 @@ def test_criterion_5_buttress_postconditions():
         diagram = buttress(alg, poset, phis, with_chains=True, n_permutable=n_perm)
         ok, _ = diagram.validate()
         assert ok
-    _report(5, "buttress diagrams pass all stated conditions plus extras", t0, 120)
+    _report(5, "buttress diagrams pass all stated conditions plus extras", t0, 10)
 
 
 def test_criterion_6_kposet_covers():
@@ -291,3 +291,29 @@ def test_budget_conc_distances_on_m3_squared():
     dist = cs.distances()
     assert len(cs) == 4 and len(dist) == 625
     _report("budget", "conc(power:M3:2).distances()", t0, 1)
+
+
+def test_budget_is_lattice_algebra_on_m3_cubed():
+    # lattice-ness of a 125-element power from its meet order
+    alg = build_named("power:M3:3").algebra
+    t0 = time.monotonic()
+    assert is_lattice_algebra(alg)
+    _report("budget", "is_lattice_algebra(power:M3:3)", t0, 1)
+
+
+def test_budget_buttress_m3_square_with_chains():
+    # every node's tractability instances are met by Cg of their pairs
+    from gampkit.gamp import buttress
+
+    alg = build_named("M3").algebra
+    poset = FinitePoset.square()
+    cs = conc(alg)
+    kernel = SemIdeal.generated(cs, {principal_congruence(alg, "0", "x1")})
+    bottom = poset.linear_extension()[0]
+    phis = {
+        p: quotient(cs, kernel if p == bottom else SemIdeal.zero(cs))[1] for p in poset.elements
+    }
+    t0 = time.monotonic()
+    diagram = buttress(alg, poset, phis, with_chains=True, n_permutable=2)
+    assert diagram.validate()[0]
+    _report("budget", "buttress(M3, square, chains) and validate", t0, 0.3)

@@ -1,11 +1,17 @@
-from itertools import product
+import os
+import subprocess
+import sys
+import textwrap
+from itertools import chain, product
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gampkit
 from gampkit import build_named
 from gampkit import palg
+from gampkit.congruence import _UnionFind
 from gampkit.errors import CrossCheckFailed, NotComposable, NotTotal
 from gampkit.palg import (
     LATTICE_IDENTITIES,
@@ -147,6 +153,112 @@ class TestMorphisms:
         ident = PalgMorphism.identity(chain3)
         assert is_palg_isomorphism(ident)
         assert image_palg(ident) == chain3
+
+
+def table_algebra(meets, joins):
+    """A lattice-signature algebra on range(len(meets)) from row-major tables."""
+    u = range(len(meets))
+    ops = {
+        "meet": {(a, b): meets[a][b] for a in u for b in u},
+        "join": {(a, b): joins[a][b] for a in u for b in u},
+    }
+    return PartialAlgebra(LATTICE_TYPE, list(u), ops)
+
+
+def by_identities(alg):
+    return all(satisfies_identity(alg, t1, t2)[0] for _, t1, t2 in LATTICE_IDENTITIES)
+
+
+@st.composite
+def lattice_signature_algebras(draw):
+    """A total algebra in the lattice signature on 1 to 4 elements: random
+    tables, or a chain or the square 2x2 on shuffled positions, with at most
+    one cell of one table redrawn."""
+    size = draw(st.integers(1, 4))
+    shapes = ["random", "chain", "square"] if size == 4 else ["random", "chain"]
+    shape = draw(st.sampled_from(shapes))
+    u = range(size)
+    if shape == "random":
+        meets = [[draw(st.sampled_from(u)) for _ in u] for _ in u]
+        joins = [[draw(st.sampled_from(u)) for _ in u] for _ in u]
+        return table_algebra(meets, joins)
+    # codes: chain positions, or 2-bit vectors of the square
+    low, high = (min, max) if shape == "chain" else (int.__and__, int.__or__)
+    code = draw(st.permutations(list(u)))
+    at = {c: x for x, c in enumerate(code)}
+    meets = [[at[low(code[a], code[b])] for b in u] for a in u]
+    joins = [[at[high(code[a], code[b])] for b in u] for a in u]
+    if draw(st.booleans()):
+        table = draw(st.sampled_from([meets, joins]))
+        table[draw(st.sampled_from(u))][draw(st.sampled_from(u))] = draw(st.sampled_from(u))
+    return table_algebra(meets, joins)
+
+
+class TestLatticeOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(lattice_signature_algebras())
+    def test_order_check_is_the_identity_check(self, alg):
+        assert palg._is_lattice_order(alg) == by_identities(alg) == is_lattice_algebra(alg)
+
+    def test_meet_order_not_antisymmetric(self):
+        # meet(u, v) = u everywhere: each element lies below the other
+        alg = table_algebra([[0, 0], [1, 1]], [[0, 1], [0, 1]])
+        assert not palg._is_lattice_order(alg) and not is_lattice_algebra(alg)
+
+    def test_meet_order_not_transitive(self):
+        # 0 <= 1 <= 2, but meet(0, 2) = 1, so not 0 <= 2; the meet equation
+        # refutes it, as down(1) is not down(0) & down(2)
+        meets = [[0, 0, 1], [0, 1, 1], [1, 1, 2]]
+        joins = [[max(a, b) for b in range(3)] for a in range(3)]
+        alg = table_algebra(meets, joins)
+        assert not palg._is_lattice_order(alg) and not is_lattice_algebra(alg)
+
+    def test_join_not_the_lub(self):
+        # the 3-chain with min as meet, but join(0, 1) = 2 above the lub 1
+        meets = [[min(a, b) for b in range(3)] for a in range(3)]
+        joins = [[0, 2, 2], [2, 1, 2], [2, 2, 2]]
+        alg = table_algebra(meets, joins)
+        assert not palg._is_lattice_order(alg) and not is_lattice_algebra(alg)
+
+    def test_wrong_arity_is_not_a_lattice(self):
+        stype = SimilarityType((("meet", 1), ("join", 1)))
+        alg = PartialAlgebra.total_from_fn(stype, [0], {"meet": lambda a: a, "join": lambda a: a})
+        assert not is_lattice_algebra(alg)
+
+    @pytest.mark.parametrize("lie", [False, True])
+    def test_lying_order_check_is_a_cross_check_failure(self, m3, lie):
+        alg = m3 if not lie else table_algebra([[0, 0], [1, 1]], [[0, 1], [0, 1]])
+        with mock.patch.object(palg, "_is_lattice_order", lambda alg: lie):
+            with pytest.raises(CrossCheckFailed):
+                is_lattice_algebra(alg)
+
+    def test_cross_check_survives_optimize(self):
+        code = textwrap.dedent(
+            """
+            import sys
+            from gampkit import build_named, palg
+            from gampkit.errors import CrossCheckFailed
+
+            palg._is_lattice_order = lambda alg: False
+            try:
+                palg.is_lattice_algebra(build_named("M3").algebra)
+            except CrossCheckFailed:
+                print("optimize", sys.flags.optimize, "raised")
+            """
+        )
+        src = os.path.dirname(os.path.dirname(gampkit.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.split() == ["optimize", "1", "raised"]
+
+    def test_large_algebra_skips_the_identities(self):
+        # past LATTICE_CHECK_BOUND the order check alone decides
+        alg = build_named("power:M3:2").algebra
+        with mock.patch.object(palg, "satisfies_identity", side_effect=AssertionError):
+            assert is_lattice_algebra(alg)
 
 
 # Random factors for the product properties: one binary and one unary op;
@@ -376,6 +488,14 @@ def naive_product_closure(algebra, pairs):
         closure = step
 
 
+def classes(alg, find):
+    """The partition of alg's universe that the find function induces."""
+    blocks = {}
+    for x in alg.universe:
+        blocks.setdefault(find(x), set()).add(x)
+    return {frozenset(b) for b in blocks.values()}
+
+
 class TestTermChains:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -404,3 +524,24 @@ class TestTermChains:
         assert find("a") != find("b")
         find = chain_connectivity(alg, [("a", "b")])
         assert find("a") == find("b")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_total_carrier_classes_are_the_closure_classes(self, data):
+        # a total carrier takes Cg(pairs) instead of the joint-evaluation
+        # closure: the classes must be those of the closure, extra joined
+        alg = data.draw(fg_algebras(max_size=4, total=True, ternary=True))
+        element = st.sampled_from(alg.universe)
+        pairs = data.draw(st.lists(st.tuples(element, element), max_size=3))
+        extra = data.draw(st.lists(st.tuples(element, element), max_size=2))
+        oracle = _UnionFind(alg.universe, chain(product_closure(alg, pairs), extra)).find
+        assert classes(alg, chain_connectivity(alg, pairs, extra)) == classes(alg, oracle)
+
+    def test_extra_pairs_are_joined_not_closed(self, m3):
+        # Cg(0, x1) is everything in the simple lattice M3, but a joined
+        # extra pair links only its own two ends
+        with mock.patch("gampkit.pregamp.product_closure", side_effect=AssertionError):
+            find = chain_connectivity(m3, [], extra=[("0", "x1")])
+        assert find("0") == find("x1")
+        assert find("1") != find("0")
+        assert len(classes(m3, chain_connectivity(m3, [("0", "x1")]))) == 1
