@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import NotTotal, TooLarge, cross_check
-from .palg import UNDEFINED, PalgMorphism, PartialAlgebra, Term, is_lattice_algebra, shortest_path
+from .palg import UNDEFINED, PalgMorphism, Term, image_palg, is_lattice_algebra, shortest_path
 from .poset import FinitePoset
 from .semilattice import JoinSemilattice, SemMorphism
 from .util import sort_key
@@ -29,7 +29,7 @@ class Congruence:
         self._key = None
 
     def same(self, x, y):
-        return self._block_of[x] is self._block_of[y] or self._block_of[x] == self._block_of[y]
+        return self._block_of[x] is self._block_of[y]
 
     def block(self, x):
         return self._block_of[x]
@@ -54,12 +54,6 @@ class Congruence:
         blocks = sorted((sorted(b, key=sort_key) for b in self.blocks), key=lambda b: sort_key(tuple(b)))
         return "Congruence(" + " | ".join(",".join(map(str, b)) for b in blocks) + ")"
 
-    def pairs(self):
-        for b in self.blocks:
-            for x in b:
-                for y in b:
-                    yield (x, y)
-
     @classmethod
     def identity(cls, universe):
         return cls([{x} for x in universe])
@@ -71,13 +65,11 @@ def _require_total(algebra):
 
 
 class _UnionFind:
-    """Disjoint sets over items; roots are arbitrary, so callers compare
-    find results only for equality. Over range(n) the parents are a list."""
+    """Disjoint sets over range(n) as a parent list, seeded with range(n) or
+    with canonical labels. Every root is the least index of its class."""
 
-    def __init__(self, items, pairs=()):
-        self.parent = list(items) if isinstance(items, range) else {x: x for x in items}
-        for x, y in pairs:
-            self.union(x, y)
+    def __init__(self, parent):
+        self.parent = list(parent)
 
     def find(self, x):
         p = self.parent
@@ -92,27 +84,25 @@ class _UnionFind:
         rx, ry = self.find(x), self.find(y)
         if rx == ry:
             return False
+        if ry < rx:
+            rx, ry = ry, rx
         self.parent[ry] = rx
         return True
 
-    def partition(self, labels=None):
-        """The classes as a Congruence, in order of first member; over
-        range(n), index i is named labels[i]."""
-        classes = {}
-        for x in self.parent if labels is None else range(len(labels)):
-            classes.setdefault(self.find(x), set()).add(x if labels is None else labels[x])
-        return Congruence(classes.values())
+    def labels(self):
+        """The canonical labels: index i holds the least index of its class."""
+        return tuple(map(self.find, range(len(self.parent))))
 
 
-def congruence_closure(algebra, pairs):
-    """Least congruence containing the given pairs.
+def _closure_labels(algebra, pairs):
+    """The canonical labels of the least congruence containing the pairs.
 
     Worklist closure under one-step unary translations: every merge of u and
     v is propagated through each operation with u, v placed in one slot and
     parameters everywhere else. Chained translations are covered by
     transitivity of the union-find, which is the standard generation
     argument. The closure runs on universe indices, over the algebra's
-    compiled translation rows; labels return only in the Congruence.
+    compiled translation rows.
     """
     _require_total(algebra)
     index, rows = algebra.translation_rows
@@ -124,7 +114,21 @@ def congruence_closure(algebra, pairs):
         # equal parents mean one class already: the cheap, common case
         if parent[u] != parent[v] and union(u, v):
             work.extend(set(zip(rows[u], rows[v])))
-    return uf.partition(algebra.universe)
+    return uf.labels()
+
+
+def _from_labels(universe, labels):
+    """The Congruence with the given canonical labels, its blocks built in
+    universe order."""
+    classes = {}
+    for x, label in zip(universe, labels):
+        classes.setdefault(label, []).append(x)
+    return Congruence(classes.values())
+
+
+def congruence_closure(algebra, pairs):
+    """Least congruence containing the given pairs."""
+    return _from_labels(algebra.universe, _closure_labels(algebra, pairs))
 
 
 def principal_congruence(algebra, x, y):
@@ -195,12 +199,6 @@ def least_congruence_bruteforce(algebra, x, y, bound=7):
     return best
 
 
-def con_join(a, b):
-    """Join of congruences: transitive closure of the union (already compatible)."""
-    pairs = ((next(iter(blk)), x) for theta in (a, b) for blk in theta.blocks for x in blk)
-    return _UnionFind([x for blk in a.blocks for x in blk], pairs).partition()
-
-
 def con_meet(a, b):
     """Meet of congruences: blockwise intersection."""
     blocks = []
@@ -224,75 +222,68 @@ def _require_con_bound(algebra, bound):
         raise TooLarge(f"con_lattice capped at {bound} elements (got {len(algebra.universe)})")
 
 
-def con_join_closure(algebra, bound=CON_BOUND):
-    """All congruences of a small finite total algebra, with their join table.
-
-    Every congruence of a finite algebra is a join of principal ones, so the
-    lattice is the join closure of the principal congruences. For lattices,
-    principal congruences are generated from cover pairs only, which keeps
-    medium-sized instances tractable. Each join of the table is computed
-    once, and every value of the table is the returned object for its
-    congruence. Returns the congruences in con_lattice order and the table.
-    """
-    _require_con_bound(algebra, bound)
-    if is_lattice_algebra(algebra):
-        meet = algebra.ops["meet"]
-        order = [(u, v) for u in algebra.universe for v in algebra.universe if meet[(u, v)] == u]
-        gen_pairs = FinitePoset(algebra.universe, order, validate=False).covers()
-    else:
-        gen_pairs = [
-            (x, y)
-            for i, x in enumerate(algebra.universe)
-            for y in algebra.universe[i + 1 :]
-        ]
-    zero = Congruence.identity(algebra.universe)
-    found = list(dict.fromkeys([zero] + [congruence_closure(algebra, [p]) for p in gen_pairs]))
-    canonical = {t: t for t in found}
-    table = {}
-    for i, a in enumerate(found):  # found grows while it is walked
-        table[(a, a)] = table[(a, zero)] = table[(zero, a)] = a
-        for b in found[1:i]:
-            j = con_join(a, b)
-            if j in canonical:
-                j = canonical[j]
-            else:
-                canonical[j] = j
-                found.append(j)
-            table[(a, b)] = table[(b, a)] = j
-    return sorted(found, key=lambda t: t._sort_key()), table
-
-
 def con_lattice(algebra, bound=CON_BOUND):
     """All congruences of a small finite total algebra, in a fixed order."""
-    return con_join_closure(algebra, bound)[0]
+    return sorted(conc(algebra, bound).elements, key=Congruence._sort_key)
 
 
 class ConcSemilattice(JoinSemilattice):
     """Semilattice of compact congruences, with the principal-congruence
     generator map and its all-pairs distance table.
 
-    The zero and every congruence principal() returns are the semilattice's
-    own element objects, so comparisons and table probes on them succeed on
-    identity.
+    Every congruence of a finite algebra is a join of principal ones, so the
+    elements are the join closure of the principal congruences; for lattices
+    these are generated from cover pairs only, which keeps medium-sized
+    instances tractable. The closure runs on canonical labels, joins each
+    pair of them once, and builds one Congruence per element, so every table
+    value, the zero and every congruence principal() or generated() returns
+    is the semilattice's own element object.
     """
 
-    def __init__(self, algebra, congruences, joins):
+    def __init__(self, algebra, bound=CON_BOUND):
+        _require_con_bound(algebra, bound)
         self.algebra = algebra
-        zero = Congruence.identity(algebra.universe)
-        order = sorted(
-            congruences,
-            key=lambda t: (len(algebra.universe) - len(t.blocks), t._sort_key()),
-        )
-        super().__init__(order, order[order.index(zero)], joins, validate=False)
+        universe = algebra.universe
+        if is_lattice_algebra(algebra):
+            meet = algebra.ops["meet"]
+            order = [(u, v) for u in universe for v in universe if meet[(u, v)] == u]
+            gen_pairs = FinitePoset(universe, order, validate=False).covers()
+        else:
+            gen_pairs = [(x, y) for i, x in enumerate(universe) for y in universe[i + 1 :]]
+        found = list(dict.fromkeys(
+            [tuple(range(len(universe)))] + [_closure_labels(algebra, [p]) for p in gen_pairs]
+        ))
+        position = {t: i for i, t in enumerate(found)}
+        table = {}  # on positions in found; 0 is the zero
+        for i, a in enumerate(found):  # found grows while it is walked
+            table[(i, i)] = table[(i, 0)] = table[(0, i)] = i
+            for j in range(1, i):
+                uf = _UnionFind(a)
+                for x, label in enumerate(found[j]):
+                    if label != x:
+                        uf.union(x, label)
+                join = uf.labels()
+                k = position.setdefault(join, len(found))
+                if k == len(found):
+                    found.append(join)
+                table[(i, j)] = table[(j, i)] = k
+        elements = [_from_labels(universe, t) for t in found]
+        self._by_labels = dict(zip(found, elements))
+        order = sorted(elements, key=lambda t: (len(universe) - len(t.blocks), t._sort_key()))
+        joins = {(elements[i], elements[j]): elements[k] for (i, j), k in table.items()}
+        super().__init__(order, elements[0], joins, validate=False)
         self._principal = {}
+
+    def generated(self, pairs):
+        """The element generated by the given pairs of the algebra."""
+        theta = self._by_labels.get(_closure_labels(self.algebra, pairs))
+        cross_check(theta is not None, "generated congruence missing from Conc")
+        return theta
 
     def principal(self, x, y):
         theta = self._principal.get((x, y))
         if theta is None:
-            theta = principal_congruence(self.algebra, x, y)
-            cross_check(theta in self, "principal congruence missing from Conc")
-            theta = self.elements[self.index(theta)]
-            self._principal[(x, y)] = self._principal[(y, x)] = theta
+            theta = self._principal[(x, y)] = self._principal[(y, x)] = self.generated([(x, y)])
         return theta
 
     def distances(self):
@@ -308,7 +299,7 @@ def conc(algebra, bound=CON_BOUND):
     elements are Congruence values and the generator map is exposed as
     .principal(x, y).
     """
-    return ConcSemilattice(algebra, *con_join_closure(algebra, bound))
+    return ConcSemilattice(algebra, bound)
 
 
 def conc_morphism(f, source_conc=None, target_conc=None):
@@ -316,43 +307,29 @@ def conc_morphism(f, source_conc=None, target_conc=None):
 
     Sends a congruence to the congruence generated by the images of its
     pairs; on principal congruences this is Theta(f(x), f(y)) extended
-    join-linearly. Images are the target's own element objects.
+    join-linearly. Images are the target's own element objects, generated
+    on the target semilattice's own algebra.
     """
     src = source_conc if source_conc is not None else conc(f.source)
     tgt = target_conc if target_conc is not None else conc(f.target)
+    cross_check(
+        f.target is tgt.algebra or f.target == tgt.algebra,
+        "Conc target is not the Conc of the map's target",
+    )
     mapping = {}
     for theta in src.elements:
-        pairs = set()
-        for b in theta.blocks:
-            bl = sorted(b, key=sort_key)
-            for x, y in zip(bl, bl[1:]):
-                pairs.add((f(x), f(y)))
-        image = congruence_closure(f.target, pairs)
-        cross_check(image in tgt, "Conc image not a congruence of the target")
-        mapping[theta] = tgt.elements[tgt.index(image)]
+        pairs = {(f(next(iter(b))), f(x)) for b in theta.blocks for x in b}
+        mapping[theta] = tgt.generated(pairs)
     return SemMorphism(src, tgt, mapping)
 
 
 def quotient_algebra(algebra, theta):
     """Total quotient algebra, classes labeled by their first universe member."""
     _require_total(algebra)
-    rep = {}
-    for x in algebra.universe:
-        blk = theta.block(x)
-        rep[x] = next(y for y in algebra.universe if y in blk)
-    universe = []
-    for x in algebra.universe:
-        if rep[x] == x:
-            universe.append(x)
-    ops = {}
-    for name, table in algebra.ops.items():
-        t = {}
-        for args, val in table.items():
-            t[tuple(rep[a] for a in args)] = rep[val]
-        ops[name] = t
-    q = PartialAlgebra(algebra.stype, universe, ops, validate=False)
-    proj = PalgMorphism(algebra, q, rep, validate=False)
-    return q, proj
+    first = {}
+    rep = {x: first.setdefault(theta.block(x), x) for x in algebra.universe}
+    q = image_palg(PalgMorphism(algebra, algebra, rep, validate=False))
+    return q, PalgMorphism(algebra, q, rep, validate=False)
 
 
 def _compose_relation(rel, theta):
@@ -507,12 +484,12 @@ def is_n_permutable(algebra, n):
     _require_total(algebra)
     if n < 2:
         raise ValueError("n must be at least 2")
-    congruences, joins = con_join_closure(algebra)
+    cs = conc(algebra)
+    congruences = sorted(cs.elements, key=Congruence._sort_key)
     ok_rel, wit_rel = _relational_n_permutable(algebra, n, congruences)
     size = len(algebra.universe)
     cost = size ** (n + 1) * max(1, size ** (n - 1))
     if cost <= ELEMENTWISE_LIMIT:
-        cs = ConcSemilattice(algebra, congruences, joins)
         ok_el, _ = _elementwise_n_permutable(algebra, n, cs)
         cross_check(ok_rel == ok_el, "n-permutability characterizations disagree")
     return (ok_rel, wit_rel)

@@ -324,12 +324,16 @@ def chain_connectivity(algebra, pairs, extra=()):
     the transitive closure of that reflexive compatible relation is a
     congruence, so they are the classes of Cg(pairs) (Mal'cev).
     """
+    index = {x: i for i, x in enumerate(algebra.universe)}
     if algebra.is_total():
-        blocks = _cong.congruence_closure(algebra, pairs).blocks
-        linked = ((next(iter(b)), x) for b in blocks for x in b)
+        uf = _cong._UnionFind(_cong._closure_labels(algebra, pairs))
+        linked = extra
     else:
-        linked = product_closure(algebra, pairs)
-    return _cong._UnionFind(algebra.universe, chain(linked, extra)).find
+        uf = _cong._UnionFind(range(len(index)))
+        linked = chain(product_closure(algebra, pairs), extra)
+    for x, y in linked:
+        uf.union(index[x], index[y])
+    return lambda x: uf.find(index[x])
 
 
 def congruence_tractable_instances(pg, points, sem_phi, m_cap):

@@ -8,15 +8,14 @@ import pytest
 
 from gampkit import build_named, build_square
 from gampkit.congruence import (
-    Congruence,
     MalcevWitness,
     NoContainment,
     _elementwise_n_permutable,
     _relational_n_permutable,
-    con_join,
     con_lattice,
     conc,
     conc_morphism,
+    congruence_closure,
     least_congruence_bruteforce,
     malcev_witness,
     principal_congruence,
@@ -126,9 +125,7 @@ def test_criterion_4_quotient_functoriality(fixture_lattices):
             # the algebra-gamp quotient is the gamp of the quotient algebra
             from gampkit.congruence import quotient_algebra
 
-            join_i = Congruence.identity(alg.universe)
-            for t in ideal.carrier:
-                join_i = con_join(join_i, t)
+            join_i = g.sem.join_all(ideal.carrier)
             qalg, qproj = quotient_algebra(alg, join_i)
             other = ga(qalg)
             explicit = {proj.f(x): qproj(x) for x in alg.universe}
@@ -270,16 +267,10 @@ def test_criterion_8_malcev_soundness(fixture_lattices):
         if isinstance(res, MalcevWitness):
             assert res.validate(alg, x, y, xs, ys)
             # a validated chain forces the relational containment
-            gen = Congruence.identity(alg.universe)
-            for a, b in zip(xs, ys):
-                gen = con_join(gen, principal_congruence(alg, a, b))
-            assert gen.same(x, y)
+            assert congruence_closure(alg, list(zip(xs, ys))).same(x, y)
             validated += 1
         elif isinstance(res, NoContainment):
-            gen = Congruence.identity(alg.universe)
-            for a, b in zip(xs, ys):
-                gen = con_join(gen, principal_congruence(alg, a, b))
-            assert not gen.same(x, y)
+            assert not congruence_closure(alg, list(zip(xs, ys))).same(x, y)
     assert validated > 100
     _report(8, f"1000 randomized queries, {validated} witnesses validated", t0, 60)
 
@@ -291,6 +282,14 @@ def test_budget_conc_distances_on_m3_squared():
     dist = cs.distances()
     assert len(cs) == 4 and len(dist) == 625
     _report("budget", "conc(power:M3:2).distances()", t0, 1)
+
+
+def test_budget_conc_on_x1_squared():
+    # Con(A) twice on a 25-element power with 64 congruences: 1,953 label joins each
+    alg = build_named("power:X1:2").algebra
+    t0 = time.monotonic()
+    assert len(con_lattice(alg)) == len(conc(alg)) == 64
+    _report("budget", "con_lattice and conc on power:X1:2", t0, 0.5)
 
 
 def test_budget_is_lattice_algebra_on_m3_cubed():

@@ -20,7 +20,6 @@ from gampkit.congruence import (
     all_congruences_bruteforce,
     alternating_composite,
     chain_interpolants,
-    con_join,
     con_lattice,
     con_meet,
     conc,
@@ -118,18 +117,25 @@ class TestConc:
         }
 
     def test_each_join_computed_once(self, x1, monkeypatch):
-        # the closure's join table is the semilattice's: the closure joins
-        # each pair of nonzero congruences once, and building Conc joins
-        # nothing again
-        real = congruence.con_join
-        calls = []
-        monkeypatch.setattr(
-            congruence, "con_join", lambda a, b: calls.append((a, b)) or real(a, b)
-        )
+        # the builder joins each pair of nonzero label tuples once, seeding
+        # the union-find with one of them (a closure seeds it with range(n)),
+        # and building Conc joins nothing again
+        joins = []
+
+        class Spy(congruence._UnionFind):
+            def __init__(self, parent):
+                if isinstance(parent, tuple):
+                    joins.append(parent)
+                super().__init__(parent)
+
+        monkeypatch.setattr(congruence, "_UnionFind", Spy)
         cs = conc(x1)
         k = len(cs) - 1
-        assert len(calls) == k * (k - 1) // 2
-        assert all(cs.join(a, b) == real(a, b) for a in cs.elements for b in cs.elements)
+        assert len(joins) == k * (k - 1) // 2
+        everything = all_congruences_bruteforce(x1)
+        for a in cs.elements:
+            for b in cs.elements:
+                assert cs.join(a, b) == _least([t for t in everything if a.leq(t) and b.leq(t)])
 
 
 def _is_own_element(cs, theta):
@@ -174,6 +180,19 @@ class TestConcMorphism:
         assert ok
         below = {t for t in cm.source.elements if t.leq(theta)}
         assert ker0(cm).carrier == frozenset(below)
+
+    def test_target_universe_order_is_the_target_concs(self, x1, m3):
+        # the images are generated on the target Conc's own algebra, so a
+        # target listing its universe in another order gets the same blocks
+        reordered = PartialAlgebra(x1.stype, list(reversed(x1.universe)), x1.ops)
+        assert reordered == x1
+        cs, target = conc(x1), conc(reordered)
+        image = conc_morphism(PalgMorphism.identity(x1), cs, target)
+        for theta in cs.elements:
+            assert image(theta).blocks == theta.blocks
+            assert _is_own_element(target, image(theta))
+        with pytest.raises(CrossCheckFailed, match="not the Conc of the map's target"):
+            conc_morphism(PalgMorphism.identity(x1), cs, conc(m3))
 
     def test_diagonal_embedding_injective_on_principals(self, chain3):
         prod = PartialAlgebra.product([chain3, chain3])
@@ -317,11 +336,14 @@ def test_closure_matches_bruteforce_on_labelled_algebras(alg, data):
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_labelled_algebras(), st.data())
-def test_con_join_matches_bruteforce_on_labelled_algebras(alg, data):
+@given(small_labelled_algebras())
+def test_conc_joins_match_bruteforce_on_labelled_algebras(alg):
     everything = all_congruences_bruteforce(alg)
-    a, b = data.draw(st.lists(st.sampled_from(everything), min_size=2, max_size=2))
-    assert con_join(a, b) == _least([t for t in everything if a.leq(t) and b.leq(t)])
+    cs = conc(alg)
+    assert set(cs.elements) == set(everything)
+    for a in cs.elements:
+        for b in cs.elements:
+            assert cs.join(a, b) == _least([t for t in everything if a.leq(t) and b.leq(t)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -460,10 +482,7 @@ class TestMalcev:
             if isinstance(res, MalcevWitness):
                 assert res.validate(alg, x, y, xs, ys)
             elif isinstance(res, NoContainment):
-                gen = Congruence.identity(alg.universe)
-                for a, b in zip(xs, ys):
-                    gen = con_join(gen, principal_congruence(alg, a, b))
-                assert not gen.same(x, y)
+                assert not congruence_closure(alg, list(zip(xs, ys))).same(x, y)
 
 
 class TestCrossChecks:

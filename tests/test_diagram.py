@@ -142,7 +142,7 @@ class TestApplyFunctor:
         def spy(algebra, bound=None):
             raise AssertionError(f"Con built on {len(algebra)} elements")
 
-        monkeypatch.setattr(congruence, "con_join_closure", spy)
+        monkeypatch.setattr(congruence, "conc", spy)
         with pytest.raises(TooLarge, match=r"capped at 160 elements \(got 343\)"):
             apply_functor(a_square, name)
 

@@ -534,8 +534,13 @@ class TestTermChains:
         element = st.sampled_from(alg.universe)
         pairs = data.draw(st.lists(st.tuples(element, element), max_size=3))
         extra = data.draw(st.lists(st.tuples(element, element), max_size=2))
-        oracle = _UnionFind(alg.universe, chain(product_closure(alg, pairs), extra)).find
-        assert classes(alg, chain_connectivity(alg, pairs, extra)) == classes(alg, oracle)
+        index = {x: i for i, x in enumerate(alg.universe)}
+        oracle = _UnionFind(range(len(alg.universe)))
+        for x, y in chain(product_closure(alg, pairs), extra):
+            oracle.union(index[x], index[y])
+        assert classes(alg, chain_connectivity(alg, pairs, extra)) == classes(
+            alg, lambda x: oracle.find(index[x])
+        )
 
     def test_extra_pairs_are_joined_not_closed(self, m3):
         # Cg(0, x1) is everything in the simple lattice M3, but a joined

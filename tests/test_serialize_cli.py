@@ -218,14 +218,14 @@ class TestCli:
     def test_repro_refused_bound_exit_3(self, argv, monkeypatch, capsys):
         # each refusal comes before the work it refuses: no Con of a node
         # over 30 elements is built on the way
-        real = congruence.con_join_closure
+        real = congruence.conc
 
         def small_only(algebra, *args):
             if len(algebra) > 30:
                 raise AssertionError(f"Con built on {len(algebra)} elements")
             return real(algebra, *args)
 
-        monkeypatch.setattr(congruence, "con_join_closure", small_only)
+        monkeypatch.setattr(congruence, "conc", small_only)
         assert run(["repro", "unliftable", "--K", *argv]) == 3
         assert capsys.readouterr().err.startswith("error: ")
 
