@@ -63,7 +63,6 @@ from .gamp import (
     check_morphism_property,
     check_property,
     check_realization,
-    check_through_phi,
     ga,
     ga_mor,
     gamp_chain_colimit,

@@ -161,9 +161,6 @@ def cmd_quotient(args):
 
 def cmd_gamp_check(args):
     g = ser.gamp_from_json(_load_json(args.bundle))
-    morphism_props = {"operational", "cuttable", "cuttable_chains", "strong_morphism"}
-    if args.property in morphism_props:
-        raise SchemaError("morphism properties need a diagram bundle; see diagram-verify")
     v = check_property(g, args.property, n=args.n, m_cap=args.m_cap)
     payload = {
         "property": args.property,

@@ -34,9 +34,6 @@ class Congruence:
     def block(self, x):
         return self._block_of[x]
 
-    def leq(self, other):
-        return all(b <= other._block_of[next(iter(b))] for b in self.blocks)
-
     def _sort_key(self):
         if self._key is None:
             self._key = tuple(

@@ -1,11 +1,12 @@
 """Gamps: pregamps with a distinguished inner partial subalgebra.
 
 Implements the property zoo (strong, distance-generated, congruence-tractable,
-congruence n-permutable, and their lattice and through-phi variants),
+congruence n-permutable, and their lattice variants; the distance and cutting
+properties hold through a semilattice map phi, the identity by default),
 realizations, quotients, the four forgetful/embedding functors, chains, and
 the buttress construction of diagrams of finite subgamps."""
 
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import NotIdealInduced, NotStrong, WrongSignature, cross_check
 from .palg import (
@@ -16,15 +17,18 @@ from .palg import (
     is_palg_isomorphism,
     is_strong_sub,
     shortest_path,
+    undefined_tuple,
 )
 from .pregamp import (
     Pregamp,
     PregampMorphism,
+    canonical_embedding as pregamp_embedding,
     induced_pregamp_morphism,
     is_congruence_tractable_morphism,
     pga,
     pga_mor,
     quotient_pregamp,
+    sub_pregamp,
     tractability_verdict,
 )
 from .semilattice import SemMorphism, is_ideal_induced
@@ -110,12 +114,8 @@ class GampMorphism:
 
 def canonical_embedding(sub, g):
     """Inclusion morphism of a subgamp."""
-    return GampMorphism(
-        sub, g,
-        PalgMorphism(sub.outer, g.outer, {x: x for x in sub.outer.universe}, validate=False),
-        SemMorphism(sub.sem, g.sem, {a: a for a in sub.sem.elements}, validate=False),
-        validate=False,
-    )
+    pm = pregamp_embedding(sub.pregamp, g.pregamp)
+    return GampMorphism(sub, g, pm.f, pm.fsem, validate=False)
 
 
 def is_subgamp(sub, g):
@@ -187,12 +187,7 @@ def pggr(g):
 
 def pggl(g):
     """Inner pregamp: the inner part with the restricted distance."""
-    dist = {
-        (x, y): g.delta(x, y)
-        for x in g.inner.universe
-        for y in g.inner.universe
-    }
-    return Pregamp(g.inner, dist, g.sem)
+    return sub_pregamp(g.pregamp, g.inner, g.sem)
 
 
 def pggl_mor(fm):
@@ -271,6 +266,8 @@ def _dg_values(g, chains_only):
 
 
 def _check_distance_generated(g, phi, chains_only):
+    if chains_only and not g.is_lattice_signature():
+        raise WrongSignature("chain form requires the lattice signature")
     target = phi.target
     gen = target.join_closure(phi(v) for v in _dg_values(g, chains_only))
     if gen == frozenset(target.elements):
@@ -311,24 +308,28 @@ def _check_n_permutable(g, n, lattice_form):
     return Verdict.true() if failure is None else Verdict.false(failure)
 
 
-def check_property(g, which, n=None, m_cap=2):
+def check_property(g, which, n=None, m_cap=2, phi=None):
     """Dispatch for the gamp property zoo; see the module docstring.
 
-    congruence_tractable is true or false over the instances of at most m_cap
-    generating pairs, with m_cap reported in the verdict's bounds; the others
-    are decided exactly on finite gamps.
+    distance_generated(_chains) and congruence_tractable hold through phi, a
+    semilattice morphism out of g.sem (default: its identity); passing phi to
+    any other property raises ValueError. congruence_tractable is true or
+    false over the instances of at most m_cap generating pairs, with m_cap
+    reported in the verdict's bounds; the others are decided exactly on
+    finite gamps.
     """
+    if which in ("distance_generated", "distance_generated_chains", "congruence_tractable"):
+        phi = SemMorphism.identity(g.sem) if phi is None else phi
+        if which == "congruence_tractable":
+            return _check_tractable(g, phi, m_cap)
+        return _check_distance_generated(
+            g, phi, chains_only=(which == "distance_generated_chains")
+        )
+    if phi is not None:
+        raise ValueError(f"gamp property {which!r} takes no phi")
     if which == "strong":
         ok = is_strong_sub(g.inner, g.outer)
         return Verdict.true() if ok else Verdict.false()
-    if which == "distance_generated":
-        return _check_distance_generated(g, SemMorphism.identity(g.sem), chains_only=False)
-    if which == "distance_generated_chains":
-        if not g.is_lattice_signature():
-            raise WrongSignature("chain form requires the lattice signature")
-        return _check_distance_generated(g, SemMorphism.identity(g.sem), chains_only=True)
-    if which == "congruence_tractable":
-        return _check_tractable(g, SemMorphism.identity(g.sem), m_cap)
     if which == "n_permutable":
         return _check_n_permutable(g, n, lattice_form=False)
     if which == "lattice_n_permutable":
@@ -340,17 +341,18 @@ def check_property(g, which, n=None, m_cap=2):
 # morphism properties
 
 
-def _image_with_inner(fm):
-    els = [fm.f(x) for x in fm.source.outer.universe]
-    seen = []
-    for x in els:
-        if x not in seen:
-            seen.append(x)
-    return seen
+def check_morphism_property(fm, which, x_cap=3, phi=None):
+    """strong / operational / cuttable / cuttable_chains for a gamp morphism.
 
-
-def check_morphism_property(fm, which, x_cap=3):
-    """strong / operational / cuttable / cuttable_chains for a gamp morphism."""
+    The cuttable pair holds through phi, a semilattice morphism out of the
+    target's semilattice (default: its identity); passing phi to strong or
+    operational raises ValueError.
+    """
+    if which in ("cuttable", "cuttable_chains"):
+        phi = SemMorphism.identity(fm.target.sem) if phi is None else phi
+        return _check_cuttable(fm, phi, chains=(which == "cuttable_chains"), x_cap=x_cap)
+    if phi is not None:
+        raise ValueError(f"morphism property {which!r} takes no phi")
     if which == "strong":
         img = image_palg(fm.f)
         ok = img.is_partial_sub_of(fm.target.inner) and is_strong_sub(
@@ -358,19 +360,10 @@ def check_morphism_property(fm, which, x_cap=3):
         )
         return Verdict.true() if ok else Verdict.false()
     if which == "operational":
-        tgt = fm.target.outer
-        image = _image_with_inner(fm)
-        pool = image + [x for x in fm.target.inner.universe if x not in set(image)]
-        for name, ar in tgt.stype.symbols:
-            for args in product(pool, repeat=ar):
-                if args not in tgt.ops[name]:
-                    return Verdict.false((name, args))
-        return Verdict.true()
-    if which in ("cuttable", "cuttable_chains"):
-        return _check_cuttable(
-            fm, SemMorphism.identity(fm.target.sem),
-            chains=(which == "cuttable_chains"), x_cap=x_cap,
-        )
+        # the image first, then the target's other inner elements
+        pool = dict.fromkeys([*map(fm.f, fm.source.outer.universe), *fm.target.inner.universe])
+        missing = undefined_tuple(fm.target.outer, list(pool))
+        return Verdict.true() if missing is None else Verdict.false(missing)
     raise ValueError(f"unknown morphism property {which!r}")
 
 
@@ -452,27 +445,6 @@ def _chain_walk(g, lo, hi, step_ok):
                 yield ((hi, None) if v == hi else (v, members | {v})), None
 
     return shortest_path((lo, frozenset([lo])), (hi, None), extensions) is not None
-
-
-def check_through_phi(obj, phi, which, m_cap=2, x_cap=3):
-    """Through-phi variants of the distance and cutting properties.
-
-    obj is a gamp for dg / dg_chains / tractable and a gamp morphism for
-    cuttable / cuttable_chains; phi maps the relevant semilattice.
-    """
-    if which == "dg":
-        return _check_distance_generated(obj, phi, chains_only=False)
-    if which == "dg_chains":
-        if not obj.is_lattice_signature():
-            raise WrongSignature("chain form requires the lattice signature")
-        return _check_distance_generated(obj, phi, chains_only=True)
-    if which == "tractable":
-        return _check_tractable(obj, phi, m_cap)
-    if which == "cuttable":
-        return _check_cuttable(obj, phi, chains=False, x_cap=x_cap)
-    if which == "cuttable_chains":
-        return _check_cuttable(obj, phi, chains=True, x_cap=x_cap)
-    raise ValueError(f"unknown through-phi property {which!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -635,10 +607,10 @@ def _verify_buttress(diagram, phis, with_chains, n_permutable, m_cap):
         fails = f"buttress node {p!r} fails"
         cross_check(ok, f"{fails}: phi restriction stays ideal-induced")
         cross_check(check_property(g, "strong"), f"{fails}: strong")
-        cross_check(check_through_phi(g, phi_p, "dg"), f"{fails}: dg")
-        cross_check(check_through_phi(g, phi_p, "tractable", m_cap=m_cap), f"{fails}: tractable")
-        if with_chains:
-            cross_check(check_through_phi(g, phi_p, "dg_chains"), f"{fails}: dg_chains")
+        for which in ("distance_generated", "congruence_tractable") + (
+            ("distance_generated_chains",) if with_chains else ()
+        ):
+            cross_check(check_property(g, which, m_cap=m_cap, phi=phi_p), f"{fails}: {which}")
         if n_permutable is not None:
             cross_check(check_property(g, "n_permutable", n=n_permutable), f"{fails}: permutable")
             if g.is_lattice_signature():
@@ -652,7 +624,6 @@ def _verify_buttress(diagram, phis, with_chains, n_permutable, m_cap):
         phi_q = phis[q].restrict(diagram.objects[q].sem)
         x_cap = len(phi_q.target.elements)
         cross_check(check_morphism_property(arrow, "strong"), f"{fails}: strong")
-        cross_check(check_through_phi(arrow, phi_q, "cuttable", x_cap=x_cap), f"{fails}: cuttable")
-        if with_chains:
-            ok = check_through_phi(arrow, phi_q, "cuttable_chains", x_cap=x_cap)
-            cross_check(ok, f"{fails}: cuttable_chains")
+        for which in ("cuttable",) + (("cuttable_chains",) if with_chains else ()):
+            ok = check_morphism_property(arrow, which, x_cap=x_cap, phi=phi_q)
+            cross_check(ok, f"{fails}: {which}")

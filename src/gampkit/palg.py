@@ -400,23 +400,23 @@ def is_strong_sub(sub, algebra):
     """Strong partial subalgebra: every tuple over the subset is defined in the ambient."""
     if not sub._uset <= algebra._uset:
         raise NotSubset("not a subset")
-    if not sub.is_partial_sub_of(algebra):
-        return False
-    for name, ar in algebra.stype.symbols:
-        for args in product(sorted(sub._uset, key=repr), repeat=ar):
-            if args not in algebra.ops[name]:
-                return False
-    return True
+    return sub.is_partial_sub_of(algebra) and undefined_tuple(algebra, sub.universe) is None
 
 
 def is_strong_morphism(f):
     """Image tuples all defined in the target."""
-    img = sorted({f(x) for x in f.source.universe}, key=repr)
-    for name, ar in f.target.stype.symbols:
-        for args in product(img, repeat=ar):
-            if args not in f.target.ops[name]:
-                return False
-    return True
+    return undefined_tuple(f.target, set(map(f, f.source.universe))) is None
+
+
+def undefined_tuple(algebra, points):
+    """The first (name, args) that the algebra leaves undefined, in symbol
+    order and then product order over points, or None."""
+    for name, ar in algebra.stype.symbols:
+        table = algebra.ops[name]
+        for args in product(points, repeat=ar):
+            if args not in table:
+                return name, args
+    return None
 
 
 def image_palg(f, sub=None):

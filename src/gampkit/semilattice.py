@@ -340,8 +340,7 @@ def enumerate_ideals(sem, bound=None):
         for x in sem.elements:
             if x in cur:
                 continue
-            closed = sem.join_closure(cur | {x})
-            down = frozenset(y for y in sem.elements if any(sem.leq(y, z) for z in closed))
+            down = SemIdeal.generated(sem, cur | {x}).carrier
             if down not in seen:
                 seen.add(down)
                 frontier.append(down)

@@ -1,4 +1,4 @@
-"""Small shared helpers: deterministic ordering and three-valued verdicts."""
+"""Small shared helpers: deterministic ordering and true/false verdicts."""
 
 from dataclasses import dataclass, field
 
@@ -32,46 +32,38 @@ def sorted_elements(xs):
 
 TRUE = "true"
 FALSE = "false"
-UNKNOWN = "unknown"
 
 
 @dataclass
 class Verdict:
     """Outcome of a (possibly bounded) check.
 
-    status is one of "true", "false", "unknown"; bounded searches report
-    their caps in `bounds` rather than silently absorbing them.
+    status is "true" or "false"; bounded searches report their caps in
+    `bounds` rather than silently absorbing them. A search that runs out of
+    budget raises instead of returning a verdict.
     """
 
     status: str
     witness: object = None
     bounds: dict = field(default_factory=dict)
-    detail: str = ""
 
     @classmethod
-    def true(cls, witness=None, bounds=None, detail=""):
-        return cls(TRUE, witness, dict(bounds or {}), detail)
+    def true(cls, witness=None, bounds=None):
+        return cls(TRUE, witness, dict(bounds or {}))
 
     @classmethod
-    def false(cls, witness=None, bounds=None, detail=""):
-        return cls(FALSE, witness, dict(bounds or {}), detail)
+    def false(cls, witness=None, bounds=None):
+        return cls(FALSE, witness, dict(bounds or {}))
 
     def __bool__(self):
         return self.status == TRUE
 
     @property
     def exit_code(self):
-        return {TRUE: 0, FALSE: 1, UNKNOWN: 2}[self.status]
+        return 0 if self else 1
 
 
 def combine_verdicts(verdicts):
-    """Aggregate: false if any refuted, unknown if none refuted but some unknown."""
-    verdicts = list(verdicts)
-    for v in verdicts:
-        if v.status == FALSE:
-            return Verdict(FALSE, v.witness, v.bounds, v.detail)
-    for v in verdicts:
-        if v.status == UNKNOWN:
-            return Verdict(UNKNOWN, v.witness, v.bounds, v.detail)
-    return Verdict.true()
+    """Aggregate: the first false verdict, else true."""
+    return next((v for v in verdicts if v.status == FALSE), Verdict.true())
 

@@ -13,7 +13,6 @@ from gampkit.gamp import (
     check_morphism_property,
     check_property,
     check_realization,
-    check_through_phi,
     ga,
     ga_mor,
     gamp_chain_colimit,
@@ -183,7 +182,9 @@ class TestMorphismProperties:
             with pytest.raises(ValueError):
                 check_morphism_property(fm, prop, x_cap=-1)
             with pytest.raises(ValueError):
-                check_through_phi(fm, SemMorphism.identity(fm.target.sem), prop, x_cap=-1)
+                check_morphism_property(
+                    fm, prop, x_cap=-1, phi=SemMorphism.identity(fm.target.sem)
+                )
         # a cap of 0 checks no instance and holds vacuously
         assert bool(check_morphism_property(fm, "cuttable", x_cap=0))
 
@@ -284,23 +285,36 @@ class TestQuotientPreservation:
 
 
 class TestThroughPhi:
-    def test_identity_agrees_with_plain(self, x1):
+    def test_identity_agrees_with_plain(self, x1, chain3):
+        # phi defaults to the identity: passing it changes no verdict or witness
         g = ga(x1)
         ident = SemMorphism.identity(g.sem)
-        assert bool(check_through_phi(g, ident, "dg")) == bool(
-            check_property(g, "distance_generated")
-        )
-        assert bool(check_through_phi(g, ident, "tractable")) == bool(
-            check_property(g, "congruence_tractable")
-        )
+        for which in ("distance_generated", "distance_generated_chains", "congruence_tractable"):
+            assert check_property(g, which, phi=ident) == check_property(g, which)
+        fm = ga_mor(PalgMorphism(chain3, x1, {0: "0", 1: "x3", 2: "1"}))
+        ident = SemMorphism.identity(fm.target.sem)
+        for which in ("cuttable", "cuttable_chains"):
+            assert check_morphism_property(fm, which, phi=ident) == check_morphism_property(
+                fm, which
+            )
+
+    def test_phi_refused_where_not_read(self, x1, chain3):
+        g = ga(x1)
+        for which in ("strong", "n_permutable", "lattice_n_permutable"):
+            with pytest.raises(ValueError, match="takes no phi"):
+                check_property(g, which, n=2, phi=SemMorphism.identity(g.sem))
+        fm = ga_mor(PalgMorphism(chain3, x1, {0: "0", 1: "x3", 2: "1"}))
+        for which in ("strong", "operational"):
+            with pytest.raises(ValueError, match="takes no phi"):
+                check_morphism_property(fm, which, phi=SemMorphism.identity(fm.target.sem))
 
     def test_projection_dg_through_and_quotient(self, x1):
         g = ga(x1)
         ideal = SemIdeal.generated(g.sem, {principal_congruence(x1, "0", "m")})
         _, proj = quotient(g.sem, ideal)
-        assert bool(check_through_phi(g, proj, "dg"))
-        assert bool(check_through_phi(g, proj, "dg_chains"))
-        assert bool(check_through_phi(g, proj, "tractable"))
+        assert bool(check_property(g, "distance_generated", phi=proj))
+        assert bool(check_property(g, "distance_generated_chains", phi=proj))
+        assert bool(check_property(g, "congruence_tractable", phi=proj))
         # property through an ideal-induced map descends to the quotient
         from gampkit.semilattice import ker0
 
@@ -311,15 +325,15 @@ class TestThroughPhi:
     def test_collapse_to_point_trivial(self, x1):
         g = ga(x1)
         one = quotient(g.sem, SemIdeal(g.sem, set(g.sem.elements)))[1]
-        assert bool(check_through_phi(g, one, "dg"))
+        assert bool(check_property(g, "distance_generated", phi=one))
 
     def test_cuttable_through(self, chain3, x1):
         f = PalgMorphism(chain3, x1, {0: "0", 1: "x3", 2: "1"})
         fm = ga_mor(f)
         ideal = SemIdeal.generated(fm.target.sem, {principal_congruence(x1, "0", "m")})
         _, proj = quotient(fm.target.sem, ideal)
-        assert bool(check_through_phi(fm, proj, "cuttable", x_cap=3))
-        assert bool(check_through_phi(fm, proj, "cuttable_chains", x_cap=3))
+        assert bool(check_morphism_property(fm, "cuttable", x_cap=3, phi=proj))
+        assert bool(check_morphism_property(fm, "cuttable_chains", x_cap=3, phi=proj))
 
 
 class TestChainColimit:

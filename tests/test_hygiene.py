@@ -78,23 +78,58 @@ def unread_private_definitions(sources):
     return sorted(unread)
 
 
+def _imports(tree):
+    """What the imports anywhere in a module bind: ({local name: (module,
+    name)} for `from .m import N as local`, {local name: module} for
+    `from . import m as local` and `import m`). Modules are named by their
+    last dotted part."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for a in node.names:
+                if node.module is None:
+                    modules[a.asname or a.name] = a.name
+                else:
+                    names[a.asname or a.name] = (node.module.split(".")[-1], a.name)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                local = a.asname or a.name.split(".")[0]
+                modules[local] = a.name.split(".")[-1] if a.asname else local
+    return names, modules
+
+
+def _resolved_reads(node, module, imports):
+    """The (module, name) pairs that expressions under the node read: a bare
+    name is the module's own unless it is imported, and `m.N` on an imported
+    module m is m's N."""
+    names, modules = imports
+    read = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in modules:
+            read.add((modules[n.value.id], n.attr))
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            read.add(names.get(n.id, (module, n.id)))
+    return read
+
+
 def unread_public_definitions(sources):
     """Public module-level functions, classes and constants of the given
     {module name: source} that no module-level statement outside their own
-    definition reads, as (module, name) pairs. The module "__init__" only
-    re-exports: its reads do not count and its names are not checked."""
-    statements = [
-        (module, node)
-        for module, src in sources.items()
-        if module != "__init__"
-        for node in ast.parse(src).body
-    ]
-    reads = [_reads(node) for _, node in statements]
+    definition reads, as (module, name) pairs. Each read is resolved to the
+    module it names, so a definition is not kept alive by a same-named one
+    elsewhere. The module "__init__" only re-exports: its reads do not count
+    and its names are not checked."""
+    statements = []
+    for module, src in sources.items():
+        if module != "__init__":
+            tree = ast.parse(src)
+            statements += [(module, node, _imports(tree)) for node in tree.body]
+    reads = [_resolved_reads(node, module, imports) for module, node, imports in statements]
     unread = []
-    for i, (module, node) in enumerate(statements):
+    for i, (module, node, _) in enumerate(statements):
         for name in _defined_names(node):
             others = (r for j, r in enumerate(reads) if j != i)
-            if not name.startswith("_") and not any(name in r for r in others):
+            if not name.startswith("_") and not any((module, name) in r for r in others):
                 unread.append((module, name))
     return sorted(unread)
 
@@ -158,7 +193,6 @@ API_ONLY = {
     ("pregamp", "pregamp_satisfies_identity"): (
         "perfbench's pregamp.satisfies_identity metrics trace it"
     ),
-    ("pregamp", "sub_pregamp"): "the sub/quotient exchange for pregamps",
     ("serialize", "diagram_to_json"): "it writes the diagram-verify input format",
     ("poset", "FinitePoset.chain"): "perfbench's buttress jobs and the tests build chains with it",
     ("semilattice", "JoinSemilattice.chain"): "the tests build chain semilattices with it",
@@ -197,6 +231,7 @@ def test_public_detector_flags_unread_and_keeps_read():
         "a": (
             "LIMIT = 3\n"
             "SEEN = 4\n"
+            "ALSO = 5\n"
             "def dead(): return dead()\n"
             "def helper(): return SEEN\n"
             "class Exported: pass\n"
@@ -204,10 +239,18 @@ def test_public_detector_flags_unread_and_keeps_read():
             "def registered(): pass\n"
             "def _private(): pass\n"
         ),
-        "b": "from .a import helper\nimport a\nprint(helper(), a.Kept)\nclass Kept: pass\n",
+        "b": "from .a import helper\nimport a\nprint(helper(), a.ALSO, Kept)\nclass Kept: pass\n",
+        # a read resolves to the module it names: b's imported helper is not
+        # c's, c's bare LIMIT is not a's, and _a.Kept is not c's Kept
+        "c": (
+            "from . import a as _a\n"
+            "def helper(): pass\n"
+            "class Kept: pass\n"
+            "print(LIMIT, _a.Kept)\n"
+        ),
     }
     assert unread_public_definitions(sources) == [
-        ("a", "Exported"), ("a", "LIMIT"), ("a", "dead"),
+        ("a", "Exported"), ("a", "LIMIT"), ("a", "dead"), ("c", "Kept"), ("c", "helper"),
     ]
 
 

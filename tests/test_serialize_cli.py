@@ -282,6 +282,12 @@ class TestCli:
                 id="gamp-check-lattice-n-permutable-without-n",
             ),
             pytest.param(
+                ["gamp-check", "{gm3}", "--property", "cuttable"], id="gamp-check-morphism-property"
+            ),
+            pytest.param(
+                ["gamp-check", "{gm3}", "--property", "nosuch"], id="gamp-check-unknown-property"
+            ),
+            pytest.param(
                 ["diagram-verify", "{gm3}", "--kind", "operational"], id="diagram-verify-gamp"
             ),
             pytest.param(
