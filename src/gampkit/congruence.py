@@ -5,10 +5,10 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import NotTotal, TooLarge, cross_check
-from .palg import UNDEFINED, PalgMorphism, Term, image_palg, is_lattice_algebra, shortest_path
+from .palg import UNDEFINED, PalgMorphism, Term, image_palg, is_lattice_algebra
 from .poset import FinitePoset
 from .semilattice import JoinSemilattice, SemMorphism
-from .util import sort_key
+from .util import bfs, shortest_path, sort_key
 
 
 class Congruence:
@@ -542,34 +542,27 @@ class UnknownAtBound:
 def _translations(algebra, depth_bound):
     """Unary polynomial maps up to the given composition depth.
 
-    Returns {value-tuple: parent}, parent being None for the identity or
-    (name, pos, params, inner-tuple) for one basic translation applied on
-    top of an already-found map.
+    Returns {value-tuple: parent}, in the order the maps were found, parent
+    being None for the identity or (inner-tuple, (name, pos, params)) for one
+    basic translation applied on top of an already-found map.
     """
     universe = algebra.universe
-    ident = tuple(universe)
-    parents = {ident: None}
-    frontier = [ident]
-    depth = 0
-    while frontier and depth < depth_bound:
-        depth += 1
-        new = []
-        for f in frontier:
-            fmap = dict(zip(universe, f))
-            for name, ar in algebra.stype.symbols:
-                if ar == 0:
-                    continue
-                table = algebra.ops[name]
-                for pos in range(ar):
-                    for params in product(universe, repeat=ar - 1):
-                        g = tuple(
-                            table[params[:pos] + (fmap[x],) + params[pos:]]
-                            for x in universe
-                        )
-                        if g not in parents:
-                            parents[g] = (name, pos, params, f)
-                            new.append(g)
-        frontier = new
+    steps = [
+        (algebra.ops[name], name, pos, params)
+        for name, ar in algebra.stype.symbols
+        for pos in range(ar)
+        for params in product(universe, repeat=ar - 1)
+    ]
+
+    def translate(f):
+        fmap = dict(zip(universe, f))
+        for table, name, pos, params in steps:
+            g = tuple(table[params[:pos] + (fmap[x],) + params[pos:]] for x in universe)
+            yield g, (name, pos, params)
+
+    parents = {}
+    for _ in bfs(tuple(universe), translate, parents, depth_bound):
+        pass
     return parents
 
 
@@ -630,7 +623,7 @@ def malcev_witness(algebra, x, y, xs, ys, depth_bound=3, param_bound=16):
         parent = trans[f]
         if parent is None:
             return argument
-        name, pos, ps, inner_f = parent
+        inner_f, (name, pos, ps) = parent
         inner = translation_term(inner_f, argument)
         args = [Term.v(param_slot(c)) for c in ps]
         args.insert(pos, inner)

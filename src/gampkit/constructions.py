@@ -37,7 +37,7 @@ from .diagram import (
     Diagram, DiagramIdeal, NaturalTransformation, apply_functor, is_operational_diagram,
     quotient_diagram,
 )
-from .util import sort_key
+from .util import assignments, sort_key
 from . import congruence as _cong
 
 
@@ -899,36 +899,25 @@ class _NodeState:
 
 def _nonzero_row_options(state, pad):
     """Axiom-consistent distance rows for a pad, by entrywise backtracking."""
+    cs = state.cs
     others = [x for x in state.universe() if x != pad]
-    nonzero = [d for d in state.cs.elements if d != state.cs.zero]
-    rows = []
+    nonzero = [d for d in cs.elements if d != cs.zero]
 
-    def extend(row, idx):
-        if idx == len(others):
-            rows.append(dict(row))
-            return
-        x = others[idx]
-        for d in nonzero:
-            row[x] = d
-            ok = True
-            for y, dy in row.items():
-                if y == x:
-                    continue
-                dxy = state.delta(x, y)
-                if not state.cs.leq(d, state.cs.join(dy, dxy)):
-                    ok = False
-                elif not state.cs.leq(dy, state.cs.join(d, dxy)):
-                    ok = False
-                elif not state.cs.leq(dxy, state.cs.join(d, dy)):
-                    ok = False
-                if not ok:
-                    break
-            if ok:
-                extend(row, idx + 1)
-            del row[x]
+    def fits(row, x):
+        d = row[x]
+        for y, dy in row.items():
+            if y == x:
+                continue
+            dxy = state.delta(x, y)
+            if not (
+                cs.leq(d, cs.join(dy, dxy))
+                and cs.leq(dy, cs.join(d, dxy))
+                and cs.leq(dxy, cs.join(d, dy))
+            ):
+                return False
+        return True
 
-    extend({}, 0)
-    return rows
+    return list(assignments(others, nonzero, fits))
 
 
 def _witness_options(state, xs, n):

@@ -6,7 +6,7 @@ from .gamp import Gamp, GampMorphism
 from .palg import PalgMorphism, PartialAlgebra
 from .pregamp import Pregamp, PregampMorphism
 from .semilattice import JoinSemilattice, SemMorphism, induced_morphism, quotient
-from .util import Verdict, combine_verdicts
+from .util import Verdict, bfs, combine_verdicts
 from . import congruence as _cong
 from . import gamp as _gamp
 from . import pregamp as _pregamp
@@ -64,19 +64,22 @@ class Diagram:
     def from_generators(cls, poset, objects, cover_arrows):
         """Expand a generators-only arrow family to all comparable pairs.
 
-        Compositions along different cover paths must agree; validate will
-        reject the result otherwise.
+        The arrow p -> q is composed along the breadth-first path from p to q
+        over the generators; given arrows are kept as given. Compositions
+        along different cover paths must agree; validate will reject the
+        result otherwise.
         """
         arrows = {(p, p): _identity_morphism(objects[p]) for p in poset.elements}
         arrows.update(cover_arrows)
-        changed = True
-        while changed:
-            changed = False
-            for (p, q), f in list(arrows.items()):
-                for (q2, r), g in list(arrows.items()):
-                    if q2 == q and (p, r) not in arrows:
-                        arrows[(p, r)] = g.after(f)
-                        changed = True
+        out = {}
+        for (p, q), f in cover_arrows.items():
+            out.setdefault(p, []).append((q, f))
+        for p in poset.elements:
+            parents = {}
+            for q in bfs(p, lambda u: out.get(u, ()), parents):
+                if (p, q) not in arrows:
+                    u, f = parents[q]
+                    arrows[(p, q)] = f.after(arrows[(p, u)])
         return cls(poset, objects, arrows)
 
 

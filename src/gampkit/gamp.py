@@ -14,9 +14,9 @@ from .palg import (
     UNDEFINED,
     chain_cocone,
     image_palg,
+    is_lattice_signature,
     is_palg_isomorphism,
     is_strong_sub,
-    shortest_path,
     undefined_tuple,
 )
 from .pregamp import (
@@ -32,7 +32,7 @@ from .pregamp import (
     tractability_verdict,
 )
 from .semilattice import SemMorphism, is_ideal_induced
-from .util import Verdict, sorted_elements
+from .util import Verdict, shortest_path, sorted_elements
 from . import congruence as _cong
 
 
@@ -67,7 +67,7 @@ class Gamp:
         return f"Gamp(inner {len(self.inner)}, outer {len(self.outer)}, sem {len(self.sem)})"
 
     def is_lattice_signature(self):
-        return set(self.outer.stype.names) == {"meet", "join"}
+        return is_lattice_signature(self.outer)
 
 
 class GampMorphism:

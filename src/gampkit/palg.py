@@ -1,7 +1,6 @@
 """Finite partial algebras: term evaluation with definedness, subalgebra
 calculus, identity satisfaction, images, and stabilizing chain colimits."""
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, product, repeat
@@ -36,10 +35,6 @@ class SimilarityType:
             if n == name:
                 return a
         raise KeyError(name)
-
-    @property
-    def names(self):
-        return tuple(n for n, _ in self.symbols)
 
 
 LATTICE_TYPE = SimilarityType((("meet", 2), ("join", 2)))
@@ -506,13 +501,18 @@ def _is_lattice_order(algebra):
     )
 
 
+def is_lattice_signature(algebra):
+    """The algebra's operations are exactly the binary meet and join."""
+    return dict(algebra.stype.symbols) == {"meet": 2, "join": 2}
+
+
 def is_lattice_algebra(algebra):
     """Total algebra in the lattice signature satisfying all lattice identities.
 
     Decided from the meet order; on at most LATTICE_CHECK_BOUND elements the
     identities are evaluated too, and the two verdicts cross-checked.
     """
-    if dict(algebra.stype.symbols) != {"meet": 2, "join": 2} or not algebra.is_total():
+    if not is_lattice_signature(algebra) or not algebra.is_total():
         return False
     ok = _is_lattice_order(algebra)
     if len(algebra) <= LATTICE_CHECK_BOUND:
@@ -614,33 +614,3 @@ def product_closure(algebra, pairs):
         fresh = new - members
         members |= fresh
     return members
-
-
-def shortest_path(start, goal, neighbours):
-    """Breadth-first shortest path from start to goal.
-
-    neighbours(u) yields (v, label) pairs in the order they are explored, so
-    the path found is determined by that order. Returns the (u, v, label)
-    steps of the path, [] when start equals goal, or None when goal is
-    unreachable.
-    """
-    if start == goal:
-        return []
-    prev = {start: None}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v, label in neighbours(u):
-            if v in prev:
-                continue
-            prev[v] = (u, label)
-            if v == goal:
-                steps = []
-                while prev[v] is not None:
-                    u, label = prev[v]
-                    steps.append((u, v, label))
-                    v = u
-                steps.reverse()
-                return steps
-            queue.append(v)
-    return None

@@ -3,9 +3,10 @@ construction with its cover law, the size-two-subsets poset, and bounded
 order dimension."""
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 
 from .errors import BudgetExceeded, TooLarge, cross_check
+from .util import assignments, bfs
 
 
 class FinitePoset:
@@ -56,15 +57,9 @@ class FinitePoset:
         return out
 
     def linear_extension(self):
-        remaining = list(self.elements)
-        out = []
-        while remaining:
-            nxt = next(
-                x for x in remaining if all(not self.lt(y, x) for y in remaining)
-            )
-            out.append(nxt)
-            remaining.remove(nxt)
-        return out
+        """The first linear extension: each position takes the first element
+        whose strict lower bounds are all placed."""
+        return list(next(_linear_extensions(self)).values())
 
     def __len__(self):
         return len(self.elements)
@@ -95,16 +90,14 @@ class FinitePoset:
 
     @classmethod
     def from_covers(cls, elements, cover_pairs):
+        """The order whose up-set of x is what the covers reach from x."""
         elements = list(elements)
-        leq = {(x, x) for x in elements} | set(map(tuple, cover_pairs))
-        changed = True
-        while changed:
-            changed = False
-            for (x, y) in list(leq):
-                for (y2, z) in list(leq):
-                    if y2 == y and (x, z) not in leq:
-                        leq.add((x, z))
-                        changed = True
+        up = {}
+        for x, y in cover_pairs:
+            up.setdefault(x, []).append((y, None))
+        # walk from cover sources outside `elements` too, so that validation
+        # still refuses a cover leaving the universe
+        leq = [(x, y) for x in {*elements, *up} for y in bfs(x, lambda u: up.get(u, ()), {})]
         return cls(elements, leq)
 
 
@@ -229,25 +222,17 @@ EXTENSION_CAP = 3000
 
 
 def _linear_extensions(poset):
-    """All linear extensions as tuples, up to EXTENSION_CAP."""
-    out = []
+    """Linear extensions as {position: element}, lexicographically by the
+    elements' positions in poset.elements: position k takes an element not
+    placed yet whose strict lower bounds all are."""
+    els = poset.elements
 
-    def extend(prefix, remaining):
-        if len(out) > EXTENSION_CAP:
-            raise TooLarge(f"more than {EXTENSION_CAP} linear extensions")
-        if not remaining:
-            out.append(tuple(prefix))
-            return
-        for x in list(remaining):
-            if all(not poset.lt(y, x) for y in remaining if y != x):
-                remaining.remove(x)
-                prefix.append(x)
-                extend(prefix, remaining)
-                prefix.pop()
-                remaining.add(x)
+    def fits(ext, k):
+        placed = list(ext.values())
+        x = placed.pop()
+        return x not in placed and all(y in placed for y in els if poset.lt(y, x))
 
-    extend([], set(poset.elements))
-    return out
+    return assignments(range(len(els)), els, fits)
 
 
 def order_dimension_at_most(poset, k):
@@ -268,7 +253,9 @@ def order_dimension_at_most(poset, k):
     ]
     if not incomparable:
         return True  # a chain: one extension realizes it
-    exts = _linear_extensions(poset)
+    exts = [tuple(ext.values()) for ext in islice(_linear_extensions(poset), EXTENSION_CAP + 1)]
+    if len(exts) > EXTENSION_CAP:
+        raise TooLarge(f"more than {EXTENSION_CAP} linear extensions")
     index = {p: i for i, p in enumerate(incomparable)}
 
     def realized(ext):

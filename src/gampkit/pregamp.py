@@ -3,7 +3,7 @@ from total algebras, quotients, induced morphisms, identity satisfaction."""
 
 from itertools import chain, combinations
 
-from .errors import IdealNotMapped, InvalidIdeal, SearchExhausted, cross_check
+from .errors import IdealNotMapped, cross_check
 from .palg import (
     PalgMorphism,
     PartialAlgebra,
@@ -21,7 +21,7 @@ from .semilattice import (
     ker0,
     quotient,
 )
-from .util import Verdict
+from .util import Verdict, assignments
 from . import congruence as _cong
 
 
@@ -191,9 +191,7 @@ def quotient_pregamp(pg, ideal):
     0-kernel the given ideal. Classes are labeled by their first universe
     member.
     """
-    if not isinstance(ideal, SemIdeal) or ideal.sem != pg.sem:
-        raise InvalidIdeal("ideal must belong to the pregamp's semilattice")
-    ideal.validate()
+    qsem, sproj = quotient(pg.sem, ideal)
     A = pg.carrier
     rep = {}
     for x in A.universe:
@@ -209,7 +207,6 @@ def quotient_pregamp(pg, ideal):
             t[tuple(rep[a] for a in args)] = rep[val]
         ops[name] = t
     qalg = PartialAlgebra(A.stype, universe, ops, validate=False)
-    qsem, sproj = quotient(pg.sem, ideal)
     dist = {}
     for x in universe:
         for y in universe:
@@ -389,97 +386,52 @@ def is_congruence_tractable_morphism(fm, m_cap=2):
     return tractability_verdict(fm.source, points, ident, m_cap, fm.f, fm.target.carrier)
 
 
-# Backtracking steps an isomorphism search may take before it gives up.
+# Backtracking steps each level of an isomorphism search may take before it
+# gives up.
 ISO_BUDGET = 200_000
 
 
-def _sem_isomorphisms(s1, s2):
-    """Generate all semilattice isomorphisms by backtracking.
-
-    Exceeding ISO_BUDGET raises rather than silently truncating, so an
-    exhausted generator really means there are no more.
-    """
-    if len(s1) != len(s2):
-        return
-    e1 = list(s1.elements)
-    steps = 0
-
-    def extend(mapping, used):
-        nonlocal steps
-        if len(mapping) == len(e1):
-            yield dict(mapping)
-            return
-        x = e1[len(mapping)]
-        for y in s2.elements:
-            steps += 1
-            if steps > ISO_BUDGET:
-                raise SearchExhausted("steps of the isomorphism search", ISO_BUDGET)
-            if y in used:
-                continue
-            mapping[x] = y
-            used.add(y)
-            ok = mapping.get(s1.zero, s2.zero) == s2.zero
-            if ok:
-                for a in mapping:
-                    j = s1.join(a, x)
-                    if j in mapping and s2.join(mapping[a], mapping[x]) != mapping[j]:
-                        ok = False
-                        break
-                    for b in mapping:
-                        j2 = s1.join(a, b)
-                        if j2 in mapping and s2.join(mapping[a], mapping[b]) != mapping[j2]:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                yield from extend(mapping, used)
-            del mapping[x]
-            used.discard(y)
-
-    yield from extend({}, set())
+def _injective(mapping):
+    return len(set(mapping.values())) == len(mapping)
 
 
 def pregamp_isomorphisms(pg1, pg2):
     """Generate every isomorphism of two small pregamps by backtracking.
 
     Semilattice isomorphisms are tried first, then carrier bijections that
-    intertwine the distances. Exceeding ISO_BUDGET raises SearchExhausted
-    rather than truncating, so an exhausted generator means there are no more.
+    intertwine the distances. Each level of the search raises SearchExhausted
+    past ISO_BUDGET steps rather than truncating, so an exhausted generator
+    means there are no more.
     """
-    A1, A2 = pg1.carrier, pg2.carrier
-    if len(A1) != len(A2) or len(pg1.sem) != len(pg2.sem):
+    A1, A2, s1, s2 = pg1.carrier, pg2.carrier, pg1.sem, pg2.sem
+    if len(A1) != len(A2) or len(s1) != len(s2):
         return
-    u1 = list(A1.universe)
 
-    for smap in _sem_isomorphisms(pg1.sem, pg2.sem):
-        smor = SemMorphism(pg1.sem, pg2.sem, smap, validate=False)
+    def sem_fits(mapping, x):
+        return (
+            _injective(mapping)
+            and mapping.get(s1.zero, s2.zero) == s2.zero
+            and all(
+                s2.join(mapping[a], mapping[b]) == mapping[j]
+                for a in mapping
+                for b in mapping
+                if (j := s1.join(a, b)) in mapping
+            )
+        )
 
-        def extend(mapping, used):
-            if len(mapping) == len(u1):
-                try:
-                    f = PalgMorphism(A1, A2, mapping)
-                except ValueError:
-                    return
-                if not is_palg_isomorphism(f):
-                    return
-                m = PregampMorphism(pg1, pg2, f, smor, validate=False)
-                try:
-                    m.validate()
-                except ValueError:
-                    return
+    for smap in assignments(s1.elements, s2.elements, sem_fits, ISO_BUDGET):
+        smor = SemMorphism(s1, s2, smap, validate=False)
+
+        def carrier_fits(mapping, x):
+            y = mapping[x]
+            return _injective(mapping) and all(
+                smor(pg1.delta(x, a)) == pg2.delta(y, fa) for a, fa in mapping.items() if a != x
+            )
+
+        for mapping in assignments(A1.universe, A2.universe, carrier_fits, ISO_BUDGET):
+            try:
+                m = PregampMorphism(pg1, pg2, PalgMorphism(A1, A2, mapping), smor)
+            except ValueError:
+                continue
+            if is_palg_isomorphism(m.f):
                 yield m
-                return
-            x = u1[len(mapping)]
-            for y in A2.universe:
-                if y in used:
-                    continue
-                if any(smor(pg1.delta(x, a)) != pg2.delta(y, fa) for a, fa in mapping.items()):
-                    continue
-                mapping[x] = y
-                used.add(y)
-                yield from extend(mapping, used)
-                del mapping[x]
-                used.discard(y)
-
-        yield from extend({}, set())

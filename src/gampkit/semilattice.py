@@ -1,7 +1,7 @@
 """Finite join-semilattices with zero: ideals, quotients, ideal-induced maps."""
 
-from .errors import InvalidIdeal, IdealNotMapped, cross_check
-from .util import sort_key, sorted_elements
+from .errors import InvalidIdeal, IdealNotMapped, TooManyIdeals, cross_check
+from .util import bfs, sort_key, sorted_elements
 
 
 class JoinSemilattice:
@@ -78,17 +78,10 @@ class JoinSemilattice:
         return f"JoinSemilattice({len(self.elements)} elements)"
 
     def join_closure(self, subset):
-        """Smallest join-closed subset containing `subset` and zero."""
-        closed = {self.zero} | set(subset)
-        frontier = list(closed)
-        while frontier:
-            x = frontier.pop()
-            for y in list(closed):
-                v = self._join[(x, y)]
-                if v not in closed:
-                    closed.add(v)
-                    frontier.append(v)
-        return frozenset(closed)
+        """Smallest join-closed subset containing `subset` and zero: the walk
+        from zero that joins one generator per step."""
+        gens = set(subset)
+        return frozenset(bfs(self.zero, lambda x: ((self._join[(x, g)], g) for g in gens), {}))
 
     def sub(self, subset):
         """Join-subsemilattice on a join-closed subset containing zero."""
@@ -253,7 +246,7 @@ def quotient(sem, ideal):
     ideal.
     """
     if not isinstance(ideal, SemIdeal) or ideal.sem != sem:
-        ideal = SemIdeal(sem, ideal.carrier if isinstance(ideal, SemIdeal) else ideal)
+        raise InvalidIdeal("ideal must belong to the semilattice")
     ideal.validate()
 
     def related(x, y):
@@ -329,24 +322,20 @@ def is_ideal_induced(phi):
 def enumerate_ideals(sem, bound=None):
     """All ideals of a finite semilattice, in deterministic (size, id) order.
 
-    Standard closure-system enumeration: grow known ideals by one element at
-    a time and re-close.
+    Standard closure-system enumeration: walk from the zero ideal, growing an
+    ideal by one element at a time and re-closing; more than `bound` ideals
+    raise TooManyIdeals.
     """
-    zero_ideal = frozenset({sem.zero})
-    seen = {zero_ideal}
-    frontier = [zero_ideal]
-    while frontier:
-        cur = frontier.pop()
-        for x in sem.elements:
-            if x in cur:
-                continue
-            down = SemIdeal.generated(sem, cur | {x}).carrier
-            if down not in seen:
-                seen.add(down)
-                frontier.append(down)
-                if bound is not None and len(seen) > bound:
-                    from .errors import TooManyIdeals
 
-                    raise TooManyIdeals(f"more than {bound} ideals")
-    order = sorted(seen, key=lambda c: (len(c), tuple(sorted(sem.index(x) for x in c))))
+    def grow(cur):
+        for x in sem.elements:
+            if x not in cur:
+                yield SemIdeal.generated(sem, cur | {x}).carrier, x
+
+    found = []
+    for carrier in bfs(frozenset({sem.zero}), grow, {}):
+        found.append(carrier)
+        if bound is not None and len(found) > bound:
+            raise TooManyIdeals(f"more than {bound} ideals")
+    order = sorted(found, key=lambda c: (len(c), tuple(sorted(sem.index(x) for x in c))))
     return [SemIdeal(sem, c, validate=False) for c in order]

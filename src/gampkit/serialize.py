@@ -7,7 +7,7 @@ from .congruence import Congruence
 from .diagram import Diagram
 from .errors import SchemaError
 from .gamp import Gamp, GampMorphism
-from .palg import PalgMorphism, PartialAlgebra, SimilarityType
+from .palg import PalgMorphism, PartialAlgebra, SimilarityType, is_lattice_signature
 from .poset import FinitePoset
 from .pregamp import Pregamp
 from .semilattice import JoinSemilattice, SemMorphism
@@ -304,7 +304,7 @@ def export_dot(obj, title="gampkit"):
     if isinstance(obj, JoinSemilattice):
         return _hasse_dot(obj.elements, obj.leq, title)
     if isinstance(obj, PartialAlgebra):
-        if set(obj.stype.names) != {"meet", "join"} or not obj.is_total():
+        if not is_lattice_signature(obj) or not obj.is_total():
             raise SchemaError("DOT export needs a total lattice algebra")
         meet = obj.ops["meet"]
         return _hasse_dot(obj.universe, lambda a, b: meet[(a, b)] == a, title)

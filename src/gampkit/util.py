@@ -1,6 +1,10 @@
-"""Small shared helpers: deterministic ordering and true/false verdicts."""
+"""Small shared helpers: deterministic ordering, true/false verdicts, and the
+package's one breadth-first walk (`bfs`, with `shortest_path` on it) and one
+backtracking search (`assignments`)."""
 
 from dataclasses import dataclass, field
+
+from .errors import SearchExhausted
 
 
 def sort_key(x):
@@ -67,3 +71,79 @@ def combine_verdicts(verdicts):
     """Aggregate: the first false verdict, else true."""
     return next((v for v in verdicts if v.status == FALSE), Verdict.true())
 
+
+def bfs(start, neighbours, parents, depth=None):
+    """Breadth-first walk from start, yielding each state when first reached.
+
+    neighbours(u) yields (v, label) pairs in the order they are explored.
+    The walk records parents[v] = (u, label) for the step that first reached
+    v, and parents[start] = None; `parents` is its only visited map, so the
+    caller reads the BFS tree from it. With a depth, only states within that
+    many steps of start are reached.
+    """
+    parents[start] = None
+    yield start
+    layer, steps = [start], 0
+    while layer and steps != depth:
+        steps += 1
+        reached = []
+        for u in layer:
+            for v, label in neighbours(u):
+                if v not in parents:
+                    parents[v] = (u, label)
+                    yield v
+                    reached.append(v)
+        layer = reached
+
+
+def shortest_path(start, goal, neighbours):
+    """Breadth-first shortest path from start to goal.
+
+    neighbours(u) yields (v, label) pairs in the order they are explored, so
+    the path found is determined by that order. Returns the (u, v, label)
+    steps of the path, [] when start equals goal, or None when goal is
+    unreachable.
+    """
+    parents = {}
+    for v in bfs(start, neighbours, parents):
+        if v == goal:
+            steps = []
+            while parents[v] is not None:
+                u, label = parents[v]
+                steps.append((u, v, label))
+                v = u
+            steps.reverse()
+            return steps
+    return None
+
+
+def assignments(slots, values, fits, budget=None):
+    """Every assignment of values to slots whose every prefix fits.
+
+    Slots are filled in order and values tried in order. fits(assignment,
+    slot) sees the partial assignment, a dict in slot order, just after
+    `slot` got its value; a value that does not fit is not extended. Yields
+    a copy of each complete assignment. Each value tried is one step, and
+    past `budget` steps SearchExhausted is raised, so an exhausted generator
+    really means there are no more.
+    """
+    slots, values = list(slots), list(values)
+    assignment = {}
+    steps = 0
+
+    def fill(k):
+        nonlocal steps
+        if k == len(slots):
+            yield dict(assignment)
+            return
+        slot = slots[k]
+        for v in values:
+            steps += 1
+            if budget is not None and steps > budget:
+                raise SearchExhausted("steps of a backtracking search", budget)
+            assignment[slot] = v
+            if fits(assignment, slot):
+                yield from fill(k + 1)
+        assignment.pop(slot, None)
+
+    return fill(0)

@@ -317,6 +317,39 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def deque_imports(source):
+    """Line numbers of the imports that bind collections.deque, by name or
+    through the collections module."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "collections":
+            if any(a.name == "deque" for a in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import) and any(a.name == "collections" for a in node.names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_deque_detector_flags_deque_imports():
+    source = (
+        "import collections\n"
+        "from collections import Counter, deque as queue\n"
+        "from collections import Counter\n"
+        "def f():\n"
+        "    from collections import deque\n"
+    )
+    assert deque_imports(source) == [1, 2, 5]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "util.py"], ids=lambda p: p.name
+)
+def test_no_second_breadth_first_walk(path):
+    # util.bfs is the package's one breadth-first walk; a queue anywhere else
+    # would start a second one
+    assert deque_imports(path.read_text()) == []
+
+
 def assert_lines(source):
     """Line numbers of the assert statements in the source."""
     return sorted(n.lineno for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Assert))

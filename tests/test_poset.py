@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,51 @@ class TestFinitePoset:
         for i, x in enumerate(order):
             for y in order[i + 1 :]:
                 assert not p.lt(y, x)
+
+
+# random cover relations on at most 6 elements; every pair points up the
+# index order, so the relation is acyclic
+cover_relations = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] < p[1])),
+    )
+)
+
+
+def transitive_closure(elements, pairs):
+    """Reference: Warshall's closure of the reflexive relation."""
+    leq = {(x, x) for x in elements} | set(pairs)
+    for y in elements:
+        for x in elements:
+            for z in elements:
+                if (x, y) in leq and (y, z) in leq:
+                    leq.add((x, z))
+    return leq
+
+
+@settings(max_examples=60, deadline=None)
+@given(cover_relations)
+def test_from_covers_is_the_transitive_closure(relation):
+    n, covers = relation
+    assert FinitePoset.from_covers(range(n), covers)._leq == transitive_closure(range(n), covers)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cover_relations)
+def test_linear_extensions_are_the_order_respecting_permutations(relation):
+    # elements listed against the direction of the covers, so that early
+    # positions refuse most of the values tried
+    n, covers = relation
+    p = FinitePoset.from_covers(reversed(range(n)), covers)
+    respecting = [
+        perm
+        for perm in permutations(p.elements)
+        if not any(p.lt(perm[j], perm[i]) for i in range(n) for j in range(i + 1, n))
+    ]
+    found = [tuple(ext.values()) for ext in poset_module._linear_extensions(p)]
+    assert found == respecting
+    assert p.linear_extension() == list(respecting[0])
 
 
 class TestKPoset:

@@ -328,6 +328,25 @@ class TestIsoSearch:
             next(pregamp_isomorphisms(pg, pg), None)
         assert exc.value.bound == 2
 
+    def test_budget_bounds_the_carrier_search(self, monkeypatch):
+        # the semilattice level takes 4 steps; all 8! carrier bijections
+        # intertwine the distances and none is an isomorphism (the identity
+        # against a constant), so only the carrier level can run out
+        from gampkit import pregamp
+        from gampkit.errors import SearchExhausted
+
+        points = range(8)
+        dist = {(x, y): int(x != y) for x in points for y in points}
+
+        def unary(f):
+            ops = {"f": {(x,): f(x) for x in points}}
+            alg = PartialAlgebra(SimilarityType((("f", 1),)), points, ops)
+            return Pregamp(alg, dist, JoinSemilattice.chain(2))
+
+        monkeypatch.setattr(pregamp, "ISO_BUDGET", 100)
+        with pytest.raises(SearchExhausted):
+            next(pregamp_isomorphisms(unary(lambda x: x), unary(lambda x: 0)), None)
+
     @pytest.mark.parametrize("name, count", [("M3", 6), ("N5", 1)])
     def test_self_isomorphism_counts(self, fixture_lattices, name, count):
         # |Aut(M3)| = |S3| = 6 and N5 is rigid

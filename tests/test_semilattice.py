@@ -1,7 +1,9 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gampkit.errors import IdealNotMapped, InvalidIdeal
+from gampkit.errors import IdealNotMapped, InvalidIdeal, TooManyIdeals
 from gampkit.semilattice import (
     JoinSemilattice,
     SemIdeal,
@@ -88,6 +90,11 @@ class TestQuotient:
         q, proj = quotient(s, ideal)
         assert len(q) == 2
 
+    def test_foreign_ideal_refused(self):
+        # an ideal of another semilattice is refused, not rebuilt
+        with pytest.raises(InvalidIdeal):
+            quotient(chain3(), SemIdeal(JoinSemilattice.chain(4), {0, 1}))
+
     def test_projection_always_ideal_induced(self):
         s = square_sem()
         for ideal in enumerate_ideals(s):
@@ -152,43 +159,59 @@ class TestEnumerateIdeals:
         assert [sorted(i.carrier) for i in out] == [[0], [0, 1]]
 
     def test_chain(self):
-        # oracle: brute force over all subsets
         s = chain3()
-        from itertools import combinations
-
-        brute = []
-        for r in range(1, 4):
-            for sub in combinations(s.elements, r):
-                sub = set(sub)
-                if 0 not in sub:
-                    continue
-                if any(s.leq(x, y) and x not in sub for x in s.elements for y in sub):
-                    continue
-                if any(s.join(x, y) not in sub for x in sub for y in sub):
-                    continue
-                brute.append(frozenset(sub))
-        assert {i.carrier for i in enumerate_ideals(s)} == set(brute)
-        assert len(brute) == 3
+        assert {i.carrier for i in enumerate_ideals(s)} == set(ideals_by_brute_force(s))
+        assert len(ideals_by_brute_force(s)) == 3
 
     def test_square(self):
         # brute force over subsets gives 4: the three-element downset of the
         # two atoms is not join-closed
         s = square_sem()
-        from itertools import combinations
-
-        count = 0
-        for r in range(1, 5):
-            for sub in combinations(s.elements, r):
-                sub = set(sub)
-                if s.zero not in sub:
-                    continue
-                if any(s.leq(x, y) and x not in sub for x in s.elements for y in sub):
-                    continue
-                if any(s.join(x, y) not in sub for x in sub for y in sub):
-                    continue
-                count += 1
-        assert count == 4
+        assert len(ideals_by_brute_force(s)) == 4
         assert len(enumerate_ideals(s)) == 4
+
+
+def ideals_by_brute_force(s):
+    """Reference: every subset that contains zero and is closed downward and
+    under joins."""
+    out = []
+    for r in range(1, len(s) + 1):
+        for sub in map(set, combinations(s.elements, r)):
+            if (
+                s.zero in sub
+                and all(x in sub for x in s.elements for y in sub if s.leq(x, y))
+                and all(s.join(x, y) in sub for x in sub for y in sub)
+            ):
+                out.append(frozenset(sub))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(subset_strategy)
+def test_enumerate_ideals_against_brute_force(extra):
+    s = powerset_sub(extra)
+    found = [i.carrier for i in enumerate_ideals(s)]
+    brute = ideals_by_brute_force(s)
+    assert found == sorted(brute, key=lambda c: (len(c), sorted(s.index(x) for x in c)))
+    assert len(enumerate_ideals(s, bound=len(brute))) == len(brute)
+    with pytest.raises(TooManyIdeals):
+        enumerate_ideals(s, bound=len(brute) - 1)
+
+
+def pairwise_closure(s, subset):
+    """Reference: add the joins of all pairs until nothing is new."""
+    closed = {s.zero} | set(subset)
+    while not (joins := {s.join(x, y) for x in closed for y in closed}) <= closed:
+        closed |= joins
+    return frozenset(closed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(subset_strategy, st.data())
+def test_join_closure_is_the_pairwise_fixpoint(extra, data):
+    s = powerset_sub(extra)
+    gens = data.draw(st.sets(st.sampled_from(s.elements)))
+    assert s.join_closure(gens) == pairwise_closure(s, gens)
 
 
 @settings(max_examples=40, deadline=None)

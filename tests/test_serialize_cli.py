@@ -102,6 +102,15 @@ def lifting_bundle(algebras):
     return data
 
 
+def with_unary_meet(gamp_data):
+    """A gamp bundle whose algebras declare `meet` unary and define it nowhere:
+    the operation names of the lattice signature with a wrong arity."""
+    for alg in (gamp_data["inner"], gamp_data["outer"]["algebra"]):
+        alg["type"] = [[n, 1 if n == "meet" else a] for n, a in alg["type"]]
+        alg["ops"]["meet"] = {"defined": [], "table": []}
+    return gamp_data
+
+
 class TestCli:
     def write(self, tmp_path, name, data):
         path = tmp_path / name
@@ -285,6 +294,14 @@ class TestCli:
                 ["gamp-check", "{gm3}", "--property", "cuttable"], id="gamp-check-morphism-property"
             ),
             pytest.param(
+                ["gamp-check", "{unary_meet}", "--property", "lattice_n_permutable", "--n", "2"],
+                id="gamp-check-lattice-n-permutable-unary-meet",
+            ),
+            pytest.param(
+                ["gamp-check", "{unary_meet}", "--property", "distance_generated_chains"],
+                id="gamp-check-chains-unary-meet",
+            ),
+            pytest.param(
                 ["gamp-check", "{gm3}", "--property", "nosuch"], id="gamp-check-unknown-property"
             ),
             pytest.param(
@@ -386,6 +403,10 @@ class TestCli:
             "m3": self.write(tmp_path, "m3.json", {"named": "M3"}),
             "gm3": self.write(
                 tmp_path, "gm3.json", ser.gamp_to_json(ga(build_named("M3").algebra))
+            ),
+            "unary_meet": self.write(
+                tmp_path, "unary_meet.json",
+                with_unary_meet(ser.gamp_to_json(ga(build_named("M3").algebra))),
             ),
             "c3": self.write(tmp_path, "c3.json", {"named": "chain:3"}),
             "chain2": self.write(
