@@ -363,41 +363,102 @@ def _relational_n_permutable(algebra, n, congruences):
     return True, None
 
 
+def _step_indices(sem, dist):
+    """dist as a function of a pair to the index of its value in
+    sem.elements, reading each pair from dist once, on first call."""
+    index = sem.index
+    cache = {}
+
+    def step(a, b):
+        i = cache.get((a, b))
+        if i is None:
+            i = cache[(a, b)] = index(dist[(a, b)])
+        return i
+
+    return step
+
+
+def _interpolants(rows, step, n, first, last, even, odd, middle, meets):
+    """The one interpolant search, on indices into sem.elements.
+
+    Yields, in product(middle, repeat=n-1) order, every ys with ys[0] =
+    first and ys[n] = last whose every step(ys[k], ys[k+1]) lies, in the
+    join table rows, under the opposite-parity join of the tuple's steps:
+    odd for even k, even for odd k. With a meet table, only chains are
+    yielded: ys[i] meet ys[j] = ys[i] both ways round for all i <= j,
+    undefined cells failing. Depth first: a prefix is cut at its first
+    failing chain pair, which is checked against last too, or step, so step
+    is called only on pairs that a chain-consistent prefix reaches.
+    """
+
+    def chained(a, b):
+        return meets.get((a, b), UNDEFINED) == a and meets.get((b, a), UNDEFINED) == a
+
+    if meets is None:
+        candidates = middle
+    elif chained(first, first) and chained(first, last) and chained(last, last):
+        candidates = [y for y in middle if chained(first, y) and chained(y, y) and chained(y, last)]
+    else:
+        return
+    bounds = [odd if k % 2 == 0 else even for k in range(n)]
+    ys = [first] * n + [last]
+    end = bounds[n - 1]
+
+    def extend(k):
+        # ys[:k] is a passing prefix; place ys[k]
+        prev, bound = ys[k - 1], bounds[k - 1]
+        for y in candidates:
+            if meets is not None and not all(chained(ys[i], y) for i in range(1, k)):
+                continue
+            if rows[step(prev, y)][bound] != bound:
+                continue
+            ys[k] = y
+            if k < n - 1:
+                yield from extend(k + 1)
+            elif rows[step(y, last)][end] == end:
+                yield tuple(ys)
+
+    if n > 1:
+        yield from extend(1)
+    elif rows[step(first, last)][end] == end:
+        yield first, last
+
+
+def _parity_joins(rows, step, xs, zero):
+    """The joins of the even and of the odd steps of xs, as indices."""
+    parity = [zero, zero]
+    for k in range(len(xs) - 1):
+        parity[k % 2] = rows[parity[k % 2]][step(xs[k], xs[k + 1])]
+    return parity
+
+
 def chain_interpolants(sem, dist, xs, first, last, middle, meets=None):
     """Interpolants of the chain condition for the tuple xs = (x0, ..., xn).
 
     Yields, in product(middle, repeat=n-1) order, every ys with ys[0] = first
     and ys[n] = last whose every step dist[ys[k], ys[k+1]] lies under the
     join in sem of the opposite-parity steps of xs. dist is a pair-keyed
-    mapping into sem. With a meet table, only chains are yielded: ys[i] meet
+    mapping into sem, read only at the steps of xs and of the prefixes the
+    search reaches. With a meet table, only chains are yielded: ys[i] meet
     ys[j] = ys[i] both ways round for all i <= j, undefined cells failing.
-
-    The search reads xs only through its length, the endpoints first and
-    last, and the two parity joins of its steps; first_interpolants relies
-    on this.
     """
+    rows, step = sem.join_rows, _step_indices(sem, dist)
     n = len(xs) - 1
-    steps = [dist[(xs[i], xs[i + 1])] for i in range(n)]
-    even, odd = sem.join_all(steps[0::2]), sem.join_all(steps[1::2])
-    bounds = [odd if k % 2 == 0 else even for k in range(n)]
-    leq = sem.leq
-    for mid in product(middle, repeat=n - 1):
-        ys = (first,) + mid + (last,)
-        if meets is not None and not _is_chain(ys, meets):
-            continue
-        for k in range(n):
-            if not leq(dist[(ys[k], ys[k + 1])], bounds[k]):
-                break
-        else:
-            yield ys
+    even, odd = _parity_joins(rows, step, xs, sem.index(sem.zero))
+    yield from _interpolants(rows, step, n, first, last, even, odd, middle, meets)
 
 
-def _is_chain(ys, meets):
-    for i, a in enumerate(ys):
-        for b in ys[i:]:
-            if meets.get((a, b), UNDEFINED) != a or meets.get((b, a), UNDEFINED) != a:
-                return False
-    return True
+def _first_interpolant_memo(rows, step, middle, meets):
+    """The first interpolants for (n, first, last, even, odd), the parity
+    joins as indices: the search runs once per key."""
+    memo = {}
+
+    def first_for(*key):
+        if key not in memo:
+            memo[key] = next(_interpolants(rows, step, *key, middle, meets), None)
+        return memo[key]
+
+    return first_for
 
 
 def first_interpolants(sem, dist, middle, meets=None):
@@ -406,28 +467,17 @@ def first_interpolants(sem, dist, middle, meets=None):
 
     Returns find(xs, first, last), which equals
     next(chain_interpolants(sem, dist, xs, first, last, middle, meets), None).
-    That search depends on xs only through its length, the endpoints and the
-    two parity joins, so find memoizes on those, the joins taken as indices
-    into sem.elements. The memo lives as long as the returned function.
+    The search depends on xs only through its length, the endpoints and the
+    two parity joins of its steps, so find memoizes on those, the joins
+    taken as indices into sem.elements. The memo lives as long as the
+    returned function.
     """
-    index = {x: i for i, x in enumerate(sem.elements)}
-    joins = [[index[sem.join(a, b)] for b in sem.elements] for a in sem.elements]
-    zero = index[sem.zero]
-    steps = {}
-    memo = {}
+    rows, step = sem.join_rows, _step_indices(sem, dist)
+    zero = sem.index(sem.zero)
+    first_for = _first_interpolant_memo(rows, step, middle, meets)
 
     def find(xs, first, last):
-        parity = [zero, zero]
-        for k in range(len(xs) - 1):
-            pair = (xs[k], xs[k + 1])
-            step = steps.get(pair)
-            if step is None:
-                step = steps[pair] = index[dist[pair]]
-            parity[k % 2] = joins[parity[k % 2]][step]
-        key = (len(xs), first, last, *parity)
-        if key not in memo:
-            memo[key] = next(chain_interpolants(sem, dist, xs, first, last, middle, meets), None)
-        return memo[key]
+        return first_for(len(xs) - 1, first, last, *_parity_joins(rows, step, xs, zero))
 
     return find
 
@@ -439,21 +489,48 @@ def _chain_condition_failures(sem, dist, inner, outer, n, meets=None, joins=None
     With meet and join tables (the lattice form) the interpolants run from
     x0 meet xn to x0 join xn and must be chains; a tuple whose endpoints are
     not defined both ways round, or differ between them, fails with
-    "endpoints undefined". Otherwise they run from x0 to xn. One
-    first_interpolants memo serves the whole walk.
+    "endpoints undefined". Otherwise they run from x0 to xn. The tuples are
+    walked depth first, with the parity joins of each prefix's steps carried
+    as indices, and one memo of first interpolants serves the whole walk.
     """
-    find = first_interpolants(sem, dist, outer, meets)
-    for xs in product(inner, repeat=n + 1):
-        first, last = xs[0], xs[n]
-        if meets is not None:
-            m1, m2 = meets.get((first, last), UNDEFINED), meets.get((last, first), UNDEFINED)
-            j1, j2 = joins.get((first, last), UNDEFINED), joins.get((last, first), UNDEFINED)
-            if UNDEFINED in (m1, m2, j1, j2) or m1 != m2 or j1 != j2:
-                yield "endpoints undefined", xs
+    rows, step = sem.join_rows, _step_indices(sem, dist)
+    first_for = _first_interpolant_memo(rows, step, outer, meets)
+    inner = list(inner)
+    xs = [None] * (n + 1)
+
+    def endpoints(x0, xn):
+        if meets is None:
+            return x0, xn
+        m1, m2 = meets.get((x0, xn), UNDEFINED), meets.get((xn, x0), UNDEFINED)
+        j1, j2 = joins.get((x0, xn), UNDEFINED), joins.get((xn, x0), UNDEFINED)
+        if UNDEFINED in (m1, m2, j1, j2) or m1 != m2 or j1 != j2:
+            return None
+        return m1, j1
+
+    def walk(k, parity):
+        # xs[:k] is placed, and parity holds the joins of its even and odd steps
+        prev, p = xs[k - 1], (k - 1) % 2
+        row, joined = rows[parity[p]], list(parity)
+        if k < n:
+            for x in inner:
+                xs[k] = x
+                joined[p] = row[step(prev, x)]
+                yield from walk(k + 1, joined)
+            return
+        for x, end in zip(inner, ends):
+            xs[n] = x
+            if end is None:
+                yield "endpoints undefined", tuple(xs)
                 continue
-            first, last = m1, j1
-        if find(xs, first, last) is None:
-            yield "no interpolants", xs
+            joined[p] = row[step(prev, x)]
+            if first_for(n, *end, *joined) is None:
+                yield "no interpolants", tuple(xs)
+
+    zero = sem.index(sem.zero)
+    for x0 in inner:
+        xs[0] = x0
+        ends = [endpoints(x0, x) for x in inner]
+        yield from walk(1, (zero, zero))
 
 
 def _elementwise_n_permutable(algebra, n, cong_sl):

@@ -52,14 +52,40 @@ class PartialAlgebra:
     def __init__(self, stype, universe, ops, validate=True):
         self.stype = stype
         self.universe = tuple(universe)
-        self.ops = {name: dict(table) for name, table in ops.items()}
-        for name, _ in stype.symbols:
-            self.ops.setdefault(name, {})
+        if ops is not None:  # None from product only: see the ops property
+            self.ops = {name: dict(table) for name, table in ops.items()}
+            for name, _ in stype.symbols:
+                self.ops.setdefault(name, {})
         self._uset = frozenset(self.universe)
         # the factor algebras when this is a direct product; set by product only
         self.factors = None
         if validate:
             self.validate()
+
+    @cached_property
+    def ops(self):
+        """A product's tables, built from its recorded factors on first read
+        and kept: the argument tuples of each table in itertools.product
+        order, as product() documents. Every other algebra's tables are set
+        by the constructor."""
+        algebras = self.factors
+        universe = self.universe
+        ops = {}
+        for name, ar in self.stype.symbols:
+            tables = [a.ops[name] for a in algebras]
+            if not ar:
+                ops[name] = {(): tuple(t[()] for t in tables)}
+                continue
+            table = ops[name] = {}
+            for lead in product(universe, repeat=ar - 1):
+                # each factor's row of values over its last argument; their
+                # product lists the row's values in universe order
+                heads = zip(*lead) if lead else repeat(())
+                rows = [
+                    [t[h + (x,)] for x in a.universe] for t, a, h in zip(tables, algebras, heads)
+                ]
+                table.update(zip([lead + (u,) for u in universe], product(*rows)))
+        return ops
 
     def validate(self):
         if len(self._uset) != len(self.universe):
@@ -94,6 +120,10 @@ class PartialAlgebra:
         return self.ops[name].get(tuple(args), UNDEFINED)
 
     def is_total(self):
+        # product() checks its factors total, so a product is total: answered
+        # without building its tables
+        if self.factors is not None:
+            return True
         n = len(self.universe)
         return all(len(self.ops[name]) == n ** self.stype.arity(name) for name, _ in self.stype.symbols)
 
@@ -104,7 +134,7 @@ class PartialAlgebra:
         return len(self.universe)
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, PartialAlgebra)
             and self.stype == other.stype
             and self._uset == other._uset
@@ -112,7 +142,12 @@ class PartialAlgebra:
         )
 
     def __hash__(self):
-        return hash((self.stype, self._uset, tuple(sorted((n, len(t)) for n, t in self.ops.items()))))
+        if self.factors is not None:  # total: each table has n^arity entries
+            n = len(self.universe)
+            sizes = ((name, n ** ar) for name, ar in self.stype.symbols)
+        else:
+            sizes = ((name, len(t)) for name, t in self.ops.items())
+        return hash((self.stype, self._uset, tuple(sorted(sizes))))
 
     def __repr__(self):
         kind = "total" if self.is_total() else "partial"
@@ -161,7 +196,9 @@ class PartialAlgebra:
         least one factor, all of one similarity type (else ValueError). The
         result records the factors in `factors`; only this constructor sets
         it, and nothing changes a product's tables afterwards, so a product
-        always equals the direct product of its recorded factors.
+        always equals the direct product of its recorded factors. The tables
+        are built on the first read of `ops`; is_total(), hashing and
+        comparing a product with itself do not read them.
         """
         algebras = list(algebras)
         if not algebras:
@@ -172,23 +209,7 @@ class PartialAlgebra:
         for i, a in enumerate(algebras):
             if not a.is_total():
                 raise NotTotal(f"product factor {i} is partial")
-        universe = list(product(*(a.universe for a in algebras)))
-        ops = {}
-        for name, ar in stype.symbols:
-            tables = [a.ops[name] for a in algebras]
-            if not ar:
-                ops[name] = {(): tuple(t[()] for t in tables)}
-                continue
-            table = ops[name] = {}
-            for lead in product(universe, repeat=ar - 1):
-                # each factor's row of values over its last argument; their
-                # product lists the row's values in universe order
-                heads = zip(*lead) if lead else repeat(())
-                rows = [
-                    [t[h + (x,)] for x in a.universe] for t, a, h in zip(tables, algebras, heads)
-                ]
-                table.update(zip([lead + (u,) for u in universe], product(*rows)))
-        alg = cls(stype, universe, ops, validate=False)
+        alg = cls(stype, product(*(a.universe for a in algebras)), None, validate=False)
         alg.factors = tuple(algebras)
         return alg
 

@@ -1,5 +1,7 @@
 """Finite join-semilattices with zero: ideals, quotients, ideal-induced maps."""
 
+from functools import cached_property
+
 from .errors import InvalidIdeal, IdealNotMapped, TooManyIdeals, cross_check
 from .util import bfs, sort_key, sorted_elements
 
@@ -56,6 +58,15 @@ class JoinSemilattice:
 
     def index(self, x):
         return self._index[x]
+
+    @cached_property
+    def join_rows(self):
+        """The join table on indices into elements: join_rows[i][j] is the
+        index of elements[i] v elements[j], so i <= j iff join_rows[i][j] == j.
+        Built on first use and kept: nothing changes the join table after
+        construction."""
+        index, els = self._index, self.elements
+        return [[index[self._join[(x, y)]] for y in els] for x in els]
 
     def __contains__(self, x):
         return x in self._index

@@ -12,6 +12,7 @@ import gampkit
 from gampkit import build_named, congruence
 from gampkit.cli import run
 from gampkit.congruence import (
+    _chain_condition_failures,
     _elementwise_n_permutable,
     Congruence,
     MalcevWitness,
@@ -35,7 +36,7 @@ from gampkit.congruence import (
 )
 from gampkit.errors import CrossCheckFailed, GampkitError, NotTotal
 from gampkit.gamp import check_property, ga
-from gampkit.palg import LATTICE_TYPE, PalgMorphism, PartialAlgebra, SimilarityType
+from gampkit.palg import LATTICE_TYPE, UNDEFINED, PalgMorphism, PartialAlgebra, SimilarityType
 from gampkit.semilattice import SemIdeal, is_ideal_induced, ker0
 
 
@@ -369,12 +370,41 @@ def test_conc_is_a_functor_on_labelled_algebras(alg, data):
             assert f1(c0.principal(x, y)) == c1.principal(q1(x), q1(y))
 
 
-def _unmemoized_elementwise(alg, n, cs):
-    dist = cs.distances()
-    for xs in product(alg.universe, repeat=n + 1):
-        if next(chain_interpolants(cs, dist, xs, xs[0], xs[n], alg.universe), None) is None:
-            return False, xs
-    return True, None
+def brute_chain_interpolants(sem, dist, xs, first, last, middle, meets=None):
+    """Reference for chain_interpolants: every candidate of
+    product(middle, repeat=n-1), each checked whole, chain first."""
+    n = len(xs) - 1
+    steps = [dist[(xs[i], xs[i + 1])] for i in range(n)]
+    even, odd = sem.join_all(steps[0::2]), sem.join_all(steps[1::2])
+    bounds = [odd if k % 2 == 0 else even for k in range(n)]
+    for mid in product(middle, repeat=n - 1):
+        ys = (first,) + mid + (last,)
+        if meets is not None and not all(
+            meets.get((a, b), UNDEFINED) == a and meets.get((b, a), UNDEFINED) == a
+            for i, a in enumerate(ys)
+            for b in ys[i:]
+        ):
+            continue
+        if all(sem.leq(dist[(ys[k], ys[k + 1])], bounds[k]) for k in range(n)):
+            yield ys
+
+
+def brute_chain_condition_failures(sem, dist, inner, outer, n, meets=None, joins=None):
+    """Reference for _chain_condition_failures: every tuple of
+    product(inner, repeat=n+1), searched on its own."""
+    failures = []
+    for xs in product(inner, repeat=n + 1):
+        first, last = xs[0], xs[n]
+        if meets is not None:
+            m1, m2 = meets.get((first, last), UNDEFINED), meets.get((last, first), UNDEFINED)
+            j1, j2 = joins.get((first, last), UNDEFINED), joins.get((last, first), UNDEFINED)
+            if UNDEFINED in (m1, m2, j1, j2) or m1 != m2 or j1 != j2:
+                failures.append(("endpoints undefined", xs))
+                continue
+            first, last = m1, j1
+        if next(brute_chain_interpolants(sem, dist, xs, first, last, outer, meets), None) is None:
+            failures.append(("no interpolants", xs))
+    return failures
 
 
 def _assert_memo_exact(alg, n, meets):
@@ -385,9 +415,11 @@ def _assert_memo_exact(alg, n, meets):
         find = first_interpolants(cs, dist, universe, table)
         for xs in product(universe, repeat=n + 1):
             first, last = xs[0], xs[n]
-            expected = next(chain_interpolants(cs, dist, xs, first, last, universe, table), None)
+            expected = next(brute_chain_interpolants(cs, dist, xs, first, last, universe, table), None)
             assert find(xs, first, last) == expected, (xs, table is None)
-    assert _elementwise_n_permutable(alg, n, cs) == _unmemoized_elementwise(alg, n, cs)
+    failures = brute_chain_condition_failures(cs, dist, universe, universe, n)
+    expected = (False, failures[0][1]) if failures else (True, None)
+    assert _elementwise_n_permutable(alg, n, cs) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -405,6 +437,50 @@ def test_first_interpolants_equal_the_search_on_named_lattices(name, fixture_lat
     _assert_memo_exact(alg, 2, alg.ops["meet"])
 
 
+@st.composite
+def partial_order_tables(draw, universe):
+    """A meet or join table of a random linear order of the universe, with
+    random cells left undefined and others overwritten by random values."""
+    rank = {x: i for i, x in enumerate(draw(st.permutations(universe)))}
+    pick = min if draw(st.booleans()) else max
+    cells = list(product(universe, repeat=2))
+    modes = draw(st.lists(st.sampled_from("-==?"), min_size=len(cells), max_size=len(cells)))
+    junk = draw(st.lists(st.sampled_from(universe), min_size=len(cells), max_size=len(cells)))
+    table = {}
+    for (a, b), mode, value in zip(cells, modes, junk):
+        if mode == "=":
+            table[(a, b)] = pick(a, b, key=rank.__getitem__)
+        elif mode == "?":
+            table[(a, b)] = value
+    return table
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_unary_binary_algebras(), st.data())
+def test_interpolant_search_matches_brute_force_on_partial_tables(alg, data):
+    universe = alg.universe
+    cs = conc(alg)
+    dist = cs.distances()
+    meets = data.draw(partial_order_tables(universe))
+    joins = data.draw(partial_order_tables(universe))
+    inner = universe[: data.draw(st.integers(1, len(universe)))]
+    for n in (1, 2, 3):
+        for table in (None, meets):
+            find = first_interpolants(cs, dist, universe, table)
+            for xs in product(inner, repeat=n + 1):
+                for first, last in ((xs[0], xs[n]), (xs[n], xs[0])):
+                    expected = list(
+                        brute_chain_interpolants(cs, dist, xs, first, last, universe, table)
+                    )
+                    found = chain_interpolants(cs, dist, xs, first, last, universe, table)
+                    assert list(found) == expected, (n, xs, first, last, table is None)
+                    assert find(xs, first, last) == next(iter(expected), None)
+        for tables in ((), (meets, joins)):
+            assert list(_chain_condition_failures(cs, dist, inner, universe, n, *tables)) == (
+                brute_chain_condition_failures(cs, dist, inner, universe, n, *tables)
+            ), (n, bool(tables))
+
+
 def _unmemoized_witnesses(g, n, lattice_form):
     meets, joins = g.outer.ops["meet"], g.outer.ops["join"]
     outer = list(g.outer.universe)
@@ -415,7 +491,7 @@ def _unmemoized_witnesses(g, n, lattice_form):
         else:
             first, last, table = xs[0], xs[n], None
         witnesses[xs] = next(
-            chain_interpolants(g.sem, g.pregamp.dist, xs, first, last, outer, table), None
+            brute_chain_interpolants(g.sem, g.pregamp.dist, xs, first, last, outer, table), None
         )
     return witnesses
 

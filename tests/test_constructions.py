@@ -130,6 +130,16 @@ class TestSquareFacts:
         rep = verify_square_facts(build_square("M3", n))
         assert rep["ok"], rep
 
+    @pytest.mark.parametrize("base", ["M3", "L2", "L3", "L4"])
+    def test_facts_leave_the_top_power_unbuilt(self, base):
+        # the n=3 facts read the powers' tables only through the chain maps
+        # into A_l and A_r; A_t (up to 343 elements) is compared, hashed and
+        # checked total from its recorded factors
+        sq = build_square(base, 3)
+        assert verify_square_facts(sq)["ok"]
+        top = sq.a_square.objects["t"]
+        assert top.factors is not None and "ops" not in vars(top)
+
     def test_indirect_marker_for_large_nodes(self):
         rep = verify_square_facts(build_square("M3", 3))
         methods = {k: v["method"] for k, v in rep["facts"]["nodes_n_plus_1_permutable"].items()}

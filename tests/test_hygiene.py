@@ -365,3 +365,81 @@ def test_no_asserts(path):
     # python -O strips assert statements; a source check is an
     # errors.cross_check, which raises either way
     assert assert_lines(path.read_text()) == []
+
+
+TABLE_MUTATORS = frozenset({"update", "setdefault", "pop", "clear"})
+
+
+def _is_tables(node):
+    """`<expr>.ops` or `<expr>.ops[...]`: an algebra's tables or one of them."""
+    if isinstance(node, ast.Subscript):
+        node = node.value
+    return isinstance(node, ast.Attribute) and node.attr == "ops"
+
+
+def table_mutations(source):
+    """(line, enclosing "Class.function") of each statement of the source
+    that changes an algebra's tables: an assignment or deletion of
+    `<expr>.ops`, or of an entry of `<expr>.ops` or `<expr>.ops[...]`, and a
+    call of update, setdefault, pop or clear on either."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        hit = any(
+            (isinstance(t, ast.Attribute) and t.attr == "ops")
+            or (isinstance(t, ast.Subscript) and _is_tables(t.value))
+            for t in targets
+        )
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            hit = hit or (node.func.attr in TABLE_MUTATORS and _is_tables(node.func.value))
+        if hit:
+            found.append((node.lineno, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return sorted(found)
+
+
+def test_table_mutation_detector_flags_writes_and_keeps_reads():
+    source = (
+        "class PartialAlgebra:\n"
+        "    def __init__(self, ops):\n"
+        "        self.ops = dict(ops)\n"
+        "        self.ops.setdefault('f', {})\n"
+        "def widen(alg, other):\n"
+        "    alg.ops['f'][(0, 1)] = 1\n"
+        "    alg.ops['g'] = {}\n"
+        "    alg.ops.update(other.ops)\n"
+        "    alg.ops['f'].pop((0, 1))\n"
+        "    del alg.ops['g']\n"
+        "    other.ops['f'] |= {(1, 1): 1}\n"
+        "    other.ops['f'].clear()\n"
+        "    ops = dict(alg.ops)\n"
+        "    ops['f'] = {}\n"
+        "    ops.update(alg.ops)\n"
+        "    return alg.ops['f'].get((0, 1)), alg.ops.items()\n"
+    )
+    assert table_mutations(source) == [
+        (3, "PartialAlgebra.__init__"), (4, "PartialAlgebra.__init__"),
+        (6, "widen"), (7, "widen"), (8, "widen"), (9, "widen"), (10, "widen"),
+        (11, "widen"), (12, "widen"),
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_tables_change_only_in_construction(path):
+    # PartialAlgebra.translation_rows and a product's tables are built once
+    # and kept, which is sound only while nothing changes an algebra's tables
+    # after its constructor
+    allowed = "PartialAlgebra.__init__" if path.name == "palg.py" else None
+    assert [m for m in table_mutations(path.read_text()) if m[1] != allowed] == []

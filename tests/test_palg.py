@@ -350,10 +350,18 @@ class TestProduct:
     def test_tables_match_elementwise_definition(self, factors):
         alg = PartialAlgebra.product(factors)
         universe, ops = elementwise_product(factors)
+        plain = PartialAlgebra(alg.stype, universe, ops)
+        # hashing, totality and self-comparison answer before the tables are built
+        assert hash(alg) == hash(plain)
+        assert alg.is_total() == plain.is_total()
+        assert alg == alg
+        assert "ops" not in vars(alg)
         assert list(alg.universe) == universe
         assert {n: list(t.items()) for n, t in alg.ops.items()} == {
             n: list(t.items()) for n, t in ops.items()
         }
+        assert alg == plain and plain == alg
+        assert hash(alg) == hash(plain)
 
 
 class TestFactorwiseMorphisms:

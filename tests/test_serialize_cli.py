@@ -217,16 +217,28 @@ class TestCli:
         assert "more than 3 search nodes" in report["exhaustive"]["note"]
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, refusal, over_con_bound",
         [
-            pytest.param(["M3", "--n", "2", "--exhaustive-bound", "2"], id="padding-bound-2"),
-            pytest.param(["M3", "--n", "3", "--exhaustive-bound", "1"], id="carrier-cap"),
-            pytest.param(["L2", "--n", "3", "--exhaustive-bound", "0"], id="L2-con-bound"),
+            pytest.param(
+                ["M3", "--n", "2", "--exhaustive-bound", "2"], "padding bounds 0 and 1", [],
+                id="padding-bound-2",
+            ),
+            pytest.param(
+                ["M3", "--n", "3", "--exhaustive-bound", "1"], "carrier exceeds 16", [],
+                id="carrier-cap",
+            ),
+            pytest.param(
+                ["L2", "--n", "3", "--exhaustive-bound", "0"], "capped at 160 elements (got 343)",
+                [343], id="L2-con-bound",
+            ),
         ],
     )
-    def test_repro_refused_bound_exit_3(self, argv, monkeypatch, capsys):
+    def test_repro_refused_bound_exit_3(self, argv, refusal, over_con_bound, monkeypatch, capsys):
         # each refusal comes before the work it refuses: no Con of a node
-        # over 30 elements is built on the way
+        # over 30 elements is built on the way, and no power over CON_BOUND
+        # elements has its tables built
+        from gampkit import constructions
+
         real = congruence.conc
 
         def small_only(algebra, *args):
@@ -234,9 +246,21 @@ class TestCli:
                 raise AssertionError(f"Con built on {len(algebra)} elements")
             return real(algebra, *args)
 
+        squares = []
+        real_build = constructions.build_square
+
+        def recorded_build(*args):
+            squares.append(real_build(*args))
+            return squares[-1]
+
         monkeypatch.setattr(congruence, "conc", small_only)
+        monkeypatch.setattr(constructions, "build_square", recorded_build)
         assert run(["repro", "unliftable", "--K", *argv]) == 3
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and refusal in err
+        big = [a for sq in squares for a in sq.a_square.objects.values() if len(a) > congruence.CON_BOUND]
+        assert [len(a) for a in big] == over_con_bound
+        assert all("ops" not in vars(a) for a in big)
 
     @pytest.mark.parametrize("base", ["N5", "X1", "X2", "two", "chain:4"])
     def test_repro_unliftable_without_marked_elements_exit_3(self, base, capsys):
