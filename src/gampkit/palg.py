@@ -3,7 +3,8 @@ calculus, identity satisfaction, images, and stabilizing chain colimits."""
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import chain, compress, count, product, repeat
+from operator import ne
 
 from .errors import NotComposable, NotSubset, NotTotal, cross_check
 
@@ -115,6 +116,30 @@ class PartialAlgebra:
             for ps in product(universe, repeat=ar - 1)
         )
         return index, list(zip(*columns)) or [()] * len(universe)
+
+    @cached_property
+    def index_tables(self):
+        """The index map of the universe, and for each operation its table on
+        indices: a dict from argument index tuples to the value's index.
+        Compiled on first use and kept, as translation_rows is."""
+        index = {x: i for i, x in enumerate(self.universe)}
+        return index, {
+            name: {tuple(map(index.__getitem__, args)): index[v] for args, v in table.items()}
+            for name, table in self.ops.items()
+        }
+
+    @cached_property
+    def _lattice_verdict(self):
+        """is_lattice_algebra's verdict, decided on first use and kept."""
+        if not is_lattice_signature(self) or not self.is_total():
+            return False
+        ok = _is_lattice_order(self)
+        if len(self) <= LATTICE_CHECK_BOUND:
+            by_identities = all(
+                satisfies_identity(self, t1, t2)[0] for _, t1, t2 in LATTICE_IDENTITIES
+            )
+            cross_check(ok == by_identities, "meet order and lattice identities disagree")
+        return ok
 
     def apply(self, name, args):
         return self.ops[name].get(tuple(args), UNDEFINED)
@@ -479,17 +504,35 @@ def preimage_palg(f, sub):
 
 
 def satisfies_identity(algebra, t1, t2):
-    """True iff t1 and t2 agree wherever both are defined; else a counterexample tuple."""
-    n = max(t1.nvars(), t2.nvars())
-    for args in product(algebra.universe, repeat=n):
-        v1 = t1.eval(algebra, args)
-        if v1 is UNDEFINED:
-            continue
-        v2 = t2.eval(algebra, args)
-        if v2 is UNDEFINED:
-            continue
-        if v1 != v2:
-            return False, args
+    """True iff t1 and t2 agree wherever both are defined; else the first
+    counterexample tuple in product order over the universe.
+
+    Evaluated column-wise on the index tables, one slice per value of the
+    first variable: a subterm is one column over the slice's assignments,
+    with None where it is undefined, a key no table has.
+    """
+    universe, tables = algebra.universe, algebra.index_tables[1]
+    k = max(t1.nvars(), t2.nvars())
+    rest = list(product(range(len(universe)), repeat=max(k - 1, 0)))
+    tails = list(zip(*rest))
+
+    def column(t, memo, cols):
+        # memoized by identity: Term.__hash__ walks the whole term
+        if id(t) not in memo:
+            if t.kind == "var":
+                memo[id(t)] = cols[t.var]
+            else:
+                args = zip(*(column(a, memo, cols) for a in t.args)) if t.args else [()] * len(rest)
+                memo[id(t)] = list(map(tables[t.name].get, args))
+        return memo[id(t)]
+
+    for head in [()] if k == 0 else [(i,) for i in range(len(universe))]:
+        cols = [[i] * len(rest) for i in head] + tails
+        memo = {}
+        c1, c2 = column(t1, memo, cols), column(t2, memo, cols)
+        for pos in compress(count(), map(ne, c1, c2)):
+            if c1[pos] is not None and c2[pos] is not None:
+                return False, tuple(universe[i] for i in head + rest[pos])
     return True, None
 
 
@@ -531,17 +574,11 @@ def is_lattice_algebra(algebra):
     """Total algebra in the lattice signature satisfying all lattice identities.
 
     Decided from the meet order; on at most LATTICE_CHECK_BOUND elements the
-    identities are evaluated too, and the two verdicts cross-checked.
+    identities are evaluated too, and the two verdicts cross-checked. The
+    verdict is kept on the algebra, so each algebra is decided once: nothing
+    changes its tables after construction.
     """
-    if not is_lattice_signature(algebra) or not algebra.is_total():
-        return False
-    ok = _is_lattice_order(algebra)
-    if len(algebra) <= LATTICE_CHECK_BOUND:
-        by_identities = all(
-            satisfies_identity(algebra, t1, t2)[0] for _, t1, t2 in LATTICE_IDENTITIES
-        )
-        cross_check(ok == by_identities, "meet order and lattice identities disagree")
-    return ok
+    return algebra._lattice_verdict
 
 
 def is_palg_isomorphism(f):

@@ -1,7 +1,9 @@
 """Partial algebras with semilattice-valued distances: axioms, the functor
 from total algebras, quotients, induced morphisms, identity satisfaction."""
 
-from itertools import chain, combinations
+from functools import cached_property
+from itertools import chain, combinations, compress, count, product, repeat
+from operator import getitem, ne
 
 from .errors import IdealNotMapped, cross_check
 from .palg import (
@@ -30,7 +32,8 @@ class Pregamp:
 
     The distance axioms (separation, symmetry, triangle, compatibility with
     every defined operation) are what make quotients by semilattice ideals
-    work; check_axioms verifies them by table scan.
+    work; check_axioms verifies them on indices, reading dist_rows and the
+    semilattice's join_rows.
     """
 
     def __init__(self, carrier, dist, sem):
@@ -47,6 +50,13 @@ class Pregamp:
     def delta(self, x, y):
         return self.dist[(x, y)]
 
+    @cached_property
+    def dist_rows(self):
+        """dist_rows[i][j] is the index in sem.elements of delta(u_i, u_j), u
+        the carrier's universe. Built on first use and kept, as join_rows is."""
+        universe, index, d = self.carrier.universe, self.sem.index, self.dist
+        return [[index(d[(x, y)]) for y in universe] for x in universe]
+
     def __eq__(self, other):
         return (
             isinstance(other, Pregamp)
@@ -59,31 +69,48 @@ class Pregamp:
         return f"Pregamp({len(self.carrier)} points over {len(self.sem)} distances)"
 
 
+def _first_not_below(J, values, bounds):
+    """The first position k at which values[k] <= bounds[k] fails in the
+    order of the join rows J, or None."""
+    joined = map(getitem, map(J.__getitem__, values), bounds)
+    return next(compress(count(), map(ne, joined, bounds)), None)
+
+
 def check_axioms(pg):
     """Verify the four distance axioms.
 
     Returns (True, None) or (False, violation) with the axiom name and the
-    offending tuple.
+    offending tuple: the first in universe order, and for compatibility in
+    the order of the argument tuples' reprs.
     """
-    A, S, d = pg.carrier, pg.sem, pg.dist
-    for x in A.universe:
-        for y in A.universe:
-            if (d[(x, y)] == S.zero) != (x == y):
-                return False, ("separation", (x, y))
-            if d[(x, y)] != d[(y, x)]:
-                return False, ("symmetry", (x, y))
-    for x in A.universe:
-        for y in A.universe:
-            for z in A.universe:
-                if not S.leq(d[(x, y)], S.join(d[(x, z)], d[(z, y)])):
-                    return False, ("triangle", (x, y, z))
+    A, S, D, J = pg.carrier, pg.sem, pg.dist_rows, pg.sem.join_rows
+    universe, zero, n = A.universe, S.index(S.zero), len(A)
+    for i, j in product(range(n), repeat=2):
+        if (D[i][j] == zero) != (i == j):
+            return False, ("separation", (universe[i], universe[j]))
+        if D[i][j] != D[j][i]:
+            return False, ("symmetry", (universe[i], universe[j]))
+    for i, j in product(range(n), repeat=2):
+        # d(i, l) v d(l, j) for every l, d being symmetric by now
+        bounds = list(map(getitem, map(J.__getitem__, D[i]), D[j]))
+        l = _first_not_below(J, repeat(D[i][j], n), bounds)
+        if l is not None:
+            return False, ("triangle", (universe[i], universe[j], universe[l]))
+    index, tables = A.index_tables
     for name, table in A.ops.items():
-        tuples = sorted(table.keys(), key=repr)
-        for args1 in tuples:
-            for args2 in tuples:
-                bound = S.join_all(d[(a, b)] for a, b in zip(args1, args2))
-                if not S.leq(d[(table[args1], table[args2])], bound):
-                    return False, ("compatibility", (name, args1, args2))
+        tuples = sorted(table, key=repr)
+        rows = [tuple(map(index.__getitem__, args)) for args in tuples]
+        values = [tables[name][r] for r in rows]
+        columns = list(zip(*rows))
+        for args1, row1, v1 in zip(tuples, rows, values):
+            # the join of d(a_s, b_s) over the slots, for each args2
+            bounds = [zero] * len(tuples)
+            for a, column in zip(row1, columns):
+                slot = map(D[a].__getitem__, column)
+                bounds = list(map(getitem, map(J.__getitem__, bounds), slot))
+            k = _first_not_below(J, map(D[v1].__getitem__, values), bounds)
+            if k is not None:
+                return False, ("compatibility", (name, args1, tuples[k]))
     return True, None
 
 

@@ -39,6 +39,7 @@ from gampkit.gamp import (
 )
 from gampkit.palg import PalgMorphism, is_lattice_algebra
 from gampkit.poset import FinitePoset, KPosetSpec, kposet, kposet_cover_check
+from gampkit.pregamp import check_axioms, pga
 from gampkit.semilattice import SemIdeal, SemMorphism, enumerate_ideals, quotient
 
 
@@ -298,6 +299,15 @@ def test_budget_is_lattice_algebra_on_m3_cubed():
     t0 = time.monotonic()
     assert is_lattice_algebra(alg)
     _report("budget", "is_lattice_algebra(power:M3:3)", t0, 1)
+
+
+def test_budget_check_axioms_on_m3_squared():
+    # the four distance axioms on a 25-element pregamp: 390,625 compatibility
+    # pairs per operation, on the integer distance matrix
+    pg = pga(build_named("power:M3:2").algebra)
+    t0 = time.monotonic()
+    assert check_axioms(pg) == (True, None)
+    _report("budget", "check_axioms(pga(power:M3:2))", t0, 1)
 
 
 def test_budget_buttress_m3_square_with_chains():

@@ -369,19 +369,30 @@ def test_no_asserts(path):
 
 TABLE_MUTATORS = frozenset({"update", "setdefault", "pop", "clear"})
 
+# The attributes that hold tables, each with the one constructor that may
+# set them: an algebra's operations, a pregamp's distance, a semilattice's
+# join.
+TABLE_OWNERS = {
+    "ops": "PartialAlgebra.__init__",
+    "dist": "Pregamp.__init__",
+    "_join": "JoinSemilattice.__init__",
+}
+
 
 def _is_tables(node):
-    """`<expr>.ops` or `<expr>.ops[...]`: an algebra's tables or one of them."""
+    """`<expr>.ops` or `<expr>.ops[...]`, and the same for `.dist` and
+    `._join`: a table attribute or one entry of it."""
     if isinstance(node, ast.Subscript):
         node = node.value
-    return isinstance(node, ast.Attribute) and node.attr == "ops"
+    return isinstance(node, ast.Attribute) and node.attr in TABLE_OWNERS
 
 
 def table_mutations(source):
-    """(line, enclosing "Class.function") of each statement of the source
-    that changes an algebra's tables: an assignment or deletion of
-    `<expr>.ops`, or of an entry of `<expr>.ops` or `<expr>.ops[...]`, and a
-    call of update, setdefault, pop or clear on either."""
+    """(line, enclosing "Class.function", attribute) of each statement of the
+    source that changes a table: an assignment or deletion of `<expr>.ops`,
+    or of an entry of `<expr>.ops` or `<expr>.ops[...]`, and a call of
+    update, setdefault, pop or clear on either; likewise for `.dist` and
+    `._join`."""
     found = []
 
     def visit(node, scope):
@@ -394,20 +405,28 @@ def table_mutations(source):
             targets = [node.target]
         elif isinstance(node, ast.Delete):
             targets = node.targets
-        hit = any(
-            (isinstance(t, ast.Attribute) and t.attr == "ops")
+        hit = [
+            t for t in targets
+            if (isinstance(t, ast.Attribute) and t.attr in TABLE_OWNERS)
             or (isinstance(t, ast.Subscript) and _is_tables(t.value))
-            for t in targets
-        )
+        ]
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            hit = hit or (node.func.attr in TABLE_MUTATORS and _is_tables(node.func.value))
+            if node.func.attr in TABLE_MUTATORS and _is_tables(node.func.value):
+                hit.append(node.func.value)
         if hit:
-            found.append((node.lineno, ".".join(scope)))
+            found.append((node.lineno, ".".join(scope), _table_attr(hit[0])))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(source), ())
     return sorted(found)
+
+
+def _table_attr(node):
+    """The table attribute that a flagged target or receiver names."""
+    while not (isinstance(node, ast.Attribute) and node.attr in TABLE_OWNERS):
+        node = node.value
+    return node.attr
 
 
 def test_table_mutation_detector_flags_writes_and_keeps_reads():
@@ -429,17 +448,43 @@ def test_table_mutation_detector_flags_writes_and_keeps_reads():
         "    ops.update(alg.ops)\n"
         "    return alg.ops['f'].get((0, 1)), alg.ops.items()\n"
     )
-    assert table_mutations(source) == [
+    assert [m[:2] for m in table_mutations(source)] == [
         (3, "PartialAlgebra.__init__"), (4, "PartialAlgebra.__init__"),
         (6, "widen"), (7, "widen"), (8, "widen"), (9, "widen"), (10, "widen"),
         (11, "widen"), (12, "widen"),
     ]
 
 
+def test_table_mutation_detector_flags_distances_and_joins():
+    source = (
+        "class Pregamp:\n"
+        "    def __init__(self, dist):\n"
+        "        self.dist = dict(dist)\n"
+        "class JoinSemilattice:\n"
+        "    def __init__(self, join_table):\n"
+        "        self._join = dict(join_table)\n"
+        "def bend(pg, sem):\n"
+        "    pg.dist[(0, 1)] = 2\n"
+        "    pg.dist.update({(1, 0): 2})\n"
+        "    del pg.dist[(0, 0)]\n"
+        "    sem._join[(0, 1)] = 0\n"
+        "    sem._join.setdefault((1, 1), 1)\n"
+        "    sem._join = {}\n"
+        "    dist = dict(pg.dist)\n"
+        "    dist[(0, 1)] = 2\n"
+        "    return pg.dist[(0, 1)], sem._join.get((0, 1)), pg.dist.items()\n"
+    )
+    assert table_mutations(source) == [
+        (3, "Pregamp.__init__", "dist"), (6, "JoinSemilattice.__init__", "_join"),
+        (8, "bend", "dist"), (9, "bend", "dist"), (10, "bend", "dist"),
+        (11, "bend", "_join"), (12, "bend", "_join"), (13, "bend", "_join"),
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_tables_change_only_in_construction(path):
-    # PartialAlgebra.translation_rows and a product's tables are built once
-    # and kept, which is sound only while nothing changes an algebra's tables
-    # after its constructor
-    allowed = "PartialAlgebra.__init__" if path.name == "palg.py" else None
-    assert [m for m in table_mutations(path.read_text()) if m[1] != allowed] == []
+    # PartialAlgebra.translation_rows and index_tables, a product's tables,
+    # Pregamp.dist_rows and JoinSemilattice.join_rows are built once and kept,
+    # which is sound only while nothing changes those tables after the
+    # owning constructor
+    assert [m for m in table_mutations(path.read_text()) if m[1] != TABLE_OWNERS[m[2]]] == []

@@ -111,7 +111,86 @@ class TestImagePreimage:
         assert image_palg(inc) == sub
 
 
+def brute_satisfies_identity(algebra, t1, t2):
+    """Reference for satisfies_identity: evaluate both terms by Term.eval on
+    every label tuple, in product order."""
+    n = max(t1.nvars(), t2.nvars())
+    for args in product(algebra.universe, repeat=n):
+        v1 = t1.eval(algebra, args)
+        if v1 is UNDEFINED:
+            continue
+        v2 = t2.eval(algebra, args)
+        if v2 is UNDEFINED:
+            continue
+        if v1 != v2:
+            return False, args
+    return True, None
+
+
+# One operation of each arity up to 3, for random identities.
+CGFH_TYPE = SimilarityType((("c", 0), ("g", 1), ("f", 2), ("h", 3)))
+LABELS = ["p", ("q",), "r0", ("s", 1), frozenset({"t"})]
+
+
+@st.composite
+def cgfh_algebras(draw):
+    """A partial algebra of CGFH_TYPE on 1 to 3 shuffled non-integer labels;
+    each cell is undefined or a random value."""
+    universe = draw(st.permutations(LABELS))[: draw(st.sampled_from([1, 2, 3, 3]))]
+    cell = st.sampled_from([*universe, *universe, None])
+    ops = {}
+    for name, ar in CGFH_TYPE.symbols:
+        cells = {args: draw(cell) for args in product(universe, repeat=ar)}
+        ops[name] = {args: v for args, v in cells.items() if v is not None}
+    return PartialAlgebra(CGFH_TYPE, universe, ops)
+
+
+@st.composite
+def cgfh_terms(draw, nvars, depth=3):
+    """A term of CGFH_TYPE over variables below nvars, at most depth deep;
+    leaves are variables or, always with 0 variables, the constant c."""
+    ar = draw(st.integers(-1, 3)) if depth else -1
+    if ar < 0:
+        var = draw(st.integers(-1, nvars - 1)) if nvars else -1
+        return V(var) if var >= 0 else Term.app("c")
+    name = CGFH_TYPE.symbols[ar][0]
+    return Term.app(name, *(draw(cgfh_terms(nvars, depth - 1)) for _ in range(ar)))
+
+
+@st.composite
+def identities(draw):
+    """Two random terms over at most 3 variables; the second may reuse the
+    first as one object twice."""
+    nvars = draw(st.integers(0, 3))
+    t1 = draw(cgfh_terms(nvars))
+    t2 = draw(st.one_of(cgfh_terms(nvars), st.just(Term.app("f", t1, t1))))
+    return t1, t2
+
+
 class TestIdentities:
+    @settings(max_examples=300, deadline=None)
+    @given(cgfh_algebras(), identities())
+    def test_columns_match_the_label_loop(self, alg, terms):
+        assert satisfies_identity(alg, *terms) == brute_satisfies_identity(alg, *terms)
+
+    def test_lattice_corpus_matches_the_label_loop(self, fixture_lattices):
+        laws = [(t1, t2) for _, t1, t2 in LATTICE_IDENTITIES] + [MODULAR_LAW]
+        laws += [(join(V(0), V(1)), meet(V(1), V(2)))]
+        for alg in fixture_lattices.values():
+            for t1, t2 in laws:
+                assert satisfies_identity(alg, t1, t2) == brute_satisfies_identity(alg, t1, t2)
+
+    def test_constants_only(self):
+        # zero variables: one evaluation, whatever the universe
+        stype = SimilarityType((("c", 0), ("d", 0), ("g", 1)))
+        alg = PartialAlgebra(stype, ["a", "b"], {"c": {(): "a"}, "d": {(): "b"}, "g": {("a",): "b"}})
+        c, d = Term.app("c"), Term.app("d")
+        assert satisfies_identity(alg, Term.app("g", c), d) == (True, None)
+        assert satisfies_identity(alg, c, d) == (False, ())
+        assert satisfies_identity(alg, Term.app("g", d), c) == (True, None)
+        empty = PartialAlgebra(stype, [], {})
+        assert satisfies_identity(empty, c, d) == satisfies_identity(empty, V(0), d) == (True, None)
+
     def test_vacuous_with_empty_definedness(self):
         alg = PartialAlgebra(LATTICE_TYPE, [0, 1], {})
         ok, _ = satisfies_identity(alg, meet(V(0), V(1)), join(V(0), V(1)))
@@ -227,10 +306,26 @@ class TestLatticeOrder:
 
     @pytest.mark.parametrize("lie", [False, True])
     def test_lying_order_check_is_a_cross_check_failure(self, m3, lie):
-        alg = m3 if not lie else table_algebra([[0, 0], [1, 1]], [[0, 1], [0, 1]])
+        # a fresh M3: the shared fixture's verdict is already kept
+        if not lie:
+            alg = PartialAlgebra(LATTICE_TYPE, m3.universe, m3.ops)
+        else:
+            alg = table_algebra([[0, 0], [1, 1]], [[0, 1], [0, 1]])
         with mock.patch.object(palg, "_is_lattice_order", lambda alg: lie):
             with pytest.raises(CrossCheckFailed):
                 is_lattice_algebra(alg)
+
+    def test_verdict_is_decided_once_per_algebra(self, m3):
+        first, second = (PartialAlgebra(LATTICE_TYPE, m3.universe, m3.ops) for _ in range(2))
+        decided = []
+        order_check = palg._is_lattice_order
+        with mock.patch.object(
+            palg, "_is_lattice_order", lambda alg: decided.append(alg) or order_check(alg)
+        ), mock.patch.object(palg, "satisfies_identity", wraps=satisfies_identity) as identities:
+            assert all(is_lattice_algebra(alg) for alg in (first, first, second, first, second))
+        assert [id(alg) for alg in decided] == [id(first), id(second)]
+        # the identity cross-check runs with the first decision of each
+        assert identities.call_count == 2 * len(LATTICE_IDENTITIES)
 
     def test_cross_check_survives_optimize(self):
         code = textwrap.dedent(

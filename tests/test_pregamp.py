@@ -1,4 +1,7 @@
+from itertools import combinations, product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gampkit.congruence import conc, principal_congruence
 from gampkit.errors import IdealNotMapped
@@ -60,7 +63,100 @@ def commutativity_gap_fixture():
     return Pregamp(alg, dist, sem)
 
 
+def brute_check_axioms(pg):
+    """Reference for check_axioms: the four axioms on labels, through the
+    semilattice's join_all and leq, in the same order."""
+    A, S, d = pg.carrier, pg.sem, pg.dist
+    for x in A.universe:
+        for y in A.universe:
+            if (d[(x, y)] == S.zero) != (x == y):
+                return False, ("separation", (x, y))
+            if d[(x, y)] != d[(y, x)]:
+                return False, ("symmetry", (x, y))
+    for x in A.universe:
+        for y in A.universe:
+            for z in A.universe:
+                if not S.leq(d[(x, y)], S.join(d[(x, z)], d[(z, y)])):
+                    return False, ("triangle", (x, y, z))
+    for name, table in A.ops.items():
+        tuples = sorted(table.keys(), key=repr)
+        for args1 in tuples:
+            for args2 in tuples:
+                bound = S.join_all(d[(a, b)] for a, b in zip(args1, args2))
+                if not S.leq(d[(table[args1], table[args2])], bound):
+                    return False, ("compatibility", (name, args1, args2))
+    return True, None
+
+
+CGF_TYPE = SimilarityType((("c", 0), ("g", 1), ("f", 2)))
+AXIOMS = ("separation", "symmetry", "triangle", "compatibility")
+
+
+@st.composite
+def coded_pregamps(draw):
+    """(pregamp, planted axiom or None). The points are the codes of a
+    product of k factors of 2 or 3 letters, in shuffled order; the distance
+    of two codes is the set of coordinates where they differ, in the
+    semilattice of subsets of range(k) under union (elements shuffled).
+    Every operation acts coordinatewise by random factor tables, so all four
+    axioms hold; cells may be dropped to make the carrier partial, and then
+    one violation of the drawn axiom is planted."""
+    rnd = draw(st.randoms(use_true_random=False))
+    k = draw(st.sampled_from([2, 3]))
+    factors = ["abc"[: draw(st.integers(2, 3 if k == 2 else 2))] for _ in range(k)]
+    codes = draw(st.permutations(list(product(*factors))))
+    subsets = [frozenset(c) for r in range(k + 1) for c in combinations(range(k), r)]
+    sem = JoinSemilattice(
+        draw(st.permutations(subsets)), frozenset(), {(a, b): a | b for a in subsets for b in subsets}
+    )
+    dist = {(x, y): frozenset(s for s in range(k) if x[s] != y[s]) for x in codes for y in codes}
+    keep = 1.0 if draw(st.booleans()) else rnd.random()
+    ops = {}
+    for name, ar in CGF_TYPE.symbols:
+        fs = [{args: rnd.choice(f) for args in product(f, repeat=ar)} for f in factors]
+        ops[name] = {
+            args: tuple(fs[s][tuple(a[s] for a in args)] for s in range(k))
+            for args in product(codes, repeat=ar)
+            if rnd.random() < keep
+        }
+    axiom = draw(st.sampled_from([None, *AXIOMS]))
+    x, y, z = rnd.sample(codes, 3)
+    one, two = frozenset({0}), frozenset({1})
+    if axiom == "separation":
+        w = rnd.choice([x, y])
+        dist[(x, w)] = dist[(w, x)] = rnd.choice(subsets[1:]) if w == x else frozenset()
+    elif axiom == "symmetry":
+        dist[(x, y)] = rnd.choice([e for e in subsets[1:] if e != dist[(y, x)]])
+    elif axiom == "triangle":
+        for pair in ((x, z), (z, y)):
+            dist[pair] = dist[pair[::-1]] = one
+        dist[(x, y)] = dist[(y, x)] = two
+    elif axiom == "compatibility":
+        # g(x) = x and g(x') = y', x' and y' x with coordinate 0 and 1 changed
+        x0 = (rnd.choice([c for c in factors[0] if c != x[0]]),) + x[1:]
+        y1 = x[:1] + (rnd.choice([c for c in factors[1] if c != x[1]]),) + x[2:]
+        ops["g"] = {(x,): x, (x0,): y1}
+    return Pregamp(PartialAlgebra(CGF_TYPE, codes, ops), dist, sem), axiom
+
+
 class TestAxioms:
+    @settings(max_examples=200, deadline=None)
+    @given(coded_pregamps())
+    def test_indices_match_the_label_loop(self, planted):
+        pg, axiom = planted
+        verdict = check_axioms(pg)
+        assert verdict == brute_check_axioms(pg)
+        assert verdict[0] == (axiom is None)
+        assert axiom is None or verdict[1][0] == axiom
+
+    def test_corpus_pregamps_match_the_label_loop(self, fixture_lattices):
+        pgs = [commutativity_gap_fixture()]
+        for alg in fixture_lattices.values():
+            pg = pga(alg)
+            pgs += [quotient_pregamp(pg, ideal)[0] for ideal in enumerate_ideals(pg.sem)]
+        for pg in pgs:
+            assert check_axioms(pg) == brute_check_axioms(pg) == (True, None)
+
     def test_pga_passes_and_generates(self, m3):
         pg = theta_pregamp(m3)
         ok, _ = check_axioms(pg)
