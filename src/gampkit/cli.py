@@ -115,23 +115,31 @@ def _malcev_mode(args, alg):
     return 2
 
 
+def _int_token(token):
+    """The int a token spells, an optional minus sign and decimal digits, or
+    None when it spells none."""
+    digits = token[1:] if token.startswith("-") else token
+    return int(token) if digits.isdecimal() else None
+
+
+def _ideal_generator(sem, token):
+    """The element an --ideal token names: #k picks the k-th semilattice
+    element, which is how congruence-valued elements are addressed;
+    otherwise a literal id, read as an int first when it spells one."""
+    if token.startswith("#"):
+        k = _int_token(token[1:])
+        if k is not None and 0 <= k < len(sem.elements):
+            return sem.elements[k]
+    else:
+        for el in (_int_token(token), token):
+            if el is not None and el in sem:
+                return el
+    raise SchemaError(f"--ideal token {token!r} names no element")
+
+
 def _ideal_generators(sem, raw):
-    """Parse --ideal tokens: #k picks the k-th semilattice element, which is
-    how congruence-valued elements are addressed; otherwise a literal id."""
-    gens = set()
-    for token in raw.split(","):
-        if token.startswith("#"):
-            k = token[1:]
-            if not (k.isdecimal() and int(k) < len(sem.elements)):
-                raise SchemaError(f"--ideal token {token!r} names no element")
-            gens.add(sem.elements[int(k)])
-        elif token.lstrip("-").isdigit() and int(token) in sem._index:
-            gens.add(int(token))
-        elif token in sem._index:
-            gens.add(token)
-        else:
-            raise SchemaError(f"--ideal token {token!r} names no element")
-    return gens
+    """Parse comma-separated --ideal tokens."""
+    return {_ideal_generator(sem, token) for token in raw.split(",")}
 
 
 def cmd_quotient(args):
@@ -303,8 +311,8 @@ def cmd_buttress(args):
 def _parse_el(token, algebra):
     if token in algebra:
         return token
-    el = int(token) if token.lstrip("-").isdigit() else token
-    if el not in algebra:
+    el = _int_token(token)
+    if el is None or el not in algebra:
         raise SchemaError(f"{token!r} is not an element of the algebra")
     return el
 

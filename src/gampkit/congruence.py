@@ -363,38 +363,24 @@ def _relational_n_permutable(algebra, n, congruences):
     return True, None
 
 
-def _step_indices(sem, dist):
-    """dist as a function of a pair to the index of its value in
-    sem.elements, reading each pair from dist once, on first call."""
-    index = sem.index
-    cache = {}
+def _interpolants(D, J, M, n, first, last, even, odd, middle):
+    """The one interpolant search, on carrier indices.
 
-    def step(a, b):
-        i = cache.get((a, b))
-        if i is None:
-            i = cache[(a, b)] = index(dist[(a, b)])
-        return i
-
-    return step
-
-
-def _interpolants(rows, step, n, first, last, even, odd, middle, meets):
-    """The one interpolant search, on indices into sem.elements.
-
+    D is a pregamp's distance matrix (dist_rows) and J its semilattice's
+    join rows; every distance and join is an index into sem.elements.
     Yields, in product(middle, repeat=n-1) order, every ys with ys[0] =
-    first and ys[n] = last whose every step(ys[k], ys[k+1]) lies, in the
-    join table rows, under the opposite-parity join of the tuple's steps:
-    odd for even k, even for odd k. With a meet table, only chains are
-    yielded: ys[i] meet ys[j] = ys[i] both ways round for all i <= j,
-    undefined cells failing. Depth first: a prefix is cut at its first
-    failing chain pair, which is checked against last too, or step, so step
-    is called only on pairs that a chain-consistent prefix reaches.
+    first and ys[n] = last whose every step D[ys[k]][ys[k+1]] lies, in J,
+    under the opposite-parity join of the tuple's steps: odd for even k,
+    even for odd k. With the carrier's meet table M on indices, only chains
+    are yielded: M[ys[i], ys[j]] = ys[i] both ways round for all i <= j, an
+    undefined cell (None) failing. Depth first: a prefix is cut at its first
+    failing chain pair, which is checked against last too, or step.
     """
 
     def chained(a, b):
-        return meets.get((a, b), UNDEFINED) == a and meets.get((b, a), UNDEFINED) == a
+        return M.get((a, b)) == a and M.get((b, a)) == a
 
-    if meets is None:
+    if M is None:
         candidates = middle
     elif chained(first, first) and chained(first, last) and chained(last, last):
         candidates = [y for y in middle if chained(first, y) and chained(y, y) and chained(y, last)]
@@ -406,127 +392,107 @@ def _interpolants(rows, step, n, first, last, even, odd, middle, meets):
 
     def extend(k):
         # ys[:k] is a passing prefix; place ys[k]
-        prev, bound = ys[k - 1], bounds[k - 1]
+        step, bound = D[ys[k - 1]], bounds[k - 1]
         for y in candidates:
-            if meets is not None and not all(chained(ys[i], y) for i in range(1, k)):
+            if M is not None and not all(chained(ys[i], y) for i in range(1, k)):
                 continue
-            if rows[step(prev, y)][bound] != bound:
+            if J[step[y]][bound] != bound:
                 continue
             ys[k] = y
             if k < n - 1:
                 yield from extend(k + 1)
-            elif rows[step(y, last)][end] == end:
+            elif J[D[y][last]][end] == end:
                 yield tuple(ys)
 
     if n > 1:
         yield from extend(1)
-    elif rows[step(first, last)][end] == end:
+    elif J[D[first][last]][end] == end:
         yield first, last
 
 
-def _parity_joins(rows, step, xs, zero):
-    """The joins of the even and of the odd steps of xs, as indices."""
+def _parity_joins(D, J, xs, zero):
+    """The joins of the even and of the odd steps of the index tuple xs."""
     parity = [zero, zero]
     for k in range(len(xs) - 1):
-        parity[k % 2] = rows[parity[k % 2]][step(xs[k], xs[k + 1])]
+        parity[k % 2] = J[parity[k % 2]][D[xs[k]][xs[k + 1]]]
     return parity
 
 
-def chain_interpolants(sem, dist, xs, first, last, middle, meets=None):
-    """Interpolants of the chain condition for the tuple xs = (x0, ..., xn).
+def chain_interpolants(pg, xs, first, last, middle, chains=False):
+    """Interpolants of the chain condition in the pregamp pg for the tuple
+    xs = (x0, ..., xn) of carrier points.
 
     Yields, in product(middle, repeat=n-1) order, every ys with ys[0] = first
-    and ys[n] = last whose every step dist[ys[k], ys[k+1]] lies under the
-    join in sem of the opposite-parity steps of xs. dist is a pair-keyed
-    mapping into sem, read only at the steps of xs and of the prefixes the
-    search reaches. With a meet table, only chains are yielded: ys[i] meet
-    ys[j] = ys[i] both ways round for all i <= j, undefined cells failing.
+    and ys[n] = last whose every step delta(ys[k], ys[k+1]) lies under the
+    join of the opposite-parity steps of xs. The search reads pg.dist_rows
+    and the semilattice's join_rows. With chains, only chains of the
+    carrier's meet table are yielded: ys[i] meet ys[j] = ys[i] both ways
+    round for all i <= j, undefined cells failing (gamp.is_chain asks one
+    way round only).
     """
-    rows, step = sem.join_rows, _step_indices(sem, dist)
-    n = len(xs) - 1
-    even, odd = _parity_joins(rows, step, xs, sem.index(sem.zero))
-    yield from _interpolants(rows, step, n, first, last, even, odd, middle, meets)
+    universe, (index, tables) = pg.carrier.universe, pg.carrier.index_tables
+    D, J = pg.dist_rows, pg.sem.join_rows
+    xs = [index[x] for x in xs]
+    even, odd = _parity_joins(D, J, xs, pg.sem.index(pg.sem.zero))
+    M = tables["meet"] if chains else None
+    middle = [index[y] for y in middle]
+    for ys in _interpolants(D, J, M, len(xs) - 1, index[first], index[last], even, odd, middle):
+        yield tuple(universe[i] for i in ys)
 
 
-def _first_interpolant_memo(rows, step, middle, meets):
-    """The first interpolants for (n, first, last, even, odd), the parity
-    joins as indices: the search runs once per key."""
-    memo = {}
+def _chain_condition_failures(pg, inner, n, lattice_form=False):
+    """The (n+1)-tuples of inner points of the pregamp pg without
+    interpolants among all its carrier points, as (reason, xs) in product
+    order.
 
-    def first_for(*key):
-        if key not in memo:
-            memo[key] = next(_interpolants(rows, step, *key, middle, meets), None)
-        return memo[key]
-
-    return first_for
-
-
-def first_interpolants(sem, dist, middle, meets=None):
-    """The first interpolants of the chain condition, searched once per
-    bound pair.
-
-    Returns find(xs, first, last), which equals
-    next(chain_interpolants(sem, dist, xs, first, last, middle, meets), None).
-    The search depends on xs only through its length, the endpoints and the
-    two parity joins of its steps, so find memoizes on those, the joins
-    taken as indices into sem.elements. The memo lives as long as the
-    returned function.
+    In the lattice form the interpolants run from x0 meet xn to x0 join xn,
+    read in the carrier's tables, and must be chains; a tuple whose
+    endpoints are not defined both ways round, or differ between them,
+    fails with "endpoints undefined". Otherwise they run from x0 to xn. The
+    tuples are walked depth first on carrier indices, with the parity joins
+    of each prefix's steps carried as indices. The search depends on a
+    tuple only through its endpoints and those two joins, so it runs once
+    per such key.
     """
-    rows, step = sem.join_rows, _step_indices(sem, dist)
-    zero = sem.index(sem.zero)
-    first_for = _first_interpolant_memo(rows, step, middle, meets)
-
-    def find(xs, first, last):
-        return first_for(len(xs) - 1, first, last, *_parity_joins(rows, step, xs, zero))
-
-    return find
-
-
-def _chain_condition_failures(sem, dist, inner, outer, n, meets=None, joins=None):
-    """The (n+1)-tuples of inner points without interpolants among the outer
-    points, as (reason, xs) in product order.
-
-    With meet and join tables (the lattice form) the interpolants run from
-    x0 meet xn to x0 join xn and must be chains; a tuple whose endpoints are
-    not defined both ways round, or differ between them, fails with
-    "endpoints undefined". Otherwise they run from x0 to xn. The tuples are
-    walked depth first, with the parity joins of each prefix's steps carried
-    as indices, and one memo of first interpolants serves the whole walk.
-    """
-    rows, step = sem.join_rows, _step_indices(sem, dist)
-    first_for = _first_interpolant_memo(rows, step, outer, meets)
-    inner = list(inner)
+    universe, (index, tables) = pg.carrier.universe, pg.carrier.index_tables
+    D, J = pg.dist_rows, pg.sem.join_rows
+    M, N = (tables["meet"], tables["join"]) if lattice_form else (None, None)
+    middle = range(len(universe))
+    inner = [index[x] for x in inner]
     xs = [None] * (n + 1)
+    failing = {}  # (first, last, even, odd) -> no interpolant
 
     def endpoints(x0, xn):
-        if meets is None:
+        if M is None:
             return x0, xn
-        m1, m2 = meets.get((x0, xn), UNDEFINED), meets.get((xn, x0), UNDEFINED)
-        j1, j2 = joins.get((x0, xn), UNDEFINED), joins.get((xn, x0), UNDEFINED)
-        if UNDEFINED in (m1, m2, j1, j2) or m1 != m2 or j1 != j2:
+        m1, m2, j1, j2 = M.get((x0, xn)), M.get((xn, x0)), N.get((x0, xn)), N.get((xn, x0))
+        if None in (m1, m2, j1, j2) or m1 != m2 or j1 != j2:
             return None
         return m1, j1
 
     def walk(k, parity):
         # xs[:k] is placed, and parity holds the joins of its even and odd steps
-        prev, p = xs[k - 1], (k - 1) % 2
-        row, joined = rows[parity[p]], list(parity)
+        step, p = D[xs[k - 1]], (k - 1) % 2
+        row, joined = J[parity[p]], list(parity)
         if k < n:
             for x in inner:
                 xs[k] = x
-                joined[p] = row[step(prev, x)]
+                joined[p] = row[step[x]]
                 yield from walk(k + 1, joined)
             return
         for x, end in zip(inner, ends):
             xs[n] = x
             if end is None:
-                yield "endpoints undefined", tuple(xs)
+                yield "endpoints undefined", tuple(universe[i] for i in xs)
                 continue
-            joined[p] = row[step(prev, x)]
-            if first_for(n, *end, *joined) is None:
-                yield "no interpolants", tuple(xs)
+            joined[p] = row[step[x]]
+            key = (*end, *joined)
+            if key not in failing:
+                failing[key] = next(_interpolants(D, J, M, n, *key, middle), None) is None
+            if failing[key]:
+                yield "no interpolants", tuple(universe[i] for i in xs)
 
-    zero = sem.index(sem.zero)
+    zero = pg.sem.index(pg.sem.zero)
     for x0 in inner:
         xs[0] = x0
         ends = [endpoints(x0, x) for x in inner]
@@ -536,8 +502,10 @@ def _chain_condition_failures(sem, dist, inner, outer, n, meets=None, joins=None
 def _elementwise_n_permutable(algebra, n, cong_sl):
     """Chain condition: every (n+1)-tuple admits interpolants y with the
     parity containments between generated congruences."""
-    universe = algebra.universe
-    for _, xs in _chain_condition_failures(cong_sl, cong_sl.distances(), universe, universe, n):
+    from .pregamp import Pregamp  # pregamp imports this module
+
+    pg = Pregamp(algebra, cong_sl.distances(), cong_sl)
+    for _, xs in _chain_condition_failures(pg, algebra.universe, n):
         return False, xs
     return True, None
 

@@ -573,8 +573,7 @@ def refute_candidate(square, cand, n, precheck=True):
     ys = None
     if first is not UNDEFINED and last is not UNDEFINED:
         outer = sorted(g0.outer.universe, key=sort_key)
-        find = _cong.first_interpolants(cs0, g0.pregamp.dist, outer, meets)
-        ys = find(tuple(a), first, last)
+        ys = next(_cong.chain_interpolants(g0.pregamp, a, first, last, outer, chains=True), None)
     record("witness", ys, ys is not None)
     b = list(ys)
     record("witness-endpoints", (b[0], b[n]), b[0] == a[0] and b[n] == a[n])
@@ -819,10 +818,6 @@ class _NodeState:
     def universe(self):
         return list(self.inner.universe) + self.pads
 
-    def __getitem__(self, pair):
-        """Pair-keyed view of delta."""
-        return self.delta(*pair)
-
     def delta(self, x, y):
         if x == y:
             return self.cs.zero
@@ -920,12 +915,14 @@ def _nonzero_row_options(state, pad):
     return list(assignments(others, nonzero, fits))
 
 
-def _witness_options(state, xs, n):
-    """Interpolant vectors for one tuple, with the meet cells they force."""
+def _witness_options(state, pg, xs, n):
+    """Interpolant vectors for one tuple, with the meet cells they force. The
+    search reads the distances of pg, a snapshot of the node with every pad
+    row decided; cells added since it was taken change no distance."""
     first = state.inner.ops["meet"][(xs[0], xs[n])]
     last = state.inner.ops["join"][(xs[0], xs[n])]
     options = []
-    for ys in _cong.chain_interpolants(state.cs, state, xs, first, last, state.universe()):
+    for ys in _cong.chain_interpolants(pg, xs, first, last, pg.carrier.universe):
         forced = {}
         for i in range(n + 1):
             for j in range(i, n + 1):
@@ -942,13 +939,10 @@ def _witness_options(state, xs, n):
     return options
 
 
-def _deficient_tuples(state, n):
-    """Tuples with no interpolants realized by the already-decided structure:
-    no chain in the current meets."""
-    ops = state.tables()
-    failures = _cong._chain_condition_failures(
-        state.cs, state, state.inner.universe, state.universe(), n, ops["meet"], ops["join"]
-    )
+def _deficient_tuples(state, pg, n):
+    """Tuples with no interpolants realized by the already-decided structure
+    of pg, a snapshot of the node: no chain in its current meets."""
+    failures = _cong._chain_condition_failures(pg, state.inner.universe, n, lattice_form=True)
     return [xs for _, xs in failures]
 
 
@@ -1078,20 +1072,20 @@ def enumerate_candidates(square, n, size_bound=1):
             return
         yield from stage(k + 1)
 
-    def choose_witnesses(k, deficient, idx):
+    def choose_witnesses(k, pg, deficient, idx):
         if idx == len(deficient):
             yield from close(k)
             return
         state = states[order[k]]
         xs = deficient[idx]
         progressed = False
-        for _, forced in _witness_options(state, xs, n):
+        for _, forced in _witness_options(state, pg, xs, n):
             tick()
             added = _try_add_cells(state, forced)
             if added is None:
                 continue
             progressed = True
-            yield from choose_witnesses(k, deficient, idx + 1)
+            yield from choose_witnesses(k, pg, deficient, idx + 1)
             _undo_cells(state, added)
         if not progressed:
             yield CandidateOutcome("pruned", "lattice-n-permutable", detail=(order[k], xs))
@@ -1158,7 +1152,9 @@ def enumerate_candidates(square, n, size_bound=1):
                 if maps:
                     yield from fill_node(k)
                 else:
-                    yield from choose_witnesses(k, _deficient_tuples(state, n), 0)
+                    # one snapshot per placed row: its pad row is decided
+                    pg = state.gamp().pregamp
+                    yield from choose_witnesses(k, pg, _deficient_tuples(state, pg, n), 0)
                 _undo_cells(state, added)
 
     def _push_cells(state, src_cells, gmap):

@@ -210,7 +210,9 @@ def pggr_mor(fm):
 
 def is_chain(g, xs):
     """Sequence of inner elements whose pairwise meets are defined in the
-    outer part and realize the comparabilities."""
+    outer part and realize the comparabilities: x meet y = x for x before
+    y, one way round only, where the interpolants of
+    congruence.chain_interpolants need y meet x = x as well."""
     if not g.is_lattice_signature():
         raise WrongSignature("chains require the lattice signature")
     xs = list(xs)
@@ -300,10 +302,7 @@ def _check_n_permutable(g, n, lattice_form):
         raise ValueError("n must be positive")
     if lattice_form and not g.is_lattice_signature():
         raise WrongSignature("lattice permutability requires the lattice signature")
-    tables = (g.outer.ops["meet"], g.outer.ops["join"]) if lattice_form else ()
-    failures = _cong._chain_condition_failures(
-        g.sem, g.pregamp.dist, g.inner.universe, g.outer.universe, n, *tables
-    )
+    failures = _cong._chain_condition_failures(g.pregamp, g.inner.universe, n, lattice_form)
     failure = next(failures, None)
     return Verdict.true() if failure is None else Verdict.false(failure)
 

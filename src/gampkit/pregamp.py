@@ -33,7 +33,8 @@ class Pregamp:
     The distance axioms (separation, symmetry, triangle, compatibility with
     every defined operation) are what make quotients by semilattice ideals
     work; check_axioms verifies them on indices, reading dist_rows and the
-    semilattice's join_rows.
+    semilattice's join_rows. The chain condition of congruence reads the
+    same two tables.
     """
 
     def __init__(self, carrier, dist, sem):

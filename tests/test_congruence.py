@@ -26,7 +26,6 @@ from gampkit.congruence import (
     conc,
     conc_morphism,
     congruence_closure,
-    first_interpolants,
     is_congruence,
     is_n_permutable,
     least_congruence_bruteforce,
@@ -37,6 +36,7 @@ from gampkit.congruence import (
 from gampkit.errors import CrossCheckFailed, GampkitError, NotTotal
 from gampkit.gamp import check_property, ga
 from gampkit.palg import LATTICE_TYPE, UNDEFINED, PalgMorphism, PartialAlgebra, SimilarityType
+from gampkit.pregamp import Pregamp
 from gampkit.semilattice import SemIdeal, is_ideal_induced, ker0
 
 
@@ -407,16 +407,24 @@ def brute_chain_condition_failures(sem, dist, inner, outer, n, meets=None, joins
     return failures
 
 
+def _pregamp_over(universe, dist, sem, meets=None, joins=None):
+    """A pregamp with the given distance whose carrier holds the given meet
+    and join tables, undefined where a table has no cell."""
+    ops = {"meet": meets or {}, "join": joins or {}}
+    return Pregamp(PartialAlgebra(LATTICE_TYPE, universe, ops, validate=False), dist, sem)
+
+
 def _assert_memo_exact(alg, n, meets):
     cs = conc(alg)
     dist = cs.distances()
     universe = alg.universe
+    pg = _pregamp_over(universe, dist, cs, meets)
     for table in (None, meets):
-        find = first_interpolants(cs, dist, universe, table)
         for xs in product(universe, repeat=n + 1):
             first, last = xs[0], xs[n]
             expected = next(brute_chain_interpolants(cs, dist, xs, first, last, universe, table), None)
-            assert find(xs, first, last) == expected, (xs, table is None)
+            found = chain_interpolants(pg, xs, first, last, universe, chains=table is not None)
+            assert next(found, None) == expected, (xs, table is None)
     failures = brute_chain_condition_failures(cs, dist, universe, universe, n)
     expected = (False, failures[0][1]) if failures else (True, None)
     assert _elementwise_n_permutable(alg, n, cs) == expected
@@ -455,28 +463,30 @@ def partial_order_tables(draw, universe):
     return table
 
 
-@settings(max_examples=25, deadline=None)
-@given(small_unary_binary_algebras(), st.data())
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_unary_binary_algebras(), small_labelled_algebras()), st.data())
 def test_interpolant_search_matches_brute_force_on_partial_tables(alg, data):
+    # the search runs on carrier indices: labels that are not indices, and a
+    # middle and inner points out of universe order, catch a mix-up
     universe = alg.universe
     cs = conc(alg)
     dist = cs.distances()
     meets = data.draw(partial_order_tables(universe))
     joins = data.draw(partial_order_tables(universe))
-    inner = universe[: data.draw(st.integers(1, len(universe)))]
+    pg = _pregamp_over(universe, dist, cs, meets, joins)
+    middle = data.draw(st.permutations(universe))
+    inner = data.draw(st.permutations(universe))[: data.draw(st.integers(1, len(universe)))]
     for n in (1, 2, 3):
         for table in (None, meets):
-            find = first_interpolants(cs, dist, universe, table)
             for xs in product(inner, repeat=n + 1):
                 for first, last in ((xs[0], xs[n]), (xs[n], xs[0])):
                     expected = list(
-                        brute_chain_interpolants(cs, dist, xs, first, last, universe, table)
+                        brute_chain_interpolants(cs, dist, xs, first, last, middle, table)
                     )
-                    found = chain_interpolants(cs, dist, xs, first, last, universe, table)
+                    found = chain_interpolants(pg, xs, first, last, middle, table is not None)
                     assert list(found) == expected, (n, xs, first, last, table is None)
-                    assert find(xs, first, last) == next(iter(expected), None)
         for tables in ((), (meets, joins)):
-            assert list(_chain_condition_failures(cs, dist, inner, universe, n, *tables)) == (
+            assert list(_chain_condition_failures(pg, inner, n, bool(tables))) == (
                 brute_chain_condition_failures(cs, dist, inner, universe, n, *tables)
             ), (n, bool(tables))
 

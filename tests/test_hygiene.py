@@ -488,3 +488,46 @@ def test_tables_change_only_in_construction(path):
     # which is sound only while nothing changes those tables after the
     # owning constructor
     assert [m for m in table_mutations(path.read_text()) if m[1] != TABLE_OWNERS[m[2]]] == []
+
+
+# The chain-condition search reads a pregamp's distances through one path,
+# its integer matrix dist_rows; these attributes are the label paths it
+# replaced.
+LABEL_DISTANCES = frozenset({"dist", "delta", "distances"})
+CHAIN_SEARCH = ("_interpolants", "_parity_joins", "chain_interpolants", "_chain_condition_failures")
+
+
+def label_distance_reads(source, functions):
+    """(function, line, attribute) of each read of a .dist, .delta or
+    .distances attribute inside the named module-level functions of the
+    source, nested functions included."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in functions:
+            for n in ast.walk(node):
+                if isinstance(n, ast.Attribute) and n.attr in LABEL_DISTANCES:
+                    found.append((node.name, n.lineno, n.attr))
+    return sorted(found)
+
+
+def test_label_distance_detector_flags_reads():
+    source = (
+        "def search(pg, sem):\n"
+        "    return pg.dist[(0, 1)], pg.delta(0, 1)\n"
+        "def other(pg):\n"
+        "    return pg.dist\n"
+        "def nested(pg, sem):\n"
+        "    def step(a, b):\n"
+        "        return sem.distances()[(a, b)]\n"
+        "    return pg.dist_rows, step\n"
+    )
+    assert label_distance_reads(source, {"search", "nested"}) == [
+        ("nested", 7, "distances"), ("search", 2, "delta"), ("search", 2, "dist"),
+    ]
+
+
+def test_chain_condition_reads_one_distance_path():
+    source = (SRC / "congruence.py").read_text()
+    defined = {n.name for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+    assert set(CHAIN_SEARCH) <= defined
+    assert label_distance_reads(source, CHAIN_SEARCH) == []

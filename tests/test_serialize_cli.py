@@ -505,6 +505,25 @@ class TestCli:
         assert run(argv) == 3
         assert repr(token) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, token", [
+        pytest.param(["quotient", "{sem}", "--ideal=--1"], "--1", id="ideal"),
+        pytest.param(["quotient", "{sem}", "--ideal=#--1"], "#--1", id="ideal-index"),
+        pytest.param(["quotient", "{sem}", "--ideal=1,-"], "-", id="ideal-bare-minus"),
+        pytest.param(["permutable", "{c3}", "--witness=--1/0"], "--1", id="witness"),
+        pytest.param(["permutable", "{c3}", "--witness=0/1", "--pairs=0/--1"], "--1", id="pairs"),
+    ])
+    def test_bad_integer_token_is_named(self, argv, token, tmp_path, capsys):
+        paths = {
+            "sem": self.write(
+                tmp_path, "sem.json", ser.semilattice_to_json(JoinSemilattice.chain(2))
+            ),
+            "c3": self.write(tmp_path, "c3.json", {"named": "chain:3"}),
+        }
+        assert run([a.format(**paths) for a in argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(token) in err
+        assert "invalid literal" not in err
+
     def test_internal_error_exit_4(self, tmp_path, monkeypatch, capsys):
         import gampkit.cli as cli
 
