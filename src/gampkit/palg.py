@@ -464,7 +464,7 @@ def image_palg(f, sub=None):
     """Image of a partial subalgebra: defined exactly on images of defined tuples."""
     if sub is None:
         sub = f.source
-    if not sub.is_partial_sub_of(f.source):
+    elif not sub.is_partial_sub_of(f.source):
         raise NotSubset("sub is not a partial subalgebra of the source")
     universe = []
     seen = set()

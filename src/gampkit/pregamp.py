@@ -8,7 +8,6 @@ from operator import getitem, ne
 from .errors import IdealNotMapped, cross_check
 from .palg import (
     PalgMorphism,
-    PartialAlgebra,
     image_palg,
     is_palg_isomorphism,
     product_closure,
@@ -212,33 +211,22 @@ def canonical_embedding(sub, pg):
 
 
 def quotient_pregamp(pg, ideal):
-    """Quotient by an ideal of the distance semilattice.
+    """Quotient by an ideal of the distance semilattice; pg must satisfy
+    check_axioms, which makes "distance in the ideal" a congruence.
 
     Points are identified when their distance lies in the ideal; definedness
-    sets and tables push forward; the projection is ideal-induced with
-    0-kernel the given ideal. Classes are labeled by their first universe
-    member.
+    sets and tables push forward (image_palg); the projection is
+    ideal-induced with 0-kernel the given ideal. Classes are labeled by
+    their first universe member. Reads dist_rows.
     """
     qsem, sproj = quotient(pg.sem, ideal)
-    A = pg.carrier
-    rep = {}
-    for x in A.universe:
-        for y in A.universe:
-            if pg.delta(y, x) in ideal:
-                rep[x] = y
-                break
-    universe = [x for x in A.universe if rep[x] == x]
-    ops = {}
-    for name, table in A.ops.items():
-        t = {}
-        for args, val in table.items():
-            t[tuple(rep[a] for a in args)] = rep[val]
-        ops[name] = t
-    qalg = PartialAlgebra(A.stype, universe, ops, validate=False)
-    dist = {}
-    for x in universe:
-        for y in universe:
-            dist[(x, y)] = sproj(pg.delta(x, y))
+    A, D, els = pg.carrier, pg.dist_rows, pg.sem.elements
+    inside = [x in ideal for x in els]
+    first = [next(j for j, row in enumerate(D) if inside[row[i]]) for i in range(len(A))]
+    rep = {x: A.universe[j] for x, j in zip(A.universe, first)}
+    qalg = image_palg(PalgMorphism(A, A, rep, validate=False))
+    kept = [i for i, j in enumerate(first) if i == j]
+    dist = {(A.universe[i], A.universe[j]): sproj(els[D[i][j]]) for i in kept for j in kept}
     qpg = Pregamp(qalg, dist, qsem)
     proj = PregampMorphism(
         pg, qpg, PalgMorphism(A, qalg, rep, validate=False), sproj, validate=False

@@ -165,10 +165,10 @@ class SemIdeal:
 
     @classmethod
     def generated(cls, sem, gens):
-        """Least ideal containing `gens`: downset of the join-closure."""
-        closed = sem.join_closure(gens)
-        down = {x for x in sem.elements if any(sem.leq(x, y) for y in closed)}
-        return cls(sem, down, validate=False)
+        """Least ideal containing `gens`: the down-set of their join. Every
+        ideal of a finite semilattice is principal, the down-set of its top."""
+        top = sem.join_all(gens)
+        return cls(sem, {x for x in sem.elements if sem.leq(x, top)}, validate=False)
 
     @classmethod
     def zero(cls, sem):
@@ -252,6 +252,7 @@ def ker0(phi):
 def quotient(sem, ideal):
     """Quotient by the congruence x ~ y iff x v u = y v u for some u in the ideal.
 
+    The ideal is the down-set of its top m, so x ~ y iff x v m = y v m.
     Classes are labeled by their first member in element order. Returns the
     quotient semilattice and the canonical projection, whose 0-kernel is the
     ideal.
@@ -259,18 +260,9 @@ def quotient(sem, ideal):
     if not isinstance(ideal, SemIdeal) or ideal.sem != sem:
         raise InvalidIdeal("ideal must belong to the semilattice")
     ideal.validate()
-
-    def related(x, y):
-        return any(sem.join(x, u) == sem.join(y, u) for u in ideal.carrier)
-
-    reps = {}
-    for x in sem.elements:
-        for r in reps.values():
-            if related(x, r):
-                reps[x] = r
-                break
-        else:
-            reps[x] = x
+    top = sem.join_all(ideal.carrier)
+    first = {}
+    reps = {x: first.setdefault(sem.join(x, top), x) for x in sem.elements}
     classes = [x for x in sem.elements if reps[x] == x]
     table = {(a, b): reps[sem.join(a, b)] for a in classes for b in classes}
     q = JoinSemilattice(classes, reps[sem.zero], table, validate=False)
@@ -333,20 +325,12 @@ def is_ideal_induced(phi):
 def enumerate_ideals(sem, bound=None):
     """All ideals of a finite semilattice, in deterministic (size, id) order.
 
-    Standard closure-system enumeration: walk from the zero ideal, growing an
-    ideal by one element at a time and re-closing; more than `bound` ideals
-    raise TooManyIdeals.
+    Each ideal is the down-set of its top, so there is one per element;
+    more than `bound` ideals raise TooManyIdeals.
     """
-
-    def grow(cur):
-        for x in sem.elements:
-            if x not in cur:
-                yield SemIdeal.generated(sem, cur | {x}).carrier, x
-
-    found = []
-    for carrier in bfs(frozenset({sem.zero}), grow, {}):
-        found.append(carrier)
-        if bound is not None and len(found) > bound:
-            raise TooManyIdeals(f"more than {bound} ideals")
-    order = sorted(found, key=lambda c: (len(c), tuple(sorted(sem.index(x) for x in c))))
-    return [SemIdeal(sem, c, validate=False) for c in order]
+    if bound is not None and len(sem) > bound:
+        raise TooManyIdeals(f"more than {bound} ideals")
+    ideals = [SemIdeal.generated(sem, [x]) for x in sem.elements]
+    return sorted(
+        ideals, key=lambda i: (len(i.carrier), tuple(sorted(sem.index(x) for x in i.carrier)))
+    )

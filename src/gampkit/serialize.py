@@ -9,7 +9,7 @@ from .errors import SchemaError
 from .gamp import Gamp, GampMorphism
 from .palg import PalgMorphism, PartialAlgebra, SimilarityType, is_lattice_signature
 from .poset import FinitePoset
-from .pregamp import Pregamp
+from .pregamp import Pregamp, check_axioms
 from .semilattice import JoinSemilattice, SemMorphism
 from .util import sort_key
 
@@ -163,6 +163,9 @@ def pregamp_to_json(pg):
 
 
 def pregamp_from_json(data):
+    """A pregamp bundle; distances that break an axiom of check_axioms are a
+    SchemaError naming the axiom and its tuple (gamp and diagram bundles
+    load their pregamps here)."""
     _check_schema(data, "pregamp")
     try:
         alg = algebra_from_json(data["algebra"])
@@ -175,7 +178,11 @@ def pregamp_from_json(data):
     for (x, y), d in dist.items():
         if d not in sem:
             raise SchemaError(f"pregamp: distance {d!r} at {(x, y)} not in semilattice")
-    return Pregamp(alg, dist, sem)
+    pg = Pregamp(alg, dist, sem)
+    ok, violation = check_axioms(pg)
+    if not ok:
+        raise SchemaError(f"pregamp: the {violation[0]} axiom fails at {violation[1]!r}")
+    return pg
 
 
 def gamp_to_json(g):

@@ -490,11 +490,12 @@ def test_tables_change_only_in_construction(path):
     assert [m for m in table_mutations(path.read_text()) if m[1] != TABLE_OWNERS[m[2]]] == []
 
 
-# The chain-condition search reads a pregamp's distances through one path,
-# its integer matrix dist_rows; these attributes are the label paths it
-# replaced.
+# The chain-condition search and quotient_pregamp read a pregamp's distances
+# through one path, its integer matrix dist_rows; these attributes are the
+# label paths it replaced.
 LABEL_DISTANCES = frozenset({"dist", "delta", "distances"})
 CHAIN_SEARCH = ("_interpolants", "_parity_joins", "chain_interpolants", "_chain_condition_failures")
+DIST_ROWS_READERS = [("congruence", set(CHAIN_SEARCH)), ("pregamp", {"quotient_pregamp"})]
 
 
 def label_distance_reads(source, functions):
@@ -526,8 +527,9 @@ def test_label_distance_detector_flags_reads():
     ]
 
 
-def test_chain_condition_reads_one_distance_path():
-    source = (SRC / "congruence.py").read_text()
+@pytest.mark.parametrize("module, functions", DIST_ROWS_READERS, ids=[m for m, _ in DIST_ROWS_READERS])
+def test_chain_condition_reads_one_distance_path(module, functions):
+    source = (SRC / f"{module}.py").read_text()
     defined = {n.name for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
-    assert set(CHAIN_SEARCH) <= defined
-    assert label_distance_reads(source, CHAIN_SEARCH) == []
+    assert functions <= defined
+    assert label_distance_reads(source, functions) == []

@@ -30,7 +30,8 @@ from gampkit.pregamp import (
     quotient_pregamp,
     sub_pregamp,
 )
-from gampkit.semilattice import JoinSemilattice, SemIdeal, SemMorphism, enumerate_ideals
+from gampkit.semilattice import JoinSemilattice, SemIdeal, SemMorphism, enumerate_ideals, quotient
+from test_semilattice import assert_quotient_matches_reference, brute_generated
 
 
 V = Term.v
@@ -93,14 +94,14 @@ AXIOMS = ("separation", "symmetry", "triangle", "compatibility")
 
 
 @st.composite
-def coded_pregamps(draw):
+def coded_pregamps(draw, axioms=(None, *AXIOMS)):
     """(pregamp, planted axiom or None). The points are the codes of a
     product of k factors of 2 or 3 letters, in shuffled order; the distance
     of two codes is the set of coordinates where they differ, in the
     semilattice of subsets of range(k) under union (elements shuffled).
     Every operation acts coordinatewise by random factor tables, so all four
     axioms hold; cells may be dropped to make the carrier partial, and then
-    one violation of the drawn axiom is planted."""
+    one violation of the axiom drawn from `axioms` is planted."""
     rnd = draw(st.randoms(use_true_random=False))
     k = draw(st.sampled_from([2, 3]))
     factors = ["abc"[: draw(st.integers(2, 3 if k == 2 else 2))] for _ in range(k)]
@@ -119,7 +120,7 @@ def coded_pregamps(draw):
             for args in product(codes, repeat=ar)
             if rnd.random() < keep
         }
-    axiom = draw(st.sampled_from([None, *AXIOMS]))
+    axiom = draw(st.sampled_from(axioms))
     x, y, z = rnd.sample(codes, 3)
     one, two = frozenset({0}), frozenset({1})
     if axiom == "separation":
@@ -175,6 +176,49 @@ class TestAxioms:
         ok, _ = check_axioms(pg)
         assert ok
         assert len(pg.sem) == 4
+
+
+def brute_quotient_pregamp(pg, ideal):
+    """Reference for quotient_pregamp: the label loop over delta, with the
+    tables pushed forward by hand. Returns the universe, the tables, the
+    distances and the carrier projection."""
+    _, sproj = quotient(pg.sem, ideal)
+    A = pg.carrier
+    rep = {x: next(y for y in A.universe if pg.delta(y, x) in ideal) for x in A.universe}
+    universe = [x for x in A.universe if rep[x] == x]
+    ops = {
+        name: {tuple(rep[a] for a in args): rep[val] for args, val in table.items()}
+        for name, table in A.ops.items()
+    }
+    dist = {(x, y): sproj(pg.delta(x, y)) for x in universe for y in universe}
+    return universe, ops, dist, rep
+
+
+def assert_quotients_match_references(pg):
+    """Every ideal quotient of pg against the label references, dict orders
+    included, the semilattice part and the ideal's generation too."""
+    for ideal in enumerate_ideals(pg.sem):
+        assert brute_generated(pg.sem, ideal.carrier) == ideal.carrier
+        assert_quotient_matches_reference(pg.sem, ideal)
+        q, proj = quotient_pregamp(pg, ideal)
+        universe, ops, dist, rep = brute_quotient_pregamp(pg, ideal)
+        assert list(q.carrier.universe) == universe
+        assert [(n, list(t.items())) for n, t in q.carrier.ops.items()] == [
+            (n, list(t.items())) for n, t in ops.items()
+        ]
+        assert list(q.dist.items()) == list(dist.items())
+        assert list(proj.f.mapping.items()) == list(rep.items())
+
+
+class TestQuotientReferences:
+    @settings(max_examples=60, deadline=None)
+    @given(coded_pregamps(axioms=[None]))
+    def test_coded_quotients_match_the_label_loop(self, planted):
+        assert_quotients_match_references(planted[0])
+
+    def test_corpus_quotients_match_the_label_loop(self, fixture_lattices):
+        for alg in fixture_lattices.values():
+            assert_quotients_match_references(pga(alg))
 
 
 class TestPGA:

@@ -231,3 +231,43 @@ def test_quotient_round_trip_property(extra):
             assert ok2
             q3, proj3 = quotient(s, ker0(composite))
             assert len(q3) == len(q2)
+
+
+def brute_generated(s, gens):
+    """Reference for SemIdeal.generated: the down-set of the join closure."""
+    closed = s.join_closure(gens)
+    return frozenset(x for x in s.elements if any(s.leq(x, y) for y in closed))
+
+
+def brute_quotient(s, ideal):
+    """Reference for quotient: each element joins the class of the first
+    earlier representative it is related to by some absorber in the ideal."""
+
+    def related(x, y):
+        return any(s.join(x, u) == s.join(y, u) for u in ideal.carrier)
+
+    reps = {}
+    for x in s.elements:
+        reps[x] = next((r for r in reps.values() if related(x, r)), x)
+    classes = [x for x in s.elements if reps[x] == x]
+    table = {(a, b): reps[s.join(a, b)] for a in classes for b in classes}
+    return classes, reps[s.zero], table, reps
+
+
+def assert_quotient_matches_reference(s, ideal):
+    q, proj = quotient(s, ideal)
+    classes, zero, table, reps = brute_quotient(s, ideal)
+    assert list(q.elements) == classes and q.zero == zero
+    assert list(q._join.items()) == list(table.items())
+    assert list(proj.mapping.items()) == list(reps.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(subset_strategy, st.data())
+def test_ideals_by_their_top_match_the_references(extra, data):
+    s = powerset_sub(extra)
+    for ideal in enumerate_ideals(s):
+        assert brute_generated(s, ideal.carrier) == ideal.carrier
+        assert_quotient_matches_reference(s, ideal)
+    gens = data.draw(st.sets(st.sampled_from(s.elements)))
+    assert SemIdeal.generated(s, gens).carrier == brute_generated(s, gens)

@@ -583,11 +583,55 @@ class TestWitnessMode:
         assert code == 2
 
 
+def non_pregamp_bundle(broken):
+    """A 3-point pregamp bundle (unary f defined nowhere, distances in the
+    3-chain) whose distance breaks one axiom: the triangle, symmetry,
+    separation off the diagonal, or a nonzero diagonal."""
+    points = ["a", "b", "c"]
+    d = {(x, y): 0 if x == y else 2 for x in points for y in points}
+    if broken == "triangle":
+        for pair in (("a", "c"), ("c", "b")):
+            d[pair] = d[pair[::-1]] = 1
+    elif broken == "symmetry":
+        d[("a", "b")] = 1
+    elif broken == "separation":
+        d[("a", "b")] = d[("b", "a")] = 0
+    elif broken == "diagonal":
+        d[("a", "a")] = 1
+    return {
+        "algebra": {
+            "type": [["f", 1]], "universe": points, "ops": {"f": {"defined": [], "table": []}},
+        },
+        "semilattice": ser.semilattice_to_json(JoinSemilattice.chain(3)),
+        "dist": [[x, y, v] for (x, y), v in d.items()],
+    }
+
+
 class TestQuotientBundles:
     def write(self, tmp_path, name, data):
         path = tmp_path / name
         path.write_text(json.dumps(data))
         return str(path)
+
+    @pytest.mark.parametrize("broken, axiom", [
+        ("triangle", "triangle"),
+        ("symmetry", "symmetry"),
+        ("separation", "separation"),
+        ("diagonal", "separation"),
+    ])
+    @pytest.mark.parametrize("command", ["pregamp-quotient", "gamp-quotient", "gamp-check"])
+    def test_non_pregamp_bundle_exit_3(self, command, broken, axiom, tmp_path, capsys):
+        pg = non_pregamp_bundle(broken)
+        if command == "pregamp-quotient":
+            argv = ["quotient", self.write(tmp_path, "pg.json", pg), "--ideal", "0"]
+        else:
+            path = self.write(tmp_path, "g.json", {"inner": pg["algebra"], "outer": pg})
+            argv = (
+                ["quotient", path, "--ideal", "0"] if command == "gamp-quotient"
+                else ["gamp-check", path, "--property", "n_permutable", "--n", "2"]
+            )
+        assert run(argv) == 3
+        assert f"the {axiom} axiom fails" in capsys.readouterr().err
 
     def test_pregamp_quotient_by_index(self, tmp_path, x1, capsys):
         path = self.write(tmp_path, "pg.json", ser.pregamp_to_json(pga(x1)))
