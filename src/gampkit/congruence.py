@@ -6,7 +6,6 @@ from itertools import product
 
 from .errors import NotTotal, TooLarge, cross_check
 from .palg import UNDEFINED, PalgMorphism, Term, image_palg, is_lattice_algebra
-from .poset import FinitePoset
 from .semilattice import JoinSemilattice, SemMorphism
 from .util import bfs, shortest_path, sort_key
 
@@ -224,69 +223,212 @@ def con_lattice(algebra, bound=CON_BOUND):
     return sorted(conc(algebra, bound).elements, key=Congruence._sort_key)
 
 
+def _closure_con(algebra):
+    """Con of any finite total algebra by closures: every pair of distinct
+    points is closed once, and the join of each two distinct nonzero label
+    tuples found is taken once, by a union-find seeded with one of them.
+
+    Returns the elements as canonical label tuples, the zero first, twice
+    (as keys and as labels, in the shape of _lattice_con's result), the
+    principal matrix (the position of Theta(u_i, u_j) among them, u the
+    universe) and the join matrix on positions.
+    """
+    n = len(algebra.universe)
+    found = [tuple(range(n))]
+    position = {found[0]: 0}
+    pairs = [[0] * n for _ in range(n)]
+    for i, x in enumerate(algebra.universe):
+        for j in range(i + 1, n):
+            labels = _closure_labels(algebra, [(x, algebra.universe[j])])
+            k = pairs[i][j] = pairs[j][i] = position.setdefault(labels, len(found))
+            if k == len(found):
+                found.append(labels)
+    table = {}
+    for i, a in enumerate(found):  # found grows while it is walked
+        table[(i, i)] = table[(i, 0)] = table[(0, i)] = i
+        for j in range(1, i):
+            uf = _UnionFind(a)
+            for x, label in enumerate(found[j]):
+                if label != x:
+                    uf.union(x, label)
+            join = uf.labels()
+            k = position.setdefault(join, len(found))
+            if k == len(found):
+                found.append(join)
+            table[(i, j)] = table[(j, i)] = k
+    joins = [[table[(i, j)] for j in range(len(found))] for i in range(len(found))]
+    return found, found, pairs, joins
+
+
+def _irreducibles(meet, join, n):
+    """The join-irreducibles of a finite lattice, given by its meet and join
+    tables on indices, each with its unique lower cover j_*, as (j, j_*) in
+    index order. The join of the elements strictly below j is j_* when j is
+    join-irreducible and j itself otherwise; nothing lies below the bottom,
+    which is not join-irreducible."""
+    strictly_below = [[] for _ in range(n)]
+    for (u, v), m in meet.items():
+        if m == u != v:
+            strictly_below[v].append(u)
+    out = []
+    for j, us in enumerate(strictly_below):
+        if us:
+            star = us[0]
+            for u in us:
+                star = join[(star, u)]
+            if star != j:
+                out.append((j, star))
+    return out
+
+
+def _day_relation(irreducibles, below, join, n):
+    """Day's relation D on the join-irreducibles, as masks over their
+    positions: bit s of rows[t] is set iff s != t and J_s D J_t, that is
+    J_s <= J_t v p but not J_s <= (J_t)_* v p for some p. Collapsing J_t to
+    its lower cover then collapses J_s to its own. below[x] is the mask of
+    the join-irreducibles under x."""
+    rows = []
+    for t, (k, star) in enumerate(irreducibles):
+        row = 0
+        for p in range(n):
+            row |= below[join[(k, p)]] & ~below[join[(star, p)]]
+        rows.append(row & ~(1 << t))
+    return rows
+
+
+def _mask_labels(masks, mask):
+    """The canonical labels of the congruence whose join-irreducible set is
+    mask: u_x and u_y are related iff masks[x][y], the set of Theta(u_x,
+    u_y), lies inside it."""
+    labels = [None] * len(masks)
+    outside = ~mask
+    for x, row in enumerate(masks):
+        if labels[x] is None:
+            for y, m in enumerate(row):
+                if not m & outside:
+                    labels[y] = x
+    return tuple(labels)
+
+
+def _lattice_con(algebra):
+    """Con of a finite lattice from its join-irreducibles, with no closure
+    (Day, Canad. J. Math. 31, 1979; Freese, Proc. AMS 125, 1997).
+
+    A congruence is the set of join-irreducibles j it collapses to j_*, a
+    set closed under "k in it and j D k give j"; the closed sets are the
+    unions of the closures of the single k, which are the masks of
+    Theta(k_*, k). Theta(a, b) is the union of those of the j under a v b
+    and not under a meet b. Join is union. Returns the elements as masks
+    over J(L), the zero first, their canonical labels, the principal matrix
+    (positions among the elements) and the join matrix on positions.
+
+    Cross-check, which raises under python -O too: the closure of each pair
+    (k_*, k) has the partition of k's closed mask.
+    """
+    universe = algebra.universe
+    n = len(universe)
+    meet, join = (algebra.index_tables[1][name] for name in ("meet", "join"))
+    irreducibles = _irreducibles(meet, join, n)
+    below = [0] * n
+    for t, (j, _) in enumerate(irreducibles):
+        for u in range(n):
+            if meet[(j, u)] == j:
+                below[u] |= 1 << t
+    closed = [row | 1 << t for t, row in enumerate(_day_relation(irreducibles, below, join, n))]
+    for s in range(len(closed)):  # Warshall, on bitmask rows
+        for t, mask in enumerate(closed):
+            if mask >> s & 1:
+                closed[t] = mask | closed[s]
+    unions = {}
+
+    def union(cut):
+        if cut not in unions:
+            unions[cut] = 0
+            for t, mask in enumerate(closed):
+                if cut >> t & 1:
+                    unions[cut] |= mask
+        return unions[cut]
+
+    masks = [
+        [union(below[join[(a, b)]] & ~below[meet[(a, b)]]) for b in range(n)] for a in range(n)
+    ]
+    found = {0: None}
+    for mask in closed:
+        for other in list(found):
+            found.setdefault(other | mask)
+    found = list(found)
+    position = {mask: i for i, mask in enumerate(found)}
+    labels = [_mask_labels(masks, mask) for mask in found]
+    for (k, star), mask in zip(irreducibles, closed):
+        cross_check(
+            _closure_labels(algebra, [(universe[star], universe[k])]) == labels[position[mask]],
+            "Theta(j_*, j) disagrees with Day's relation",
+        )
+    pairs = [[position[m] for m in row] for row in masks]
+    joins = [[position[a | b] for b in found] for a in found]
+    return found, labels, pairs, joins
+
+
 class ConcSemilattice(JoinSemilattice):
     """Semilattice of compact congruences, with the principal-congruence
     generator map and its all-pairs distance table.
 
-    Every congruence of a finite algebra is a join of principal ones, so the
-    elements are the join closure of the principal congruences; for lattices
-    these are generated from cover pairs only, which keeps medium-sized
-    instances tractable. The closure runs on canonical labels, joins each
-    pair of them once, and builds one Congruence per element, so every table
-    value, the zero and every congruence principal() or generated() returns
-    is the semilattice's own element object.
+    On a lattice, Con comes from the join-irreducibles (_lattice_con): an
+    element is a mask over J(L), join is union, and no closure runs but the
+    cross-check. On any other algebra every pair of points is closed once
+    and the elements are the join closure of the principal congruences
+    (_closure_con). Either way the principal distance is kept as dist_rows,
+    dist_rows[i][j] the index in elements of Theta(u_i, u_j), u the
+    universe; one Congruence is built per element, so every table value,
+    the zero and every congruence principal() or generated() returns is the
+    semilattice's own element object.
     """
 
     def __init__(self, algebra, bound=CON_BOUND):
         _require_con_bound(algebra, bound)
         self.algebra = algebra
         universe = algebra.universe
-        if is_lattice_algebra(algebra):
-            meet = algebra.ops["meet"]
-            order = [(u, v) for u in universe for v in universe if meet[(u, v)] == u]
-            gen_pairs = FinitePoset(universe, order, validate=False).covers()
-        else:
-            gen_pairs = [(x, y) for i, x in enumerate(universe) for y in universe[i + 1 :]]
-        found = list(dict.fromkeys(
-            [tuple(range(len(universe)))] + [_closure_labels(algebra, [p]) for p in gen_pairs]
-        ))
-        position = {t: i for i, t in enumerate(found)}
-        table = {}  # on positions in found; 0 is the zero
-        for i, a in enumerate(found):  # found grows while it is walked
-            table[(i, i)] = table[(i, 0)] = table[(0, i)] = i
-            for j in range(1, i):
-                uf = _UnionFind(a)
-                for x, label in enumerate(found[j]):
-                    if label != x:
-                        uf.union(x, label)
-                join = uf.labels()
-                k = position.setdefault(join, len(found))
-                if k == len(found):
-                    found.append(join)
-                table[(i, j)] = table[(j, i)] = k
-        elements = [_from_labels(universe, t) for t in found]
-        self._by_labels = dict(zip(found, elements))
+        lattice = is_lattice_algebra(algebra)
+        keys, labels, pairs, joins = (_lattice_con if lattice else _closure_con)(algebra)
+        elements = [_from_labels(universe, t) for t in labels]
         order = sorted(elements, key=lambda t: (len(universe) - len(t.blocks), t._sort_key()))
-        joins = {(elements[i], elements[j]): elements[k] for (i, j), k in table.items()}
-        super().__init__(order, elements[0], joins, validate=False)
-        self._principal = {}
+        table = {
+            (a, b): elements[k] for a, row in zip(elements, joins) for b, k in zip(elements, row)
+        }
+        super().__init__(order, elements[0], table, validate=False)
+        rank = [self._index[t] for t in elements]
+        self.dist_rows = [[rank[k] for k in row] for row in pairs]
+        self._point = {x: i for i, x in enumerate(universe)}
+        self._by_key = dict(zip(keys, elements))
+        self._masks = None  # on a lattice, the mask of each element, in elements order
+        if lattice:
+            self._masks = [None] * len(keys)
+            for key, r in zip(keys, rank):
+                self._masks[r] = key
 
     def generated(self, pairs):
         """The element generated by the given pairs of the algebra."""
-        theta = self._by_labels.get(_closure_labels(self.algebra, pairs))
+        if self._masks is None:
+            key = _closure_labels(self.algebra, pairs)
+        else:
+            point, rows, key = self._point, self.dist_rows, 0
+            for x, y in pairs:
+                key |= self._masks[rows[point[x]][point[y]]]
+        theta = self._by_key.get(key)
         cross_check(theta is not None, "generated congruence missing from Conc")
         return theta
 
     def principal(self, x, y):
-        theta = self._principal.get((x, y))
-        if theta is None:
-            theta = self._principal[(x, y)] = self._principal[(y, x)] = self.generated([(x, y)])
-        return theta
+        return self.elements[self.dist_rows[self._point[x]][self._point[y]]]
 
     def distances(self):
         """The principal distance (x, y) -> Theta(x, y) over all pairs of the algebra."""
-        universe = self.algebra.universe
-        return {(x, y): self.principal(x, y) for x in universe for y in universe}
+        universe, els = self.algebra.universe, self.elements
+        return {
+            (x, y): els[k]
+            for x, row in zip(universe, self.dist_rows)
+            for y, k in zip(universe, row)
+        }
 
 
 def conc(algebra, bound=CON_BOUND):
@@ -502,9 +644,9 @@ def _chain_condition_failures(pg, inner, n, lattice_form=False):
 def _elementwise_n_permutable(algebra, n, cong_sl):
     """Chain condition: every (n+1)-tuple admits interpolants y with the
     parity containments between generated congruences."""
-    from .pregamp import Pregamp  # pregamp imports this module
+    from .pregamp import pga  # pregamp imports this module
 
-    pg = Pregamp(algebra, cong_sl.distances(), cong_sl)
+    pg = pga(algebra, cong_sl)
     for _, xs in _chain_condition_failures(pg, algebra.universe, n):
         return False, xs
     return True, None

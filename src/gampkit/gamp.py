@@ -20,7 +20,6 @@ from .palg import (
     undefined_tuple,
 )
 from .pregamp import (
-    Pregamp,
     PregampMorphism,
     canonical_embedding as pregamp_embedding,
     induced_pregamp_morphism,
@@ -32,7 +31,7 @@ from .pregamp import (
     tractability_verdict,
 )
 from .semilattice import SemMorphism, is_ideal_induced
-from .util import Verdict, shortest_path, sorted_elements
+from .util import Verdict, bfs, shortest_path, sorted_elements
 from . import congruence as _cong
 
 
@@ -372,7 +371,11 @@ def _check_cuttable(fm, phi, chains, x_cap):
     Image a partial sublattice of the target's inner part; for each small
     X inside phi's target and each source pair under the X-join bound, a walk
     (or chain) inside the inner part whose steps have phi-distance under some
-    member of X. x_cap must be at least 0 (else ValueError).
+    member of X. A walk depends on X only through the allowed steps, so one
+    bfs finds what an image point reaches, and one chain search runs per
+    endpoints, for each set of allowed steps; the first failing (x, y, X)
+    is named in source-pair order. x_cap must be at least 0 (else
+    ValueError).
     """
     if x_cap < 0:
         raise ValueError("x_cap must be at least 0")
@@ -387,6 +390,14 @@ def _check_cuttable(fm, phi, chains, x_cap):
     inner = list(tgt.inner.universe)
     meets = tgt.outer.ops.get("meet", {})
     joins = tgt.outer.ops.get("join", {})
+    # the phi-distances of inner points, which hold the image, and the
+    # down-set of each element of S
+    dist = {(a, b): phi(tgt.delta(a, b)) for a in inner for b in inner}
+    downs = {u: frozenset(v for v in S.elements if S.leq(v, u)) for u in S.elements}
+    pairs = [
+        (x, y, fm.f(x), fm.f(y)) for x in fm.source.outer.universe for y in fm.source.outer.universe
+    ]
+    reach, walks = {}, {}  # by (allowed steps, start), by (allowed steps, endpoints)
 
     # X ranges over nonempty finite subsets: the empty instance would force
     # the phi-kernel to be trivial on images, which no proper quotient
@@ -394,29 +405,31 @@ def _check_cuttable(fm, phi, chains, x_cap):
     for r in range(1, x_cap + 1):
         for xset in combinations(sorted_elements(S.elements), r):
             bound = S.join_all(xset)
-            allowed = {v for v in S.elements if v == S.zero or any(S.leq(v, u) for u in xset)}
+            allowed = frozenset().union(*map(downs.__getitem__, xset))
 
             def step_ok(a, b):
-                return phi(tgt.delta(a, b)) in allowed
+                return dist[(a, b)] in allowed
 
             def neighbours(u):
                 return ((v, None) for v in inner if step_ok(u, v))
 
-            for x in fm.source.outer.universe:
-                for y in fm.source.outer.universe:
-                    if not S.leq(phi(tgt.delta(fm.f(x), fm.f(y))), bound):
-                        continue
-                    fx, fy = fm.f(x), fm.f(y)
-                    if not chains:
-                        if shortest_path(fx, fy, neighbours) is None:
-                            return Verdict.false((x, y, xset), bounds)
-                    else:
-                        m = meets.get((fx, fy), UNDEFINED)
-                        j = joins.get((fx, fy), UNDEFINED)
-                        if m is UNDEFINED or j is UNDEFINED:
-                            return Verdict.false(("endpoints undefined", x, y, xset), bounds)
-                        if not _chain_walk(fm.target, m, j, step_ok):
-                            return Verdict.false((x, y, xset), bounds)
+            for x, y, fx, fy in pairs:
+                if not S.leq(dist[(fx, fy)], bound):
+                    continue
+                if not chains:
+                    if (allowed, fx) not in reach:
+                        reach[(allowed, fx)] = set(bfs(fx, neighbours, {}))
+                    if fy not in reach[(allowed, fx)]:
+                        return Verdict.false((x, y, xset), bounds)
+                    continue
+                m = meets.get((fx, fy), UNDEFINED)
+                j = joins.get((fx, fy), UNDEFINED)
+                if m is UNDEFINED or j is UNDEFINED:
+                    return Verdict.false(("endpoints undefined", x, y, xset), bounds)
+                if (allowed, m, j) not in walks:
+                    walks[(allowed, m, j)] = _chain_walk(fm.target, m, j, step_ok)
+                if not walks[(allowed, m, j)]:
+                    return Verdict.false((x, y, xset), bounds)
     return Verdict.true(None, bounds)
 
 
@@ -569,7 +582,7 @@ def buttress(
         if not ok:
             raise ValueError(f"base algebra is not {n_permutable}-permutable")
 
-    whole = Gamp(algebra, Pregamp(algebra, cs.distances(), cs), validate=False)
+    whole = Gamp(algebra, pga(algebra, cs), validate=False)
     if with_chains and not whole.is_lattice_signature():
         raise WrongSignature("chains require the lattice signature")
     nodes = {}

@@ -169,10 +169,13 @@ class PregampMorphism:
         )
 
 
-def pga(algebra):
-    """The pregamp of a total algebra: its principal-congruence distance."""
-    cs = _cong.conc(algebra)
-    return Pregamp(algebra, cs.distances(), cs)
+def pga(algebra, cs=None):
+    """The pregamp of a total algebra: its principal-congruence distance into
+    Conc A, which is cs when given. Its dist_rows are Conc's own matrix."""
+    cs = _cong.conc(algebra) if cs is None else cs
+    pg = Pregamp(algebra, cs.distances(), cs)
+    pg.dist_rows = cs.dist_rows  # the same matrix, on the same universe order
+    return pg
 
 
 def pga_mor(f, source_pg=None, target_pg=None):

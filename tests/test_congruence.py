@@ -3,7 +3,8 @@ import random
 import subprocess
 import sys
 import textwrap
-from itertools import product
+from itertools import compress, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,26 +119,140 @@ class TestConc:
         }
 
     def test_each_join_computed_once(self, x1, monkeypatch):
-        # the builder joins each pair of nonzero label tuples once, seeding
-        # the union-find with one of them (a closure seeds it with range(n)),
-        # and building Conc joins nothing again
-        joins = []
-
-        class Spy(congruence._UnionFind):
-            def __init__(self, parent):
-                if isinstance(parent, tuple):
-                    joins.append(parent)
-                super().__init__(parent)
-
-        monkeypatch.setattr(congruence, "_UnionFind", Spy)
-        cs = conc(x1)
+        # off lattices the builder joins each pair of nonzero label tuples
+        # once, seeding the union-find with one of them (a closure seeds it
+        # with range(n)), and building Conc joins nothing again
+        reduct = _join_reduct(x1)
+        joins = _count_label_joins(monkeypatch)
+        cs = conc(reduct)
         k = len(cs) - 1
-        assert len(joins) == k * (k - 1) // 2
-        everything = all_congruences_bruteforce(x1)
+        assert k > 2 and len(joins) == k * (k - 1) // 2
+        everything = all_congruences_bruteforce(reduct)
         for a in cs.elements:
             for b in cs.elements:
                 upper = [t for t in everything if con_meet(a, t) == a and con_meet(b, t) == b]
                 assert cs.join(a, b) == _least(upper)
+
+    def test_closes_each_pair_once_off_lattices(self, x1, monkeypatch):
+        # the principal table is kept at build time: principal() and
+        # distances() run no closure of their own
+        reduct = _join_reduct(x1)
+        closures = _count_calls(monkeypatch, "_closure_labels")
+        cs = conc(reduct)
+        dist, zero = cs.distances(), cs.principal("x1", "x1")
+        n = len(reduct.universe)
+        assert len(closures) == n * (n - 1) // 2 and zero is cs.zero
+        assert dist == {
+            (a, b): principal_congruence(reduct, a, b)
+            for a in reduct.universe for b in reduct.universe
+        }
+
+    @pytest.mark.parametrize("name", ["M3", "N5", "X1", "chain:5", "power:M3:2", "power:X1:2"])
+    def test_lattice_closes_only_its_join_irreducibles(self, name, monkeypatch):
+        # on a lattice Con comes from Day's relation on J(L): the closures
+        # are the cross-check's, one per join-irreducible, and no label
+        # tuples are joined
+        alg = build_named(name).algebra
+        closures = _count_calls(monkeypatch, "_closure_labels")
+        joins = _count_label_joins(monkeypatch)
+        cs = conc(alg)
+        cs.distances(), cs.generated([(alg.universe[0], alg.universe[-1])])
+        assert len(closures) == len(_brute_join_irreducibles(alg)) and joins == []
+
+    def test_dropped_day_edge_fails_the_cross_check(self, n5, monkeypatch):
+        dropped = _drop_first_day_edge(congruence._day_relation)
+        monkeypatch.setattr(congruence, "_day_relation", dropped)
+        with pytest.raises(CrossCheckFailed, match="Day's relation"):
+            conc(n5)
+
+    def test_dropped_day_edge_fails_the_cross_check_under_optimize(self):
+        code = textwrap.dedent(
+            """
+            import sys
+            from gampkit import build_named, congruence
+            from gampkit.errors import CrossCheckFailed
+
+            real = congruence._day_relation
+
+            def dropped(*args):
+                rows = real(*args)
+                t = next(t for t, row in enumerate(rows) if row)
+                rows[t] &= rows[t] - 1
+                return rows
+
+            congruence._day_relation = dropped
+            try:
+                congruence.conc(build_named("N5").algebra)
+            except CrossCheckFailed:
+                print("optimize", sys.flags.optimize, "raised")
+            """
+        )
+        src = os.path.dirname(os.path.dirname(gampkit.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.split() == ["optimize", "1", "raised"]
+
+
+def _join_reduct(alg):
+    """The join-semilattice reduct of a lattice: not a lattice algebra, so
+    its Con is built by closures."""
+    stype = SimilarityType((("join", 2),))
+    return PartialAlgebra(stype, alg.universe, {"join": dict(alg.ops["join"])})
+
+
+def _count_calls(monkeypatch, name):
+    """Record the arguments of each call of congruence.<name>."""
+    calls, real = [], getattr(congruence, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(congruence, name, spy)
+    return calls
+
+
+def _count_label_joins(monkeypatch):
+    """Record each union-find seeded with a label tuple: one join of two
+    congruences (a closure seeds it with range(n))."""
+    joins = []
+
+    class Spy(congruence._UnionFind):
+        def __init__(self, parent):
+            if isinstance(parent, tuple):
+                joins.append(parent)
+            super().__init__(parent)
+
+    monkeypatch.setattr(congruence, "_UnionFind", Spy)
+    return joins
+
+
+def _drop_first_day_edge(real):
+    """_day_relation without the first edge of its first nonempty row."""
+
+    def dropped(*args):
+        rows = real(*args)
+        t = next(t for t, row in enumerate(rows) if row)
+        rows[t] &= rows[t] - 1
+        return rows
+
+    return dropped
+
+
+def _brute_join_irreducibles(alg):
+    """The elements with exactly one lower cover, from the meet order."""
+    meet = alg.ops["meet"]
+    lt = {(u, v) for u in alg.universe for v in alg.universe if u != v and meet[(u, v)] == u}
+    return [
+        v for v in alg.universe
+        if sum(
+            1 for u in alg.universe
+            if (u, v) in lt and not any((u, w) in lt and (w, v) in lt for w in alg.universe)
+        ) == 1
+    ]
 
 
 def _is_own_element(cs, theta):
@@ -275,6 +390,73 @@ def small_unary_binary_algebras(draw):
         "g": {(a,): g[a] for a in u},
     }
     return PartialAlgebra(SimilarityType((("f", 2), ("g", 1))), u, ops)
+
+
+def _closure_system(sets, points):
+    """The lattice of a family of subsets of points closed under
+    intersection, the whole set added: meet is intersection, join the least
+    member above the union. Every finite lattice is one of these."""
+    family = {frozenset(points)}
+    for s in sets:
+        family |= {s & t for t in family} | {frozenset(s)}
+    family = sorted(family, key=lambda s: (len(s), sorted(s)))
+
+    def join(a, b):
+        return min((c for c in family if a | b <= c), key=len)
+
+    ops = {"meet": lambda a, b: a & b, "join": join}
+    return PartialAlgebra.total_from_fn(LATTICE_TYPE, family, ops)
+
+
+@st.composite
+def random_lattices(draw):
+    """Down-set lattices of random posets on at most four points (these are
+    distributive), lattices of random closure systems on four points, and
+    products of two lattices of the corpus."""
+    kind = draw(st.sampled_from(["down-sets", "closure system", "product"]))
+    if kind == "product":
+        names = st.sampled_from(["two", "chain:3", "chain:4", "M3", "N5", "X1", "X2"])
+        a, b = build_named(draw(names)).algebra, build_named(draw(names)).algebra
+        return PartialAlgebra.product([a, b])
+    points = range(draw(st.integers(1, 4)))
+    if kind == "closure system":
+        sets = draw(st.lists(st.frozensets(st.sampled_from(points)), max_size=6))
+        return _closure_system(sets, points)
+    below = {(i, j) for i in points for j in points if i < j and draw(st.booleans())}
+    for k, i, j in product(points, repeat=3):  # transitive closure, k outermost
+        if (i, k) in below and (k, j) in below:
+            below.add((i, j))
+    downsets = [
+        frozenset(compress(points, bits)) for bits in product((0, 1), repeat=len(points))
+    ]
+    downsets = [d for d in downsets if all(i in d for i, j in below if j in d)]
+    ops = {"meet": lambda a, b: a & b, "join": lambda a, b: a | b}
+    return PartialAlgebra.total_from_fn(LATTICE_TYPE, downsets, ops)
+
+
+def closure_conc(alg):
+    """Conc built by closures of every pair, as for a non-lattice: the
+    reference the join-irreducible builder is checked against."""
+    with mock.patch.object(congruence, "is_lattice_algebra", return_value=False):
+        return conc(alg), con_lattice(alg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_lattices(), st.data())
+def test_lattice_conc_matches_the_closure_builder(alg, data):
+    fast, (slow, slow_order) = conc(alg), closure_conc(alg)
+    assert fast.elements == slow.elements and fast.zero == slow.zero
+    assert fast.join_rows == slow.join_rows
+    assert fast.dist_rows == slow.dist_rows and fast.distances() == slow.distances()
+    assert con_lattice(alg) == slow_order
+    points = st.sampled_from(alg.universe)
+    for _ in range(3):
+        pairs = data.draw(st.lists(st.tuples(points, points), max_size=4))
+        assert fast.generated(pairs) == slow.generated(pairs)
+    _, q = quotient_algebra(alg, data.draw(st.sampled_from(fast.elements)))
+    fast_q, (slow_q, _) = conc(q.target), closure_conc(q.target)
+    assert conc_morphism(q, fast, fast_q).mapping == conc_morphism(q, slow, slow_q).mapping
+    _assert_canonical(alg)
 
 
 @settings(max_examples=40, deadline=None)

@@ -26,7 +26,7 @@ from gampkit.gamp import (
 )
 from gampkit.palg import LATTICE_TYPE, PalgMorphism, PartialAlgebra, SimilarityType
 from gampkit.poset import FinitePoset
-from gampkit.pregamp import Pregamp, pga, pregamp_isomorphisms
+from gampkit.pregamp import Pregamp, pga, pregamp_isomorphisms, sub_pregamp
 from gampkit.semilattice import SemIdeal, SemMorphism, enumerate_ideals, is_ideal_induced, quotient
 
 
@@ -334,6 +334,116 @@ class TestThroughPhi:
         _, proj = quotient(fm.target.sem, ideal)
         assert bool(check_morphism_property(fm, "cuttable", x_cap=3, phi=proj))
         assert bool(check_morphism_property(fm, "cuttable_chains", x_cap=3, phi=proj))
+
+
+def reference_check_cuttable(fm, phi, chains, x_cap):
+    """_check_cuttable as it was before each X kept its reach sets and chain
+    walks: one shortest_path, or one _chain_walk, per source pair."""
+    from itertools import combinations
+
+    from gampkit.gamp import _chain_walk
+    from gampkit.palg import UNDEFINED, image_palg
+    from gampkit.util import Verdict, shortest_path, sorted_elements
+
+    bounds = {"x_cap": x_cap}
+    img = image_palg(fm.f)
+    if not img.is_partial_sub_of(fm.target.inner):
+        return Verdict.false("image not inside the inner part", bounds)
+    tgt = fm.target
+    S = phi.target
+    inner = list(tgt.inner.universe)
+    meets = tgt.outer.ops.get("meet", {})
+    joins = tgt.outer.ops.get("join", {})
+    for r in range(1, x_cap + 1):
+        for xset in combinations(sorted_elements(S.elements), r):
+            bound = S.join_all(xset)
+            allowed = {v for v in S.elements if v == S.zero or any(S.leq(v, u) for u in xset)}
+
+            def step_ok(a, b):
+                return phi(tgt.delta(a, b)) in allowed
+
+            def neighbours(u):
+                return ((v, None) for v in inner if step_ok(u, v))
+
+            for x in fm.source.outer.universe:
+                for y in fm.source.outer.universe:
+                    if not S.leq(phi(tgt.delta(fm.f(x), fm.f(y))), bound):
+                        continue
+                    fx, fy = fm.f(x), fm.f(y)
+                    if not chains:
+                        if shortest_path(fx, fy, neighbours) is None:
+                            return Verdict.false((x, y, xset), bounds)
+                    else:
+                        m = meets.get((fx, fy), UNDEFINED)
+                        j = joins.get((fx, fy), UNDEFINED)
+                        if m is UNDEFINED or j is UNDEFINED:
+                            return Verdict.false(("endpoints undefined", x, y, xset), bounds)
+                        if not _chain_walk(fm.target, m, j, step_ok):
+                            return Verdict.false((x, y, xset), bounds)
+    return Verdict.true(None, bounds)
+
+
+def _assert_cuttable_as_reference(fm, phi, x_cap):
+    verdicts = []
+    for which in ("cuttable", "cuttable_chains"):
+        got = check_morphism_property(fm, which, x_cap=x_cap, phi=phi)
+        assert got == reference_check_cuttable(fm, phi, which == "cuttable_chains", x_cap)
+        verdicts.append(got)
+    return verdicts
+
+
+class TestCuttableAgainstReference:
+    @pytest.mark.parametrize(
+        "base, poset, kernel, n_perm",
+        [
+            ("X1", FinitePoset.chain(2), ("0", "x3"), 3),
+            ("X1", FinitePoset.chain(2), ("m", "1"), 3),
+            ("M3", FinitePoset.square(), ("0", "x1"), 2),
+            ("N5", FinitePoset.chain(2), ("0", "1"), 2),
+        ],
+    )
+    def test_buttress_arrows(self, base, poset, kernel, n_perm):
+        alg = build_named(base).algebra
+        cs = conc(alg)
+        bottom = poset.linear_extension()[0]
+        ideal = SemIdeal.generated(cs, {principal_congruence(alg, *kernel)})
+        phis = {
+            p: quotient(cs, ideal if p == bottom else SemIdeal.zero(cs))[1] for p in poset.elements
+        }
+        diagram = buttress(alg, poset, phis, with_chains=True, n_permutable=n_perm)
+        for (p, q), arrow in diagram.arrows.items():
+            for phi in (phis[q], SemMorphism.identity(cs)):
+                for x_cap in (0, 1, 2, len(phi.target.elements)):
+                    _assert_cuttable_as_reference(arrow, phi, x_cap)
+
+    @pytest.mark.parametrize(
+        "base, outer, inner, fails",
+        [
+            ("X1", {"0", "1"}, {"0", "1"}, True),
+            ("X1", {"0", "1"}, {"0", "m", "1"}, True),
+            ("X1", {"0", "x1", "1"}, {"0", "x1", "x3", "1"}, True),
+            ("M3", {"0", "1"}, {"0", "x1", "1"}, False),
+            ("M3", {"0", "x1", "x2"}, {"0", "x1", "x2", "1"}, False),
+            ("N5", {"0", "1"}, {"0", "1"}, True),
+            ("N5", {"0", "1"}, {"0", "a", "1"}, False),
+        ],
+    )
+    def test_sparse_inclusions(self, base, outer, inner, fails):
+        # the inclusion of a few points into a gamp with a sparse inner part,
+        # through the identity and through each proper quotient, holds or
+        # fails at the same (x, y, X) as with the per-pair walk
+        alg = build_named(base).algebra
+        pg = pga(alg)
+        small = alg.restrict_full(outer)
+        sub = Gamp(small, sub_pregamp(pg, small))
+        fm = canonical_embedding(sub, Gamp(alg.restrict_full(inner), pg))
+        ideals = [None] + [i for i in enumerate_ideals(pg.sem) if 1 < len(i.carrier) < len(pg.sem)]
+        verdicts = []
+        for ideal in ideals:
+            phi = SemMorphism.identity(pg.sem) if ideal is None else quotient(pg.sem, ideal)[1]
+            for x_cap in (1, 2, 3):
+                verdicts += _assert_cuttable_as_reference(fm, phi, x_cap)
+        assert all(verdicts) != fails
 
 
 class TestChainColimit:
