@@ -194,20 +194,29 @@ def cmd_diagram_verify(args):
         raw = data.get("realizations")
         if raw is None:
             raise SchemaError("partial-lifting verification needs realizations in the bundle")
+        if not isinstance(raw, dict):
+            raise SchemaError(f"realizations: expected a JSON object, got {type(raw).__name__}")
         realizations = {}
         for p in diagram.poset.elements:
             entry = raw.get(str(p))
             if entry is None:
                 raise SchemaError(f"missing realization for node {p!r}")
+            where = f"realization for node {p!r}"
+            if not isinstance(entry, dict):
+                raise SchemaError(f"{where}: expected a JSON object, got {type(entry).__name__}")
+            if "ambient" not in entry:
+                raise SchemaError(f"{where}: missing 'ambient'")
+            pairs = entry.get("chi")
+            if not isinstance(pairs, list) or not all(
+                isinstance(pair, list) and len(pair) == 2 for pair in pairs
+            ):
+                raise SchemaError(f"{where}: 'chi' must be a list of [element, image] pairs")
             ambient = ser.algebra_from_json(entry["ambient"])
             cs = _cong.conc(ambient)
             chi = SemMorphism(
                 diagram.objects[p].sem,
                 cs,
-                {
-                    ser.decode_el(a): ser.decode_el(b)
-                    for a, b in entry["chi"]
-                },
+                {ser.decode_el(a): ser.decode_el(b) for a, b in pairs},
             )
             realizations[p] = Realization(ambient, chi)
         verdict, detail = is_partial_lifting(

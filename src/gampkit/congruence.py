@@ -228,8 +228,7 @@ def _closure_con(algebra):
     points is closed once, and the join of each two distinct nonzero label
     tuples found is taken once, by a union-find seeded with one of them.
 
-    Returns the elements as canonical label tuples, the zero first, twice
-    (as keys and as labels, in the shape of _lattice_con's result), the
+    Returns the elements as canonical label tuples, the zero first, the
     principal matrix (the position of Theta(u_i, u_j) among them, u the
     universe) and the join matrix on positions.
     """
@@ -257,7 +256,7 @@ def _closure_con(algebra):
                 found.append(join)
             table[(i, j)] = table[(j, i)] = k
     joins = [[table[(i, j)] for j in range(len(found))] for i in range(len(found))]
-    return found, found, pairs, joins
+    return found, pairs, joins
 
 
 def _irreducibles(meet, join, n):
@@ -318,9 +317,9 @@ def _lattice_con(algebra):
     set closed under "k in it and j D k give j"; the closed sets are the
     unions of the closures of the single k, which are the masks of
     Theta(k_*, k). Theta(a, b) is the union of those of the j under a v b
-    and not under a meet b. Join is union. Returns the elements as masks
-    over J(L), the zero first, their canonical labels, the principal matrix
-    (positions among the elements) and the join matrix on positions.
+    and not under a meet b. Join is union. Returns the canonical labels of
+    the elements, the zero first, the principal matrix (positions among the
+    elements) and the join matrix on positions.
 
     Cross-check, which raises under python -O too: the closure of each pair
     (k_*, k) has the partition of k's closed mask.
@@ -366,7 +365,7 @@ def _lattice_con(algebra):
         )
     pairs = [[position[m] for m in row] for row in masks]
     joins = [[position[a | b] for b in found] for a in found]
-    return found, labels, pairs, joins
+    return labels, pairs, joins
 
 
 class ConcSemilattice(JoinSemilattice):
@@ -379,17 +378,18 @@ class ConcSemilattice(JoinSemilattice):
     and the elements are the join closure of the principal congruences
     (_closure_con). Either way the principal distance is kept as dist_rows,
     dist_rows[i][j] the index in elements of Theta(u_i, u_j), u the
-    universe; one Congruence is built per element, so every table value,
-    the zero and every congruence principal() or generated() returns is the
-    semilattice's own element object.
+    universe, and the join as join_rows; one Congruence is built per
+    element, so every table value, the zero and every congruence
+    principal() or generated() returns is the semilattice's own element
+    object.
     """
 
     def __init__(self, algebra, bound=CON_BOUND):
         _require_con_bound(algebra, bound)
         self.algebra = algebra
         universe = algebra.universe
-        lattice = is_lattice_algebra(algebra)
-        keys, labels, pairs, joins = (_lattice_con if lattice else _closure_con)(algebra)
+        build = _lattice_con if is_lattice_algebra(algebra) else _closure_con
+        labels, pairs, joins = build(algebra)
         elements = [_from_labels(universe, t) for t in labels]
         order = sorted(elements, key=lambda t: (len(universe) - len(t.blocks), t._sort_key()))
         table = {
@@ -398,25 +398,18 @@ class ConcSemilattice(JoinSemilattice):
         super().__init__(order, elements[0], table, validate=False)
         rank = [self._index[t] for t in elements]
         self.dist_rows = [[rank[k] for k in row] for row in pairs]
+        position = sorted(range(len(rank)), key=rank.__getitem__)  # rank[position[r]] == r
+        self.join_rows = [[rank[joins[a][b]] for b in position] for a in position]
         self._point = {x: i for i, x in enumerate(universe)}
-        self._by_key = dict(zip(keys, elements))
-        self._masks = None  # on a lattice, the mask of each element, in elements order
-        if lattice:
-            self._masks = [None] * len(keys)
-            for key, r in zip(keys, rank):
-                self._masks[r] = key
 
     def generated(self, pairs):
-        """The element generated by the given pairs of the algebra."""
-        if self._masks is None:
-            key = _closure_labels(self.algebra, pairs)
-        else:
-            point, rows, key = self._point, self.dist_rows, 0
-            for x, y in pairs:
-                key |= self._masks[rows[point[x]][point[y]]]
-        theta = self._by_key.get(key)
-        cross_check(theta is not None, "generated congruence missing from Conc")
-        return theta
+        """The element generated by the given pairs of the algebra: Cg of a
+        set of pairs is the join of their principal congruences."""
+        point, D, J = self._point, self.dist_rows, self.join_rows
+        k = self._index[self.zero]
+        for x, y in pairs:
+            k = J[k][D[point[x]][point[y]]]
+        return self.elements[k]
 
     def principal(self, x, y):
         return self.elements[self.dist_rows[self._point[x]][self._point[y]]]

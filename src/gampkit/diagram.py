@@ -144,13 +144,13 @@ def _quotient_node(obj, ideal):
     raise DomainMismatch(f"cannot quotient {type(obj).__name__}")
 
 
-def _induced_arrow(arrow, ideal_p, ideal_q):
+def _induced_arrow(arrow, proj_p, proj_q):
     if isinstance(arrow, SemMorphism):
-        return induced_morphism(arrow, ideal_p, ideal_q)
+        return induced_morphism(arrow, proj_p, proj_q)
     if isinstance(arrow, PregampMorphism):
-        return _pregamp.induced_pregamp_morphism(arrow, ideal_p, ideal_q)
+        return _pregamp.induced_pregamp_morphism(arrow, proj_p, proj_q)
     if isinstance(arrow, GampMorphism):
-        return _gamp.induced_gamp_morphism(arrow, ideal_p, ideal_q)
+        return _gamp.induced_gamp_morphism(arrow, proj_p, proj_q)
     raise DomainMismatch(f"cannot induce on {type(arrow).__name__}")
 
 
@@ -171,9 +171,7 @@ def quotient_diagram(diagram, diagram_ideal, validate=True):
         projections[p] = proj
     new_arrows = {}
     for (p, q), arrow in diagram.arrows.items():
-        new_arrows[(p, q)] = _induced_arrow(
-            arrow, diagram_ideal.ideals[p], diagram_ideal.ideals[q]
-        )
+        new_arrows[(p, q)] = _induced_arrow(arrow, projections[p], projections[q])
     result = Diagram(poset, new_objects, new_arrows, validate=validate)
     transform = NaturalTransformation(diagram, result, projections, validate=validate)
     return result, transform

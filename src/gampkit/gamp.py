@@ -472,11 +472,11 @@ def quotient_gamp(g, ideal):
     return qg, GampMorphism(g, qg, proj.f, proj.fsem, validate=False)
 
 
-def induced_gamp_morphism(fm, ideal_i, ideal_j):
-    ind = induced_pregamp_morphism(fm.pg, ideal_i, ideal_j)
-    qsrc, _ = quotient_gamp(fm.source, ideal_i)
-    qtgt, _ = quotient_gamp(fm.target, ideal_j)
-    return GampMorphism(qsrc, qtgt, ind.f, ind.fsem, validate=False)
+def induced_gamp_morphism(fm, pi, pj):
+    """Descend a gamp morphism along the quotient projections pi and pj of
+    its ends (induced_pregamp_morphism on the pregamp parts)."""
+    ind = induced_pregamp_morphism(fm.pg, pi.pg, pj.pg)
+    return GampMorphism(pi.target, pj.target, ind.f, ind.fsem, validate=False)
 
 
 # ---------------------------------------------------------------------------

@@ -213,22 +213,29 @@ def canonical_embedding(sub, pg):
     )
 
 
+def _quotient_carrier(pg, ideal):
+    """The carrier of pg/I and the map onto it: points are identified when
+    their distance lies in the ideal, classes labeled by their first
+    universe member, and definedness sets and tables push forward
+    (image_palg). Reads dist_rows."""
+    A, D = pg.carrier, pg.dist_rows
+    inside = [x in ideal for x in pg.sem.elements]
+    first = [next(j for j, row in enumerate(D) if inside[row[i]]) for i in range(len(A))]
+    rep = {x: A.universe[j] for x, j in zip(A.universe, first)}
+    return image_palg(PalgMorphism(A, A, rep, validate=False)), rep
+
+
 def quotient_pregamp(pg, ideal):
     """Quotient by an ideal of the distance semilattice; pg must satisfy
     check_axioms, which makes "distance in the ideal" a congruence.
 
-    Points are identified when their distance lies in the ideal; definedness
-    sets and tables push forward (image_palg); the projection is
-    ideal-induced with 0-kernel the given ideal. Classes are labeled by
-    their first universe member. Reads dist_rows.
+    The carrier is _quotient_carrier's; the projection is ideal-induced
+    with 0-kernel the given ideal. Reads dist_rows.
     """
     qsem, sproj = quotient(pg.sem, ideal)
+    qalg, rep = _quotient_carrier(pg, ideal)
     A, D, els = pg.carrier, pg.dist_rows, pg.sem.elements
-    inside = [x in ideal for x in els]
-    first = [next(j for j, row in enumerate(D) if inside[row[i]]) for i in range(len(A))]
-    rep = {x: A.universe[j] for x, j in zip(A.universe, first)}
-    qalg = image_palg(PalgMorphism(A, A, rep, validate=False))
-    kept = [i for i, j in enumerate(first) if i == j]
+    kept = [i for i, x in enumerate(A.universe) if rep[x] == x]
     dist = {(A.universe[i], A.universe[j]): sproj(els[D[i][j]]) for i in kept for j in kept}
     qpg = Pregamp(qalg, dist, qsem)
     proj = PregampMorphism(
@@ -238,23 +245,20 @@ def quotient_pregamp(pg, ideal):
     return qpg, proj
 
 
-def induced_pregamp_morphism(fm, ideal_i, ideal_j):
-    """Descend a morphism to the quotients; the square with the projections commutes."""
-    if not fm.fsem.apply_set(ideal_i.carrier) <= ideal_j.carrier:
-        raise IdealNotMapped("semilattice part does not map the ideal")
-    qsrc, pi = quotient_pregamp(fm.source, ideal_i)
-    qtgt, pj = quotient_pregamp(fm.target, ideal_j)
+def induced_pregamp_morphism(fm, pi, pj):
+    """Descend a morphism along the quotient projections pi and pj of its
+    ends; well-defined exactly when the semilattice part maps the source
+    ideal into the target ideal. The square with the projections commutes."""
+    fsem = induced_morphism(fm.fsem, pi.fsem, pj.fsem)
     fmap = {}
     for x in fm.source.carrier.universe:
         c = pi.f(x)
         v = pj.f(fm.f(x))
         if fmap.setdefault(c, v) != v:
             raise IdealNotMapped(f"carrier map not well-defined at class of {x!r}")
-    smap = induced_morphism(fm.fsem, ideal_i, ideal_j)
+    qsrc, qtgt = pi.target, pj.target
     induced = PregampMorphism(
-        qsrc, qtgt,
-        PalgMorphism(qsrc.carrier, qtgt.carrier, fmap, validate=False),
-        SemMorphism(qsrc.sem, qtgt.sem, smap.mapping, validate=False),
+        qsrc, qtgt, PalgMorphism(qsrc.carrier, qtgt.carrier, fmap, validate=False), fsem,
         validate=False,
     )
     induced.validate()
@@ -272,8 +276,10 @@ def is_ideal_induced_pg(fm):
     definitional = (
         image_palg(fm.f) == fm.target.carrier and is_ideal_induced(fm.fsem)[0]
     )
+    _, pi = quotient_pregamp(fm.source, ker0_pg(fm))
+    _, pj = quotient_pregamp(fm.target, SemIdeal.zero(fm.target.sem))
     try:
-        induced = induced_pregamp_morphism(fm, ker0_pg(fm), SemIdeal.zero(fm.target.sem))
+        induced = induced_pregamp_morphism(fm, pi, pj)
     except IdealNotMapped:
         via_quotient = False
     else:
@@ -293,7 +299,7 @@ IDEAL_BOUND = 4096
 def _ideal_quotients(pg):
     """Each ideal of the distance semilattice with its quotient carrier."""
     for ideal in enumerate_ideals(pg.sem, bound=IDEAL_BOUND):
-        yield ideal, quotient_pregamp(pg, ideal)[0].carrier
+        yield ideal, _quotient_carrier(pg, ideal)[0]
 
 
 def _first_failure(quotients, t1, t2):

@@ -270,19 +270,17 @@ def quotient(sem, ideal):
     return q, proj
 
 
-def induced_morphism(phi, ideal_i, ideal_j):
-    """The map S/I -> T/J sending a/I to phi(a)/J, when phi(I) is inside J."""
-    if not phi.apply_set(ideal_i.carrier) <= ideal_j.carrier:
-        raise IdealNotMapped("phi(I) is not contained in J")
-    qs, ps = quotient(phi.source, ideal_i)
-    qt, pt = quotient(phi.target, ideal_j)
+def induced_morphism(phi, ps, pt):
+    """The map S/I -> T/J sending a/I to phi(a)/J, where ps: S -> S/I and
+    pt: T -> T/J are the quotient projections. It is well-defined exactly
+    when phi(I) is inside J, since I is the class of zero."""
     mapping = {}
     for a in phi.source.elements:
         c = ps(a)
         v = pt(phi(a))
         if mapping.setdefault(c, v) != v:
-            raise IdealNotMapped(f"induced map not well-defined at class of {a!r}")
-    return SemMorphism(qs, qt, mapping)
+            raise IdealNotMapped(f"phi(I) is not inside J: no induced map at class of {a!r}")
+    return SemMorphism(ps.target, pt.target, mapping)
 
 
 def is_ideal_induced(phi):
@@ -316,7 +314,9 @@ def is_ideal_induced(phi):
             if not definitional:
                 break
 
-    induced = induced_morphism(phi, ker0(phi), SemIdeal.zero(t))
+    _, ps = quotient(s, ker0(phi))
+    _, pt = quotient(t, SemIdeal.zero(t))
+    induced = induced_morphism(phi, ps, pt)
     via_quotient = induced.is_injective() and induced.is_surjective()
     cross_check(definitional == via_quotient, "ideal-induced characterizations disagree")
     return definitional, witness

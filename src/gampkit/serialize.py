@@ -306,23 +306,15 @@ def _hasse_dot(elements, leq, title):
 def export_dot(obj, title="gampkit"):
     """Deterministic Hasse-diagram DOT for posets, semilattices, lattice
     algebras, and the shape of a diagram."""
-    if isinstance(obj, FinitePoset):
-        return _hasse_dot(obj.elements, obj.leq, title)
-    if isinstance(obj, JoinSemilattice):
+    if isinstance(obj, Diagram):
+        obj = obj.poset
+    if isinstance(obj, (FinitePoset, JoinSemilattice)):
         return _hasse_dot(obj.elements, obj.leq, title)
     if isinstance(obj, PartialAlgebra):
         if not is_lattice_signature(obj) or not obj.is_total():
             raise SchemaError("DOT export needs a total lattice algebra")
         meet = obj.ops["meet"]
         return _hasse_dot(obj.universe, lambda a, b: meet[(a, b)] == a, title)
-    if isinstance(obj, Diagram):
-        lines = [f"digraph {json.dumps(title)} {{", "  rankdir=BT;"]
-        for p in sorted(obj.poset.elements, key=sort_key):
-            lines.append(f"  {_dot_name(p)};")
-        for (p, q) in sorted(obj.poset.covers(), key=lambda c: sort_key(tuple(c))):
-            lines.append(f"  {_dot_name(p)} -> {_dot_name(q)};")
-        lines.append("}")
-        return "\n".join(lines) + "\n"
     raise SchemaError(f"no DOT export for {type(obj).__name__}")
 
 

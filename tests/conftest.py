@@ -1,7 +1,7 @@
 import pytest
 
 from gampkit import build_named
-from gampkit.palg import LATTICE_TYPE, PartialAlgebra
+from gampkit.palg import LATTICE_TYPE, PalgMorphism, PartialAlgebra
 
 
 FIXTURE_NAMES = ["two", "chain:3", "chain:4", "chain:5", "M3", "N5", "X1", "X2"]
@@ -44,3 +44,20 @@ def total_lattice(elements, leq_pairs):
         return next(c for c in upper if all((c, d) in leq for d in upper))
 
     return PartialAlgebra.total_from_fn(LATTICE_TYPE, elements, {"meet": meet, "join": join})
+
+
+@pytest.fixture(scope="session")
+def corpus_maps(fixture_lattices):
+    """Lattice maps of the corpus, {label: PalgMorphism}: the identities of
+    two, chain:3, M3, N5 and X1, and the arrows of acceptance criterion 4."""
+    maps = {
+        name: PalgMorphism.identity(fixture_lattices[name])
+        for name in ("two", "chain:3", "M3", "N5", "X1")
+    }
+    arrows = {
+        "chain:3->X1": ("chain:3", "X1", {0: "0", 1: "x3", 2: "1"}),
+        "X1->M3": ("X1", "M3", {"0": "0", "m": "0", "x1": "x1", "x3": "x3", "1": "1"}),
+    }
+    for label, (src, tgt, mapping) in arrows.items():
+        maps[label] = PalgMorphism(fixture_lattices[src], fixture_lattices[tgt], mapping)
+    return maps

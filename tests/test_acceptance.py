@@ -155,7 +155,9 @@ def test_criterion_4_quotient_functoriality(fixture_lattices):
         for ideal_src in enumerate_ideals(fm.source.sem)[:4]:
             gens = {fm.fsem(t) for t in ideal_src.carrier}
             ideal_tgt = SemIdeal.generated(fm.target.sem, gens)
-            ind = induced_gamp_morphism(fm, ideal_src, ideal_tgt)
+            _, proj_src = quotient_gamp(fm.source, ideal_src)
+            _, proj_tgt = quotient_gamp(fm.target, ideal_tgt)
+            ind = induced_gamp_morphism(fm, proj_src, proj_tgt)
             for prop in ("strong", "cuttable", "cuttable_chains"):
                 assert bool(check_morphism_property(ind, prop, x_cap=2)), (label, prop)
     _report(4, "quotient preservation and the quotient-gamp isomorphism", t0, 60)

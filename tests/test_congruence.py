@@ -38,7 +38,7 @@ from gampkit.errors import CrossCheckFailed, GampkitError, NotTotal
 from gampkit.gamp import check_property, ga
 from gampkit.palg import LATTICE_TYPE, UNDEFINED, PalgMorphism, PartialAlgebra, SimilarityType
 from gampkit.pregamp import Pregamp
-from gampkit.semilattice import SemIdeal, is_ideal_induced, ker0
+from gampkit.semilattice import JoinSemilattice, SemIdeal, is_ideal_induced, ker0
 
 
 class TestPrincipal:
@@ -457,6 +457,41 @@ def test_lattice_conc_matches_the_closure_builder(alg, data):
     fast_q, (slow_q, _) = conc(q.target), closure_conc(q.target)
     assert conc_morphism(q, fast, fast_q).mapping == conc_morphism(q, slow, slow_q).mapping
     _assert_canonical(alg)
+
+
+def generated_by_closure(cs, pairs):
+    """Reference for ConcSemilattice.generated: the closure of the pairs,
+    found among the elements, as the non-lattice path did before generated
+    became a fold of the two matrices."""
+    return cs.elements[cs.index(congruence_closure(cs.algebra, pairs))]
+
+
+@st.composite
+def random_products(draw):
+    """Products of two simple random algebras, as in the kernels benchmark:
+    not lattices, so their Con is built by closures, and small, since the
+    factors are simple."""
+    simple = small_unary_binary_algebras().filter(
+        lambda a: len(all_congruences_bruteforce(a)) == 2
+    )
+    return PartialAlgebra.product([draw(simple), draw(simple)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(random_products(), random_lattices()), st.data())
+def test_generated_matches_the_closure_reference(alg, data):
+    cs = conc(alg)
+    assert cs.join_rows == JoinSemilattice.join_rows.func(cs)
+    points = st.sampled_from(alg.universe)
+    for _ in range(3):
+        pairs = data.draw(st.lists(st.tuples(points, points), max_size=4))
+        assert cs.generated(pairs) is generated_by_closure(cs, pairs)
+    _, q = quotient_algebra(alg, data.draw(st.sampled_from(cs.elements)))
+    cq = conc(q.target)
+    image = conc_morphism(q, cs, cq)
+    for theta in cs.elements:
+        pairs = [(q(next(iter(b))), q(x)) for b in theta.blocks for x in b]
+        assert image(theta) is generated_by_closure(cq, pairs)
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,6 +16,7 @@ from gampkit.gamp import (
     ga,
     ga_mor,
     gamp_chain_colimit,
+    induced_gamp_morphism,
     is_chain,
     is_subgamp,
     pggl,
@@ -28,6 +29,8 @@ from gampkit.palg import LATTICE_TYPE, PalgMorphism, PartialAlgebra, SimilarityT
 from gampkit.poset import FinitePoset
 from gampkit.pregamp import Pregamp, pga, pregamp_isomorphisms, sub_pregamp
 from gampkit.semilattice import SemIdeal, SemMorphism, enumerate_ideals, is_ideal_induced, quotient
+from test_pregamp import induced_pregamp_by_ideals
+from test_semilattice import assert_descent_matches_reference
 
 
 def sparse_gamp(x1):
@@ -268,8 +271,6 @@ class TestQuotientPreservation:
                     assert is_chain(qg, image)
 
     def test_arrow_preservation(self, chain3, x1):
-        from gampkit.gamp import induced_gamp_morphism
-
         f = PalgMorphism(chain3, x1, {0: "0", 1: "x3", 2: "1"})
         fm = ga_mor(f)
         assert bool(check_morphism_property(fm, "strong"))
@@ -278,7 +279,9 @@ class TestQuotientPreservation:
         ideal_src = SemIdeal.generated(fm.source.sem, {principal_congruence(chain3, 0, 1)})
         image_gens = {conc_morphism(f, fm.source.sem, fm.target.sem)(t) for t in ideal_src.carrier}
         ideal_tgt = SemIdeal.generated(fm.target.sem, image_gens)
-        ind = induced_gamp_morphism(fm, ideal_src, ideal_tgt)
+        _, proj_src = quotient_gamp(fm.source, ideal_src)
+        _, proj_tgt = quotient_gamp(fm.target, ideal_tgt)
+        ind = induced_gamp_morphism(fm, proj_src, proj_tgt)
         assert bool(check_morphism_property(ind, "strong"))
         assert bool(check_morphism_property(ind, "cuttable", x_cap=2))
         assert bool(check_morphism_property(ind, "cuttable_chains", x_cap=2))
@@ -530,3 +533,21 @@ class TestButtress:
         assert set(diagram.objects[0].inner.universe) == {0, 1}
         with pytest.raises(WrongSignature):
             buttress(z4, poset, phis, with_chains=True)
+
+
+def induced_gamp_by_ideals(fm, ideal_i, ideal_j):
+    """Reference for induced_gamp_morphism: the ideal-taking form it
+    replaced, which quotients both gamps again to wrap the pregamp result."""
+    ind = induced_pregamp_by_ideals(fm.pg, ideal_i, ideal_j)
+    qsrc, _ = quotient_gamp(fm.source, ideal_i)
+    qtgt, _ = quotient_gamp(fm.target, ideal_j)
+    return GampMorphism(qsrc, qtgt, ind.f, ind.fsem, validate=False)
+
+
+def test_descent_matches_the_ideal_reference_on_corpus_maps(corpus_maps):
+    for f in corpus_maps.values():
+        fm = ga_mor(f)
+        assert_descent_matches_reference(
+            fm, (fm.source.sem, fm.target.sem), quotient_gamp,
+            induced_gamp_morphism, induced_gamp_by_ideals,
+        )

@@ -9,6 +9,7 @@ count for public definitions: it imports names only to re-export them.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -191,7 +192,8 @@ API_ONLY = {
         "the quotient lemmas' tests, which compare quotients up to isomorphism"
     ),
     ("pregamp", "pregamp_satisfies_identity"): (
-        "perfbench's pregamp.satisfies_identity metrics trace it"
+        "the identity-satisfaction tests of test_pregamp (TestIdentitySatisfaction, "
+        "test_identity_preserved_by_subs_and_images, test_sub_pregamps_keep_identities)"
     ),
     ("serialize", "diagram_to_json"): "it writes the diagram-verify input format",
     ("poset", "FinitePoset.chain"): "perfbench's buttress jobs and the tests build chains with it",
@@ -533,3 +535,97 @@ def test_chain_condition_reads_one_distance_path(module, functions):
     defined = {n.name for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
     assert functions <= defined
     assert label_distance_reads(source, functions) == []
+
+
+# Derived maps that read what is already built, each with the calls that
+# would build it a second time: an induced arrow descends along the two
+# projections it is given, the identity checks build quotient carriers
+# only, and Conc's generated folds its principal and join matrices.
+QUOTIENTS = frozenset({"quotient", "quotient_pregamp", "quotient_gamp"})
+NO_REBUILD = [
+    ("semilattice", "induced_morphism", QUOTIENTS),
+    ("pregamp", "induced_pregamp_morphism", QUOTIENTS),
+    ("pregamp", "_ideal_quotients", QUOTIENTS),
+    ("gamp", "induced_gamp_morphism", QUOTIENTS),
+    ("congruence", "ConcSemilattice.generated", frozenset({"_closure_labels"})),
+]
+
+
+def called_names(source, qualname):
+    """The names that calls inside the named module-level function or
+    "Class.method" of the source call, as a bare name or as an attribute,
+    nested functions included; None if the source does not define it."""
+    nodes = ast.parse(source).body
+    for part in qualname.split("."):
+        node = next((n for n in nodes if getattr(n, "name", None) == part), None)
+        if node is None:
+            return None
+        nodes = node.body
+    called = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Call):
+            f = n.func
+            called.add(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None))
+    return called - {None}
+
+
+def test_call_detector_names_calls_of_functions_and_methods():
+    source = (
+        "def descend(phi, p):\n"
+        "    def inner(x):\n"
+        "        return quotient(x)\n"
+        "    return _pregamp.quotient_pregamp(p), inner\n"
+        "class Conc:\n"
+        "    def generated(self, pairs):\n"
+        "        return self.rows[0][_closure_labels(pairs)]\n"
+    )
+    assert called_names(source, "descend") == {"quotient", "quotient_pregamp"}
+    assert called_names(source, "Conc.generated") == {"_closure_labels"}
+    assert called_names(source, "Conc.missing") is None
+
+
+@pytest.mark.parametrize(
+    "module, qualname, rebuilds", NO_REBUILD, ids=[q for _, q, _ in NO_REBUILD]
+)
+def test_derived_maps_build_nothing_twice(module, qualname, rebuilds):
+    called = called_names((SRC / f"{module}.py").read_text(), qualname)
+    assert called is not None and called & rebuilds == set()
+
+
+def call_counts(run, functions):
+    """How many times each of the functions was entered while run() ran,
+    by code object, so that every import binding of it is counted."""
+    codes = {f.__code__: f.__name__ for f in functions}
+    counts = dict.fromkeys(codes.values(), 0)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
+def test_quotient_diagram_quotients_each_node_once():
+    # the induced arrows descend along the node projections: one quotient
+    # pregamp and one quotient semilattice per node, none per arrow
+    from gampkit import build_square
+    from gampkit.diagram import DiagramIdeal, apply_functor, quotient_diagram
+    from gampkit.pregamp import quotient_pregamp
+    from gampkit.semilattice import SemIdeal, enumerate_ideals, quotient
+
+    d = apply_functor(build_square("M3", 2).a_square, "GA")
+    bottom = d.poset.linear_extension()[0]
+    seed = enumerate_ideals(d.objects[bottom].sem)[1]
+    ideals = {
+        p: SemIdeal.generated(d.objects[p].sem, d.arrows[(bottom, p)].fsem.apply_set(seed.carrier))
+        for p in d.poset.elements
+    }
+    dideal = DiagramIdeal(d, ideals)
+    assert len(d.poset.elements) == 4 and len(d.arrows) == 9
+    counts = call_counts(lambda: quotient_diagram(d, dideal), [quotient_pregamp, quotient])
+    assert counts == {"quotient_pregamp": 4, "quotient": 4}

@@ -31,7 +31,12 @@ from gampkit.pregamp import (
     sub_pregamp,
 )
 from gampkit.semilattice import JoinSemilattice, SemIdeal, SemMorphism, enumerate_ideals, quotient
-from test_semilattice import assert_quotient_matches_reference, brute_generated
+from test_semilattice import (
+    assert_descent_matches_reference,
+    assert_quotient_matches_reference,
+    brute_generated,
+    induced_by_ideals,
+)
 
 
 V = Term.v
@@ -296,11 +301,11 @@ class TestSubPregamps:
         sub_alg = x1.restrict_full({"0", "m", "x3"})
         sub = sub_pregamp(pg, sub_alg)
         for ideal in enumerate_ideals(sub.sem):
-            qsub, _ = quotient_pregamp(sub, ideal)
+            qsub, proj_sub = quotient_pregamp(sub, ideal)
             big_ideal = SemIdeal.generated(pg.sem, ideal.carrier)
-            qbig, _ = quotient_pregamp(pg, big_ideal)
+            qbig, proj_big = quotient_pregamp(pg, big_ideal)
             emb = canonical_embedding(sub, pg)
-            ind = induced_pregamp_morphism(emb, ideal, big_ideal)
+            ind = induced_pregamp_morphism(emb, proj_sub, proj_big)
             assert ind.fsem.is_injective()
             assert ind.f.is_injective()
 
@@ -332,8 +337,8 @@ class TestSubPregamps:
 class TestInduced:
     def test_identity_on_quotients(self, m3):
         pg = theta_pregamp(m3)
-        ideal = enumerate_ideals(pg.sem)[1]
-        ind = induced_pregamp_morphism(PregampMorphism.identity(pg), ideal, ideal)
+        _, proj = quotient_pregamp(pg, enumerate_ideals(pg.sem)[1])
+        ind = induced_pregamp_morphism(PregampMorphism.identity(pg), proj, proj)
         assert ind.f.is_injective() and ind.fsem.is_injective()
 
     def test_ideal_not_mapped(self, m3, chain3):
@@ -341,14 +346,18 @@ class TestInduced:
         ideal = SemIdeal.generated(pg.sem, {principal_congruence(chain3, 0, 1)})
         with pytest.raises(IdealNotMapped):
             induced_pregamp_morphism(
-                PregampMorphism.identity(pg), ideal, SemIdeal.zero(pg.sem)
+                PregampMorphism.identity(pg),
+                quotient_pregamp(pg, ideal)[1],
+                quotient_pregamp(pg, SemIdeal.zero(pg.sem))[1],
             )
 
     def test_composition_of_induced(self, chain3):
         pg = theta_pregamp(chain3)
         i1 = SemIdeal.generated(pg.sem, {principal_congruence(chain3, 0, 1)})
-        ind = induced_pregamp_morphism(PregampMorphism.identity(pg), SemIdeal.zero(pg.sem), i1)
         q, proj = quotient_pregamp(pg, i1)
+        ind = induced_pregamp_morphism(
+            PregampMorphism.identity(pg), quotient_pregamp(pg, SemIdeal.zero(pg.sem))[1], proj
+        )
         assert ind.f.mapping == proj.f.mapping
 
 
@@ -508,10 +517,11 @@ class TestColimitQuotientExchange:
         ideal_sub = SemIdeal(
             sub.sem, {d for d in sub.sem.elements if d in ideal_top.carrier}
         )
-        ind = induced_pregamp_morphism(emb, ideal_sub, ideal_top)
         q_top, proj_top = quotient_pregamp(pg, ideal_top)
-        assert ind.target == q_top
-        assert ind.after(quotient_pregamp(sub, ideal_sub)[1]) == proj_top.after(emb)
+        _, proj_sub = quotient_pregamp(sub, ideal_sub)
+        ind = induced_pregamp_morphism(emb, proj_sub, proj_top)
+        assert ind.target is q_top
+        assert ind.after(proj_sub) == proj_top.after(emb)
 
     def test_sub_pregamps_keep_identities(self, m3):
         from gampkit.palg import LATTICE_IDENTITIES
@@ -544,3 +554,38 @@ class TestTractableOracle:
                     for x in els:
                         for y in els:
                             assert (find(x) == find(y)) == gen.same(x, y), (name, chosen, x, y)
+
+
+def induced_pregamp_by_ideals(fm, ideal_i, ideal_j):
+    """Reference for induced_pregamp_morphism: the ideal-taking form it
+    replaced, which checks the semilattice part against the ideals first,
+    quotients both ends itself and re-wraps a second semilattice quotient."""
+    if not fm.fsem.apply_set(ideal_i.carrier) <= ideal_j.carrier:
+        raise IdealNotMapped("semilattice part does not map the ideal")
+    qsrc, pi = quotient_pregamp(fm.source, ideal_i)
+    qtgt, pj = quotient_pregamp(fm.target, ideal_j)
+    fmap = {}
+    for x in fm.source.carrier.universe:
+        c = pi.f(x)
+        v = pj.f(fm.f(x))
+        if fmap.setdefault(c, v) != v:
+            raise IdealNotMapped(f"carrier map not well-defined at class of {x!r}")
+    smap = induced_by_ideals(fm.fsem, ideal_i, ideal_j)
+    induced = PregampMorphism(
+        qsrc, qtgt,
+        PalgMorphism(qsrc.carrier, qtgt.carrier, fmap, validate=False),
+        SemMorphism(qsrc.sem, qtgt.sem, smap.mapping, validate=False),
+        validate=False,
+    )
+    induced.validate()
+    assert induced.after(pi) == pj.after(fm)
+    return induced
+
+
+def test_descent_matches_the_ideal_reference_on_corpus_maps(corpus_maps):
+    for f in corpus_maps.values():
+        fm = pga_mor(f)
+        assert_descent_matches_reference(
+            fm, (fm.source.sem, fm.target.sem), quotient_pregamp,
+            induced_pregamp_morphism, induced_pregamp_by_ideals,
+        )

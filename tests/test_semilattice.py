@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gampkit.congruence import conc_morphism
 from gampkit.errors import IdealNotMapped, InvalidIdeal, TooManyIdeals
 from gampkit.semilattice import (
     JoinSemilattice,
@@ -104,30 +105,41 @@ class TestQuotient:
             assert ker0(proj) == ideal
 
 
+def projection(sem, ideal):
+    return quotient(sem, ideal)[1]
+
+
 class TestInducedMorphism:
     def test_identity(self):
         s = chain3()
-        ideal = SemIdeal(s, {0, 1})
-        psi = induced_morphism(SemMorphism.identity(s), ideal, ideal)
+        p = projection(s, SemIdeal(s, {0, 1}))
+        psi = induced_morphism(SemMorphism.identity(s), p, p)
         assert psi.is_injective() and psi.is_surjective()
 
     def test_collapse_becomes_iso(self):
         s, t = chain3(), two()
         phi = SemMorphism(s, t, {0: 0, 1: 0, 2: 1})
-        psi = induced_morphism(phi, SemIdeal(s, {0, 1}), SemIdeal.zero(t))
+        psi = induced_morphism(
+            phi, projection(s, SemIdeal(s, {0, 1})), projection(t, SemIdeal.zero(t))
+        )
         assert psi.is_injective() and psi.is_surjective()
 
     def test_ideal_not_mapped(self):
         s, t = chain3(), chain3()
         with pytest.raises(IdealNotMapped):
-            induced_morphism(SemMorphism.identity(s), SemIdeal(s, {0, 1}), SemIdeal.zero(t))
+            induced_morphism(
+                SemMorphism.identity(s),
+                projection(s, SemIdeal(s, {0, 1})),
+                projection(t, SemIdeal.zero(t)),
+            )
 
     def test_trivial_source_ideal_factors_projection(self):
         s = square_sem()
         ideal = SemIdeal(s, {(0, 0), (0, 1)})
         q, proj = quotient(s, ideal)
-        psi = induced_morphism(SemMorphism.identity(s), SemIdeal.zero(s), ideal)
+        psi = induced_morphism(SemMorphism.identity(s), projection(s, SemIdeal.zero(s)), proj)
         assert psi.mapping == proj.mapping
+        assert psi.target is q
 
 
 class TestIdealInduced:
@@ -149,7 +161,9 @@ class TestIdealInduced:
         s = square_sem()
         for ideal in enumerate_ideals(s):
             _, proj = quotient(s, ideal)
-            psi = induced_morphism(proj, ker0(proj), SemIdeal.zero(proj.target))
+            psi = induced_morphism(
+                proj, projection(s, ker0(proj)), projection(proj.target, SemIdeal.zero(proj.target))
+            )
             assert psi.is_injective() and psi.is_surjective()
 
 
@@ -271,3 +285,65 @@ def test_ideals_by_their_top_match_the_references(extra, data):
         assert_quotient_matches_reference(s, ideal)
     gens = data.draw(st.sets(st.sampled_from(s.elements)))
     assert SemIdeal.generated(s, gens).carrier == brute_generated(s, gens)
+
+
+def induced_by_ideals(phi, ideal_i, ideal_j):
+    """Reference for induced_morphism: the ideal-taking form it replaced,
+    which checks that phi(I) lies inside J and quotients both ends itself."""
+    if not phi.apply_set(ideal_i.carrier) <= ideal_j.carrier:
+        raise IdealNotMapped("phi(I) is not contained in J")
+    qs, ps = quotient(phi.source, ideal_i)
+    qt, pt = quotient(phi.target, ideal_j)
+    mapping = {}
+    for a in phi.source.elements:
+        c = ps(a)
+        v = pt(phi(a))
+        if mapping.setdefault(c, v) != v:
+            raise IdealNotMapped(f"induced map not well-defined at class of {a!r}")
+    return SemMorphism(qs, qt, mapping)
+
+
+def assert_descent_matches_reference(phi, sems, quotient_of, descend, reference):
+    """On every pair (I, J) of ideals of the two semilattices sems of phi's
+    ends, descending phi along the projections quotient_of(end, I)[1] and
+    quotient_of(end, J)[1] gives the reference's morphism, with equal ends,
+    and raises IdealNotMapped exactly where reference(phi, I, J) does.
+    Returns the number of pairs that raised."""
+    source_sem, target_sem = sems
+    sources = [(i, quotient_of(phi.source, i)[1]) for i in enumerate_ideals(source_sem)]
+    targets = [(j, quotient_of(phi.target, j)[1]) for j in enumerate_ideals(target_sem)]
+    raised = 0
+    for i, pi in sources:
+        for j, pj in targets:
+            try:
+                expected = reference(phi, i, j)
+            except IdealNotMapped:
+                raised += 1
+                with pytest.raises(IdealNotMapped):
+                    descend(phi, pi, pj)
+                continue
+            got = descend(phi, pi, pj)
+            assert got == expected
+            assert (got.source, got.target) == (expected.source, expected.target)
+    return raised
+
+
+def test_descent_matches_the_ideal_reference_on_corpus_maps(corpus_maps):
+    raised = {}
+    for label, f in corpus_maps.items():
+        phi = conc_morphism(f)
+        raised[label] = assert_descent_matches_reference(
+            phi, (phi.source, phi.target), quotient, induced_morphism, induced_by_ideals
+        )
+    # both outcomes occur: an identity cannot carry a larger ideal into a smaller
+    assert raised["X1"] > 0 and raised["two"] == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(subset_strategy, st.data())
+def test_descent_matches_the_ideal_reference_on_projections(extra, data):
+    s = powerset_sub(extra)
+    _, phi = quotient(s, data.draw(st.sampled_from(enumerate_ideals(s))))
+    assert_descent_matches_reference(
+        phi, (phi.source, phi.target), quotient, induced_morphism, induced_by_ideals
+    )

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -100,6 +101,36 @@ def lifting_bundle(algebras):
         for p in d.poset.elements
     }
     return data
+
+
+def _without_ambient(data):
+    del data["realizations"]["0"]["ambient"]
+    return data
+
+
+def _chi_not_pairs(data):
+    data["realizations"]["0"]["chi"] = [1, 2]
+    return data
+
+
+def _realization_not_object(data):
+    data["realizations"]["0"] = 5
+    return data
+
+
+def _realizations_list(data):
+    data["realizations"] = list(data["realizations"].values())
+    return data
+
+
+# Malformed realizations blocks: each a change to a well-formed
+# partial-lifting bundle, with the words its refusal must contain.
+REALIZATION_FAULTS = {
+    "realization_without_ambient": (_without_ambient, "node 0: missing 'ambient'"),
+    "chi_not_pairs": (_chi_not_pairs, "node 0: 'chi'"),
+    "realization_not_object": (_realization_not_object, "node 0: expected a JSON object"),
+    "realizations_list": (_realizations_list, "realizations: expected a JSON object"),
+}
 
 
 def with_unary_meet(gamp_data):
@@ -359,6 +390,13 @@ class TestCli:
                 ["diagram-verify", "{kind_foo}", "--kind", "operational"],
                 id="diagram-verify-unknown-kind",
             ),
+            *(
+                pytest.param(
+                    ["diagram-verify", "{%s}" % name, "--kind", "partial-lifting"],
+                    id=f"diagram-verify-{name.replace('_', '-')}",
+                )
+                for name in REALIZATION_FAULTS
+            ),
             pytest.param(["quotient", "{list}", "--ideal", "#0"], id="quotient-list"),
             pytest.param(["quotient", "{number}", "--ideal", "#0"], id="quotient-number"),
             pytest.param(["quotient", "{sem}", "--ideal", "zz"], id="quotient-unknown-generator"),
@@ -401,7 +439,14 @@ class TestCli:
             "poset": ser.poset_to_json(FinitePoset.chain(2)),
             "nodes": {"0": {"named": "two"}, "1": {"named": "two"}},
         }
+        lifting = lifting_bundle(ser.diagram_from_json(
+            {**two_nodes, "arrows": {"0->1": {"map": [[0, 0], [1, 1]]}}}
+        ))
         paths = {
+            name: self.write(tmp_path, f"{name}.json", fault(copy.deepcopy(lifting)))
+            for name, (fault, _) in REALIZATION_FAULTS.items()
+        }
+        paths.update({
             "no_arrows": self.write(tmp_path, "no_arrows.json", two_nodes),
             "arrow_key": self.write(
                 tmp_path, "arrow_key.json", {**two_nodes, "arrows": {"01": {"map": []}}}
@@ -419,9 +464,7 @@ class TestCli:
             "kind_foo": self.write(
                 tmp_path, "kind_foo.json", {**two_nodes, "kind": "foo", "arrows": {}}
             ),
-            "lifting": self.write(tmp_path, "lifting.json", lifting_bundle(ser.diagram_from_json(
-                {**two_nodes, "arrows": {"0->1": {"map": [[0, 0], [1, 1]]}}}
-            ))),
+            "lifting": self.write(tmp_path, "lifting.json", lifting),
             "bad": str(bad),
             "list": self.write(tmp_path, "list.json", [1, 2]),
             "m3": self.write(tmp_path, "m3.json", {"named": "M3"}),
@@ -460,10 +503,13 @@ class TestCli:
             "sem": self.write(
                 tmp_path, "sem.json", ser.semilattice_to_json(JoinSemilattice.chain(2))
             ),
-        }
+        })
         assert run([a.format(**paths) for a in argv]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ")
+        for name, (_, words) in REALIZATION_FAULTS.items():
+            if "{%s}" % name in argv:
+                assert words in err
         if "{sem}" in argv:
             # a bad generator token is named back
             assert repr(argv[-1]) in err
