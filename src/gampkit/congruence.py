@@ -90,7 +90,7 @@ class _UnionFind:
         return tuple(map(self.find, range(len(self.parent))))
 
 
-def _closure_labels(algebra, pairs):
+def _closure_labels(algebra, pairs, known=None):
     """The canonical labels of the least congruence containing the pairs.
 
     Worklist closure under one-step unary translations: every merge of u and
@@ -99,9 +99,17 @@ def _closure_labels(algebra, pairs):
     transitivity of the union-find, which is the standard generation
     argument. The closure runs on universe indices, over the algebra's
     compiled translation rows.
+
+    known maps index pairs (i, j), i < j, to the canonical labels of
+    Theta(u_i, u_j), u the universe, already closed. A merge of such a pair
+    merges the whole of that congruence instead of following its
+    translations: it lies in the closure, and it holds every translation of
+    its own pairs (Freese, "Computing congruences efficiently", Algebra
+    Universalis 59, 2008).
     """
     _require_total(algebra)
     index, rows = algebra.translation_rows
+    known = known or {}
     uf = _UnionFind(range(len(rows)))
     union, parent = uf.union, uf.parent
     work = [(index[x], index[y]) for x, y in pairs]
@@ -109,7 +117,13 @@ def _closure_labels(algebra, pairs):
         u, v = work.pop()
         # equal parents mean one class already: the cheap, common case
         if parent[u] != parent[v] and union(u, v):
-            work.extend(set(zip(rows[u], rows[v])))
+            labels = known.get((u, v) if u < v else (v, u))
+            if labels is None:
+                work.extend(set(zip(rows[u], rows[v])))
+            else:
+                for x, label in enumerate(labels):
+                    if label != x:
+                        union(x, label)
     return uf.labels()
 
 
@@ -223,25 +237,39 @@ def con_lattice(algebra, bound=CON_BOUND):
     return sorted(conc(algebra, bound).elements, key=Congruence._sort_key)
 
 
+def _principal_labels(algebra):
+    """The principal congruences of a finite total algebra by closures: the
+    distinct canonical label tuples found, the zero first, and the matrix of
+    the position of Theta(u_i, u_j) among them, u the universe. Every pair
+    of distinct points is closed once, in (i, j) order, and each closure
+    merges the congruences of the pairs closed before it whole."""
+    universe = algebra.universe
+    n = len(universe)
+    found = [tuple(range(n))]
+    position = {found[0]: 0}
+    pairs = [[0] * n for _ in range(n)]
+    known = {}
+    for i, x in enumerate(universe):
+        for j in range(i + 1, n):
+            labels = known[(i, j)] = _closure_labels(algebra, [(x, universe[j])], known)
+            k = pairs[i][j] = pairs[j][i] = position.setdefault(labels, len(found))
+            if k == len(found):
+                found.append(labels)
+    return found, pairs
+
+
 def _closure_con(algebra):
-    """Con of any finite total algebra by closures: every pair of distinct
-    points is closed once, and the join of each two distinct nonzero label
-    tuples found is taken once, by a union-find seeded with one of them.
+    """Con of any finite total algebra by closures: the principal
+    congruences (_principal_labels), then the join of each two distinct
+    nonzero label tuples found, taken once by a union-find seeded with one
+    of them.
 
     Returns the elements as canonical label tuples, the zero first, the
     principal matrix (the position of Theta(u_i, u_j) among them, u the
     universe) and the join matrix on positions.
     """
-    n = len(algebra.universe)
-    found = [tuple(range(n))]
-    position = {found[0]: 0}
-    pairs = [[0] * n for _ in range(n)]
-    for i, x in enumerate(algebra.universe):
-        for j in range(i + 1, n):
-            labels = _closure_labels(algebra, [(x, algebra.universe[j])])
-            k = pairs[i][j] = pairs[j][i] = position.setdefault(labels, len(found))
-            if k == len(found):
-                found.append(labels)
+    found, pairs = _principal_labels(algebra)
+    position = {labels: k for k, labels in enumerate(found)}
     table = {}
     for i, a in enumerate(found):  # found grows while it is walked
         table[(i, i)] = table[(i, 0)] = table[(0, i)] = i
@@ -464,37 +492,65 @@ def quotient_algebra(algebra, theta):
     return q, PalgMorphism(algebra, q, rep, validate=False)
 
 
-def _compose_relation(rel, theta):
-    """theta o rel as a successor map: x -> union of theta-blocks over rel[x]."""
-    out = {}
-    for x, ys in rel.items():
-        acc = set()
-        for y in ys:
-            acc |= theta.block(y)
-        out[x] = acc
-    return out
-
-
-def alternating_composite(alpha, beta, n, universe):
-    """alpha o beta o alpha o ... with n factors.
-
-    Composition convention, pinned globally: (a o b) relates x to z when some
-    y has (x, y) in b and (y, z) in a, so the rightmost factor acts first.
-    """
-    rel = {x: {x} for x in universe}
-    factors = [alpha if i % 2 == 0 else beta for i in range(n)]
-    for theta in reversed(factors):
-        rel = _compose_relation(rel, theta)
-    return rel
+def _bits(mask):
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _relational_n_permutable(algebra, n, congruences):
-    for alpha in congruences:
-        for beta in congruences:
-            left = alternating_composite(alpha, beta, n, algebra.universe)
-            right = alternating_composite(beta, alpha, n, algebra.universe)
-            if left != right:
-                return False, (alpha, beta)
+    """The first pair (alpha, beta) of the congruences, in nested-loop
+    order, with alpha o beta o alpha o ... != beta o alpha o beta o ...
+    (n factors each), as (False, pair), or (True, None).
+
+    Composition convention, pinned globally: (a o b) relates x to z when
+    some y has (x, y) in b and (y, z) in a, so the rightmost factor acts
+    first. The composites are computed per point as bitmasks over the
+    universe: each factor saturates the mask with its blocks, memoised by
+    (factor, mask). A pair fails exactly when its reverse does, and
+    comparable congruences permute, so only incomparable pairs i < j are
+    composed; the first failing pair is the same.
+    """
+    index = {x: i for i, x in enumerate(algebra.universe)}
+    blocks = []  # blocks[t][i]: the mask of u_i's block in congruences[t]
+    for theta in congruences:
+        row = [0] * len(index)
+        for block in theta.blocks:
+            mask = sum(1 << index[x] for x in block)
+            for x in block:
+                row[index[x]] = mask
+        blocks.append(row)
+    saturated = {}
+
+    def saturate(t, mask):
+        # the union of the blocks of congruences[t] that meet mask
+        if (t, mask) not in saturated:
+            row, out, rest = blocks[t], 0, mask
+            while rest:
+                block = row[(rest & -rest).bit_length() - 1]
+                out |= block
+                rest &= ~block
+            saturated[(t, mask)] = out
+        return saturated[(t, mask)]
+
+    def composite(s, t):
+        first, *rest = reversed([s if k % 2 == 0 else t for k in range(n)])
+        out = []
+        for mask in blocks[first]:
+            for f in rest:
+                mask = saturate(f, mask)
+            out.append(mask)
+        return out
+
+    for i, a in enumerate(blocks):
+        for j in range(i + 1, len(blocks)):
+            b = blocks[j]
+            if all(p | q == q for p, q in zip(a, b)) or all(p | q == p for p, q in zip(a, b)):
+                continue
+            if composite(i, j) != composite(j, i):
+                return False, (congruences[i], congruences[j])
     return True, None
 
 
@@ -575,6 +631,72 @@ def chain_interpolants(pg, xs, first, last, middle, chains=False):
         yield tuple(universe[i] for i in ys)
 
 
+def _chain_verdict(D, J, n, inner, zero):
+    """The verdict pass of the chain condition, on carrier indices.
+
+    D is a pregamp's distance matrix (dist_rows) and J its semilattice's
+    join rows. A prefix of an (n+1)-tuple of inner points has the state (x0,
+    even, odd), the joins of its even and of its odd steps; a forward pass
+    keeps, per state, the mask of the prefixes' last points, each step
+    taken from those points' rows of D grouped by distance. Returns, for
+    each state of a whole tuple, (ends, reached): ends the mask of the
+    tuples' last points, reached the mask of the points reached from x0 by
+    an interpolant, a path of n steps through any carrier points whose k-th
+    step lies under odd for even k and under even for odd k. A tuple has
+    interpolants iff its last point is in reached.
+    """
+    at = []  # at[x]: distance -> mask of the inner points at that distance from x
+    for row in D:
+        by = {}
+        for y in inner:
+            by[row[y]] = by.get(row[y], 0) | 1 << y
+        at.append(by)
+    spread = {}  # mask of points -> distance -> mask of inner points at it from one of them
+
+    def spread_of(mask):
+        if mask not in spread:
+            by = {}
+            for x in _bits(mask):
+                for d, ys in at[x].items():
+                    by[d] = by.get(d, 0) | ys
+            spread[mask] = by.items()
+        return spread[mask]
+
+    states = {(x0, zero, zero): 1 << x0 for x0 in inner}
+    for k in range(n):
+        p, following = k % 2, {}
+        for (x0, *parity), mask in states.items():
+            row = J[parity[p]]
+            for d, ys in spread_of(mask):
+                parity[p] = row[d]
+                state = (x0, *parity)
+                following[state] = following.get(state, 0) | ys
+        states = following
+
+    under = {}  # bound -> [mask of the points y with D[x][y] under it, for each x]
+    image = {}  # (bound, mask) -> the points one step under bound from the mask
+
+    def step(bound, mask):
+        if bound not in under:
+            under[bound] = [
+                sum(1 << y for y, d in enumerate(row) if J[d][bound] == bound) for row in D
+            ]
+        if (bound, mask) not in image:
+            rows, out = under[bound], 0
+            for x in _bits(mask):
+                out |= rows[x]
+            image[(bound, mask)] = out
+        return image[(bound, mask)]
+
+    verdict = {}
+    for (x0, even, odd), ends in states.items():
+        reached = 1 << x0
+        for k in range(n):
+            reached = step(odd if k % 2 == 0 else even, reached)
+        verdict[(x0, even, odd)] = ends, reached
+    return verdict
+
+
 def _chain_condition_failures(pg, inner, n, lattice_form=False):
     """The (n+1)-tuples of inner points of the pregamp pg without
     interpolants among all its carrier points, as (reason, xs) in product
@@ -583,17 +705,33 @@ def _chain_condition_failures(pg, inner, n, lattice_form=False):
     In the lattice form the interpolants run from x0 meet xn to x0 join xn,
     read in the carrier's tables, and must be chains; a tuple whose
     endpoints are not defined both ways round, or differ between them,
-    fails with "endpoints undefined". Otherwise they run from x0 to xn. The
-    tuples are walked depth first on carrier indices, with the parity joins
-    of each prefix's steps carried as indices. The search depends on a
-    tuple only through its endpoints and those two joins, so it runs once
-    per such key.
+    fails with "endpoints undefined". Otherwise they run from x0 to xn, and
+    the verdict pass (_chain_verdict) decides first: the walk below runs
+    only when it finds a failure, and reads its reached masks. The tuples
+    are walked depth first on carrier indices, with the parity joins of
+    each prefix's steps carried as indices. The search depends on a tuple
+    only through its endpoints and those two joins, so it runs once per
+    such key.
     """
     universe, (index, tables) = pg.carrier.universe, pg.carrier.index_tables
     D, J = pg.dist_rows, pg.sem.join_rows
-    M, N = (tables["meet"], tables["join"]) if lattice_form else (None, None)
-    middle = range(len(universe))
+    zero = pg.sem.index(pg.sem.zero)
     inner = [index[x] for x in inner]
+    if lattice_form:
+        M, N = tables["meet"], tables["join"]
+        middle = range(len(universe))
+
+        def no_interpolants(x0, xn, even, odd):
+            return next(_interpolants(D, J, M, n, x0, xn, even, odd, middle), None) is None
+    else:
+        M = None
+        verdict = _chain_verdict(D, J, n, inner, zero)
+        if all(not ends & ~reached for ends, reached in verdict.values()):
+            return
+
+        def no_interpolants(x0, xn, even, odd):
+            return not verdict[(x0, even, odd)][1] >> xn & 1
+
     xs = [None] * (n + 1)
     failing = {}  # (first, last, even, odd) -> no interpolant
 
@@ -623,11 +761,10 @@ def _chain_condition_failures(pg, inner, n, lattice_form=False):
             joined[p] = row[step[x]]
             key = (*end, *joined)
             if key not in failing:
-                failing[key] = next(_interpolants(D, J, M, n, *key, middle), None) is None
+                failing[key] = no_interpolants(*key)
             if failing[key]:
                 yield "no interpolants", tuple(universe[i] for i in xs)
 
-    zero = pg.sem.index(pg.sem.zero)
     for x0 in inner:
         xs[0] = x0
         ends = [endpoints(x0, x) for x in inner]
@@ -650,8 +787,9 @@ def _elementwise_n_permutable(algebra, n, cong_sl):
 ELEMENTWISE_LIMIT = 2_000_000
 
 
-def is_n_permutable(algebra, n):
-    """Congruence n-permutability, by relational composition of congruence pairs.
+def is_n_permutable(algebra, n, cs=None):
+    """Congruence n-permutability, by relational composition of congruence
+    pairs, over the algebra's Conc, which is cs when given.
 
     The element-wise chain characterization is run as well whenever the
     instance fits under ELEMENTWISE_LIMIT, and the two answers must agree.
@@ -661,7 +799,7 @@ def is_n_permutable(algebra, n):
     _require_total(algebra)
     if n < 2:
         raise ValueError("n must be at least 2")
-    cs = conc(algebra)
+    cs = conc(algebra) if cs is None else cs
     congruences = sorted(cs.elements, key=Congruence._sort_key)
     ok_rel, wit_rel = _relational_n_permutable(algebra, n, congruences)
     size = len(algebra.universe)

@@ -415,7 +415,7 @@ def verify_square_facts(square):
     for node in SQUARE_NODES:
         alg = square.a_square.objects[node]
         if len(alg.universe) <= DIRECT_BOUND:
-            ok, _ = _cong.is_n_permutable(alg, n + 1)
+            ok, _ = _cong.is_n_permutable(alg, n + 1, cs if alg is chain else None)
             fact_c[node] = {"ok": ok, "method": "direct"}
         else:
             factor = square.x_square.objects[node]

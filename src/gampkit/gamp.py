@@ -578,7 +578,7 @@ def buttress(
         if phis[p].source != cs:
             raise ValueError("phis must start at the algebra's compact congruences")
     if n_permutable is not None:
-        ok, _ = _cong.is_n_permutable(algebra, n_permutable)
+        ok, _ = _cong.is_n_permutable(algebra, n_permutable, cs)
         if not ok:
             raise ValueError(f"base algebra is not {n_permutable}-permutable")
 

@@ -16,6 +16,7 @@ from gampkit.congruence import (
     conc,
     conc_morphism,
     congruence_closure,
+    is_n_permutable,
     least_congruence_bruteforce,
     malcev_witness,
     principal_congruence,
@@ -319,6 +320,24 @@ def test_budget_conc_on_x1_cubed():
     t0 = time.monotonic()
     assert len(conc(alg)) == 512
     _report("budget", "conc(power:X1:3)", t0, 5)
+
+
+def test_budget_is_n_permutable_on_m3_cubed():
+    # relational only, as 125^8 is over ELEMENTWISE_LIMIT: 28 pairs of the
+    # 8 congruences composed as bitmasks: median 0.098 s
+    alg = build_named("power:M3:3").algebra
+    t0 = time.monotonic()
+    assert is_n_permutable(alg, 4) == (True, None)
+    _report("budget", "is_n_permutable(power:M3:3, 4)", t0, 0.5)
+
+
+def test_budget_is_n_permutable_on_n5_squared():
+    # 25 points, so the element-wise chain condition runs as the
+    # cross-check, decided by its verdict pass: median 0.034 s
+    alg = build_named("power:N5:2").algebra
+    t0 = time.monotonic()
+    assert is_n_permutable(alg, 2) == (True, None)
+    _report("budget", "is_n_permutable(power:N5:2, 2)", t0, 0.3)
 
 
 def test_budget_is_lattice_algebra_on_m3_cubed():

@@ -3,7 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
-from itertools import compress, product
+from itertools import combinations, compress, product
 from unittest import mock
 
 import pytest
@@ -14,13 +14,18 @@ from gampkit import build_named, congruence
 from gampkit.cli import run
 from gampkit.congruence import (
     _chain_condition_failures,
+    _chain_verdict,
+    _closure_labels,
     _elementwise_n_permutable,
+    _interpolants,
+    _parity_joins,
+    _principal_labels,
+    _relational_n_permutable,
     Congruence,
     MalcevWitness,
     NoContainment,
     UnknownAtBound,
     all_congruences_bruteforce,
-    alternating_composite,
     chain_interpolants,
     con_lattice,
     con_meet,
@@ -39,6 +44,7 @@ from gampkit.gamp import check_property, ga
 from gampkit.palg import LATTICE_TYPE, UNDEFINED, PalgMorphism, PartialAlgebra, SimilarityType
 from gampkit.pregamp import Pregamp
 from gampkit.semilattice import JoinSemilattice, SemIdeal, is_ideal_induced, ker0
+from test_pregamp import coded_pregamps
 
 
 class TestPrincipal:
@@ -348,6 +354,39 @@ class TestQuotientAlgebra:
                     q, _ = quotient_algebra(alg, theta)
                     ok_q, _ = is_n_permutable(q, n)
                     assert ok_q, (name, n, theta)
+
+
+def _compose_relation(rel, theta):
+    """theta o rel as a successor map: x -> union of theta-blocks over rel[x]."""
+    out = {}
+    for x, ys in rel.items():
+        acc = set()
+        for y in ys:
+            acc |= theta.block(y)
+        out[x] = acc
+    return out
+
+
+def alternating_composite(alpha, beta, n, universe):
+    """Reference for the relational check: alpha o beta o alpha o ... with n
+    factors, as sets, the rightmost factor acting first."""
+    rel = {x: {x} for x in universe}
+    factors = [alpha if i % 2 == 0 else beta for i in range(n)]
+    for theta in reversed(factors):
+        rel = _compose_relation(rel, theta)
+    return rel
+
+
+def brute_relational_n_permutable(algebra, n, congruences):
+    """Reference for _relational_n_permutable: every ordered pair composed
+    both ways round, as sets."""
+    for alpha in congruences:
+        for beta in congruences:
+            left = alternating_composite(alpha, beta, n, algebra.universe)
+            right = alternating_composite(beta, alpha, n, algebra.universe)
+            if left != right:
+                return False, (alpha, beta)
+    return True, None
 
 
 class TestNPermutable:
@@ -735,6 +774,114 @@ def test_n_permutable_witnesses_unchanged(which, name, n, fixture_lattices):
         assert v.status == "false" and v.witness == ("no interpolants", failing[0])
     else:
         assert v.status == "true" and v.witness is None
+
+
+@st.composite
+def random_distance_pregamps(draw):
+    """Pregamps of 1 to 5 points on non-integer labels whose distance table
+    is drawn at random into the subsets of range(k) under union, elements
+    shuffled: no axiom need hold, as the chain search reads any table."""
+    k = draw(st.integers(1, 3))
+    subsets = [frozenset(c) for r in range(k + 1) for c in combinations(range(k), r)]
+    joins = {(a, b): a | b for a in subsets for b in subsets}
+    sem = JoinSemilattice(draw(st.permutations(subsets)), frozenset(), joins)
+    universe = draw(st.permutations(LABELS + ("e",)))[: draw(st.integers(1, 5))]
+    value = st.sampled_from(subsets)
+    return _pregamp_over(universe, {(x, y): draw(value) for x in universe for y in universe}, sem)
+
+
+def walk_verdict(pg, inner, n):
+    """Reference for _chain_verdict: every (n+1)-tuple of the inner indices
+    in turn, its state (x0, even, odd) from _parity_joins, and the reached
+    points of each state found one by one with the tuple walk's search."""
+    D, J = pg.dist_rows, pg.sem.join_rows
+    zero = pg.sem.index(pg.sem.zero)
+    middle = range(len(D))
+    verdict = {}
+    for xs in product(inner, repeat=n + 1):
+        even, odd = _parity_joins(D, J, xs, zero)
+        state = (xs[0], even, odd)
+        if state not in verdict:
+            searches = (_interpolants(D, J, None, n, xs[0], y, even, odd, middle) for y in middle)
+            reached = sum(1 << y for y, found in enumerate(searches) if next(found, None))
+            verdict[state] = [0, reached]
+        verdict[state][0] |= 1 << xs[n]
+    return {state: tuple(masks) for state, masks in verdict.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(coded_pregamps(), random_distance_pregamps()), st.data())
+def test_chain_verdict_matches_the_tuple_walk(pregamp, data):
+    # the forward pass and the reachability per final state against the
+    # tuple walk; then the failures, whose walk reads the verdict, against
+    # the label reference
+    pg = pregamp[0] if isinstance(pregamp, tuple) else pregamp
+    universe = pg.carrier.universe
+    index = pg.carrier.index_tables[0]
+    size = data.draw(st.integers(1, min(4, len(universe))))
+    inner = data.draw(st.permutations(universe))[:size]
+    for n in range(1, 5 if len(universe) <= 5 else 4):
+        indices = [index[x] for x in inner]
+        zero = pg.sem.index(pg.sem.zero)
+        verdict = _chain_verdict(pg.dist_rows, pg.sem.join_rows, n, indices, zero)
+        assert verdict == walk_verdict(pg, indices, n), n
+        assert list(_chain_condition_failures(pg, inner, n)) == (
+            brute_chain_condition_failures(pg.sem, pg.dist, inner, universe, n)
+        ), n
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(small_unary_binary_algebras(), small_labelled_algebras(), random_products()),
+    st.data(),
+)
+def test_relational_check_matches_the_composite_loop(alg, data):
+    # the witness pair is compared too, in Con's order and in a shuffled one
+    congruences = con_lattice(alg)
+    shuffled = data.draw(st.permutations(congruences))
+    for n in (2, 3, 4):
+        for congs in (congruences, shuffled):
+            found = _relational_n_permutable(alg, n, congs)
+            assert found == brute_relational_n_permutable(alg, n, congs), n
+
+
+@st.composite
+def unrestricted_algebras(draw):
+    """Total algebras of 1 to 8 elements with a binary, a unary and a
+    constant operation, their tables drawn over the whole universe or over
+    a prefix of it."""
+    size = draw(st.integers(1, 8))
+    u = list(range(size))
+    value = st.integers(0, draw(st.sampled_from([size - 1, draw(st.integers(0, size - 1))])))
+    f = draw(st.lists(value, min_size=size * size, max_size=size * size))
+    g = draw(st.lists(value, min_size=size, max_size=size))
+    ops = {
+        "f": {(a, b): f[a * size + b] for a in u for b in u},
+        "g": {(a,): g[a] for a in u},
+        "c": {(): draw(value)},
+    }
+    return PartialAlgebra(SimilarityType((("f", 2), ("g", 1), ("c", 0))), u, ops)
+
+
+@settings(max_examples=400, deadline=None)
+@given(unrestricted_algebras())
+def test_reused_closures_match_per_pair_closures(alg):
+    # each pair closed on its own, with nothing known, in the builder's order
+    u = alg.universe
+    closed = [[_closure_labels(alg, [(x, y)]) for y in u] for x in u]
+    found, pairs = _principal_labels(alg)
+    assert [[found[k] for k in row] for row in pairs] == closed
+    first_seen = [closed[i][j] for i in range(len(u)) for j in range(i + 1, len(u))]
+    assert found == list(dict.fromkeys([tuple(range(len(u))), *first_seen]))
+
+
+def test_a_known_pair_merges_its_whole_congruence(chain3):
+    # what is known about a pair is taken as it stands: here a congruence
+    # larger than Theta(0, 1), which the closure then returns
+    assert _closure_labels(chain3, [(0, 1)]) == (0, 0, 2)
+    assert _closure_labels(chain3, [(0, 1)], {(0, 1): (0, 0, 0)}) == (0, 0, 0)
+    assert _closure_labels(chain3, [(1, 0)], {(0, 1): (0, 0, 0)}) == (0, 0, 0)
+    assert _closure_labels(chain3, [(1, 2)], {(0, 1): (0, 0, 0)}) == (0, 1, 1)
 
 
 class TestMalcev:

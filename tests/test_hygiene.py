@@ -496,7 +496,10 @@ def test_tables_change_only_in_construction(path):
 # through one path, its integer matrix dist_rows; these attributes are the
 # label paths it replaced.
 LABEL_DISTANCES = frozenset({"dist", "delta", "distances"})
-CHAIN_SEARCH = ("_interpolants", "_parity_joins", "chain_interpolants", "_chain_condition_failures")
+CHAIN_SEARCH = (
+    "_interpolants", "_parity_joins", "chain_interpolants", "_chain_verdict",
+    "_chain_condition_failures",
+)
 DIST_ROWS_READERS = [("congruence", set(CHAIN_SEARCH)), ("pregamp", {"quotient_pregamp"})]
 
 
@@ -629,3 +632,31 @@ def test_quotient_diagram_quotients_each_node_once():
     assert len(d.poset.elements) == 4 and len(d.arrows) == 9
     counts = call_counts(lambda: quotient_diagram(d, dideal), [quotient_pregamp, quotient])
     assert counts == {"quotient_pregamp": 4, "quotient": 4}
+
+
+def test_one_conc_per_call():
+    # buttress hands the Conc it builds to the permutability check, and the
+    # square facts share the chain's Conc between facts (b) and (c): one
+    # build per algebra, the chain's included
+    from gampkit import build_named, build_square
+    from gampkit.congruence import ConcSemilattice, conc, principal_congruence
+    from gampkit.constructions import verify_square_facts
+    from gampkit.gamp import buttress
+    from gampkit.poset import FinitePoset
+    from gampkit.semilattice import SemIdeal, quotient
+
+    alg = build_named("M3").algebra
+    poset = FinitePoset.square()
+    cs = conc(alg)
+    kernel = SemIdeal.generated(cs, {principal_congruence(alg, "0", "x1")})
+    bottom = poset.linear_extension()[0]
+    phis = {
+        p: quotient(cs, kernel if p == bottom else SemIdeal.zero(cs))[1] for p in poset.elements
+    }
+    init = ConcSemilattice.__init__
+    counts = call_counts(lambda: buttress(alg, poset, phis, n_permutable=2), [init])
+    assert counts == {"__init__": 1}
+    square = build_square("M3", 2)
+    assert len(square.a_square.objects) == 4
+    counts = call_counts(lambda: verify_square_facts(square), [init])
+    assert counts == {"__init__": 4}
