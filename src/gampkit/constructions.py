@@ -12,6 +12,7 @@ from .errors import (
     PreconditionFailed,
     SearchExhausted,
     StepFailed,
+    TooLarge,
     UnknownName,
     cross_check,
 )
@@ -265,7 +266,8 @@ def build_square(base, n):
     Hypotheses: x1 meet x2 = 0, x3 join x1 = x3 join x2 = 1 and 0 < x3 < 1
     in the base; violations raise with the failing relation. The surjection
     index set is materialized and its size checked against an independent
-    brute count of the isotone surjections onto X0.
+    brute count of the isotone surjections onto X0. A power over
+    POWER_BOUND elements is refused with TooLarge before anything is built.
     """
     if isinstance(base, str):
         base = build_named(base)
@@ -295,6 +297,12 @@ def build_square(base, n):
         "r": _sublattice(K, {zero, m23, x2, x3, one}, "X2"),
         "t": K,
     }
+    for node in ("l", "r", "t"):
+        size = len(xk_algs[node]) ** (n * (n - 1) // 2)
+        if size > POWER_BOUND:
+            raise TooLarge(
+                f"power at node {node} has {size:,} elements, over POWER_BOUND = {POWER_BOUND:,}"
+            )
     poset = FinitePoset.square()
 
     def incl(a, b):
@@ -377,6 +385,10 @@ def _is_boolean_with_atoms(cs, expected_atoms):
 # Largest node carrier whose permutability verify_square_facts checks
 # directly; larger nodes are checked through their factor.
 DIRECT_BOUND = 30
+
+# Largest power X^(n(n-1)/2) that build_square builds, in elements: L2 at
+# n = 4 has 7^6 = 117,649 at its top node, M3 at n = 5 has 4^10 at node l.
+POWER_BOUND = 200_000
 
 
 def verify_square_facts(square):

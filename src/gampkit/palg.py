@@ -142,7 +142,21 @@ class PartialAlgebra:
         return ok
 
     def apply(self, name, args):
-        return self.ops[name].get(tuple(args), UNDEFINED)
+        """The value of one table entry, or UNDEFINED. A product whose tables
+        are not built answers from its factors and builds nothing."""
+        if self.factors is None or "ops" in self.__dict__:
+            return self.ops[name].get(tuple(args), UNDEFINED)
+        return self._from_factors(name, tuple(args))
+
+    def _from_factors(self, name, args):
+        """A product's entry read off its factors, one coordinate per factor:
+        the factors are total, so it is defined exactly when every argument
+        lies in the universe and the arity is right."""
+        if not all(map(self._uset.__contains__, args)):
+            return UNDEFINED
+        coords = zip(*args) if args else repeat(())
+        value = tuple(f.apply(name, c) for f, c in zip(self.factors, coords))
+        return UNDEFINED if UNDEFINED in value else value
 
     def is_total(self):
         # product() checks its factors total, so a product is total: answered
@@ -222,8 +236,8 @@ class PartialAlgebra:
         result records the factors in `factors`; only this constructor sets
         it, and nothing changes a product's tables afterwards, so a product
         always equals the direct product of its recorded factors. The tables
-        are built on the first read of `ops`; is_total(), hashing and
-        comparing a product with itself do not read them.
+        are built on the first read of `ops`; is_total(), hashing, comparing
+        a product with itself and apply() before that read do not read them.
         """
         algebras = list(algebras)
         if not algebras:
@@ -318,7 +332,8 @@ MODULAR_LAW = (
 
 
 # Largest source on which PalgMorphism.validate cross-checks its factorwise
-# verdict against the exhaustive check of every table entry.
+# verdict against the exhaustive check of every table entry, and largest
+# product target whose factor lookups it cross-checks against the tables.
 FACTORWISE_CHECK_BOUND = 36
 
 
@@ -328,6 +343,8 @@ class PalgMorphism:
     Maps out of a recorded product are decided factorwise when they are
     coordinatewise; otherwise, and whenever a factor map fails, every table
     entry is checked, so a failure always names the first failing entry.
+    A product target is read entry by entry through apply, so maps into a
+    power do not build its tables.
     """
 
     def __init__(self, source, target, mapping, validate=True):
@@ -389,15 +406,35 @@ class PalgMorphism:
 
     def _check_tables(self):
         """Every defined source entry maps to a defined, equal target entry;
-        raises ValueError at the first that does not."""
+        raises ValueError at the first that does not. The target is read
+        through apply, so a product target's tables are not built; on a
+        product of at most FACTORWISE_CHECK_BOUND elements the factor
+        lookups run whether or not its tables are built, and are
+        cross-checked against the tables."""
+        target = self.target
+        if target.factors is not None and len(target) <= FACTORWISE_CHECK_BOUND:
+            failure = self._first_failure(target._from_factors)
+            tables = target.ops
+            by_tables = self._first_failure(lambda name, im: tables[name].get(im, UNDEFINED))
+            cross_check(failure == by_tables, "factor lookups and the product's tables disagree")
+        else:
+            failure = self._first_failure(target.apply)
+        if failure:
+            raise ValueError(failure)
+
+    def _first_failure(self, lookup):
+        """The message for the first defined source entry whose image under
+        lookup(name, image tuple) is undefined or not the image of its
+        value, in table order; None if there is none."""
+        m = self.mapping
         for name, table in self.source.ops.items():
             for args, val in table.items():
-                im = tuple(self.mapping[a] for a in args)
-                tv = self.target.ops[name].get(im, UNDEFINED)
+                tv = lookup(name, tuple(map(m.__getitem__, args)))
                 if tv is UNDEFINED:
-                    raise ValueError(f"{name}{args} defined in source but image undefined")
-                if tv != self.mapping[val]:
-                    raise ValueError(f"{name}{args} not preserved")
+                    return f"{name}{args} defined in source but image undefined"
+                if tv != m[val]:
+                    return f"{name}{args} not preserved"
+        return None
 
     def __call__(self, x):
         return self.mapping[x]

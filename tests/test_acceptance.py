@@ -1,6 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line
 with its runtime against the stated budget."""
 
+import json
 import random
 import time
 
@@ -373,3 +374,42 @@ def test_budget_buttress_m3_square_with_chains():
     diagram = buttress(alg, poset, phis, with_chains=True, n_permutable=2)
     assert diagram.validate()[0]
     _report("budget", "buttress(M3, square, chains) and validate", t0, 0.3)
+
+
+# The n = 4 frontier through the CLI, in process. Maps into the powers are
+# checked from their factors, so no power builds its tables: 4,096 and 15,625
+# elements at M3's nodes l and t, 5^6 = 15,625 at L4's node t. Budgets are 5x
+# the median of five runs, each in a fresh process, on a shared 2-core host.
+
+
+def test_budget_repro_m3_n4_facts(capsys):
+    # median 0.19 s
+    from gampkit.cli import run
+
+    t0 = time.monotonic()
+    assert run(["repro", "unliftable", "--K", "M3", "--n", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["facts"]["ok"]
+    _report("budget", "repro --K M3 --n 4", t0, 1)
+
+
+def test_budget_repro_l4_n4_facts(capsys):
+    # median 0.56 s
+    from gampkit.cli import run
+
+    t0 = time.monotonic()
+    assert run(["repro", "unliftable", "--K", "L4", "--n", "4"]) == 0
+    capsys.readouterr()
+    _report("budget", "repro --K L4 --n 4", t0, 3)
+
+
+def test_budget_repro_m3_n4_bound_0_refused(capsys):
+    # the facts hold, then GA refuses node l (4,096 > CON_BOUND) before any
+    # Con is built: median 0.27 s
+    from gampkit.cli import run
+
+    t0 = time.monotonic()
+    assert run(["repro", "unliftable", "--K", "M3", "--n", "4", "--exhaustive-bound", "0"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: con_lattice capped at 160 elements (got 4096)\n"
+    _report("budget", "repro --K M3 --n 4 --exhaustive-bound 0", t0, 1.5)

@@ -21,6 +21,7 @@ from gampkit.errors import (
     PreconditionFailed,
     SearchExhausted,
     StepFailed,
+    TooLarge,
     UnknownName,
 )
 from gampkit.gamp import Gamp, GampMorphism
@@ -82,6 +83,15 @@ class TestBuildSquare:
         assert len(sq.cuts) == 3
         assert len(sq.a_square.objects["t"].universe) == 125
 
+    def test_power_over_the_bound_is_refused_before_it_is_built(self, monkeypatch):
+        # L2 at n = 4 is admitted (7^6 at node t); M3 at n = 5 is refused at
+        # node l, 4^10 elements, before any product is formed
+        assert 7 ** 6 <= constructions.POWER_BOUND < 4 ** 10
+        monkeypatch.setattr(PartialAlgebra, "product", None)
+        refusal = r"^power at node l has 1,048,576 elements, over POWER_BOUND = 200,000$"
+        with pytest.raises(TooLarge, match=refusal):
+            build_square("M3", 5)
+
     def test_degenerate_marks_rejected(self):
         # (1, 1, 0) breaks x1 meet x2 = 0; (0, 0, 1) meets every equation
         # but has x3 = 1, so X0 = {0, 1} is no three-element chain
@@ -132,9 +142,8 @@ class TestSquareFacts:
 
     @pytest.mark.parametrize("base", ["M3", "L2", "L3", "L4"])
     def test_facts_leave_the_top_power_unbuilt(self, base):
-        # the n=3 facts read the powers' tables only through the chain maps
-        # into A_l and A_r; A_t (up to 343 elements) is compared, hashed and
-        # checked total from its recorded factors
+        # A_t (up to 343 elements) is compared, hashed and checked total
+        # from its recorded factors; test_hygiene holds every large power
         sq = build_square(base, 3)
         assert verify_square_facts(sq)["ok"]
         top = sq.a_square.objects["t"]

@@ -660,3 +660,18 @@ def test_one_conc_per_call():
     assert len(square.a_square.objects) == 4
     counts = call_counts(lambda: verify_square_facts(square), [init])
     assert counts == {"__init__": 4}
+
+
+@pytest.mark.parametrize("K", ["M3", "L2", "L3", "L4"])
+def test_square_facts_build_no_power_tables(K):
+    # maps into a power are checked from its factors: past the cross-check
+    # bound no node of the chain-powered square builds its tables
+    from gampkit import build_square
+    from gampkit.constructions import verify_square_facts
+    from gampkit.palg import FACTORWISE_CHECK_BOUND
+
+    square = build_square(K, 3)
+    assert verify_square_facts(square)["ok"]
+    large = [a for a in square.a_square.objects.values() if len(a) > FACTORWISE_CHECK_BOUND]
+    assert len(large) == 3
+    assert all("ops" not in vars(a) for a in large)

@@ -526,6 +526,140 @@ class TestFactorwiseMorphisms:
         assert swap._factorwise_verdict() is True
 
 
+# Random factors for the product lookups: a constant, a unary and a binary op.
+CGF_TYPE = SimilarityType((("c", 0), ("g", 1), ("f", 2)))
+
+
+@st.composite
+def cgf_algebras(draw, max_size=4):
+    u = list(range(draw(st.integers(1, max_size))))
+    value = st.sampled_from(u)
+    return PartialAlgebra(CGF_TYPE, u, {
+        "c": {(): draw(value)},
+        "g": {(a,): draw(value) for a in u},
+        "f": {args: draw(value) for args in product(u, repeat=2)},
+    })
+
+
+def plain_twin(factors):
+    """The product of the factors with its tables built and no factors
+    recorded, so that every lookup reads the tables."""
+    alg = PartialAlgebra.product(factors)
+    return PartialAlgebra(alg.stype, alg.universe, alg.ops, validate=False)
+
+
+@st.composite
+def maps_into_products(draw):
+    """(source, factors, mapping): a homomorphism from a source into the
+    product of the factors, a diagonal or a tuple of factor maps, and with
+    one point's image changed in about half the draws."""
+    factors = draw(st.lists(cgf_algebras(), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        a = factors[0]
+        factors = [a] * len(factors)
+        src, mapping = a, {x: (x,) * len(factors) for x in a.universe}
+    else:
+        # each factor map is arbitrary; the source keeps an entry only where
+        # some value makes every factor map preserve it
+        u = list(range(draw(st.integers(1, 3))))
+        maps = [{x: draw(st.sampled_from(f.universe)) for x in u} for f in factors]
+        mapping = {x: tuple(h[x] for h in maps) for x in u}
+        ops = {}
+        for name, ar in CGF_TYPE.symbols:
+            ops[name] = {}
+            for args in product(u, repeat=ar):
+                image = tuple(
+                    f.apply(name, [h[a] for a in args]) for f, h in zip(factors, maps)
+                )
+                fits = [v for v in u if mapping[v] == image]
+                if fits and draw(st.booleans()):
+                    ops[name][args] = draw(st.sampled_from(fits))
+        src = PartialAlgebra(CGF_TYPE, u, ops)
+    if draw(st.booleans()):
+        x = draw(st.sampled_from(src.universe))
+        mapping[x] = tuple(draw(st.sampled_from(f.universe)) for f in factors)
+    return src, factors, mapping
+
+
+class TestProductLookups:
+    """A product whose tables are not built answers apply from its factors,
+    and maps into it are checked through apply: the reference is the same
+    product with its tables built."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(cgf_algebras(), min_size=1, max_size=3), st.data())
+    def test_apply_matches_the_tables(self, factors, data):
+        alg = PartialAlgebra.product(factors)
+        tables = PartialAlgebra.product(factors).ops
+        for name, ar in CGF_TYPE.symbols:
+            for args in product(alg.universe, repeat=ar):
+                assert alg.apply(name, args) == tables[name][args]
+        # outside the universe: a foreign element in one slot, or a wrong arity
+        x = data.draw(st.sampled_from(alg.universe))
+        slot = data.draw(st.integers(0, len(factors) - 1))
+        foreign = data.draw(st.sampled_from([
+            x[:slot] + (99,) + x[slot + 1:], x + x[:1], x[:-1], "x", 99,
+        ]))
+        assert alg.apply("g", [foreign]) is UNDEFINED
+        assert alg.apply("f", [x, foreign]) is UNDEFINED
+        assert alg.apply("f", [foreign, x]) is UNDEFINED
+        assert alg.apply("f", [x]) is UNDEFINED
+        assert alg.apply("g", []) is UNDEFINED
+        assert alg.apply("c", [x]) is UNDEFINED
+        assert "ops" not in vars(alg)
+
+    @settings(max_examples=200, deadline=None)
+    @given(maps_into_products())
+    def test_maps_into_a_product_match_the_tables(self, case):
+        src, factors, mapping = case
+        expected = validate_error(PalgMorphism(src, plain_twin(factors), mapping, validate=False))
+        assert expected is None or expected.endswith("not preserved")
+        tgt = PartialAlgebra.product(factors)
+        assert validate_error(PalgMorphism(src, tgt, mapping, validate=False)) == expected
+        # on a target past the cross-check bound only the factors are read
+        tgt = PartialAlgebra.product(factors)
+        with mock.patch.object(palg, "FACTORWISE_CHECK_BOUND", 0):
+            assert validate_error(PalgMorphism(src, tgt, mapping, validate=False)) == expected
+        assert "ops" not in vars(tgt)
+
+    def test_diagonal_into_a_large_power_builds_no_tables(self, m3):
+        power = PartialAlgebra.product([m3] * 3)
+        assert len(power) > palg.FACTORWISE_CHECK_BOUND
+        PalgMorphism(m3, power, {x: (x,) * 3 for x in m3.universe})
+        assert "ops" not in vars(power)
+        bad = {x: (x, x, "0" if x == "x1" else x) for x in m3.universe}
+        expected = validate_error(PalgMorphism(m3, plain_twin([m3] * 3), bad, validate=False))
+        assert expected.endswith("not preserved")
+        assert validate_error(PalgMorphism(m3, power, bad, validate=False)) == expected
+        assert "ops" not in vars(power)
+
+    def test_disagreement_is_a_cross_check_failure_under_optimize(self):
+        # factor lookups that contradict the tables on a small power raise,
+        # also with asserts stripped
+        code = textwrap.dedent(
+            """
+            import sys
+            from gampkit import build_named, palg
+            from gampkit.errors import CrossCheckFailed
+
+            m3 = build_named("M3").algebra
+            power = palg.PartialAlgebra.product([m3, m3])
+            palg.PartialAlgebra._from_factors = lambda self, name, args: ("0", "0")
+            try:
+                palg.PalgMorphism(m3, power, {x: (x, x) for x in m3.universe})
+            except CrossCheckFailed:
+                print("optimize", sys.flags.optimize, "raised")
+            """
+        )
+        src = os.path.dirname(os.path.dirname(gampkit.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.split() == ["optimize", "1", "raised"]
+
+
 class TestChainColimit:
     def test_constant_identity_chain(self, m3):
         f = PalgMorphism.identity(m3)

@@ -262,6 +262,10 @@ class TestCli:
                 ["L2", "--n", "3", "--exhaustive-bound", "0"], "capped at 160 elements (got 343)",
                 [343], id="L2-con-bound",
             ),
+            pytest.param(
+                ["M3", "--n", "5"], "power at node l has 1,048,576 elements, over POWER_BOUND",
+                [], id="n5-power-bound",
+            ),
         ],
     )
     def test_repro_refused_bound_exit_3(self, argv, refusal, over_con_bound, monkeypatch, capsys):
