@@ -4,7 +4,7 @@ calculus, identity satisfaction, images, and stabilizing chain colimits."""
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, product, repeat
-from operator import ne
+from operator import eq, ne
 
 from .errors import NotComposable, NotSubset, NotTotal, cross_check
 
@@ -173,12 +173,15 @@ class PartialAlgebra:
         return len(self.universe)
 
     def __eq__(self, other):
-        return self is other or (
-            isinstance(other, PartialAlgebra)
-            and self.stype == other.stype
-            and self._uset == other._uset
-            and self.ops == other.ops
-        )
+        if self is other:
+            return True
+        if not isinstance(other, PartialAlgebra) or self.stype != other.stype:
+            return False
+        if self.factors and other.factors and self.universe and other.universe:
+            # nonempty products are equal exactly when their factors are,
+            # pair by pair: the factors are their coordinates
+            return len(self.factors) == len(other.factors) and all(map(eq, self.factors, other.factors))
+        return self._uset == other._uset and self.ops == other.ops
 
     def __hash__(self):
         if self.factors is not None:  # total: each table has n^arity entries
@@ -237,7 +240,8 @@ class PartialAlgebra:
         it, and nothing changes a product's tables afterwards, so a product
         always equals the direct product of its recorded factors. The tables
         are built on the first read of `ops`; is_total(), hashing, comparing
-        a product with itself and apply() before that read do not read them.
+        a product with itself or with another nonempty product, and apply()
+        before that read do not read them.
         """
         algebras = list(algebras)
         if not algebras:

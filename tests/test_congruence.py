@@ -21,6 +21,7 @@ from gampkit.congruence import (
     _parity_joins,
     _principal_labels,
     _relational_n_permutable,
+    CON_BOUND,
     Congruence,
     MalcevWitness,
     NoContainment,
@@ -542,6 +543,44 @@ def test_permutability_characterizations_agree_on_random_algebras(alg):
         ok, _ = is_n_permutable(alg, n)
         ok_el, _ = _elementwise_n_permutable(alg, n, conc(alg))
         assert ok == ok_el, n
+
+
+CORPUS = ("two", "chain:3", "chain:4", "M3", "N5", "X1", "X2", "L2", "L3", "L4")
+
+
+@st.composite
+def corpus_lattice_products(draw):
+    """The factors of a product of one to three corpus lattices, chains
+    included: the longest prefix of the drawn names whose product is within
+    CON_BOUND and has at most 64 congruences, since the relational check
+    composes every pair of them."""
+    factors, size, cons = [], 1, 1
+    for name in draw(st.lists(st.sampled_from(CORPUS), min_size=1, max_size=3)):
+        factor = build_named(name).algebra
+        size, cons = size * len(factor), cons * len(conc(factor))
+        if size > CON_BOUND or cons > 64:
+            break
+        factors.append(factor)
+    return factors
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpus_lattice_products(), st.integers(2, 4))
+def test_a_product_of_lattices_is_permutable_iff_its_factors_are(factors, n):
+    # lattices are congruence-distributive, so Con of the product is the
+    # product of the Cons and composites are taken coordinatewise: the rule
+    # that the square's fact (c) reads each power node by
+    product_ok, _ = is_n_permutable(PartialAlgebra.product(factors), n)
+    assert product_ok == all(is_n_permutable(f, n)[0] for f in factors)
+
+
+def test_the_product_rule_has_both_outcomes():
+    # a chain:3 factor fails 2-permutability, and so does every product with it
+    chain3, m3, l4 = (build_named(name).algebra for name in ("chain:3", "M3", "L4"))
+    assert is_n_permutable(chain3, 2)[0] is False
+    assert is_n_permutable(PartialAlgebra.product([m3, chain3, l4]), 2)[0] is False
+    assert is_n_permutable(PartialAlgebra.product([m3, l4]), 2)[0] is True
+    assert is_n_permutable(PartialAlgebra.product([m3, chain3, l4]), 3)[0] is True
 
 
 @settings(max_examples=40, deadline=None)

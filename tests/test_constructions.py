@@ -1,9 +1,12 @@
+import dataclasses
 from collections import Counter
 
 import pytest
 
 from gampkit import constructions
-from gampkit.congruence import con_meet, conc, principal_congruence, Congruence
+from gampkit.congruence import (
+    CON_BOUND, Congruence, con_meet, conc, is_n_permutable, principal_congruence,
+)
 from gampkit.constructions import (
     CandidateSquare,
     SQUARE_NODES,
@@ -15,7 +18,7 @@ from gampkit.constructions import (
     refute_candidate,
     verify_square_facts,
 )
-from gampkit.diagram import Diagram, apply_functor
+from gampkit.diagram import Diagram, NaturalTransformation, apply_functor
 from gampkit.errors import (
     HypothesisFailed,
     PreconditionFailed,
@@ -149,11 +152,57 @@ class TestSquareFacts:
         top = sq.a_square.objects["t"]
         assert top.factors is not None and "ops" not in vars(top)
 
-    def test_indirect_marker_for_large_nodes(self):
-        rep = verify_square_facts(build_square("M3", 3))
-        methods = {k: v["method"] for k, v in rep["facts"]["nodes_n_plus_1_permutable"].items()}
-        assert methods["b"] == "direct"
-        assert methods["t"] == "indirect"
+    def test_power_nodes_decide_as_their_factor(self):
+        # fact (c) reads each power X^T from its factor X; every power node
+        # within CON_BOUND, checked directly, gets the factor's verdict
+        checked = 0
+        for base, n in [("M3", 2), ("L2", 2), ("L3", 2), ("L4", 2), ("M3", 3)]:
+            sq = build_square(base, n)
+            facts = verify_square_facts(sq)["facts"]["nodes_n_plus_1_permutable"]
+            for node in ("l", "r", "t"):
+                power, factor = sq.a_square.objects[node], sq.x_square.objects[node]
+                assert power.factors and all(f is factor for f in power.factors)
+                if len(power) > CON_BOUND:
+                    continue
+                ok = is_n_permutable(power, n + 1)[0]
+                assert ok == is_n_permutable(factor, n + 1)[0] == facts[node]["ok"], (base, n, node)
+                checked += 1
+        assert checked == 15  # the M3 n=3 powers have 64, 64 and 125 elements
+
+    def test_nodes_must_be_powers_of_lattices(self, monkeypatch):
+        # fact (c) is exact only for a power of a lattice: anything else is
+        # refused before any fact is read
+        sq = build_square("M3", 2)
+        foreign = dataclasses.replace(sq, x_square=build_square("L2", 2).x_square)
+        with pytest.raises(HypothesisFailed, match="node l is not a power of a lattice"):
+            verify_square_facts(foreign)
+        monkeypatch.setattr(constructions, "is_lattice_algebra", lambda alg: False)
+        with pytest.raises(HypothesisFailed, match="node l is not a power of a lattice"):
+            verify_square_facts(sq)
+
+    def test_non_natural_projection_is_reported(self):
+        # one element's image changed in the l component of one projection
+        # family: validate names the first failing pair in the poset's
+        # order, and fact (d) reports that family, and only it, as failing
+        sq = build_square("M3", 3)
+        c = sq.cuts[1]
+        f = sq.projections[c]["l"]
+        in_image = set(sq.a_square.arrows[("b", "l")].mapping.values())
+        inside = next(u for u in f.source.universe if u in in_image)
+        outside = next(u for u in f.source.universe if u not in in_image)
+        # inside the chain's image, (b, l) and (l, t) both fail; outside, only (l, t)
+        for u, first in [(inside, ("b", "l")), (outside, ("l", "t"))]:
+            mapping = dict(f.mapping)
+            mapping[u] = next(y for y in f.target.universe if y != mapping[u])
+            comps = dict(sq.projections[c])
+            comps["l"] = PalgMorphism(f.source, f.target, mapping, validate=False)
+            with pytest.raises(ValueError) as exc:
+                NaturalTransformation(sq.a_square, sq.x_square, comps)
+            assert str(exc.value) == f"naturality fails at {first}"
+            bad = dataclasses.replace(sq, projections={**sq.projections, c: comps})
+            rep = verify_square_facts(bad)
+            assert rep["facts"]["projections_natural"] == {str(k): k != c for k in sq.cuts}
+            assert rep["ok"] is False
 
     def test_meet_fact_in_wing(self):
         sq = build_square("M3", 2)
@@ -381,7 +430,7 @@ def _chain_onto_two_square(k=3):
             ("r", "t"): PalgMorphism.identity(two),
         },
     )
-    return UnliftableSquare(2, None, None, a_square, (), {}, {})
+    return UnliftableSquare(2, None, None, a_square, (), {})
 
 
 def _cube_square(bottom):
@@ -400,7 +449,7 @@ def _cube_square(bottom):
         for (u, v) in covers
     }
     a_diagram = Diagram.from_generators(FinitePoset.from_covers(nodes, covers), objects, arrows)
-    return UnliftableSquare(2, None, None, a_diagram, (), {}, {})
+    return UnliftableSquare(2, None, None, a_diagram, (), {})
 
 
 def _all_two_square():
@@ -412,7 +461,7 @@ def _all_two_square():
         {p: two for p in ("b", "l", "r", "t")},
         {cover: ident for cover in (("b", "l"), ("b", "r"), ("l", "t"), ("r", "t"))},
     )
-    return UnliftableSquare(2, None, None, a_square, (), {}, {})
+    return UnliftableSquare(2, None, None, a_square, (), {})
 
 
 def _padded_non_commuting_candidate(square):

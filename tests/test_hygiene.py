@@ -543,14 +543,19 @@ def test_chain_condition_reads_one_distance_path(module, functions):
 # Derived maps that read what is already built, each with the calls that
 # would build it a second time: an induced arrow descends along the two
 # projections it is given, the identity checks build quotient carriers
-# only, and Conc's generated folds its principal and join matrices.
+# only, Conc's generated folds its principal and join matrices, and the
+# square's facts and trace read principal congruences from the Concs they
+# build.
 QUOTIENTS = frozenset({"quotient", "quotient_pregamp", "quotient_gamp"})
+CLOSURES = frozenset({"principal_congruence", "congruence_closure"})
 NO_REBUILD = [
     ("semilattice", "induced_morphism", QUOTIENTS),
     ("pregamp", "induced_pregamp_morphism", QUOTIENTS),
     ("pregamp", "_ideal_quotients", QUOTIENTS),
     ("gamp", "induced_gamp_morphism", QUOTIENTS),
     ("congruence", "ConcSemilattice.generated", frozenset({"_closure_labels"})),
+    ("constructions", "verify_square_facts", CLOSURES),
+    ("constructions", "refute_candidate", CLOSURES),
 ]
 
 
@@ -636,10 +641,10 @@ def test_quotient_diagram_quotients_each_node_once():
 
 def test_one_conc_per_call():
     # buttress hands the Conc it builds to the permutability check, and the
-    # square facts share the chain's Conc between facts (b) and (c): one
-    # build per algebra, the chain's included
+    # square facts build one Conc per lattice they are about (the chain and
+    # the factors of the three powers) and run no closure outside them
     from gampkit import build_named, build_square
-    from gampkit.congruence import ConcSemilattice, conc, principal_congruence
+    from gampkit.congruence import ConcSemilattice, _closure_labels, conc, principal_congruence
     from gampkit.constructions import verify_square_facts
     from gampkit.gamp import buttress
     from gampkit.poset import FinitePoset
@@ -656,10 +661,13 @@ def test_one_conc_per_call():
     init = ConcSemilattice.__init__
     counts = call_counts(lambda: buttress(alg, poset, phis, n_permutable=2), [init])
     assert counts == {"__init__": 1}
-    square = build_square("M3", 2)
-    assert len(square.a_square.objects) == 4
-    counts = call_counts(lambda: verify_square_facts(square), [init])
-    assert counts == {"__init__": 4}
+    for base, n, closures in [("M3", 2, 9), ("M3", 3, 10), ("L2", 3, 13)]:
+        square = build_square(base, n)
+        lattices = [square.chain_algebra] + [square.x_square.objects[p] for p in "lrt"]
+        builds = call_counts(lambda: [conc(a) for a in lattices], [_closure_labels])
+        assert builds == {"_closure_labels": closures}
+        counts = call_counts(lambda: verify_square_facts(square), [init, _closure_labels])
+        assert counts == {"__init__": 4, "_closure_labels": closures}, (base, n)
 
 
 @pytest.mark.parametrize("K", ["M3", "L2", "L3", "L4"])

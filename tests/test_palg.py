@@ -660,6 +660,53 @@ class TestProductLookups:
         assert out.stdout.split() == ["optimize", "1", "raised"]
 
 
+def rebuilt(alg):
+    """An equal copy of a plain algebra: a new object, its universe reversed."""
+    return PartialAlgebra(alg.stype, reversed(alg.universe), alg.ops)
+
+
+class TestProductEquality:
+    """Two recorded products compare by their factors, pair by pair; the
+    reference is the comparison of their plain twins' tables."""
+
+    def test_equal_powers_build_no_tables(self):
+        a, b = build_named("power:M3:3").algebra, build_named("power:M3:3").algebra
+        assert a is not b and a == b
+        assert "ops" not in vars(a) and "ops" not in vars(b)
+
+    def test_unequal_factors(self, m3, n5):
+        power = build_named("power:M3:3").algebra
+        assert power != PartialAlgebra.product([m3, m3, n5])
+        assert power != PartialAlgebra.product([m3, m3])
+        assert "ops" not in vars(power)
+
+    def test_one_recorded_side_compares_tables(self, m3):
+        power = PartialAlgebra.product([m3, m3])
+        assert power == plain_twin([m3, m3]) and plain_twin([m3, m3]) == power
+        assert "ops" in vars(power)
+
+    def test_an_empty_factor_empties_the_product(self, m3, n5):
+        empty = PartialAlgebra(LATTICE_TYPE, [], {})
+        assert PartialAlgebra.product([empty, m3]) == PartialAlgebra.product([n5, empty, n5])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(cgf_algebras(max_size=3), min_size=1, max_size=3), st.data())
+    def test_matches_the_tables(self, factors, data):
+        kind = data.draw(st.sampled_from(["rebuilt", "replace", "extend", "shorten"]))
+        others = [rebuilt(f) for f in factors]
+        if kind == "replace":
+            others[data.draw(st.integers(0, len(factors) - 1))] = data.draw(cgf_algebras(3))
+        elif kind == "extend":
+            others.insert(data.draw(st.integers(0, len(factors))), data.draw(cgf_algebras(3)))
+        elif kind == "shorten" and len(others) > 1:
+            others.pop(data.draw(st.integers(0, len(factors) - 1)))
+        left, right = PartialAlgebra.product(factors), PartialAlgebra.product(others)
+        expected = plain_twin(factors) == plain_twin(others)
+        assert expected or kind != "rebuilt"
+        assert (left == right) == (right == left) == expected
+        assert "ops" not in vars(left) and "ops" not in vars(right)
+
+
 class TestChainColimit:
     def test_constant_identity_chain(self, m3):
         f = PalgMorphism.identity(m3)
