@@ -26,7 +26,7 @@ from .palg import (
 )
 from .poset import FinitePoset
 from .semilattice import SemMorphism, ker0
-from .pregamp import Pregamp, check_axioms, is_pregamp_of
+from .pregamp import Pregamp, _first_incompatible, _first_not_below, check_axioms, is_pregamp_of
 from .gamp import (
     Gamp,
     GampMorphism,
@@ -807,55 +807,48 @@ def algebra_square_candidate(square):
 
 
 class _NodeState:
-    """Partial outer structure of one node during enumeration.
+    """Partial outer structure of one node during enumeration, on indices.
 
-    Inner cells are fixed; pad rows and decided cells accumulate; checks are
-    incremental where cheap and full at node completion.
+    D is the distance matrix on indices into cs.elements: the inner points
+    0..n-1 in inner-universe order, then the pad, once placed, at n. It
+    starts as the inner pregamp's dist_rows. place_row replaces D by a new
+    matrix and never changes it in place, since the snapshots of gamp() alias
+    it as their dist_rows. Inner cells are fixed; decided cells accumulate,
+    keyed by labels; checks are incremental where cheap and full at node
+    completion.
     """
 
-    def __init__(self, inner, cs, theta):
-        self.inner = inner
-        self.cs = cs
-        self.theta = dict(theta)  # (x, y) -> congruence, on inner pairs
-        self.pads = []
-        self.rows = {}  # pad -> {element -> semilattice value}
+    def __init__(self, inner, cs, dist_rows, pad):
+        self.inner, self.cs, self.inner_rows, self.pad = inner, cs, dist_rows, pad
+        self.index = {x: i for i, x in enumerate([*inner.universe, pad])}
+        self.J, self.zero = cs.join_rows, cs.index(cs.zero)
         self.cells = {}  # (op, a, b) -> value
+        self.place_row(None)
+
+    def place_row(self, row):
+        """Put the pad at index n with the given distances to the inner
+        points, or, for None, leave the node without a pad."""
+        self.pads, self.D = [], self.inner_rows
+        if row is not None:
+            self.pads = [self.pad]
+            self.D = [[*r, d] for r, d in zip(self.D, row)] + [[*row, self.zero]]
 
     def universe(self):
         return list(self.inner.universe) + self.pads
-
-    def delta(self, x, y):
-        if x == y:
-            return self.cs.zero
-        if (x, y) in self.theta:
-            return self.theta[(x, y)]
-        if x in self.rows and y in self.rows[x]:
-            return self.rows[x][y]
-        if y in self.rows and x in self.rows[y]:
-            return self.rows[y][x]
-        raise KeyError((x, y))
 
     def cell(self, op, a, b):
         if (op, a, b) in self.cells:
             return self.cells[(op, a, b)]
         return self.inner.ops[op].get((a, b), UNDEFINED)
 
-    def defined_cells(self):
-        for op in ("meet", "join"):
-            for args, v in self.inner.ops[op].items():
-                yield (op, args[0], args[1], v)
-        for (op, a, b), v in self.cells.items():
-            yield (op, a, b, v)
-
     def compatible_with(self, op, a, b, v):
-        """Distance axiom for operations against every decided cell."""
-        for (op2, a2, b2, v2) in self.defined_cells():
-            if op2 != op:
-                continue
-            bound = self.cs.join(self.delta(a, a2), self.delta(b, b2))
-            if not self.cs.leq(self.delta(v, v2), bound):
-                return False
-        return True
+        """Distance axiom for operations between the new cell and every
+        defined cell of op, by check_axioms' own per-cell routine."""
+        ix = self.index
+        decided = [((ix[a2], ix[b2]), ix[v2]) for (o, a2, b2), v2 in self.cells.items() if o == op]
+        args, values = zip(*self.inner.index_tables[1][op].items(), *decided)
+        row, v = (ix[a], ix[b]), ix[v]
+        return _first_incompatible(self.D, self.J, self.zero, row, v, zip(*args), values) is None
 
     def quick_identities_ok(self, op, a, b, v):
         """Local instances touching the new cell: idempotence, commutativity,
@@ -883,10 +876,12 @@ class _NodeState:
 
     def gamp(self):
         """The node as it stands: its inner part in the decided outer structure."""
-        universe = self.universe()
+        universe, els = self.universe(), self.cs.elements
         alg = PartialAlgebra(LATTICE_TYPE, universe, self.tables(), validate=False)
-        dist = {(x, y): self.delta(x, y) for x in universe for y in universe}
-        return Gamp(self.inner, Pregamp(alg, dist, self.cs), validate=False)
+        dist = {(x, y): els[d] for x, r in zip(universe, self.D) for y, d in zip(universe, r)}
+        pg = Pregamp(alg, dist, self.cs)
+        pg.dist_rows = self.D  # the same matrix, on the same universe order
+        return Gamp(self.inner, pg, validate=False)
 
     def node_checks(self, label, n):
         """The node conditions of a candidate; None when fine, a pruning
@@ -898,27 +893,22 @@ class _NodeState:
                 return CandidateOutcome("pruned", reason, detail=(label, viol))
 
 
-def _nonzero_row_options(state, pad):
-    """Axiom-consistent distance rows for a pad, by entrywise backtracking."""
-    cs = state.cs
-    others = [x for x in state.universe() if x != pad]
-    nonzero = [d for d in cs.elements if d != cs.zero]
+def _nonzero_row_options(state):
+    """The pad's distance rows, as index lists over the inner points, by
+    entrywise backtracking on nonzero distances: each triangle through the
+    pad is checked with check_axioms' own _first_not_below."""
+    D, J = state.D, state.J
+    nonzero = [d for d in range(len(J)) if d != state.zero]
 
     def fits(row, x):
+        # the triangles pad, x, y for each y placed before x: each side below the others' join
         d = row[x]
-        for y, dy in row.items():
-            if y == x:
-                continue
-            dxy = state.delta(x, y)
-            if not (
-                cs.leq(d, cs.join(dy, dxy))
-                and cs.leq(dy, cs.join(d, dxy))
-                and cs.leq(dxy, cs.join(d, dy))
-            ):
-                return False
-        return True
+        return all(
+            _first_not_below(J, (d, dy, dxy), (J[dy][dxy], J[d][dxy], J[d][dy])) is None
+            for dy, dxy in zip(row.values(), D[x][:x])
+        )
 
-    return list(assignments(others, nonzero, fits))
+    return [list(row.values()) for row in assignments(range(len(state.inner)), nonzero, fits)]
 
 
 def _witness_options(state, pg, xs, n):
@@ -1024,8 +1014,11 @@ def enumerate_candidates(square, n, size_bound=1):
             raise SearchExhausted("search nodes of the candidate enumeration", MAX_NODES)
 
     order = poset.linear_extension()
-    states = {p: _NodeState(a_algs[p], g.sem, g.pregamp.dist) for p, g in gas.objects.items()}
     pads = {p: f"p{p}" for p in order}
+    states = {
+        p: _NodeState(a_algs[p], g.sem, g.pregamp.dist_rows, pads[p])
+        for p, g in gas.objects.items()
+    }
     covers = poset.covers()
     lower = {q: [p for (p, q2) in covers if q2 == q] for q in order}
     inner_maps = {
@@ -1107,25 +1100,24 @@ def enumerate_candidates(square, n, size_bound=1):
         """
         node = order[k]
         state = states[node]
-        pad = pads[node]
-        used_pad = pad in reach[node]
-        state.pads = [pad] if used_pad else []
-        state.rows = {}
+        pad = len(state.inner)  # the pad's index
+        used_pad = pads[node] in reach[node]
+        state.place_row(None)
         state.cells = {}
         arrow_maps.update(maps)
         placed = tuple(m[pads[p]] for (p, _), m in maps.items() if pads[p] in m)
-        forced_row = {}
+        forced_row = {}  # inner index -> the pad's distance to it
         for (p, _), m in maps.items():
             src = states[p]
-            push = conc_f[(p, node)]
-            for x in src.universe():
-                for y in src.universe():
-                    want = push(src.delta(x, y))
-                    u, v = m[x], m[y]
-                    if u == v or pad not in (u, v):
-                        ok = state.delta(u, v) == want
-                    else:
+            push = [state.cs.index(conc_f[(p, node)](d)) for d in src.cs.elements]
+            image = [state.index[m[x]] for x in src.universe()]
+            for u, r in zip(image, src.D):
+                for v, d in zip(image, r):
+                    want = push[d]
+                    if pad in (u, v) and u != v:
                         ok = forced_row.setdefault(v if u == pad else u, want) == want
+                    else:
+                        ok = want == (state.zero if u == v else state.D[u][v])
                     if not ok:
                         yield CandidateOutcome(
                             "pruned", "distance-equivariance", detail=(node, placed)
@@ -1135,8 +1127,8 @@ def enumerate_candidates(square, n, size_bound=1):
         if used_pad:
             rows = [
                 row
-                for row in _nonzero_row_options(state, pad)
-                if forced_row.items() <= row.items()
+                for row in _nonzero_row_options(state)
+                if all(row[x] == d for x, d in forced_row.items())
             ]
             if not rows and maps:  # a minimal node without rows has no arrow to blame
                 yield CandidateOutcome(
@@ -1145,7 +1137,7 @@ def enumerate_candidates(square, n, size_bound=1):
                 return
         for row in rows:
             tick()
-            state.rows = {pad: row} if row is not None else {}
+            state.place_row(row)
             added = []
             for (p, _), m in maps.items():
                 more = _push_cells(state, states[p].cells, m)
@@ -1195,14 +1187,12 @@ def enumerate_candidates(square, n, size_bound=1):
             hit = False
             for v in state.universe():
                 tick()
-                if not state.quick_identities_ok(op, a, b, v):
-                    continue
-                if not state.compatible_with(op, a, b, v):
+                added = _try_add_cells(state, {(op, a, b): v})
+                if added is None:
                     continue
                 hit = True
-                state.cells[(op, a, b)] = v
                 yield from fill(idx + 1)
-                del state.cells[(op, a, b)]
+                _undo_cells(state, added)
             if not hit:
                 yield CandidateOutcome(
                     "pruned", "operational-cell", detail=(node, (op, a, b))

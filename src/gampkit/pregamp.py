@@ -32,7 +32,9 @@ class Pregamp:
     The distance axioms (separation, symmetry, triangle, compatibility with
     every defined operation) are what make quotients by semilattice ideals
     work; check_axioms verifies them on indices, reading dist_rows and the
-    semilattice's join_rows. The chain condition of congruence reads the
+    semilattice's join_rows. Its per-cell compatibility check,
+    _first_incompatible, is the one compatibility routine: the candidate
+    enumerator runs it too. The chain condition of congruence reads the
     same two tables.
     """
 
@@ -76,6 +78,19 @@ def _first_not_below(J, values, bounds):
     return next(compress(count(), map(ne, joined, bounds)), None)
 
 
+def _first_incompatible(D, J, zero, row, value, columns, values):
+    """The first position k at which the cell row -> value breaks
+    compatibility with the cell (column entries at k) -> values[k], or None:
+    d(value, values[k]) must lie below the join over the slots s of
+    d(row[s], columns[s][k]). Points index D, distances index J."""
+    # the join of d(a_s, b_s) over the slots, for each other cell
+    bounds = [zero] * len(values)
+    for a, column in zip(row, columns):
+        slot = map(D[a].__getitem__, column)
+        bounds = list(map(getitem, map(J.__getitem__, bounds), slot))
+    return _first_not_below(J, map(D[value].__getitem__, values), bounds)
+
+
 def check_axioms(pg):
     """Verify the four distance axioms.
 
@@ -103,12 +118,7 @@ def check_axioms(pg):
         values = [tables[name][r] for r in rows]
         columns = list(zip(*rows))
         for args1, row1, v1 in zip(tuples, rows, values):
-            # the join of d(a_s, b_s) over the slots, for each args2
-            bounds = [zero] * len(tuples)
-            for a, column in zip(row1, columns):
-                slot = map(D[a].__getitem__, column)
-                bounds = list(map(getitem, map(J.__getitem__, bounds), slot))
-            k = _first_not_below(J, map(D[v1].__getitem__, values), bounds)
+            k = _first_incompatible(D, J, zero, row1, v1, columns, values)
             if k is not None:
                 return False, ("compatibility", (name, args1, tuples[k]))
     return True, None

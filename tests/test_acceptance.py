@@ -68,7 +68,10 @@ def test_criterion_1_congruence_oracle_equivalence(fixture_lattices):
     _report(1, "principal congruences match brute-force least congruences", t0, 10)
 
 
-@pytest.mark.parametrize("K,n,budget", [("M3", 2, 10), ("M3", 3, 10), ("L2", 3, 10)])
+# Budgets of 10x the median of five runs of the body, each in a fresh process
+# on a shared 2-core host, the convention for gates that run in milliseconds
+# (see the Con budgets below): medians 6.7 ms, 12.2 ms and 12.1 ms.
+@pytest.mark.parametrize("K,n,budget", [("M3", 2, 0.067), ("M3", 3, 0.12), ("L2", 3, 0.12)])
 def test_criterion_2_square_facts(K, n, budget):
     t0 = time.monotonic()
     square = build_square(K, n)
@@ -220,6 +223,8 @@ def test_criterion_6_kposet_covers():
 
 
 def test_criterion_7_refutation_exhaustive():
+    # budget 10x the median of five fresh-process runs of the body, 18.3 ms,
+    # as for criterion 2
     t0 = time.monotonic()
     square = build_square("M3", 2)
     bound = 1
@@ -253,7 +258,7 @@ def test_criterion_7_refutation_exhaustive():
         f"  bound={bound} candidates={candidates} rejected={rejected} "
         f"pruned-classes={pruned}"
     )
-    _report(7, "exhaustive refutation sweep at padding bound 1", t0, 1800)
+    _report(7, "exhaustive refutation sweep at padding bound 1", t0, 0.18)
 
 
 def test_criterion_8_malcev_soundness(fixture_lattices):

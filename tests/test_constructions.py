@@ -1,5 +1,6 @@
 import dataclasses
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -28,9 +29,11 @@ from gampkit.errors import (
     UnknownName,
 )
 from gampkit.gamp import Gamp, GampMorphism
-from gampkit.palg import LATTICE_TYPE, PalgMorphism, PartialAlgebra, is_lattice_algebra
+from gampkit.palg import (
+    LATTICE_TYPE, UNDEFINED, PalgMorphism, PartialAlgebra, is_lattice_algebra,
+)
 from gampkit.poset import FinitePoset
-from gampkit.pregamp import Pregamp
+from gampkit.pregamp import Pregamp, check_axioms
 
 
 class TestNamedLattices:
@@ -413,6 +416,50 @@ class TestRefutation:
         assert exc.value.detail == ("o", ("no interpolants", (0, 1, 2)))
         assert padded.label == "padded[o]"
         constructions._candidate_preconditions(square.ga_square, padded.diagram, 2)
+
+
+class TestNodeStateAgreesWithCheckAxioms:
+    # the enumerator's incremental checks on a node's index matrix accept
+    # exactly what check_axioms accepts on the node's snapshot, at every node
+    # of the square with at most this many candidate pad rows
+    ROW_CAP = 3000
+
+    @pytest.mark.parametrize("K, checked", [("M3", 4), ("L2", 1), ("L3", 2), ("L4", 4)])
+    def test_rows_and_cells(self, K, checked):
+        nodes = 0
+        for g in build_square(K, 2).ga_square.objects.values():
+            state = constructions._NodeState(g.inner, g.sem, g.pregamp.dist_rows, "p")
+            nonzero = [d for d in range(len(g.sem)) if d != state.zero]
+            if len(nonzero) ** len(g.inner) > self.ROW_CAP:
+                continue
+            nodes += 1
+            passing = []
+            for row in map(list, product(nonzero, repeat=len(g.inner))):
+                state.place_row(row)
+                if check_axioms(state.gamp().pregamp)[0]:
+                    passing.append(row)
+            state.place_row(None)
+            assert constructions._nonzero_row_options(state) == passing
+            assert passing
+            state.place_row(passing[0])
+            universe = state.universe()
+            # each undefined cell at each value, first with no decided cell,
+            # then with the first compatible one decided
+            for _ in range(2):
+                accepted = []
+                for op, a, b in product(("meet", "join"), universe, universe):
+                    if state.cell(op, a, b) is not UNDEFINED:
+                        continue
+                    for v in universe:
+                        state.cells[(op, a, b)] = v
+                        ok, viol = check_axioms(state.gamp().pregamp)
+                        del state.cells[(op, a, b)]
+                        assert ok or viol[0] == "compatibility"
+                        assert state.compatible_with(op, a, b, v) == ok, (op, a, b, v, viol)
+                        if ok:
+                            accepted.append(((op, a, b), v))
+                state.cells.update(accepted[:1])
+        assert nodes == checked
 
 
 def _chain_onto_two_square(k=3):

@@ -492,24 +492,29 @@ def test_tables_change_only_in_construction(path):
     assert [m for m in table_mutations(path.read_text()) if m[1] != TABLE_OWNERS[m[2]]] == []
 
 
-# The chain-condition search and quotient_pregamp read a pregamp's distances
-# through one path, its integer matrix dist_rows; these attributes are the
-# label paths it replaced.
+# The chain-condition search, quotient_pregamp and the candidate enumerator
+# read distances through one path, an integer matrix such as dist_rows; these
+# attributes are the label paths it replaced.
 LABEL_DISTANCES = frozenset({"dist", "delta", "distances"})
 CHAIN_SEARCH = (
     "_interpolants", "_parity_joins", "chain_interpolants", "_chain_verdict",
     "_chain_condition_failures",
 )
-DIST_ROWS_READERS = [("congruence", set(CHAIN_SEARCH)), ("pregamp", {"quotient_pregamp"})]
+ENUMERATOR = ("_NodeState", "_nonzero_row_options", "enumerate_candidates")
+DIST_ROWS_READERS = [
+    ("congruence", set(CHAIN_SEARCH)),
+    ("pregamp", {"quotient_pregamp"}),
+    ("constructions", set(ENUMERATOR)),
+]
 
 
 def label_distance_reads(source, functions):
-    """(function, line, attribute) of each read of a .dist, .delta or
-    .distances attribute inside the named module-level functions of the
-    source, nested functions included."""
+    """(function or class, line, attribute) of each read of a .dist, .delta or
+    .distances attribute inside the named module-level functions and classes
+    of the source, nested functions and methods included."""
     found = []
     for node in ast.parse(source).body:
-        if isinstance(node, ast.FunctionDef) and node.name in functions:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in functions:
             for n in ast.walk(node):
                 if isinstance(n, ast.Attribute) and n.attr in LABEL_DISTANCES:
                     found.append((node.name, n.lineno, n.attr))
@@ -526,16 +531,24 @@ def test_label_distance_detector_flags_reads():
         "    def step(a, b):\n"
         "        return sem.distances()[(a, b)]\n"
         "    return pg.dist_rows, step\n"
+        "class State:\n"
+        "    def bound(self, x, y):\n"
+        "        return self.delta(x, y), self.D[x][y]\n"
+        "class Other:\n"
+        "    def bound(self):\n"
+        "        return self.dist\n"
     )
-    assert label_distance_reads(source, {"search", "nested"}) == [
-        ("nested", 7, "distances"), ("search", 2, "delta"), ("search", 2, "dist"),
+    assert label_distance_reads(source, {"search", "nested", "State"}) == [
+        ("State", 11, "delta"), ("nested", 7, "distances"), ("search", 2, "delta"),
+        ("search", 2, "dist"),
     ]
 
 
 @pytest.mark.parametrize("module, functions", DIST_ROWS_READERS, ids=[m for m, _ in DIST_ROWS_READERS])
 def test_chain_condition_reads_one_distance_path(module, functions):
     source = (SRC / f"{module}.py").read_text()
-    defined = {n.name for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+    defs = (ast.FunctionDef, ast.ClassDef)
+    defined = {n.name for n in ast.parse(source).body if isinstance(n, defs)}
     assert functions <= defined
     assert label_distance_reads(source, functions) == []
 
@@ -683,3 +696,11 @@ def test_square_facts_build_no_power_tables(K):
     large = [a for a in square.a_square.objects.values() if len(a) > FACTORWISE_CHECK_BOUND]
     assert len(large) == 3
     assert all("ops" not in vars(a) for a in large)
+
+
+@pytest.mark.parametrize("qualname", ["_NodeState", "_nonzero_row_options"])
+def test_enumerator_checks_axioms_on_indices(qualname):
+    # the node state and the pad-row search check the distance axioms on
+    # index rows through pregamp's routines, never by a label join or order
+    called = called_names((SRC / "constructions.py").read_text(), qualname)
+    assert called is not None and called & {"join", "leq"} == set()
