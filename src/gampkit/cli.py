@@ -8,6 +8,7 @@ Reports are deterministic for fixed inputs and bounds.
 """
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -467,10 +468,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The argparse tree, built once per process: parsing reads it and
+    changes nothing in it, so each run starts from the same defaults."""
+    return build_parser()
+
+
 def run(argv):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 3 if e.code not in (0, None) else 0
     try:

@@ -135,9 +135,10 @@ class PartialAlgebra:
             return False
         ok = _is_lattice_order(self)
         if len(self) <= LATTICE_CHECK_BOUND:
-            by_identities = all(
-                satisfies_identity(self, t1, t2)[0] for _, t1, t2 in LATTICE_IDENTITIES
+            found = first_counterexamples(
+                compile_identities(LATTICE_IDENTITIES), range(len(self)), self.index_tables[1]
             )
+            by_identities = all(ce is None for ce in found)
             cross_check(ok == by_identities, "meet order and lattice identities disagree")
         return ok
 
@@ -276,11 +277,6 @@ class Term:
     def app(cls, name, *args):
         return cls("app", name=name, args=args)
 
-    def nvars(self):
-        if self.kind == "var":
-            return self.var + 1
-        return max((a.nvars() for a in self.args), default=0)
-
     def eval(self, algebra, env):
         if self.kind == "var":
             return env[self.var]
@@ -318,7 +314,7 @@ def join(a, b):
     return Term.app("join", a, b)
 
 
-LATTICE_IDENTITIES = [
+LATTICE_IDENTITIES = (
     ("meet-idempotent", meet(Term.v(0), Term.v(0)), Term.v(0)),
     ("join-idempotent", join(Term.v(0), Term.v(0)), Term.v(0)),
     ("meet-commutative", meet(Term.v(0), Term.v(1)), meet(Term.v(1), Term.v(0))),
@@ -327,7 +323,7 @@ LATTICE_IDENTITIES = [
     ("join-associative", join(join(Term.v(0), Term.v(1)), Term.v(2)), join(Term.v(0), join(Term.v(1), Term.v(2)))),
     ("meet-absorption", meet(Term.v(0), join(Term.v(0), Term.v(1))), Term.v(0)),
     ("join-absorption", join(Term.v(0), meet(Term.v(0), Term.v(1))), Term.v(0)),
-]
+)
 
 MODULAR_LAW = (
     meet(Term.v(0), join(Term.v(1), meet(Term.v(0), Term.v(2)))),
@@ -544,37 +540,183 @@ def preimage_palg(f, sub):
     return PartialAlgebra(f.source.stype, universe, ops, validate=False)
 
 
+# Most cells a column of the identity kernel holds in one block, unless one
+# value of the first variable alone needs more.
+IDENTITY_CELLS = 1 << 12
+
+
+class _Identities:
+    """An identity list compiled for first_counterexamples.
+
+    nodes: the distinct subterms of all identities as one DAG in evaluation
+    order (arguments first), each (name, arguments, variables) with the
+    variables a sorted tuple and each argument (node, stretch plan to this
+    node's grid); a variable is (None, (), (v,)). sides: per identity, its
+    two sides' nodes with their plans to the joint grid, the joint
+    variables and its variable count k. reads: per identity, the nodes it
+    reads in evaluation order, split into those without and those with the
+    first variable.
+    """
+
+    __slots__ = ("names", "nodes", "sides", "reads")
+
+    def __init__(self, identities):
+        self.names, self.nodes, self.sides, self.reads = [], [], [], []
+        number, seen, below = {}, {}, []  # below: the nodes each node reads
+
+        def node(t):
+            # memoized by object first: Term.__hash__ walks the whole term
+            if id(t) not in seen:
+                if t.kind == "var":
+                    key, args, vs = (None, t.var), (), (t.var,)
+                else:
+                    key = (t.name, tuple(map(node, t.args)))
+                    vs = tuple(sorted({v for a in key[1] for v in self.nodes[a][2]}))
+                    args = tuple((a, _plan(self.nodes[a][2], vs)) for a in key[1])
+                if key not in number:
+                    number[key] = len(self.nodes)
+                    below.append({len(self.nodes)}.union(*(below[a] for a, _ in args)))
+                    self.nodes.append((key[0], args, vs))
+                seen[id(t)] = number[key]
+            return seen[id(t)]
+
+        for name, t1, t2 in identities:
+            left, right = node(t1), node(t2)
+            joint = tuple(sorted({*self.nodes[left][2], *self.nodes[right][2]}))
+            self.names.append(name)
+            self.sides.append((
+                left, _plan(self.nodes[left][2], joint), right, _plan(self.nodes[right][2], joint),
+                joint, joint[-1] + 1 if joint else 0,
+            ))
+            reads = sorted(below[left] | below[right])
+            self.reads.append(tuple(
+                [j for j in reads if (0 in self.nodes[j][2]) == first] for first in (False, True)
+            ))
+
+
+def compile_identities(identities):
+    """Compile a list of (name, t1, t2) identities for first_counterexamples.
+    LATTICE_IDENTITIES is compiled once, at import: passing it returns that."""
+    if identities is LATTICE_IDENTITIES:
+        return _LATTICE_COMPILED
+    return _Identities(identities)
+
+
+def _plan(have, want):
+    """How a column over the grid of the variables `have` becomes a column
+    over the grid of `want`, a sorted superset: per added variable v in
+    increasing order, (v, the number of variables after it so far, whether
+    none comes before it). None when nothing is added."""
+    steps = []
+    for v in want:
+        if v not in have:
+            after = sum(w > v for w in have)
+            steps.append((v, after, after == len(have)))
+            have = (*have, v)
+    return tuple(steps) or None
+
+
+def _stretch(col, plan, n, b):
+    """Apply a _plan: each added variable repeats every run of cells over
+    the variables after it once per value. Grids are in product order; the
+    first variable ranges over b block heads, every other over n points."""
+    for v, after, leading in plan:
+        size = b if v == 0 else n
+        if leading:
+            col = col * size
+        elif not after:
+            # each cell `size` times in a row: one strided copy per repeat
+            out = [None] * (len(col) * size)
+            for r in range(size):
+                out[r::size] = col
+            col = out
+        else:
+            inner = n**after
+            col = list(chain.from_iterable(col[i : i + inner] * size for i in range(0, len(col), inner)))
+    return col
+
+
+_LATTICE_COMPILED = _Identities(LATTICE_IDENTITIES)
+
+
+def first_counterexamples(compiled, points, tables, upto=None):
+    """Each identity's first counterexample in product order over the points,
+    or None where it holds, for the first `upto` identities of the compiled
+    list (all by default). An identity holds when its sides agree wherever
+    both are defined.
+
+    tables maps each operation to its table from argument tuples of points
+    to the value point. Every subterm is one column over the grid of its own
+    variables, with None where it is undefined, a key no table has; a column
+    is stretched to its parents' grids. Subterms without the first variable
+    are evaluated once. The rest are evaluated per block of consecutive
+    values of the first variable, so that a column holds at most
+    IDENTITY_CELLS cells unless one value needs more: small carriers are one
+    block. An identity that failed is not evaluated again. A counterexample
+    is a tuple of k points, the first point where a variable is unused.
+    """
+    nodes, sides, reads = compiled.nodes, compiled.sides[:upto], compiled.reads
+    points = list(points)
+    n = len(points)
+    found = [None] * len(sides)
+    cols = {}
+
+    def evaluate(live, heads, first):
+        b = len(heads)
+        for j in sorted({j for i in live for j in reads[i][first]}):
+            name, args, vs = nodes[j]
+            if name is None:
+                cols[j] = heads if first else points
+            elif args:
+                arg_cols = [cols[a] if plan is None else _stretch(cols[a], plan, n, b) for a, plan in args]
+                cols[j] = list(map(tables[name].get, zip(*arg_cols)))
+            else:
+                cols[j] = [tables[name].get(())]
+
+    def compare(live, heads, start):
+        b = len(heads)
+        for i in live:
+            left, lplan, right, rplan, joint, k = sides[i]
+            c1 = cols[left] if lplan is None else _stretch(cols[left], lplan, n, b)
+            c2 = cols[right] if rplan is None else _stretch(cols[right], rplan, n, b)
+            if c1 == c2:
+                continue
+            for pos in compress(count(), map(ne, c1, c2)):
+                if c1[pos] is not None and c2[pos] is not None:
+                    value = {}
+                    for v in reversed(joint):
+                        pos, d = divmod(pos, b if v == 0 else n)
+                        value[v] = points[start + d] if v == 0 else points[d]
+                    found[i] = tuple(value.get(v, points[0]) for v in range(k))
+                    break
+
+    # with no points only a ground identity has an assignment to check
+    live = [i for i, side in enumerate(sides) if n or not side[5]]
+    evaluate(live, [], False)
+    compare([i for i in live if 0 not in sides[i][4]], [], 0)
+    live = [i for i in live if 0 in sides[i][4]]
+    if live:
+        width = max(len(sides[i][4]) for i in live)
+        b = max(1, IDENTITY_CELLS // n ** (width - 1))
+        for start in range(0, n, b):
+            live = [i for i in live if found[i] is None]
+            if not live:
+                break
+            heads = points[start : start + b]
+            evaluate(live, heads, True)
+            compare(live, heads, start)
+    return found
+
+
 def satisfies_identity(algebra, t1, t2):
     """True iff t1 and t2 agree wherever both are defined; else the first
-    counterexample tuple in product order over the universe.
-
-    Evaluated column-wise on the index tables, one slice per value of the
-    first variable: a subterm is one column over the slice's assignments,
-    with None where it is undefined, a key no table has.
-    """
-    universe, tables = algebra.universe, algebra.index_tables[1]
-    k = max(t1.nvars(), t2.nvars())
-    rest = list(product(range(len(universe)), repeat=max(k - 1, 0)))
-    tails = list(zip(*rest))
-
-    def column(t, memo, cols):
-        # memoized by identity: Term.__hash__ walks the whole term
-        if id(t) not in memo:
-            if t.kind == "var":
-                memo[id(t)] = cols[t.var]
-            else:
-                args = zip(*(column(a, memo, cols) for a in t.args)) if t.args else [()] * len(rest)
-                memo[id(t)] = list(map(tables[t.name].get, args))
-        return memo[id(t)]
-
-    for head in [()] if k == 0 else [(i,) for i in range(len(universe))]:
-        cols = [[i] * len(rest) for i in head] + tails
-        memo = {}
-        c1, c2 = column(t1, memo, cols), column(t2, memo, cols)
-        for pos in compress(count(), map(ne, c1, c2)):
-            if c1[pos] is not None and c2[pos] is not None:
-                return False, tuple(universe[i] for i in head + rest[pos])
-    return True, None
+    counterexample tuple in product order over the universe. One call of
+    first_counterexamples on the index tables."""
+    universe = algebra.universe
+    [found] = first_counterexamples(
+        compile_identities([(None, t1, t2)]), range(len(universe)), algebra.index_tables[1]
+    )
+    return (True, None) if found is None else (False, tuple(map(universe.__getitem__, found)))
 
 
 # Largest algebra on which is_lattice_algebra cross-checks its order verdict

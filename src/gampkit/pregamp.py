@@ -8,10 +8,11 @@ from operator import getitem, ne
 from .errors import IdealNotMapped, cross_check
 from .palg import (
     PalgMorphism,
+    compile_identities,
+    first_counterexamples,
     image_palg,
     is_palg_isomorphism,
     product_closure,
-    satisfies_identity,
 )
 from .semilattice import (
     SemIdeal,
@@ -223,15 +224,21 @@ def canonical_embedding(sub, pg):
     )
 
 
+def _ideal_classes(pg, ideal):
+    """For each point's index, the index of the first point at a distance
+    inside the ideal from it: its class's representative. Reads dist_rows."""
+    D = pg.dist_rows
+    inside = [x in ideal for x in pg.sem.elements]
+    return [next(j for j, row in enumerate(D) if inside[row[i]]) for i in range(len(D))]
+
+
 def _quotient_carrier(pg, ideal):
     """The carrier of pg/I and the map onto it: points are identified when
     their distance lies in the ideal, classes labeled by their first
-    universe member, and definedness sets and tables push forward
-    (image_palg). Reads dist_rows."""
-    A, D = pg.carrier, pg.dist_rows
-    inside = [x in ideal for x in pg.sem.elements]
-    first = [next(j for j, row in enumerate(D) if inside[row[i]]) for i in range(len(A))]
-    rep = {x: A.universe[j] for x, j in zip(A.universe, first)}
+    universe member (_ideal_classes), and definedness sets and tables push
+    forward (image_palg)."""
+    A = pg.carrier
+    rep = {x: A.universe[j] for x, j in zip(A.universe, _ideal_classes(pg, ideal))}
     return image_palg(PalgMorphism(A, A, rep, validate=False)), rep
 
 
@@ -306,18 +313,37 @@ def is_ideal_induced_pg(fm):
 IDEAL_BOUND = 4096
 
 
-def _ideal_quotients(pg):
-    """Each ideal of the distance semilattice with its quotient carrier."""
+def _first_variety_failure(pg, compiled):
+    """The first identity of the compiled list that some ideal quotient
+    fails, with the first such ideal and that quotient's first
+    counterexample, as (position, ideal, counterexample); None if every
+    quotient satisfies every identity.
+
+    One kernel call per ideal checks every identity still in question. The
+    quotient's carrier is the carrier's index_tables pushed forward through
+    the ideal's classes (_ideal_classes, the map _quotient_carrier uses)
+    over the class representatives, in the order they first appear, as
+    image_palg lists them; nothing else is built per ideal. A failure
+    settles every later identity, so the later calls check only the
+    identities before it.
+    """
+    A = pg.carrier
+    tables = A.index_tables[1]
+    failure, upto = None, len(compiled.sides)
     for ideal in enumerate_ideals(pg.sem, bound=IDEAL_BOUND):
-        yield ideal, _quotient_carrier(pg, ideal)[0]
-
-
-def _first_failure(quotients, t1, t2):
-    for ideal, carrier in quotients:
-        ok, ce = satisfies_identity(carrier, t1, t2)
-        if not ok:
-            return ideal, ce
-    return None
+        if not upto:
+            break
+        rep = _ideal_classes(pg, ideal)
+        pushed = {
+            name: {tuple(map(rep.__getitem__, args)): rep[v] for args, v in table.items()}
+            for name, table in tables.items()
+        }
+        found = first_counterexamples(compiled, dict.fromkeys(rep), pushed, upto)
+        for i, ce in enumerate(found):
+            if ce is not None:
+                failure, upto = (i, ideal, tuple(map(A.universe.__getitem__, ce))), i
+                break
+    return failure
 
 
 def pregamp_satisfies_identity(pg, t1, t2):
@@ -327,20 +353,21 @@ def pregamp_satisfies_identity(pg, t1, t2):
     carrier satisfying the identity. Returns (True, None) or
     (False, (ideal, counterexample tuple)).
     """
-    wit = _first_failure(_ideal_quotients(pg), t1, t2)
-    return wit is None, wit
+    failure = _first_variety_failure(pg, compile_identities([(None, t1, t2)]))
+    return (True, None) if failure is None else (False, failure[1:])
 
 
 def is_pregamp_of(pg, identities):
     """Membership in the variety cut out by the named identity list; the
-    witness is the first failing identity with its first failing ideal.
-    Each ideal quotient is computed once for all identities."""
-    quotients = list(_ideal_quotients(pg))
-    for name, t1, t2 in identities:
-        wit = _first_failure(quotients, t1, t2)
-        if wit is not None:
-            return False, (name, wit)
-    return True, None
+    witness is the first failing identity with its first failing ideal and
+    that quotient's first counterexample. The list is compiled once, and
+    each ideal quotient is checked against every identity in one pass."""
+    compiled = compile_identities(identities)
+    failure = _first_variety_failure(pg, compiled)
+    if failure is None:
+        return True, None
+    i, ideal, ce = failure
+    return False, (compiled.names[i], (ideal, ce))
 
 
 def _unordered_pairs(points):

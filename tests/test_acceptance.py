@@ -4,6 +4,7 @@ with its runtime against the stated budget."""
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -39,9 +40,9 @@ from gampkit.gamp import (
     is_chain,
     quotient_gamp,
 )
-from gampkit.palg import PalgMorphism, is_lattice_algebra
+from gampkit.palg import LATTICE_IDENTITIES, PalgMorphism, is_lattice_algebra
 from gampkit.poset import FinitePoset, KPosetSpec, kposet, kposet_cover_check
-from gampkit.pregamp import check_axioms, pga
+from gampkit.pregamp import check_axioms, is_pregamp_of, pga
 from gampkit.semilattice import SemIdeal, SemMorphism, enumerate_ideals, quotient
 
 
@@ -361,6 +362,31 @@ def test_budget_check_axioms_on_m3_squared():
     t0 = time.monotonic()
     assert check_axioms(pg) == (True, None)
     _report("budget", "check_axioms(pga(power:M3:2))", t0, 1)
+
+
+def test_budget_is_pregamp_of_on_m3_cubed():
+    # the lattice identities on the 8 ideal quotients of a 125-element
+    # pregamp, one kernel call per ideal: median 0.71 s, budget 5x. Then the
+    # same call under tracemalloc: its blocks hold one value of the first
+    # variable at 125 points, so columns of 125^2 cells, and it peaked at
+    # 1.3 MB; evaluated on whole grids of 125^3 cells it peaked at 100 MB.
+    pg = pga(build_named("power:M3:3").algebra)
+    t0 = time.monotonic()
+    assert is_pregamp_of(pg, LATTICE_IDENTITIES) == (True, None)
+    _report("budget", "is_pregamp_of(pga(power:M3:3), LATTICE_IDENTITIES)", t0, 3.5)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert is_pregamp_of(pg, LATTICE_IDENTITIES) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 8e6, f"is_pregamp_of(pga(power:M3:3)) peaked at {peak / 1e6:.1f} MB >= 8 MB"
+    print(f"ACCEPTANCE budget PASS (peak {peak / 1e6:.1f} MB < 8 MB): is_pregamp_of memory")
 
 
 def test_budget_buttress_m3_square_with_chains():

@@ -111,10 +111,15 @@ class TestImagePreimage:
         assert image_palg(inc) == sub
 
 
+def nvars(t):
+    """One more than the largest variable of the term, 0 if it has none."""
+    return t.var + 1 if t.kind == "var" else max(map(nvars, t.args), default=0)
+
+
 def brute_satisfies_identity(algebra, t1, t2):
     """Reference for satisfies_identity: evaluate both terms by Term.eval on
     every label tuple, in product order."""
-    n = max(t1.nvars(), t2.nvars())
+    n = max(nvars(t1), nvars(t2))
     for args in product(algebra.universe, repeat=n):
         v1 = t1.eval(algebra, args)
         if v1 is UNDEFINED:
@@ -133,11 +138,12 @@ LABELS = ["p", ("q",), "r0", ("s", 1), frozenset({"t"})]
 
 
 @st.composite
-def cgfh_algebras(draw):
-    """A partial algebra of CGFH_TYPE on 1 to 3 shuffled non-integer labels;
-    each cell is undefined or a random value."""
-    universe = draw(st.permutations(LABELS))[: draw(st.sampled_from([1, 2, 3, 3]))]
-    cell = st.sampled_from([*universe, *universe, None])
+def cgfh_algebras(draw, sizes=(1, 2, 3, 3), holes=1):
+    """A partial algebra of CGFH_TYPE on a size drawn from sizes of shuffled
+    non-integer labels; each cell is undefined, with weight holes, or one
+    of the labels, each with weight 2."""
+    universe = draw(st.permutations(LABELS))[: draw(st.sampled_from(sizes))]
+    cell = st.sampled_from([*universe, *universe, *[None] * holes])
     ops = {}
     for name, ar in CGFH_TYPE.symbols:
         cells = {args: draw(cell) for args in product(universe, repeat=ar)}
@@ -167,7 +173,82 @@ def identities(draw):
     return t1, t2
 
 
+@st.composite
+def terms_over(draw, variables, depth=3):
+    """A term of CGFH_TYPE whose variables lie in the given tuple, at most
+    depth deep; a leaf is one of the variables or the constant c."""
+    ar = draw(st.integers(-1, 3)) if depth else -1
+    if ar < 0:
+        var = draw(st.sampled_from([*variables, None]))
+        return Term.app("c") if var is None else V(var)
+    name = CGFH_TYPE.symbols[ar][0]
+    return Term.app(name, *(draw(terms_over(variables, depth - 1)) for _ in range(ar)))
+
+
+@st.composite
+def identity_lists(draw):
+    """One to four named identities of CGFH_TYPE, each over a random subset
+    of v0, v1, v2, so that some skip v0 and some are ground; a side may
+    apply g to a side of an earlier identity, so subterms are shared."""
+    identities, sides = [], []
+    for i in range(draw(st.integers(1, 4))):
+        variables = draw(st.lists(st.integers(0, 2), unique=True, max_size=3))
+        fresh = terms_over(tuple(sorted(variables)))
+        t1 = draw(st.one_of(fresh, st.sampled_from(sides).map(lambda t: Term.app("g", t))) if sides else fresh)
+        t2 = draw(st.one_of(fresh, st.just(Term.app("f", t1, t1))))
+        identities.append((f"law {i}", t1, t2))
+        sides += [t1, t2]
+    return identities
+
+
 class TestIdentities:
+    @settings(max_examples=300, deadline=None)
+    @given(cgfh_algebras(sizes=(0, 1, 2, 3, 3)), identity_lists(), st.booleans(), st.integers(0, 4))
+    def test_kernel_matches_the_label_loop(self, alg, identities, one_cell, upto):
+        # every identity of one compiled list in one call, against the label
+        # loop identity by identity; with one cell per block, every value of
+        # the first variable is its own block
+        compiled = palg.compile_identities(identities)
+        cells = 1 if one_cell else palg.IDENTITY_CELLS
+        with mock.patch.object(palg, "IDENTITY_CELLS", cells):
+            found = palg.first_counterexamples(compiled, range(len(alg)), alg.index_tables[1])
+            some = palg.first_counterexamples(compiled, range(len(alg)), alg.index_tables[1], upto)
+        assert len(found) == len(identities) and some == found[:upto]
+        for (_, t1, t2), ce in zip(identities, found):
+            ok, witness = brute_satisfies_identity(alg, t1, t2)
+            assert (ce is None) == ok
+            assert ok or tuple(alg.universe[i] for i in ce) == witness
+
+    def test_identity_skipping_the_first_variable(self):
+        # f(v2, c) = v2 fails first at v2 = "b"; the unused v0 and v1 take
+        # the first point
+        stype = SimilarityType((("c", 0), ("f", 2)))
+        alg = PartialAlgebra(stype, ["a", "b"], {"c": {(): "a"}, "f": {(x, "a"): "a" for x in "ab"}})
+        law = (Term.app("f", V(2), Term.app("c")), V(2))
+        for cells in (1, palg.IDENTITY_CELLS):
+            with mock.patch.object(palg, "IDENTITY_CELLS", cells):
+                assert satisfies_identity(alg, *law) == (False, ("a", "a", "b"))
+        assert brute_satisfies_identity(alg, *law) == (False, ("a", "a", "b"))
+
+    def test_lattice_identities_compiled_once(self, fixture_lattices):
+        # the import-time compilation is shared, its subterms are distinct,
+        # and one call answers the whole list as the one-identity calls do
+        compiled = palg.compile_identities(LATTICE_IDENTITIES)
+        assert compiled is palg.compile_identities(LATTICE_IDENTITIES)
+        keys = [(name, tuple(a for a, _ in args), vs) for name, args, vs in compiled.nodes]
+        # v0, v1, v2, the two idempotent sides, the four commutative ones,
+        # three per associative law and the two absorbing ones: meet(v0, v1)
+        # and join(v0, v1) are shared across laws
+        assert len(set(keys)) == len(keys) == 3 + 2 + 4 + 3 + 3 + 2
+        for alg in fixture_lattices.values():
+            found = palg.first_counterexamples(compiled, range(len(alg)), alg.index_tables[1])
+            assert found == [None] * len(LATTICE_IDENTITIES)
+        n5 = fixture_lattices["N5"]
+        laws = [*LATTICE_IDENTITIES, ("modular", *MODULAR_LAW)]
+        [*holds, ce] = palg.first_counterexamples(palg.compile_identities(laws), range(5), n5.index_tables[1])
+        assert holds == [None] * len(LATTICE_IDENTITIES)
+        assert (False, tuple(n5.universe[i] for i in ce)) == satisfies_identity(n5, *MODULAR_LAW)
+
     @settings(max_examples=300, deadline=None)
     @given(cgfh_algebras(), identities())
     def test_columns_match_the_label_loop(self, alg, terms):
@@ -179,6 +260,16 @@ class TestIdentities:
         for alg in fixture_lattices.values():
             for t1, t2 in laws:
                 assert satisfies_identity(alg, t1, t2) == brute_satisfies_identity(alg, t1, t2)
+
+    def test_lattice_corpus_in_one_value_blocks(self, fixture_lattices):
+        # one cell per block: each value of the first variable is a block,
+        # and a counterexample's first value is read off its block
+        laws = [(t1, t2) for _, t1, t2 in LATTICE_IDENTITIES] + [MODULAR_LAW]
+        laws += [(join(V(0), V(1)), meet(V(1), V(2))), (meet(V(1), V(2)), V(0))]
+        with mock.patch.object(palg, "IDENTITY_CELLS", 1):
+            for alg in fixture_lattices.values():
+                for t1, t2 in laws:
+                    assert satisfies_identity(alg, t1, t2) == brute_satisfies_identity(alg, t1, t2)
 
     def test_constants_only(self):
         # zero variables: one evaluation, whatever the universe
@@ -321,11 +412,18 @@ class TestLatticeOrder:
         order_check = palg._is_lattice_order
         with mock.patch.object(
             palg, "_is_lattice_order", lambda alg: decided.append(alg) or order_check(alg)
-        ), mock.patch.object(palg, "satisfies_identity", wraps=satisfies_identity) as identities:
+        ), mock.patch.object(
+            palg, "first_counterexamples", wraps=palg.first_counterexamples
+        ) as kernel:
             assert all(is_lattice_algebra(alg) for alg in (first, first, second, first, second))
         assert [id(alg) for alg in decided] == [id(first), id(second)]
-        # the identity cross-check runs with the first decision of each
-        assert identities.call_count == 2 * len(LATTICE_IDENTITIES)
+        # the identity cross-check runs with the first decision of each: one
+        # kernel call for all the lattice identities, on the algebra's tables
+        assert kernel.call_count == 2
+        for call, alg in zip(kernel.call_args_list, (first, second)):
+            compiled, points, tables = call.args
+            assert compiled.names == [name for name, _, _ in LATTICE_IDENTITIES]
+            assert list(points) == list(range(len(alg))) and tables is alg.index_tables[1]
 
     def test_cross_check_survives_optimize(self):
         code = textwrap.dedent(
@@ -352,7 +450,7 @@ class TestLatticeOrder:
     def test_large_algebra_skips_the_identities(self):
         # past LATTICE_CHECK_BOUND the order check alone decides
         alg = build_named("power:M3:2").algebra
-        with mock.patch.object(palg, "satisfies_identity", side_effect=AssertionError):
+        with mock.patch.object(palg, "first_counterexamples", side_effect=AssertionError):
             assert is_lattice_algebra(alg)
 
 

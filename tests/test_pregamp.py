@@ -1,8 +1,10 @@
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gampkit import pregamp
 from gampkit.congruence import conc, principal_congruence
 from gampkit.errors import IdealNotMapped
 from gampkit.palg import (
@@ -13,15 +15,18 @@ from gampkit.palg import (
     PartialAlgebra,
     SimilarityType,
     Term,
+    first_counterexamples,
 )
 from gampkit.pregamp import (
     Pregamp,
     PregampMorphism,
+    _quotient_carrier,
     canonical_embedding,
     check_axioms,
     is_congruence_tractable_morphism,
     is_distance_generated,
     is_ideal_induced_pg,
+    is_pregamp_of,
     induced_pregamp_morphism,
     pga,
     pga_mor,
@@ -31,6 +36,7 @@ from gampkit.pregamp import (
     sub_pregamp,
 )
 from gampkit.semilattice import JoinSemilattice, SemIdeal, SemMorphism, enumerate_ideals, quotient
+from test_palg import CGFH_TYPE, brute_satisfies_identity, cgfh_algebras, identity_lists
 from test_semilattice import (
     assert_descent_matches_reference,
     assert_quotient_matches_reference,
@@ -380,6 +386,113 @@ class TestIdealInducedPg:
         theta = principal_congruence(chain3, 0, 1)
         q, proj = quotient_algebra(chain3, theta)
         assert is_ideal_induced_pg(pga_mor(proj))
+
+
+def reference_is_pregamp_of(pg, identities):
+    """Reference for is_pregamp_of: each ideal quotient's carrier built by
+    _quotient_carrier, then each identity checked on every quotient in turn
+    by the label loop."""
+    quotients = [(ideal, _quotient_carrier(pg, ideal)[0]) for ideal in enumerate_ideals(pg.sem)]
+    for name, t1, t2 in identities:
+        for ideal, carrier in quotients:
+            ok, ce = brute_satisfies_identity(carrier, t1, t2)
+            if not ok:
+                return False, (name, (ideal, ce))
+    return True, None
+
+
+def assert_witnesses_match_the_reference(pg, identities):
+    # each kernel call runs on one ideal's quotient carrier, pushed forward
+    # on indices: the same points, in the same order, and the same tables
+    # as _quotient_carrier builds on labels
+    with mock.patch.object(pregamp, "first_counterexamples", wraps=first_counterexamples) as kernel:
+        assert is_pregamp_of(pg, identities) == reference_is_pregamp_of(pg, identities)
+    u = pg.carrier.universe
+    for call, ideal in zip(kernel.call_args_list, enumerate_ideals(pg.sem)):
+        _, points, tables, _ = call.args
+        carrier = _quotient_carrier(pg, ideal)[0]
+        assert [u[j] for j in points] == list(carrier.universe)
+        labeled = {
+            name: {tuple(u[a] for a in args): u[v] for args, v in table.items()}
+            for name, table in tables.items()
+        }
+        assert labeled == carrier.ops
+    for name, t1, t2 in identities:
+        ok, witness = reference_is_pregamp_of(pg, [(name, t1, t2)])
+        assert pregamp_satisfies_identity(pg, t1, t2) == (ok, witness and witness[1])
+
+
+@st.composite
+def partial_pregamps(draw):
+    """A sparse partial algebra of CGFH_TYPE on 1 to 4 points with a random
+    symmetric distance into the 3-chain or the square 2 x 2, zero exactly on
+    the diagonal. Sparse tables satisfy more identities vacuously, so more
+    witnesses lie past the zero ideal. The distance axioms need not hold, so
+    the ideal classes need not be a partition."""
+    alg = draw(cgfh_algebras(sizes=(1, 2, 3, 4, 4), holes=4))
+    two = JoinSemilattice.chain(2)
+    sem = draw(st.sampled_from([JoinSemilattice.chain(3), JoinSemilattice.product(two, two)]))
+    nonzero = st.sampled_from([x for x in sem.elements if x != sem.zero])
+    dist = {}
+    for i, x in enumerate(alg.universe):
+        dist[(x, x)] = sem.zero
+        for y in alg.universe[i + 1 :]:
+            dist[(x, y)] = dist[(y, x)] = draw(nonzero)
+    return Pregamp(alg, dist, sem)
+
+
+class TestVarietyWitnesses:
+    def test_gap_fixture(self):
+        only_meet = ("meet-idempotent", "meet-commutative", "meet-associative")
+        meet_laws = [law for law in LATTICE_IDENTITIES if law[0] in only_meet]
+        pg = commutativity_gap_fixture()
+        assert not is_pregamp_of(pg, meet_laws)[0]
+        assert_witnesses_match_the_reference(pg, meet_laws)
+        assert_witnesses_match_the_reference(pg, meet_laws[::-1])
+
+    def test_n5_modular_law(self, n5):
+        pg = theta_pregamp(n5)
+        laws = [*LATTICE_IDENTITIES, ("modular", *MODULAR_LAW)]
+        ok, (name, _) = is_pregamp_of(pg, laws)
+        assert not ok and name == "modular"
+        assert_witnesses_match_the_reference(pg, laws)
+
+    def test_corpus_holds_the_lattice_identities(self, fixture_lattices):
+        for name in ("two", "chain:3", "M3", "N5", "X1"):
+            pg = theta_pregamp(fixture_lattices[name])
+            assert is_pregamp_of(pg, LATTICE_IDENTITIES) == (True, None)
+            assert reference_is_pregamp_of(pg, LATTICE_IDENTITIES) == (True, None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(partial_pregamps(), identity_lists())
+    def test_random_partial_carriers(self, pg, identities):
+        assert pg.carrier.stype == CGFH_TYPE
+        assert_witnesses_match_the_reference(pg, identities)
+        # a first identity that always holds keeps every ideal in question
+        assert_witnesses_match_the_reference(pg, [("v0 = v0", V(0), V(0)), *identities])
+
+    def test_classes_that_are_not_a_partition(self):
+        # d(a, b) and d(b, d) lie in the ideal {0, 1} but d(a, d) does not,
+        # so b joins a's class while d joins b's: the representatives first
+        # appear as a, c, b, and image_palg lists them in that order. There
+        # f(v0, v1) = g(v1) gains definedness at (c, a) and (b, a) and fails
+        # at both; product order over a, c, b meets (c, a) first
+        alg = PartialAlgebra(
+            CGFH_TYPE, "abcd", {"f": {("c", "b"): "c", ("d", "b"): "c"}, "g": {("a",): "a"}}
+        )
+        near = {("a", "b"), ("b", "d")}
+        dist = {
+            (x, y): 0 if x == y else 1 if {(x, y), (y, x)} & near else 2
+            for x in "abcd"
+            for y in "abcd"
+        }
+        pg = Pregamp(alg, dist, JoinSemilattice.chain(3))
+        ideal = SemIdeal.generated(pg.sem, {1})
+        assert list(_quotient_carrier(pg, ideal)[0].universe) == ["a", "c", "b"]
+        law = ("f(v0, v1) = g(v1)", Term.app("f", V(0), V(1)), Term.app("g", V(1)))
+        laws = [("v0 = v0", V(0), V(0)), law]
+        assert is_pregamp_of(pg, laws) == (False, (law[0], (ideal, ("c", "a"))))
+        assert_witnesses_match_the_reference(pg, laws)
 
 
 class TestIdentitySatisfaction:

@@ -575,12 +575,12 @@ class TestCli:
         assert "invalid literal" not in err
 
     def test_internal_error_exit_4(self, tmp_path, monkeypatch, capsys):
-        import gampkit.cli as cli
-
-        def crash(args):
+        # a crash inside a command: cmd_conc reads congruence.conc when it
+        # runs, while the parser, built once, holds cmd_conc itself
+        def crash(*args, **kwargs):
             raise KeyError("boom")
 
-        monkeypatch.setattr(cli, "cmd_conc", crash)
+        monkeypatch.setattr(congruence, "conc", crash)
         path = self.write(tmp_path, "m3.json", {"named": "M3"})
         assert run(["conc", path]) == 4
         assert capsys.readouterr().err.startswith("internal error: KeyError")
@@ -711,3 +711,30 @@ def test_repro_dot_shapes(capsys):
     assert run(["repro", "unliftable", "--K", "M3", "--n", "2", "--format", "dot"]) == 0
     out = capsys.readouterr().out
     assert out.count("digraph") == 2 and out.count("->") == 8
+
+
+def test_parser_is_built_once_and_runs_share_no_state(capsys):
+    # run parses with one argparse tree per process; an option one run sets
+    # is back at its default in the next run that omits it
+    from unittest import mock
+
+    from gampkit import cli
+
+    cli._parser.cache_clear()
+    with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as built:
+        assert run(["repro", "unliftable", "--K", "L2", "--n", "3", "--format", "text"]) == 0
+        capsys.readouterr()
+        assert run(["repro", "unliftable", "--n", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+    assert built.call_count == 1
+    assert (report["K"], report["n"]) == ("M3", 3)
+    full = [
+        "buttress", "--algebra", "a.json", "--poset", "p.json", "--ideal", "0=0/x1",
+        "--ideal", "1=x1/1", "--chains", "--n", "3", "--m-cap", "1", "--format", "dot",
+    ]
+    bare = ["buttress", "--algebra", "b.json", "--poset", "q.json"]
+    shared = cli._parser()
+    first = vars(shared.parse_args(full))
+    assert first["ideal"] == ["0=0/x1", "1=x1/1"] and first["chains"]
+    assert vars(shared.parse_args(bare)) == vars(cli.build_parser().parse_args(bare))
+    assert vars(shared.parse_args(bare))["ideal"] == []
