@@ -2,7 +2,7 @@
 congruence semilattice, Mal'cev witness chains, quotients, n-permutability."""
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
 
 from .errors import NotTotal, TooLarge, cross_check
 from .palg import UNDEFINED, PalgMorphism, Term, image_palg, is_lattice_algebra
@@ -396,6 +396,27 @@ def _lattice_con(algebra):
     return labels, pairs, joins
 
 
+def _order_keys(universe, labels, elements):
+    """Set each congruence's sort key, given its canonical labels, from keys
+    computed once per universe point, and return the keys that order the
+    congruences as (len(universe) - len(blocks), _sort_key()) would: the
+    blocks on the points' dense ranks in sort_key order compare as the
+    blocks on their sort keys do."""
+    keys = list(map(sort_key, universe))
+    distinct = sorted(set(keys))
+    rank = dict(zip(distinct, count()))
+    ranks = [rank[k] for k in keys]
+    order = []
+    for theta, t in zip(elements, labels):
+        classes = {}
+        for r, label in zip(ranks, t):
+            classes.setdefault(label, []).append(r)
+        blocks = sorted(tuple(sorted(c)) for c in classes.values())
+        theta._key = tuple(tuple(map(distinct.__getitem__, b)) for b in blocks)
+        order.append((len(universe) - len(blocks), blocks))
+    return order
+
+
 class ConcSemilattice(JoinSemilattice):
     """Semilattice of compact congruences, with the principal-congruence
     generator map and its all-pairs distance table.
@@ -419,7 +440,8 @@ class ConcSemilattice(JoinSemilattice):
         build = _lattice_con if is_lattice_algebra(algebra) else _closure_con
         labels, pairs, joins = build(algebra)
         elements = [_from_labels(universe, t) for t in labels]
-        order = sorted(elements, key=lambda t: (len(universe) - len(t.blocks), t._sort_key()))
+        keys = _order_keys(universe, labels, elements)
+        order = [elements[k] for k in sorted(range(len(elements)), key=keys.__getitem__)]
         table = {
             (a, b): elements[k] for a, row in zip(elements, joins) for b, k in zip(elements, row)
         }

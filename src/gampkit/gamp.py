@@ -31,7 +31,7 @@ from .pregamp import (
     tractability_verdict,
 )
 from .semilattice import SemMorphism, is_ideal_induced
-from .util import Verdict, bfs, shortest_path, sorted_elements
+from .util import Verdict, bfs, shortest_path, sort_key, sorted_elements
 from . import congruence as _cong
 
 
@@ -279,14 +279,19 @@ def _check_distance_generated(g, phi, chains_only):
 
 def _check_tractable(g, phi, m_cap):
     """Property (4)/(4'): instances over inner points, term chains in the outer
-    part, equalities up to the phi-kernel."""
-    points = list(g.inner.universe)
-    kernel = {a for a in g.sem.elements if phi(a) == phi.target.zero}
+    part, equalities up to the phi-kernel. The instances read the pregamp's
+    own distance rows, which hold the inner part's."""
+    outer, zero = g.outer.universe, phi.target.zero
+    in_kernel = [phi(a) == zero for a in g.sem.elements]
     # kernel-sized jumps are allowed between chain steps
     kernel_pairs = [
-        (x, y) for x in g.outer.universe for y in g.outer.universe if g.delta(x, y) in kernel
+        (outer[i], outer[j])
+        for i, row in enumerate(g.pregamp.dist_rows)
+        for j, k in enumerate(row)
+        if i < j and in_kernel[k]
     ]
-    return tractability_verdict(pggl(g), points, phi, m_cap, lambda x: x, g.outer, kernel_pairs)
+    points = list(g.inner.universe)
+    return tractability_verdict(g.pregamp, points, phi, m_cap, lambda x: x, g.outer, kernel_pairs)
 
 
 def _check_n_permutable(g, n, lattice_form):
@@ -371,11 +376,14 @@ def _check_cuttable(fm, phi, chains, x_cap):
     Image a partial sublattice of the target's inner part; for each small
     X inside phi's target and each source pair under the X-join bound, a walk
     (or chain) inside the inner part whose steps have phi-distance under some
-    member of X. A walk depends on X only through the allowed steps, so one
-    bfs finds what an image point reaches, and one chain search runs per
-    endpoints, for each set of allowed steps; the first failing (x, y, X)
-    is named in source-pair order. x_cap must be at least 0 (else
-    ValueError).
+    member of X. Distances and down-sets are read on indices, through S's
+    join_rows. X matters only through the union of its down-sets, the
+    allowed steps, and its join, which picks the pairs and is the join of
+    that union; so an X whose union was already checked is skipped, and the
+    first failing X does not change. One bfs finds what an image point
+    reaches, and one chain search runs per endpoints, for each set of
+    allowed steps. The first failing (x, y, X) is named in source-pair
+    order. x_cap must be at least 0 (else ValueError).
     """
     if x_cap < 0:
         raise ValueError("x_cap must be at least 0")
@@ -385,50 +393,62 @@ def _check_cuttable(fm, phi, chains, x_cap):
     img = image_palg(fm.f)
     if not img.is_partial_sub_of(fm.target.inner):
         return Verdict.false("image not inside the inner part", bounds)
-    tgt = fm.target
-    S = phi.target
+    tgt, S = fm.target, phi.target
+    J, zero = S.join_rows, S.index(S.zero)
     inner = list(tgt.inner.universe)
     meets = tgt.outer.ops.get("meet", {})
     joins = tgt.outer.ops.get("join", {})
-    # the phi-distances of inner points, which hold the image, and the
-    # down-set of each element of S
-    dist = {(a, b): phi(tgt.delta(a, b)) for a in inner for b in inner}
-    downs = {u: frozenset(v for v in S.elements if S.leq(v, u)) for u in S.elements}
-    pairs = [
-        (x, y, fm.f(x), fm.f(y)) for x in fm.source.outer.universe for y in fm.source.outer.universe
-    ]
-    reach, walks = {}, {}  # by (allowed steps, start), by (allowed steps, endpoints)
+    # the phi-distances of inner points, which hold the image, as indices
+    # into S, and the down-set of each element of S as a bit mask
+    at = {x: i for i, x in enumerate(tgt.outer.universe)}
+    to_s = [S.index(phi(a)) for a in tgt.sem.elements]
+    rows = [tgt.pregamp.dist_rows[at[a]] for a in inner]
+    dist = [[to_s[row[at[b]]] for b in inner] for row in rows]
+    downs = [sum(1 << v for v in range(len(S)) if J[v][u] == u) for u in range(len(S))]
+    pos = {a: i for i, a in enumerate(inner)}
+    pairs = []
+    for x in fm.source.outer.universe:
+        for y in fm.source.outer.universe:
+            fx, fy = fm.f(x), fm.f(y)
+            ends = (meets.get((fx, fy), UNDEFINED), joins.get((fx, fy), UNDEFINED))
+            pairs.append((x, y, pos[fx], pos[fy], dist[pos[fx]][pos[fy]], ends))
+    order = sorted(range(len(S)), key=lambda u: sort_key(S.elements[u]))
+    checked = set()  # the allowed steps of the X already walked
 
     # X ranges over nonempty finite subsets: the empty instance would force
     # the phi-kernel to be trivial on images, which no proper quotient
     # projection can satisfy.
     for r in range(1, x_cap + 1):
-        for xset in combinations(sorted_elements(S.elements), r):
-            bound = S.join_all(xset)
-            allowed = frozenset().union(*map(downs.__getitem__, xset))
+        for combo in combinations(order, r):
+            bound, allowed = zero, 0
+            for u in combo:
+                bound, allowed = J[bound][u], allowed | downs[u]
+            if allowed in checked:
+                continue
+            checked.add(allowed)
+            xset = tuple(map(S.elements.__getitem__, combo))
+            reach, walks = {}, {}  # by start, by endpoints
 
             def step_ok(a, b):
-                return dist[(a, b)] in allowed
+                return allowed >> dist[pos[a]][pos[b]] & 1
 
             def neighbours(u):
-                return ((v, None) for v in inner if step_ok(u, v))
+                return ((v, None) for v, d in enumerate(dist[u]) if allowed >> d & 1)
 
-            for x, y, fx, fy in pairs:
-                if not S.leq(dist[(fx, fy)], bound):
+            for x, y, i, j, d, (m, top) in pairs:
+                if J[d][bound] != bound:
                     continue
                 if not chains:
-                    if (allowed, fx) not in reach:
-                        reach[(allowed, fx)] = set(bfs(fx, neighbours, {}))
-                    if fy not in reach[(allowed, fx)]:
+                    if i not in reach:
+                        reach[i] = set(bfs(i, neighbours, {}))
+                    if j not in reach[i]:
                         return Verdict.false((x, y, xset), bounds)
                     continue
-                m = meets.get((fx, fy), UNDEFINED)
-                j = joins.get((fx, fy), UNDEFINED)
-                if m is UNDEFINED or j is UNDEFINED:
+                if m is UNDEFINED or top is UNDEFINED:
                     return Verdict.false(("endpoints undefined", x, y, xset), bounds)
-                if (allowed, m, j) not in walks:
-                    walks[(allowed, m, j)] = _chain_walk(fm.target, m, j, step_ok)
-                if not walks[(allowed, m, j)]:
+                if (m, top) not in walks:
+                    walks[(m, top)] = _chain_walk(fm.target, m, top, step_ok)
+                if not walks[(m, top)]:
                     return Verdict.false((x, y, xset), bounds)
     return Verdict.true(None, bounds)
 

@@ -226,9 +226,12 @@ def canonical_embedding(sub, pg):
 
 def _ideal_classes(pg, ideal):
     """For each point's index, the index of the first point at a distance
-    inside the ideal from it: its class's representative. Reads dist_rows."""
-    D = pg.dist_rows
-    inside = [x in ideal for x in pg.sem.elements]
+    inside the ideal from it: its class's representative. Reads dist_rows,
+    and decides membership in the ideal, the down-set of its top, in
+    join_rows."""
+    D, J = pg.dist_rows, pg.sem.join_rows
+    top = pg.sem.index(ideal.top)
+    inside = [row[top] == top for row in J]
     return [next(j for j, row in enumerate(D) if inside[row[i]]) for i in range(len(D))]
 
 
@@ -370,10 +373,6 @@ def is_pregamp_of(pg, identities):
     return False, (compiled.names[i], (ideal, ce))
 
 
-def _unordered_pairs(points):
-    return [(a, b) for i, a in enumerate(points) for b in points[i + 1 :]]
-
-
 def chain_connectivity(algebra, pairs, extra=()):
     """Connected components of the term chains along the given pairs, with
     the extra pairs joined but not closed; returns the find function.
@@ -395,41 +394,102 @@ def chain_connectivity(algebra, pairs, extra=()):
     return lambda x: uf.find(index[x])
 
 
-def congruence_tractable_instances(pg, points, sem_phi, m_cap):
-    """Instances phi(delta(x,y)) <= join phi(delta(xk,yk)) with <= m_cap pairs,
-    grouped by the generating pair tuple."""
+def tractability_verdict(pg, points, sem_phi, m_cap, f, carrier, extra=()):
+    """Every instance phi(delta(x,y)) <= join phi(delta(xk,yk)), over at most
+    m_cap unordered pairs of the points, must be met by term chains in
+    carrier along the f-images of its generating pairs, with the extra pairs
+    joined. The first failure, by pair count, then pair tuple, then member
+    (x, y) in point order, is witnessed as (x, y, chosen).
+
+    Runs on indices: phi o delta over the points is one index matrix, read
+    through the target's join_rows. Per bound the members are kept with a
+    spanning forest of their images, at most |points| - 1 edges: a partition
+    holds every member iff it holds every forest edge. On a total carrier
+    each image pair is closed once (_closure_labels), and an instance's
+    partition is the union-find join of its pairs' labels with the extra
+    pairs' partition, since Con A is a sublattice of Eq A: Cg(P u Q) is the
+    equivalence join of Cg(P) and Cg(Q). A partial carrier runs
+    chain_connectivity per set of image pairs, since the joint-evaluation
+    closure does not split by pair. An instance whose bound and partition
+    already passed is not checked again. A failure is re-decided by
+    chain_connectivity, and both must name the same member.
+    """
     if m_cap < 0:
         raise ValueError("m_cap must be at least 0")
-    pool = _unordered_pairs(list(points))
-    grouped = []
-    for m in range(0, m_cap + 1):
-        for chosen in combinations(pool, m):
-            bound = sem_phi.target.join_all(
-                sem_phi(pg.delta(a, b)) for a, b in chosen
-            )
-            members = [
-                (x, y)
-                for x in points
-                for y in points
-                if sem_phi.target.leq(sem_phi(pg.delta(x, y)), bound)
-            ]
-            if members:
-                grouped.append((chosen, members))
-    return grouped
-
-
-def tractability_verdict(pg, points, sem_phi, m_cap, f, carrier, extra=()):
-    """Every instance of congruence_tractable_instances must be met by term
-    chains in carrier along the f-images of its generating pairs, with the
-    extra pairs joined; the first failure is witnessed as (x, y, chosen).
-    Chains are found by chain_connectivity: Cg of the image pairs on a total
-    carrier, the joint-evaluation closure on a partial one."""
     bounds = {"m_cap": m_cap}
-    for chosen, members in congruence_tractable_instances(pg, points, sem_phi, m_cap):
-        find = chain_connectivity(carrier, [(f(a), f(b)) for a, b in chosen], extra)
-        for (x, y) in members:
-            if find(f(x)) != find(f(y)):
-                return Verdict.false((x, y, chosen), bounds)
+    T, points, universe = sem_phi.target, list(points), carrier.universe
+    J, n = T.join_rows, len(points)
+    at = {x: i for i, x in enumerate(pg.carrier.universe)}
+    to_t = [T.index(sem_phi(s)) for s in pg.sem.elements]
+    rows = [pg.dist_rows[at[x]] for x in points]
+    D = [[to_t[row[at[y]]] for y in points] for row in rows]
+    node = {x: i for i, x in enumerate(universe)}
+    img = [node[f(x)] for x in points]
+    # the pairs that generate instances, none when instances have no pairs
+    pool = [(i, j) for i in range(n) for j in range(i + 1, n)] if m_cap else []
+    forests = {}  # bound -> (members, spanning forest of their images)
+
+    def members_of(b):
+        if b not in forests:
+            members = [(x, y) for x in range(n) for y in range(n) if J[D[x][y]][b] == b]
+            uf = _cong._UnionFind(range(len(universe)))
+            forest = [(img[x], img[y]) for x, y in members if uf.union(img[x], img[y])]
+            forests[b] = members, forest
+        return forests[b]
+
+    # an instance's partition depends on its pairs only through their keys:
+    # the id of each pair's closure on a total carrier, the image pair on a
+    # partial one
+    spans = [tuple(sorted((img[i], img[j]))) for i, j in pool]
+    if carrier.is_total():
+        uf = _cong._UnionFind(range(len(universe)))
+        for x, y in extra:
+            uf.union(node[x], node[y])
+        base, ids, closed = uf.labels(), {}, {}
+        for u, v in dict.fromkeys(spans):
+            labels = _cong._closure_labels(carrier, [(universe[u], universe[v])])
+            closed[(u, v)] = ids.setdefault(labels, len(ids))
+        pair_keys, congruences = list(map(closed.__getitem__, spans)), list(ids)
+
+        def partition(key):
+            uf = _cong._UnionFind(base)
+            for c in key:
+                for x, label in enumerate(congruences[c]):
+                    if label != x:
+                        uf.union(x, label)
+            return uf.labels()
+    else:
+        pair_keys = spans
+
+        def partition(key):
+            pairs = [(universe[u], universe[v]) for u, v in key]
+            return list(map(chain_connectivity(carrier, pairs, extra), universe))
+
+    pair_dist = [D[i][j] for i, j in pool]
+    zero, passed, partitions = T.index(T.zero), set(), {}
+    for m in range(m_cap + 1):
+        for combo in combinations(range(len(pool)), m):
+            b = zero
+            for k in combo:
+                b = J[b][pair_dist[k]]
+            key = frozenset(map(pair_keys.__getitem__, combo))
+            if (b, key) in passed:
+                continue
+            if key not in partitions:
+                partitions[key] = partition(key)
+            labels = partitions[key]
+            members, forest = members_of(b)
+            if all(labels[u] == labels[v] for u, v in forest):
+                passed.add((b, key))
+                continue
+            x, y = next((x, y) for x, y in members if labels[img[x]] != labels[img[y]])
+            chosen = tuple((points[i], points[j]) for i, j in map(pool.__getitem__, combo))
+            find = chain_connectivity(carrier, [(f(u), f(v)) for u, v in chosen], extra)
+            again = next(
+                ((x, y) for x, y in members if find(f(points[x])) != find(f(points[y]))), None
+            )
+            cross_check(again == (x, y), "tractability: per-pair closures and chains disagree")
+            return Verdict.false((points[x], points[y], chosen), bounds)
     return Verdict.true(None, bounds)
 
 

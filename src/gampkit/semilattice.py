@@ -151,6 +151,11 @@ class SemIdeal:
                 if sem.leq(x, y) and x not in self.carrier:
                     raise InvalidIdeal(f"not downward closed at {x} <= {y}")
 
+    @cached_property
+    def top(self):
+        """The join of the ideal, whose down-set it is."""
+        return self.sem.join_all(self.carrier)
+
     def __contains__(self, x):
         return x in self.carrier
 
@@ -168,7 +173,9 @@ class SemIdeal:
         """Least ideal containing `gens`: the down-set of their join. Every
         ideal of a finite semilattice is principal, the down-set of its top."""
         top = sem.join_all(gens)
-        return cls(sem, {x for x in sem.elements if sem.leq(x, top)}, validate=False)
+        ideal = cls(sem, {x for x in sem.elements if sem.leq(x, top)}, validate=False)
+        ideal.top = top
+        return ideal
 
     @classmethod
     def zero(cls, sem):
@@ -260,7 +267,7 @@ def quotient(sem, ideal):
     if not isinstance(ideal, SemIdeal) or ideal.sem != sem:
         raise InvalidIdeal("ideal must belong to the semilattice")
     ideal.validate()
-    top = sem.join_all(ideal.carrier)
+    top = ideal.top
     first = {}
     reps = {x: first.setdefault(sem.join(x, top), x) for x in sem.elements}
     classes = [x for x in sem.elements if reps[x] == x]

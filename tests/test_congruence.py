@@ -1014,3 +1014,28 @@ class TestCrossChecks:
             check=True,
         )
         assert out.stdout.split() == ["optimize", "1", "raised"]
+
+
+def assert_conc_order_from_point_keys(alg):
+    """Conc's element order and every element's sort key, set from keys
+    computed once per point, equal what Congruence._sort_key computes from
+    the blocks on a fresh object, and the order it sorts by."""
+    cs = conc(alg)
+    keys = [Congruence(t.blocks)._sort_key() for t in cs.elements]
+    assert [t._key for t in cs.elements] == keys
+    n = len(alg.universe)
+    ranked = sorted(range(len(keys)), key=lambda k: (n - len(cs.elements[k].blocks), keys[k]))
+    assert ranked == list(range(len(keys)))
+
+
+@pytest.mark.parametrize(
+    "name", ["two", "chain:3", "chain:4", "chain:5", "M3", "N5", "X1", "X2", "power:M3:2", "power:X1:3"]
+)
+def test_conc_order_from_point_keys(name):
+    assert_conc_order_from_point_keys(build_named(name).algebra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(small_labelled_algebras(), small_unary_binary_algebras()))
+def test_conc_order_from_point_keys_on_random_algebras(alg):
+    assert_conc_order_from_point_keys(alg)

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from gampkit import build_named
@@ -28,7 +30,14 @@ from gampkit.gamp import (
 from gampkit.palg import LATTICE_TYPE, PalgMorphism, PartialAlgebra, SimilarityType
 from gampkit.poset import FinitePoset
 from gampkit.pregamp import Pregamp, pga, pregamp_isomorphisms, sub_pregamp
-from gampkit.semilattice import SemIdeal, SemMorphism, enumerate_ideals, is_ideal_induced, quotient
+from gampkit.semilattice import (
+    JoinSemilattice,
+    SemIdeal,
+    SemMorphism,
+    enumerate_ideals,
+    is_ideal_induced,
+    quotient,
+)
 from test_pregamp import induced_pregamp_by_ideals
 from test_semilattice import assert_descent_matches_reference
 
@@ -447,6 +456,61 @@ class TestCuttableAgainstReference:
             for x_cap in (1, 2, 3):
                 verdicts += _assert_cuttable_as_reference(fm, phi, x_cap)
         assert all(verdicts) != fails
+
+    @pytest.mark.parametrize("base", ["chain:4", "X1", "N5"])
+    def test_comparable_distances(self, base):
+        # Con has comparable elements, so at x_cap >= 2 some X has the
+        # down-set union of a smaller X, which the checker skips: the
+        # inclusions of each two points into the inner part they span,
+        # alone or with one more point, still hold or fail at the
+        # reference's (x, y, X)
+        alg = build_named(base).algebra
+        pg = pga(alg)
+        S = pg.sem
+        assert any(S.leq(a, b) for a in S.elements for b in S.elements if S.zero != a != b)
+        phis = [SemMorphism.identity(S)] + [quotient(S, i)[1] for i in enumerate_ideals(S)]
+        verdicts = []
+        for outer in combinations(alg.universe, 2):
+            small = alg.restrict_full(outer)
+            sub = Gamp(small, sub_pregamp(pg, small))
+            for more in [()] + [(x,) for x in alg.universe if x not in outer]:
+                fm = canonical_embedding(sub, Gamp(alg.restrict_full(outer + more), pg))
+                for phi in phis:
+                    for x_cap in (2, 3):
+                        verdicts += _assert_cuttable_as_reference(fm, phi, x_cap)
+        assert {True, False} <= set(map(bool, verdicts))
+
+    def test_one_sided_meets_make_a_chain(self):
+        # pins the chain predicate as it stands: a < c < b is a chain when
+        # only meet(a, c) = a and meet(c, b) = c are defined, the other
+        # argument order undefined, as in is_chain. The pair (a, b) at
+        # distance {p, q} is then cut, through X = {{p}, {q}}, by that chain
+        # only: without c in the inner part it fails at that X
+        subsets = [frozenset(), frozenset("p"), frozenset("q"), frozenset("pq")]
+        S = JoinSemilattice(subsets, frozenset(), {(u, v): u | v for u in subsets for v in subsets})
+        d = {("a", "c"): "p", ("c", "b"): "q", ("a", "b"): "pq"}
+        dist = {}
+        for x in "acb":
+            for y in "acb":
+                dist[(x, y)] = frozenset(d.get((x, y)) or d.get((y, x)) or "")
+        meet = {(x, x): x for x in "acb"}
+        meet.update({("a", "c"): "a", ("c", "b"): "c", ("a", "b"): "a", ("b", "a"): "a"})
+        join = {(x, x): x for x in "acb"}
+        join.update({("a", "c"): "c", ("c", "a"): "c", ("c", "b"): "b", ("b", "c"): "b"})
+        join.update({("a", "b"): "b", ("b", "a"): "b"})
+        target = PartialAlgebra(LATTICE_TYPE, ["a", "c", "b"], {"meet": meet, "join": join})
+        ends = target.restrict_full({"a", "b"})
+        source = Gamp(ends, Pregamp(ends, {k: v for k, v in dist.items() if "c" not in k}, S))
+        ident = SemMorphism.identity(S)
+        for inner, holds in ((target, True), (ends, False)):
+            tgt = Gamp(inner, Pregamp(target, dist, S))
+            fm = GampMorphism(source, tgt, PalgMorphism(ends, target, {"a": "a", "b": "b"}), ident)
+            got = check_morphism_property(fm, "cuttable_chains", x_cap=2)
+            assert got == reference_check_cuttable(fm, ident, True, 2)
+            assert bool(got) == holds
+            if not holds:
+                assert got.witness == ("a", "b", (frozenset("p"), frozenset("q")))
+        assert is_chain(Gamp(target, Pregamp(target, dist, S)), ["a", "c", "b"])
 
 
 class TestChainColimit:

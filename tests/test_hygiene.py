@@ -496,8 +496,8 @@ def test_tables_change_only_in_construction(path):
     assert [m for m in table_mutations(path.read_text()) if m[1] != TABLE_OWNERS[m[2]]] == []
 
 
-# The chain-condition search, quotient_pregamp and the candidate enumerator
-# read distances through one path, an integer matrix such as dist_rows; these
+# The chain-condition search, quotient_pregamp, the candidate enumerator and
+# the tractability and cuttability checkers read distances through one path, an integer matrix such as dist_rows; these
 # attributes are the label paths it replaced.
 LABEL_DISTANCES = frozenset({"dist", "delta", "distances"})
 CHAIN_SEARCH = (
@@ -505,10 +505,12 @@ CHAIN_SEARCH = (
     "_chain_condition_failures",
 )
 ENUMERATOR = ("_NodeState", "_nonzero_row_options", "enumerate_candidates")
+PROPERTY_CHECKERS = ("_check_tractable", "_check_cuttable")
 DIST_ROWS_READERS = [
     ("congruence", set(CHAIN_SEARCH)),
-    ("pregamp", {"quotient_pregamp"}),
+    ("pregamp", {"quotient_pregamp", "tractability_verdict"}),
     ("constructions", set(ENUMERATOR)),
+    ("gamp", set(PROPERTY_CHECKERS)),
 ]
 
 
@@ -708,3 +710,14 @@ def test_enumerator_checks_axioms_on_indices(qualname):
     # index rows through pregamp's routines, never by a label join or order
     called = called_names((SRC / "constructions.py").read_text(), qualname)
     assert called is not None and called & {"join", "leq"} == set()
+
+
+@pytest.mark.parametrize(
+    "module, qualname",
+    [("pregamp", "tractability_verdict"), *(("gamp", q) for q in PROPERTY_CHECKERS)],
+)
+def test_property_checkers_compare_on_indices(module, qualname):
+    # tractability and cuttability compare distances in join_rows, never by
+    # a label join or order
+    called = called_names((SRC / f"{module}.py").read_text(), qualname)
+    assert called is not None and called & {"join", "join_all", "leq"} == set()

@@ -22,6 +22,7 @@ from gampkit.pregamp import (
     PregampMorphism,
     _quotient_carrier,
     canonical_embedding,
+    chain_connectivity,
     check_axioms,
     is_congruence_tractable_morphism,
     is_distance_generated,
@@ -34,8 +35,10 @@ from gampkit.pregamp import (
     pregamp_satisfies_identity,
     quotient_pregamp,
     sub_pregamp,
+    tractability_verdict,
 )
 from gampkit.semilattice import JoinSemilattice, SemIdeal, SemMorphism, enumerate_ideals, quotient
+from gampkit.util import Verdict
 from test_palg import CGFH_TYPE, brute_satisfies_identity, cgfh_algebras, identity_lists
 from test_semilattice import (
     assert_descent_matches_reference,
@@ -667,6 +670,151 @@ class TestTractableOracle:
                     for x in els:
                         for y in els:
                             assert (find(x) == find(y)) == gen.same(x, y), (name, chosen, x, y)
+
+
+def congruence_tractable_instances(pg, points, sem_phi, m_cap):
+    """Reference for tractability_verdict's instances, on labels: phi(delta(x,
+    y)) <= join phi(delta(xk, yk)) with at most m_cap pairs, grouped by the
+    generating pair tuple, with every member listed."""
+    if m_cap < 0:
+        raise ValueError("m_cap must be at least 0")
+    pool = [(a, b) for i, a in enumerate(points) for b in points[i + 1 :]]
+    grouped = []
+    for m in range(0, m_cap + 1):
+        for chosen in combinations(pool, m):
+            bound = sem_phi.target.join_all(sem_phi(pg.delta(a, b)) for a, b in chosen)
+            members = [
+                (x, y)
+                for x in points
+                for y in points
+                if sem_phi.target.leq(sem_phi(pg.delta(x, y)), bound)
+            ]
+            if members:
+                grouped.append((chosen, members))
+    return grouped
+
+
+def reference_tractability_verdict(pg, points, sem_phi, m_cap, f, carrier, extra=()):
+    """tractability_verdict as it was before it ran on indices: one
+    chain_connectivity per instance, every member checked on labels."""
+    bounds = {"m_cap": m_cap}
+    for chosen, members in congruence_tractable_instances(pg, list(points), sem_phi, m_cap):
+        find = chain_connectivity(carrier, [(f(a), f(b)) for a, b in chosen], extra)
+        for x, y in members:
+            if find(f(x)) != find(f(y)):
+                return Verdict.false((x, y, chosen), bounds)
+    return Verdict.true(None, bounds)
+
+
+@st.composite
+def tractability_cases(draw):
+    """Arguments of tractability_verdict. The pregamp is the pga of a total
+    CGFH algebra of 1 to 4 points (4 drawn twice as often), or random distances on it into the
+    subsets of range(2) (no axiom need hold); the points are a nonempty
+    subsequence of its universe, in a drawn order; phi is the identity or
+    an ideal's projection; the carrier is the algebra, its reduct to some of
+    the constant and the unary operation (fewer chains: failures on a total
+    carrier) or the algebra with two thirds of its cells undefined
+    (partial); f is the identity or any map into the carrier; and up to
+    three extra pairs are joined."""
+    alg = draw(cgfh_algebras(sizes=(1, 2, 3, 4, 4), holes=0))
+    u = list(alg.universe)
+    if draw(st.booleans()):
+        pg = pga(alg)
+    else:
+        subsets = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
+        sem = JoinSemilattice(subsets, frozenset(), {(a, b): a | b for a in subsets for b in subsets})
+        pg = Pregamp(alg, {(x, y): draw(st.sampled_from(subsets)) for x in u for y in u}, sem)
+    points = [x for x in draw(st.permutations(u)) if draw(st.sampled_from((True, True, False)))]
+    points = points or u[:1]
+    phi = SemMorphism.identity(pg.sem)
+    if draw(st.booleans()):
+        phi = quotient(pg.sem, draw(st.sampled_from(enumerate_ideals(pg.sem))))[1]
+    kind = draw(st.sampled_from(["algebra", "reduct", "reduct", "holes", "holes"]))
+    if kind == "algebra":
+        carrier = alg
+    elif kind == "reduct":
+        kept = tuple(s for s in CGFH_TYPE.symbols[:2] if draw(st.booleans()))
+        carrier = PartialAlgebra(SimilarityType(kept), u, {name: alg.ops[name] for name, _ in kept})
+    else:
+        keep = (True, False, False)
+        ops = {
+            name: {args: v for args, v in table.items() if draw(st.sampled_from(keep))}
+            for name, table in alg.ops.items()
+        }
+        carrier = PartialAlgebra(CGFH_TYPE, u, ops)
+    image = dict(zip(points, points))
+    if draw(st.booleans()):
+        image = {x: draw(st.sampled_from(u)) for x in points}
+    extra = draw(st.lists(st.tuples(st.sampled_from(u), st.sampled_from(u)), max_size=3))
+    return pg, points, phi, draw(st.sampled_from((2, 1, 0))), image.__getitem__, carrier, extra
+
+
+class TestTractabilityAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(tractability_cases())
+    def test_random_cases(self, case):
+        assert tractability_verdict(*case) == reference_tractability_verdict(*case)
+
+    @pytest.mark.parametrize("name", ["chain:3", "M3", "N5", "X1"])
+    @pytest.mark.parametrize("kept", ["meet", "join"])
+    def test_lattice_reducts(self, fixture_lattices, name, kept):
+        # a reduct has fewer congruences, so instances of the lattice's
+        # pregamp fail on it, a total carrier, at some m_cap: the per-pair
+        # closures' failure path names the reference's witness
+        alg = fixture_lattices[name]
+        reduct = PartialAlgebra(
+            SimilarityType(((kept, 2),)), alg.universe, {kept: alg.ops[kept]}
+        )
+        pg, points = pga(alg), list(alg.universe)
+        kernel = [(x, y) for x in points[:2] for y in points[:2]]
+        verdicts = []
+        for phi in (SemMorphism.identity(pg.sem), *_projections(pg.sem)):
+            for m_cap in (0, 1, 2):
+                for extra in ((), kernel):
+                    case = (pg, points, phi, m_cap, lambda x: x, reduct, extra)
+                    got = tractability_verdict(*case)
+                    assert got == reference_tractability_verdict(*case)
+                    verdicts.append(got.status)
+        assert {"true", "false"} <= set(verdicts)
+
+    def test_one_partition_under_two_bounds(self):
+        # Cg(0, 1) = Cg(0, 2) = {0, 1, 2 | 3} under g, which swaps 1 and 2,
+        # but d(0, 1) = {p} < d(0, 2) = {p, q}: the instance on (0, 1)
+        # passes, and the one on (0, 2), with the same partition under a
+        # larger bound, fails at (0, 3)
+        alg = PartialAlgebra(
+            SimilarityType((("g", 1),)), [0, 1, 2, 3], {"g": {(0,): 0, (1,): 2, (2,): 1, (3,): 3}}
+        )
+        subsets = [frozenset(), frozenset("p"), frozenset("q"), frozenset("pq")]
+        sem = JoinSemilattice(subsets, frozenset(), {(a, b): a | b for a in subsets for b in subsets})
+        near = {(0, 1): "p", (2, 3): "q"}
+        dist = {
+            (x, y): frozenset() if x == y else frozenset(near.get((min(x, y), max(x, y)), "pq"))
+            for x in alg.universe
+            for y in alg.universe
+        }
+        case = (Pregamp(alg, dist, sem), alg.universe, SemMorphism.identity(sem), 1, lambda x: x, alg)
+        got = tractability_verdict(*case)
+        assert got == reference_tractability_verdict(*case)
+        assert got.witness == (0, 3, ((0, 2),))
+
+    def test_partial_carrier_failure(self):
+        # the empty target of TestTractable: every member outside the
+        # generating pairs fails, and the first is the reference's
+        els = ["a", "b", "c", "d"]
+        src = PartialAlgebra(LATTICE_TYPE, els, {})
+        sem = JoinSemilattice.chain(2)
+        pg = Pregamp(src, {(x, y): 0 if x == y else 1 for x in els for y in els}, sem)
+        for m_cap in (0, 1, 2):
+            case = (pg, els, SemMorphism.identity(sem), m_cap, lambda x: x, src, [("a", "d")])
+            got = tractability_verdict(*case)
+            assert got == reference_tractability_verdict(*case)
+            assert got.status == ("false" if m_cap else "true")
+
+
+def _projections(sem):
+    return [quotient(sem, ideal)[1] for ideal in enumerate_ideals(sem)]
 
 
 def induced_pregamp_by_ideals(fm, ideal_i, ideal_j):
