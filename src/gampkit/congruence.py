@@ -2,10 +2,11 @@
 congruence semilattice, Mal'cev witness chains, quotients, n-permutability."""
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count, product
 
 from .errors import NotTotal, TooLarge, cross_check
-from .palg import UNDEFINED, PalgMorphism, Term, image_palg, is_lattice_algebra
+from .palg import UNDEFINED, PalgMorphism, Term, _irreducibles, image_palg, is_lattice_algebra
 from .semilattice import JoinSemilattice, SemMorphism
 from .util import bfs, shortest_path, sort_key
 
@@ -93,12 +94,14 @@ class _UnionFind:
 def _closure_labels(algebra, pairs, known=None):
     """The canonical labels of the least congruence containing the pairs.
 
-    Worklist closure under one-step unary translations: every merge of u and
-    v is propagated through each operation with u, v placed in one slot and
-    parameters everywhere else. Chained translations are covered by
-    transitivity of the union-find, which is the standard generation
-    argument. The closure runs on universe indices, over the algebra's
-    compiled translation rows.
+    Worklist closure under the algebra's translation rows: every merge of u
+    and v is propagated through each of its maps, which generate the
+    one-step unary translations by composition (on a lattice: meets with
+    the meet-irreducibles and joins with the join-irreducibles), and a
+    partition closed under maps is closed under their composites. Chained
+    translations are covered by transitivity of the union-find, which is
+    the standard generation argument. The closure runs on universe
+    indices.
 
     known maps index pairs (i, j), i < j, to the canonical labels of
     Theta(u_i, u_j), u the universe, already closed. A merge of such a pair
@@ -287,27 +290,6 @@ def _closure_con(algebra):
     return found, pairs, joins
 
 
-def _irreducibles(meet, join, n):
-    """The join-irreducibles of a finite lattice, given by its meet and join
-    tables on indices, each with its unique lower cover j_*, as (j, j_*) in
-    index order. The join of the elements strictly below j is j_* when j is
-    join-irreducible and j itself otherwise; nothing lies below the bottom,
-    which is not join-irreducible."""
-    strictly_below = [[] for _ in range(n)]
-    for (u, v), m in meet.items():
-        if m == u != v:
-            strictly_below[v].append(u)
-    out = []
-    for j, us in enumerate(strictly_below):
-        if us:
-            star = us[0]
-            for u in us:
-                star = join[(star, u)]
-            if star != j:
-                out.append((j, star))
-    return out
-
-
 def _day_relation(irreducibles, below, join, n):
     """Day's relation D on the join-irreducibles, as masks over their
     positions: bit s of rows[t] is set iff s != t and J_s D J_t, that is
@@ -427,10 +409,11 @@ class ConcSemilattice(JoinSemilattice):
     and the elements are the join closure of the principal congruences
     (_closure_con). Either way the principal distance is kept as dist_rows,
     dist_rows[i][j] the index in elements of Theta(u_i, u_j), u the
-    universe, and the join as join_rows; one Congruence is built per
-    element, so every table value, the zero and every congruence
-    principal() or generated() returns is the semilattice's own element
-    object.
+    universe, and the join as join_rows, which join and leq (and so
+    join_all) read; the label-keyed join table is built only when something
+    reads it. One Congruence is built per element, so every table value, the
+    zero and every congruence principal() or generated() returns is the
+    semilattice's own element object.
     """
 
     def __init__(self, algebra, bound=CON_BOUND):
@@ -442,15 +425,25 @@ class ConcSemilattice(JoinSemilattice):
         elements = [_from_labels(universe, t) for t in labels]
         keys = _order_keys(universe, labels, elements)
         order = [elements[k] for k in sorted(range(len(elements)), key=keys.__getitem__)]
-        table = {
-            (a, b): elements[k] for a, row in zip(elements, joins) for b, k in zip(elements, row)
-        }
-        super().__init__(order, elements[0], table, validate=False)
+        super().__init__(order, elements[0], None, validate=False)
         rank = [self._index[t] for t in elements]
         self.dist_rows = [[rank[k] for k in row] for row in pairs]
         position = sorted(range(len(rank)), key=rank.__getitem__)  # rank[position[r]] == r
         self.join_rows = [[rank[joins[a][b]] for b in position] for a in position]
         self._point = {x: i for i, x in enumerate(universe)}
+
+    @cached_property
+    def _join(self):
+        els, J = self.elements, self.join_rows
+        return {(a, b): els[k] for a, row in zip(els, J) for b, k in zip(els, row)}
+
+    def join(self, x, y):
+        index = self._index
+        return self.elements[self.join_rows[index[x]][index[y]]]
+
+    def leq(self, x, y):
+        j = self._index[y]
+        return self.join_rows[self._index[x]][j] == j
 
     def generated(self, pairs):
         """The element generated by the given pairs of the algebra: Cg of a
@@ -653,6 +646,49 @@ def chain_interpolants(pg, xs, first, last, middle, chains=False):
         yield tuple(universe[i] for i in ys)
 
 
+def _stepper(D, J, within=None):
+    """The one step of an interpolant path, on carrier indices: step(bound,
+    mask) is the mask of the points y with D[x][y] under bound in J for
+    some x in the mask, and in within[x] too when within is given. Its rows
+    and images are kept for the caller's call only."""
+    under = {}  # bound -> [mask of the points y one step under it from x, for each x]
+    image = {}  # (bound, mask) -> the points one step under bound from the mask
+
+    def step(bound, mask):
+        if bound not in under:
+            rows = [sum(1 << y for y, d in enumerate(row) if J[d][bound] == bound) for row in D]
+            under[bound] = rows if within is None else list(map(int.__and__, rows, within))
+        if (bound, mask) not in image:
+            rows, out = under[bound], 0
+            for x in _bits(mask):
+                out |= rows[x]
+            image[(bound, mask)] = out
+        return image[(bound, mask)]
+
+    return step
+
+
+def _upward_paths(D, J, meet, n):
+    """The interpolant search of the lattice chain condition on a carrier
+    that is a lattice, as reachability: has(first, last, even, odd) is true
+    iff _interpolants with the meet table would yield a chain. Meet both
+    ways round is the lattice order, which is transitive, so a chain of
+    interpolants is a path of n upward steps from first to last, step k
+    under odd for even k and under even for odd k; an upward path that
+    ends at last stays inside [first, last]."""
+    points = range(len(D))
+    up = [sum(1 << y for y in points if meet[(x, y)] == x) for x in points]
+    step = _stepper(D, J, up)
+
+    def has(first, last, even, odd):
+        reached = 1 << first
+        for k in range(n):
+            reached = step(odd if k % 2 == 0 else even, reached)
+        return reached >> last & 1
+
+    return has
+
+
 def _chain_verdict(D, J, n, inner, zero):
     """The verdict pass of the chain condition, on carrier indices.
 
@@ -695,21 +731,7 @@ def _chain_verdict(D, J, n, inner, zero):
                 following[state] = following.get(state, 0) | ys
         states = following
 
-    under = {}  # bound -> [mask of the points y with D[x][y] under it, for each x]
-    image = {}  # (bound, mask) -> the points one step under bound from the mask
-
-    def step(bound, mask):
-        if bound not in under:
-            under[bound] = [
-                sum(1 << y for y, d in enumerate(row) if J[d][bound] == bound) for row in D
-            ]
-        if (bound, mask) not in image:
-            rows, out = under[bound], 0
-            for x in _bits(mask):
-                out |= rows[x]
-            image[(bound, mask)] = out
-        return image[(bound, mask)]
-
+    step = _stepper(D, J)
     verdict = {}
     for (x0, even, odd), ends in states.items():
         reached = 1 << x0
@@ -727,13 +749,15 @@ def _chain_condition_failures(pg, inner, n, lattice_form=False):
     In the lattice form the interpolants run from x0 meet xn to x0 join xn,
     read in the carrier's tables, and must be chains; a tuple whose
     endpoints are not defined both ways round, or differ between them,
-    fails with "endpoints undefined". Otherwise they run from x0 to xn, and
-    the verdict pass (_chain_verdict) decides first: the walk below runs
-    only when it finds a failure, and reads its reached masks. The tuples
-    are walked depth first on carrier indices, with the parity joins of
-    each prefix's steps carried as indices. The search depends on a tuple
-    only through its endpoints and those two joins, so it runs once per
-    such key.
+    fails with "endpoints undefined". On a carrier that is a lattice the
+    chains are the upward paths of its order, found by reachability
+    (_upward_paths); any other carrier runs the _interpolants search.
+    Otherwise they run from x0 to xn, and the verdict pass (_chain_verdict)
+    decides first: the walk below runs only when it finds a failure, and
+    reads its reached masks. The tuples are walked depth first on carrier
+    indices, with the parity joins of each prefix's steps carried as
+    indices. The search depends on a tuple only through its endpoints and
+    those two joins, so it runs once per such key.
     """
     universe, (index, tables) = pg.carrier.universe, pg.carrier.index_tables
     D, J = pg.dist_rows, pg.sem.join_rows
@@ -741,18 +765,21 @@ def _chain_condition_failures(pg, inner, n, lattice_form=False):
     inner = [index[x] for x in inner]
     if lattice_form:
         M, N = tables["meet"], tables["join"]
-        middle = range(len(universe))
+        if is_lattice_algebra(pg.carrier):
+            has = _upward_paths(D, J, M, n)
+        else:
+            middle = range(len(universe))
 
-        def no_interpolants(x0, xn, even, odd):
-            return next(_interpolants(D, J, M, n, x0, xn, even, odd, middle), None) is None
+            def has(x0, xn, even, odd):
+                return next(_interpolants(D, J, M, n, x0, xn, even, odd, middle), None) is not None
     else:
         M = None
         verdict = _chain_verdict(D, J, n, inner, zero)
         if all(not ends & ~reached for ends, reached in verdict.values()):
             return
 
-        def no_interpolants(x0, xn, even, odd):
-            return not verdict[(x0, even, odd)][1] >> xn & 1
+        def has(x0, xn, even, odd):
+            return verdict[(x0, even, odd)][1] >> xn & 1
 
     xs = [None] * (n + 1)
     failing = {}  # (first, last, even, odd) -> no interpolant
@@ -783,7 +810,7 @@ def _chain_condition_failures(pg, inner, n, lattice_form=False):
             joined[p] = row[step[x]]
             key = (*end, *joined)
             if key not in failing:
-                failing[key] = no_interpolants(*key)
+                failing[key] = not has(*key)
             if failing[key]:
                 yield "no interpolants", tuple(universe[i] for i in xs)
 
@@ -817,15 +844,29 @@ def is_n_permutable(algebra, n, cs=None):
     instance fits under ELEMENTWISE_LIMIT, and the two answers must agree.
     Returns (bool, witness) where the witness is a violating congruence pair
     or tuple.
+
+    A recorded product of lattices is also decided by its factors: lattices
+    are congruence-distributive, so Con of the product is the product of
+    the factors' Cons (Fraser-Horn, Proc. AMS 26, 1970), composites of
+    product congruences are taken coordinatewise, and the product is
+    n-permutable iff every factor is. Over ELEMENTWISE_LIMIT a product so
+    found n-permutable is answered without its Conc; otherwise the
+    relational check runs, gives the witness and must agree.
     """
     _require_total(algebra)
     if n < 2:
         raise ValueError("n must be at least 2")
+    size = len(algebra.universe)
+    cost = size ** (n + 1) * max(1, size ** (n - 1))
+    by_factors = None
+    if algebra.factors is not None and all(map(is_lattice_algebra, algebra.factors)):
+        by_factors = all(is_n_permutable(f, n)[0] for f in dict.fromkeys(algebra.factors))
+        if by_factors and cost > ELEMENTWISE_LIMIT:
+            return True, None
     cs = conc(algebra) if cs is None else cs
     congruences = sorted(cs.elements, key=Congruence._sort_key)
     ok_rel, wit_rel = _relational_n_permutable(algebra, n, congruences)
-    size = len(algebra.universe)
-    cost = size ** (n + 1) * max(1, size ** (n - 1))
+    cross_check(by_factors in (None, ok_rel), "factorwise and relational permutability disagree")
     if cost <= ELEMENTWISE_LIMIT:
         ok_el, _ = _elementwise_n_permutable(algebra, n, cs)
         cross_check(ok_rel == ok_el, "n-permutability characterizations disagree")

@@ -102,20 +102,55 @@ class PartialAlgebra:
     @cached_property
     def translation_rows(self):
         """The index map of a total algebra's universe, and for each element u
-        the indices of u's images under each distinct one-step unary
-        translation (an operation, u in one slot, parameters in the others),
-        in (operation, slot, parameters) order. Compiled on first use and
+        the indices of u's images under unary maps whose composites include
+        every one-step unary translation (an operation, u in one slot,
+        parameters in the others), so a partition closed under these maps
+        is closed under all translations.
+
+        On a lattice the maps are x -> x meet m for meet-irreducible m and
+        x -> x join j for join-irreducible j: every c is the meet of the
+        meet-irreducibles above it and the join of the join-irreducibles
+        below it. A recorded product of lattices lifts its factors' maps
+        coordinatewise and builds neither its tables nor its index tables.
+        Any other algebra keeps each distinct one-step translation, in
+        (operation, slot, parameters) order. Compiled on first use and
         kept: nothing changes an algebra's tables after construction."""
         universe = self.universe
         index = {x: i for i, x in enumerate(universe)}
-        columns = dict.fromkeys(
-            tuple(index[t[ps[:pos] + (u,) + ps[pos:]]] for u in universe)
-            for name, ar in self.stype.symbols
-            for t in (self.ops[name],)
-            for pos in range(ar)
-            for ps in product(universe, repeat=ar - 1)
-        )
+        if self.factors is not None and all(map(is_lattice_algebra, self.factors)):
+            columns = self._lifted_columns()
+        elif is_lattice_algebra(self):
+            n, tables = len(universe), self.index_tables[1]
+            meet, join = tables["meet"], tables["join"]
+            columns = [
+                tuple(table[(u, c)] for u in range(n))
+                for table, other in ((meet, join), (join, meet))
+                for c, _ in _irreducibles(other, table, n)
+            ]
+        else:
+            columns = dict.fromkeys(
+                tuple(index[t[ps[:pos] + (u,) + ps[pos:]]] for u in universe)
+                for name, ar in self.stype.symbols
+                for t in (self.ops[name],)
+                for pos in range(ar)
+                for ps in product(universe, repeat=ar - 1)
+            )
         return index, list(zip(*columns)) or [()] * len(universe)
+
+    def _lifted_columns(self):
+        """The factors' translation maps, each acting on its own coordinate
+        of a product's universe indices (mixed radix in product order) and
+        fixing the others."""
+        sizes = [len(f) for f in self.factors]
+        strides = [1] * len(sizes)
+        for t in range(len(sizes) - 1, 0, -1):
+            strides[t - 1] = strides[t] * sizes[t]
+        points = range(len(self.universe))
+        return [
+            tuple(i + (col[i // stride % size] - i // stride % size) * stride for i in points)
+            for f, size, stride in zip(self.factors, sizes, strides)
+            for col in zip(*f.translation_rows[1])
+        ]
 
     @cached_property
     def index_tables(self):
@@ -746,6 +781,28 @@ def _is_lattice_order(algebra):
         and up[index[join_t[(x, y)]]] == up[u] & up[v]
         for (u, x), (v, y) in cells
     )
+
+
+def _irreducibles(meet, join, n):
+    """The join-irreducibles of a finite lattice, given by its meet and join
+    tables on indices, each with its unique lower cover j_*, as (j, j_*) in
+    index order. The join of the elements strictly below j is j_* when j is
+    join-irreducible and j itself otherwise; nothing lies below the bottom,
+    which is not join-irreducible. With the tables swapped: the
+    meet-irreducibles, each with its unique upper cover."""
+    strictly_below = [[] for _ in range(n)]
+    for (u, v), m in meet.items():
+        if m == u != v:
+            strictly_below[v].append(u)
+    out = []
+    for j, us in enumerate(strictly_below):
+        if us:
+            star = us[0]
+            for u in us:
+                star = join[(star, u)]
+            if star != j:
+                out.append((j, star))
+    return out
 
 
 def is_lattice_signature(algebra):

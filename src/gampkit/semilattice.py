@@ -10,13 +10,15 @@ class JoinSemilattice:
     """A finite join-semilattice with zero.
 
     Elements are opaque hashable ids; the order is derived from the join
-    table (x <= y iff x v y == y), which is the single source of truth.
+    table (x <= y iff x v y == y), which is the single source of truth. A
+    subclass that passes no join table supplies `_join` itself.
     """
 
     def __init__(self, elements, zero, join_table, validate=True):
         self.elements = tuple(elements)
         self.zero = zero
-        self._join = dict(join_table)
+        if join_table is not None:
+            self._join = dict(join_table)
         self._index = {x: i for i, x in enumerate(self.elements)}
         if validate:
             self.validate()
@@ -50,7 +52,7 @@ class JoinSemilattice:
     def join_all(self, xs):
         v = self.zero
         for x in xs:
-            v = self._join[(v, x)]
+            v = self.join(v, x)
         return v
 
     def leq(self, x, y):
@@ -75,12 +77,14 @@ class JoinSemilattice:
         return len(self.elements)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, JoinSemilattice)
-            and set(self.elements) == set(other.elements)
-            and self.zero == other.zero
-            and self._join == other._join
-        )
+        if self is other:
+            return True
+        if not isinstance(other, JoinSemilattice) or self.zero != other.zero:
+            return False
+        if self.elements == other.elements:
+            # one element order: the join tables agree iff their index rows do
+            return self.join_rows == other.join_rows
+        return set(self.elements) == set(other.elements) and self._join == other._join
 
     def __hash__(self):
         return hash((frozenset(self.elements), self.zero))
@@ -92,7 +96,7 @@ class JoinSemilattice:
         """Smallest join-closed subset containing `subset` and zero: the walk
         from zero that joins one generator per step."""
         gens = set(subset)
-        return frozenset(bfs(self.zero, lambda x: ((self._join[(x, g)], g) for g in gens), {}))
+        return frozenset(bfs(self.zero, lambda x: ((self.join(x, g), g) for g in gens), {}))
 
     def sub(self, subset):
         """Join-subsemilattice on a join-closed subset containing zero."""

@@ -1,6 +1,7 @@
 """Acceptance criteria, one test per criterion, each printing a PASS line
 with its runtime against the stated budget."""
 
+import gc
 import json
 import random
 import time
@@ -40,7 +41,7 @@ from gampkit.gamp import (
     is_chain,
     quotient_gamp,
 )
-from gampkit.palg import LATTICE_IDENTITIES, PalgMorphism, is_lattice_algebra
+from gampkit.palg import LATTICE_IDENTITIES, PalgMorphism, PartialAlgebra, is_lattice_algebra
 from gampkit.poset import FinitePoset, KPosetSpec, kposet, kposet_cover_check
 from gampkit.pregamp import check_axioms, is_pregamp_of, pga
 from gampkit.semilattice import SemIdeal, SemMorphism, enumerate_ideals, quotient
@@ -315,29 +316,60 @@ def test_budget_conc_on_x1_squared():
 
 def test_budget_pga_on_m3_cubed():
     # the 15,625 principal distances of a 125-element power, from 9
-    # join-irreducibles: median 0.19 s
+    # join-irreducibles; the cross-check closes through the 18 lifted
+    # translation maps: median 70 ms
     alg = build_named("power:M3:3").algebra
     t0 = time.monotonic()
     pg = pga(alg)
     assert len(pg.sem) == 8 and len(pg.dist) == 15_625
-    _report("budget", "pga(power:M3:3)", t0, 1)
+    _report("budget", "pga(power:M3:3)", t0, 0.7)
+
+
+def test_budget_principal_congruences_on_m3_cubed():
+    # four closures through the 18 lifted translation maps, the power's
+    # tables never built: median 2.4 ms. M3 is simple and lattices are
+    # congruence-distributive, so Theta(x, y) collapses exactly the
+    # coordinates where x and y differ. A collection first, so that no
+    # full collection of the test session's objects lands in the timing.
+    alg = build_named("power:M3:3").algebra
+    u = alg.universe
+    pairs = [(u[0], u[124]), (u[1], u[62]), (u[30], u[31]), (u[7], u[100])]
+    gc.collect()
+    t0 = time.monotonic()
+    found = [principal_congruence(alg, x, y) for x, y in pairs]
+    _report("budget", "four principal congruences of power:M3:3", t0, 0.024)
+    for (x, y), theta in zip(pairs, found):
+        keep = [i for i in range(3) if x[i] == y[i]]
+        assert all(theta.same(a, b) == all(a[i] == b[i] for i in keep) for a in u for b in u)
 
 
 def test_budget_conc_on_x1_cubed():
-    # Con of a 125-element power with 512 congruences: median 0.88 s
+    # Con of a 125-element power with 512 congruences, its join kept on
+    # indices only: median 0.175 s
     alg = build_named("power:X1:3").algebra
     t0 = time.monotonic()
     assert len(conc(alg)) == 512
-    _report("budget", "conc(power:X1:3)", t0, 5)
+    _report("budget", "conc(power:X1:3)", t0, 0.875)
 
 
 def test_budget_is_n_permutable_on_m3_cubed():
-    # relational only, as 125^8 is over ELEMENTWISE_LIMIT: 28 pairs of the
-    # 8 congruences composed as bitmasks: median 0.098 s
+    # 125^8 is over ELEMENTWISE_LIMIT, and M3 is 4-permutable, so the power
+    # is decided by its factor (Fraser-Horn)
     alg = build_named("power:M3:3").algebra
     t0 = time.monotonic()
     assert is_n_permutable(alg, 4) == (True, None)
     _report("budget", "is_n_permutable(power:M3:3, 4)", t0, 0.5)
+
+
+def test_budget_is_n_permutable_on_chain4_cubed():
+    # decided by its factor, without the power's 512 congruences, which the
+    # relational check composed pair by pair in 16 s: median 1.45 ms; a
+    # collection first, as above
+    power = PartialAlgebra.product([build_named("chain:4").algebra] * 3)
+    gc.collect()
+    t0 = time.monotonic()
+    assert is_n_permutable(power, 4) == (True, None)
+    _report("budget", "is_n_permutable(chain:4^3, 4)", t0, 0.0145)
 
 
 def test_budget_is_n_permutable_on_n5_squared():

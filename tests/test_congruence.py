@@ -17,11 +17,14 @@ from gampkit.congruence import (
     _chain_verdict,
     _closure_labels,
     _elementwise_n_permutable,
+    _from_labels,
     _interpolants,
     _parity_joins,
     _principal_labels,
     _relational_n_permutable,
+    _upward_paths,
     CON_BOUND,
+    ELEMENTWISE_LIMIT,
     Congruence,
     MalcevWitness,
     NoContainment,
@@ -43,7 +46,7 @@ from gampkit.congruence import (
 from gampkit.errors import CrossCheckFailed, GampkitError, NotTotal
 from gampkit.gamp import check_property, ga
 from gampkit.palg import LATTICE_TYPE, UNDEFINED, PalgMorphism, PartialAlgebra, SimilarityType
-from gampkit.pregamp import Pregamp
+from gampkit.pregamp import Pregamp, pga
 from gampkit.semilattice import JoinSemilattice, SemIdeal, is_ideal_induced, ker0
 from test_pregamp import coded_pregamps
 
@@ -569,9 +572,39 @@ def corpus_lattice_products(draw):
 def test_a_product_of_lattices_is_permutable_iff_its_factors_are(factors, n):
     # lattices are congruence-distributive, so Con of the product is the
     # product of the Cons and composites are taken coordinatewise: the rule
-    # that the square's fact (c) reads each power node by
-    product_ok, _ = is_n_permutable(PartialAlgebra.product(factors), n)
-    assert product_ok == all(is_n_permutable(f, n)[0] for f in factors)
+    # that the square's fact (c) and is_n_permutable read each product by.
+    # The relational check on the product's own Con is the reference.
+    alg = PartialAlgebra.product(factors)
+    found = is_n_permutable(alg, n)
+    relational = _relational_n_permutable(alg, n, con_lattice(alg))
+    assert relational[0] == all(is_n_permutable(f, n)[0] for f in factors)
+    # a product that fails keeps the relational path's witness
+    assert found == relational
+
+
+def test_a_permutable_power_over_the_limit_builds_no_conc(monkeypatch):
+    # decided by its factor alone: neither the power's Con nor its tables
+    chain4 = build_named("chain:4").algebra
+    alg = PartialAlgebra.product([chain4] * 3)
+    assert len(alg) ** 8 > ELEMENTWISE_LIMIT
+    built = _count_calls(monkeypatch, "conc")
+    assert is_n_permutable(alg, 4) == (True, None)
+    assert [args[0] for args in built] == [chain4]
+    assert "ops" not in vars(alg) and "index_tables" not in vars(alg)
+
+
+def test_factorwise_and_relational_permutability_are_cross_checked(monkeypatch):
+    # chain:3 squared is not 2-permutable, and its factor says so too
+    alg = PartialAlgebra.product([build_named("chain:3").algebra] * 2)
+    real = congruence._relational_n_permutable
+
+    def flipped(algebra, n, congruences):
+        found = real(algebra, n, congruences)
+        return (not found[0], None) if algebra is alg else found
+
+    monkeypatch.setattr(congruence, "_relational_n_permutable", flipped)
+    with pytest.raises(CrossCheckFailed, match="factorwise and relational"):
+        is_n_permutable(alg, 2)
 
 
 def test_the_product_rule_has_both_outcomes():
@@ -923,6 +956,127 @@ def test_a_known_pair_merges_its_whole_congruence(chain3):
     assert _closure_labels(chain3, [(1, 2)], {(0, 1): (0, 0, 0)}) == (0, 1, 1)
 
 
+def all_translation_rows(alg):
+    """Reference for PartialAlgebra.translation_rows: the images of each
+    element under every distinct one-step unary translation, read off the
+    tables."""
+    universe = alg.universe
+    index = {x: i for i, x in enumerate(universe)}
+    columns = dict.fromkeys(
+        tuple(index[alg.ops[name][ps[:pos] + (u,) + ps[pos:]]] for u in universe)
+        for name, ar in alg.stype.symbols
+        for pos in range(ar)
+        for ps in product(universe, repeat=ar - 1)
+    )
+    return index, list(zip(*columns)) or [()] * len(universe)
+
+
+def _relabelled(alg, labels):
+    """The lattice alg with its universe renamed to the given labels, in
+    turn, and listed in sorted label order: with shuffled labels, universe
+    indices are neither labels nor the lattice's own order."""
+    name = dict(zip(alg.universe, labels))
+    ops = {
+        op: {tuple(map(name.get, args)): name[v] for args, v in table.items()}
+        for op, table in alg.ops.items()
+    }
+    return PartialAlgebra(alg.stype, sorted(labels), ops)
+
+
+@st.composite
+def relabelled_lattices(draw):
+    """Random lattices on shuffled non-integer labels, alone or as both
+    factors of a recorded product."""
+    def one():
+        alg = draw(random_lattices().filter(lambda a: a.factors is None))
+        labels = [f"e{k}" for k in draw(st.permutations(range(len(alg))))]
+        return _relabelled(alg, labels)
+
+    return PartialAlgebra.product([one(), one()]) if draw(st.booleans()) else one()
+
+
+NAMED_PRODUCTS = ("power:M3:2", "power:X1:2", "power:N5:2", "power:two:3", "power:M3:3")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(relabelled_lattices(), st.sampled_from(NAMED_PRODUCTS)), st.data())
+def test_irreducible_translations_close_like_all_translations(alg, data):
+    # the rows from J(L) and M(L), or lifted from a product's factors,
+    # against every one-step translation and the brute-force least congruence
+    if isinstance(alg, str):
+        alg = build_named(alg).algebra
+    reference = PartialAlgebra(alg.stype, alg.universe, alg.ops, validate=False)
+    vars(reference)["translation_rows"] = all_translation_rows(reference)
+    assert len(alg.translation_rows[1][0]) <= len(reference.translation_rows[1][0])
+    points = st.sampled_from(alg.universe)
+    for _ in range(3):
+        pairs = data.draw(st.lists(st.tuples(points, points), min_size=1, max_size=2))
+        labels = _closure_labels(alg, pairs)
+        assert labels == _closure_labels(reference, pairs), pairs
+        if len(alg) <= 7 and len(pairs) == 1:
+            assert _from_labels(alg.universe, labels) == least_congruence_bruteforce(alg, *pairs[0])
+
+
+def test_m3_cubed_closes_through_eighteen_maps():
+    # three atoms and three coatoms per factor, lifted to each coordinate
+    alg = build_named("power:M3:3").algebra
+    assert len(alg.translation_rows[1][0]) == 18
+
+
+def test_principal_congruence_on_a_power_builds_no_tables():
+    # the lifted rows read the factors only, which keeps peak memory down
+    alg = build_named("power:M3:3").algebra
+    u = alg.universe
+    for y in u[1:5]:
+        principal_congruence(alg, u[0], y)
+    assert "ops" not in vars(alg) and "index_tables" not in vars(alg)
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_upward_paths_match_the_interpolant_search(name):
+    # every key (first, last, even, odd) of the lattice's own pregamp
+    alg = build_named(name).algebra
+    pg = pga(alg)
+    D, J, M = pg.dist_rows, pg.sem.join_rows, alg.index_tables[1]["meet"]
+    points, sem = range(len(alg)), range(len(pg.sem))
+    for n in (1, 2, 3):
+        has = _upward_paths(D, J, M, n)
+        for first, last, even, odd in product(points, points, sem, sem):
+            search = _interpolants(D, J, M, n, first, last, even, odd, points)
+            expected = next(search, None) is not None
+            assert bool(has(first, last, even, odd)) == expected, (n, first, last, even, odd)
+
+
+def _label_join(alg, a, b):
+    """The join of two congruences by a closure of their pairs."""
+    pairs = [(x, y) for theta in (a, b) for blk in theta.blocks for x in blk for y in blk]
+    return congruence_closure(alg, pairs)
+
+
+@pytest.mark.parametrize("name", ["two", "chain:4", "M3", "N5", "X1", "power:M3:2", "X1 reduct"])
+def test_conc_answers_from_join_rows(name):
+    # join, leq and join_all against closures of the labels' pairs, and the
+    # label-keyed table, built only when read, against both
+    if name == "X1 reduct":
+        alg = _join_reduct(build_named("X1").algebra)
+    else:
+        alg = build_named(name).algebra
+    cs = conc(alg)
+    els = cs.elements
+    for a in els:
+        for b in els:
+            joined = cs.join(a, b)
+            assert joined is els[cs.index(_label_join(alg, a, b))]
+            assert cs.leq(a, b) == all(b.same(x, y) for blk in a.blocks for x in blk for y in blk)
+            assert cs.join_all([a, b, a]) is joined and cs.join_all([]) is cs.zero
+    assert "_join" not in vars(cs)
+    for a in els:
+        for b in els:
+            assert cs._join[(a, b)] is cs.join(a, b)
+            assert cs.leq(a, b) == (cs._join[(a, b)] is b)
+    assert cs == conc(alg) and cs != JoinSemilattice.chain(len(els))
+
+
 class TestMalcev:
     def test_equal_endpoints(self, chain3):
         w = malcev_witness(chain3, 1, 1, (0,), (1,))
@@ -1014,6 +1168,40 @@ class TestCrossChecks:
             check=True,
         )
         assert out.stdout.split() == ["optimize", "1", "raised"]
+
+    def test_product_cross_checks_survive_optimize(self):
+        # on a product of lattices within ELEMENTWISE_LIMIT the element-wise
+        # and the factorwise verdicts are both checked against the relational one
+        code = textwrap.dedent(
+            """
+            import sys
+            from gampkit import build_named, congruence
+            from gampkit.errors import CrossCheckFailed
+            from gampkit.palg import PartialAlgebra
+
+            chain3 = build_named("chain:3").algebra
+            product = PartialAlgebra.product([chain3, chain3])
+            real = {name: getattr(congruence, name) for name in (
+                "_elementwise_n_permutable", "_relational_n_permutable")}
+            for name, f in real.items():
+                def flipped(alg, n, arg, f=f):
+                    found = f(alg, n, arg)
+                    return (not found[0], None) if alg is product else found
+                setattr(congruence, name, flipped)
+                try:
+                    congruence.is_n_permutable(product, 2)
+                except CrossCheckFailed as e:
+                    print(sys.flags.optimize, str(e).split()[0])
+                setattr(congruence, name, f)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(gampkit.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert out.stdout.split() == ["1", "n-permutability", "1", "factorwise"]
 
 
 def assert_conc_order_from_point_keys(alg):

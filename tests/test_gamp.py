@@ -4,7 +4,8 @@ import pytest
 
 from gampkit import build_named
 from gampkit.congruence import conc, conc_morphism, is_n_permutable, principal_congruence
-from gampkit.errors import NotStrong, WrongSignature
+from gampkit import gamp as gamp_module
+from gampkit.errors import CrossCheckFailed, NotStrong, WrongSignature
 from gampkit.gamp import (
     Gamp,
     GampMorphism,
@@ -38,6 +39,7 @@ from gampkit.semilattice import (
     is_ideal_induced,
     quotient,
 )
+from gampkit.util import Verdict
 from test_pregamp import induced_pregamp_by_ideals
 from test_semilattice import assert_descent_matches_reference
 
@@ -584,6 +586,45 @@ class TestButtress:
             inner = bottom_inner if p == bottom else set(alg.universe)
             assert set(g.inner.universe) == inner, p
             assert g.outer == alg and g.sem == cs, p
+
+    def test_square_decides_nothing_twice(self, m3, monkeypatch):
+        # each phi is decided ideal-induced once, on entry; the checks that
+        # do not read phi run once per distinct node object (b, and the
+        # whole gamp shared by l, r and t), the others once per node
+        poset = FinitePoset.square()
+        phis = self._phis(m3, poset, {"b": {principal_congruence(m3, "0", "x1")}})
+        decided, checked = [], []
+        real_induced, real_check = gamp_module.is_ideal_induced, gamp_module.check_property
+
+        def induced(phi):
+            decided.append(phi)
+            return real_induced(phi)
+
+        def check(g, which, **kwargs):
+            checked.append(which)
+            return real_check(g, which, **kwargs)
+
+        monkeypatch.setattr(gamp_module, "is_ideal_induced", induced)
+        monkeypatch.setattr(gamp_module, "check_property", check)
+        diagram = buttress(m3, poset, phis, with_chains=True, n_permutable=2)
+        assert len(decided) == 4 and len({id(g) for g in diagram.objects.values()}) == 2
+        assert {w: checked.count(w) for w in checked} == {
+            "strong": 2, "n_permutable": 2, "lattice_n_permutable": 2,
+            "distance_generated": 4, "congruence_tractable": 4, "distance_generated_chains": 4,
+        }
+
+    def test_a_shared_node_check_still_fails_the_buttress(self, m3, monkeypatch):
+        poset = FinitePoset.square()
+        phis = self._phis(m3, poset, {"b": {principal_congruence(m3, "0", "x1")}})
+        real_check = gamp_module.check_property
+
+        def check(g, which, **kwargs):
+            verdict = real_check(g, which, **kwargs)
+            return Verdict.false() if which == "lattice_n_permutable" and g.inner is m3 else verdict
+
+        monkeypatch.setattr(gamp_module, "check_property", check)
+        with pytest.raises(CrossCheckFailed, match="lattice permutable"):
+            buttress(m3, poset, phis, with_chains=True, n_permutable=2)
 
     def test_non_lattice_with_permutability(self):
         # Z4 with x - y is a group reduct, hence 2-permutable; the lattice

@@ -501,8 +501,8 @@ def test_tables_change_only_in_construction(path):
 # attributes are the label paths it replaced.
 LABEL_DISTANCES = frozenset({"dist", "delta", "distances"})
 CHAIN_SEARCH = (
-    "_interpolants", "_parity_joins", "chain_interpolants", "_chain_verdict",
-    "_chain_condition_failures",
+    "_interpolants", "_parity_joins", "chain_interpolants", "_stepper", "_upward_paths",
+    "_chain_verdict", "_chain_condition_failures",
 )
 ENUMERATOR = ("_NodeState", "_nonzero_row_options", "enumerate_candidates")
 PROPERTY_CHECKERS = ("_check_tractable", "_check_cuttable")

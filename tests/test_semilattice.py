@@ -347,3 +347,18 @@ def test_descent_matches_the_ideal_reference_on_projections(extra, data):
     assert_descent_matches_reference(
         phi, (phi.source, phi.target), quotient, induced_morphism, induced_by_ideals
     )
+
+
+def test_equality_reads_the_join_tables():
+    # one element order compares index rows, another compares the tables
+    chain = JoinSemilattice.chain(4)
+    # 0 below the incomparable 1 and 2, both below 3
+    square = {
+        (x, y): x if x == y else max(x, y) if min(x, y) == 0 else 3
+        for x in range(4) for y in range(4)
+    }
+    other = JoinSemilattice(range(4), 0, square)
+    assert chain == JoinSemilattice.chain(4) and chain != other and other != chain
+    reordered = JoinSemilattice([2, 0, 3, 1], 0, square)
+    assert reordered == other and reordered != chain and chain != reordered
+    assert other == other and JoinSemilattice(range(4), 1, square, validate=False) != other
