@@ -185,7 +185,11 @@ def pggr(g):
 
 
 def pggl(g):
-    """Inner pregamp: the inner part with the restricted distance."""
+    """Inner pregamp: the inner part with the restricted distance. When the
+    inner part is the whole carrier, as in every ga gamp, that is the
+    pregamp itself."""
+    if g.inner is g.pregamp.carrier:
+        return g.pregamp
     return sub_pregamp(g.pregamp, g.inner, g.sem)
 
 

@@ -114,7 +114,12 @@ class PartialAlgebra:
         coordinatewise and builds neither its tables nor its index tables.
         Any other algebra keeps each distinct one-step translation, in
         (operation, slot, parameters) order. Compiled on first use and
-        kept: nothing changes an algebra's tables after construction."""
+        kept: nothing changes an algebra's tables after construction.
+
+        Two readers: congruence closure merges along these maps, and
+        pregamp.check_axioms decides compatibility of a distance as "every
+        map is non-expanding", exact given the triangle inequality, since a
+        composite of non-expanding maps is non-expanding."""
         universe = self.universe
         index = {x: i for i, x in enumerate(universe)}
         if self.factors is not None and all(map(is_lattice_algebra, self.factors)):
@@ -168,6 +173,13 @@ class PartialAlgebra:
         """is_lattice_algebra's verdict, decided on first use and kept."""
         if not is_lattice_signature(self) or not self.is_total():
             return False
+        # a nonempty product is a lattice iff each factor is: lattices form a
+        # variety, and each factor is a projection image of the product
+        by_factors = None
+        if self.factors and self.universe:
+            by_factors = all(map(is_lattice_algebra, self.factors))
+        if by_factors is not None and len(self) > LATTICE_CHECK_BOUND:
+            return by_factors
         ok = _is_lattice_order(self)
         if len(self) <= LATTICE_CHECK_BOUND:
             found = first_counterexamples(
@@ -175,6 +187,7 @@ class PartialAlgebra:
             )
             by_identities = all(ce is None for ce in found)
             cross_check(ok == by_identities, "meet order and lattice identities disagree")
+            cross_check(by_factors in (None, ok), "a product and its factors disagree on lattice-ness")
         return ok
 
     def apply(self, name, args):
@@ -813,8 +826,10 @@ def is_lattice_signature(algebra):
 def is_lattice_algebra(algebra):
     """Total algebra in the lattice signature satisfying all lattice identities.
 
-    Decided from the meet order; on at most LATTICE_CHECK_BOUND elements the
-    identities are evaluated too, and the two verdicts cross-checked. The
+    Decided from the meet order, or above LATTICE_CHECK_BOUND elements for a
+    nonempty recorded product from its factors, without building its
+    tables; within the bound the identities are evaluated too, and every
+    verdict that applies is cross-checked against the others. The
     verdict is kept on the algebra, so each algebra is decided once: nothing
     changes its tables after construction.
     """

@@ -33,10 +33,10 @@ class Pregamp:
     The distance axioms (separation, symmetry, triangle, compatibility with
     every defined operation) are what make quotients by semilattice ideals
     work; check_axioms verifies them on indices, reading dist_rows and the
-    semilattice's join_rows. Its per-cell compatibility check,
-    _first_incompatible, is the one compatibility routine: the candidate
-    enumerator runs it too. The chain condition of congruence reads the
-    same two tables.
+    semilattice's join_rows. On a total carrier it decides compatibility
+    from the carrier's translation maps; otherwise its per-cell check,
+    _first_incompatible, decides it, and the candidate enumerator runs that
+    check too. The chain condition of congruence reads the same two tables.
     """
 
     def __init__(self, carrier, dist, sem):
@@ -92,26 +92,22 @@ def _first_incompatible(D, J, zero, row, value, columns, values):
     return _first_not_below(J, map(D[value].__getitem__, values), bounds)
 
 
-def check_axioms(pg):
-    """Verify the four distance axioms.
+def _non_expanding(D, J, rows):
+    """Whether every map, a column of the translation rows, is
+    non-expanding: d(t x, t y) <= d(x, y) in the join rows J for all
+    x < y. Points index D, distances index J."""
+    for t in zip(*rows):
+        for x, (tx, near) in enumerate(zip(t, D)):
+            image = map(D[tx].__getitem__, t[x + 1 :])
+            if _first_not_below(J, image, near[x + 1 :]) is not None:
+                return False
+    return True
 
-    Returns (True, None) or (False, violation) with the axiom name and the
-    offending tuple: the first in universe order, and for compatibility in
-    the order of the argument tuples' reprs.
-    """
-    A, S, D, J = pg.carrier, pg.sem, pg.dist_rows, pg.sem.join_rows
-    universe, zero, n = A.universe, S.index(S.zero), len(A)
-    for i, j in product(range(n), repeat=2):
-        if (D[i][j] == zero) != (i == j):
-            return False, ("separation", (universe[i], universe[j]))
-        if D[i][j] != D[j][i]:
-            return False, ("symmetry", (universe[i], universe[j]))
-    for i, j in product(range(n), repeat=2):
-        # d(i, l) v d(l, j) for every l, d being symmetric by now
-        bounds = list(map(getitem, map(J.__getitem__, D[i]), D[j]))
-        l = _first_not_below(J, repeat(D[i][j], n), bounds)
-        if l is not None:
-            return False, ("triangle", (universe[i], universe[j], universe[l]))
+
+def _first_incompatible_cells(A, D, J, zero):
+    """The first pair of defined cells of one operation that breaks
+    compatibility, as (name, args1, args2) in the order of the argument
+    tuples' reprs, or None. O(|A|^(2 ar)) per operation."""
     index, tables = A.index_tables
     for name, table in A.ops.items():
         tuples = sorted(table, key=repr)
@@ -121,8 +117,50 @@ def check_axioms(pg):
         for args1, row1, v1 in zip(tuples, rows, values):
             k = _first_incompatible(D, J, zero, row1, v1, columns, values)
             if k is not None:
-                return False, ("compatibility", (name, args1, tuples[k]))
-    return True, None
+                return name, args1, tuples[k]
+    return None
+
+
+def check_axioms(pg):
+    """Verify the four distance axioms.
+
+    Returns (True, None) or (False, violation) with the axiom name and the
+    offending tuple: the first in universe order, and for compatibility in
+    the order of the argument tuples' reprs.
+
+    On a total carrier compatibility is decided as "every map of the
+    carrier's translation_rows is non-expanding", in O(maps·|A|^2). That is
+    exact once the triangle inequality holds: two cells are joined by a path
+    of cells that differ in one slot, single-slot compatibility is
+    non-expansion of every one-step translation, and each of those is a
+    composite of the kept maps. When a map expands, its own cells differ in
+    one slot, so the ordered pair loop, which partial carriers always run,
+    finds the first violation and names it.
+    """
+    A, S, D, J = pg.carrier, pg.sem, pg.dist_rows, pg.sem.join_rows
+    universe, zero, n = A.universe, S.index(S.zero), len(A)
+    for i, j in product(range(n), repeat=2):
+        if (D[i][j] == zero) != (i == j):
+            return False, ("separation", (universe[i], universe[j]))
+        if D[i][j] != D[j][i]:
+            return False, ("symmetry", (universe[i], universe[j]))
+    # d being symmetric by now, (i, j) and (j, i) fail together, and i = j
+    # never fails: the pairs i < j in universe order meet the same first
+    # failure as all pairs do
+    for i, j in combinations(range(n), 2):
+        # d(i, l) v d(l, j) for every l
+        bounds = list(map(getitem, map(J.__getitem__, D[i]), D[j]))
+        l = _first_not_below(J, repeat(D[i][j], n), bounds)
+        if l is not None:
+            return False, ("triangle", (universe[i], universe[j], universe[l]))
+    total = A.is_total()
+    if total and _non_expanding(D, J, A.translation_rows[1]):
+        return True, None
+    violation = _first_incompatible_cells(A, D, J, zero)
+    cross_check(
+        violation is not None or not total, "an expanding translation broke no pair of cells"
+    )
+    return (True, None) if violation is None else (False, ("compatibility", violation))
 
 
 def is_distance_generated(pg):

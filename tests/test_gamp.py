@@ -1,4 +1,5 @@
 from itertools import combinations
+from unittest import mock
 
 import pytest
 
@@ -63,6 +64,16 @@ class TestFunctors:
         assert pggl(gm.source) == pga(chain3)
         assert pggl_mor(gm).fsem == conc_morphism(f, pggl(gm.source).sem, pggl(gm.target).sem)
         assert cg(gm.source) == pggl(gm.source).sem == pggr(gm.source).sem
+
+    def test_pggl_rebuilds_only_a_proper_inner_part(self, x1):
+        # the inner part of a ga gamp is its carrier: pggl is the pregamp
+        # itself, validated once; a proper inner part gets its sub-pregamp
+        g = ga(x1)
+        with mock.patch.object(gamp_module, "sub_pregamp", side_effect=AssertionError):
+            assert pggl(g) is g.pregamp
+        sparse = sparse_gamp(x1)
+        assert pggl(sparse) == sub_pregamp(sparse.pregamp, sparse.inner, sparse.sem)
+        assert pggl(sparse).carrier is sparse.inner
 
     def test_ga_quotient_matches_quotient_ga(self, x1):
         # the gamp of the algebra, cut by an ideal, is the gamp of the cut

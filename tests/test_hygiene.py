@@ -496,9 +496,10 @@ def test_tables_change_only_in_construction(path):
     assert [m for m in table_mutations(path.read_text()) if m[1] != TABLE_OWNERS[m[2]]] == []
 
 
-# The chain-condition search, quotient_pregamp, the candidate enumerator and
-# the tractability and cuttability checkers read distances through one path, an integer matrix such as dist_rows; these
-# attributes are the label paths it replaced.
+# The chain-condition search, check_axioms, quotient_pregamp, the candidate
+# enumerator and the tractability and cuttability checkers read distances
+# through one path, an integer matrix such as dist_rows; these attributes are
+# the label paths it replaced.
 LABEL_DISTANCES = frozenset({"dist", "delta", "distances"})
 CHAIN_SEARCH = (
     "_interpolants", "_parity_joins", "chain_interpolants", "_stepper", "_upward_paths",
@@ -508,7 +509,11 @@ ENUMERATOR = ("_NodeState", "_nonzero_row_options", "enumerate_candidates")
 PROPERTY_CHECKERS = ("_check_tractable", "_check_cuttable")
 DIST_ROWS_READERS = [
     ("congruence", set(CHAIN_SEARCH)),
-    ("pregamp", {"quotient_pregamp", "tractability_verdict"}),
+    (
+        "pregamp",
+        {"quotient_pregamp", "tractability_verdict", "check_axioms", "_non_expanding",
+         "_first_incompatible_cells"},
+    ),
     ("constructions", set(ENUMERATOR)),
     ("gamp", set(PROPERTY_CHECKERS)),
 ]

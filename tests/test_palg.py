@@ -448,10 +448,38 @@ class TestLatticeOrder:
         assert out.stdout.split() == ["optimize", "1", "raised"]
 
     def test_large_algebra_skips_the_identities(self):
-        # past LATTICE_CHECK_BOUND the order check alone decides
-        alg = build_named("power:M3:2").algebra
+        # past LATTICE_CHECK_BOUND the order check alone decides; a flat
+        # copy, since a recorded product is decided by its factors
+        power = build_named("power:M3:2").algebra
+        alg = PartialAlgebra(LATTICE_TYPE, power.universe, power.ops)
         with mock.patch.object(palg, "first_counterexamples", side_effect=AssertionError):
             assert is_lattice_algebra(alg)
+
+    def test_large_product_is_decided_by_its_factors(self, m3):
+        # past LATTICE_CHECK_BOUND a nonempty product is a lattice iff each
+        # factor is, and neither its tables nor its meet order are built
+        nonlattice = table_algebra([[0, 0], [1, 1]], [[0, 1], [0, 1]])
+        assert is_lattice_algebra(m3)
+        power = PartialAlgebra.product([m3, m3, m3])
+        with mock.patch.object(palg, "_is_lattice_order", side_effect=AssertionError):
+            assert is_lattice_algebra(power)
+        assert "ops" not in vars(power) and "index_tables" not in vars(power)
+        mixed = PartialAlgebra.product([nonlattice, m3])
+        assert not is_lattice_algebra(mixed) and not palg._is_lattice_order(mixed)
+
+    def test_small_product_cross_checks_its_factors(self):
+        # within the bound every verdict runs: a factor's kept verdict that
+        # disagrees with the product's own is a cross-check failure
+        two = build_named("two").algebra
+        liar = PartialAlgebra(LATTICE_TYPE, two.universe, two.ops)
+        vars(liar)["_lattice_verdict"] = False
+        assert is_lattice_algebra(PartialAlgebra.product([two, two]))
+        with pytest.raises(CrossCheckFailed, match="factors disagree"):
+            is_lattice_algebra(PartialAlgebra.product([liar, two]))
+        # an empty product is vacuously a lattice, whatever its factors are
+        empty = PartialAlgebra(LATTICE_TYPE, [], {})
+        nonlattice = table_algebra([[0, 0], [1, 1]], [[0, 1], [0, 1]])
+        assert is_lattice_algebra(PartialAlgebra.product([empty, nonlattice]))
 
 
 # Random factors for the product properties: one binary and one unary op;

@@ -4,9 +4,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gampkit import pregamp
+from gampkit import build_named, pregamp
 from gampkit.congruence import conc, principal_congruence
-from gampkit.errors import IdealNotMapped
+from gampkit.errors import CrossCheckFailed, IdealNotMapped
 from gampkit.palg import (
     LATTICE_IDENTITIES,
     LATTICE_TYPE,
@@ -154,7 +154,100 @@ def coded_pregamps(draw, axioms=(None, *AXIOMS)):
     return Pregamp(PartialAlgebra(CGF_TYPE, codes, ops), dist, sem), axiom
 
 
+@st.composite
+def labelled_lattices(draw):
+    """Lattices of random closure systems on three points (meet is
+    intersection, join the least member above the union), on shuffled
+    non-integer labels and listed in label order, so that universe indices
+    are neither labels nor the lattice's order."""
+    points = range(3)
+    family = {frozenset(points)}
+    for s in draw(st.lists(st.frozensets(st.sampled_from(points)), max_size=5)):
+        family |= {s & t for t in family} | {s}
+    name = dict(zip(family, (f"e{k}" for k in draw(st.permutations(range(len(family)))))))
+
+    def join(a, b):
+        return name[min((c for c in family if a | b <= c), key=len)]
+
+    ops = {
+        "meet": {(name[a], name[b]): name[a & b] for a in family for b in family},
+        "join": {(name[a], name[b]): join(a, b) for a in family for b in family},
+    }
+    return PartialAlgebra(LATTICE_TYPE, sorted(name.values()), ops)
+
+
+# factor lists whose product has at most 12 elements, for the label loop
+SMALL_PRODUCTS = (
+    ("two", "two"), ("two", "chain:3"), ("chain:3", "chain:3"), ("two", "M3"),
+    ("N5", "two"), ("two", "two", "two"), ("two", "chain:3", "two"),
+)
+
+
+@st.composite
+def total_pregamps(draw):
+    """(pregamp on a total carrier, carrier kind, distance source). The
+    carrier is a labelled lattice, a recorded product of named lattices
+    (rebuilt from its factors after pga, so its tables are not built), or a
+    total algebra of CGFH_TYPE (nullary, unary, binary and ternary
+    operations). The distance is pga's; pga's with two points swapped,
+    which plants a compatibility violation unless the swap is an
+    automorphism; or random and symmetric, zero exactly on the diagonal."""
+    kind = draw(st.sampled_from(["lattice", "product", "other"]))
+    if kind == "lattice":
+        A = draw(labelled_lattices())
+    elif kind == "product":
+        A = PartialAlgebra.product([build_named(f).algebra for f in draw(st.sampled_from(SMALL_PRODUCTS))])
+    else:
+        A = draw(cgfh_algebras(sizes=(1, 2, 3, 4), holes=0))
+    pg, u = pga(A), A.universe
+    source = draw(st.sampled_from(["pga", "planted", "random"]))
+    dist = dict(pg.dist)
+    if source == "planted" and len(u) > 1:
+        x, y = draw(st.permutations(u))[:2]
+        swap = {x: y, y: x}
+        dist = {(a, b): pg.dist[(swap.get(a, a), swap.get(b, b))] for a in u for b in u}
+    elif source == "random":
+        nonzero = [e for e in pg.sem.elements if e != pg.sem.zero]
+        for i, a in enumerate(u):
+            for b in u[i + 1 :]:
+                dist[(a, b)] = dist[(b, a)] = draw(st.sampled_from(nonzero))
+    carrier = PartialAlgebra.product(A.factors) if kind == "product" else A
+    return Pregamp(carrier, dist, pg.sem), kind, source
+
+
 class TestAxioms:
+    @settings(max_examples=200, deadline=None)
+    @given(total_pregamps())
+    def test_total_carriers_match_the_label_loop(self, case):
+        pg, kind, source = case
+        verdict = check_axioms(pg)
+        if verdict[0] or verdict[1][0] != "compatibility":
+            # decided by the translation maps: a product's are its factors'
+            assert "ops" not in vars(pg.carrier) or kind != "product"
+            assert "index_tables" not in vars(pg.carrier) or kind != "product"
+        assert verdict == brute_check_axioms(pg)
+        assert verdict == (True, None) or source != "pga"
+
+    @pytest.mark.parametrize("name", ["chain:3", "M3", "N5", "power:M3:2"])
+    def test_passing_total_carriers_run_no_pair_loop(self, name):
+        pg = pga(build_named(name).algebra)
+        with mock.patch.object(pregamp, "_first_incompatible_cells", side_effect=AssertionError):
+            assert check_axioms(pg) == (True, None)
+
+    def test_expanding_translation_reports_the_pair_loop_violation(self, chain3):
+        # distances of 0 and 1 swapped: x -> x join 1 sends (0, 2) at the
+        # distance Theta(1, 2) to (1, 2) at the distance Theta(0, 2)
+        pg = pga(chain3)
+        swap = {0: 1, 1: 0, 2: 2}
+        dist = {(a, b): pg.dist[(swap[a], swap[b])] for a, b in pg.dist}
+        swapped = Pregamp(chain3, dist, pg.sem)
+        verdict = check_axioms(swapped)
+        assert verdict == brute_check_axioms(swapped)
+        assert verdict[1][0] == "compatibility"
+        with mock.patch.object(pregamp, "_first_incompatible_cells", return_value=None):
+            with pytest.raises(CrossCheckFailed, match="expanding translation"):
+                check_axioms(swapped)
+
     @settings(max_examples=200, deadline=None)
     @given(coded_pregamps())
     def test_indices_match_the_label_loop(self, planted):
