@@ -457,15 +457,6 @@ class ConcSemilattice(JoinSemilattice):
     def principal(self, x, y):
         return self.elements[self.dist_rows[self._point[x]][self._point[y]]]
 
-    def distances(self):
-        """The principal distance (x, y) -> Theta(x, y) over all pairs of the algebra."""
-        universe, els = self.algebra.universe, self.elements
-        return {
-            (x, y): els[k]
-            for x, row in zip(universe, self.dist_rows)
-            for y, k in zip(universe, row)
-        }
-
 
 def conc(algebra, bound=CON_BOUND):
     """The join-semilattice of compact congruences of a finite algebra.

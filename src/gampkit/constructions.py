@@ -876,12 +876,8 @@ class _NodeState:
 
     def gamp(self):
         """The node as it stands: its inner part in the decided outer structure."""
-        universe, els = self.universe(), self.cs.elements
-        alg = PartialAlgebra(LATTICE_TYPE, universe, self.tables(), validate=False)
-        dist = {(x, y): els[d] for x, r in zip(universe, self.D) for y, d in zip(universe, r)}
-        pg = Pregamp(alg, dist, self.cs)
-        pg.dist_rows = self.D  # the same matrix, on the same universe order
-        return Gamp(self.inner, pg, validate=False)
+        alg = PartialAlgebra(LATTICE_TYPE, self.universe(), self.tables(), validate=False)
+        return Gamp(self.inner, Pregamp(alg, self.D, self.cs), validate=False)
 
     def node_checks(self, label, n):
         """The node conditions of a candidate; None when fine, a pruning

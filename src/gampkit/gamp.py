@@ -404,7 +404,7 @@ def _check_cuttable(fm, phi, chains, x_cap):
     joins = tgt.outer.ops.get("join", {})
     # the phi-distances of inner points, which hold the image, as indices
     # into S, and the down-set of each element of S as a bit mask
-    at = {x: i for i, x in enumerate(tgt.outer.universe)}
+    at = tgt.pregamp.point
     to_s = [S.index(phi(a)) for a in tgt.sem.elements]
     rows = [tgt.pregamp.dist_rows[at[a]] for a in inner]
     dist = [[to_s[row[at[b]]] for b in inner] for row in rows]

@@ -1,7 +1,6 @@
 """Partial algebras with semilattice-valued distances: axioms, the functor
 from total algebras, quotients, induced morphisms, identity satisfaction."""
 
-from functools import cached_property
 from itertools import chain, combinations, compress, count, product, repeat
 from operator import getitem, ne
 
@@ -30,7 +29,9 @@ from . import congruence as _cong
 class Pregamp:
     """Carrier partial algebra with a distance into a join-semilattice.
 
-    The distance axioms (separation, symmetry, triangle, compatibility with
+    The distance is held once, as the index matrix dist_rows; delta reads it
+    through the point index, and from_dist converts a label table. The
+    distance axioms (separation, symmetry, triangle, compatibility with
     every defined operation) are what make quotients by semilattice ideals
     work; check_axioms verifies them on indices, reading dist_rows and the
     semilattice's join_rows. On a total carrier it decides compatibility
@@ -39,33 +40,43 @@ class Pregamp:
     check too. The chain condition of congruence reads the same two tables.
     """
 
-    def __init__(self, carrier, dist, sem):
-        self.carrier = carrier
-        self.sem = sem
-        self.dist = dict(dist)
-        for x in carrier.universe:
-            for y in carrier.universe:
-                if (x, y) not in self.dist:
-                    raise ValueError(f"distance not total at {(x, y)}")
-                if self.dist[(x, y)] not in sem:
-                    raise ValueError(f"distance leaves the semilattice at {(x, y)}")
+    def __init__(self, carrier, dist_rows, sem):
+        """dist_rows[i][j] indexes in sem.elements the distance of the
+        carrier's points i and j; kept as given, so pga shares Conc's."""
+        n, m = len(carrier), len(sem)
+        if len(dist_rows) != n or any(len(row) != n for row in dist_rows):
+            raise ValueError(f"distance rows are not {n}x{n}")
+        if n and not all(0 <= min(row) and max(row) < m for row in dist_rows):
+            raise ValueError("distance rows leave the semilattice's elements")
+        self.carrier, self.dist_rows, self.sem = carrier, dist_rows, sem
+        self.point = {x: i for i, x in enumerate(carrier.universe)}
+
+    @classmethod
+    def from_dist(cls, carrier, dist, sem):
+        """The pregamp of a label table, (x, y) -> distance, over every pair
+        of the carrier's points; pairs outside the carrier are not read."""
+        for x, y in product(carrier.universe, repeat=2):
+            if (x, y) not in dist:
+                raise ValueError(f"distance not total at {(x, y)}")
+            if dist[(x, y)] not in sem:
+                raise ValueError(f"distance {dist[(x, y)]!r} at {(x, y)} not in semilattice")
+        universe = carrier.universe
+        return cls(carrier, [[sem.index(dist[(x, y)]) for y in universe] for x in universe], sem)
 
     def delta(self, x, y):
-        return self.dist[(x, y)]
-
-    @cached_property
-    def dist_rows(self):
-        """dist_rows[i][j] is the index in sem.elements of delta(u_i, u_j), u
-        the carrier's universe. Built on first use and kept, as join_rows is."""
-        universe, index, d = self.carrier.universe, self.sem.index, self.dist
-        return [[index(d[(x, y)]) for y in universe] for x in universe]
+        return self.sem.elements[self.dist_rows[self.point[x]][self.point[y]]]
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Pregamp)
-            and self.carrier == other.carrier
-            and self.sem == other.sem
-            and self.dist == other.dist
+        """Equal carriers and semilattices, compared as sets, and the same
+        distance at every pair, whatever the order of points and elements."""
+        if not isinstance(other, Pregamp) or (self.carrier, self.sem) != (other.carrier, other.sem):
+            return False
+        # other's rows, read in this pregamp's point and element order
+        relabel = [self.sem.index(a) for a in other.sem.elements]
+        at = [other.point[x] for x in self.carrier.universe]
+        return all(
+            list(row) == [relabel[theirs[j]] for j in at]
+            for row, theirs in zip(self.dist_rows, map(other.dist_rows.__getitem__, at))
         )
 
     def __repr__(self):
@@ -165,10 +176,9 @@ def check_axioms(pg):
 
 def is_distance_generated(pg):
     """Distance-generation: the distances join-generate the semilattice."""
-    gen = pg.sem.join_closure(
-        pg.dist[(x, y)] for x in pg.carrier.universe for y in pg.carrier.universe
-    )
-    return gen == frozenset(pg.sem.elements)
+    els = pg.sem.elements
+    gen = pg.sem.join_closure(map(els.__getitem__, set(chain.from_iterable(pg.dist_rows))))
+    return gen == frozenset(els)
 
 
 class PregampMorphism:
@@ -222,9 +232,7 @@ def pga(algebra, cs=None):
     """The pregamp of a total algebra: its principal-congruence distance into
     Conc A, which is cs when given. Its dist_rows are Conc's own matrix."""
     cs = _cong.conc(algebra) if cs is None else cs
-    pg = Pregamp(algebra, cs.distances(), cs)
-    pg.dist_rows = cs.dist_rows  # the same matrix, on the same universe order
-    return pg
+    return Pregamp(algebra, cs.dist_rows, cs)
 
 
 def pga_mor(f, source_pg=None, target_pg=None):
@@ -250,7 +258,7 @@ def sub_pregamp(pg, subalgebra, subsem=None):
         for x in subalgebra.universe
         for y in subalgebra.universe
     }
-    return Pregamp(subalgebra, dist, subsem)
+    return Pregamp.from_dist(subalgebra, dist, subsem)
 
 
 def canonical_embedding(sub, pg):
@@ -292,10 +300,10 @@ def quotient_pregamp(pg, ideal):
     """
     qsem, sproj = quotient(pg.sem, ideal)
     qalg, rep = _quotient_carrier(pg, ideal)
-    A, D, els = pg.carrier, pg.dist_rows, pg.sem.elements
-    kept = [i for i, x in enumerate(A.universe) if rep[x] == x]
-    dist = {(A.universe[i], A.universe[j]): sproj(els[D[i][j]]) for i in kept for j in kept}
-    qpg = Pregamp(qalg, dist, qsem)
+    A, D = pg.carrier, pg.dist_rows
+    to_q = [qsem.index(sproj(a)) for a in pg.sem.elements]
+    kept = list(map(pg.point.__getitem__, qalg.universe))
+    qpg = Pregamp(qalg, [[to_q[D[i][j]] for j in kept] for i in kept], qsem)
     proj = PregampMorphism(
         pg, qpg, PalgMorphism(A, qalg, rep, validate=False), sproj, validate=False
     )
@@ -457,7 +465,7 @@ def tractability_verdict(pg, points, sem_phi, m_cap, f, carrier, extra=()):
     bounds = {"m_cap": m_cap}
     T, points, universe = sem_phi.target, list(points), carrier.universe
     J, n = T.join_rows, len(points)
-    at = {x: i for i, x in enumerate(pg.carrier.universe)}
+    at = pg.point
     to_t = [T.index(sem_phi(s)) for s in pg.sem.elements]
     rows = [pg.dist_rows[at[x]] for x in points]
     D = [[to_t[row[at[y]]] for y in points] for row in rows]

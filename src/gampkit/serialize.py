@@ -170,15 +170,17 @@ def pregamp_from_json(data):
     try:
         alg = algebra_from_json(data["algebra"])
         sem = semilattice_from_json(data["semilattice"])
-        dist = {
-            (decode_el(x), decode_el(y)): decode_el(d) for x, y, d in data["dist"]
-        }
+        dist = {}
+        for x, y, d in data["dist"]:
+            pair = (decode_el(x), decode_el(y))
+            if pair in dist:
+                raise ValueError(f"distance listed twice at {pair}")
+            if pair[0] not in alg or pair[1] not in alg:
+                raise ValueError(f"distance at {pair} names a point outside the algebra")
+            dist[pair] = decode_el(d)
+        pg = Pregamp.from_dist(alg, dist, sem)
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"pregamp: {e}")
-    for (x, y), d in dist.items():
-        if d not in sem:
-            raise SchemaError(f"pregamp: distance {d!r} at {(x, y)} not in semilattice")
-    pg = Pregamp(alg, dist, sem)
     ok, violation = check_axioms(pg)
     if not ok:
         raise SchemaError(f"pregamp: the {violation[0]} axiom fails at {violation[1]!r}")

@@ -61,3 +61,10 @@ def corpus_maps(fixture_lattices):
     for label, (src, tgt, mapping) in arrows.items():
         maps[label] = PalgMorphism(fixture_lattices[src], fixture_lattices[tgt], mapping)
     return maps
+
+
+def label_dist(pg):
+    """A pregamp's distance as a label table, (x, y) -> delta(x, y), over
+    every pair of its carrier's points."""
+    universe = pg.carrier.universe
+    return {(x, y): pg.delta(x, y) for x in universe for y in universe}

@@ -48,6 +48,7 @@ from gampkit.gamp import check_property, ga
 from gampkit.palg import LATTICE_TYPE, UNDEFINED, PalgMorphism, PartialAlgebra, SimilarityType
 from gampkit.pregamp import Pregamp, pga
 from gampkit.semilattice import JoinSemilattice, SemIdeal, is_ideal_induced, ker0
+from conftest import label_dist
 from test_pregamp import coded_pregamps
 
 
@@ -124,7 +125,7 @@ class TestConc:
         for a in x1.universe:
             for b in x1.universe:
                 assert cs.principal(a, b) == principal_congruence(x1, a, b)
-        assert cs.distances() == {
+        assert label_dist(pga(x1, cs)) == {
             (a, b): principal_congruence(x1, a, b) for a in x1.universe for b in x1.universe
         }
 
@@ -144,12 +145,12 @@ class TestConc:
                 assert cs.join(a, b) == _least(upper)
 
     def test_closes_each_pair_once_off_lattices(self, x1, monkeypatch):
-        # the principal table is kept at build time: principal() and
-        # distances() run no closure of their own
+        # the principal table is kept at build time: principal() and the
+        # delta of pga run no closure of their own
         reduct = _join_reduct(x1)
         closures = _count_calls(monkeypatch, "_closure_labels")
         cs = conc(reduct)
-        dist, zero = cs.distances(), cs.principal("x1", "x1")
+        dist, zero = label_dist(pga(reduct, cs)), cs.principal("x1", "x1")
         n = len(reduct.universe)
         assert len(closures) == n * (n - 1) // 2 and zero is cs.zero
         assert dist == {
@@ -166,7 +167,7 @@ class TestConc:
         closures = _count_calls(monkeypatch, "_closure_labels")
         joins = _count_label_joins(monkeypatch)
         cs = conc(alg)
-        cs.distances(), cs.generated([(alg.universe[0], alg.universe[-1])])
+        label_dist(pga(alg, cs)), cs.generated([(alg.universe[0], alg.universe[-1])])
         assert len(closures) == len(_brute_join_irreducibles(alg)) and joins == []
 
     def test_dropped_day_edge_fails_the_cross_check(self, n5, monkeypatch):
@@ -490,7 +491,8 @@ def test_lattice_conc_matches_the_closure_builder(alg, data):
     fast, (slow, slow_order) = conc(alg), closure_conc(alg)
     assert fast.elements == slow.elements and fast.zero == slow.zero
     assert fast.join_rows == slow.join_rows
-    assert fast.dist_rows == slow.dist_rows and fast.distances() == slow.distances()
+    assert fast.dist_rows == slow.dist_rows
+    assert label_dist(pga(alg, fast)) == label_dist(pga(alg, slow))
     assert con_lattice(alg) == slow_order
     points = st.sampled_from(alg.universe)
     for _ in range(3):
@@ -739,12 +741,12 @@ def _pregamp_over(universe, dist, sem, meets=None, joins=None):
     """A pregamp with the given distance whose carrier holds the given meet
     and join tables, undefined where a table has no cell."""
     ops = {"meet": meets or {}, "join": joins or {}}
-    return Pregamp(PartialAlgebra(LATTICE_TYPE, universe, ops, validate=False), dist, sem)
+    return Pregamp.from_dist(PartialAlgebra(LATTICE_TYPE, universe, ops, validate=False), dist, sem)
 
 
 def _assert_memo_exact(alg, n, meets):
     cs = conc(alg)
-    dist = cs.distances()
+    dist = label_dist(pga(alg, cs))
     universe = alg.universe
     pg = _pregamp_over(universe, dist, cs, meets)
     for table in (None, meets):
@@ -798,7 +800,7 @@ def test_interpolant_search_matches_brute_force_on_partial_tables(alg, data):
     # middle and inner points out of universe order, catch a mix-up
     universe = alg.universe
     cs = conc(alg)
-    dist = cs.distances()
+    dist = label_dist(pga(alg, cs))
     meets = data.draw(partial_order_tables(universe))
     joins = data.draw(partial_order_tables(universe))
     pg = _pregamp_over(universe, dist, cs, meets, joins)
@@ -821,7 +823,7 @@ def test_interpolant_search_matches_brute_force_on_partial_tables(alg, data):
 
 def _unmemoized_witnesses(g, n, lattice_form):
     meets, joins = g.outer.ops["meet"], g.outer.ops["join"]
-    outer = list(g.outer.universe)
+    outer, dist = list(g.outer.universe), label_dist(g.pregamp)
     witnesses = {}
     for xs in product(g.inner.universe, repeat=n + 1):
         if lattice_form:
@@ -829,7 +831,7 @@ def _unmemoized_witnesses(g, n, lattice_form):
         else:
             first, last, table = xs[0], xs[n], None
         witnesses[xs] = next(
-            brute_chain_interpolants(g.sem, g.pregamp.dist, xs, first, last, outer, table), None
+            brute_chain_interpolants(g.sem, dist, xs, first, last, outer, table), None
         )
     return witnesses
 
@@ -898,7 +900,7 @@ def test_chain_verdict_matches_the_tuple_walk(pregamp, data):
         verdict = _chain_verdict(pg.dist_rows, pg.sem.join_rows, n, indices, zero)
         assert verdict == walk_verdict(pg, indices, n), n
         assert list(_chain_condition_failures(pg, inner, n)) == (
-            brute_chain_condition_failures(pg.sem, pg.dist, inner, universe, n)
+            brute_chain_condition_failures(pg.sem, label_dist(pg), inner, universe, n)
         ), n
 
 

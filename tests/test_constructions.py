@@ -436,7 +436,9 @@ class TestNodeStateAgreesWithCheckAxioms:
             passing = []
             for row in map(list, product(nonzero, repeat=len(g.inner))):
                 state.place_row(row)
-                if check_axioms(state.gamp().pregamp)[0]:
+                snapshot = state.gamp().pregamp
+                assert snapshot.dist_rows is state.D
+                if check_axioms(snapshot)[0]:
                     passing.append(row)
             state.place_row(None)
             assert constructions._nonzero_row_options(state) == passing
@@ -546,7 +548,7 @@ def _padded_non_commuting_candidate(square):
         dist[("p", x)] = v
         dist[(x, "p")] = v
     dist[("p", "p")] = cs0.zero
-    g0 = Gamp(chain, Pregamp(outer, dist, cs0))
+    g0 = Gamp(chain, Pregamp.from_dist(outer, dist, cs0))
 
     ga_sq = apply_functor(a_sq, "GA")
     nodes = {"b": g0, "l": ga_sq.objects["l"], "r": ga_sq.objects["r"], "t": ga_sq.objects["t"]}

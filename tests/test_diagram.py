@@ -163,6 +163,7 @@ class TestOperational:
     def test_missing_meet_diagnosed(self, x1, chain3):
         from gampkit.gamp import Gamp, GampMorphism
         from gampkit.pregamp import Pregamp, pga
+        from conftest import label_dist
 
         poset = FinitePoset.chain(2)
         src = ga(chain3)
@@ -179,7 +180,7 @@ class TestOperational:
         )
         tgt = Gamp(
             x1.restrict_full({"0", "x1", "x3", "1"}),
-            Pregamp(sparse_outer, base.dist, base.sem),
+            Pregamp.from_dist(sparse_outer, label_dist(base), base.sem),
         )
         f = PalgMorphism(chain3, sparse_outer, {0: "0", 1: "x3", 2: "1"})
         from gampkit.congruence import conc_morphism

@@ -41,6 +41,7 @@ from gampkit.semilattice import (
     quotient,
 )
 from gampkit.util import Verdict
+from conftest import label_dist
 from test_pregamp import induced_pregamp_by_ideals
 from test_semilattice import assert_descent_matches_reference
 
@@ -121,9 +122,9 @@ class TestProperties:
         assert bool(check_property(g, "strong"))  # outer is total
         smaller = Gamp(
             g.inner,
-            Pregamp(
+            Pregamp.from_dist(
                 PartialAlgebra(LATTICE_TYPE, list(x1.universe), {}),
-                g.pregamp.dist,
+                label_dist(g.pregamp),
                 g.sem,
             ),
         )
@@ -145,7 +146,7 @@ class TestProperties:
         alg = PartialAlgebra(stype, [0], {"f": {(0,): 0}})
         from gampkit.semilattice import JoinSemilattice
 
-        g = Gamp(alg, Pregamp(alg, {(0, 0): 0}, JoinSemilattice.chain(1)))
+        g = Gamp(alg, Pregamp.from_dist(alg, {(0, 0): 0}, JoinSemilattice.chain(1)))
         with pytest.raises(WrongSignature):
             check_property(g, "distance_generated_chains")
 
@@ -170,14 +171,14 @@ class TestMorphismProperties:
         src_outer = x1.restrict_full({"0", "x3"})
         src_sem = base.sem.sub(
             base.sem.join_closure(
-                {base.dist[(a, b)] for a in src_outer.universe for b in src_outer.universe}
+                {base.delta(a, b) for a in src_outer.universe for b in src_outer.universe}
             )
         )
         g_s = Gamp(
             empty,
-            Pregamp(
+            Pregamp.from_dist(
                 src_outer,
-                {(a, b): base.dist[(a, b)] for a in src_outer.universe for b in src_outer.universe},
+                {(a, b): base.delta(a, b) for a in src_outer.universe for b in src_outer.universe},
                 src_sem,
             ),
         )
@@ -191,7 +192,7 @@ class TestMorphismProperties:
                 },
             },
         )
-        g_t = Gamp(x1.restrict_full({"x1"}), Pregamp(tgt_outer, base.dist, base.sem))
+        g_t = Gamp(x1.restrict_full({"x1"}), Pregamp.from_dist(tgt_outer, label_dist(base), base.sem))
         fm = GampMorphism(
             g_s, g_t,
             PalgMorphism(src_outer, tgt_outer, {x: x for x in src_outer.universe}),
@@ -249,7 +250,7 @@ class TestChains:
         g = sparse_gamp(x1)
         smaller = Gamp(
             g.inner,
-            Pregamp(PartialAlgebra(LATTICE_TYPE, list(x1.universe), {}), g.pregamp.dist, g.sem),
+            Pregamp.from_dist(PartialAlgebra(LATTICE_TYPE, list(x1.universe), {}), label_dist(g.pregamp), g.sem),
         )
         with pytest.raises(NotStrong):
             presqueordre_facts(smaller, ["0", "1"])
@@ -513,17 +514,17 @@ class TestCuttableAgainstReference:
         join.update({("a", "b"): "b", ("b", "a"): "b"})
         target = PartialAlgebra(LATTICE_TYPE, ["a", "c", "b"], {"meet": meet, "join": join})
         ends = target.restrict_full({"a", "b"})
-        source = Gamp(ends, Pregamp(ends, {k: v for k, v in dist.items() if "c" not in k}, S))
+        source = Gamp(ends, Pregamp.from_dist(ends, {k: v for k, v in dist.items() if "c" not in k}, S))
         ident = SemMorphism.identity(S)
         for inner, holds in ((target, True), (ends, False)):
-            tgt = Gamp(inner, Pregamp(target, dist, S))
+            tgt = Gamp(inner, Pregamp.from_dist(target, dist, S))
             fm = GampMorphism(source, tgt, PalgMorphism(ends, target, {"a": "a", "b": "b"}), ident)
             got = check_morphism_property(fm, "cuttable_chains", x_cap=2)
             assert got == reference_check_cuttable(fm, ident, True, 2)
             assert bool(got) == holds
             if not holds:
                 assert got.witness == ("a", "b", (frozenset("p"), frozenset("q")))
-        assert is_chain(Gamp(target, Pregamp(target, dist, S)), ["a", "c", "b"])
+        assert is_chain(Gamp(target, Pregamp.from_dist(target, dist, S)), ["a", "c", "b"])
 
 
 class TestChainColimit:
@@ -537,7 +538,7 @@ class TestChainColimit:
     def test_increasing_subgamps(self, m3):
         g = ga(m3)
         inner1 = m3.restrict_full({"0", "x1"})
-        sub1 = Gamp(inner1, Pregamp(m3, g.pregamp.dist, g.sem))
+        sub1 = Gamp(inner1, Pregamp.from_dist(m3, label_dist(g.pregamp), g.sem))
         emb = canonical_embedding(sub1, g)
         top, _, stable, _ = gamp_chain_colimit([emb], window=0)
         assert top == g and stable

@@ -375,18 +375,18 @@ def test_no_asserts(path):
 
 TABLE_MUTATORS = frozenset({"update", "setdefault", "pop", "clear"})
 
-# The attributes that hold tables, each with the one constructor that may
-# set them: an algebra's operations, a pregamp's distance, a semilattice's
-# join.
+# The attributes that hold tables, each with the constructors that may set
+# them: an algebra's operations, the distance matrix of a pregamp and of
+# Conc (which pga shares), a semilattice's join.
 TABLE_OWNERS = {
-    "ops": "PartialAlgebra.__init__",
-    "dist": "Pregamp.__init__",
-    "_join": "JoinSemilattice.__init__",
+    "ops": {"PartialAlgebra.__init__"},
+    "dist_rows": {"Pregamp.__init__", "ConcSemilattice.__init__"},
+    "_join": {"JoinSemilattice.__init__"},
 }
 
 
 def _is_tables(node):
-    """`<expr>.ops` or `<expr>.ops[...]`, and the same for `.dist` and
+    """`<expr>.ops` or `<expr>.ops[...]`, and the same for `.dist_rows` and
     `._join`: a table attribute or one entry of it."""
     if isinstance(node, ast.Subscript):
         node = node.value
@@ -397,8 +397,8 @@ def table_mutations(source):
     """(line, enclosing "Class.function", attribute) of each statement of the
     source that changes a table: an assignment or deletion of `<expr>.ops`,
     or of an entry of `<expr>.ops` or `<expr>.ops[...]`, and a call of
-    update, setdefault, pop or clear on either; likewise for `.dist` and
-    `._join`."""
+    update, setdefault, pop or clear on either; likewise for `.dist_rows`
+    and `._join`."""
     found = []
 
     def visit(node, scope):
@@ -464,36 +464,38 @@ def test_table_mutation_detector_flags_writes_and_keeps_reads():
 def test_table_mutation_detector_flags_distances_and_joins():
     source = (
         "class Pregamp:\n"
-        "    def __init__(self, dist):\n"
-        "        self.dist = dict(dist)\n"
+        "    def __init__(self, dist_rows):\n"
+        "        self.dist_rows = dist_rows\n"
         "class JoinSemilattice:\n"
         "    def __init__(self, join_table):\n"
         "        self._join = dict(join_table)\n"
-        "def bend(pg, sem):\n"
-        "    pg.dist[(0, 1)] = 2\n"
-        "    pg.dist.update({(1, 0): 2})\n"
-        "    del pg.dist[(0, 0)]\n"
+        "def bend(pg, sem, cs):\n"
+        "    pg.dist_rows[0][1] = 2\n"
+        "    pg.dist_rows.clear()\n"
+        "    del pg.dist_rows[0]\n"
         "    sem._join[(0, 1)] = 0\n"
         "    sem._join.setdefault((1, 1), 1)\n"
         "    sem._join = {}\n"
-        "    dist = dict(pg.dist)\n"
-        "    dist[(0, 1)] = 2\n"
-        "    return pg.dist[(0, 1)], sem._join.get((0, 1)), pg.dist.items()\n"
+        "    pg.dist_rows = cs.dist_rows\n"
+        "    rows = list(pg.dist_rows)\n"
+        "    rows[0] = [2]\n"
+        "    return pg.dist_rows[0][1], sem._join.get((0, 1)), pg.dist_rows[1]\n"
     )
     assert table_mutations(source) == [
-        (3, "Pregamp.__init__", "dist"), (6, "JoinSemilattice.__init__", "_join"),
-        (8, "bend", "dist"), (9, "bend", "dist"), (10, "bend", "dist"),
+        (3, "Pregamp.__init__", "dist_rows"), (6, "JoinSemilattice.__init__", "_join"),
+        (8, "bend", "dist_rows"), (9, "bend", "dist_rows"), (10, "bend", "dist_rows"),
         (11, "bend", "_join"), (12, "bend", "_join"), (13, "bend", "_join"),
+        (14, "bend", "dist_rows"),
     ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_tables_change_only_in_construction(path):
     # PartialAlgebra.translation_rows and index_tables, a product's tables,
-    # Pregamp.dist_rows and JoinSemilattice.join_rows are built once and kept,
-    # which is sound only while nothing changes those tables after the
-    # owning constructor
-    assert [m for m in table_mutations(path.read_text()) if m[1] != TABLE_OWNERS[m[2]]] == []
+    # and JoinSemilattice.join_rows are built once and kept, and pga and the
+    # enumerator's snapshots share their source's dist_rows, which is sound
+    # only while nothing changes those tables after the owning constructor
+    assert [m for m in table_mutations(path.read_text()) if m[1] not in TABLE_OWNERS[m[2]]] == []
 
 
 # The chain-condition search, check_axioms, quotient_pregamp, the candidate
@@ -512,7 +514,7 @@ DIST_ROWS_READERS = [
     (
         "pregamp",
         {"quotient_pregamp", "tractability_verdict", "check_axioms", "_non_expanding",
-         "_first_incompatible_cells"},
+         "_first_incompatible_cells", "is_distance_generated"},
     ),
     ("constructions", set(ENUMERATOR)),
     ("gamp", set(PROPERTY_CHECKERS)),

@@ -39,6 +39,7 @@ from gampkit.pregamp import (
 )
 from gampkit.semilattice import JoinSemilattice, SemIdeal, SemMorphism, enumerate_ideals, quotient
 from gampkit.util import Verdict
+from conftest import label_dist
 from test_palg import CGFH_TYPE, brute_satisfies_identity, cgfh_algebras, identity_lists
 from test_semilattice import (
     assert_descent_matches_reference,
@@ -75,13 +76,13 @@ def commutativity_gap_fixture():
                 dist[(x, y)] = 1
             else:
                 dist[(x, y)] = 2
-    return Pregamp(alg, dist, sem)
+    return Pregamp.from_dist(alg, dist, sem)
 
 
 def brute_check_axioms(pg):
     """Reference for check_axioms: the four axioms on labels, through the
     semilattice's join_all and leq, in the same order."""
-    A, S, d = pg.carrier, pg.sem, pg.dist
+    A, S, d = pg.carrier, pg.sem, label_dist(pg)
     for x in A.universe:
         for y in A.universe:
             if (d[(x, y)] == S.zero) != (x == y):
@@ -151,7 +152,7 @@ def coded_pregamps(draw, axioms=(None, *AXIOMS)):
         x0 = (rnd.choice([c for c in factors[0] if c != x[0]]),) + x[1:]
         y1 = x[:1] + (rnd.choice([c for c in factors[1] if c != x[1]]),) + x[2:]
         ops["g"] = {(x,): x, (x0,): y1}
-    return Pregamp(PartialAlgebra(CGF_TYPE, codes, ops), dist, sem), axiom
+    return Pregamp.from_dist(PartialAlgebra(CGF_TYPE, codes, ops), dist, sem), axiom
 
 
 @st.composite
@@ -201,18 +202,45 @@ def total_pregamps(draw):
         A = draw(cgfh_algebras(sizes=(1, 2, 3, 4), holes=0))
     pg, u = pga(A), A.universe
     source = draw(st.sampled_from(["pga", "planted", "random"]))
-    dist = dict(pg.dist)
+    dist = label_dist(pg)
     if source == "planted" and len(u) > 1:
         x, y = draw(st.permutations(u))[:2]
         swap = {x: y, y: x}
-        dist = {(a, b): pg.dist[(swap.get(a, a), swap.get(b, b))] for a in u for b in u}
+        dist = {(a, b): pg.delta(swap.get(a, a), swap.get(b, b)) for a in u for b in u}
     elif source == "random":
         nonzero = [e for e in pg.sem.elements if e != pg.sem.zero]
         for i, a in enumerate(u):
             for b in u[i + 1 :]:
                 dist[(a, b)] = dist[(b, a)] = draw(st.sampled_from(nonzero))
     carrier = PartialAlgebra.product(A.factors) if kind == "product" else A
-    return Pregamp(carrier, dist, pg.sem), kind, source
+    return Pregamp.from_dist(carrier, dist, pg.sem), kind, source
+
+
+class TestDistanceRows:
+    @pytest.mark.parametrize("name", ["chain:3", "M3", "X1", "power:N5:2"])
+    def test_equality_ignores_point_and_element_order(self, name):
+        pg = pga(build_named(name).algebra)
+        A, S = pg.carrier, pg.sem
+        carrier = PartialAlgebra(A.stype, A.universe[::-1], A.ops)
+        joins = {(a, b): S.join(a, b) for a in S.elements for b in S.elements}
+        sem = JoinSemilattice(S.elements[::-1], S.zero, joins)
+        dist = label_dist(pg)
+        assert Pregamp.from_dist(carrier, dist, sem) == pg == Pregamp.from_dist(carrier, dist, sem)
+        x, y = A.universe[:2]
+        dist[(x, y)] = dist[(y, x)] = next(e for e in S.elements if e != dist[(x, y)])
+        assert Pregamp.from_dist(carrier, dist, sem) != pg != Pregamp.from_dist(carrier, dist, sem)
+
+    def test_constructor_checks_shape_and_range(self, chain3):
+        sem = JoinSemilattice.chain(2)
+        rows = [[int(x != y) for y in range(3)] for x in range(3)]
+        assert Pregamp(chain3, rows, sem).delta(0, 2) == 1
+        for bad in (rows[:2], [*rows[:2], [1, 0]], [*rows[:2], [1, 1, 2]], [*rows[:2], [1, 1, -1]]):
+            with pytest.raises(ValueError):
+                Pregamp(chain3, bad, sem)
+        with pytest.raises(ValueError, match="not total"):
+            Pregamp.from_dist(chain3, {(0, 0): 0}, sem)
+        with pytest.raises(ValueError, match="not in semilattice"):
+            Pregamp.from_dist(chain3, {(x, y): 2 for x in range(3) for y in range(3)}, sem)
 
 
 class TestAxioms:
@@ -239,8 +267,9 @@ class TestAxioms:
         # distance Theta(1, 2) to (1, 2) at the distance Theta(0, 2)
         pg = pga(chain3)
         swap = {0: 1, 1: 0, 2: 2}
-        dist = {(a, b): pg.dist[(swap[a], swap[b])] for a, b in pg.dist}
-        swapped = Pregamp(chain3, dist, pg.sem)
+        u = chain3.universe
+        dist = {(a, b): pg.delta(swap[a], swap[b]) for a in u for b in u}
+        swapped = Pregamp.from_dist(chain3, dist, pg.sem)
         verdict = check_axioms(swapped)
         assert verdict == brute_check_axioms(swapped)
         assert verdict[1][0] == "compatibility"
@@ -274,7 +303,7 @@ class TestAxioms:
     def test_constant_zero_violates_separation(self):
         alg = PartialAlgebra(LATTICE_TYPE, [0, 1], {})
         sem = JoinSemilattice.chain(2)
-        pg = Pregamp(alg, {(x, y): 0 for x in (0, 1) for y in (0, 1)}, sem)
+        pg = Pregamp.from_dist(alg, {(x, y): 0 for x in (0, 1) for y in (0, 1)}, sem)
         ok, viol = check_axioms(pg)
         assert not ok and viol[0] == "separation"
 
@@ -313,7 +342,7 @@ def assert_quotients_match_references(pg):
         assert [(n, list(t.items())) for n, t in q.carrier.ops.items()] == [
             (n, list(t.items())) for n, t in ops.items()
         ]
-        assert list(q.dist.items()) == list(dist.items())
+        assert list(label_dist(q).items()) == list(dist.items())
         assert list(proj.f.mapping.items()) == list(rep.items())
 
 
@@ -344,6 +373,8 @@ class TestPGA:
     def test_cpg_of_pga_is_conc(self, x1):
         pg = pga(x1)
         assert pg.sem == conc(x1)
+        # pga keeps Conc's own matrix, given or built
+        assert pg.dist_rows is pg.sem.dist_rows and pga(x1, pg.sem).dist_rows is pg.sem.dist_rows
 
 
 class TestQuotient:
@@ -534,7 +565,7 @@ def partial_pregamps(draw):
         dist[(x, x)] = sem.zero
         for y in alg.universe[i + 1 :]:
             dist[(x, y)] = dist[(y, x)] = draw(nonzero)
-    return Pregamp(alg, dist, sem)
+    return Pregamp.from_dist(alg, dist, sem)
 
 
 class TestVarietyWitnesses:
@@ -582,7 +613,7 @@ class TestVarietyWitnesses:
             for x in "abcd"
             for y in "abcd"
         }
-        pg = Pregamp(alg, dist, JoinSemilattice.chain(3))
+        pg = Pregamp.from_dist(alg, dist, JoinSemilattice.chain(3))
         ideal = SemIdeal.generated(pg.sem, {1})
         assert list(_quotient_carrier(pg, ideal)[0].universe) == ["a", "c", "b"]
         law = ("f(v0, v1) = g(v1)", Term.app("f", V(0), V(1)), Term.app("g", V(1)))
@@ -594,7 +625,7 @@ class TestVarietyWitnesses:
 class TestIdentitySatisfaction:
     def test_one_point(self):
         alg = PartialAlgebra(LATTICE_TYPE, ["*"], {"meet": {("*", "*"): "*"}, "join": {("*", "*"): "*"}})
-        pg = Pregamp(alg, {("*", "*"): 0}, JoinSemilattice.chain(1))
+        pg = Pregamp.from_dist(alg, {("*", "*"): 0}, JoinSemilattice.chain(1))
         from gampkit.palg import meet
 
         ok, _ = pregamp_satisfies_identity(pg, meet(V(0), V(1)), meet(V(1), V(0)))
@@ -625,7 +656,7 @@ class TestIdentitySatisfaction:
 class TestTractable:
     def test_identity_on_one_point(self):
         alg = PartialAlgebra(LATTICE_TYPE, ["*"], {"meet": {("*", "*"): "*"}, "join": {("*", "*"): "*"}})
-        pg = Pregamp(alg, {("*", "*"): 0}, JoinSemilattice.chain(1))
+        pg = Pregamp.from_dist(alg, {("*", "*"): 0}, JoinSemilattice.chain(1))
         v = is_congruence_tractable_morphism(PregampMorphism.identity(pg))
         assert bool(v)
 
@@ -647,7 +678,7 @@ class TestTractable:
         src = PartialAlgebra(LATTICE_TYPE, els, {})
         sem = JoinSemilattice.chain(2)
         d = {(x, y): 0 if x == y else 1 for x in els for y in els}
-        pg = Pregamp(src, d, sem)
+        pg = Pregamp.from_dist(src, d, sem)
         fm = PregampMorphism(
             pg, pg, PalgMorphism(src, src, {x: x for x in els}), SemMorphism.identity(sem)
         )
@@ -669,8 +700,8 @@ class TestIsoSearch:
                 for name, tb in chain3.ops.items()
             },
         )
-        dist2 = {(relabel[x], relabel[y]): d for (x, y), d in pg.dist.items()}
-        pg2 = Pregamp(alg2, dist2, pg.sem)
+        dist2 = {(relabel[x], relabel[y]): d for (x, y), d in label_dist(pg).items()}
+        pg2 = Pregamp.from_dist(alg2, dist2, pg.sem)
         assert next(pregamp_isomorphisms(pg, pg2), None) is not None
 
     def test_mismatch_refused(self, chain3, m3):
@@ -699,7 +730,7 @@ class TestIsoSearch:
         def unary(f):
             ops = {"f": {(x,): f(x) for x in points}}
             alg = PartialAlgebra(SimilarityType((("f", 1),)), points, ops)
-            return Pregamp(alg, dist, JoinSemilattice.chain(2))
+            return Pregamp.from_dist(alg, dist, JoinSemilattice.chain(2))
 
         monkeypatch.setattr(pregamp, "ISO_BUDGET", 100)
         with pytest.raises(SearchExhausted):
@@ -817,7 +848,7 @@ def tractability_cases(draw):
     else:
         subsets = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
         sem = JoinSemilattice(subsets, frozenset(), {(a, b): a | b for a in subsets for b in subsets})
-        pg = Pregamp(alg, {(x, y): draw(st.sampled_from(subsets)) for x in u for y in u}, sem)
+        pg = Pregamp.from_dist(alg, {(x, y): draw(st.sampled_from(subsets)) for x in u for y in u}, sem)
     points = [x for x in draw(st.permutations(u)) if draw(st.sampled_from((True, True, False)))]
     points = points or u[:1]
     phi = SemMorphism.identity(pg.sem)
@@ -887,7 +918,7 @@ class TestTractabilityAgainstReference:
             for x in alg.universe
             for y in alg.universe
         }
-        case = (Pregamp(alg, dist, sem), alg.universe, SemMorphism.identity(sem), 1, lambda x: x, alg)
+        case = (Pregamp.from_dist(alg, dist, sem), alg.universe, SemMorphism.identity(sem), 1, lambda x: x, alg)
         got = tractability_verdict(*case)
         assert got == reference_tractability_verdict(*case)
         assert got.witness == (0, 3, ((0, 2),))
@@ -898,7 +929,7 @@ class TestTractabilityAgainstReference:
         els = ["a", "b", "c", "d"]
         src = PartialAlgebra(LATTICE_TYPE, els, {})
         sem = JoinSemilattice.chain(2)
-        pg = Pregamp(src, {(x, y): 0 if x == y else 1 for x in els for y in els}, sem)
+        pg = Pregamp.from_dist(src, {(x, y): 0 if x == y else 1 for x in els for y in els}, sem)
         for m_cap in (0, 1, 2):
             case = (pg, els, SemMorphism.identity(sem), m_cap, lambda x: x, src, [("a", "d")])
             got = tractability_verdict(*case)

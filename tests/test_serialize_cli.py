@@ -71,6 +71,21 @@ class TestRoundTrips:
             ser.pregamp_from_json(data)
         assert "not in semilattice" in str(exc.value)
 
+    @pytest.mark.parametrize("fault", ["outside first", "outside second", "listed twice", "missing"])
+    def test_malformed_distance_list_names_the_pair(self, chain3, fault):
+        data = ser.pregamp_to_json(pga(chain3))
+        x, y, d = data["dist"][1]
+        if fault.startswith("outside"):
+            x, y = (9, y) if fault == "outside first" else (x, 9)
+            data["dist"].append([x, y, d])
+        elif fault == "listed twice":
+            data["dist"].append([x, y, d])
+        else:
+            del data["dist"][1]
+        with pytest.raises(SchemaError) as exc:
+            ser.pregamp_from_json(data)
+        assert repr((x, y)) in str(exc.value)
+
 
 class TestDot:
     def test_two_chain(self):
