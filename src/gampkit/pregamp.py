@@ -6,10 +6,13 @@ from operator import getitem, ne
 
 from .errors import IdealNotMapped, cross_check
 from .palg import (
+    LATTICE_IDENTITIES,
     PalgMorphism,
     compile_identities,
     first_counterexamples,
     image_palg,
+    is_lattice_algebra,
+    is_lattice_signature,
     is_palg_isomorphism,
     product_closure,
 )
@@ -245,20 +248,19 @@ def pga_mor(f, source_pg=None, target_pg=None):
 
 def sub_pregamp(pg, subalgebra, subsem=None):
     """Sub-pregamp on a partial subalgebra, over a join-subsemilattice
-    containing the restricted distances."""
+    containing the restricted distances. Its rows are read from dist_rows
+    through the point index and mapped into the subsemilattice's indices."""
     if not subalgebra.is_partial_sub_of(pg.carrier):
         raise ValueError("not a partial subalgebra of the carrier")
-    dvals = {pg.delta(x, y) for x in subalgebra.universe for y in subalgebra.universe}
+    D, els = pg.dist_rows, pg.sem.elements
+    at = list(map(pg.point.__getitem__, subalgebra.universe))
+    used = {D[i][j] for i in at for j in at}
     if subsem is None:
-        subsem = pg.sem.sub(pg.sem.join_closure(dvals))
-    elif not dvals <= set(subsem.elements):
+        subsem = pg.sem.sub(pg.sem.join_closure(map(els.__getitem__, used)))
+    elif not all(els[k] in subsem for k in used):
         raise ValueError("subsemilattice misses restricted distances")
-    dist = {
-        (x, y): pg.delta(x, y)
-        for x in subalgebra.universe
-        for y in subalgebra.universe
-    }
-    return Pregamp.from_dist(subalgebra, dist, subsem)
+    to_sub = [subsem.index(a) if a in subsem else None for a in els]
+    return Pregamp(subalgebra, [[to_sub[D[i][j]] for j in at] for i in at], subsem)
 
 
 def canonical_embedding(sub, pg):
@@ -270,13 +272,12 @@ def canonical_embedding(sub, pg):
     )
 
 
-def _ideal_classes(pg, ideal):
+def _ideal_classes(pg, top):
     """For each point's index, the index of the first point at a distance
-    inside the ideal from it: its class's representative. Reads dist_rows,
-    and decides membership in the ideal, the down-set of its top, in
-    join_rows."""
+    inside the ideal from it: its class's representative. The ideal is the
+    down-set of the element at index top; reads dist_rows, and decides
+    membership in the ideal in join_rows."""
     D, J = pg.dist_rows, pg.sem.join_rows
-    top = pg.sem.index(ideal.top)
     inside = [row[top] == top for row in J]
     return [next(j for j, row in enumerate(D) if inside[row[i]]) for i in range(len(D))]
 
@@ -287,7 +288,8 @@ def _quotient_carrier(pg, ideal):
     universe member (_ideal_classes), and definedness sets and tables push
     forward (image_palg)."""
     A = pg.carrier
-    rep = {x: A.universe[j] for x, j in zip(A.universe, _ideal_classes(pg, ideal))}
+    classes = _ideal_classes(pg, pg.sem.index(ideal.top))
+    rep = {x: A.universe[j] for x, j in zip(A.universe, classes)}
     return image_palg(PalgMorphism(A, A, rep, validate=False)), rep
 
 
@@ -362,27 +364,69 @@ def is_ideal_induced_pg(fm):
 IDEAL_BOUND = 4096
 
 
+def _every_image_satisfies(pg, compiled):
+    """Whether every ideal quotient of a pregamp on a total carrier is a
+    homomorphic image of a carrier that satisfies every compiled identity,
+    and so satisfies them too (Birkhoff 1935). False when either part
+    fails, or the carrier is partial, whose quotients can gain definedness.
+
+    The carrier's part: LATTICE_IDENTITIES on the lattice signature is
+    is_lattice_algebra's kept verdict; any other list is one kernel call on
+    the carrier, or on each distinct factor of a nonempty recorded product,
+    since a product satisfies an identity iff each factor does. The
+    quotients' part: for each semilattice element m, the class map of the
+    ideal below m (_ideal_classes) agrees on t(u) and t(rep u) for every map
+    t of translation_rows, so its kernel is closed under every translation
+    and is a congruence, and the quotient is the carrier's image under it.
+    """
+    A = pg.carrier
+    if not A.is_total():
+        return False
+    if compiled is compile_identities(LATTICE_IDENTITIES) and is_lattice_signature(A):
+        if not is_lattice_algebra(A):
+            return False
+    else:
+        algebras = A.factors if A.factors and A.universe else (A,)
+        for B in dict.fromkeys(algebras):
+            found = first_counterexamples(compiled, range(len(B)), B.index_tables[1])
+            if any(ce is not None for ce in found):
+                return False
+    rows = A.translation_rows[1]
+    for top in range(len(pg.sem)):
+        rep = _ideal_classes(pg, top)
+        images = [list(map(rep.__getitem__, row)) for row in rows]
+        if any(images[u] != images[r] for u, r in enumerate(rep)):
+            return False
+    return True
+
+
 def _first_variety_failure(pg, compiled):
     """The first identity of the compiled list that some ideal quotient
     fails, with the first such ideal and that quotient's first
     counterexample, as (position, ideal, counterexample); None if every
     quotient satisfies every identity.
 
-    One kernel call per ideal checks every identity still in question. The
-    quotient's carrier is the carrier's index_tables pushed forward through
-    the ideal's classes (_ideal_classes, the map _quotient_carrier uses)
-    over the class representatives, in the order they first appear, as
-    image_palg lists them; nothing else is built per ideal. A failure
-    settles every later identity, so the later calls check only the
-    identities before it.
+    On a total carrier whose quotients are all images of it, and which
+    satisfies the list, that is None with no quotient built
+    (_every_image_satisfies). Otherwise one kernel call per ideal checks
+    every identity still in question. The quotient's carrier is the
+    carrier's index_tables pushed forward through the ideal's classes
+    (_ideal_classes, the map _quotient_carrier uses) over the class
+    representatives, in the order they first appear, as image_palg lists
+    them; nothing else is built per ideal. A failure settles every later
+    identity, so the later calls check only the identities before it.
+    More than IDEAL_BOUND ideals raise TooManyIdeals on either path.
     """
+    # above the bound the walk's enumerate_ideals raises
+    if len(pg.sem) <= IDEAL_BOUND and _every_image_satisfies(pg, compiled):
+        return None
     A = pg.carrier
     tables = A.index_tables[1]
     failure, upto = None, len(compiled.sides)
     for ideal in enumerate_ideals(pg.sem, bound=IDEAL_BOUND):
         if not upto:
             break
-        rep = _ideal_classes(pg, ideal)
+        rep = _ideal_classes(pg, pg.sem.index(ideal.top))
         pushed = {
             name: {tuple(map(rep.__getitem__, args)): rep[v] for args, v in table.items()}
             for name, table in tables.items()

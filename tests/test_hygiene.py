@@ -498,8 +498,9 @@ def test_tables_change_only_in_construction(path):
     assert [m for m in table_mutations(path.read_text()) if m[1] not in TABLE_OWNERS[m[2]]] == []
 
 
-# The chain-condition search, check_axioms, quotient_pregamp, the candidate
-# enumerator and the tractability and cuttability checkers read distances
+# The chain-condition search, check_axioms, quotient_pregamp, sub_pregamp,
+# the variety check's image rule, the candidate enumerator and the
+# tractability and cuttability checkers read distances
 # through one path, an integer matrix such as dist_rows; these attributes are
 # the label paths it replaced.
 LABEL_DISTANCES = frozenset({"dist", "delta", "distances"})
@@ -514,7 +515,8 @@ DIST_ROWS_READERS = [
     (
         "pregamp",
         {"quotient_pregamp", "tractability_verdict", "check_axioms", "_non_expanding",
-         "_first_incompatible_cells", "is_distance_generated"},
+         "_first_incompatible_cells", "is_distance_generated", "sub_pregamp",
+         "_every_image_satisfies"},
     ),
     ("constructions", set(ENUMERATOR)),
     ("gamp", set(PROPERTY_CHECKERS)),
@@ -569,7 +571,8 @@ def test_chain_condition_reads_one_distance_path(module, functions):
 # Derived maps that read what is already built, each with the calls that
 # would build it a second time: an induced arrow descends along the two
 # projections it is given, the identity checks build quotient carriers
-# only, Conc's generated folds its principal and join matrices, and the
+# only, and none where every quotient is an image of the carrier, Conc's
+# generated folds its principal and join matrices, and the
 # square's facts and trace read principal congruences from the Concs they
 # build.
 QUOTIENTS = frozenset({"quotient", "quotient_pregamp", "quotient_gamp"})
@@ -578,6 +581,7 @@ NO_REBUILD = [
     ("semilattice", "induced_morphism", QUOTIENTS),
     ("pregamp", "induced_pregamp_morphism", QUOTIENTS),
     ("pregamp", "_first_variety_failure", QUOTIENTS | {"image_palg", "PalgMorphism"}),
+    ("pregamp", "_every_image_satisfies", QUOTIENTS | {"image_palg", "PalgMorphism"}),
     ("gamp", "induced_gamp_morphism", QUOTIENTS),
     ("congruence", "ConcSemilattice.generated", frozenset({"_closure_labels"})),
     ("constructions", "verify_square_facts", CLOSURES),

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations, product
 from unittest import mock
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gampkit import build_named, pregamp
 from gampkit.congruence import conc, principal_congruence
-from gampkit.errors import CrossCheckFailed, IdealNotMapped
+from gampkit.errors import CrossCheckFailed, IdealNotMapped, TooManyIdeals
 from gampkit.palg import (
     LATTICE_IDENTITIES,
     LATTICE_TYPE,
@@ -427,7 +428,46 @@ class TestQuotient:
                 assert next(pregamp_isomorphisms(q2, q3), None) is not None
 
 
+def reference_sub_pregamp(pg, subalgebra, subsem=None):
+    """Reference for sub_pregamp: the restricted distance as a label table,
+    read pair by pair through delta and converted by Pregamp.from_dist."""
+    universe = subalgebra.universe
+    dist = {(x, y): pg.delta(x, y) for x in universe for y in universe}
+    if subsem is None:
+        subsem = pg.sem.sub(pg.sem.join_closure(set(dist.values())))
+    elif not set(dist.values()) <= set(subsem.elements):
+        raise ValueError("subsemilattice misses restricted distances")
+    return Pregamp.from_dist(subalgebra, dist, subsem)
+
+
+@pytest.fixture(scope="module")
+def m3_cubed():
+    return pga(build_named("power:M3:3").algebra)
+
+
 class TestSubPregamps:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rows_match_the_label_round_trip_on_m3_cubed(self, m3_cubed, seed):
+        pg, A = m3_cubed, m3_cubed.carrier
+        inner = A.restrict_full(random.Random(seed).sample(A.universe, 30))
+        for sub in (A, inner):
+            for subsem in (None, pg.sem):
+                assert sub_pregamp(pg, sub, subsem) == reference_sub_pregamp(pg, sub, subsem)
+
+    @settings(max_examples=40, deadline=None)
+    @given(coded_pregamps(axioms=(None,)), st.data())
+    def test_rows_match_the_label_round_trip_on_partial_parts(self, case, data):
+        pg = case[0]
+        points = data.draw(st.lists(st.sampled_from(pg.carrier.universe), min_size=1, unique=True))
+        sub = pg.carrier.restrict_full(points)
+        assert sub_pregamp(pg, sub) == reference_sub_pregamp(pg, sub)
+        assert sub_pregamp(pg, sub, pg.sem) == reference_sub_pregamp(pg, sub, pg.sem)
+        if len(points) > 1:
+            zero_only = pg.sem.sub({pg.sem.zero})
+            for build in (sub_pregamp, reference_sub_pregamp):
+                with pytest.raises(ValueError, match="misses restricted distances"):
+                    build(pg, sub, zero_only)
+
     def test_quotient_of_sub_embeds_in_quotient(self, x1):
         # one direction of the sub-versus-quotient exchange
         pg = theta_pregamp(x1)
@@ -528,15 +568,51 @@ def reference_is_pregamp_of(pg, identities):
     return True, None
 
 
+def has_congruence_kernel(algebra, rep):
+    """Whether the kernel of the point map rep is compatible with every
+    operation of the algebra: each cell's value class depends only on its
+    arguments' classes."""
+    for table in algebra.ops.values():
+        value_of = {}
+        for args, v in table.items():
+            if value_of.setdefault(tuple(rep[a] for a in args), rep[v]) != rep[v]:
+                return False
+    return True
+
+
+def image_rule(pg, identities):
+    """Reference for when is_pregamp_of decides without building quotients,
+    as (may, must). It may on a total carrier that satisfies every
+    identity, on the label loop, and whose every ideal class map has a
+    congruence kernel: each quotient is then an image of the carrier. It
+    must when, moreover, every class map fixes its representatives, as it
+    does under the triangle inequality: a point's image under a translation
+    then shares its class with its representative's image."""
+    A = pg.carrier
+    if not A.is_total() or not all(brute_satisfies_identity(A, *law[1:])[0] for law in identities):
+        return False, False
+    reps = [_quotient_carrier(pg, ideal)[1] for ideal in enumerate_ideals(pg.sem)]
+    may = all(has_congruence_kernel(A, rep) for rep in reps)
+    return may, may and all(rep[rep[x]] == rep[x] for rep in reps for x in rep)
+
+
 def assert_witnesses_match_the_reference(pg, identities):
-    # each kernel call runs on one ideal's quotient carrier, pushed forward
-    # on indices: the same points, in the same order, and the same tables
-    # as _quotient_carrier builds on labels
+    # verdict and witness as the reference's. The per-ideal kernel calls are
+    # the ones that pass a bound on the identities still in question: none
+    # where the image rule must apply, some where it may not. Each runs on
+    # one ideal's quotient carrier, pushed forward on indices: the same
+    # points, in the same order, and the same tables as _quotient_carrier
+    # builds on labels
     with mock.patch.object(pregamp, "first_counterexamples", wraps=first_counterexamples) as kernel:
         assert is_pregamp_of(pg, identities) == reference_is_pregamp_of(pg, identities)
+    per_ideal = [call.args for call in kernel.call_args_list if len(call.args) == 4]
+    may, must = image_rule(pg, identities)
+    if must:
+        assert per_ideal == []
+    elif not may:
+        assert bool(per_ideal) == bool(identities)
     u = pg.carrier.universe
-    for call, ideal in zip(kernel.call_args_list, enumerate_ideals(pg.sem)):
-        _, points, tables, _ = call.args
+    for (_, points, tables, _), ideal in zip(per_ideal, enumerate_ideals(pg.sem)):
         carrier = _quotient_carrier(pg, ideal)[0]
         assert [u[j] for j in points] == list(carrier.universe)
         labeled = {
@@ -589,6 +665,7 @@ class TestVarietyWitnesses:
             pg = theta_pregamp(fixture_lattices[name])
             assert is_pregamp_of(pg, LATTICE_IDENTITIES) == (True, None)
             assert reference_is_pregamp_of(pg, LATTICE_IDENTITIES) == (True, None)
+            assert_witnesses_match_the_reference(pg, LATTICE_IDENTITIES)
 
     @settings(max_examples=200, deadline=None)
     @given(partial_pregamps(), identity_lists())
@@ -620,6 +697,88 @@ class TestVarietyWitnesses:
         laws = [("v0 = v0", V(0), V(0)), law]
         assert is_pregamp_of(pg, laws) == (False, (law[0], (ideal, ("c", "a"))))
         assert_witnesses_match_the_reference(pg, laws)
+
+
+LATTICE_LISTS = {
+    # the compiled-once list, read through is_lattice_algebra's verdict
+    "lattice": LATTICE_IDENTITIES,
+    # an equal list, checked by the kernel on the carrier or its factors
+    "copy": list(LATTICE_IDENTITIES),
+    "modular": [*LATTICE_IDENTITIES, ("modular", *MODULAR_LAW)],
+}
+
+
+class TestVarietyOnTotalCarriers:
+    """is_pregamp_of against the quotient walk's reference where a total
+    carrier can decide it: its ideal quotients are then images of it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cgfh_algebras(sizes=(1, 2, 3, 4), holes=0), identity_lists())
+    def test_pga_distances_take_the_image_rule(self, alg, identities):
+        # pga's classes are congruences, so a list the carrier satisfies is
+        # decided with no quotient; the full list may fail and walk
+        pg = pga(alg)
+        held = [law for law in identities if brute_satisfies_identity(alg, *law[1:])[0]]
+        held.append(("v0 = v0", V(0), V(0)))
+        assert image_rule(pg, held) == (True, True)
+        assert_witnesses_match_the_reference(pg, held)
+        assert_witnesses_match_the_reference(pg, identities)
+
+    @settings(max_examples=120, deadline=None)
+    @given(total_pregamps(), st.sampled_from(sorted(LATTICE_LISTS)), identity_lists())
+    def test_total_carriers(self, case, lattice_list, identities):
+        # lattices and products of named lattices under the lattice lists;
+        # CGFH algebras under random lists. Planted and random distances
+        # leave some ideals' classes that are no congruence, so those walk
+        pg, kind, _ = case
+        laws = identities if kind == "other" else LATTICE_LISTS[lattice_list]
+        assert_witnesses_match_the_reference(pg, laws)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        cgfh_algebras(sizes=(1, 2, 3), holes=0), cgfh_algebras(sizes=(1, 2, 3), holes=0),
+        st.booleans(), identity_lists(),
+    )
+    def test_products_of_random_algebras(self, first, second, power, identities):
+        # a product satisfies a list iff each factor does; a list one factor
+        # fails must walk to the zero ideal's witness
+        A = PartialAlgebra.product([first, first if power else second])
+        pg = pga(A)
+        held = [
+            law for law in identities
+            if all(brute_satisfies_identity(f, *law[1:])[0] for f in (first, second))
+        ]
+        assert_witnesses_match_the_reference(pg, identities)
+        assert_witnesses_match_the_reference(pg, [("v0 = v0", V(0), V(0)), *held])
+
+    @pytest.mark.parametrize("factors", [("N5", "two"), ("two", "N5")])
+    def test_a_failing_factor_walks(self, factors):
+        A = PartialAlgebra.product([build_named(f).algebra for f in factors])
+        pg = pga(A)
+        ok, (name, (ideal, ce)) = is_pregamp_of(pg, LATTICE_LISTS["modular"])
+        assert not ok and name == "modular" and ideal == SemIdeal.zero(pg.sem)
+        assert is_pregamp_of(pg, LATTICE_LISTS["copy"]) == (True, None)
+        assert_witnesses_match_the_reference(pg, LATTICE_LISTS["modular"])
+
+    def test_classes_that_are_no_congruence_walk(self, chain3):
+        # d(0, 2) = Theta(1, 2) puts 0 and 2 in one class below Theta(1, 2)
+        # and leaves 1 alone: not convex, so no congruence of the chain
+        base = pga(chain3)
+        dist = label_dist(base)
+        dist[(0, 2)] = dist[(2, 0)] = principal_congruence(chain3, 1, 2)
+        pg = Pregamp.from_dist(chain3, dist, base.sem)
+        assert image_rule(pg, LATTICE_IDENTITIES) == (False, False)
+        assert_witnesses_match_the_reference(pg, LATTICE_IDENTITIES)
+
+    @pytest.mark.parametrize("name", ["M3", "N5", "power:two:3"])
+    def test_too_many_ideals_on_either_path(self, name, monkeypatch):
+        pg = pga(build_named(name).algebra)
+        for laws in (LATTICE_IDENTITIES, LATTICE_LISTS["modular"]):
+            monkeypatch.setattr(pregamp, "IDEAL_BOUND", len(pg.sem))
+            is_pregamp_of(pg, laws)
+            monkeypatch.setattr(pregamp, "IDEAL_BOUND", len(pg.sem) - 1)
+            with pytest.raises(TooManyIdeals):
+                is_pregamp_of(pg, laws)
 
 
 class TestIdentitySatisfaction:
