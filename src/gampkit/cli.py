@@ -46,19 +46,14 @@ def _load_json(path):
 
 
 def _relabel_sem(sem):
-    labels = {x: f"c{i}" for i, x in enumerate(sem.elements)}
-    data = {
+    labels = [f"c{i}" for i in range(len(sem))]
+    return {
         "schema": ser.SCHEMA,
-        "elements": [labels[x] for x in sem.elements],
-        "zero": labels[sem.zero],
-        "join": [[labels[sem.join(a, b)] for b in sem.elements] for a in sem.elements],
+        "elements": labels,
+        "zero": labels[sem.index(sem.zero)],
+        "join": [[labels[k] for k in row] for row in sem.join_rows],
+        "labels": {c: ser.encode_el(x) for c, x in zip(labels, sem.elements)},
     }
-    blocks = {}
-    for x in sem.elements:
-        enc = ser.encode_el(x)
-        blocks[labels[x]] = enc
-    data["labels"] = blocks
-    return data
 
 
 def cmd_conc(args):

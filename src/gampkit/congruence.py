@@ -2,7 +2,6 @@
 congruence semilattice, Mal'cev witness chains, quotients, n-permutability."""
 
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import count, product
 
 from .errors import NotTotal, TooLarge, cross_check
@@ -409,11 +408,10 @@ class ConcSemilattice(JoinSemilattice):
     and the elements are the join closure of the principal congruences
     (_closure_con). Either way the principal distance is kept as dist_rows,
     dist_rows[i][j] the index in elements of Theta(u_i, u_j), u the
-    universe, and the join as join_rows, which join and leq (and so
-    join_all) read; the label-keyed join table is built only when something
-    reads it. One Congruence is built per element, so every table value, the
-    zero and every congruence principal() or generated() returns is the
-    semilattice's own element object.
+    universe, and the join is passed on as the semilattice's join_rows. One
+    Congruence is built per element, so every join, the zero and every
+    congruence principal() or generated() returns is the semilattice's own
+    element object.
     """
 
     def __init__(self, algebra, bound=CON_BOUND):
@@ -424,26 +422,12 @@ class ConcSemilattice(JoinSemilattice):
         labels, pairs, joins = build(algebra)
         elements = [_from_labels(universe, t) for t in labels]
         keys = _order_keys(universe, labels, elements)
-        order = [elements[k] for k in sorted(range(len(elements)), key=keys.__getitem__)]
-        super().__init__(order, elements[0], None, validate=False)
-        rank = [self._index[t] for t in elements]
+        order = sorted(range(len(elements)), key=keys.__getitem__)
+        rank = sorted(range(len(order)), key=order.__getitem__)  # rank[order[r]] == r
+        rows = [[rank[joins[a][b]] for b in order] for a in order]
+        super().__init__([elements[k] for k in order], elements[0], rows, validate=False)
         self.dist_rows = [[rank[k] for k in row] for row in pairs]
-        position = sorted(range(len(rank)), key=rank.__getitem__)  # rank[position[r]] == r
-        self.join_rows = [[rank[joins[a][b]] for b in position] for a in position]
         self._point = {x: i for i, x in enumerate(universe)}
-
-    @cached_property
-    def _join(self):
-        els, J = self.elements, self.join_rows
-        return {(a, b): els[k] for a, row in zip(els, J) for b, k in zip(els, row)}
-
-    def join(self, x, y):
-        index = self._index
-        return self.elements[self.join_rows[index[x]][index[y]]]
-
-    def leq(self, x, y):
-        j = self._index[y]
-        return self.join_rows[self._index[x]][j] == j
 
     def generated(self, pairs):
         """The element generated by the given pairs of the algebra: Cg of a

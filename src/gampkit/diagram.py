@@ -177,42 +177,31 @@ def quotient_diagram(diagram, diagram_ideal, validate=True):
     return result, transform
 
 
+# Each functor's object map and arrow map, by name; an arrow map takes the
+# arrow and its two mapped ends. Module functions are read when called, so
+# that a wrapped module function is the one that runs.
+_FUNCTORS = {
+    "Conc": (lambda a: _cong.conc(a), lambda f, s, t: _cong.conc_morphism(f, s, t)),
+    "PGA": (lambda a: _pregamp.pga(a), lambda f, s, t: _pregamp.pga_mor(f, s, t)),
+    "GA": (lambda a: _gamp.ga(a), lambda f, s, t: _gamp.ga_mor(f, s, t)),
+    "CG": (lambda g: _gamp.cg(g), lambda fm, s, t: fm.fsem),
+    "PGGL": (lambda g: _gamp.pggl(g), lambda fm, s, t: _gamp.pggl_mor(fm)),
+    "PGGR": (lambda g: _gamp.pggr(g), lambda fm, s, t: _gamp.pggr_mor(fm)),
+}
+
+
 def apply_functor(diagram, name):
     """Nodewise functor application: Conc, PGA, GA, CG, PGGL, PGGR. The
     functors through Con refuse every node before any node's Con is built."""
+    if name not in _FUNCTORS:
+        raise DomainMismatch(f"unknown functor {name!r}")
+    on_objects, on_arrows = _FUNCTORS[name]
     poset = diagram.poset
     if name in ("Conc", "PGA", "GA"):
         for p in poset.elements:
             _cong._require_con_bound(diagram.objects[p], _cong.CON_BOUND)
-    if name == "Conc":
-        objs = {p: _cong.conc(diagram.objects[p]) for p in poset.elements}
-        arrows = {
-            (p, q): _cong.conc_morphism(diagram.arrows[(p, q)], objs[p], objs[q])
-            for (p, q) in diagram.arrows
-        }
-    elif name == "PGA":
-        objs = {p: _pregamp.pga(diagram.objects[p]) for p in poset.elements}
-        arrows = {
-            (p, q): _pregamp.pga_mor(diagram.arrows[(p, q)], objs[p], objs[q])
-            for (p, q) in diagram.arrows
-        }
-    elif name == "GA":
-        objs = {p: _gamp.ga(diagram.objects[p]) for p in poset.elements}
-        arrows = {
-            (p, q): _gamp.ga_mor(diagram.arrows[(p, q)], objs[p], objs[q])
-            for (p, q) in diagram.arrows
-        }
-    elif name == "CG":
-        objs = {p: _gamp.cg(diagram.objects[p]) for p in poset.elements}
-        arrows = {(p, q): a.fsem for (p, q), a in diagram.arrows.items()}
-    elif name == "PGGL":
-        objs = {p: _gamp.pggl(diagram.objects[p]) for p in poset.elements}
-        arrows = {(p, q): _gamp.pggl_mor(a) for (p, q), a in diagram.arrows.items()}
-    elif name == "PGGR":
-        objs = {p: _gamp.pggr(diagram.objects[p]) for p in poset.elements}
-        arrows = {(p, q): _gamp.pggr_mor(a) for (p, q), a in diagram.arrows.items()}
-    else:
-        raise DomainMismatch(f"unknown functor {name!r}")
+    objs = {p: on_objects(diagram.objects[p]) for p in poset.elements}
+    arrows = {(p, q): on_arrows(a, objs[p], objs[q]) for (p, q), a in diagram.arrows.items()}
     return Diagram(poset, objs, arrows)
 
 

@@ -1,6 +1,8 @@
 """Finite join-semilattices with zero: ideals, quotients, ideal-induced maps."""
 
 from functools import cached_property
+from itertools import compress, count
+from operator import ne
 
 from .errors import InvalidIdeal, IdealNotMapped, TooManyIdeals, cross_check
 from .util import bfs, sort_key, sorted_elements
@@ -9,66 +11,79 @@ from .util import bfs, sort_key, sorted_elements
 class JoinSemilattice:
     """A finite join-semilattice with zero.
 
-    Elements are opaque hashable ids; the order is derived from the join
-    table (x <= y iff x v y == y), which is the single source of truth. A
-    subclass that passes no join table supplies `_join` itself.
+    Elements are opaque hashable ids. The join is held once, as the index
+    matrix join_rows: join_rows[i][j] is the index of elements[i] v
+    elements[j], so i <= j iff join_rows[i][j] == j. join, leq and join_all
+    read it through the element index; from_table converts a label table.
     """
 
-    def __init__(self, elements, zero, join_table, validate=True):
+    def __init__(self, elements, zero, join_rows, validate=True):
         self.elements = tuple(elements)
         self.zero = zero
-        if join_table is not None:
-            self._join = dict(join_table)
+        n = len(self.elements)
+        if len(join_rows) != n or any(len(row) != n for row in join_rows):
+            raise ValueError(f"join rows are not {n}x{n}")
+        if n and not all(0 <= min(row) and max(row) < n for row in join_rows):
+            raise ValueError("join rows leave the elements")
+        self.join_rows = join_rows
         self._index = {x: i for i, x in enumerate(self.elements)}
         if validate:
             self.validate()
 
-    def validate(self):
-        els = self.elements
-        if len(set(els)) != len(els):
+    @classmethod
+    def from_table(cls, elements, zero, table):
+        """The semilattice of a label table, (x, y) -> x v y, over every pair
+        of elements; the axioms are checked."""
+        els = tuple(elements)
+        index = {x: i for i, x in enumerate(els)}
+        if len(index) != len(els):
             raise ValueError("duplicate elements")
-        if self.zero not in self._index:
+        if zero not in index:
             raise ValueError("zero not an element")
         for x in els:
             for y in els:
-                v = self._join.get((x, y))
-                if v is None or v not in self._index:
+                v = table.get((x, y))
+                if v is None or v not in index:
                     raise ValueError(f"join table not total at {(x, y)}")
-        for x in els:
-            if self._join[(self.zero, x)] != x:
-                raise ValueError(f"zero not neutral at {x}")
-            if self._join[(x, x)] != x:
-                raise ValueError(f"join not idempotent at {x}")
-            for y in els:
-                if self._join[(x, y)] != self._join[(y, x)]:
-                    raise ValueError(f"join not commutative at {(x, y)}")
-                for z in els:
-                    if self._join[(self._join[(x, y)], z)] != self._join[(x, self._join[(y, z)])]:
-                        raise ValueError(f"join not associative at {(x, y, z)}")
+        return cls(els, zero, [[index[table[(x, y)]] for y in els] for x in els])
+
+    def validate(self):
+        els, J = self.elements, self.join_rows
+        if len(self._index) != len(els):
+            raise ValueError("duplicate elements")
+        if self.zero not in self._index:
+            raise ValueError("zero not an element")
+        zero_row = J[self._index[self.zero]]
+        for x, row in enumerate(J):
+            if zero_row[x] != x:
+                raise ValueError(f"zero not neutral at {els[x]}")
+            if row[x] != x:
+                raise ValueError(f"join not idempotent at {els[x]}")
+            for y, xy in enumerate(row):
+                if xy != J[y][x]:
+                    raise ValueError(f"join not commutative at {(els[x], els[y])}")
+                # the first z with (x v y) v z != x v (y v z)
+                z = next(compress(count(), map(ne, J[xy], map(row.__getitem__, J[y]))), None)
+                if z is not None:
+                    raise ValueError(f"join not associative at {(els[x], els[y], els[z])}")
 
     def join(self, x, y):
-        return self._join[(x, y)]
+        index = self._index
+        return self.elements[self.join_rows[index[x]][index[y]]]
 
     def join_all(self, xs):
-        v = self.zero
+        index, J = self._index, self.join_rows
+        k = index[self.zero]
         for x in xs:
-            v = self.join(v, x)
-        return v
+            k = J[k][index[x]]
+        return self.elements[k]
 
     def leq(self, x, y):
-        return self._join[(x, y)] == y
+        j = self._index[y]
+        return self.join_rows[self._index[x]][j] == j
 
     def index(self, x):
         return self._index[x]
-
-    @cached_property
-    def join_rows(self):
-        """The join table on indices into elements: join_rows[i][j] is the
-        index of elements[i] v elements[j], so i <= j iff join_rows[i][j] == j.
-        Built on first use and kept: nothing changes the join table after
-        construction."""
-        index, els = self._index, self.elements
-        return [[index[self._join[(x, y)]] for y in els] for x in els]
 
     def __contains__(self, x):
         return x in self._index
@@ -77,14 +92,21 @@ class JoinSemilattice:
         return len(self.elements)
 
     def __eq__(self, other):
+        """Equal zeros and element sets, and the same join of every pair,
+        whatever the order of elements."""
         if self is other:
             return True
         if not isinstance(other, JoinSemilattice) or self.zero != other.zero:
             return False
-        if self.elements == other.elements:
-            # one element order: the join tables agree iff their index rows do
-            return self.join_rows == other.join_rows
-        return set(self.elements) == set(other.elements) and self._join == other._join
+        if self._index.keys() != other._index.keys():
+            return False
+        # other's rows, read in this semilattice's element order
+        relabel = list(map(self._index.__getitem__, other.elements))
+        at = list(map(other._index.__getitem__, self.elements))
+        return all(
+            list(row) == [relabel[theirs[j]] for j in at]
+            for row, theirs in zip(self.join_rows, map(other.join_rows.__getitem__, at))
+        )
 
     def __hash__(self):
         return hash((frozenset(self.elements), self.zero))
@@ -103,32 +125,31 @@ class JoinSemilattice:
         subset = set(subset)
         if self.zero not in subset:
             raise ValueError("subsemilattice must contain zero")
-        table = {}
-        for x in subset:
-            for y in subset:
-                v = self._join[(x, y)]
-                if v not in subset:
-                    raise ValueError(f"subset not join-closed at {(x, y)}")
-                table[(x, y)] = v
-        order = [x for x in self.elements if x in subset]
-        return JoinSemilattice(order, self.zero, table, validate=False)
+        els, J = self.elements, self.join_rows
+        kept = sorted(map(self._index.__getitem__, subset))
+        position = {i: k for k, i in enumerate(kept)}
+        for i in kept:
+            for j in kept:
+                if J[i][j] not in position:
+                    raise ValueError(f"subset not join-closed at {(els[i], els[j])}")
+        rows = [[position[J[i][j]] for j in kept] for i in kept]
+        return JoinSemilattice([els[i] for i in kept], self.zero, rows, validate=False)
 
     @classmethod
     def chain(cls, k):
         """Chain 0 < 1 < ... < k-1 as a join-semilattice."""
-        els = list(range(k))
-        table = {(x, y): max(x, y) for x in els for y in els}
-        return cls(els, 0, table, validate=False)
+        return cls(range(k), 0, [[max(x, y) for y in range(k)] for x in range(k)], validate=False)
 
     @classmethod
     def product(cls, s, t):
         els = [(x, y) for x in s.elements for y in t.elements]
-        table = {
-            ((x1, y1), (x2, y2)): (s.join(x1, x2), t.join(y1, y2))
-            for (x1, y1) in els
-            for (x2, y2) in els
-        }
-        return cls(els, (s.zero, t.zero), table, validate=False)
+        m = len(t)
+        rows = [
+            [k * m + l for k in s_row for l in t_row]
+            for s_row in s.join_rows
+            for t_row in t.join_rows
+        ]
+        return cls(els, (s.zero, t.zero), rows, validate=False)
 
 
 class SemIdeal:
@@ -203,10 +224,14 @@ class SemMorphism:
                 raise ValueError(f"map not total at {x!r}")
         if m[s.zero] != t.zero:
             raise ValueError("zero not preserved")
-        for x in s.elements:
-            for y in s.elements:
-                if m[s.join(x, y)] != t.join(m[x], m[y]):
-                    raise ValueError(f"join not preserved at {(x, y)}")
+        # to[k] == T[to[i]][to[j]] for k the join of i and j in the source
+        to = [t.index(m[x]) for x in s.elements]
+        T = t.join_rows
+        for x, row, image in zip(s.elements, s.join_rows, to):
+            joined, images = map(to.__getitem__, row), map(T[image].__getitem__, to)
+            j = next(compress(count(), map(ne, joined, images)), None)
+            if j is not None:
+                raise ValueError(f"join not preserved at {(x, s.elements[j])}")
 
     def __call__(self, x):
         return self.mapping[x]
@@ -271,13 +296,15 @@ def quotient(sem, ideal):
     if not isinstance(ideal, SemIdeal) or ideal.sem != sem:
         raise InvalidIdeal("ideal must belong to the semilattice")
     ideal.validate()
-    top = ideal.top
+    els, J, top = sem.elements, sem.join_rows, sem.index(ideal.top)
     first = {}
-    reps = {x: first.setdefault(sem.join(x, top), x) for x in sem.elements}
-    classes = [x for x in sem.elements if reps[x] == x]
-    table = {(a, b): reps[sem.join(a, b)] for a in classes for b in classes}
-    q = JoinSemilattice(classes, reps[sem.zero], table, validate=False)
-    proj = SemMorphism(sem, q, {x: reps[x] for x in sem.elements}, validate=False)
+    reps = [first.setdefault(row[top], i) for i, row in enumerate(J)]
+    classes = [i for i, r in enumerate(reps) if r == i]
+    position = {i: k for k, i in enumerate(classes)}
+    rows = [[position[reps[J[a][b]]] for b in classes] for a in classes]
+    zero = els[reps[sem.index(sem.zero)]]
+    q = JoinSemilattice([els[i] for i in classes], zero, rows, validate=False)
+    proj = SemMorphism(sem, q, {x: els[r] for x, r in zip(els, reps)}, validate=False)
     return q, proj
 
 

@@ -77,7 +77,7 @@ def semilattice_from_json(data):
                 table[(a, b)] = decode_el(data["join"][i][j])
     except (KeyError, IndexError, TypeError) as e:
         raise SchemaError(f"semilattice: {e}")
-    return JoinSemilattice(els, zero, table)
+    return JoinSemilattice.from_table(els, zero, table)
 
 
 def algebra_to_json(alg):

@@ -47,7 +47,7 @@ from gampkit.errors import CrossCheckFailed, GampkitError, NotTotal
 from gampkit.gamp import check_property, ga
 from gampkit.palg import LATTICE_TYPE, UNDEFINED, PalgMorphism, PartialAlgebra, SimilarityType
 from gampkit.pregamp import Pregamp, pga
-from gampkit.semilattice import JoinSemilattice, SemIdeal, is_ideal_induced, ker0
+from gampkit.semilattice import JoinSemilattice, SemIdeal, is_ideal_induced, ker0, quotient
 from conftest import label_dist
 from test_pregamp import coded_pregamps
 
@@ -526,7 +526,8 @@ def random_products(draw):
 @given(st.one_of(random_products(), random_lattices()), st.data())
 def test_generated_matches_the_closure_reference(alg, data):
     cs = conc(alg)
-    assert cs.join_rows == JoinSemilattice.join_rows.func(cs)
+    els = cs.elements
+    assert cs.join_rows == [[cs.index(_label_join(alg, a, b)) for b in els] for a in els]
     points = st.sampled_from(alg.universe)
     for _ in range(3):
         pairs = data.draw(st.lists(st.tuples(points, points), max_size=4))
@@ -858,7 +859,7 @@ def random_distance_pregamps(draw):
     k = draw(st.integers(1, 3))
     subsets = [frozenset(c) for r in range(k + 1) for c in combinations(range(k), r)]
     joins = {(a, b): a | b for a in subsets for b in subsets}
-    sem = JoinSemilattice(draw(st.permutations(subsets)), frozenset(), joins)
+    sem = JoinSemilattice.from_table(draw(st.permutations(subsets)), frozenset(), joins)
     universe = draw(st.permutations(LABELS + ("e",)))[: draw(st.integers(1, 5))]
     value = st.sampled_from(subsets)
     return _pregamp_over(universe, {(x, y): draw(value) for x in universe for y in universe}, sem)
@@ -1057,8 +1058,8 @@ def _label_join(alg, a, b):
 
 @pytest.mark.parametrize("name", ["two", "chain:4", "M3", "N5", "X1", "power:M3:2", "X1 reduct"])
 def test_conc_answers_from_join_rows(name):
-    # join, leq and join_all against closures of the labels' pairs, and the
-    # label-keyed table, built only when read, against both
+    # join, leq and join_all against closures of the labels' pairs; the
+    # join_rows are the only join table
     if name == "X1 reduct":
         alg = _join_reduct(build_named("X1").algebra)
     else:
@@ -1071,11 +1072,8 @@ def test_conc_answers_from_join_rows(name):
             assert joined is els[cs.index(_label_join(alg, a, b))]
             assert cs.leq(a, b) == all(b.same(x, y) for blk in a.blocks for x in blk for y in blk)
             assert cs.join_all([a, b, a]) is joined and cs.join_all([]) is cs.zero
-    assert "_join" not in vars(cs)
-    for a in els:
-        for b in els:
-            assert cs._join[(a, b)] is cs.join(a, b)
-            assert cs.leq(a, b) == (cs._join[(a, b)] is b)
+    sems = (cs, quotient(cs, SemIdeal.zero(cs))[0], cs.sub([cs.zero]), JoinSemilattice.chain(2))
+    assert not any(hasattr(s, "_join") for s in sems)
     assert cs == conc(alg) and cs != JoinSemilattice.chain(len(els))
 
 

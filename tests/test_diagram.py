@@ -11,7 +11,7 @@ from gampkit.diagram import (
     is_partial_lifting,
     quotient_diagram,
 )
-from gampkit.errors import InvalidIdeal, MissingRealization, TooLarge
+from gampkit.errors import DomainMismatch, InvalidIdeal, MissingRealization, TooLarge
 from gampkit.gamp import Realization, ga, ga_mor
 from gampkit.palg import LATTICE_TYPE, PalgMorphism, PartialAlgebra
 from gampkit.poset import FinitePoset
@@ -132,6 +132,11 @@ class TestApplyFunctor:
         d = Diagram(poset, {"*": m3}, {("*", "*"): PalgMorphism.identity(m3)})
         gd = apply_functor(d, "GA")
         assert gd.objects["*"] == ga(m3)
+
+    @pytest.mark.parametrize("name", ["conc", "Con", "pgg", ""])
+    def test_unknown_functor_is_a_domain_mismatch(self, square, name):
+        with pytest.raises(DomainMismatch, match="unknown functor"):
+            apply_functor(square.a_square, name)
 
     @pytest.mark.parametrize("name", ["Conc", "PGA", "GA"])
     def test_over_bound_node_refused_before_any_con(self, name, monkeypatch):

@@ -501,7 +501,9 @@ class TestCuttableAgainstReference:
         # distance {p, q} is then cut, through X = {{p}, {q}}, by that chain
         # only: without c in the inner part it fails at that X
         subsets = [frozenset(), frozenset("p"), frozenset("q"), frozenset("pq")]
-        S = JoinSemilattice(subsets, frozenset(), {(u, v): u | v for u in subsets for v in subsets})
+        S = JoinSemilattice.from_table(
+            subsets, frozenset(), {(u, v): u | v for u in subsets for v in subsets}
+        )
         d = {("a", "c"): "p", ("c", "b"): "q", ("a", "b"): "pq"}
         dist = {}
         for x in "acb":

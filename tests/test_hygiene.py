@@ -377,17 +377,17 @@ TABLE_MUTATORS = frozenset({"update", "setdefault", "pop", "clear"})
 
 # The attributes that hold tables, each with the constructors that may set
 # them: an algebra's operations, the distance matrix of a pregamp and of
-# Conc (which pga shares), a semilattice's join.
+# Conc (which pga shares), a semilattice's join matrix.
 TABLE_OWNERS = {
     "ops": {"PartialAlgebra.__init__"},
     "dist_rows": {"Pregamp.__init__", "ConcSemilattice.__init__"},
-    "_join": {"JoinSemilattice.__init__"},
+    "join_rows": {"JoinSemilattice.__init__"},
 }
 
 
 def _is_tables(node):
     """`<expr>.ops` or `<expr>.ops[...]`, and the same for `.dist_rows` and
-    `._join`: a table attribute or one entry of it."""
+    `.join_rows`: a table attribute or one entry of it."""
     if isinstance(node, ast.Subscript):
         node = node.value
     return isinstance(node, ast.Attribute) and node.attr in TABLE_OWNERS
@@ -398,7 +398,7 @@ def table_mutations(source):
     source that changes a table: an assignment or deletion of `<expr>.ops`,
     or of an entry of `<expr>.ops` or `<expr>.ops[...]`, and a call of
     update, setdefault, pop or clear on either; likewise for `.dist_rows`
-    and `._join`."""
+    and `.join_rows`."""
     found = []
 
     def visit(node, scope):
@@ -467,34 +467,34 @@ def test_table_mutation_detector_flags_distances_and_joins():
         "    def __init__(self, dist_rows):\n"
         "        self.dist_rows = dist_rows\n"
         "class JoinSemilattice:\n"
-        "    def __init__(self, join_table):\n"
-        "        self._join = dict(join_table)\n"
+        "    def __init__(self, join_rows):\n"
+        "        self.join_rows = join_rows\n"
         "def bend(pg, sem, cs):\n"
         "    pg.dist_rows[0][1] = 2\n"
         "    pg.dist_rows.clear()\n"
         "    del pg.dist_rows[0]\n"
-        "    sem._join[(0, 1)] = 0\n"
-        "    sem._join.setdefault((1, 1), 1)\n"
-        "    sem._join = {}\n"
+        "    sem.join_rows[0][1] = 0\n"
+        "    sem.join_rows.pop()\n"
+        "    sem.join_rows = cs.join_rows\n"
         "    pg.dist_rows = cs.dist_rows\n"
         "    rows = list(pg.dist_rows)\n"
         "    rows[0] = [2]\n"
-        "    return pg.dist_rows[0][1], sem._join.get((0, 1)), pg.dist_rows[1]\n"
+        "    return pg.dist_rows[0][1], sem.join_rows[0][1], pg.dist_rows[1]\n"
     )
     assert table_mutations(source) == [
-        (3, "Pregamp.__init__", "dist_rows"), (6, "JoinSemilattice.__init__", "_join"),
+        (3, "Pregamp.__init__", "dist_rows"), (6, "JoinSemilattice.__init__", "join_rows"),
         (8, "bend", "dist_rows"), (9, "bend", "dist_rows"), (10, "bend", "dist_rows"),
-        (11, "bend", "_join"), (12, "bend", "_join"), (13, "bend", "_join"),
+        (11, "bend", "join_rows"), (12, "bend", "join_rows"), (13, "bend", "join_rows"),
         (14, "bend", "dist_rows"),
     ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_tables_change_only_in_construction(path):
-    # PartialAlgebra.translation_rows and index_tables, a product's tables,
-    # and JoinSemilattice.join_rows are built once and kept, and pga and the
-    # enumerator's snapshots share their source's dist_rows, which is sound
-    # only while nothing changes those tables after the owning constructor
+    # PartialAlgebra.translation_rows and index_tables and a product's tables
+    # are built once and kept, and pga and the enumerator's snapshots share
+    # their source's dist_rows, which is sound only while nothing changes
+    # those tables after the owning constructor
     assert [m for m in table_mutations(path.read_text()) if m[1] not in TABLE_OWNERS[m[2]]] == []
 
 
@@ -731,4 +731,12 @@ def test_property_checkers_compare_on_indices(module, qualname):
     # tractability and cuttability compare distances in join_rows, never by
     # a label join or order
     called = called_names((SRC / f"{module}.py").read_text(), qualname)
+    assert called is not None and called & {"join", "join_all", "leq"} == set()
+
+
+@pytest.mark.parametrize("qualname", ["JoinSemilattice.validate", "SemMorphism.validate"])
+def test_semilattice_checks_run_on_indices(qualname):
+    # the axioms and the homomorphism check read join_rows, never a label
+    # join or order, so conc_morphism joins no labels
+    called = called_names((SRC / "semilattice.py").read_text(), qualname)
     assert called is not None and called & {"join", "join_all", "leq"} == set()

@@ -123,9 +123,8 @@ def coded_pregamps(draw, axioms=(None, *AXIOMS)):
     factors = ["abc"[: draw(st.integers(2, 3 if k == 2 else 2))] for _ in range(k)]
     codes = draw(st.permutations(list(product(*factors))))
     subsets = [frozenset(c) for r in range(k + 1) for c in combinations(range(k), r)]
-    sem = JoinSemilattice(
-        draw(st.permutations(subsets)), frozenset(), {(a, b): a | b for a in subsets for b in subsets}
-    )
+    joins = {(a, b): a | b for a in subsets for b in subsets}
+    sem = JoinSemilattice.from_table(draw(st.permutations(subsets)), frozenset(), joins)
     dist = {(x, y): frozenset(s for s in range(k) if x[s] != y[s]) for x in codes for y in codes}
     keep = 1.0 if draw(st.booleans()) else rnd.random()
     ops = {}
@@ -224,7 +223,7 @@ class TestDistanceRows:
         A, S = pg.carrier, pg.sem
         carrier = PartialAlgebra(A.stype, A.universe[::-1], A.ops)
         joins = {(a, b): S.join(a, b) for a in S.elements for b in S.elements}
-        sem = JoinSemilattice(S.elements[::-1], S.zero, joins)
+        sem = JoinSemilattice.from_table(S.elements[::-1], S.zero, joins)
         dist = label_dist(pg)
         assert Pregamp.from_dist(carrier, dist, sem) == pg == Pregamp.from_dist(carrier, dist, sem)
         x, y = A.universe[:2]
@@ -1006,7 +1005,8 @@ def tractability_cases(draw):
         pg = pga(alg)
     else:
         subsets = [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})]
-        sem = JoinSemilattice(subsets, frozenset(), {(a, b): a | b for a in subsets for b in subsets})
+        joins = {(a, b): a | b for a in subsets for b in subsets}
+        sem = JoinSemilattice.from_table(subsets, frozenset(), joins)
         pg = Pregamp.from_dist(alg, {(x, y): draw(st.sampled_from(subsets)) for x in u for y in u}, sem)
     points = [x for x in draw(st.permutations(u)) if draw(st.sampled_from((True, True, False)))]
     points = points or u[:1]
@@ -1070,7 +1070,8 @@ class TestTractabilityAgainstReference:
             SimilarityType((("g", 1),)), [0, 1, 2, 3], {"g": {(0,): 0, (1,): 2, (2,): 1, (3,): 3}}
         )
         subsets = [frozenset(), frozenset("p"), frozenset("q"), frozenset("pq")]
-        sem = JoinSemilattice(subsets, frozenset(), {(a, b): a | b for a in subsets for b in subsets})
+        joins = {(a, b): a | b for a in subsets for b in subsets}
+        sem = JoinSemilattice.from_table(subsets, frozenset(), joins)
         near = {(0, 1): "p", (2, 3): "q"}
         dist = {
             (x, y): frozenset() if x == y else frozenset(near.get((min(x, y), max(x, y)), "pq"))

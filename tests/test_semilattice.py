@@ -37,24 +37,32 @@ subset_strategy = st.sets(
 
 
 def powerset_sub(extra):
-    base = JoinSemilattice(
-        [frozenset(s) for s in ({()} , (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2))],
-        frozenset(),
-        {},
-        validate=False,
-    )
     els = [frozenset(map(int, s)) for s in
            [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]]
     table = {(a, b): a | b for a in els for b in els}
-    big = JoinSemilattice(els, frozenset(), table, validate=False)
+    big = JoinSemilattice.from_table(els, frozenset(), table)
     closed = big.join_closure(extra)
     return big.sub(closed)
+
+
+def reordered(sem, order):
+    """The same semilattice with its elements in the given order."""
+    return JoinSemilattice.from_table(
+        order, sem.zero, {(x, y): sem.join(x, y) for x in order for y in order}
+    )
 
 
 class TestBasics:
     def test_validate_rejects_broken_table(self):
         with pytest.raises(ValueError):
-            JoinSemilattice([0, 1], 0, {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0})
+            JoinSemilattice.from_table([0, 1], 0, {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0})
+
+    def test_constructor_checks_shape_and_range(self):
+        rows = [[max(x, y) for y in range(3)] for x in range(3)]
+        assert JoinSemilattice("abc", "a", rows).join("b", "c") == "c"
+        for bad in (rows[:2], [*rows[:2], [2, 2]], [*rows[:2], [2, 2, 3]], [*rows[:2], [2, 2, -1]]):
+            with pytest.raises(ValueError, match="join rows"):
+                JoinSemilattice("abc", "a", bad, validate=False)
 
     def test_leq_from_table(self):
         s = chain3()
@@ -272,7 +280,7 @@ def assert_quotient_matches_reference(s, ideal):
     q, proj = quotient(s, ideal)
     classes, zero, table, reps = brute_quotient(s, ideal)
     assert list(q.elements) == classes and q.zero == zero
-    assert list(q._join.items()) == list(table.items())
+    assert q.join_rows == JoinSemilattice.from_table(classes, zero, table).join_rows
     assert list(proj.mapping.items()) == list(reps.items())
 
 
@@ -280,6 +288,7 @@ def assert_quotient_matches_reference(s, ideal):
 @given(subset_strategy, st.data())
 def test_ideals_by_their_top_match_the_references(extra, data):
     s = powerset_sub(extra)
+    s = reordered(s, data.draw(st.permutations(s.elements)))
     for ideal in enumerate_ideals(s):
         assert brute_generated(s, ideal.carrier) == ideal.carrier
         assert_quotient_matches_reference(s, ideal)
@@ -350,15 +359,193 @@ def test_descent_matches_the_ideal_reference_on_projections(extra, data):
 
 
 def test_equality_reads_the_join_tables():
-    # one element order compares index rows, another compares the tables
+    # in the same element order and in another, the rows are read relabelled
     chain = JoinSemilattice.chain(4)
     # 0 below the incomparable 1 and 2, both below 3
     square = {
         (x, y): x if x == y else max(x, y) if min(x, y) == 0 else 3
         for x in range(4) for y in range(4)
     }
-    other = JoinSemilattice(range(4), 0, square)
+    other = JoinSemilattice.from_table(range(4), 0, square)
     assert chain == JoinSemilattice.chain(4) and chain != other and other != chain
-    reordered = JoinSemilattice([2, 0, 3, 1], 0, square)
+    reordered = JoinSemilattice.from_table([2, 0, 3, 1], 0, square)
     assert reordered == other and reordered != chain and chain != reordered
-    assert other == other and JoinSemilattice(range(4), 1, square, validate=False) != other
+    assert other == other and JoinSemilattice(range(4), 1, other.join_rows, validate=False) != other
+
+
+def label_validate(elements, zero, table):
+    """Reference for JoinSemilattice.from_table and validate: the label loop
+    that checked a join table when the join was a label-keyed dict."""
+    els = tuple(elements)
+    if len(set(els)) != len(els):
+        raise ValueError("duplicate elements")
+    if zero not in els:
+        raise ValueError("zero not an element")
+    for x in els:
+        for y in els:
+            v = table.get((x, y))
+            if v is None or v not in els:
+                raise ValueError(f"join table not total at {(x, y)}")
+    for x in els:
+        if table[(zero, x)] != x:
+            raise ValueError(f"zero not neutral at {x}")
+        if table[(x, x)] != x:
+            raise ValueError(f"join not idempotent at {x}")
+        for y in els:
+            if table[(x, y)] != table[(y, x)]:
+                raise ValueError(f"join not commutative at {(x, y)}")
+            for z in els:
+                if table[(table[(x, y)], z)] != table[(x, table[(y, z)])]:
+                    raise ValueError(f"join not associative at {(x, y, z)}")
+
+
+def label_morphism_validate(s, t, m):
+    """Reference for SemMorphism.validate: the label loop it replaced."""
+    for x in s.elements:
+        if x not in m or m[x] not in t:
+            raise ValueError(f"map not total at {x!r}")
+    if m[s.zero] != t.zero:
+        raise ValueError("zero not preserved")
+    for x in s.elements:
+        for y in s.elements:
+            if m[s.join(x, y)] != t.join(m[x], m[y]):
+                raise ValueError(f"join not preserved at {(x, y)}")
+
+
+def first_error(check, *args):
+    """The message of the ValueError check(*args) raises, or None."""
+    try:
+        check(*args)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def assert_from_table_matches_the_label_loop(elements, zero, table):
+    expected = first_error(label_validate, elements, zero, table)
+    assert first_error(JoinSemilattice.from_table, elements, zero, table) == expected
+    if expected is None:
+        s = JoinSemilattice.from_table(elements, zero, table)
+        assert all(s.join(x, y) == table[(x, y)] for x in elements for y in elements)
+        assert first_error(JoinSemilattice, s.elements, s.zero, s.join_rows) is None
+
+
+@st.composite
+def label_tables(draw):
+    """(elements, zero, table): either the table of a random subsemilattice
+    of the powerset of {0, 1, 2}, elements shuffled, or a random table on up
+    to four integers; then, on purpose, up to two entries changed to an
+    element or a foreign label, each with its mirror entry or alone, an
+    entry dropped, an element repeated or the zero replaced."""
+    if draw(st.booleans()):
+        s = powerset_sub(draw(subset_strategy))
+        elements = draw(st.permutations(s.elements))
+        zero, foreign = s.zero, frozenset({3})
+        table = {(x, y): s.join(x, y) for x in elements for y in elements}
+    else:
+        elements = list(range(draw(st.integers(1, 4))))
+        zero, foreign = draw(st.sampled_from(elements)), len(elements)
+        values = st.sampled_from(elements)
+        table = {(x, y): draw(values) for x in elements for y in elements}
+    pairs = st.sampled_from(sorted(table, key=repr))
+    rarely = st.sampled_from([False] * 5 + [True])
+    changes = st.tuples(pairs, st.sampled_from([*elements, foreign]), st.booleans())
+    for (x, y), value, mirrored in draw(st.lists(changes, max_size=2)):
+        table[(x, y)] = value
+        if mirrored:
+            table[(y, x)] = value
+    if draw(rarely):
+        del table[draw(pairs)]
+    if draw(rarely):
+        elements = [*elements, draw(st.sampled_from(elements))]
+    if draw(rarely):
+        zero = draw(st.sampled_from([*elements, foreign]))
+    return elements, zero, table
+
+
+@settings(max_examples=300, deadline=None)
+@given(label_tables())
+def test_from_table_matches_the_label_loop(case):
+    assert_from_table_matches_the_label_loop(*case)
+
+
+@pytest.mark.parametrize(
+    "elements, zero, table, message",
+    [
+        ([0, 1, 0], 0, {}, "duplicate elements"),
+        ([0, 1], 2, {}, "zero not an element"),
+        ([0, 1], 0, {(0, 0): 0, (0, 1): 1, (1, 0): 1}, "join table not total at (1, 1)"),
+        ([0, 1], 0, {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}, "join table not total at (1, 1)"),
+        ([0, 1], 0, {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 1}, "zero not neutral at 1"),
+        ([0, 1], 0, {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 0}, "join not idempotent at 1"),
+        (
+            [0, 1, 2], 0,
+            {(0, 0): 0, (0, 1): 1, (0, 2): 2, (1, 0): 1, (1, 1): 1, (1, 2): 1,
+             (2, 0): 2, (2, 1): 2, (2, 2): 2},
+            "join not commutative at (1, 2)",
+        ),
+        (
+            # 1 v 2 = 3 but 3 v 2 = 2: (1 v 2) v 2 = 2 against 1 v (2 v 2) = 3
+            [0, 1, 2, 3], 0,
+            {**{(x, y): max(x, y) for x in range(4) for y in range(4)},
+             (1, 2): 3, (2, 1): 3, (2, 3): 2, (3, 2): 2},
+            "join not associative at (1, 2, 2)",
+        ),
+    ],
+)
+def test_from_table_names_each_first_failure(elements, zero, table, message):
+    assert first_error(label_validate, elements, zero, table) == message
+    assert_from_table_matches_the_label_loop(elements, zero, table)
+
+
+def assert_validate_matches_the_label_loop(s, t, mapping):
+    expected = first_error(label_morphism_validate, s, t, mapping)
+    assert first_error(SemMorphism, s, t, mapping) == expected
+    return expected
+
+
+@st.composite
+def semilattice_maps(draw):
+    """(s, t, mapping) between subsemilattices of the powerset of {0, 1, 2},
+    elements shuffled: the image map of a random function on {0, 1, 2},
+    a join-homomorphism, into a t that holds its image; then, on purpose, up
+    to two images changed to another element of t or a foreign label, and
+    an image dropped."""
+
+    def shuffled(sem):
+        return reordered(sem, draw(st.permutations(sem.elements)))
+
+    nonzero = st.frozensets(st.integers(0, 2), min_size=1)
+    s = shuffled(powerset_sub(draw(st.sets(nonzero, min_size=2, max_size=4))))
+    g = draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))
+    mapping = {x: frozenset(g[i] for i in x) for x in s.elements}
+    t = shuffled(powerset_sub([*draw(subset_strategy), *mapping.values()]))
+    sources = st.sampled_from(s.elements)
+    for _ in range(draw(st.integers(1, 2)) if draw(st.booleans()) else 0):
+        x = draw(sources)
+        mapping[x] = draw(st.sampled_from([y for y in [*t.elements, "x"] if y != mapping.get(x)]))
+    if draw(st.sampled_from([False] * 5 + [True])):
+        del mapping[draw(sources)]
+    return s, t, mapping
+
+
+@settings(max_examples=300, deadline=None)
+@given(semilattice_maps())
+def test_morphism_validate_matches_the_label_loop(case):
+    assert_validate_matches_the_label_loop(*case)
+
+
+def test_conc_morphisms_validate_as_the_label_loop(corpus_maps):
+    # each Conc morphism of the corpus is accepted; moving one image is
+    # accepted or refused, naming the same first failure, as by the label loop
+    failures = set()
+    for f in corpus_maps.values():
+        phi = conc_morphism(f)
+        s, t = phi.source, phi.target
+        assert assert_validate_matches_the_label_loop(s, t, phi.mapping) is None
+        for x in s.elements:
+            for y in t.elements:
+                if y != phi(x):
+                    message = assert_validate_matches_the_label_loop(s, t, {**phi.mapping, x: y})
+                    failures.add(message and message.split(" at ")[0])
+    assert failures == {None, "zero not preserved", "join not preserved"}

@@ -712,6 +712,30 @@ class TestQuotientBundles:
         back = ser.gamp_from_json(out)
         assert len(back.outer) < len(x1.universe)
 
+    @pytest.mark.parametrize("fault, error, message", [
+        ("foreign-join", ValueError, "join table not total at (1, 2)"),
+        ("duplicate-elements", ValueError, "duplicate elements"),
+        ("foreign-zero", ValueError, "zero not an element"),
+        ("ragged-rows", SchemaError, "semilattice: list index out of range"),
+    ])
+    def test_malformed_semilattice_exit_3(self, fault, error, message, tmp_path, capsys):
+        # outside input the reader refuses, by the loader and by the CLI
+        data = ser.semilattice_to_json(JoinSemilattice.chain(3))
+        if fault == "foreign-join":
+            data["join"][1][2] = data["join"][2][1] = 7
+        elif fault == "duplicate-elements":
+            data["elements"] = [0, 1, 1]
+        elif fault == "foreign-zero":
+            data["zero"] = 5
+        else:
+            data["join"][2] = [2, 2]
+        with pytest.raises(error) as raised:
+            ser.semilattice_from_json(data)
+        assert type(raised.value) is error and str(raised.value) == message
+        path = self.write(tmp_path, "s.json", data)
+        assert run(["quotient", path, "--ideal", "#0"]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_token_exit_3(self, tmp_path, capsys):
         s = JoinSemilattice.chain(3)
         path = self.write(tmp_path, "s.json", ser.semilattice_to_json(s))
