@@ -110,11 +110,11 @@ def _closure_labels(algebra, pairs, known=None):
     Universalis 59, 2008).
     """
     _require_total(algebra)
-    index, rows = algebra.translation_rows
+    point, rows = algebra.point, algebra.translation_rows
     known = known or {}
     uf = _UnionFind(range(len(rows)))
     union, parent = uf.union, uf.parent
-    work = [(index[x], index[y]) for x, y in pairs]
+    work = [(point[x], point[y]) for x, y in pairs]
     while work:
         u, v = work.pop()
         # equal parents mean one class already: the cheap, common case
@@ -149,25 +149,25 @@ def principal_congruence(algebra, x, y):
 
 
 def is_congruence(algebra, partition):
-    """Definitional check: equivalence compatible with every operation."""
+    """Definitional check: equivalence compatible with every operation, on
+    universe indices."""
     _require_total(algebra)
     if isinstance(partition, Congruence):
         theta = partition
     else:
         theta = Congruence(partition)
-    covered = set()
-    for b in theta.blocks:
-        covered |= b
-    if covered != set(algebra.universe):
+    if theta._block_of.keys() != algebra.point.keys():  # not a partition of the universe
         return False
+    block = list(map(theta.block, algebra.universe))
+    points = range(len(block))
     for name, ar in algebra.stype.symbols:
         if ar == 0:
             continue
-        table = algebra.ops[name]
-        for args1 in product(algebra.universe, repeat=ar):
-            for args2 in product(algebra.universe, repeat=ar):
-                if all(theta.same(a, b) for a, b in zip(args1, args2)):
-                    if not theta.same(table[args1], table[args2]):
+        table = algebra.tables[name]
+        for args1 in product(points, repeat=ar):
+            for args2 in product(points, repeat=ar):
+                if all(block[a] is block[b] for a, b in zip(args1, args2)):
+                    if block[table[args1]] is not block[table[args2]]:
                         return False
     return True
 
@@ -335,7 +335,7 @@ def _lattice_con(algebra):
     """
     universe = algebra.universe
     n = len(universe)
-    meet, join = (algebra.index_tables[1][name] for name in ("meet", "join"))
+    meet, join = algebra.tables["meet"], algebra.tables["join"]
     irreducibles = _irreducibles(meet, join, n)
     below = [0] * n
     for t, (j, _) in enumerate(irreducibles):
@@ -427,19 +427,18 @@ class ConcSemilattice(JoinSemilattice):
         rows = [[rank[joins[a][b]] for b in order] for a in order]
         super().__init__([elements[k] for k in order], elements[0], rows, validate=False)
         self.dist_rows = [[rank[k] for k in row] for row in pairs]
-        self._point = {x: i for i, x in enumerate(universe)}
 
     def generated(self, pairs):
         """The element generated by the given pairs of the algebra: Cg of a
         set of pairs is the join of their principal congruences."""
-        point, D, J = self._point, self.dist_rows, self.join_rows
+        point, D, J = self.algebra.point, self.dist_rows, self.join_rows
         k = self._index[self.zero]
         for x, y in pairs:
             k = J[k][D[point[x]][point[y]]]
         return self.elements[k]
 
     def principal(self, x, y):
-        return self.elements[self.dist_rows[self._point[x]][self._point[y]]]
+        return self.generated([(x, y)])
 
 
 def conc(algebra, bound=CON_BOUND):
@@ -503,7 +502,7 @@ def _relational_n_permutable(algebra, n, congruences):
     comparable congruences permute, so only incomparable pairs i < j are
     composed; the first failing pair is the same.
     """
-    index = {x: i for i, x in enumerate(algebra.universe)}
+    index = algebra.point
     blocks = []  # blocks[t][i]: the mask of u_i's block in congruences[t]
     for theta in congruences:
         row = [0] * len(index)
@@ -611,7 +610,7 @@ def chain_interpolants(pg, xs, first, last, middle, chains=False):
     round for all i <= j, undefined cells failing (gamp.is_chain asks one
     way round only).
     """
-    universe, (index, tables) = pg.carrier.universe, pg.carrier.index_tables
+    universe, index, tables = pg.carrier.universe, pg.carrier.point, pg.carrier.tables
     D, J = pg.dist_rows, pg.sem.join_rows
     xs = [index[x] for x in xs]
     even, odd = _parity_joins(D, J, xs, pg.sem.index(pg.sem.zero))
@@ -734,7 +733,7 @@ def _chain_condition_failures(pg, inner, n, lattice_form=False):
     indices. The search depends on a tuple only through its endpoints and
     those two joins, so it runs once per such key.
     """
-    universe, (index, tables) = pg.carrier.universe, pg.carrier.index_tables
+    universe, index, tables = pg.carrier.universe, pg.carrier.point, pg.carrier.tables
     D, J = pg.dist_rows, pg.sem.join_rows
     zero = pg.sem.index(pg.sem.zero)
     inner = [index[x] for x in inner]
@@ -902,19 +901,18 @@ def _translations(algebra, depth_bound):
     being None for the identity or (inner-tuple, (name, pos, params)) for one
     basic translation applied on top of an already-found map.
     """
-    universe = algebra.universe
+    universe, point = algebra.universe, algebra.point
     steps = [
-        (algebra.ops[name], name, pos, params)
+        (algebra.tables[name], name, pos, params, tuple(map(point.__getitem__, params)))
         for name, ar in algebra.stype.symbols
         for pos in range(ar)
         for params in product(universe, repeat=ar - 1)
     ]
 
     def translate(f):
-        fmap = dict(zip(universe, f))
-        for table, name, pos, params in steps:
-            g = tuple(table[params[:pos] + (fmap[x],) + params[pos:]] for x in universe)
-            yield g, (name, pos, params)
+        at = tuple(map(point.__getitem__, f))
+        for table, name, pos, params, ps in steps:
+            yield tuple(universe[table[ps[:pos] + (x,) + ps[pos:]]] for x in at), (name, pos, params)
 
     parents = {}
     for _ in bfs(tuple(universe), translate, parents, depth_bound):

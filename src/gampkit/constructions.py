@@ -84,8 +84,8 @@ def _chain_lattice(k):
 
 
 def dual_lattice(algebra):
-    ops = {"meet": dict(algebra.ops["join"]), "join": dict(algebra.ops["meet"])}
-    return PartialAlgebra(algebra.stype, algebra.universe, ops, validate=False)
+    tables = {"meet": algebra.tables["join"], "join": algebra.tables["meet"]}
+    return PartialAlgebra(algebra.stype, algebra.universe, tables)
 
 
 _BUILDERS = {}
@@ -248,12 +248,13 @@ def _sublattice(base_alg, subset, name):
 
 
 def _count_isotone_surjections(chain, target):
-    """Isotone surjections from a chain onto a lattice algebra, by brute force."""
-    meet = target.ops["meet"]
+    """Isotone surjections from a chain onto a lattice algebra, by brute
+    force on the target's indices."""
+    meet, points = target.tables["meet"], range(len(target))
     count = 0
-    for vals in product(target.universe, repeat=len(chain.universe)):
+    for vals in product(points, repeat=len(chain.universe)):
         isotone = all(meet[(u, v)] == u for u, v in zip(vals, vals[1:]))
-        if isotone and set(vals) == set(target.universe):
+        if isotone and len(set(vals)) == len(points):
             count += 1
     return count
 
@@ -277,18 +278,18 @@ def build_square(base, n):
         raise HypothesisFailed(f"{base.name} lacks the marked elements {', '.join(missing)}")
     zero, one = sp["zero"], sp["one"]
     x1, x2, x3 = sp["x1"], sp["x2"], sp["x3"]
-    if K.ops["meet"][(x1, x2)] != zero:
+    if K.apply("meet", (x1, x2)) != zero:
         raise HypothesisFailed("x1 meet x2 = 0 fails")
     for xk in (x1, x2):
-        if K.ops["join"][(x3, xk)] != one:
+        if K.apply("join", (x3, xk)) != one:
             raise HypothesisFailed(f"x3 join {xk} = 1 fails")
     if x3 in (zero, one):
         raise HypothesisFailed("0 < x3 < 1 fails")
     if n < 2:
         raise HypothesisFailed("n must be at least 2")
 
-    m13 = K.ops["meet"][(x1, x3)]
-    m23 = K.ops["meet"][(x2, x3)]
+    m13 = K.apply("meet", (x1, x3))
+    m23 = K.apply("meet", (x2, x3))
     x0 = _sublattice(K, {zero, x3, one}, "X0")
     xk_algs = {
         "b": x0,
@@ -576,9 +577,8 @@ def refute_candidate(square, cand, n, precheck=True):
     cs0 = g0.sem
     d0 = g0.delta
 
-    meets, joins = g0.outer.ops["meet"], g0.outer.ops["join"]
-    first = meets.get((a[0], a[n]), UNDEFINED)
-    last = joins.get((a[0], a[n]), UNDEFINED)
+    first = g0.outer.apply("meet", (a[0], a[n]))
+    last = g0.outer.apply("join", (a[0], a[n]))
     ys = None
     if first is not UNDEFINED and last is not UNDEFINED:
         outer = sorted(g0.outer.universe, key=sort_key)
@@ -664,8 +664,7 @@ def refute_candidate(square, cand, n, precheck=True):
         (qg0.delta(o0, y), qg0.delta(m0, e0)),
         qg0.sem.leq(qg0.delta(o0, y), qg0.delta(m0, e0)),
     )
-    meets0 = qg0.outer.ops["meet"]
-    record("claim-meet-top", None, meets0.get((y, e0), UNDEFINED) == y)
+    record("claim-meet-top", None, qg0.outer.apply("meet", (y, e0)) == y)
 
     # walk the claim through the wings into the top node
     marked = {"l": square.base.special["x1"], "r": square.base.special["x2"]}
@@ -678,12 +677,10 @@ def refute_candidate(square, cand, n, precheck=True):
         ck = xi[node][marked[node]]
         ek = xi[node][one_el]
         x3k = xi[node][x3_el]
-        meets = gk.outer.ops["meet"]
-        wk = meets.get((yk, ck), UNDEFINED)
+        apply_k = gk.outer.apply
+        wk = apply_k("meet", (yk, ck))
         record(f"claim-definedness[{node}]", (yk, ck), wk is not UNDEFINED)
-        record(
-            f"claim-zero-meet[{node}]", None, meets.get((ok_el, ck), UNDEFINED) == ok_el
-        )
+        record(f"claim-zero-meet[{node}]", None, apply_k("meet", (ok_el, ck)) == ok_el)
         S = gk.sem
         record(
             f"claim-eq1a[{node}]",
@@ -700,7 +697,7 @@ def refute_candidate(square, cand, n, precheck=True):
             None,
             S.leq(gk.delta(ok_el, yk), gk.delta(x3k, ek)),
         )
-        record(f"claim-top-meet[{node}]", None, meets.get((yk, ek), UNDEFINED) == yk)
+        record(f"claim-top-meet[{node}]", None, apply_k("meet", (yk, ek)) == yk)
         record(
             f"claim-eq2[{node}]",
             None,
@@ -727,19 +724,18 @@ def refute_candidate(square, cand, n, precheck=True):
     o3 = xi["t"][zero_el]
     x13 = xi["t"][square.base.special["x1"]]
     x23 = xi["t"][square.base.special["x2"]]
-    meets_t = gt.outer.ops["meet"]
-    joins_t = gt.outer.ops["join"]
-    record("claim-x1x2", None, meets_t.get((x13, x23), UNDEFINED) == o3)
-    record("claim-meet-x1", None, meets_t.get((y3, x13), UNDEFINED) == y3)
-    record("claim-meet-x2", None, meets_t.get((y3, x23), UNDEFINED) == y3)
-    m3 = meets_t.get((y3, o3), UNDEFINED)
+    apply_t = gt.outer.apply
+    record("claim-x1x2", None, apply_t("meet", (x13, x23)) == o3)
+    record("claim-meet-x1", None, apply_t("meet", (y3, x13)) == y3)
+    record("claim-meet-x2", None, apply_t("meet", (y3, x23)) == y3)
+    m3 = apply_t("meet", (y3, o3))
     record("claim-meet-zero-defined", (y3, o3), m3 is not UNDEFINED)
     record("claim-assoc", (m3, y3), m3 == y3)
-    record("claim-zero-below", None, meets_t.get((o3, y3), UNDEFINED) == o3)
-    v3 = joins_t.get((o3, y3), UNDEFINED)
+    record("claim-zero-below", None, apply_t("meet", (o3, y3)) == o3)
+    v3 = apply_t("join", (o3, y3))
     record("claim-join-defined", (o3, y3), v3 is not UNDEFINED)
     record("claim-absorb1", v3, v3 == y3)
-    v3b = joins_t.get((y3, o3), UNDEFINED)
+    v3b = apply_t("join", (y3, o3))
     record("claim-commute", (v3, v3b), v3b is not UNDEFINED and v3b == v3)
     record("claim-absorb2", m3, m3 == o3)
     record("claim-collapse", (y3, o3), y3 == o3)
@@ -814,15 +810,15 @@ class _NodeState:
     starts as the inner pregamp's dist_rows. place_row replaces D by a new
     matrix and never changes it in place, since the snapshots of gamp() alias
     it as their dist_rows. Inner cells are fixed; decided cells accumulate,
-    keyed by labels; checks are incremental where cheap and full at node
-    completion.
+    keyed by indices like the inner tables; checks are incremental where
+    cheap and full at node completion.
     """
 
     def __init__(self, inner, cs, dist_rows, pad):
         self.inner, self.cs, self.inner_rows, self.pad = inner, cs, dist_rows, pad
         self.index = {x: i for i, x in enumerate([*inner.universe, pad])}
         self.J, self.zero = cs.join_rows, cs.index(cs.zero)
-        self.cells = {}  # (op, a, b) -> value
+        self.cells = {}  # (op, a, b) -> value, on indices
         self.place_row(None)
 
     def place_row(self, row):
@@ -837,46 +833,35 @@ class _NodeState:
         return list(self.inner.universe) + self.pads
 
     def cell(self, op, a, b):
-        if (op, a, b) in self.cells:
-            return self.cells[(op, a, b)]
-        return self.inner.ops[op].get((a, b), UNDEFINED)
+        """The value of a cell on indices, decided or inner, or None."""
+        v = self.cells.get((op, a, b))
+        return self.inner.tables[op].get((a, b)) if v is None else v
 
     def compatible_with(self, op, a, b, v):
         """Distance axiom for operations between the new cell and every
         defined cell of op, by check_axioms' own per-cell routine."""
-        ix = self.index
-        decided = [((ix[a2], ix[b2]), ix[v2]) for (o, a2, b2), v2 in self.cells.items() if o == op]
-        args, values = zip(*self.inner.index_tables[1][op].items(), *decided)
-        row, v = (ix[a], ix[b]), ix[v]
-        return _first_incompatible(self.D, self.J, self.zero, row, v, zip(*args), values) is None
+        decided = [((a2, b2), v2) for (o, a2, b2), v2 in self.cells.items() if o == op]
+        args, values = zip(*self.inner.tables[op].items(), *decided)
+        return _first_incompatible(self.D, self.J, self.zero, (a, b), v, zip(*args), values) is None
 
     def quick_identities_ok(self, op, a, b, v):
         """Local instances touching the new cell: idempotence, commutativity,
         one-step absorption."""
-        if a == b and v != a:
-            return False
-        mirror = self.cell(op, b, a)
-        if mirror is not UNDEFINED and mirror != v:
-            return False
         other = "join" if op == "meet" else "meet"
-        w = self.cell(other, v, b)
-        if w is not UNDEFINED and w != b:
-            return False
-        w = self.cell(other, a, v)
-        if w is not UNDEFINED and w != a:
-            return False
-        return True
+        # each cell, where it is defined, must hold the value the new one asks
+        asked = ((op, b, a, v), (other, v, b, b), (other, a, v, a))
+        return (a != b or v == a) and all(self.cell(o, x, y) in (None, w) for o, x, y, w in asked)
 
     def tables(self):
         """The inner meet and join tables overlaid with the decided cells."""
-        ops = {op: dict(self.inner.ops[op]) for op in ("meet", "join")}
+        tables = {op: dict(self.inner.tables[op]) for op in ("meet", "join")}
         for (op, a, b), v in self.cells.items():
-            ops[op][(a, b)] = v
-        return ops
+            tables[op][(a, b)] = v
+        return tables
 
     def gamp(self):
         """The node as it stands: its inner part in the decided outer structure."""
-        alg = PartialAlgebra(LATTICE_TYPE, self.universe(), self.tables(), validate=False)
+        alg = PartialAlgebra(LATTICE_TYPE, self.universe(), self.tables())
         return Gamp(self.inner, Pregamp(alg, self.D, self.cs), validate=False)
 
     def node_checks(self, label, n):
@@ -908,26 +893,22 @@ def _nonzero_row_options(state):
 
 
 def _witness_options(state, pg, xs, n):
-    """Interpolant vectors for one tuple, with the meet cells they force. The
-    search reads the distances of pg, a snapshot of the node with every pad
-    row decided; cells added since it was taken change no distance."""
-    first = state.inner.ops["meet"][(xs[0], xs[n])]
-    last = state.inner.ops["join"][(xs[0], xs[n])]
+    """For each interpolant vector of one tuple, the meet cells on indices
+    that it forces, unless one clashes with a decided cell. The search reads
+    the distances of pg, a snapshot of the node with every pad row decided;
+    cells added since it was taken change no distance."""
+    first = state.inner.apply("meet", (xs[0], xs[n]))
+    last = state.inner.apply("join", (xs[0], xs[n]))
     options = []
     for ys in _cong.chain_interpolants(pg, xs, first, last, pg.carrier.universe):
+        at = list(map(state.index.__getitem__, ys))
         forced = {}
         for i in range(n + 1):
             for j in range(i, n + 1):
-                forced[("meet", ys[i], ys[j])] = ys[i]
-                forced[("meet", ys[j], ys[i])] = ys[i]
-        conflict = False
-        for (op, a, b), v in forced.items():
-            cur = state.cell(op, a, b)
-            if cur is not UNDEFINED and cur != v:
-                conflict = True
-                break
-        if not conflict:
-            options.append((ys, forced))
+                forced[("meet", at[i], at[j])] = at[i]
+                forced[("meet", at[j], at[i])] = at[i]
+        if all(state.cell(op, a, b) in (None, v) for (op, a, b), v in forced.items()):
+            options.append(forced)
     return options
 
 
@@ -939,20 +920,17 @@ def _deficient_tuples(state, pg, n):
 
 
 def _try_add_cells(state, forced):
-    """Add cells with the incremental checks; returns the undo list or None."""
+    """Add cells, on indices, with the incremental checks; returns the undo
+    list or None."""
     added = []
     for (op, a, b), v in forced.items():
         cur = state.cell(op, a, b)
-        if cur is not UNDEFINED:
-            if cur != v:
-                _undo_cells(state, added)
-                return None
-            continue
-        if not state.quick_identities_ok(op, a, b, v) or not state.compatible_with(op, a, b, v):
+        if cur is None and state.quick_identities_ok(op, a, b, v) and state.compatible_with(op, a, b, v):
+            state.cells[(op, a, b)] = v
+            added.append((op, a, b))
+        elif cur != v:  # a decided cell clashes, or a check failed
             _undo_cells(state, added)
             return None
-        state.cells[(op, a, b)] = v
-        added.append((op, a, b))
     return added
 
 
@@ -1074,7 +1052,7 @@ def enumerate_candidates(square, n, size_bound=1):
         state = states[order[k]]
         xs = deficient[idx]
         progressed = False
-        for _, forced in _witness_options(state, pg, xs, n):
+        for forced in _witness_options(state, pg, xs, n):
             tick()
             added = _try_add_cells(state, forced)
             if added is None:
@@ -1103,10 +1081,11 @@ def enumerate_candidates(square, n, size_bound=1):
         arrow_maps.update(maps)
         placed = tuple(m[pads[p]] for (p, _), m in maps.items() if pads[p] in m)
         forced_row = {}  # inner index -> the pad's distance to it
+        images = {}  # lower node -> the index here of each of its points
         for (p, _), m in maps.items():
             src = states[p]
             push = [state.cs.index(conc_f[(p, node)](d)) for d in src.cs.elements]
-            image = [state.index[m[x]] for x in src.universe()]
+            image = images[p] = [state.index[m[x]] for x in src.universe()]
             for u, r in zip(image, src.D):
                 for v, d in zip(image, r):
                     want = push[d]
@@ -1135,8 +1114,8 @@ def enumerate_candidates(square, n, size_bound=1):
             tick()
             state.place_row(row)
             added = []
-            for (p, _), m in maps.items():
-                more = _push_cells(state, states[p].cells, m)
+            for p, _ in maps:
+                more = _push_cells(state, states[p].cells, images[p])
                 if more is None:
                     _undo_cells(state, added)
                     yield CandidateOutcome("pruned", "morphism", detail=(node, placed))
@@ -1151,14 +1130,14 @@ def enumerate_candidates(square, n, size_bound=1):
                     yield from choose_witnesses(k, pg, _deficient_tuples(state, pg, n), 0)
                 _undo_cells(state, added)
 
-    def _push_cells(state, src_cells, gmap):
+    def _push_cells(state, src_cells, image):
+        # image: the index here of each source point
         forced = {}
         for (op, a, b), v in src_cells.items():
-            key = (op, gmap[a], gmap[b])
-            val = gmap[v]
-            if forced.get(key, val) != val:
+            key = (op, image[a], image[b])
+            val = image[v]
+            if forced.setdefault(key, val) != val:
                 return None
-            forced[key] = val
         return _try_add_cells(state, forced)
 
     def fill_node(k):
@@ -1166,14 +1145,10 @@ def enumerate_candidates(square, n, size_bound=1):
         propagated pad, then close the node."""
         node = order[k]
         state = states[node]
+        ix = state.index
         pool = sorted({*state.inner.universe, *state.pads}, key=sort_key)
-        missing = [
-            (op, a, b)
-            for op in ("meet", "join")
-            for a in pool
-            for b in pool
-            if state.cell(op, a, b) is UNDEFINED
-        ]
+        cells = product(("meet", "join"), pool, pool)
+        missing = [(op, a, b) for op, a, b in cells if state.cell(op, ix[a], ix[b]) is None]
 
         def fill(idx):
             if idx == len(missing):
@@ -1181,9 +1156,9 @@ def enumerate_candidates(square, n, size_bound=1):
                 return
             op, a, b = missing[idx]
             hit = False
-            for v in state.universe():
+            for v in range(len(state.universe())):
                 tick()
-                added = _try_add_cells(state, {(op, a, b): v})
+                added = _try_add_cells(state, {(op, ix[a], ix[b]): v})
                 if added is None:
                     continue
                 hit = True

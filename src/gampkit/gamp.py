@@ -219,12 +219,11 @@ def is_chain(g, xs):
     if not g.is_lattice_signature():
         raise WrongSignature("chains require the lattice signature")
     xs = list(xs)
-    meets = g.outer.ops["meet"]
     for i, x in enumerate(xs):
         if x not in g.inner:
             return False
         for y in xs[i:]:
-            if meets.get((x, y), UNDEFINED) != x:
+            if g.outer.apply("meet", (x, y)) != x:
                 return False
     return True
 
@@ -237,12 +236,12 @@ def presqueordre_facts(g, xs):
     xs = list(xs)
     cross_check(is_chain(g, xs), "input must be a chain")
     n = len(xs)
-    meets, joins = g.outer.ops["meet"], g.outer.ops["join"]
+    apply = g.outer.apply
     for i in range(n):
         for j in range(i, n):
             a, b = xs[i], xs[j]
-            cross_check(meets[(a, b)] == a == meets[(b, a)], f"chain meet at {(a, b)}")
-            cross_check(joins[(a, b)] == b == joins[(b, a)], f"chain join at {(a, b)}")
+            cross_check(apply("meet", (a, b)) == a == apply("meet", (b, a)), f"chain meet at {(a, b)}")
+            cross_check(apply("join", (a, b)) == b == apply("join", (b, a)), f"chain join at {(a, b)}")
     S = g.sem
     for i in range(n):
         for j in range(i, n):
@@ -400,21 +399,19 @@ def _check_cuttable(fm, phi, chains, x_cap):
     tgt, S = fm.target, phi.target
     J, zero = S.join_rows, S.index(S.zero)
     inner = list(tgt.inner.universe)
-    meets = tgt.outer.ops.get("meet", {})
-    joins = tgt.outer.ops.get("join", {})
     # the phi-distances of inner points, which hold the image, as indices
     # into S, and the down-set of each element of S as a bit mask
-    at = tgt.pregamp.point
+    outer, at = tgt.outer, tgt.outer.point
     to_s = [S.index(phi(a)) for a in tgt.sem.elements]
     rows = [tgt.pregamp.dist_rows[at[a]] for a in inner]
     dist = [[to_s[row[at[b]]] for b in inner] for row in rows]
     downs = [sum(1 << v for v in range(len(S)) if J[v][u] == u) for u in range(len(S))]
-    pos = {a: i for i, a in enumerate(inner)}
+    pos = tgt.inner.point
     pairs = []
     for x in fm.source.outer.universe:
         for y in fm.source.outer.universe:
             fx, fy = fm.f(x), fm.f(y)
-            ends = (meets.get((fx, fy), UNDEFINED), joins.get((fx, fy), UNDEFINED))
+            ends = (outer.apply("meet", (fx, fy)), outer.apply("join", (fx, fy))) if chains else (None, None)
             pairs.append((x, y, pos[fx], pos[fy], dist[pos[fx]][pos[fy]], ends))
     order = sorted(range(len(S)), key=lambda u: sort_key(S.elements[u]))
     checked = set()  # the allowed steps of the X already walked
@@ -469,10 +466,10 @@ def _chain_walk(g, lo, hi, step_ok):
     if not (lo in g.inner and hi in g.inner):
         return False
     inner = list(g.inner.universe)
-    meets = g.outer.ops["meet"]
+    at, meets = g.outer.point, g.outer.tables["meet"]
 
     def below(a, b):
-        return meets.get((a, b), UNDEFINED) == a
+        return meets.get((at[a], at[b])) == at[a]
 
     def extensions(state):
         u, members = state
@@ -544,20 +541,12 @@ def gamp_chain_colimit(morphisms, window=1, expect_algebra=False):
 def _principal_pair_cover(cs, theta, comparable_only, algebra):
     """Pairs whose principal congruences join to theta; greedy cover."""
     pairs = []
+    universe = algebra.universe
     if comparable_only:
-        meets = algebra.ops["meet"]
-        pool = [
-            (x, y)
-            for x in algebra.universe
-            for y in algebra.universe
-            if x != y and meets[(x, y)] == x
-        ]
+        meets, points = algebra.tables["meet"], range(len(universe))
+        pool = [(universe[i], universe[j]) for i in points for j in points if i != j and meets[(i, j)] == i]
     else:
-        pool = [
-            (x, y)
-            for i, x in enumerate(algebra.universe)
-            for y in algebra.universe[i + 1 :]
-        ]
+        pool = [(x, y) for i, x in enumerate(universe) for y in universe[i + 1 :]]
     acc = cs.zero
     for (x, y) in pool:
         p = cs.principal(x, y)

@@ -3,7 +3,8 @@ calculus, identity satisfaction, images, and stabilizing chain colimits."""
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, count, product, repeat
+from itertools import chain, compress, count, product
+from math import prod
 from operator import eq, ne
 
 from .errors import NotComposable, NotSubset, NotTotal, cross_check
@@ -44,89 +45,120 @@ LATTICE_TYPE = SimilarityType((("meet", 2), ("join", 2)))
 class PartialAlgebra:
     """A finite universe with per-symbol definedness sets and partial tables.
 
-    ops maps a symbol name to {input tuple: value}; the definedness set of a
-    symbol is exactly the key set of its table. Structures compare by
-    structural equality on (type, universe-as-set, tables), which is what the
-    image/preimage laws are stated in terms of.
+    The operations are held once, as index tables: tables[name] maps a tuple
+    of argument indices to the index of the value, in the order given, and
+    its key set is the symbol's definedness set. point maps each element to
+    its index in universe. The constructor refuses a repeated element, an
+    entry of the wrong arity and an index outside the universe; from_ops
+    converts label tables, and ops reads them back. Structures compare by
+    structural equality on (type, universe-as-set, tables in labels), which
+    is what the image/preimage laws are stated in terms of.
     """
 
-    def __init__(self, stype, universe, ops, validate=True):
+    def __init__(self, stype, universe, tables):
         self.stype = stype
         self.universe = tuple(universe)
-        if ops is not None:  # None from product only: see the ops property
-            self.ops = {name: dict(table) for name, table in ops.items()}
-            for name, _ in stype.symbols:
-                self.ops.setdefault(name, {})
-        self._uset = frozenset(self.universe)
+        self.point = {x: i for i, x in enumerate(self.universe)}
+        if len(self.point) != len(self.universe):
+            raise ValueError("duplicate universe elements")
         # the factor algebras when this is a direct product; set by product only
         self.factors = None
-        if validate:
-            self.validate()
-
-    @cached_property
-    def ops(self):
-        """A product's tables, built from its recorded factors on first read
-        and kept: the argument tuples of each table in itertools.product
-        order, as product() documents. Every other algebra's tables are set
-        by the constructor."""
-        algebras = self.factors
-        universe = self.universe
-        ops = {}
-        for name, ar in self.stype.symbols:
-            tables = [a.ops[name] for a in algebras]
-            if not ar:
-                ops[name] = {(): tuple(t[()] for t in tables)}
+        if tables is None:  # from product only: see the tables property
+            return
+        self.tables = {name: dict(table) for name, table in tables.items()}
+        for name, _ in stype.symbols:
+            self.tables.setdefault(name, {})
+        points = set(range(len(self.universe)))
+        for name, table in self.tables.items():
+            ar = stype.arity(name)
+            if set(map(len, table)) <= {ar} and points.issuperset(chain(table.values(), *table)):
                 continue
-            table = ops[name] = {}
-            for lead in product(universe, repeat=ar - 1):
-                # each factor's row of values over its last argument; their
-                # product lists the row's values in universe order
-                heads = zip(*lead) if lead else repeat(())
-                rows = [
-                    [t[h + (x,)] for x in a.universe] for t, a, h in zip(tables, algebras, heads)
-                ]
-                table.update(zip([lead + (u,) for u in universe], product(*rows)))
-        return ops
+            for args, val in table.items():  # the first bad entry, for the message
+                if len(args) != ar:
+                    raise ValueError(f"{name}: arity mismatch at {args}")
+                if val not in points or not points.issuperset(args):
+                    raise ValueError(f"{name}: entry {args}->{val} leaves the universe")
 
-    def validate(self):
-        if len(self._uset) != len(self.universe):
-            raise ValueError("duplicate universe elements")
-        for name, table in self.ops.items():
-            ar = self.stype.arity(name)
+    @classmethod
+    def from_ops(cls, stype, universe, ops):
+        """The algebra of label tables, ops[name] mapping argument tuples to
+        values, in their order; a bad entry is named in labels."""
+        universe = tuple(universe)
+        point = cls(stype, universe, {}).point  # a repeated element is refused first
+        tables = {}
+        for name, table in ops.items():
+            ar, tables[name] = stype.arity(name), {}
             for args, val in table.items():
                 if len(args) != ar:
                     raise ValueError(f"{name}: arity mismatch at {args}")
-                if not set(args) <= self._uset or val not in self._uset:
+                if val not in point or not all(map(point.__contains__, args)):
                     raise ValueError(f"{name}: entry {args}->{val} leaves the universe")
+                tables[name][tuple(map(point.__getitem__, args))] = point[val]
+        return cls(stype, universe, tables)
+
+    @property
+    def ops(self):
+        """The tables in labels, {name: {argument tuple: value}}, rebuilt on
+        each read: a view for export, never stored."""
+        u = self.universe
+        return {
+            name: {tuple(map(u.__getitem__, args)): u[v] for args, v in table.items()}
+            for name, table in self.tables.items()
+        }
+
+    @cached_property
+    def tables(self):
+        """A product's tables, built from its factors' tables on first read
+        and kept: argument tuples in itertools.product order, as product()
+        documents, each index in mixed radix over the factors' indices. Every
+        other algebra's tables are set by the constructor."""
+        sizes, strides = self._radix
+        n = len(self.universe)
+        digits = [[i // stride % size for i in range(n)] for size, stride in zip(sizes, strides)]
+        tables = {}
+        for name, ar in self.stype.symbols:
+            factor_tables = [f.tables[name] for f in self.factors]
+            if not ar:
+                tables[name] = {(): sum(s * t[()] for s, t in zip(strides, factor_tables))}
+                continue
+            table = tables[name] = {}
+            for lead in product(range(n), repeat=ar - 1):
+                # the values over the last argument, in universe order: each
+                # factor's row, scaled by its stride, added in product order
+                values = [0]
+                for t, size, stride, d in zip(factor_tables, sizes, strides, digits):
+                    head = tuple(map(d.__getitem__, lead))
+                    row = [stride * t[head + (x,)] for x in range(size)]
+                    values = [v + r for v in values for r in row]
+                table.update(zip([lead + (u,) for u in range(n)], values))
+        return tables
 
     @cached_property
     def translation_rows(self):
-        """The index map of a total algebra's universe, and for each element u
-        the indices of u's images under unary maps whose composites include
-        every one-step unary translation (an operation, u in one slot,
-        parameters in the others), so a partition closed under these maps
-        is closed under all translations.
+        """For each element u of a total algebra, by index, the indices of
+        u's images under unary maps whose composites include every one-step
+        unary translation (an operation, u in one slot, parameters in the
+        others), so a partition closed under these maps is closed under all
+        translations.
 
         On a lattice the maps are x -> x meet m for meet-irreducible m and
         x -> x join j for join-irreducible j: every c is the meet of the
         meet-irreducibles above it and the join of the join-irreducibles
         below it. A recorded product of lattices lifts its factors' maps
-        coordinatewise and builds neither its tables nor its index tables.
-        Any other algebra keeps each distinct one-step translation, in
-        (operation, slot, parameters) order. Compiled on first use and
-        kept: nothing changes an algebra's tables after construction.
+        coordinatewise and builds no tables. Any other algebra keeps each
+        distinct one-step translation, in (operation, slot, parameters)
+        order. Compiled on first use and kept: nothing changes an algebra's
+        tables after construction.
 
         Two readers: congruence closure merges along these maps, and
         pregamp.check_axioms decides compatibility of a distance as "every
         map is non-expanding", exact given the triangle inequality, since a
         composite of non-expanding maps is non-expanding."""
-        universe = self.universe
-        index = {x: i for i, x in enumerate(universe)}
+        n = len(self.universe)
         if self.factors is not None and all(map(is_lattice_algebra, self.factors)):
             columns = self._lifted_columns()
         elif is_lattice_algebra(self):
-            n, tables = len(universe), self.index_tables[1]
-            meet, join = tables["meet"], tables["join"]
+            meet, join = self.tables["meet"], self.tables["join"]
             columns = [
                 tuple(table[(u, c)] for u in range(n))
                 for table, other in ((meet, join), (join, meet))
@@ -134,39 +166,24 @@ class PartialAlgebra:
             ]
         else:
             columns = dict.fromkeys(
-                tuple(index[t[ps[:pos] + (u,) + ps[pos:]]] for u in universe)
+                tuple(t[ps[:pos] + (u,) + ps[pos:]] for u in range(n))
                 for name, ar in self.stype.symbols
-                for t in (self.ops[name],)
+                for t in (self.tables[name],)
                 for pos in range(ar)
-                for ps in product(universe, repeat=ar - 1)
+                for ps in product(range(n), repeat=ar - 1)
             )
-        return index, list(zip(*columns)) or [()] * len(universe)
+        return list(zip(*columns)) or [()] * n
 
     def _lifted_columns(self):
         """The factors' translation maps, each acting on its own coordinate
         of a product's universe indices (mixed radix in product order) and
         fixing the others."""
-        sizes = [len(f) for f in self.factors]
-        strides = [1] * len(sizes)
-        for t in range(len(sizes) - 1, 0, -1):
-            strides[t - 1] = strides[t] * sizes[t]
         points = range(len(self.universe))
         return [
             tuple(i + (col[i // stride % size] - i // stride % size) * stride for i in points)
-            for f, size, stride in zip(self.factors, sizes, strides)
-            for col in zip(*f.translation_rows[1])
+            for f, size, stride in zip(self.factors, *self._radix)
+            for col in zip(*f.translation_rows)
         ]
-
-    @cached_property
-    def index_tables(self):
-        """The index map of the universe, and for each operation its table on
-        indices: a dict from argument index tuples to the value's index.
-        Compiled on first use and kept, as translation_rows is."""
-        index = {x: i for i, x in enumerate(self.universe)}
-        return index, {
-            name: {tuple(map(index.__getitem__, args)): index[v] for args, v in table.items()}
-            for name, table in self.ops.items()
-        }
 
     @cached_property
     def _lattice_verdict(self):
@@ -183,7 +200,7 @@ class PartialAlgebra:
         ok = _is_lattice_order(self)
         if len(self) <= LATTICE_CHECK_BOUND:
             found = first_counterexamples(
-                compile_identities(LATTICE_IDENTITIES), range(len(self)), self.index_tables[1]
+                compile_identities(LATTICE_IDENTITIES), range(len(self)), self.tables
             )
             by_identities = all(ce is None for ce in found)
             cross_check(ok == by_identities, "meet order and lattice identities disagree")
@@ -191,21 +208,28 @@ class PartialAlgebra:
         return ok
 
     def apply(self, name, args):
-        """The value of one table entry, or UNDEFINED. A product whose tables
-        are not built answers from its factors and builds nothing."""
-        if self.factors is None or "ops" in self.__dict__:
-            return self.ops[name].get(tuple(args), UNDEFINED)
-        return self._from_factors(name, tuple(args))
+        """The value of one table entry, or UNDEFINED, read through point."""
+        key = tuple(map(self.point.get, args))
+        value = None if None in key else self._lookup(name, key)
+        return UNDEFINED if value is None else self.universe[value]
 
-    def _from_factors(self, name, args):
-        """A product's entry read off its factors, one coordinate per factor:
-        the factors are total, so it is defined exactly when every argument
-        lies in the universe and the arity is right."""
-        if not all(map(self._uset.__contains__, args)):
-            return UNDEFINED
-        coords = zip(*args) if args else repeat(())
-        value = tuple(f.apply(name, c) for f, c in zip(self.factors, coords))
-        return UNDEFINED if UNDEFINED in value else value
+    def _lookup(self, name, key):
+        """One entry's value index by argument indices, or None; off the
+        factors, building nothing, on a product whose tables are not built."""
+        if self.factors is None or "tables" in self.__dict__:
+            return self.tables[name].get(key)
+        return self._from_factors(name, key)
+
+    def _from_factors(self, name, key):
+        """A product's entry off its factors, one digit of each index per
+        factor: they are total, so it is defined iff the arity is right."""
+        value = 0
+        for f, size, stride in zip(self.factors, *self._radix):
+            v = f._lookup(name, tuple(i // stride % size for i in key))
+            if v is None:
+                return None
+            value += stride * v
+        return value
 
     def is_total(self):
         # product() checks its factors total, so a product is total: answered
@@ -213,10 +237,10 @@ class PartialAlgebra:
         if self.factors is not None:
             return True
         n = len(self.universe)
-        return all(len(self.ops[name]) == n ** self.stype.arity(name) for name, _ in self.stype.symbols)
+        return all(len(self.tables[name]) == n ** ar for name, ar in self.stype.symbols)
 
     def __contains__(self, x):
-        return x in self._uset
+        return x in self.point
 
     def __len__(self):
         return len(self.universe)
@@ -230,52 +254,55 @@ class PartialAlgebra:
             # nonempty products are equal exactly when their factors are,
             # pair by pair: the factors are their coordinates
             return len(self.factors) == len(other.factors) and all(map(eq, self.factors, other.factors))
-        return self._uset == other._uset and self.ops == other.ops
+        return self.is_partial_sub_of(other) and other.is_partial_sub_of(self)
 
     def __hash__(self):
-        if self.factors is not None:  # total: each table has n^arity entries
-            n = len(self.universe)
-            sizes = ((name, n ** ar) for name, ar in self.stype.symbols)
-        else:
-            sizes = ((name, len(t)) for name, t in self.ops.items())
-        return hash((self.stype, self._uset, tuple(sorted(sizes))))
+        # what equal algebras share: the type, the size and each table's
+        # size, n^arity on a product, which is total
+        n, total = len(self.universe), self.factors is not None
+        sizes = tuple(n ** ar if total else len(self.tables[name]) for name, ar in self.stype.symbols)
+        return hash((self.stype, n, sizes))
 
     def __repr__(self):
         kind = "total" if self.is_total() else "partial"
         return f"PartialAlgebra({len(self.universe)} elements, {kind})"
 
     def is_partial_sub_of(self, other):
-        """Definedness contained and tables agreeing."""
-        if not self._uset <= other._uset or self.stype != other.stype:
+        """Definedness contained and tables agreeing: each table, read in
+        other's indices through one relabelling list, is part of other's."""
+        relabel = list(map(other.point.get, self.universe))
+        if self.stype != other.stype or None in relabel:
             return False
-        for name, table in self.ops.items():
-            for args, val in table.items():
-                if other.ops[name].get(args) != val:
-                    return False
+        same = relabel == list(range(len(relabel)))
+        for name, table in self.tables.items():
+            if not same:
+                table = {tuple(map(relabel.__getitem__, k)): relabel[v] for k, v in table.items()}
+            if not table.items() <= other.tables[name].items():
+                return False
         return True
 
     def restrict_full(self, subset):
         """Induced full partial subalgebra on a subset of the universe."""
         subset = frozenset(subset)
-        if not subset <= self._uset:
+        if not subset.issubset(self.point):
             raise NotSubset("subset leaves the universe")
-        ops = {}
-        for name, table in self.ops.items():
-            ops[name] = {
-                args: val
-                for args, val in table.items()
-                if set(args) <= subset and val in subset
-            }
-        order = [x for x in self.universe if x in subset]
-        return PartialAlgebra(self.stype, order, ops, validate=False)
+        kept = [x for x in self.universe if x in subset]
+        position = {self.point[x]: k for k, x in enumerate(kept)}  # old index -> new
+        tables = {}
+        for name, table in self.tables.items():
+            tables[name] = {}
+            for args, val in table.items():
+                new = tuple(map(position.get, args))
+                if None not in new and val in position:
+                    tables[name][new] = position[val]
+        return PartialAlgebra(self.stype, kept, tables)
 
     @classmethod
     def total_from_fn(cls, stype, universe, fns):
         universe = list(universe)
-        ops = {}
-        for name, ar in stype.symbols:
-            ops[name] = {args: fns[name](*args) for args in product(universe, repeat=ar)}
-        return cls(stype, universe, ops, validate=False)
+        cells = {name: product(universe, repeat=ar) for name, ar in stype.symbols}
+        ops = {name: {args: fns[name](*args) for args in cells[name]} for name in cells}
+        return cls.from_ops(stype, universe, ops)
 
     @classmethod
     def product(cls, algebras):
@@ -285,12 +312,14 @@ class PartialAlgebra:
         order, and each table lists its argument tuples in that order too.
         Every factor must be total (else NotTotal), and there must be at
         least one factor, all of one similarity type (else ValueError). The
-        result records the factors in `factors`; only this constructor sets
-        it, and nothing changes a product's tables afterwards, so a product
-        always equals the direct product of its recorded factors. The tables
-        are built on the first read of `ops`; is_total(), hashing, comparing
-        a product with itself or with another nonempty product, and apply()
-        before that read do not read them.
+        result records the factors in `factors`, and in `_radix` their sizes
+        and the stride of each factor's digit in universe indices, the first
+        factor the most significant; only this constructor sets them, and
+        nothing changes a product's tables afterwards, so a product always
+        equals the direct product of its recorded factors. The tables
+        are built on the first read of `tables` (or of the `ops` view);
+        is_total(), hashing, comparing a product with itself or with another
+        nonempty product, and apply() before that read do not read them.
         """
         algebras = list(algebras)
         if not algebras:
@@ -301,8 +330,10 @@ class PartialAlgebra:
         for i, a in enumerate(algebras):
             if not a.is_total():
                 raise NotTotal(f"product factor {i} is partial")
-        alg = cls(stype, product(*(a.universe for a in algebras)), None, validate=False)
+        alg = cls(stype, product(*(a.universe for a in algebras)), None)
         alg.factors = tuple(algebras)
+        sizes = [len(a) for a in algebras]
+        alg._radix = sizes, [prod(sizes[t + 1 :]) for t in range(len(sizes))]
         return alg
 
 
@@ -391,7 +422,7 @@ class PalgMorphism:
     Maps out of a recorded product are decided factorwise when they are
     coordinatewise; otherwise, and whenever a factor map fails, every table
     entry is checked, so a failure always names the first failing entry.
-    A product target is read entry by entry through apply, so maps into a
+    A product target is read entry by entry off its factors, so maps into a
     power do not build its tables.
     """
 
@@ -455,40 +486,38 @@ class PalgMorphism:
     def _check_tables(self):
         """Every defined source entry maps to a defined, equal target entry;
         raises ValueError at the first that does not. The target is read
-        through apply, so a product target's tables are not built; on a
+        through _lookup, so a product target's tables are not built; on a
         product of at most FACTORWISE_CHECK_BOUND elements the factor
         lookups run whether or not its tables are built, and are
         cross-checked against the tables."""
         target = self.target
         if target.factors is not None and len(target) <= FACTORWISE_CHECK_BOUND:
             failure = self._first_failure(target._from_factors)
-            tables = target.ops
-            by_tables = self._first_failure(lambda name, im: tables[name].get(im, UNDEFINED))
+            tables = target.tables
+            by_tables = self._first_failure(lambda name, key: tables[name].get(key))
             cross_check(failure == by_tables, "factor lookups and the product's tables disagree")
         else:
-            failure = self._first_failure(target.apply)
+            failure = self._first_failure(target._lookup)
         if failure:
             raise ValueError(failure)
 
     def _first_failure(self, lookup):
         """The message for the first defined source entry whose image under
-        lookup(name, image tuple) is undefined or not the image of its
-        value, in table order; None if there is none."""
-        m = self.mapping
-        for name, table in self.source.ops.items():
+        lookup(name, target index tuple), a target index or None, is
+        undefined or not the image of its value, in table order; None if
+        there is none. Entries are named in labels."""
+        source, at = self.source, self.target.point
+        images = [at[self.mapping[x]] for x in source.universe]
+        for name, table in source.tables.items():
             for args, val in table.items():
-                tv = lookup(name, tuple(map(m.__getitem__, args)))
-                if tv is UNDEFINED:
-                    return f"{name}{args} defined in source but image undefined"
-                if tv != m[val]:
-                    return f"{name}{args} not preserved"
+                tv = lookup(name, tuple(map(images.__getitem__, args)))
+                if tv is None or tv != images[val]:
+                    what = "defined in source but image undefined" if tv is None else "not preserved"
+                    return f"{name}{tuple(map(source.universe.__getitem__, args))} {what}"
         return None
 
     def __call__(self, x):
         return self.mapping[x]
-
-    def apply_tuple(self, args):
-        return tuple(self.mapping[a] for a in args)
 
     def is_injective(self):
         vals = [self.mapping[x] for x in self.source.universe]
@@ -524,7 +553,7 @@ class PalgMorphism:
 
 def is_strong_sub(sub, algebra):
     """Strong partial subalgebra: every tuple over the subset is defined in the ambient."""
-    if not sub._uset <= algebra._uset:
+    if not all(map(algebra.point.__contains__, sub.universe)):
         raise NotSubset("not a subset")
     return sub.is_partial_sub_of(algebra) and undefined_tuple(algebra, sub.universe) is None
 
@@ -537,11 +566,12 @@ def is_strong_morphism(f):
 def undefined_tuple(algebra, points):
     """The first (name, args) that the algebra leaves undefined, in symbol
     order and then product order over points, or None."""
+    at = list(map(algebra.point.__getitem__, points))
     for name, ar in algebra.stype.symbols:
-        table = algebra.ops[name]
-        for args in product(points, repeat=ar):
+        table = algebra.tables[name]
+        for args in product(at, repeat=ar):
             if args not in table:
-                return name, args
+                return name, tuple(map(algebra.universe.__getitem__, args))
     return None
 
 
@@ -551,41 +581,33 @@ def image_palg(f, sub=None):
         sub = f.source
     elif not sub.is_partial_sub_of(f.source):
         raise NotSubset("sub is not a partial subalgebra of the source")
-    universe = []
-    seen = set()
-    for x in sub.universe:
-        v = f(x)
-        if v not in seen:
-            seen.add(v)
-            universe.append(v)
-    ops = {}
-    for name, table in sub.ops.items():
-        t = {}
-        for args, val in table.items():
-            t[f.apply_tuple(args)] = f(val)
-        ops[name] = t
-    return PartialAlgebra(f.source.stype, universe, ops, validate=False)
+    universe = list(dict.fromkeys(map(f, sub.universe)))
+    at = {y: k for k, y in enumerate(universe)}
+    img = [at[f(x)] for x in sub.universe]  # sub index -> image index
+    tables = {
+        name: {tuple(map(img.__getitem__, args)): img[val] for args, val in table.items()}
+        for name, table in sub.tables.items()
+    }
+    return PartialAlgebra(f.source.stype, universe, tables)
 
 
 def preimage_palg(f, sub):
     """Preimage of a partial subalgebra of the target.
 
-    Defined on tuples that are defined in the source and whose image tuple is
-    defined in sub; the value then automatically lands in the preimage. This
-    is the reading under which f^{-1}(f(A)) = A holds.
+    The full restriction of the source to the preimage, cut down to the
+    tuples whose image tuple is defined in sub: for a morphism the value of
+    such a tuple lands in the preimage anyway. This is the reading under
+    which f^{-1}(f(A)) = A holds.
     """
     if not sub.is_partial_sub_of(f.target):
         raise NotSubset("sub is not a partial subalgebra of the target")
-    universe = [x for x in f.source.universe if f(x) in sub]
-    uset = set(universe)
-    ops = {}
-    for name, table in f.source.ops.items():
-        t = {}
-        for args, val in table.items():
-            if set(args) <= uset and f.apply_tuple(args) in sub.ops[name]:
-                t[args] = val
-        ops[name] = t
-    return PartialAlgebra(f.source.stype, universe, ops, validate=False)
+    pre = f.source.restrict_full(x for x in f.source.universe if f(x) in sub)
+    img = [sub.point[f(x)] for x in pre.universe]  # pre index -> sub index
+    tables = {
+        name: {args: v for args, v in table.items() if tuple(map(img.__getitem__, args)) in sub.tables[name]}
+        for name, table in pre.tables.items()
+    }
+    return PartialAlgebra(pre.stype, pre.universe, tables)
 
 
 # Most cells a column of the identity kernel holds in one block, unless one
@@ -762,7 +784,7 @@ def satisfies_identity(algebra, t1, t2):
     first_counterexamples on the index tables."""
     universe = algebra.universe
     [found] = first_counterexamples(
-        compile_identities([(None, t1, t2)]), range(len(universe)), algebra.index_tables[1]
+        compile_identities([(None, t1, t2)]), range(len(universe)), algebra.tables
     )
     return (True, None) if found is None else (False, tuple(map(universe.__getitem__, found)))
 
@@ -777,12 +799,12 @@ def _is_lattice_order(algebra):
     order u <= v iff meet(u, v) = u: a partial order in which meet(u, v) is
     the glb and join(u, v) the lub of u and v. Down-sets and up-sets are
     bitmasks over universe indices."""
-    meet_t, join_t = algebra.ops["meet"], algebra.ops["join"]
-    index = {x: i for i, x in enumerate(algebra.universe)}
-    cells = list(product(enumerate(algebra.universe), repeat=2))
-    down, up = [0] * len(index), [0] * len(index)
-    for (u, x), (v, y) in cells:
-        if meet_t[(x, y)] == x:
+    meet_t, join_t = algebra.tables["meet"], algebra.tables["join"]
+    n = len(algebra)
+    cells = list(product(range(n), repeat=2))
+    down, up = [0] * n, [0] * n
+    for u, v in cells:
+        if meet_t[(u, v)] == u:
             down[v] |= 1 << u
             up[u] |= 1 << v
     # reflexive and antisymmetric: only u is both below and above u. The meet
@@ -790,9 +812,8 @@ def _is_lattice_order(algebra):
     if any(below & up[u] != 1 << u for u, below in enumerate(down)):
         return False
     return all(
-        down[index[meet_t[(x, y)]]] == down[u] & down[v]
-        and up[index[join_t[(x, y)]]] == up[u] & up[v]
-        for (u, x), (v, y) in cells
+        down[meet_t[(u, v)]] == down[u] & down[v] and up[join_t[(u, v)]] == up[u] & up[v]
+        for u, v in cells
     )
 
 
@@ -840,13 +861,12 @@ def is_palg_isomorphism(f):
     """Bijective morphism that also reflects definedness."""
     if not (f.is_injective() and f.is_surjective()):
         return False
-    inv = {f(x): x for x in f.source.universe}
-    for name, table in f.target.ops.items():
-        for args in table:
-            pre = tuple(inv[a] for a in args)
-            if pre not in f.source.ops[name]:
-                return False
-    return True
+    inv = {f.target.point[f(x)]: i for i, x in enumerate(f.source.universe)}  # by target index
+    return all(
+        tuple(map(inv.__getitem__, args)) in f.source.tables[name]
+        for name, table in f.target.tables.items()
+        for args in table
+    )
 
 
 @dataclass
@@ -901,13 +921,15 @@ def product_closure(algebra, pairs):
     their swaps, and is closed under every operation applied componentwise
     wherever both component tuples are defined. Each member is exactly
     (t(sigma), t(sigma')) for one term t with parameters, so reachability
-    along these pairs decides term-chain existence with definedness.
+    along these pairs decides term-chain existence with definedness. The
+    closure runs on universe indices.
     """
-    members = {(x, x) for x in algebra.universe}
+    at, universe = algebra.point, algebra.universe
+    members = {(i, i) for i in range(len(universe))}
     for a, b in pairs:
-        members |= {(a, b), (b, a)}
+        members |= {(at[a], at[b]), (at[b], at[a])}
     fresh = set(members)
-    ops = [(algebra.ops[name], ar) for name, ar in algebra.stype.symbols if ar]
+    ops = [(algebra.tables[name], ar) for name, ar in algebra.stype.symbols if ar]
     while fresh:
         old = members - fresh
         new = set()
@@ -918,12 +940,12 @@ def product_closure(algebra, pairs):
                 product(*[old] * k, fresh, *[members] * (ar - k - 1)) for k in range(ar)
             )
             for args in candidates:
-                lv = table.get(tuple(p[0] for p in args), UNDEFINED)
-                if lv is UNDEFINED:
+                lv = table.get(tuple(p[0] for p in args))
+                if lv is None:
                     continue
-                rv = table.get(tuple(p[1] for p in args), UNDEFINED)
-                if rv is not UNDEFINED:
+                rv = table.get(tuple(p[1] for p in args))
+                if rv is not None:
                     new.add((lv, rv))
         fresh = new - members
         members |= fresh
-    return members
+    return {(universe[a], universe[b]) for a, b in members}

@@ -33,7 +33,7 @@ class Pregamp:
     """Carrier partial algebra with a distance into a join-semilattice.
 
     The distance is held once, as the index matrix dist_rows; delta reads it
-    through the point index, and from_dist converts a label table. The
+    through the carrier's point index, and from_dist converts a label table. The
     distance axioms (separation, symmetry, triangle, compatibility with
     every defined operation) are what make quotients by semilattice ideals
     work; check_axioms verifies them on indices, reading dist_rows and the
@@ -52,7 +52,6 @@ class Pregamp:
         if n and not all(0 <= min(row) and max(row) < m for row in dist_rows):
             raise ValueError("distance rows leave the semilattice's elements")
         self.carrier, self.dist_rows, self.sem = carrier, dist_rows, sem
-        self.point = {x: i for i, x in enumerate(carrier.universe)}
 
     @classmethod
     def from_dist(cls, carrier, dist, sem):
@@ -67,7 +66,8 @@ class Pregamp:
         return cls(carrier, [[sem.index(dist[(x, y)]) for y in universe] for x in universe], sem)
 
     def delta(self, x, y):
-        return self.sem.elements[self.dist_rows[self.point[x]][self.point[y]]]
+        point = self.carrier.point
+        return self.sem.elements[self.dist_rows[point[x]][point[y]]]
 
     def __eq__(self, other):
         """Equal carriers and semilattices, compared as sets, and the same
@@ -76,7 +76,7 @@ class Pregamp:
             return False
         # other's rows, read in this pregamp's point and element order
         relabel = [self.sem.index(a) for a in other.sem.elements]
-        at = [other.point[x] for x in self.carrier.universe]
+        at = list(map(other.carrier.point.__getitem__, self.carrier.universe))
         return all(
             list(row) == [relabel[theirs[j]] for j in at]
             for row, theirs in zip(self.dist_rows, map(other.dist_rows.__getitem__, at))
@@ -121,17 +121,19 @@ def _non_expanding(D, J, rows):
 def _first_incompatible_cells(A, D, J, zero):
     """The first pair of defined cells of one operation that breaks
     compatibility, as (name, args1, args2) in the order of the argument
-    tuples' reprs, or None. O(|A|^(2 ar)) per operation."""
-    index, tables = A.index_tables
-    for name, table in A.ops.items():
-        tuples = sorted(table, key=repr)
-        rows = [tuple(map(index.__getitem__, args)) for args in tuples]
-        values = [tables[name][r] for r in rows]
+    tuples' reprs in labels, or None. O(|A|^(2 ar)) per operation."""
+
+    def label(row):
+        return tuple(map(A.universe.__getitem__, row))
+
+    for name, table in A.tables.items():
+        rows = sorted(table, key=lambda row: repr(label(row)))
+        values = list(map(table.__getitem__, rows))
         columns = list(zip(*rows))
-        for args1, row1, v1 in zip(tuples, rows, values):
+        for row1, v1 in zip(rows, values):
             k = _first_incompatible(D, J, zero, row1, v1, columns, values)
             if k is not None:
-                return name, args1, tuples[k]
+                return name, label(row1), label(rows[k])
     return None
 
 
@@ -168,7 +170,7 @@ def check_axioms(pg):
         if l is not None:
             return False, ("triangle", (universe[i], universe[j], universe[l]))
     total = A.is_total()
-    if total and _non_expanding(D, J, A.translation_rows[1]):
+    if total and _non_expanding(D, J, A.translation_rows):
         return True, None
     violation = _first_incompatible_cells(A, D, J, zero)
     cross_check(
@@ -253,7 +255,7 @@ def sub_pregamp(pg, subalgebra, subsem=None):
     if not subalgebra.is_partial_sub_of(pg.carrier):
         raise ValueError("not a partial subalgebra of the carrier")
     D, els = pg.dist_rows, pg.sem.elements
-    at = list(map(pg.point.__getitem__, subalgebra.universe))
+    at = list(map(pg.carrier.point.__getitem__, subalgebra.universe))
     used = {D[i][j] for i in at for j in at}
     if subsem is None:
         subsem = pg.sem.sub(pg.sem.join_closure(map(els.__getitem__, used)))
@@ -304,7 +306,7 @@ def quotient_pregamp(pg, ideal):
     qalg, rep = _quotient_carrier(pg, ideal)
     A, D = pg.carrier, pg.dist_rows
     to_q = [qsem.index(sproj(a)) for a in pg.sem.elements]
-    kept = list(map(pg.point.__getitem__, qalg.universe))
+    kept = list(map(A.point.__getitem__, qalg.universe))
     qpg = Pregamp(qalg, [[to_q[D[i][j]] for j in kept] for i in kept], qsem)
     proj = PregampMorphism(
         pg, qpg, PalgMorphism(A, qalg, rep, validate=False), sproj, validate=False
@@ -388,10 +390,10 @@ def _every_image_satisfies(pg, compiled):
     else:
         algebras = A.factors if A.factors and A.universe else (A,)
         for B in dict.fromkeys(algebras):
-            found = first_counterexamples(compiled, range(len(B)), B.index_tables[1])
+            found = first_counterexamples(compiled, range(len(B)), B.tables)
             if any(ce is not None for ce in found):
                 return False
-    rows = A.translation_rows[1]
+    rows = A.translation_rows
     for top in range(len(pg.sem)):
         rep = _ideal_classes(pg, top)
         images = [list(map(rep.__getitem__, row)) for row in rows]
@@ -410,7 +412,7 @@ def _first_variety_failure(pg, compiled):
     satisfies the list, that is None with no quotient built
     (_every_image_satisfies). Otherwise one kernel call per ideal checks
     every identity still in question. The quotient's carrier is the
-    carrier's index_tables pushed forward through the ideal's classes
+    carrier's tables pushed forward through the ideal's classes
     (_ideal_classes, the map _quotient_carrier uses) over the class
     representatives, in the order they first appear, as image_palg lists
     them; nothing else is built per ideal. A failure settles every later
@@ -421,7 +423,7 @@ def _first_variety_failure(pg, compiled):
     if len(pg.sem) <= IDEAL_BOUND and _every_image_satisfies(pg, compiled):
         return None
     A = pg.carrier
-    tables = A.index_tables[1]
+    tables = A.tables
     failure, upto = None, len(compiled.sides)
     for ideal in enumerate_ideals(pg.sem, bound=IDEAL_BOUND):
         if not upto:
@@ -472,7 +474,7 @@ def chain_connectivity(algebra, pairs, extra=()):
     the transitive closure of that reflexive compatible relation is a
     congruence, so they are the classes of Cg(pairs) (Mal'cev).
     """
-    index = {x: i for i, x in enumerate(algebra.universe)}
+    index = algebra.point
     if algebra.is_total():
         uf = _cong._UnionFind(_cong._closure_labels(algebra, pairs))
         linked = extra
@@ -509,11 +511,10 @@ def tractability_verdict(pg, points, sem_phi, m_cap, f, carrier, extra=()):
     bounds = {"m_cap": m_cap}
     T, points, universe = sem_phi.target, list(points), carrier.universe
     J, n = T.join_rows, len(points)
-    at = pg.point
+    at, node = pg.carrier.point, carrier.point
     to_t = [T.index(sem_phi(s)) for s in pg.sem.elements]
     rows = [pg.dist_rows[at[x]] for x in points]
     D = [[to_t[row[at[y]]] for y in points] for row in rows]
-    node = {x: i for i, x in enumerate(universe)}
     img = [node[f(x)] for x in points]
     # the pairs that generate instances, none when instances have no pairs
     pool = [(i, j) for i in range(n) for j in range(i + 1, n)] if m_cap else []

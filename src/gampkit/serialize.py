@@ -71,19 +71,26 @@ def semilattice_from_json(data):
     try:
         els = [decode_el(x) for x in data["elements"]]
         zero = decode_el(data["zero"])
+        rows, n = data["join"], len(els)
+        # a short row or a missing one is an IndexError below
+        if len(rows) > n:
+            raise SchemaError(f"semilattice: {len(rows)} join rows for {n} elements")
         table = {}
         for i, a in enumerate(els):
+            row = rows[i]
+            if len(row) > n:
+                raise SchemaError(f"semilattice: the join row of {a!r} has {len(row)} entries for {n} elements")
             for j, b in enumerate(els):
-                table[(a, b)] = decode_el(data["join"][i][j])
+                table[(a, b)] = decode_el(row[j])
     except (KeyError, IndexError, TypeError) as e:
         raise SchemaError(f"semilattice: {e}")
     return JoinSemilattice.from_table(els, zero, table)
 
 
 def algebra_to_json(alg):
-    ops = {}
+    labelled, ops = alg.ops, {}
     for name, _ in alg.stype.symbols:
-        table = alg.ops[name]
+        table = labelled[name]
         defined = sorted(table.keys(), key=lambda t: sort_key(tuple(t)))
         ops[name] = {
             "defined": [[encode_el(a) for a in args] for args in defined],
@@ -112,10 +119,11 @@ def algebra_from_json(data):
         universe = [decode_el(x) for x in data["universe"]]
         ops = {}
         for name, spec in data["ops"].items():
-            table = {}
-            for args, val in zip(spec["defined"], spec["table"]):
-                table[tuple(decode_el(a) for a in args)] = decode_el(val)
-            ops[name] = table
+            defined, values = spec["defined"], spec["table"]
+            if len(defined) != len(values):
+                raise ValueError(f"{name}: {len(defined)} defined tuples but {len(values)} values")
+            entries = ((tuple(map(decode_el, args)), decode_el(val)) for args, val in zip(defined, values))
+            ops[name] = _listed_once(entries, f"{name}: tuple {{!r}} listed twice")
     except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"algebra: {e}")
     for n, a in symbols:
@@ -124,7 +132,7 @@ def algebra_from_json(data):
     unknown = [name for name in ops if name not in {n for n, _ in symbols}]
     if unknown:
         raise SchemaError(f"algebra: operations {unknown} are not in the type")
-    return PartialAlgebra(SimilarityType(symbols), universe, ops)
+    return PartialAlgebra.from_ops(SimilarityType(symbols), universe, ops)
 
 
 def poset_to_json(poset):
@@ -170,14 +178,11 @@ def pregamp_from_json(data):
     try:
         alg = algebra_from_json(data["algebra"])
         sem = semilattice_from_json(data["semilattice"])
-        dist = {}
-        for x, y, d in data["dist"]:
-            pair = (decode_el(x), decode_el(y))
-            if pair in dist:
-                raise ValueError(f"distance listed twice at {pair}")
-            if pair[0] not in alg or pair[1] not in alg:
-                raise ValueError(f"distance at {pair} names a point outside the algebra")
-            dist[pair] = decode_el(d)
+        pairs = (((decode_el(x), decode_el(y)), decode_el(d)) for x, y, d in data["dist"])
+        dist = _listed_once(pairs, "distance listed twice at {}")
+        outside = next((pair for pair in dist if pair[0] not in alg or pair[1] not in alg), None)
+        if outside is not None:
+            raise ValueError(f"distance at {outside} names a point outside the algebra")
         pg = Pregamp.from_dist(alg, dist, sem)
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(f"pregamp: {e}")
@@ -268,9 +273,9 @@ def diagram_from_json(data):
             raise SchemaError(f"diagram: arrow {key!r} names unknown node {unknown[0]!r}")
         p, q = (by_name[e] for e in ends)
         try:
-            fmap = {decode_el(a): decode_el(b) for a, b in entry["map"]}
+            fmap = _point_map(entry, "map")
             if kind == "gamp":
-                smap = {decode_el(a): decode_el(b) for a, b in entry["sem_map"]}
+                smap = _point_map(entry, "sem_map")
         except (KeyError, TypeError, ValueError) as e:
             raise SchemaError(f"diagram: arrow {key!r}: {e}")
         if kind == "gamp":
@@ -282,6 +287,23 @@ def diagram_from_json(data):
         else:
             arrows[(p, q)] = PalgMorphism(nodes[p], nodes[q], fmap)
     return Diagram.from_generators(poset, nodes, arrows)
+
+
+def _point_map(entry, part):
+    pairs = ((decode_el(a), decode_el(b)) for a, b in entry[part])
+    return _listed_once(pairs, f"point {{!r}} listed twice in {part!r}")
+
+
+def _listed_once(items, twice):
+    """The dict of (key, value) items; a key listed twice is a ValueError
+    with the message twice.format(key), which loading would otherwise
+    overwrite silently."""
+    mapping = {}
+    for key, value in items:
+        if key in mapping:
+            raise ValueError(twice.format(key))
+        mapping[key] = value
+    return mapping
 
 
 # ---------------------------------------------------------------------------

@@ -398,7 +398,7 @@ def test_budget_is_lattice_algebra_on_m3_cubed():
     alg = build_named("power:M3:3").algebra
     assert is_lattice_algebra(alg)
     _report("budget", "build and is_lattice_algebra(power:M3:3)", t0, 0.0058)
-    assert "ops" not in vars(alg) and "index_tables" not in vars(alg)
+    assert "tables" not in vars(alg)
 
 
 # The distance axioms: compatibility on a total carrier is "every translation
@@ -438,7 +438,7 @@ def test_budget_is_pregamp_of_on_m3_cubed():
     assert is_pregamp_of(pg, LATTICE_IDENTITIES) == (True, None)
     _report("budget", "is_pregamp_of(pga(power:M3:3), LATTICE_IDENTITIES)", t0, 0.0103)
     compiled, alg = compile_identities(LATTICE_IDENTITIES), pg.carrier
-    tables = alg.index_tables[1]
+    tables = alg.tables
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()

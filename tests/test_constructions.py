@@ -30,7 +30,7 @@ from gampkit.errors import (
 )
 from gampkit.gamp import Gamp, GampMorphism
 from gampkit.palg import (
-    LATTICE_TYPE, UNDEFINED, PalgMorphism, PartialAlgebra, is_lattice_algebra,
+    LATTICE_TYPE, PalgMorphism, PartialAlgebra, is_lattice_algebra,
 )
 from gampkit.poset import FinitePoset
 from gampkit.pregamp import Pregamp, check_axioms
@@ -153,7 +153,7 @@ class TestSquareFacts:
         sq = build_square(base, 3)
         assert verify_square_facts(sq)["ok"]
         top = sq.a_square.objects["t"]
-        assert top.factors is not None and "ops" not in vars(top)
+        assert top.factors is not None and "tables" not in vars(top)
 
     def test_power_nodes_decide_as_their_factor(self):
         # fact (c) reads each power X^T from its factor X; every power node
@@ -444,15 +444,15 @@ class TestNodeStateAgreesWithCheckAxioms:
             assert constructions._nonzero_row_options(state) == passing
             assert passing
             state.place_row(passing[0])
-            universe = state.universe()
-            # each undefined cell at each value, first with no decided cell,
-            # then with the first compatible one decided
+            points = range(len(state.universe()))
+            # each undefined cell at each value, on indices, first with no
+            # decided cell, then with the first compatible one decided
             for _ in range(2):
                 accepted = []
-                for op, a, b in product(("meet", "join"), universe, universe):
-                    if state.cell(op, a, b) is not UNDEFINED:
+                for op, a, b in product(("meet", "join"), points, points):
+                    if state.cell(op, a, b) is not None:
                         continue
-                    for v in universe:
+                    for v in points:
                         state.cells[(op, a, b)] = v
                         ok, viol = check_axioms(state.gamp().pregamp)
                         del state.cells[(op, a, b)]
@@ -461,6 +461,7 @@ class TestNodeStateAgreesWithCheckAxioms:
                         if ok:
                             accepted.append(((op, a, b), v))
                 state.cells.update(accepted[:1])
+            assert accepted
         assert nodes == checked
 
 
@@ -538,7 +539,7 @@ def _padded_non_commuting_candidate(square):
         ("p", a2): "p", (a2, "p"): "p",
         ("p", "p"): "p",
     })
-    outer = PartialAlgebra(LATTICE_TYPE, [a0, a1, a2, "p"], outer_ops)
+    outer = PartialAlgebra.from_ops(LATTICE_TYPE, [a0, a1, a2, "p"], outer_ops)
     dist = {}
     for x in chain.universe:
         for y in chain.universe:

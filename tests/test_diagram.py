@@ -173,7 +173,7 @@ class TestOperational:
         poset = FinitePoset.chain(2)
         src = ga(chain3)
         base = pga(x1)
-        sparse_outer = PartialAlgebra(
+        sparse_outer = PartialAlgebra.from_ops(
             LATTICE_TYPE, list(x1.universe),
             {
                 "meet": {

@@ -48,7 +48,7 @@ from test_semilattice import assert_descent_matches_reference
 
 def sparse_gamp(x1):
     """Gamp whose inner part is a bare three-element subset of a lattice."""
-    inner = PartialAlgebra(LATTICE_TYPE, ["0", "x1", "1"], {})
+    inner = PartialAlgebra.from_ops(LATTICE_TYPE, ["0", "x1", "1"], {})
     return Gamp(inner, pga(x1))
 
 
@@ -113,7 +113,7 @@ class TestProperties:
             assert bool(check_property(g, "congruence_tractable"))
 
     def test_empty_inner_vacuous_permutability(self, x1):
-        inner = PartialAlgebra(LATTICE_TYPE, [], {})
+        inner = PartialAlgebra.from_ops(LATTICE_TYPE, [], {})
         g = Gamp(inner, pga(x1))
         assert bool(check_property(g, "n_permutable", n=2))
 
@@ -123,7 +123,7 @@ class TestProperties:
         smaller = Gamp(
             g.inner,
             Pregamp.from_dist(
-                PartialAlgebra(LATTICE_TYPE, list(x1.universe), {}),
+                PartialAlgebra.from_ops(LATTICE_TYPE, list(x1.universe), {}),
                 label_dist(g.pregamp),
                 g.sem,
             ),
@@ -143,7 +143,7 @@ class TestProperties:
         from gampkit.palg import SimilarityType
 
         stype = SimilarityType((("f", 1),))
-        alg = PartialAlgebra(stype, [0], {"f": {(0,): 0}})
+        alg = PartialAlgebra.from_ops(stype, [0], {"f": {(0,): 0}})
         from gampkit.semilattice import JoinSemilattice
 
         g = Gamp(alg, Pregamp.from_dist(alg, {(0, 0): 0}, JoinSemilattice.chain(1)))
@@ -167,7 +167,7 @@ class TestMorphismProperties:
     def test_sparse_target_not_operational(self, x1):
         # target misses the join of an image element with its inner element
         base = pga(x1)
-        empty = PartialAlgebra(LATTICE_TYPE, [], {})
+        empty = PartialAlgebra.from_ops(LATTICE_TYPE, [], {})
         src_outer = x1.restrict_full({"0", "x3"})
         src_sem = base.sem.sub(
             base.sem.join_closure(
@@ -182,7 +182,7 @@ class TestMorphismProperties:
                 src_sem,
             ),
         )
-        tgt_outer = PartialAlgebra(
+        tgt_outer = PartialAlgebra.from_ops(
             LATTICE_TYPE, list(x1.universe),
             {
                 "meet": dict(x1.ops["meet"]),
@@ -227,7 +227,7 @@ class TestMorphismProperties:
         meets = {(x, x): x for x in universe}
         for x, y in below:
             meets[(x, y)] = meets[(y, x)] = x
-        alg = PartialAlgebra(LATTICE_TYPE, universe, {"meet": meets, "join": {}})
+        alg = PartialAlgebra.from_ops(LATTICE_TYPE, universe, {"meet": meets, "join": {}})
         g = SimpleNamespace(inner=alg, outer=alg)
         steps = {("lo", "a"), ("lo", "b"), ("a", "v"), ("b", "v"), ("v", "hi")}
         assert _chain_walk(g, "lo", "hi", lambda u, v: (u, v) in steps)
@@ -250,7 +250,7 @@ class TestChains:
         g = sparse_gamp(x1)
         smaller = Gamp(
             g.inner,
-            Pregamp.from_dist(PartialAlgebra(LATTICE_TYPE, list(x1.universe), {}), label_dist(g.pregamp), g.sem),
+            Pregamp.from_dist(PartialAlgebra.from_ops(LATTICE_TYPE, list(x1.universe), {}), label_dist(g.pregamp), g.sem),
         )
         with pytest.raises(NotStrong):
             presqueordre_facts(smaller, ["0", "1"])
@@ -514,7 +514,7 @@ class TestCuttableAgainstReference:
         join = {(x, x): x for x in "acb"}
         join.update({("a", "c"): "c", ("c", "a"): "c", ("c", "b"): "b", ("b", "c"): "b"})
         join.update({("a", "b"): "b", ("b", "a"): "b"})
-        target = PartialAlgebra(LATTICE_TYPE, ["a", "c", "b"], {"meet": meet, "join": join})
+        target = PartialAlgebra.from_ops(LATTICE_TYPE, ["a", "c", "b"], {"meet": meet, "join": join})
         ends = target.restrict_full({"a", "b"})
         source = Gamp(ends, Pregamp.from_dist(ends, {k: v for k, v in dist.items() if "c" not in k}, S))
         ident = SemMorphism.identity(S)

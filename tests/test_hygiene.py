@@ -376,18 +376,19 @@ def test_no_asserts(path):
 TABLE_MUTATORS = frozenset({"update", "setdefault", "pop", "clear"})
 
 # The attributes that hold tables, each with the constructors that may set
-# them: an algebra's operations, the distance matrix of a pregamp and of
-# Conc (which pga shares), a semilattice's join matrix.
+# them: an algebra's index tables (set by its constructor, or built by a
+# product's lazy builder), the distance matrix of a pregamp and of Conc
+# (which pga shares), a semilattice's join matrix.
 TABLE_OWNERS = {
-    "ops": {"PartialAlgebra.__init__"},
+    "tables": {"PartialAlgebra.__init__", "PartialAlgebra.tables"},
     "dist_rows": {"Pregamp.__init__", "ConcSemilattice.__init__"},
     "join_rows": {"JoinSemilattice.__init__"},
 }
 
 
 def _is_tables(node):
-    """`<expr>.ops` or `<expr>.ops[...]`, and the same for `.dist_rows` and
-    `.join_rows`: a table attribute or one entry of it."""
+    """`<expr>.tables` or `<expr>.tables[...]`, and the same for `.dist_rows`
+    and `.join_rows`: a table attribute or one entry of it."""
     if isinstance(node, ast.Subscript):
         node = node.value
     return isinstance(node, ast.Attribute) and node.attr in TABLE_OWNERS
@@ -395,10 +396,10 @@ def _is_tables(node):
 
 def table_mutations(source):
     """(line, enclosing "Class.function", attribute) of each statement of the
-    source that changes a table: an assignment or deletion of `<expr>.ops`,
-    or of an entry of `<expr>.ops` or `<expr>.ops[...]`, and a call of
-    update, setdefault, pop or clear on either; likewise for `.dist_rows`
-    and `.join_rows`."""
+    source that changes a table: an assignment or deletion of
+    `<expr>.tables`, or of an entry of `<expr>.tables` or
+    `<expr>.tables[...]`, and a call of update, setdefault, pop or clear on
+    either; likewise for `.dist_rows` and `.join_rows`."""
     found = []
 
     def visit(node, scope):
@@ -438,21 +439,21 @@ def _table_attr(node):
 def test_table_mutation_detector_flags_writes_and_keeps_reads():
     source = (
         "class PartialAlgebra:\n"
-        "    def __init__(self, ops):\n"
-        "        self.ops = dict(ops)\n"
-        "        self.ops.setdefault('f', {})\n"
+        "    def __init__(self, tables):\n"
+        "        self.tables = dict(tables)\n"
+        "        self.tables.setdefault('f', {})\n"
         "def widen(alg, other):\n"
-        "    alg.ops['f'][(0, 1)] = 1\n"
-        "    alg.ops['g'] = {}\n"
-        "    alg.ops.update(other.ops)\n"
-        "    alg.ops['f'].pop((0, 1))\n"
-        "    del alg.ops['g']\n"
-        "    other.ops['f'] |= {(1, 1): 1}\n"
-        "    other.ops['f'].clear()\n"
-        "    ops = dict(alg.ops)\n"
-        "    ops['f'] = {}\n"
-        "    ops.update(alg.ops)\n"
-        "    return alg.ops['f'].get((0, 1)), alg.ops.items()\n"
+        "    alg.tables['f'][(0, 1)] = 1\n"
+        "    alg.tables['g'] = {}\n"
+        "    alg.tables.update(other.tables)\n"
+        "    alg.tables['f'].pop((0, 1))\n"
+        "    del alg.tables['g']\n"
+        "    other.tables['f'] |= {(1, 1): 1}\n"
+        "    other.tables['f'].clear()\n"
+        "    tables = dict(alg.tables)\n"
+        "    tables['f'] = {}\n"
+        "    tables.update(alg.tables)\n"
+        "    return alg.tables['f'].get((0, 1)), alg.tables.items()\n"
     )
     assert [m[:2] for m in table_mutations(source)] == [
         (3, "PartialAlgebra.__init__"), (4, "PartialAlgebra.__init__"),
@@ -491,10 +492,10 @@ def test_table_mutation_detector_flags_distances_and_joins():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_tables_change_only_in_construction(path):
-    # PartialAlgebra.translation_rows and index_tables and a product's tables
-    # are built once and kept, and pga and the enumerator's snapshots share
-    # their source's dist_rows, which is sound only while nothing changes
-    # those tables after the owning constructor
+    # PartialAlgebra.translation_rows and a product's tables are built once
+    # and kept, and pga and the enumerator's snapshots share their source's
+    # dist_rows, which is sound only while nothing changes those tables after
+    # the owning constructor
     assert [m for m in table_mutations(path.read_text()) if m[1] not in TABLE_OWNERS[m[2]]] == []
 
 
@@ -712,15 +713,51 @@ def test_square_facts_build_no_power_tables(K):
     assert verify_square_facts(square)["ok"]
     large = [a for a in square.a_square.objects.values() if len(a) > FACTORWISE_CHECK_BOUND]
     assert len(large) == 3
-    assert all("ops" not in vars(a) for a in large)
+    assert all("tables" not in vars(a) for a in large)
 
 
 @pytest.mark.parametrize("qualname", ["_NodeState", "_nonzero_row_options"])
 def test_enumerator_checks_axioms_on_indices(qualname):
     # the node state and the pad-row search check the distance axioms on
-    # index rows through pregamp's routines, never by a label join or order
-    called = called_names((SRC / "constructions.py").read_text(), qualname)
+    # index rows through pregamp's routines, never by a label join or order,
+    # and the node state keeps its cells on the inner algebra's index
+    # tables, never reading its label view or applying it to labels
+    source = (SRC / "constructions.py").read_text()
+    called = called_names(source, qualname)
     assert called is not None and called & {"join", "leq"} == set()
+    if qualname == "_NodeState":
+        [node] = [n for n in ast.parse(source).body if getattr(n, "name", None) == qualname]
+        assert _attribute_reads(node) & {"ops", "apply"} == set()
+
+
+def label_table_reads(source):
+    """(line, attribute) of each `.ops`, `.index_tables` or `._uset` of the
+    source: the label view of an algebra's tables, and the second table and
+    element set it once kept."""
+    names = {"ops", "index_tables", "_uset"}
+    return sorted(
+        (n.lineno, n.attr) for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and n.attr in names
+    )
+
+
+def test_label_table_detector_flags_reads():
+    source = (
+        "def export(alg):\n"
+        "    return alg.ops, alg.tables, alg.index_tables[1]\n"
+        "def member(alg, x):\n"
+        "    return x in alg._uset or x in alg.point\n"
+    )
+    assert label_table_reads(source) == [(2, "index_tables"), (2, "ops"), (4, "_uset")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_label_tables_are_read_only_by_export(path):
+    # an algebra holds one table per operation, on indices: only export
+    # reads the label view, and the second copy and element set are gone
+    found = label_table_reads(path.read_text())
+    allowed = {"ops"} if path.name == "serialize.py" else set()
+    assert [m for m in found if m[1] not in allowed] == []
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ class TestRoundTrips:
     def test_partial_algebra(self):
         from gampkit.palg import LATTICE_TYPE, PartialAlgebra
 
-        alg = PartialAlgebra(LATTICE_TYPE, ["a", "b"], {"meet": {("a", "b"): "a"}})
+        alg = PartialAlgebra.from_ops(LATTICE_TYPE, ["a", "b"], {"meet": {("a", "b"): "a"}})
         assert ser.algebra_from_json(ser.algebra_to_json(alg)) == alg
 
     def test_named_shorthand(self, m3):
@@ -145,6 +145,42 @@ REALIZATION_FAULTS = {
     "chi_not_pairs": (_chi_not_pairs, "node 0: 'chi'"),
     "realization_not_object": (_realization_not_object, "node 0: expected a JSON object"),
     "realizations_list": (_realizations_list, "realizations: expected a JSON object"),
+}
+
+
+def _table_short(data):
+    data["ops"]["meet"]["table"].pop()
+    return data
+
+
+def _tuple_twice(data):
+    # meet(0, 0) listed again with another value
+    data["ops"]["meet"]["defined"].append([0, 0])
+    data["ops"]["meet"]["table"].append(1)
+    return data
+
+
+def _map_twice(data):
+    arrow = data["arrows"]["0->1"]
+    arrow["map"] = [[0, 1], *arrow["map"]]
+    return data
+
+
+def _sem_map_twice(data):
+    arrow = data["arrows"]["0->1"]
+    arrow["sem_map"] = [[arrow["sem_map"][0][0], arrow["sem_map"][-1][1]], *arrow["sem_map"]]
+    return data
+
+
+# Tables and maps that list too few values or one entry twice: each a change
+# to a well-formed chain:2 algebra or partial-lifting bundle, with the words
+# its refusal must contain. Read as given, each would load silently
+# truncated or overwritten.
+LISTING_FAULTS = {
+    "table_short": (_table_short, "algebra: meet: 4 defined tuples but 3 values"),
+    "tuple_twice": (_tuple_twice, "algebra: meet: tuple (0, 0) listed twice"),
+    "map_twice": (_map_twice, "diagram: arrow '0->1': point 0 listed twice in 'map'"),
+    "sem_map_twice": (_sem_map_twice, "listed twice in 'sem_map'"),
 }
 
 
@@ -310,7 +346,7 @@ class TestCli:
         assert err.startswith("error: ") and refusal in err
         big = [a for sq in squares for a in sq.a_square.objects.values() if len(a) > congruence.CON_BOUND]
         assert [len(a) for a in big] == over_con_bound
-        assert all("ops" not in vars(a) for a in big)
+        assert all("tables" not in vars(a) for a in big)
 
     @pytest.mark.parametrize("base", ["N5", "X1", "X2", "two", "chain:4"])
     def test_repro_unliftable_without_marked_elements_exit_3(self, base, capsys):
@@ -416,6 +452,15 @@ class TestCli:
                 )
                 for name in REALIZATION_FAULTS
             ),
+            pytest.param(["conc", "{table_short}"], id="algebra-table-short"),
+            pytest.param(["conc", "{tuple_twice}"], id="algebra-tuple-twice"),
+            pytest.param(
+                ["diagram-verify", "{map_twice}", "--kind", "partial-lifting"], id="diagram-map-twice"
+            ),
+            pytest.param(
+                ["diagram-verify", "{sem_map_twice}", "--kind", "partial-lifting"],
+                id="diagram-sem-map-twice",
+            ),
             pytest.param(["quotient", "{list}", "--ideal", "#0"], id="quotient-list"),
             pytest.param(["quotient", "{number}", "--ideal", "#0"], id="quotient-number"),
             pytest.param(["quotient", "{sem}", "--ideal", "zz"], id="quotient-unknown-generator"),
@@ -465,6 +510,10 @@ class TestCli:
             name: self.write(tmp_path, f"{name}.json", fault(copy.deepcopy(lifting)))
             for name, (fault, _) in REALIZATION_FAULTS.items()
         }
+        chain2 = ser.algebra_to_json(build_named("chain:2").algebra)
+        for name, (fault, _) in LISTING_FAULTS.items():
+            base = chain2 if name.startswith(("table", "tuple")) else lifting
+            paths[name] = self.write(tmp_path, f"{name}.json", fault(copy.deepcopy(base)))
         paths.update({
             "no_arrows": self.write(tmp_path, "no_arrows.json", two_nodes),
             "arrow_key": self.write(
@@ -526,7 +575,7 @@ class TestCli:
         assert run([a.format(**paths) for a in argv]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ")
-        for name, (_, words) in REALIZATION_FAULTS.items():
+        for name, (_, words) in {**REALIZATION_FAULTS, **LISTING_FAULTS}.items():
             if "{%s}" % name in argv:
                 assert words in err
         if "{sem}" in argv:
@@ -717,6 +766,8 @@ class TestQuotientBundles:
         ("duplicate-elements", ValueError, "duplicate elements"),
         ("foreign-zero", ValueError, "zero not an element"),
         ("ragged-rows", SchemaError, "semilattice: list index out of range"),
+        ("long-row", SchemaError, "semilattice: the join row of 2 has 4 entries for 3 elements"),
+        ("extra-row", SchemaError, "semilattice: 4 join rows for 3 elements"),
     ])
     def test_malformed_semilattice_exit_3(self, fault, error, message, tmp_path, capsys):
         # outside input the reader refuses, by the loader and by the CLI
@@ -727,6 +778,10 @@ class TestQuotientBundles:
             data["elements"] = [0, 1, 1]
         elif fault == "foreign-zero":
             data["zero"] = 5
+        elif fault == "long-row":
+            data["join"][2] = [2, 2, 2, 2]
+        elif fault == "extra-row":
+            data["join"].append([0, 1, 2])
         else:
             data["join"][2] = [2, 2]
         with pytest.raises(error) as raised:
