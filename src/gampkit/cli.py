@@ -209,7 +209,7 @@ def cmd_diagram_verify(args):
                 raise SchemaError(f"{where}: 'chi' must be a list of [element, image] pairs")
             ambient = ser.algebra_from_json(entry["ambient"])
             cs = _cong.conc(ambient)
-            chi = SemMorphism(
+            chi = SemMorphism.from_map(
                 diagram.objects[p].sem,
                 cs,
                 {ser.decode_el(a): ser.decode_el(b) for a, b in pairs},

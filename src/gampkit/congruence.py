@@ -465,20 +465,21 @@ def conc_morphism(f, source_conc=None, target_conc=None):
         f.target is tgt.algebra or f.target == tgt.algebra,
         "Conc target is not the Conc of the map's target",
     )
-    mapping = {}
+    to = []
     for theta in src.elements:
         pairs = {(f(next(iter(b))), f(x)) for b in theta.blocks for x in b}
-        mapping[theta] = tgt.generated(pairs)
-    return SemMorphism(src, tgt, mapping)
+        to.append(tgt.index(tgt.generated(pairs)))
+    return SemMorphism(src, tgt, to)
 
 
 def quotient_algebra(algebra, theta):
     """Total quotient algebra, classes labeled by their first universe member."""
     _require_total(algebra)
     first = {}
-    rep = {x: first.setdefault(theta.block(x), x) for x in algebra.universe}
-    q = image_palg(PalgMorphism(algebra, algebra, rep, validate=False))
-    return q, PalgMorphism(algebra, q, rep, validate=False)
+    reps = [first.setdefault(theta.block(x), i) for i, x in enumerate(algebra.universe)]
+    q = image_palg(PalgMorphism(algebra, algebra, reps, validate=False))
+    at = {r: k for k, r in enumerate(first.values())}  # q's points are the reps, in order
+    return q, PalgMorphism(algebra, q, map(at.__getitem__, reps), validate=False)
 
 
 def _bits(mask):

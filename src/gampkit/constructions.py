@@ -306,7 +306,14 @@ def build_square(base, n):
     poset = FinitePoset.square()
 
     def incl(a, b):
-        return PalgMorphism(a, b, {x: x for x in a.universe})
+        """The inclusion of a in b; of a power in a power, its factor
+        inclusion on every index digit."""
+        if a.factors is None:
+            return PalgMorphism(a, b, map(b.point.__getitem__, a.universe))
+        factor, to = incl(a.factors[0], b.factors[0]).to, [0]
+        for _ in a.factors:
+            to = [i * len(b.factors[0]) + j for i in to for j in factor]
+        return PalgMorphism(a, b, to)
 
     x_square = Diagram.from_generators(
         poset,
@@ -333,7 +340,7 @@ def build_square(base, n):
     a_algs = {"b": chain, "l": powers["l"], "r": powers["r"], "t": powers["t"]}
 
     def chain_map(node):
-        return PalgMorphism(
+        return PalgMorphism.from_map(
             chain, a_algs[node],
             {k: tuple(t_maps[c][k] for c in cuts) for k in chain.universe},
         )
@@ -351,12 +358,9 @@ def build_square(base, n):
 
     projections = {}
     for idx, c in enumerate(cuts):
-        comps = {"b": PalgMorphism(chain, x0, dict(t_maps[c]))}
+        comps = {"b": PalgMorphism.from_map(chain, x0, t_maps[c])}
         for node in ("l", "r", "t"):
-            comps[node] = PalgMorphism(
-                a_algs[node], xk_algs[node],
-                {u: u[idx] for u in a_algs[node].universe},
-            )
+            comps[node] = PalgMorphism(a_algs[node], xk_algs[node], a_algs[node].coordinate(idx))
         projections[c] = comps
     return UnliftableSquare(n, base, x_square, a_square, cuts, projections)
 
@@ -999,7 +1003,7 @@ def enumerate_candidates(square, n, size_bound=1):
         (p, q): {x: square.a_square.arrows[(p, q)](x) for x in a_algs[p].universe}
         for (p, q) in covers
     }
-    arrow_maps = {}  # cover arrow -> element map of the current placement
+    arrow_maps = {}  # cover arrow -> index list of the current placement
     reach = {}  # node -> {pad at or below it: its image there}
 
     def stage(k):
@@ -1078,14 +1082,12 @@ def enumerate_candidates(square, n, size_bound=1):
         used_pad = pads[node] in reach[node]
         state.place_row(None)
         state.cells = {}
-        arrow_maps.update(maps)
         placed = tuple(m[pads[p]] for (p, _), m in maps.items() if pads[p] in m)
         forced_row = {}  # inner index -> the pad's distance to it
         images = {}  # lower node -> the index here of each of its points
         for (p, _), m in maps.items():
-            src = states[p]
-            push = [state.cs.index(conc_f[(p, node)](d)) for d in src.cs.elements]
-            image = images[p] = [state.index[m[x]] for x in src.universe()]
+            src, push = states[p], conc_f[(p, node)].to
+            image = images[p] = arrow_maps[(p, node)] = [state.index[m[x]] for x in src.universe()]
             for u, r in zip(image, src.D):
                 for v, d in zip(image, r):
                     want = push[d]
@@ -1177,10 +1179,10 @@ def enumerate_candidates(square, n, size_bound=1):
             cover_arrows = {
                 (p, q): GampMorphism(
                     gamps[p], gamps[q],
-                    PalgMorphism(gamps[p].outer, gamps[q].outer, mp),
-                    SemMorphism(gamps[p].sem, gamps[q].sem, conc_f[(p, q)].mapping),
+                    PalgMorphism(gamps[p].outer, gamps[q].outer, to),
+                    SemMorphism(gamps[p].sem, gamps[q].sem, conc_f[(p, q)].to),
                 )
-                for (p, q), mp in arrow_maps.items()
+                for (p, q), to in arrow_maps.items()
             }
             diagram = Diagram.from_generators(poset, gamps, cover_arrows)
         except ValueError as e:

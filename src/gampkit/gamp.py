@@ -194,10 +194,10 @@ def pggl(g):
 
 
 def pggl_mor(fm):
-    inner_map = {x: fm.f(x) for x in fm.source.inner.universe}
+    inner, at = fm.source.inner, fm.target.inner.point
     return PregampMorphism(
         pggl(fm.source), pggl(fm.target),
-        PalgMorphism(fm.source.inner, fm.target.inner, inner_map, validate=False),
+        PalgMorphism(inner, fm.target.inner, [at[fm.f(x)] for x in inner.universe], validate=False),
         fm.fsem,
         validate=False,
     )
@@ -284,8 +284,8 @@ def _check_tractable(g, phi, m_cap):
     """Property (4)/(4'): instances over inner points, term chains in the outer
     part, equalities up to the phi-kernel. The instances read the pregamp's
     own distance rows, which hold the inner part's."""
-    outer, zero = g.outer.universe, phi.target.zero
-    in_kernel = [phi(a) == zero for a in g.sem.elements]
+    outer, zero = g.outer.universe, phi.target.index(phi.target.zero)
+    in_kernel = [i == zero for i in phi.to_between(g.sem, phi.target)]
     # kernel-sized jumps are allowed between chain steps
     kernel_pairs = [
         (outer[i], outer[j])
@@ -402,7 +402,7 @@ def _check_cuttable(fm, phi, chains, x_cap):
     # the phi-distances of inner points, which hold the image, as indices
     # into S, and the down-set of each element of S as a bit mask
     outer, at = tgt.outer, tgt.outer.point
-    to_s = [S.index(phi(a)) for a in tgt.sem.elements]
+    to_s = phi.to_between(tgt.sem, S)
     rows = [tgt.pregamp.dist_rows[at[a]] for a in inner]
     dist = [[to_s[row[at[b]]] for b in inner] for row in rows]
     downs = [sum(1 << v for v in range(len(S)) if J[v][u] == u) for u in range(len(S))]

@@ -8,6 +8,7 @@ from math import prod
 from operator import eq, ne
 
 from .errors import NotComposable, NotSubset, NotTotal, cross_check
+from .util import index_list
 
 
 class _Undefined:
@@ -114,7 +115,7 @@ class PartialAlgebra:
         other algebra's tables are set by the constructor."""
         sizes, strides = self._radix
         n = len(self.universe)
-        digits = [[i // stride % size for i in range(n)] for size, stride in zip(sizes, strides)]
+        digits = list(map(self.coordinate, range(len(sizes))))
         tables = {}
         for name, ar in self.stype.symbols:
             factor_tables = [f.tables[name] for f in self.factors]
@@ -178,12 +179,19 @@ class PartialAlgebra:
         """The factors' translation maps, each acting on its own coordinate
         of a product's universe indices (mixed radix in product order) and
         fixing the others."""
-        points = range(len(self.universe))
+        digits = map(self.coordinate, range(len(self.factors)))
         return [
-            tuple(i + (col[i // stride % size] - i // stride % size) * stride for i in points)
-            for f, size, stride in zip(self.factors, *self._radix)
+            tuple(i + (col[d] - d) * stride for i, d in enumerate(ds))
+            for f, stride, ds in zip(self.factors, self._radix[1], digits)
             for col in zip(*f.translation_rows)
         ]
+
+    def coordinate(self, t):
+        """Digit t of each universe index of a recorded product, in universe
+        order: the index in factor t of each element's coordinate t. It is
+        the index list of the projection onto factor t."""
+        sizes, strides = self._radix
+        return [d for d in range(sizes[t]) for _ in range(strides[t])] * prod(sizes[:t])
 
     @cached_property
     def _lattice_verdict(self):
@@ -269,9 +277,16 @@ class PartialAlgebra:
 
     def is_partial_sub_of(self, other):
         """Definedness contained and tables agreeing: each table, read in
-        other's indices through one relabelling list, is part of other's."""
+        other's indices through one relabelling list, is part of other's.
+        Two nonempty recorded products are decided factor by factor, as
+        __eq__ decides them: every coordinate ranges over its whole factor."""
+        if self.stype != other.stype:
+            return False
+        if self.factors and other.factors and self.universe and other.universe:
+            pairs = zip(self.factors, other.factors)
+            return len(self.factors) == len(other.factors) and all(a.is_partial_sub_of(b) for a, b in pairs)
         relabel = list(map(other.point.get, self.universe))
-        if self.stype != other.stype or None in relabel:
+        if None in relabel:
             return False
         same = relabel == list(range(len(relabel)))
         for name, table in self.tables.items():
@@ -419,6 +434,9 @@ FACTORWISE_CHECK_BOUND = 36
 class PalgMorphism:
     """Total map preserving every defined operation.
 
+    Held once, as the index list to: to[i] indexes in the target's universe
+    the image of the source's i-th element, checked by the constructor;
+    from_map converts a label map and calling the morphism reads a label.
     Maps out of a recorded product are decided factorwise when they are
     coordinatewise; otherwise, and whenever a factor map fails, every table
     entry is checked, so a failure always names the first failing entry.
@@ -426,19 +444,27 @@ class PalgMorphism:
     power do not build its tables.
     """
 
-    def __init__(self, source, target, mapping, validate=True):
+    def __init__(self, source, target, to, validate=True):
         self.source = source
         self.target = target
-        self.mapping = dict(mapping)
+        self.to = index_list(to, len(source), len(target))
         if validate:
             self.validate()
+
+    @classmethod
+    def from_map(cls, source, target, mapping):
+        """The morphism of a label map, source element -> target element,
+        validated; an element whose image is missing or outside the target
+        is named."""
+        at = target.point
+        for x in source.universe:
+            if mapping.get(x) not in at:
+                raise ValueError(f"map not into target at {x!r}")
+        return cls(source, target, [at[mapping[x]] for x in source.universe])
 
     def validate(self):
         if self.source.stype != self.target.stype:
             raise ValueError("similarity types differ")
-        for x in self.source.universe:
-            if self.mapping.get(x) not in self.target:
-                raise ValueError(f"map not into target at {x!r}")
         factorwise = self._factorwise_verdict()
         if factorwise and len(self.source) > FACTORWISE_CHECK_BOUND:
             return
@@ -454,24 +480,26 @@ class PalgMorphism:
 
         Applies when every target coordinate (the whole value, for a target
         that is not a recorded product) depends on one source coordinate
-        only, which is checked on every element. Then the map is a morphism
-        iff every factor map is, since the factors are total: True or False.
-        None when the source is not a nonempty recorded product or the map
-        is not coordinatewise.
+        only, which is checked on every element's index digits. Then the
+        map is a morphism iff every factor map is, since the factors are
+        total: True or False. None when the source is not a nonempty
+        recorded product or the map is not coordinatewise.
         """
-        src, tgt = self.source, self.target
+        src, tgt, to = self.source, self.target, self.to
         if src.factors is None or not src.universe:
             return None
-        images = [self.mapping[x] for x in src.universe]
         if tgt.factors is None:
-            tfactors, images = (tgt,), [(y,) for y in images]
+            tfactors, tdigits = (tgt,), [to]
         else:
             tfactors = tgt.factors
+            tdigits = [[i // stride % size for i in to] for size, stride in zip(*tgt._radix)]
+        sdigits = list(map(src.coordinate, range(len(src.factors))))
         factor_maps = []
-        for j, tf in enumerate(tfactors):
-            for i, sf in enumerate(src.factors):
-                g = {}
-                if all(g.setdefault(x[i], y[j]) == y[j] for x, y in zip(src.universe, images)):
+        for tf, tcol in zip(tfactors, tdigits):
+            for sf, scol, stride in zip(src.factors, sdigits, src._radix[1]):
+                # read off where the other digits are 0, then checked everywhere
+                g = [tcol[d * stride] for d in range(len(sf))]
+                if all(map(eq, map(g.__getitem__, scol), tcol)):
                     factor_maps.append((sf, tf, g))
                     break
             else:
@@ -506,41 +534,43 @@ class PalgMorphism:
         lookup(name, target index tuple), a target index or None, is
         undefined or not the image of its value, in table order; None if
         there is none. Entries are named in labels."""
-        source, at = self.source, self.target.point
-        images = [at[self.mapping[x]] for x in source.universe]
+        source, to = self.source, self.to
         for name, table in source.tables.items():
             for args, val in table.items():
-                tv = lookup(name, tuple(map(images.__getitem__, args)))
-                if tv is None or tv != images[val]:
+                tv = lookup(name, tuple(map(to.__getitem__, args)))
+                if tv is None or tv != to[val]:
                     what = "defined in source but image undefined" if tv is None else "not preserved"
                     return f"{name}{tuple(map(source.universe.__getitem__, args))} {what}"
         return None
 
     def __call__(self, x):
-        return self.mapping[x]
+        return self.target.universe[self.to[self.source.point[x]]]
+
+    def to_between(self, source, target):
+        """to, read from source's element order into target's, for a source
+        and a target equal to this map's ends: to itself on its own ends."""
+        if source is self.source and target is self.target:
+            return self.to
+        return [target.point[self(x)] for x in source.universe]
 
     def is_injective(self):
-        vals = [self.mapping[x] for x in self.source.universe]
-        return len(set(vals)) == len(vals)
+        return len(set(self.to)) == len(self.to)
 
     def is_surjective(self):
-        return {self.mapping[x] for x in self.source.universe} == set(self.target.universe)
+        return len(set(self.to)) == len(self.target)
 
     def after(self, other):
         if other.target != self.source:
             raise NotComposable("morphisms not composable")
-        return PalgMorphism(
-            other.source, self.target,
-            {x: self.mapping[other.mapping[x]] for x in other.source.universe},
-            validate=False,
-        )
+        first = other.to_between(other.source, self.source)
+        return PalgMorphism(other.source, self.target, map(self.to.__getitem__, first), validate=False)
 
     def __eq__(self, other):
         return (
             isinstance(other, PalgMorphism)
             and self.source == other.source
             and self.target == other.target
-            and self.mapping == other.mapping
+            and self.to == other.to_between(self.source, self.target)
         )
 
     def __repr__(self):
@@ -548,7 +578,7 @@ class PalgMorphism:
 
     @classmethod
     def identity(cls, algebra):
-        return cls(algebra, algebra, {x: x for x in algebra.universe}, validate=False)
+        return cls(algebra, algebra, range(len(algebra)), validate=False)
 
 
 def is_strong_sub(sub, algebra):
@@ -581,14 +611,15 @@ def image_palg(f, sub=None):
         sub = f.source
     elif not sub.is_partial_sub_of(f.source):
         raise NotSubset("sub is not a partial subalgebra of the source")
-    universe = list(dict.fromkeys(map(f, sub.universe)))
-    at = {y: k for k, y in enumerate(universe)}
-    img = [at[f(x)] for x in sub.universe]  # sub index -> image index
+    to = f.to if sub is f.source else [f.to[f.source.point[x]] for x in sub.universe]
+    kept = list(dict.fromkeys(to))  # the image's points, as target indices
+    at = {y: k for k, y in enumerate(kept)}
+    img = list(map(at.__getitem__, to))  # sub index -> image index
     tables = {
         name: {tuple(map(img.__getitem__, args)): img[val] for args, val in table.items()}
         for name, table in sub.tables.items()
     }
-    return PartialAlgebra(f.source.stype, universe, tables)
+    return PartialAlgebra(f.source.stype, map(f.target.universe.__getitem__, kept), tables)
 
 
 def preimage_palg(f, sub):
@@ -601,8 +632,9 @@ def preimage_palg(f, sub):
     """
     if not sub.is_partial_sub_of(f.target):
         raise NotSubset("sub is not a partial subalgebra of the target")
-    pre = f.source.restrict_full(x for x in f.source.universe if f(x) in sub)
-    img = [sub.point[f(x)] for x in pre.universe]  # pre index -> sub index
+    in_sub = [sub.point.get(f.target.universe[i]) for i in f.to]  # source index -> sub index
+    pre = f.source.restrict_full(x for x, j in zip(f.source.universe, in_sub) if j is not None)
+    img = [in_sub[f.source.point[x]] for x in pre.universe]  # pre index -> sub index
     tables = {
         name: {args: v for args, v in table.items() if tuple(map(img.__getitem__, args)) in sub.tables[name]}
         for name, table in pre.tables.items()
@@ -861,7 +893,7 @@ def is_palg_isomorphism(f):
     """Bijective morphism that also reflects definedness."""
     if not (f.is_injective() and f.is_surjective()):
         return False
-    inv = {f.target.point[f(x)]: i for i, x in enumerate(f.source.universe)}  # by target index
+    inv = sorted(range(len(f.to)), key=f.to.__getitem__)  # by target index
     return all(
         tuple(map(inv.__getitem__, args)) in f.source.tables[name]
         for name, table in f.target.tables.items()

@@ -25,7 +25,7 @@ from .semilattice import (
     ker0,
     quotient,
 )
-from .util import Verdict, assignments
+from .util import Verdict, assignments, factor_through
 from . import congruence as _cong
 
 
@@ -204,10 +204,16 @@ class PregampMorphism:
             raise ValueError("carrier morphism endpoints do not match")
         if self.fsem.source != src.sem or self.fsem.target != tgt.sem:
             raise ValueError("semilattice morphism endpoints do not match")
-        for x in src.carrier.universe:
-            for y in src.carrier.universe:
-                if tgt.delta(self.f(x), self.f(y)) != self.fsem(src.delta(x, y)):
-                    raise ValueError(f"distance not intertwined at {(x, y)}")
+        # tD[f[i]][f[j]] == fs[sD[i][j]] for every pair of points
+        f = self.f.to_between(src.carrier, tgt.carrier)
+        fs = self.fsem.to_between(src.sem, tgt.sem)
+        tD = tgt.dist_rows
+        for i, row in enumerate(src.dist_rows):
+            images, pushed = map(tD[f[i]].__getitem__, f), map(fs.__getitem__, row)
+            j = next(compress(count(), map(ne, images, pushed)), None)
+            if j is not None:
+                universe = src.carrier.universe
+                raise ValueError(f"distance not intertwined at {(universe[i], universe[j])}")
 
     def after(self, other):
         return PregampMorphism(
@@ -266,10 +272,11 @@ def sub_pregamp(pg, subalgebra, subsem=None):
 
 
 def canonical_embedding(sub, pg):
+    A, S = pg.carrier, pg.sem
     return PregampMorphism(
         sub, pg,
-        PalgMorphism(sub.carrier, pg.carrier, {x: x for x in sub.carrier.universe}, validate=False),
-        SemMorphism(sub.sem, pg.sem, {a: a for a in sub.sem.elements}, validate=False),
+        PalgMorphism(sub.carrier, A, map(A.point.__getitem__, sub.carrier.universe), validate=False),
+        SemMorphism(sub.sem, S, map(S.index, sub.sem.elements), validate=False),
         validate=False,
     )
 
@@ -285,14 +292,14 @@ def _ideal_classes(pg, top):
 
 
 def _quotient_carrier(pg, ideal):
-    """The carrier of pg/I and the map onto it: points are identified when
-    their distance lies in the ideal, classes labeled by their first
-    universe member (_ideal_classes), and definedness sets and tables push
-    forward (image_palg)."""
+    """The carrier of pg/I and the map of the carrier's indices to their
+    classes' representatives: points are identified when their distance
+    lies in the ideal, classes labeled by their first universe member
+    (_ideal_classes, already that map), and definedness sets and tables
+    push forward (image_palg)."""
     A = pg.carrier
     classes = _ideal_classes(pg, pg.sem.index(ideal.top))
-    rep = {x: A.universe[j] for x, j in zip(A.universe, classes)}
-    return image_palg(PalgMorphism(A, A, rep, validate=False)), rep
+    return image_palg(PalgMorphism(A, A, classes, validate=False)), classes
 
 
 def quotient_pregamp(pg, ideal):
@@ -303,16 +310,13 @@ def quotient_pregamp(pg, ideal):
     with 0-kernel the given ideal. Reads dist_rows.
     """
     qsem, sproj = quotient(pg.sem, ideal)
-    qalg, rep = _quotient_carrier(pg, ideal)
-    A, D = pg.carrier, pg.dist_rows
-    to_q = [qsem.index(sproj(a)) for a in pg.sem.elements]
-    kept = list(map(A.point.__getitem__, qalg.universe))
+    qalg, classes = _quotient_carrier(pg, ideal)
+    A, D, to_q = pg.carrier, pg.dist_rows, sproj.to
+    kept = list(dict.fromkeys(classes))  # qalg's points, as carrier indices
     qpg = Pregamp(qalg, [[to_q[D[i][j]] for j in kept] for i in kept], qsem)
-    proj = PregampMorphism(
-        pg, qpg, PalgMorphism(A, qalg, rep, validate=False), sproj, validate=False
-    )
-    proj.validate()
-    return qpg, proj
+    at = {r: k for k, r in enumerate(kept)}
+    onto = PalgMorphism(A, qalg, map(at.__getitem__, classes), validate=False)
+    return qpg, PregampMorphism(pg, qpg, onto, sproj)
 
 
 def induced_pregamp_morphism(fm, pi, pj):
@@ -320,18 +324,13 @@ def induced_pregamp_morphism(fm, pi, pj):
     ends; well-defined exactly when the semilattice part maps the source
     ideal into the target ideal. The square with the projections commutes."""
     fsem = induced_morphism(fm.fsem, pi.fsem, pj.fsem)
-    fmap = {}
-    for x in fm.source.carrier.universe:
-        c = pi.f(x)
-        v = pj.f(fm.f(x))
-        if fmap.setdefault(c, v) != v:
-            raise IdealNotMapped(f"carrier map not well-defined at class of {x!r}")
-    qsrc, qtgt = pi.target, pj.target
-    induced = PregampMorphism(
-        qsrc, qtgt, PalgMorphism(qsrc.carrier, qtgt.carrier, fmap, validate=False), fsem,
-        validate=False,
-    )
-    induced.validate()
+    src, tgt, qsrc, qtgt = fm.source.carrier, fm.target.carrier, pi.target, pj.target
+    values = map(pj.f.to_between(tgt, qtgt.carrier).__getitem__, fm.f.to_between(src, tgt))
+    to, bad = factor_through(pi.f.to_between(src, qsrc.carrier), values, len(qsrc.carrier))
+    if bad is not None:
+        raise IdealNotMapped(f"carrier map not well-defined at class of {src.universe[bad]!r}")
+    carrier_map = PalgMorphism(qsrc.carrier, qtgt.carrier, to, validate=False)
+    induced = PregampMorphism(qsrc, qtgt, carrier_map, fsem)
     cross_check(induced.after(pi) == pj.after(fm), "induced morphism square must commute")
     return induced
 
@@ -512,7 +511,7 @@ def tractability_verdict(pg, points, sem_phi, m_cap, f, carrier, extra=()):
     T, points, universe = sem_phi.target, list(points), carrier.universe
     J, n = T.join_rows, len(points)
     at, node = pg.carrier.point, carrier.point
-    to_t = [T.index(sem_phi(s)) for s in pg.sem.elements]
+    to_t = sem_phi.to_between(pg.sem, T)
     rows = [pg.dist_rows[at[x]] for x in points]
     D = [[to_t[row[at[y]]] for y in points] for row in rows]
     img = [node[f(x)] for x in points]
@@ -633,7 +632,7 @@ def pregamp_isomorphisms(pg1, pg2):
         )
 
     for smap in assignments(s1.elements, s2.elements, sem_fits, ISO_BUDGET):
-        smor = SemMorphism(s1, s2, smap, validate=False)
+        smor = SemMorphism.from_map(s1, s2, smap)
 
         def carrier_fits(mapping, x):
             y = mapping[x]
@@ -643,7 +642,7 @@ def pregamp_isomorphisms(pg1, pg2):
 
         for mapping in assignments(A1.universe, A2.universe, carrier_fits, ISO_BUDGET):
             try:
-                m = PregampMorphism(pg1, pg2, PalgMorphism(A1, A2, mapping), smor)
+                m = PregampMorphism(pg1, pg2, PalgMorphism.from_map(A1, A2, mapping), smor)
             except ValueError:
                 continue
             if is_palg_isomorphism(m.f):

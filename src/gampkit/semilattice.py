@@ -5,7 +5,7 @@ from itertools import compress, count
 from operator import ne
 
 from .errors import InvalidIdeal, IdealNotMapped, TooManyIdeals, cross_check
-from .util import bfs, sort_key, sorted_elements
+from .util import bfs, factor_through, index_list, sort_key, sorted_elements
 
 
 class JoinSemilattice:
@@ -208,24 +208,31 @@ class SemIdeal:
 
 
 class SemMorphism:
-    """Join- and zero-preserving map between finite join-semilattices."""
+    """Join- and zero-preserving map between finite join-semilattices, held
+    once as the index list to, as PalgMorphism holds its map."""
 
-    def __init__(self, source, target, mapping, validate=True):
+    def __init__(self, source, target, to, validate=True):
         self.source = source
         self.target = target
-        self.mapping = dict(mapping)
+        self.to = index_list(to, len(source), len(target))
         if validate:
             self.validate()
 
-    def validate(self):
-        s, t, m = self.source, self.target, self.mapping
-        for x in s.elements:
-            if x not in m or m[x] not in t:
+    @classmethod
+    def from_map(cls, source, target, mapping):
+        """The morphism of a label map, source element -> target element,
+        validated; an element whose image is missing or outside the target
+        is named."""
+        for x in source.elements:
+            if x not in mapping or mapping[x] not in target:
                 raise ValueError(f"map not total at {x!r}")
-        if m[s.zero] != t.zero:
+        return cls(source, target, [target.index(mapping[x]) for x in source.elements])
+
+    def validate(self):
+        s, t, to = self.source, self.target, self.to
+        if to[s.index(s.zero)] != t.index(t.zero):
             raise ValueError("zero not preserved")
         # to[k] == T[to[i]][to[j]] for k the join of i and j in the source
-        to = [t.index(m[x]) for x in s.elements]
         T = t.join_rows
         for x, row, image in zip(s.elements, s.join_rows, to):
             joined, images = map(to.__getitem__, row), map(T[image].__getitem__, to)
@@ -234,54 +241,61 @@ class SemMorphism:
                 raise ValueError(f"join not preserved at {(x, s.elements[j])}")
 
     def __call__(self, x):
-        return self.mapping[x]
+        return self.target.elements[self.to[self.source.index(x)]]
+
+    def to_between(self, source, target):
+        """to, read from source's element order into target's, for a source
+        and a target equal to this map's ends: to itself on its own ends."""
+        if source is self.source and target is self.target:
+            return self.to
+        return [target.index(self(x)) for x in source.elements]
 
     def apply_set(self, xs):
-        return {self.mapping[x] for x in xs}
+        return set(map(self, xs))
 
     def is_surjective(self):
-        return set(self.mapping.values()) >= set(self.target.elements)
+        return len(set(self.to)) == len(self.target)
 
     def is_injective(self):
-        vals = list(self.mapping[x] for x in self.source.elements)
-        return len(set(vals)) == len(vals)
+        return len(set(self.to)) == len(self.to)
 
     def after(self, other):
         """Composition self o other."""
         if other.target != self.source:
             raise ValueError("morphisms not composable")
-        return SemMorphism(
-            other.source, self.target,
-            {x: self.mapping[other.mapping[x]] for x in other.source.elements},
-            validate=False,
-        )
+        first = other.to_between(other.source, self.source)
+        return SemMorphism(other.source, self.target, map(self.to.__getitem__, first), validate=False)
 
     def __eq__(self, other):
         return (
             isinstance(other, SemMorphism)
             and self.source == other.source
             and self.target == other.target
-            and self.mapping == other.mapping
+            and self.to == other.to_between(self.source, self.target)
         )
 
     def __hash__(self):
-        return hash(frozenset(self.mapping.items()))
+        # what equal maps share in any element order: the ends' sizes and
+        # the image's
+        return hash((len(self.source), len(self.target), len(set(self.to))))
 
     def __repr__(self):
         return f"SemMorphism({len(self.source)}->{len(self.target)})"
 
     @classmethod
     def identity(cls, sem):
-        return cls(sem, sem, {x: x for x in sem.elements}, validate=False)
+        return cls(sem, sem, range(len(sem)), validate=False)
 
     def restrict(self, sub):
         """Restriction to a join-subsemilattice of the source."""
-        return SemMorphism(sub, self.target, {x: self.mapping[x] for x in sub.elements}, validate=False)
+        to = [self.to[self.source.index(x)] for x in sub.elements]
+        return SemMorphism(sub, self.target, to, validate=False)
 
 
 def ker0(phi):
     """0-kernel of a morphism: the ideal of elements mapped to zero."""
-    carrier = {x for x in phi.source.elements if phi(x) == phi.target.zero}
+    zero = phi.target.index(phi.target.zero)
+    carrier = {x for x, i in zip(phi.source.elements, phi.to) if i == zero}
     return SemIdeal(phi.source, carrier, validate=False)
 
 
@@ -304,21 +318,19 @@ def quotient(sem, ideal):
     rows = [[position[reps[J[a][b]]] for b in classes] for a in classes]
     zero = els[reps[sem.index(sem.zero)]]
     q = JoinSemilattice([els[i] for i in classes], zero, rows, validate=False)
-    proj = SemMorphism(sem, q, {x: els[r] for x, r in zip(els, reps)}, validate=False)
-    return q, proj
+    return q, SemMorphism(sem, q, map(position.__getitem__, reps), validate=False)
 
 
 def induced_morphism(phi, ps, pt):
     """The map S/I -> T/J sending a/I to phi(a)/J, where ps: S -> S/I and
     pt: T -> T/J are the quotient projections. It is well-defined exactly
     when phi(I) is inside J, since I is the class of zero."""
-    mapping = {}
-    for a in phi.source.elements:
-        c = ps(a)
-        v = pt(phi(a))
-        if mapping.setdefault(c, v) != v:
-            raise IdealNotMapped(f"phi(I) is not inside J: no induced map at class of {a!r}")
-    return SemMorphism(ps.target, pt.target, mapping)
+    s, t = phi.source, phi.target
+    values = map(pt.to_between(t, pt.target).__getitem__, phi.to)
+    to, bad = factor_through(ps.to_between(s, ps.target), values, len(ps.target))
+    if bad is not None:
+        raise IdealNotMapped(f"phi(I) is not inside J: no induced map at class of {s.elements[bad]!r}")
+    return SemMorphism(ps.target, pt.target, to)
 
 
 def is_ideal_induced(phi):
@@ -337,13 +349,14 @@ def is_ideal_induced(phi):
         definitional = False
         witness = ("not surjective", None)
     else:
-        kernel = [z for z in s.elements if phi(z) == t.zero]
-        for x in s.elements:
-            for y in s.elements:
-                if sort_key(x) < sort_key(y) and phi(x) == phi(y):
+        els, J, to, zero = s.elements, s.join_rows, phi.to, t.index(t.zero)
+        kernel = [z for z, i in enumerate(to) if i == zero]
+        for a, x in enumerate(els):
+            for b, y in enumerate(els):
+                if to[a] == to[b] and sort_key(x) < sort_key(y):
                     for z in kernel:
-                        if s.join(x, z) == s.join(y, z):
-                            witness[(x, y)] = z
+                        if J[a][z] == J[b][z]:
+                            witness[(x, y)] = els[z]
                             break
                     else:
                         definitional = False

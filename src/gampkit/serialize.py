@@ -281,11 +281,11 @@ def diagram_from_json(data):
         if kind == "gamp":
             arrows[(p, q)] = GampMorphism(
                 nodes[p], nodes[q],
-                PalgMorphism(nodes[p].outer, nodes[q].outer, fmap),
-                SemMorphism(nodes[p].sem, nodes[q].sem, smap),
+                PalgMorphism.from_map(nodes[p].outer, nodes[q].outer, fmap),
+                SemMorphism.from_map(nodes[p].sem, nodes[q].sem, smap),
             )
         else:
-            arrows[(p, q)] = PalgMorphism(nodes[p], nodes[q], fmap)
+            arrows[(p, q)] = PalgMorphism.from_map(nodes[p], nodes[q], fmap)
     return Diagram.from_generators(poset, nodes, arrows)
 
 

@@ -1,6 +1,6 @@
-"""Small shared helpers: deterministic ordering, true/false verdicts, and the
-package's one breadth-first walk (`bfs`, with `shortest_path` on it) and one
-backtracking search (`assignments`)."""
+"""Small shared helpers: deterministic ordering, true/false verdicts, the
+morphisms' index lists, and the package's one breadth-first walk (`bfs`,
+with `shortest_path` on it) and one backtracking search (`assignments`)."""
 
 from dataclasses import dataclass, field
 
@@ -32,6 +32,29 @@ def sort_key(x):
 
 def sorted_elements(xs):
     return sorted(xs, key=sort_key)
+
+
+def index_list(entries, length, bound):
+    """The entries as a list of `length` indices in range(bound), as a
+    morphism holds its map; ValueError for any other length or entry."""
+    entries = list(entries)
+    if len(entries) != length or entries and not (0 <= min(entries) and max(entries) < bound):
+        raise ValueError(f"map is not {length} indices below {bound}")
+    return entries
+
+
+def factor_through(classes, values, size):
+    """The list d of the given size with d[classes[k]] == values[k] for
+    every k, None where no class is hit, and the first k whose value
+    differs from an earlier one's in its class, or None: the map a/I ->
+    f(a)/J read on class indices."""
+    d = [None] * size
+    for k, (c, v) in enumerate(zip(classes, values)):
+        if d[c] is None:
+            d[c] = v
+        elif d[c] != v:
+            return d, k
+    return d, None
 
 
 TRUE = "true"

@@ -2,6 +2,7 @@ import pytest
 
 from gampkit import build_named
 from gampkit.palg import LATTICE_TYPE, PalgMorphism, PartialAlgebra
+from gampkit.semilattice import JoinSemilattice, SemMorphism
 
 
 FIXTURE_NAMES = ["two", "chain:3", "chain:4", "chain:5", "M3", "N5", "X1", "X2"]
@@ -59,7 +60,7 @@ def corpus_maps(fixture_lattices):
         "X1->M3": ("X1", "M3", {"0": "0", "m": "0", "x1": "x1", "x3": "x3", "1": "1"}),
     }
     for label, (src, tgt, mapping) in arrows.items():
-        maps[label] = PalgMorphism(fixture_lattices[src], fixture_lattices[tgt], mapping)
+        maps[label] = PalgMorphism.from_map(fixture_lattices[src], fixture_lattices[tgt], mapping)
     return maps
 
 
@@ -68,3 +69,19 @@ def label_dist(pg):
     every pair of its carrier's points."""
     universe = pg.carrier.universe
     return {(x, y): pg.delta(x, y) for x in universe for y in universe}
+
+
+def unvalidated(source, target, mapping):
+    """The morphism of a label map between two algebras or two
+    semilattices, not validated: its index list, read through the target's
+    element index."""
+    if isinstance(target, JoinSemilattice):
+        to = [target.index(mapping[x]) for x in source.elements]
+        return SemMorphism(source, target, to, validate=False)
+    return PalgMorphism(source, target, [target.point[mapping[x]] for x in source.universe], validate=False)
+
+
+def label_map(f):
+    """A morphism's map in labels, {source element: its image}."""
+    points = f.source.elements if isinstance(f, SemMorphism) else f.source.universe
+    return {x: f(x) for x in points}

@@ -148,8 +148,8 @@ def test_criterion_4_quotient_functoriality(fixture_lattices):
 
             iso = GampMorphism(
                 qg, other,
-                PalgMorphism(qg.outer, other.outer, explicit),
-                SemMorphism(
+                PalgMorphism.from_map(qg.outer, other.outer, explicit),
+                SemMorphism.from_map(
                     qg.sem, other.sem,
                     {d: conc_morphism(qproj, g.sem, other.sem)(
                         next(t for t in g.sem.elements if proj.fsem(t) == d)
@@ -162,7 +162,7 @@ def test_criterion_4_quotient_functoriality(fixture_lattices):
             assert iso.fsem.is_injective() and iso.fsem.is_surjective()
     # arrow clauses on quotient morphisms
     for label, (src, tgt, mapping) in arrows.items():
-        f = PalgMorphism(fixture_lattices[src], fixture_lattices[tgt], mapping)
+        f = PalgMorphism.from_map(fixture_lattices[src], fixture_lattices[tgt], mapping)
         fm = ga_mor(f)
         for prop in ("strong", "cuttable", "cuttable_chains"):
             assert bool(check_morphism_property(fm, prop, x_cap=2)), (label, prop)
@@ -500,41 +500,56 @@ def test_budget_buttress_m3_squared_over_a_chain(chains, budget):
 
 # The n = 4 frontier through the CLI, in process. Maps into the powers are
 # checked from their factors, so no power builds its tables: 4,096 and 15,625
-# elements at M3's nodes l and t, 5^6 = 15,625 at L4's node t. Budgets are 5x
-# the median of five runs, each in a fresh process, on a shared 2-core host.
+# elements at M3's nodes l and t, 5^6 = 15,625 at L4's node t, 7^6 = 117,649
+# at L2's. Every map is an index list: the inclusions and projections of the
+# powers are read off index digits, and fact (d) composes lists. Budgets are
+# 5x the median of five runs, each in a fresh process, on a shared 2-core
+# host.
 
 
 def test_budget_repro_m3_n4_facts(capsys):
-    # median 0.19 s
+    # median 0.08 s (0.19 s while maps were label dicts)
     from gampkit.cli import run
 
     t0 = time.monotonic()
     assert run(["repro", "unliftable", "--K", "M3", "--n", "4"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["facts"]["ok"]
-    _report("budget", "repro --K M3 --n 4", t0, 1)
+    _report("budget", "repro --K M3 --n 4", t0, 0.4)
 
 
 def test_budget_repro_l4_n4_facts(capsys):
-    # median 0.56 s
+    # median 0.19 s (0.56 s while maps were label dicts)
     from gampkit.cli import run
 
     t0 = time.monotonic()
     assert run(["repro", "unliftable", "--K", "L4", "--n", "4"]) == 0
     capsys.readouterr()
-    _report("budget", "repro --K L4 --n 4", t0, 3)
+    _report("budget", "repro --K L4 --n 4", t0, 1)
+
+
+def test_budget_repro_l2_n4_facts(capsys):
+    # 117,649 elements at node t, and six projections out of it: median
+    # 0.5 s (2.0 s while maps were label dicts)
+    from gampkit.cli import run
+
+    t0 = time.monotonic()
+    assert run(["repro", "unliftable", "--K", "L2", "--n", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["facts"]["ok"]
+    _report("budget", "repro --K L2 --n 4", t0, 2.5)
 
 
 def test_budget_repro_m3_n4_bound_0_refused(capsys):
     # the facts hold, then GA refuses node l (4,096 > CON_BOUND) before any
-    # Con is built: median 0.27 s
+    # Con is built: median 0.09 s (0.27 s while maps were label dicts)
     from gampkit.cli import run
 
     t0 = time.monotonic()
     assert run(["repro", "unliftable", "--K", "M3", "--n", "4", "--exhaustive-bound", "0"]) == 3
     err = capsys.readouterr().err
     assert err == "error: con_lattice capped at 160 elements (got 4096)\n"
-    _report("budget", "repro --K M3 --n 4 --exhaustive-bound 0", t0, 1.5)
+    _report("budget", "repro --K M3 --n 4 --exhaustive-bound 0", t0, 0.5)
 
 
 def test_budget_repro_m3_n3_bound_0(capsys):

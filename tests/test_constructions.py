@@ -34,6 +34,7 @@ from gampkit.palg import (
 )
 from gampkit.poset import FinitePoset
 from gampkit.pregamp import Pregamp, check_axioms
+from conftest import label_map, unvalidated
 
 
 class TestNamedLattices:
@@ -190,15 +191,15 @@ class TestSquareFacts:
         sq = build_square("M3", 3)
         c = sq.cuts[1]
         f = sq.projections[c]["l"]
-        in_image = set(sq.a_square.arrows[("b", "l")].mapping.values())
+        in_image = set(label_map(sq.a_square.arrows[("b", "l")]).values())
         inside = next(u for u in f.source.universe if u in in_image)
         outside = next(u for u in f.source.universe if u not in in_image)
         # inside the chain's image, (b, l) and (l, t) both fail; outside, only (l, t)
         for u, first in [(inside, ("b", "l")), (outside, ("l", "t"))]:
-            mapping = dict(f.mapping)
+            mapping = label_map(f)
             mapping[u] = next(y for y in f.target.universe if y != mapping[u])
             comps = dict(sq.projections[c])
-            comps["l"] = PalgMorphism(f.source, f.target, mapping, validate=False)
+            comps["l"] = unvalidated(f.source, f.target, mapping)
             with pytest.raises(ValueError) as exc:
                 NaturalTransformation(sq.a_square, sq.x_square, comps)
             assert str(exc.value) == f"naturality fails at {first}"
@@ -474,8 +475,8 @@ def _chain_onto_two_square(k=3):
         FinitePoset.square(),
         {"b": chain, "l": two, "r": two, "t": two},
         {
-            ("b", "l"): PalgMorphism(chain, two, onto),
-            ("b", "r"): PalgMorphism(chain, two, onto),
+            ("b", "l"): PalgMorphism.from_map(chain, two, onto),
+            ("b", "r"): PalgMorphism.from_map(chain, two, onto),
             ("l", "t"): PalgMorphism.identity(two),
             ("r", "t"): PalgMorphism.identity(two),
         },
@@ -495,7 +496,7 @@ def _cube_square(bottom):
     objects["o"] = bottom
     onto = {x: min(x, 1) for x in bottom.universe}
     arrows = {
-        (u, v): PalgMorphism(bottom, two, onto) if u == "o" else PalgMorphism.identity(two)
+        (u, v): PalgMorphism.from_map(bottom, two, onto) if u == "o" else PalgMorphism.identity(two)
         for (u, v) in covers
     }
     a_diagram = Diagram.from_generators(FinitePoset.from_covers(nodes, covers), objects, arrows)
@@ -561,7 +562,7 @@ def _padded_non_commuting_candidate(square):
         fmap["p"] = wing_pad_image[node]
         arrows[("b", node)] = GampMorphism(
             g0, nodes[node],
-            PalgMorphism(outer, nodes[node].outer, fmap),
+            PalgMorphism.from_map(outer, nodes[node].outer, fmap),
             conc_morphism(base, cs0, nodes[node].sem),
         )
     for node in ("l", "r"):

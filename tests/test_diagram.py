@@ -43,7 +43,7 @@ class TestValidation:
         arrows = dict(square.x_square.arrows)
         b, t = square.x_square.objects["b"], square.x_square.objects["t"]
         bad = {x: "0" for x in b.universe}
-        arrows[("b", "t")] = PalgMorphism(b, t, bad)
+        arrows[("b", "t")] = PalgMorphism.from_map(b, t, bad)
         with pytest.raises(ValueError) as exc:
             Diagram(square.x_square.poset, square.x_square.objects, arrows)
         assert "composition" in str(exc.value)
@@ -187,11 +187,11 @@ class TestOperational:
             x1.restrict_full({"0", "x1", "x3", "1"}),
             Pregamp.from_dist(sparse_outer, label_dist(base), base.sem),
         )
-        f = PalgMorphism(chain3, sparse_outer, {0: "0", 1: "x3", 2: "1"})
+        f = PalgMorphism.from_map(chain3, sparse_outer, {0: "0", 1: "x3", 2: "1"})
         from gampkit.congruence import conc_morphism
 
         fm = GampMorphism(src, tgt, f, conc_morphism(
-            PalgMorphism(chain3, x1, {0: "0", 1: "x3", 2: "1"}), src.sem, base.sem
+            PalgMorphism.from_map(chain3, x1, {0: "0", 1: "x3", 2: "1"}), src.sem, base.sem
         ))
         d = Diagram.from_generators(poset, {0: src, 1: tgt}, {(0, 1): fm})
         ok, witness = is_operational_diagram(d)
@@ -244,7 +244,7 @@ class TestPartialLifting:
         base = pga(x1)
         # inner part too small to hold the image strongly
         tgt = Gamp(x1.restrict_full({"0"}), base)
-        f_alg = PalgMorphism(chain3, x1, {0: "0", 1: "x3", 2: "1"})
+        f_alg = PalgMorphism.from_map(chain3, x1, {0: "0", 1: "x3", 2: "1"})
         fm = GampMorphism(
             src, tgt, f_alg, conc_morphism(f_alg, src.sem, base.sem), validate=False
         )

@@ -41,7 +41,7 @@ from gampkit.semilattice import (
     quotient,
 )
 from gampkit.util import Verdict
-from conftest import label_dist
+from conftest import label_dist, label_map, unvalidated
 from test_pregamp import induced_pregamp_by_ideals
 from test_semilattice import assert_descent_matches_reference
 
@@ -58,7 +58,7 @@ class TestFunctors:
         assert len(g.inner) == 2 and g.inner == g.outer
 
     def test_functor_equations(self, x1, chain3):
-        f = PalgMorphism(chain3, x1, {0: "0", 1: "x3", 2: "1"})
+        f = PalgMorphism.from_map(chain3, x1, {0: "0", 1: "x3", 2: "1"})
         gm = ga_mor(f)
         assert cg(gm.source) == conc(chain3)
         assert pggr(gm.source) == pga(chain3)
@@ -160,7 +160,7 @@ class TestMorphismProperties:
 
     def test_inclusion_into_total_operational(self, x1, m3):
         # total algebras make every morphism operational
-        f = PalgMorphism(x1, m3, {"0": "0", "m": "0", "x1": "x1", "x3": "x3", "1": "1"})
+        f = PalgMorphism.from_map(x1, m3, {"0": "0", "m": "0", "x1": "x1", "x3": "x3", "1": "1"})
         fm = ga_mor(f)
         assert bool(check_morphism_property(fm, "operational"))
 
@@ -195,15 +195,15 @@ class TestMorphismProperties:
         g_t = Gamp(x1.restrict_full({"x1"}), Pregamp.from_dist(tgt_outer, label_dist(base), base.sem))
         fm = GampMorphism(
             g_s, g_t,
-            PalgMorphism(src_outer, tgt_outer, {x: x for x in src_outer.universe}),
-            SemMorphism(src_sem, base.sem, {a: a for a in src_sem.elements}),
+            PalgMorphism.from_map(src_outer, tgt_outer, {x: x for x in src_outer.universe}),
+            SemMorphism.from_map(src_sem, base.sem, {a: a for a in src_sem.elements}),
         )
         v = check_morphism_property(fm, "operational")
         assert not bool(v)
         assert v.witness[0] == "join" and set(v.witness[1]) == {"x1", "x3"}
 
     def test_negative_x_cap_is_refused(self, chain3, x1):
-        fm = ga_mor(PalgMorphism(chain3, x1, {0: "0", 1: "x3", 2: "1"}))
+        fm = ga_mor(PalgMorphism.from_map(chain3, x1, {0: "0", 1: "x3", 2: "1"}))
         for prop in ("cuttable", "cuttable_chains"):
             with pytest.raises(ValueError):
                 check_morphism_property(fm, prop, x_cap=-1)
@@ -265,9 +265,7 @@ class TestRealizations:
 
     def test_broken_chi_rejected(self, m3):
         g = ga(m3)
-        bad = SemMorphism(
-            g.sem, g.sem, {x: g.sem.elements[0] for x in g.sem.elements}, validate=False
-        )
+        bad = unvalidated(g.sem, g.sem, {x: g.sem.elements[0] for x in g.sem.elements})
         assert not check_realization(g, Realization(m3, bad))
 
 
@@ -294,7 +292,7 @@ class TestQuotientPreservation:
                     assert is_chain(qg, image)
 
     def test_arrow_preservation(self, chain3, x1):
-        f = PalgMorphism(chain3, x1, {0: "0", 1: "x3", 2: "1"})
+        f = PalgMorphism.from_map(chain3, x1, {0: "0", 1: "x3", 2: "1"})
         fm = ga_mor(f)
         assert bool(check_morphism_property(fm, "strong"))
         assert bool(check_morphism_property(fm, "cuttable", x_cap=2))
@@ -317,7 +315,7 @@ class TestThroughPhi:
         ident = SemMorphism.identity(g.sem)
         for which in ("distance_generated", "distance_generated_chains", "congruence_tractable"):
             assert check_property(g, which, phi=ident) == check_property(g, which)
-        fm = ga_mor(PalgMorphism(chain3, x1, {0: "0", 1: "x3", 2: "1"}))
+        fm = ga_mor(PalgMorphism.from_map(chain3, x1, {0: "0", 1: "x3", 2: "1"}))
         ident = SemMorphism.identity(fm.target.sem)
         for which in ("cuttable", "cuttable_chains"):
             assert check_morphism_property(fm, which, phi=ident) == check_morphism_property(
@@ -329,7 +327,7 @@ class TestThroughPhi:
         for which in ("strong", "n_permutable", "lattice_n_permutable"):
             with pytest.raises(ValueError, match="takes no phi"):
                 check_property(g, which, n=2, phi=SemMorphism.identity(g.sem))
-        fm = ga_mor(PalgMorphism(chain3, x1, {0: "0", 1: "x3", 2: "1"}))
+        fm = ga_mor(PalgMorphism.from_map(chain3, x1, {0: "0", 1: "x3", 2: "1"}))
         for which in ("strong", "operational"):
             with pytest.raises(ValueError, match="takes no phi"):
                 check_morphism_property(fm, which, phi=SemMorphism.identity(fm.target.sem))
@@ -354,7 +352,7 @@ class TestThroughPhi:
         assert bool(check_property(g, "distance_generated", phi=one))
 
     def test_cuttable_through(self, chain3, x1):
-        f = PalgMorphism(chain3, x1, {0: "0", 1: "x3", 2: "1"})
+        f = PalgMorphism.from_map(chain3, x1, {0: "0", 1: "x3", 2: "1"})
         fm = ga_mor(f)
         ideal = SemIdeal.generated(fm.target.sem, {principal_congruence(x1, "0", "m")})
         _, proj = quotient(fm.target.sem, ideal)
@@ -520,7 +518,7 @@ class TestCuttableAgainstReference:
         ident = SemMorphism.identity(S)
         for inner, holds in ((target, True), (ends, False)):
             tgt = Gamp(inner, Pregamp.from_dist(target, dist, S))
-            fm = GampMorphism(source, tgt, PalgMorphism(ends, target, {"a": "a", "b": "b"}), ident)
+            fm = GampMorphism(source, tgt, PalgMorphism.from_map(ends, target, {"a": "a", "b": "b"}), ident)
             got = check_morphism_property(fm, "cuttable_chains", x_cap=2)
             assert got == reference_check_cuttable(fm, ident, True, 2)
             assert bool(got) == holds

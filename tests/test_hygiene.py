@@ -373,22 +373,26 @@ def test_no_asserts(path):
     assert assert_lines(path.read_text()) == []
 
 
-TABLE_MUTATORS = frozenset({"update", "setdefault", "pop", "clear"})
+TABLE_MUTATORS = frozenset({
+    "update", "setdefault", "pop", "clear", "append", "extend", "insert", "remove", "sort", "reverse",
+})
 
 # The attributes that hold tables, each with the constructors that may set
 # them: an algebra's index tables (set by its constructor, or built by a
 # product's lazy builder), the distance matrix of a pregamp and of Conc
-# (which pga shares), a semilattice's join matrix.
+# (which pga shares), a semilattice's join matrix, and a morphism's index
+# list.
 TABLE_OWNERS = {
     "tables": {"PartialAlgebra.__init__", "PartialAlgebra.tables"},
     "dist_rows": {"Pregamp.__init__", "ConcSemilattice.__init__"},
     "join_rows": {"JoinSemilattice.__init__"},
+    "to": {"PalgMorphism.__init__", "SemMorphism.__init__"},
 }
 
 
 def _is_tables(node):
-    """`<expr>.tables` or `<expr>.tables[...]`, and the same for `.dist_rows`
-    and `.join_rows`: a table attribute or one entry of it."""
+    """`<expr>.tables` or `<expr>.tables[...]`, and the same for `.dist_rows`,
+    `.join_rows` and `.to`: a table attribute or one entry of it."""
     if isinstance(node, ast.Subscript):
         node = node.value
     return isinstance(node, ast.Attribute) and node.attr in TABLE_OWNERS
@@ -398,8 +402,8 @@ def table_mutations(source):
     """(line, enclosing "Class.function", attribute) of each statement of the
     source that changes a table: an assignment or deletion of
     `<expr>.tables`, or of an entry of `<expr>.tables` or
-    `<expr>.tables[...]`, and a call of update, setdefault, pop or clear on
-    either; likewise for `.dist_rows` and `.join_rows`."""
+    `<expr>.tables[...]`, and a call of a dict or list mutator on either;
+    likewise for `.dist_rows`, `.join_rows` and `.to`."""
     found = []
 
     def visit(node, scope):
@@ -490,12 +494,33 @@ def test_table_mutation_detector_flags_distances_and_joins():
     ]
 
 
+def test_table_mutation_detector_flags_index_maps():
+    source = (
+        "class PalgMorphism:\n"
+        "    def __init__(self, to):\n"
+        "        self.to = list(to)\n"
+        "def bend(f, g):\n"
+        "    f.to[0] = 1\n"
+        "    f.to.append(2)\n"
+        "    g.to.sort()\n"
+        "    f.to = g.to\n"
+        "    to = list(f.to)\n"
+        "    to.append(3)\n"
+        "    return f.to[0], g.to.index(1)\n"
+    )
+    assert table_mutations(source) == [
+        (3, "PalgMorphism.__init__", "to"), (5, "bend", "to"), (6, "bend", "to"),
+        (7, "bend", "to"), (8, "bend", "to"),
+    ]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_tables_change_only_in_construction(path):
     # PartialAlgebra.translation_rows and a product's tables are built once
-    # and kept, and pga and the enumerator's snapshots share their source's
-    # dist_rows, which is sound only while nothing changes those tables after
-    # the owning constructor
+    # and kept, pga and the enumerator's snapshots share their source's
+    # dist_rows, and a morphism's readers share its index list, which is
+    # sound only while nothing changes those tables after the owning
+    # constructor
     assert [m for m in table_mutations(path.read_text()) if m[1] not in TABLE_OWNERS[m[2]]] == []
 
 
@@ -758,6 +783,58 @@ def test_label_tables_are_read_only_by_export(path):
     found = label_table_reads(path.read_text())
     allowed = {"ops"} if path.name == "serialize.py" else set()
     assert [m for m in found if m[1] not in allowed] == []
+
+
+def label_map_reads(source):
+    """The lines of the source that read a `.mapping` attribute: the label
+    dict that a morphism kept before its index list."""
+    return sorted(
+        n.lineno for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and n.attr == "mapping"
+    )
+
+
+def test_label_map_detector_flags_reads():
+    source = (
+        "def image(f, x, mapping):\n"
+        "    return f.mapping[x], mapping[x], f.to[0]\n"
+        "def compose(f, g):\n"
+        "    return {x: g.mapping[y] for x, y in f.mapping.items()}\n"
+    )
+    assert label_map_reads(source) == [2, 4, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_morphism_map_in_labels(path):
+    assert label_map_reads(path.read_text()) == []
+
+
+def test_morphisms_store_one_index_list():
+    # each morphism the square, its GA image, a quotient, an induced map and
+    # composites build keeps its ends and one list of target indices
+    from gampkit import build_square
+    from gampkit.congruence import conc_morphism
+    from gampkit.diagram import apply_functor
+    from gampkit.palg import PalgMorphism
+    from gampkit.pregamp import induced_pregamp_morphism, quotient_pregamp
+    from gampkit.semilattice import SemIdeal, SemMorphism, enumerate_ideals
+
+    square = build_square("M3", 2)
+    d = apply_functor(square.a_square, "GA")
+    maps = [*square.a_square.arrows.values(), *square.x_square.arrows.values()]
+    maps += [f for comps in square.projections.values() for f in comps.values()]
+    maps += [part for fm in d.arrows.values() for part in (fm.f, fm.fsem)]
+    fm = d.arrows[("b", "t")]
+    ideal = enumerate_ideals(fm.source.sem)[1]
+    _, pi = quotient_pregamp(fm.source.pregamp, ideal)
+    carried = SemIdeal.generated(fm.target.sem, fm.fsem.apply_set(ideal.carrier))
+    _, pj = quotient_pregamp(fm.target.pregamp, carried)
+    induced = induced_pregamp_morphism(fm.pg, pi, pj)
+    maps += [pi.f, pi.fsem, induced.f, induced.fsem, induced.after(pi).f, conc_morphism(maps[0])]
+    assert all(isinstance(f, (PalgMorphism, SemMorphism)) for f in maps)
+    for f in maps:
+        assert set(vars(f)) == {"source", "target", "to"}
+        assert type(f.to) is list and all(type(i) is int for i in f.to)
 
 
 @pytest.mark.parametrize(

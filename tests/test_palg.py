@@ -35,6 +35,7 @@ from gampkit.palg import (
     satisfies_identity,
 )
 from gampkit.pregamp import chain_connectivity
+from conftest import label_map, unvalidated
 
 
 V = Term.v
@@ -95,19 +96,19 @@ class TestImagePreimage:
 
     def test_preimage_of_image_is_identity(self, m3, chain3):
         # collapse the chain onto {0, 1} inside itself
-        f = PalgMorphism(chain3, chain3, {0: 0, 1: 0, 2: 2})
+        f = PalgMorphism.from_map(chain3, chain3, {0: 0, 1: 0, 2: 2})
         assert preimage_palg(f, image_palg(f)) == chain3
 
     def test_composition_law(self, m3, chain3):
-        f = PalgMorphism(chain3, chain3, {0: 0, 1: 0, 2: 2})
-        g = PalgMorphism(chain3, chain3, {0: 0, 1: 2, 2: 2})
+        f = PalgMorphism.from_map(chain3, chain3, {0: 0, 1: 0, 2: 2})
+        g = PalgMorphism.from_map(chain3, chain3, {0: 0, 1: 2, 2: 2})
         gf = g.after(f)
         sub = chain3.restrict_full({0, 1})
         assert image_palg(gf, sub) == image_palg(g, image_palg(f, sub))
 
     def test_image_of_sub_under_inclusion(self, m3):
         sub = m3.restrict_full({"0", "x1", "1"})
-        inc = PalgMorphism(sub, m3, {x: x for x in sub.universe})
+        inc = PalgMorphism.from_map(sub, m3, {x: x for x in sub.universe})
         assert image_palg(inc) == sub
 
 
@@ -304,21 +305,21 @@ class TestIdentities:
 
 class TestMorphisms:
     def test_into_total_is_strong(self, m3, chain3):
-        f = PalgMorphism(chain3, m3, {0: "0", 1: "x3", 2: "1"})
+        f = PalgMorphism.from_map(chain3, m3, {0: "0", 1: "x3", 2: "1"})
         assert is_strong_morphism(f)
 
     def test_inclusion_of_sparse_sub_not_strong(self, chain3):
         bare = PartialAlgebra.from_ops(LATTICE_TYPE, [0, 2], {})
-        f = PalgMorphism(bare, chain3, {0: 0, 2: 2})
+        f = PalgMorphism.from_map(bare, chain3, {0: 0, 2: 2})
         assert is_strong_morphism(f)  # target total
         sparse_target = PartialAlgebra.from_ops(LATTICE_TYPE, [0, 2], {"meet": {(0, 0): 0}, "join": {}})
-        g = PalgMorphism(bare, sparse_target, {0: 0, 2: 2})
+        g = PalgMorphism.from_map(bare, sparse_target, {0: 0, 2: 2})
         assert not is_strong_morphism(g)
 
     def test_embedding_iso_iff_image_equals_target(self, chain3):
         # brute force over small instances
         sub_full = chain3.restrict_full({0, 1})
-        inc = PalgMorphism(sub_full, chain3, {0: 0, 1: 1})
+        inc = PalgMorphism.from_map(sub_full, chain3, {0: 0, 1: 1})
         assert not is_palg_isomorphism(inc)
         ident = PalgMorphism.identity(chain3)
         assert is_palg_isomorphism(ident)
@@ -623,7 +624,7 @@ class TestFactorwiseMorphisms:
         else:
             tgt = data.draw(st.sampled_from([src, src.factors[0], data.draw(fg_algebras())]))
             mapping = {x: data.draw(st.sampled_from(tgt.universe)) for x in src.universe}
-        f = PalgMorphism(src, tgt, mapping, validate=False)
+        f = unvalidated(src, tgt, mapping)
         expected = table_error(f)
         verdict = f._factorwise_verdict()
         if kind != "arbitrary":
@@ -637,7 +638,7 @@ class TestFactorwiseMorphisms:
 
     def test_disagreement_is_a_cross_check_failure(self, m3):
         src = PartialAlgebra.product([m3, m3])
-        f = PalgMorphism(src, m3, {x: x[0] for x in src.universe}, validate=False)
+        f = unvalidated(src, m3, {x: x[0] for x in src.universe})
         with mock.patch.object(PalgMorphism, "_factorwise_verdict", lambda self: False):
             with pytest.raises(CrossCheckFailed):
                 f.validate()
@@ -645,10 +646,10 @@ class TestFactorwiseMorphisms:
     def test_non_coordinatewise_map_is_left_to_the_tables(self, m3):
         src = PartialAlgebra.product([m3, m3])
         meets = m3.ops["meet"]
-        f = PalgMorphism(src, src, {x: (meets[x], x[1]) for x in src.universe}, validate=False)
+        f = unvalidated(src, src, {x: (meets[x], x[1]) for x in src.universe})
         assert f._factorwise_verdict() is None
         assert validate_error(f) == table_error(f) is not None
-        swap = PalgMorphism(src, src, {x: x[::-1] for x in src.universe}, validate=False)
+        swap = unvalidated(src, src, {x: x[::-1] for x in src.universe})
         assert swap._factorwise_verdict() is True
 
 
@@ -738,25 +739,25 @@ class TestProductLookups:
     @given(maps_into_products())
     def test_maps_into_a_product_match_the_tables(self, case):
         src, factors, mapping = case
-        expected = validate_error(PalgMorphism(src, plain_twin(factors), mapping, validate=False))
+        expected = validate_error(unvalidated(src, plain_twin(factors), mapping))
         assert expected is None or expected.endswith("not preserved")
         tgt = PartialAlgebra.product(factors)
-        assert validate_error(PalgMorphism(src, tgt, mapping, validate=False)) == expected
+        assert validate_error(unvalidated(src, tgt, mapping)) == expected
         # on a target past the cross-check bound only the factors are read
         tgt = PartialAlgebra.product(factors)
         with mock.patch.object(palg, "FACTORWISE_CHECK_BOUND", 0):
-            assert validate_error(PalgMorphism(src, tgt, mapping, validate=False)) == expected
+            assert validate_error(unvalidated(src, tgt, mapping)) == expected
         assert "tables" not in vars(tgt)
 
     def test_diagonal_into_a_large_power_builds_no_tables(self, m3):
         power = PartialAlgebra.product([m3] * 3)
         assert len(power) > palg.FACTORWISE_CHECK_BOUND
-        PalgMorphism(m3, power, {x: (x,) * 3 for x in m3.universe})
+        PalgMorphism.from_map(m3, power, {x: (x,) * 3 for x in m3.universe})
         assert "tables" not in vars(power)
         bad = {x: (x, x, "0" if x == "x1" else x) for x in m3.universe}
-        expected = validate_error(PalgMorphism(m3, plain_twin([m3] * 3), bad, validate=False))
+        expected = validate_error(unvalidated(m3, plain_twin([m3] * 3), bad))
         assert expected.endswith("not preserved")
-        assert validate_error(PalgMorphism(m3, power, bad, validate=False)) == expected
+        assert validate_error(unvalidated(m3, power, bad)) == expected
         assert "tables" not in vars(power)
 
     def test_disagreement_is_a_cross_check_failure_under_optimize(self):
@@ -772,7 +773,7 @@ class TestProductLookups:
             power = palg.PartialAlgebra.product([m3, m3])
             palg.PartialAlgebra._from_factors = lambda self, name, key: 0  # ("0", "0")
             try:
-                palg.PalgMorphism(m3, power, {x: (x, x) for x in m3.universe})
+                palg.PalgMorphism.from_map(m3, power, {x: (x, x) for x in m3.universe})
             except CrossCheckFailed:
                 print("optimize", sys.flags.optimize, "raised")
             """
@@ -833,6 +834,52 @@ class TestProductEquality:
         assert "tables" not in vars(left) and "tables" not in vars(right)
 
 
+    def test_equal_powers_are_partial_subs_by_their_factors(self):
+        a, b = build_named("power:M3:3").algebra, build_named("power:M3:3").algebra
+        assert a.is_partial_sub_of(b) and b.is_partial_sub_of(a)
+        assert "tables" not in vars(a) and "tables" not in vars(b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(cgf_algebras(max_size=3), min_size=1, max_size=3), st.data())
+    def test_partial_sub_matches_the_label_loop(self, factors, data):
+        # products of equal, unequal and wider factors, and a partial
+        # subalgebra of a product, against the label loop on plain twins
+        kind = data.draw(st.sampled_from(["rebuilt", "replace", "extend", "shorten", "wider", "sub"]))
+        others, i = [rebuilt(f) for f in factors], data.draw(st.integers(0, len(factors) - 1))
+        if kind == "replace":
+            others[i] = data.draw(cgf_algebras(3))
+        elif kind == "extend":
+            others.insert(i, data.draw(cgf_algebras(3)))
+        elif kind == "shorten" and len(others) > 1:
+            others.pop(i)
+        elif kind == "wider":
+            others[i] = data.draw(extensions(factors[i]))
+        left = PartialAlgebra.product(factors)
+        if kind == "sub":
+            kept = data.draw(st.sets(st.sampled_from(left.universe)))
+            right = PartialAlgebra.product(factors).restrict_full(kept)
+            b = as_labels(right)
+        else:
+            right, b = PartialAlgebra.product(others), as_labels(plain_twin(others))
+        a = as_labels(plain_twin(factors))
+        assert left.is_partial_sub_of(right) == label_is_partial_sub_of(a, b)
+        assert kind == "sub" or "tables" not in vars(left) and "tables" not in vars(right)
+        assert right.is_partial_sub_of(left) == label_is_partial_sub_of(b, a)
+        assert kind not in ("rebuilt", "wider") or left.is_partial_sub_of(right)
+
+
+@st.composite
+def extensions(draw, alg):
+    """A total algebra with alg as a partial subalgebra: one or two points
+    more, each new cell of a random value."""
+    universe = [*alg.universe, *range(len(alg), len(alg) + draw(st.integers(1, 2)))]
+    value, ops = st.sampled_from(universe), alg.ops
+    return PartialAlgebra.from_ops(alg.stype, universe, {
+        name: {a: ops[name][a] if a in ops[name] else draw(value) for a in product(universe, repeat=ar)}
+        for name, ar in alg.stype.symbols
+    })
+
+
 class TestChainColimit:
     def test_constant_identity_chain(self, m3):
         f = PalgMorphism.identity(m3)
@@ -844,8 +891,8 @@ class TestChainColimit:
         s1 = m3.restrict_full({"0"})
         s2 = m3.restrict_full({"0", "x1"})
         s3 = m3.restrict_full({"0", "x1", "1"})
-        f1 = PalgMorphism(s1, s2, {"0": "0"})
-        f2 = PalgMorphism(s2, s3, {x: x for x in s2.universe})
+        f1 = PalgMorphism.from_map(s1, s2, {"0": "0"})
+        f2 = PalgMorphism.from_map(s2, s3, {x: x for x in s2.universe})
         res = chain_colimit([f1, f2], window=1)
         assert res.obj == s3
         assert not res.stabilized
@@ -863,7 +910,7 @@ class TestChainColimit:
         # definedness of terms in the colimit is the union of pushed
         # definedness, and identities persist
         s1 = chain3.restrict_full({0, 1})
-        f = PalgMorphism(s1, chain3, {0: 0, 1: 1})
+        f = PalgMorphism.from_map(s1, chain3, {0: 0, 1: 1})
         res = chain_colimit([f], window=1)
         t = meet(V(0), V(1))
 
@@ -1214,7 +1261,7 @@ class TestLabelReferences:
     def test_maps_match_the_label_loops(self, pair, data):
         (a, _, _), (b, b_ops, _) = pair
         mapping = {x: data.draw(st.sampled_from(b.universe)) for x in a.universe}
-        f = PalgMorphism(a, b, mapping, validate=False)
+        f = unvalidated(a, b, mapping)
         by_labels = label_first_failure(
             as_labels(a), mapping, lambda name, im: b_ops[name].get(im, UNDEFINED)
         )
@@ -1255,3 +1302,143 @@ class TestLabelReferences:
         ids = [data.draw(st.integers(0, len(a) - 1)) for _ in a.universe]
         blocks = [frozenset(x for x, i in zip(a.universe, ids) if i == k) for k in set(ids)]
         assert is_congruence(a, blocks) == label_is_congruence(as_labels(a), blocks)
+
+
+# ---------------------------------------------------------------------------
+# The label loops that PalgMorphism ran while it held a label dict, kept as
+# references for the index lists that replaced it.
+
+
+def label_factorwise_verdict(src, tgt, mapping):
+    """_factorwise_verdict on label tuples: each target coordinate read off
+    one source coordinate, then every factor map checked."""
+    if src.factors is None or not src.universe:
+        return None
+    images = [mapping[x] for x in src.universe]
+    if tgt.factors is None:
+        tfactors, images = (tgt,), [(y,) for y in images]
+    else:
+        tfactors = tgt.factors
+    factor_maps = []
+    for j, tf in enumerate(tfactors):
+        for i, sf in enumerate(src.factors):
+            g = {}
+            if all(g.setdefault(x[i], y[j]) == y[j] for x, y in zip(src.universe, images)):
+                factor_maps.append((sf, tf, g))
+                break
+        else:
+            return None
+    return all(label_map_validate(sf, tf, g) is None for sf, tf, g in factor_maps)
+
+
+def label_map_validate(src, tgt, mapping):
+    """PalgMorphism's construction check on a label map: its message, or
+    None; every table entry read through apply."""
+    if src.stype != tgt.stype:
+        return "similarity types differ"
+    for x in src.universe:
+        if mapping.get(x) not in tgt:
+            return f"map not into target at {x!r}"
+    return label_first_failure(as_labels(src), mapping, lambda name, im: tgt.apply(name, im))
+
+
+@st.composite
+def labelled_maps(draw, style):
+    """(source, target, mapping) in one label style: maps out of and into
+    products of labelled total algebras, or between labelled partial ones;
+    a projection, a diagonal, a coordinate swap or a random map, with one
+    image changed in about a third of the draws."""
+
+    def algebra(total):
+        return draw(labelled_algebras(total=total, max_size=3, style=style))[0]
+
+    def power():
+        return PartialAlgebra.product([algebra(True)] * draw(st.integers(1, 2)))
+
+    kind = draw(st.sampled_from(["projection", "diagonal", "swap", "random"]))
+    if kind == "projection":
+        src = PartialAlgebra.product([algebra(True) for _ in range(draw(st.integers(1, 2)))])
+        i = draw(st.integers(0, len(src.factors) - 1))
+        tgt, mapping = src.factors[i], {x: x[i] for x in src.universe}
+    elif kind == "diagonal":
+        src = algebra(True)
+        tgt = PartialAlgebra.product([src] * draw(st.integers(1, 2)))
+        mapping = {x: (x,) * len(tgt.factors) for x in src.universe}
+    elif kind == "swap":
+        src = PartialAlgebra.product([algebra(True), algebra(True)])
+        tgt = PartialAlgebra.product(src.factors[::-1])
+        mapping = {x: x[::-1] for x in src.universe}
+    else:
+        src = draw(st.sampled_from([power, lambda: algebra(False)]))()
+        tgt = draw(st.sampled_from([power, lambda: algebra(False)]))()
+        mapping = {x: draw(st.sampled_from(tgt.universe)) for x in src.universe}
+    if draw(st.sampled_from([False, False, True])):
+        mapping[draw(st.sampled_from(src.universe))] = draw(st.sampled_from(tgt.universe))
+    return src, tgt, mapping
+
+
+class TestMorphismLabelReferences:
+    """The index lists against the label loops they replaced, in both label
+    styles."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(LABEL_STYLES).flatmap(labelled_maps))
+    def test_validate_matches_the_label_loop(self, case):
+        src, tgt, mapping = case
+        expected = label_map_validate(src, tgt, mapping)
+        f = unvalidated(src, tgt, mapping)
+        assert f._factorwise_verdict() == label_factorwise_verdict(src, tgt, mapping)
+        assert table_error(f) == label_first_failure(
+            as_labels(src), mapping, lambda name, im: tgt.apply(name, im)
+        )
+        assert validate_error(f) == expected
+        assert construction_error(lambda: PalgMorphism.from_map(src, tgt, mapping)) == expected
+        # the factorwise path alone, as on a source past the cross-check bound
+        with mock.patch.object(palg, "FACTORWISE_CHECK_BOUND", 0):
+            assert validate_error(f) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(LABEL_STYLES).flatmap(
+        lambda style: st.tuples(*[labelled_algebras(max_size=3, style=style)] * 3)
+    ), st.data())
+    def test_after_equality_and_bijectivity_match_the_label_loops(self, triple, data):
+        (a, _, _), (b, _, _), (c, _, _) = triple
+        f = {x: data.draw(st.sampled_from(b.universe)) for x in a.universe}
+        g = {y: data.draw(st.sampled_from(c.universe)) for y in b.universe}
+        # the second map starts at an equal copy of b, its points reversed
+        fm, gm = unvalidated(a, b, f), unvalidated(rebuilt(b), c, g)
+        assert label_map(gm.after(fm)) == {x: g[f[x]] for x in a.universe}
+        assert fm.is_injective() == (len(set(f.values())) == len(f))
+        assert fm.is_surjective() == (set(f.values()) == set(b.universe))
+        other = dict(f)
+        if data.draw(st.booleans()):
+            other[data.draw(st.sampled_from(a.universe))] = data.draw(st.sampled_from(b.universe))
+        again = unvalidated(rebuilt(a), rebuilt(b), other)
+        assert (fm == again) == (again == fm) == (f == other)
+        if c != a:
+            with pytest.raises(NotComposable):
+                fm.after(gm)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(LABEL_STYLES).flatmap(
+        lambda style: st.tuples(*[labelled_algebras(max_size=4, style=style)] * 2)
+    ), st.data())
+    def test_from_map_reads_back_its_map(self, pair, data):
+        # out of an algebra with no entries every map is a morphism
+        (a, _, style), (b, _, _) = pair
+        bare = PartialAlgebra.from_ops(a.stype, a.universe, {})
+        mapping = {x: data.draw(st.sampled_from(b.universe)) for x in a.universe}
+        f = PalgMorphism.from_map(bare, b, mapping)
+        assert all(f(x) == mapping[x] for x in a.universe)
+        assert f.to == [b.point[mapping[x]] for x in a.universe]
+        foreign = style_labels(style, [len(b)])[0]
+        x = data.draw(st.sampled_from(a.universe))
+        for broken in ({**mapping, x: foreign}, {k: v for k, v in mapping.items() if k != x}):
+            assert construction_error(lambda: PalgMorphism.from_map(bare, b, broken)) == label_map_validate(
+                bare, b, broken
+            )
+
+    @pytest.mark.parametrize("to", [[0, 1], [0, 1, 2, 3], [0, 1, 5], [0, -1, 2], [0, 1, None]])
+    def test_constructor_refuses_a_list_of_the_wrong_length_or_range(self, chain3, to):
+        with pytest.raises((ValueError, TypeError)):
+            PalgMorphism(chain3, chain3, to)

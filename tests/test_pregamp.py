@@ -40,13 +40,18 @@ from gampkit.pregamp import (
 )
 from gampkit.semilattice import JoinSemilattice, SemIdeal, SemMorphism, enumerate_ideals, quotient
 from gampkit.util import Verdict
-from conftest import label_dist
-from test_palg import CGFH_TYPE, brute_satisfies_identity, cgfh_algebras, identity_lists
+from conftest import label_dist, label_map, unvalidated
+from test_palg import (
+    CGFH_TYPE, LABEL_STYLES, brute_satisfies_identity, cgfh_algebras, identity_lists,
+    labelled_algebras, rebuilt, style_labels,
+)
 from test_semilattice import (
     assert_descent_matches_reference,
     assert_quotient_matches_reference,
     brute_generated,
     induced_by_ideals,
+    renamed,
+    reordered,
 )
 
 
@@ -342,7 +347,7 @@ def assert_quotients_match_references(pg):
             (n, list(t.items())) for n, t in ops.items()
         ]
         assert list(label_dist(q).items()) == list(dist.items())
-        assert list(proj.f.mapping.items()) == list(rep.items())
+        assert list(label_map(proj.f).items()) == list(rep.items())
 
 
 class TestQuotientReferences:
@@ -362,7 +367,7 @@ class TestPGA:
         assert len(pg.carrier) == 2 and len(pg.sem) == 2
 
     def test_functoriality_on_composites(self, chain3, m3):
-        f = PalgMorphism(chain3, m3, {0: "0", 1: "x3", 2: "1"})
+        f = PalgMorphism.from_map(chain3, m3, {0: "0", 1: "x3", 2: "1"})
         g = PalgMorphism.identity(m3)
         pf, pgm = pga_mor(f), pga_mor(g)
         comp = pgm.after(pf)
@@ -529,7 +534,7 @@ class TestInduced:
         ind = induced_pregamp_morphism(
             PregampMorphism.identity(pg), quotient_pregamp(pg, SemIdeal.zero(pg.sem))[1], proj
         )
-        assert ind.f.mapping == proj.f.mapping
+        assert label_map(ind.f) == label_map(proj.f)
 
 
 class TestIdealInducedPg:
@@ -589,7 +594,11 @@ def image_rule(pg, identities):
     A = pg.carrier
     if not A.is_total() or not all(brute_satisfies_identity(A, *law[1:])[0] for law in identities):
         return False, False
-    reps = [_quotient_carrier(pg, ideal)[1] for ideal in enumerate_ideals(pg.sem)]
+    # each ideal's map to class representatives, in labels
+    reps = [
+        dict(zip(A.universe, map(A.universe.__getitem__, _quotient_carrier(pg, ideal)[1])))
+        for ideal in enumerate_ideals(pg.sem)
+    ]
     may = all(has_congruence_kernel(A, rep) for rep in reps)
     return may, may and all(rep[rep[x]] == rep[x] for rep in reps for x in rep)
 
@@ -837,7 +846,7 @@ class TestTractable:
         d = {(x, y): 0 if x == y else 1 for x in els for y in els}
         pg = Pregamp.from_dist(src, d, sem)
         fm = PregampMorphism(
-            pg, pg, PalgMorphism(src, src, {x: x for x in els}), SemMorphism.identity(sem)
+            pg, pg, PalgMorphism.from_map(src, src, {x: x for x in els}), SemMorphism.identity(sem)
         )
         v = is_congruence_tractable_morphism(fm, m_cap=1)
         assert v.status == "false"
@@ -1117,8 +1126,8 @@ def induced_pregamp_by_ideals(fm, ideal_i, ideal_j):
     smap = induced_by_ideals(fm.fsem, ideal_i, ideal_j)
     induced = PregampMorphism(
         qsrc, qtgt,
-        PalgMorphism(qsrc.carrier, qtgt.carrier, fmap, validate=False),
-        SemMorphism(qsrc.sem, qtgt.sem, smap.mapping, validate=False),
+        unvalidated(qsrc.carrier, qtgt.carrier, fmap),
+        unvalidated(qsrc.sem, qtgt.sem, label_map(smap)),
         validate=False,
     )
     induced.validate()
@@ -1133,3 +1142,63 @@ def test_descent_matches_the_ideal_reference_on_corpus_maps(corpus_maps):
             fm, (fm.source.sem, fm.target.sem), quotient_pregamp,
             induced_pregamp_morphism, induced_pregamp_by_ideals,
         )
+
+
+def label_intertwined(src, tgt, fmap, smap):
+    """PregampMorphism.validate's distance loop on labels, as it ran while
+    maps were label dicts: its message, or None."""
+    sd, td = label_dist(src), label_dist(tgt)
+    for x in src.carrier.universe:
+        for y in src.carrier.universe:
+            if td[(fmap[x], fmap[y])] != smap[sd[(x, y)]]:
+                return f"distance not intertwined at {(x, y)}"
+    return None
+
+
+@st.composite
+def styled_pregamp_maps(draw, style):
+    """(source, target, point map, element map) in one label style, the
+    distance axioms not required: random distances over renamed small
+    semilattices, an injective point map, and the target's distance pushed
+    along both maps at the image pairs, one of them changed in about half
+    the draws."""
+
+    def sem():
+        base = draw(st.sampled_from([JoinSemilattice.chain(3), JoinSemilattice.product(two, two)]))
+        names = dict(zip(base.elements, style_labels(style, draw(st.permutations(range(len(base)))))))
+        return renamed(base, names, draw(st.permutations(base.elements)))
+
+    def distance(points, s):
+        return {(x, y): s.zero if x == y else draw(st.sampled_from(s.elements)) for x in points for y in points}
+
+    two = JoinSemilattice.chain(2)
+    a = draw(labelled_algebras(max_size=3, style=style))[0]
+    m = draw(st.integers(len(a), 4))
+    b = PartialAlgebra.from_ops(a.stype, style_labels(style, draw(st.permutations(range(m)))), {})
+    s, t = sem(), sem()
+    fmap = dict(zip(a.universe, draw(st.permutations(b.universe))))
+    smap = {e: draw(st.sampled_from(t.elements)) for e in s.elements}
+    sd, td = distance(a.universe, s), distance(b.universe, t)
+    for (x, y), d in sd.items():
+        td[(fmap[x], fmap[y])] = smap[d]
+    if draw(st.booleans()):
+        pair = (fmap[draw(st.sampled_from(a.universe))], fmap[draw(st.sampled_from(a.universe))])
+        td[pair] = draw(st.sampled_from(t.elements))
+    return Pregamp.from_dist(a, sd, s), Pregamp.from_dist(b, td, t), fmap, smap
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(LABEL_STYLES).flatmap(styled_pregamp_maps), st.data())
+def test_pregamp_morphism_validate_matches_the_label_loop(case, data):
+    src, tgt, fmap, smap = case
+    expected = label_intertwined(src, tgt, fmap, smap)
+    # the maps may start at equal copies of the source's ends, listed in another order
+    carrier = src.carrier if data.draw(st.booleans()) else rebuilt(src.carrier)
+    sem = src.sem if data.draw(st.booleans()) else reordered(src.sem, src.sem.elements[::-1])
+    f, fsem = unvalidated(carrier, tgt.carrier, fmap), unvalidated(sem, tgt.sem, smap)
+    try:
+        PregampMorphism(src, tgt, f, fsem)
+        got = None
+    except ValueError as e:
+        got = str(e)
+    assert got == expected

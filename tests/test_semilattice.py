@@ -15,6 +15,8 @@ from gampkit.semilattice import (
     ker0,
     quotient,
 )
+from conftest import label_map, unvalidated
+from test_palg import LABEL_STYLES, style_labels
 
 
 def two():
@@ -126,7 +128,7 @@ class TestInducedMorphism:
 
     def test_collapse_becomes_iso(self):
         s, t = chain3(), two()
-        phi = SemMorphism(s, t, {0: 0, 1: 0, 2: 1})
+        phi = SemMorphism.from_map(s, t, {0: 0, 1: 0, 2: 1})
         psi = induced_morphism(
             phi, projection(s, SemIdeal(s, {0, 1})), projection(t, SemIdeal.zero(t))
         )
@@ -146,20 +148,20 @@ class TestInducedMorphism:
         ideal = SemIdeal(s, {(0, 0), (0, 1)})
         q, proj = quotient(s, ideal)
         psi = induced_morphism(SemMorphism.identity(s), projection(s, SemIdeal.zero(s)), proj)
-        assert psi.mapping == proj.mapping
+        assert label_map(psi) == label_map(proj)
         assert psi.target is q
 
 
 class TestIdealInduced:
     def test_non_surjective(self):
         s, t = two(), chain3()
-        phi = SemMorphism(s, t, {0: 0, 1: 2})
+        phi = SemMorphism.from_map(s, t, {0: 0, 1: 2})
         ok, witness = is_ideal_induced(phi)
         assert not ok and witness[0] == "not surjective"
 
     def test_projection_with_absorbers(self):
         s, t = square_sem(), two()
-        phi = SemMorphism(s, t, {(a, b): a for a in (0, 1) for b in (0, 1)})
+        phi = SemMorphism.from_map(s, t, {(a, b): a for a in (0, 1) for b in (0, 1)})
         ok, witness = is_ideal_induced(phi)
         assert ok
         assert all(z in {(0, 0), (0, 1)} for z in witness.values())
@@ -281,7 +283,7 @@ def assert_quotient_matches_reference(s, ideal):
     classes, zero, table, reps = brute_quotient(s, ideal)
     assert list(q.elements) == classes and q.zero == zero
     assert q.join_rows == JoinSemilattice.from_table(classes, zero, table).join_rows
-    assert list(proj.mapping.items()) == list(reps.items())
+    assert list(label_map(proj).items()) == list(reps.items())
 
 
 @settings(max_examples=40, deadline=None)
@@ -309,7 +311,7 @@ def induced_by_ideals(phi, ideal_i, ideal_j):
         v = pt(phi(a))
         if mapping.setdefault(c, v) != v:
             raise IdealNotMapped(f"induced map not well-defined at class of {a!r}")
-    return SemMorphism(qs, qt, mapping)
+    return SemMorphism.from_map(qs, qt, mapping)
 
 
 def assert_descent_matches_reference(phi, sems, quotient_of, descend, reference):
@@ -500,7 +502,7 @@ def test_from_table_names_each_first_failure(elements, zero, table, message):
 
 def assert_validate_matches_the_label_loop(s, t, mapping):
     expected = first_error(label_morphism_validate, s, t, mapping)
-    assert first_error(SemMorphism, s, t, mapping) == expected
+    assert first_error(SemMorphism.from_map, s, t, mapping) == expected
     return expected
 
 
@@ -542,10 +544,85 @@ def test_conc_morphisms_validate_as_the_label_loop(corpus_maps):
     for f in corpus_maps.values():
         phi = conc_morphism(f)
         s, t = phi.source, phi.target
-        assert assert_validate_matches_the_label_loop(s, t, phi.mapping) is None
+        assert assert_validate_matches_the_label_loop(s, t, label_map(phi)) is None
         for x in s.elements:
             for y in t.elements:
                 if y != phi(x):
-                    message = assert_validate_matches_the_label_loop(s, t, {**phi.mapping, x: y})
+                    message = assert_validate_matches_the_label_loop(s, t, {**label_map(phi), x: y})
                     failures.add(message and message.split(" at ")[0])
     assert failures == {None, "zero not preserved", "join not preserved"}
+
+
+# The label loops that SemMorphism and induced_morphism ran while a map was
+# a label dict, kept as references for the index lists, in both label styles.
+
+
+def renamed(sem, names, order):
+    """sem with each element x renamed names[x], listed in the given order."""
+    table = {(names[x], names[y]): names[sem.join(x, y)] for x in order for y in order}
+    return JoinSemilattice.from_table([names[x] for x in order], names[sem.zero], table)
+
+
+@st.composite
+def styled_maps(draw, style):
+    """semilattice_maps' (s, t, mapping), both ends renamed in the label
+    style and listed in a shuffled order; a foreign image stays foreign."""
+    s, t, mapping = draw(semilattice_maps())
+    names = []
+    for sem in (s, t):
+        labels = style_labels(style, draw(st.permutations(range(len(sem)))))
+        names.append(dict(zip(sem.elements, labels)))
+    foreign = style_labels(style, [len(t)])[0]
+    ends = [renamed(sem, n, draw(st.permutations(sem.elements))) for sem, n in zip((s, t), names)]
+    return (*ends, {names[0][x]: names[1].get(y, foreign) for x, y in mapping.items()})
+
+
+def label_induced(s, mapping, reps_s, reps_t):
+    """induced_morphism's loop on labels, over the label class maps of the
+    two quotients: the induced map, or the message it raised."""
+    induced = {}
+    for a in s.elements:
+        c, v = reps_s[a], reps_t[mapping[a]]
+        if induced.setdefault(c, v) != v:
+            return f"phi(I) is not inside J: no induced map at class of {a!r}"
+    return induced
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(LABEL_STYLES).flatmap(styled_maps), st.data())
+def test_sem_morphisms_match_the_label_loops(case, data):
+    s, t, mapping = case
+    expected = first_error(label_morphism_validate, s, t, mapping)
+    assert first_error(SemMorphism.from_map, s, t, mapping) == expected
+    if expected is None:
+        phi = SemMorphism.from_map(s, t, mapping)
+        assert all(phi(x) == mapping[x] for x in s.elements)
+        for ideal_i in enumerate_ideals(s):
+            for ideal_j in enumerate_ideals(t):
+                reps = brute_quotient(s, ideal_i)[3], brute_quotient(t, ideal_j)[3]
+                try:
+                    got = label_map(induced_morphism(phi, projection(s, ideal_i), projection(t, ideal_j)))
+                except IdealNotMapped as e:
+                    got = str(e)
+                assert got == label_induced(s, mapping, *reps)
+    # any maps, unvalidated, the second out of t listed in another order
+    f = {x: data.draw(st.sampled_from(t.elements)) for x in s.elements}
+    g = {y: data.draw(st.sampled_from(s.elements)) for y in t.elements}
+    fm, gm = unvalidated(s, t, f), unvalidated(reordered(t, t.elements[::-1]), s, g)
+    assert label_map(gm.after(fm)) == {x: g[f[x]] for x in s.elements}
+    assert label_map(fm.after(gm)) == {y: f[g[y]] for y in t.elements}
+    assert fm.is_injective() == (len(set(f.values())) == len(f))
+    assert fm.is_surjective() == (set(f.values()) == set(t.elements))
+    other = dict(f)
+    if data.draw(st.booleans()):
+        other[data.draw(st.sampled_from(s.elements))] = data.draw(st.sampled_from(t.elements))
+    again = unvalidated(reordered(s, s.elements[::-1]), reordered(t, t.elements[::-1]), other)
+    assert (fm == again) == (again == fm) == (f == other)
+    if f == other:
+        assert hash(fm) == hash(again)
+
+
+@pytest.mark.parametrize("to", [[0], [0, 1, 1, 0], [0, 2, 1], [0, 1, -1]])
+def test_constructor_refuses_a_list_of_the_wrong_length_or_range(to):
+    with pytest.raises(ValueError):
+        SemMorphism(chain3(), chain3(), to)
