@@ -478,7 +478,7 @@ def quotient_algebra(algebra, theta):
     first = {}
     reps = [first.setdefault(theta.block(x), i) for i, x in enumerate(algebra.universe)]
     q = image_palg(PalgMorphism(algebra, algebra, reps, validate=False))
-    at = {r: k for k, r in enumerate(first.values())}  # q's points are the reps, in order
+    at = {r: k for k, r in enumerate(dict.fromkeys(reps))}  # q's points are the reps, in order
     return q, PalgMorphism(algebra, q, map(at.__getitem__, reps), validate=False)
 
 

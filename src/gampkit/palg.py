@@ -5,10 +5,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, product
 from math import prod
-from operator import eq, ne
+from operator import attrgetter, eq, ne
 
 from .errors import NotComposable, NotSubset, NotTotal, cross_check
-from .util import index_list
+from .util import IndexMap
 
 
 class _Undefined:
@@ -258,10 +258,6 @@ class PartialAlgebra:
             return True
         if not isinstance(other, PartialAlgebra) or self.stype != other.stype:
             return False
-        if self.factors and other.factors and self.universe and other.universe:
-            # nonempty products are equal exactly when their factors are,
-            # pair by pair: the factors are their coordinates
-            return len(self.factors) == len(other.factors) and all(map(eq, self.factors, other.factors))
         return self.is_partial_sub_of(other) and other.is_partial_sub_of(self)
 
     def __hash__(self):
@@ -278,8 +274,8 @@ class PartialAlgebra:
     def is_partial_sub_of(self, other):
         """Definedness contained and tables agreeing: each table, read in
         other's indices through one relabelling list, is part of other's.
-        Two nonempty recorded products are decided factor by factor, as
-        __eq__ decides them: every coordinate ranges over its whole factor."""
+        Two nonempty recorded products are decided factor by factor: every
+        coordinate ranges over its whole factor."""
         if self.stype != other.stype:
             return False
         if self.factors and other.factors and self.universe and other.universe:
@@ -431,11 +427,10 @@ MODULAR_LAW = (
 FACTORWISE_CHECK_BOUND = 36
 
 
-class PalgMorphism:
+class PalgMorphism(IndexMap):
     """Total map preserving every defined operation.
 
-    Held once, as the index list to: to[i] indexes in the target's universe
-    the image of the source's i-th element, checked by the constructor;
+    Held once, as the index list to (IndexMap) into the target's universe;
     from_map converts a label map and calling the morphism reads a label.
     Maps out of a recorded product are decided factorwise when they are
     coordinatewise; otherwise, and whenever a factor map fails, every table
@@ -444,12 +439,7 @@ class PalgMorphism:
     power do not build its tables.
     """
 
-    def __init__(self, source, target, to, validate=True):
-        self.source = source
-        self.target = target
-        self.to = index_list(to, len(source), len(target))
-        if validate:
-            self.validate()
+    _labels, _positions = attrgetter("universe"), attrgetter("point")
 
     @classmethod
     def from_map(cls, source, target, mapping):
@@ -543,42 +533,11 @@ class PalgMorphism:
                     return f"{name}{tuple(map(source.universe.__getitem__, args))} {what}"
         return None
 
-    def __call__(self, x):
-        return self.target.universe[self.to[self.source.point[x]]]
-
-    def to_between(self, source, target):
-        """to, read from source's element order into target's, for a source
-        and a target equal to this map's ends: to itself on its own ends."""
-        if source is self.source and target is self.target:
-            return self.to
-        return [target.point[self(x)] for x in source.universe]
-
-    def is_injective(self):
-        return len(set(self.to)) == len(self.to)
-
-    def is_surjective(self):
-        return len(set(self.to)) == len(self.target)
-
     def after(self, other):
         if other.target != self.source:
             raise NotComposable("morphisms not composable")
         first = other.to_between(other.source, self.source)
         return PalgMorphism(other.source, self.target, map(self.to.__getitem__, first), validate=False)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PalgMorphism)
-            and self.source == other.source
-            and self.target == other.target
-            and self.to == other.to_between(self.source, self.target)
-        )
-
-    def __repr__(self):
-        return f"PalgMorphism({len(self.source)}->{len(self.target)})"
-
-    @classmethod
-    def identity(cls, algebra):
-        return cls(algebra, algebra, range(len(algebra)), validate=False)
 
 
 def is_strong_sub(sub, algebra):

@@ -632,7 +632,7 @@ def pregamp_isomorphisms(pg1, pg2):
         )
 
     for smap in assignments(s1.elements, s2.elements, sem_fits, ISO_BUDGET):
-        smor = SemMorphism.from_map(s1, s2, smap)
+        smor = SemMorphism(s1, s2, [s2.index(smap[x]) for x in s1.elements], validate=False)
 
         def carrier_fits(mapping, x):
             y = mapping[x]

@@ -2,10 +2,10 @@
 
 from functools import cached_property
 from itertools import compress, count
-from operator import ne
+from operator import attrgetter, ne
 
 from .errors import InvalidIdeal, IdealNotMapped, TooManyIdeals, cross_check
-from .util import bfs, factor_through, index_list, sort_key, sorted_elements
+from .util import IndexMap, bfs, factor_through, sort_key, sorted_elements
 
 
 class JoinSemilattice:
@@ -207,16 +207,11 @@ class SemIdeal:
         return cls(sem, {sem.zero}, validate=False)
 
 
-class SemMorphism:
+class SemMorphism(IndexMap):
     """Join- and zero-preserving map between finite join-semilattices, held
-    once as the index list to, as PalgMorphism holds its map."""
+    once as the index list to (IndexMap), as PalgMorphism holds its map."""
 
-    def __init__(self, source, target, to, validate=True):
-        self.source = source
-        self.target = target
-        self.to = index_list(to, len(source), len(target))
-        if validate:
-            self.validate()
+    _labels, _positions = attrgetter("elements"), attrgetter("_index")
 
     @classmethod
     def from_map(cls, source, target, mapping):
@@ -240,24 +235,8 @@ class SemMorphism:
             if j is not None:
                 raise ValueError(f"join not preserved at {(x, s.elements[j])}")
 
-    def __call__(self, x):
-        return self.target.elements[self.to[self.source.index(x)]]
-
-    def to_between(self, source, target):
-        """to, read from source's element order into target's, for a source
-        and a target equal to this map's ends: to itself on its own ends."""
-        if source is self.source and target is self.target:
-            return self.to
-        return [target.index(self(x)) for x in source.elements]
-
     def apply_set(self, xs):
         return set(map(self, xs))
-
-    def is_surjective(self):
-        return len(set(self.to)) == len(self.target)
-
-    def is_injective(self):
-        return len(set(self.to)) == len(self.to)
 
     def after(self, other):
         """Composition self o other."""
@@ -266,25 +245,10 @@ class SemMorphism:
         first = other.to_between(other.source, self.source)
         return SemMorphism(other.source, self.target, map(self.to.__getitem__, first), validate=False)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SemMorphism)
-            and self.source == other.source
-            and self.target == other.target
-            and self.to == other.to_between(self.source, self.target)
-        )
-
     def __hash__(self):
         # what equal maps share in any element order: the ends' sizes and
         # the image's
         return hash((len(self.source), len(self.target), len(set(self.to))))
-
-    def __repr__(self):
-        return f"SemMorphism({len(self.source)}->{len(self.target)})"
-
-    @classmethod
-    def identity(cls, sem):
-        return cls(sem, sem, range(len(sem)), validate=False)
 
     def restrict(self, sub):
         """Restriction to a join-subsemilattice of the source."""

@@ -1,6 +1,7 @@
 """Small shared helpers: deterministic ordering, true/false verdicts, the
-morphisms' index lists, and the package's one breadth-first walk (`bfs`,
-with `shortest_path` on it) and one backtracking search (`assignments`)."""
+morphisms' index lists (`IndexMap`), and the package's one breadth-first
+walk (`bfs`, with `shortest_path` on it) and one backtracking search
+(`assignments`)."""
 
 from dataclasses import dataclass, field
 
@@ -34,13 +35,58 @@ def sorted_elements(xs):
     return sorted(xs, key=sort_key)
 
 
-def index_list(entries, length, bound):
-    """The entries as a list of `length` indices in range(bound), as a
-    morphism holds its map; ValueError for any other length or entry."""
-    entries = list(entries)
-    if len(entries) != length or entries and not (0 <= min(entries) and max(entries) < bound):
-        raise ValueError(f"map is not {length} indices below {bound}")
-    return entries
+class IndexMap:
+    """A map of finite structures held once, as the index list to: to[i]
+    indexes in the target the image of the source's i-th element. The
+    constructor checks that it holds one integer in range per source
+    element; calling the map reads a label.
+    A subclass names an end's labels in index order (_labels) and their
+    positions (_positions), and validates."""
+
+    def __init__(self, source, target, to, validate=True):
+        self.source = source
+        self.target = target
+        self.to = to = list(to)
+        try:  # None or a string fails min, and a float makes the sum a float
+            fits = len(to) == len(source) and 0 <= min(to, default=0) and type(sum(to)) is int
+        except TypeError:
+            fits = False
+        if not (fits and max(to, default=-1) < len(target)):
+            raise ValueError(f"map is not {len(source)} indices below {len(target)}")
+        if validate:
+            self.validate()
+
+    def __call__(self, x):
+        return self._labels(self.target)[self.to[self._positions(self.source)[x]]]
+
+    def to_between(self, source, target):
+        """to, read from source's element order into target's, for a source
+        and a target equal to this map's ends: to itself on its own ends."""
+        if source is self.source and target is self.target:
+            return self.to
+        at = self._positions(target)
+        return [at[self(x)] for x in self._labels(source)]
+
+    def is_injective(self):
+        return len(set(self.to)) == len(self.to)
+
+    def is_surjective(self):
+        return len(set(self.to)) == len(self.target)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self.source == other.source
+            and self.target == other.target
+            and self.to == other.to_between(self.source, self.target)
+        )
+
+    def __repr__(self):
+        return f"{type(self).__name__}({len(self.source)}->{len(self.target)})"
+
+    @classmethod
+    def identity(cls, end):
+        return cls(end, end, range(len(end)), validate=False)
 
 
 def factor_through(classes, values, size):

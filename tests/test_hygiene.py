@@ -386,7 +386,7 @@ TABLE_OWNERS = {
     "tables": {"PartialAlgebra.__init__", "PartialAlgebra.tables"},
     "dist_rows": {"Pregamp.__init__", "ConcSemilattice.__init__"},
     "join_rows": {"JoinSemilattice.__init__"},
-    "to": {"PalgMorphism.__init__", "SemMorphism.__init__"},
+    "to": {"IndexMap.__init__"},
 }
 
 

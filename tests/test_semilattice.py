@@ -143,6 +143,13 @@ class TestInducedMorphism:
                 projection(t, SemIdeal.zero(t)),
             )
 
+    def test_projection_missing_a_class_is_refused(self):
+        # ps misses the middle of the chain, so the induced map is not total
+        s, t = two(), chain3()
+        ps = SemMorphism.from_map(s, t, {0: 0, 1: 2})
+        with pytest.raises(ValueError, match="map is not 3 indices below 2"):
+            induced_morphism(SemMorphism.identity(s), ps, SemMorphism.identity(s))
+
     def test_trivial_source_ideal_factors_projection(self):
         s = square_sem()
         ideal = SemIdeal(s, {(0, 0), (0, 1)})
@@ -622,7 +629,7 @@ def test_sem_morphisms_match_the_label_loops(case, data):
         assert hash(fm) == hash(again)
 
 
-@pytest.mark.parametrize("to", [[0], [0, 1, 1, 0], [0, 2, 1], [0, 1, -1]])
+@pytest.mark.parametrize("to", [[0], [0, 1, 1, 0], [0, 2, 1], [0, 1, -1], [0, None, 2], [0, 1.0, 2]])
 def test_constructor_refuses_a_list_of_the_wrong_length_or_range(to):
     with pytest.raises(ValueError):
         SemMorphism(chain3(), chain3(), to)
