@@ -425,7 +425,7 @@ class ConcSemilattice(JoinSemilattice):
         order = sorted(range(len(elements)), key=keys.__getitem__)
         rank = sorted(range(len(order)), key=order.__getitem__)  # rank[order[r]] == r
         rows = [[rank[joins[a][b]] for b in order] for a in order]
-        super().__init__([elements[k] for k in order], elements[0], rows, validate=False)
+        super().__init__([elements[k] for k in order], elements[0], rows)
         self.dist_rows = [[rank[k] for k in row] for row in pairs]
 
     def generated(self, pairs):
@@ -469,7 +469,7 @@ def conc_morphism(f, source_conc=None, target_conc=None):
     for theta in src.elements:
         pairs = {(f(next(iter(b))), f(x)) for b in theta.blocks for x in b}
         to.append(tgt.index(tgt.generated(pairs)))
-    return SemMorphism(src, tgt, to)
+    return SemMorphism(src, tgt, to).validate()
 
 
 def quotient_algebra(algebra, theta):
@@ -477,9 +477,9 @@ def quotient_algebra(algebra, theta):
     _require_total(algebra)
     first = {}
     reps = [first.setdefault(theta.block(x), i) for i, x in enumerate(algebra.universe)]
-    q = image_palg(PalgMorphism(algebra, algebra, reps, validate=False))
+    q = image_palg(PalgMorphism(algebra, algebra, reps))
     at = {r: k for k, r in enumerate(dict.fromkeys(reps))}  # q's points are the reps, in order
-    return q, PalgMorphism(algebra, q, map(at.__getitem__, reps), validate=False)
+    return q, PalgMorphism(algebra, q, map(at.__getitem__, reps))
 
 
 def _bits(mask):

@@ -309,11 +309,11 @@ def build_square(base, n):
         """The inclusion of a in b; of a power in a power, its factor
         inclusion on every index digit."""
         if a.factors is None:
-            return PalgMorphism(a, b, map(b.point.__getitem__, a.universe))
+            return PalgMorphism(a, b, map(b.point.__getitem__, a.universe)).validate()
         factor, to = incl(a.factors[0], b.factors[0]).to, [0]
         for _ in a.factors:
             to = [i * len(b.factors[0]) + j for i in to for j in factor]
-        return PalgMorphism(a, b, to)
+        return PalgMorphism(a, b, to).validate()
 
     x_square = Diagram.from_generators(
         poset,
@@ -360,7 +360,7 @@ def build_square(base, n):
     for idx, c in enumerate(cuts):
         comps = {"b": PalgMorphism.from_map(chain, x0, t_maps[c])}
         for node in ("l", "r", "t"):
-            comps[node] = PalgMorphism(a_algs[node], xk_algs[node], a_algs[node].coordinate(idx))
+            comps[node] = PalgMorphism(a_algs[node], xk_algs[node], a_algs[node].coordinate(idx)).validate()
         projections[c] = comps
     return UnliftableSquare(n, base, x_square, a_square, cuts, projections)
 
@@ -449,7 +449,7 @@ def verify_square_facts(square):
     natural = {}
     for c in square.cuts:
         try:
-            NaturalTransformation(square.a_square, square.x_square, square.projections[c])
+            NaturalTransformation(square.a_square, square.x_square, square.projections[c]).validate()
             natural[str(c)] = True
         except ValueError:
             natural[str(c)] = False
@@ -628,7 +628,7 @@ def refute_candidate(square, cand, n, precheck=True):
     }
     ideals = {p: ker0(conc_proj[p]) for p in SQUARE_NODES}
     dideal = DiagramIdeal(diagram, ideals)
-    qdiagram, qtransform = quotient_diagram(diagram, dideal, validate=False)
+    qdiagram, qtransform = quotient_diagram(diagram, dideal)
     record("quotient", {p: len(qdiagram.objects[p].outer) for p in SQUARE_NODES})
 
     # the induced comparison with the inclusion square is an equivalence
@@ -866,7 +866,7 @@ class _NodeState:
     def gamp(self):
         """The node as it stands: its inner part in the decided outer structure."""
         alg = PartialAlgebra(LATTICE_TYPE, self.universe(), self.tables())
-        return Gamp(self.inner, Pregamp(alg, self.D, self.cs), validate=False)
+        return Gamp(self.inner, Pregamp(alg, self.D, self.cs))
 
     def node_checks(self, label, n):
         """The node conditions of a candidate; None when fine, a pruning
@@ -1179,9 +1179,9 @@ def enumerate_candidates(square, n, size_bound=1):
             cover_arrows = {
                 (p, q): GampMorphism(
                     gamps[p], gamps[q],
-                    PalgMorphism(gamps[p].outer, gamps[q].outer, to),
-                    SemMorphism(gamps[p].sem, gamps[q].sem, conc_f[(p, q)].to),
-                )
+                    PalgMorphism(gamps[p].outer, gamps[q].outer, to).validate(),
+                    SemMorphism(gamps[p].sem, gamps[q].sem, conc_f[(p, q)].to).validate(),
+                ).validate()
                 for (p, q), to in arrow_maps.items()
             }
             diagram = Diagram.from_generators(poset, gamps, cover_arrows)

@@ -27,18 +27,14 @@ def _identity_morphism(obj):
 class Diagram:
     """Objects over a finite poset with arrows for every comparable pair.
 
-    Arrows must include identities and compose on the nose; validate checks
-    this exhaustively.
+    Arrows run between their nodes' objects, include identities and compose
+    on the nose; validate checks this exhaustively and returns (ok, violation).
     """
 
-    def __init__(self, poset, objects, arrows, validate=True):
+    def __init__(self, poset, objects, arrows):
         self.poset = poset
         self.objects = dict(objects)
         self.arrows = dict(arrows)
-        if validate:
-            ok, viol = self.validate()
-            if not ok:
-                raise ValueError(f"not a diagram: {viol}")
 
     def validate(self):
         for p in self.poset.elements:
@@ -46,8 +42,13 @@ class Diagram:
                 return False, ("missing object", p)
         for p in self.poset.elements:
             for q in self.poset.elements:
-                if self.poset.leq(p, q) and (p, q) not in self.arrows:
+                if not self.poset.leq(p, q):
+                    continue
+                arrow = self.arrows.get((p, q))
+                if arrow is None:
                     return False, ("missing arrow", (p, q))
+                if arrow.source != self.objects[p] or arrow.target != self.objects[q]:
+                    return False, ("arrow ends", (p, q))
         for p in self.poset.elements:
             if self.arrows[(p, p)] != _identity_morphism(self.objects[p]):
                 return False, ("identity arrow", p)
@@ -66,8 +67,7 @@ class Diagram:
 
         The arrow p -> q is composed along the breadth-first path from p to q
         over the generators; given arrows are kept as given. Compositions
-        along different cover paths must agree; validate will reject the
-        result otherwise.
+        along different cover paths must agree; the result is validated.
         """
         arrows = {(p, p): _identity_morphism(objects[p]) for p in poset.elements}
         arrows.update(cover_arrows)
@@ -80,17 +80,23 @@ class Diagram:
                 if (p, q) not in arrows:
                     u, f = parents[q]
                     arrows[(p, q)] = f.after(arrows[(p, u)])
-        return cls(poset, objects, arrows)
+        return checked(cls(poset, objects, arrows))
+
+
+def checked(diagram):
+    """The diagram, or a ValueError naming its first violation."""
+    ok, viol = diagram.validate()
+    if not ok:
+        raise ValueError(f"not a diagram: {viol}")
+    return diagram
 
 
 class DiagramIdeal:
-    """Per-node semilattice ideal carried forward by every arrow."""
+    """Per-node ideal of each node's semilattice, carried by every arrow."""
 
-    def __init__(self, diagram, ideals, validate=True):
+    def __init__(self, diagram, ideals):
         self.diagram = diagram
         self.ideals = dict(ideals)
-        if validate:
-            self.validate()
 
     def _sem_arrow(self, p, q):
         arrow = self.diagram.arrows[(p, q)]
@@ -102,6 +108,9 @@ class DiagramIdeal:
             ideal = self.ideals.get(p)
             if ideal is None:
                 raise InvalidIdeal(f"missing ideal at {p!r}")
+            obj = d.objects[p]
+            if ideal.sem != (obj if isinstance(obj, JoinSemilattice) else obj.sem):
+                raise InvalidIdeal(f"ideal at {p!r} is not of the node's semilattice")
             ideal.validate()
         for p in d.poset.elements:
             for q in d.poset.elements:
@@ -109,17 +118,16 @@ class DiagramIdeal:
                     f = self._sem_arrow(p, q)
                     if not f.apply_set(self.ideals[p].carrier) <= self.ideals[q].carrier:
                         raise InvalidIdeal(f"ideal not carried along {(p, q)}")
+        return self
 
 
 class NaturalTransformation:
     """Per-node morphisms commuting with both diagrams' arrows."""
 
-    def __init__(self, source, target, components, validate=True):
+    def __init__(self, source, target, components):
         self.source = source
         self.target = target
         self.components = dict(components)
-        if validate:
-            self.validate()
 
     def validate(self):
         poset = self.source.poset
@@ -132,6 +140,7 @@ class NaturalTransformation:
                     right = self.target.arrows[(p, q)].after(self.components[p])
                     if left != right:
                         raise ValueError(f"naturality fails at {(p, q)}")
+        return self
 
 
 def _quotient_node(obj, ideal):
@@ -154,12 +163,11 @@ def _induced_arrow(arrow, proj_p, proj_q):
     raise DomainMismatch(f"cannot induce on {type(arrow).__name__}")
 
 
-def quotient_diagram(diagram, diagram_ideal, validate=True):
+def quotient_diagram(diagram, diagram_ideal):
     """Nodewise quotients with induced arrows, plus the projection family.
 
-    validate=False skips the diagram-level functoriality and naturality
-    re-checks (each induced arrow is still validated); the refutation trace
-    uses this to surface commutation failures at its own named steps.
+    Validates the ideal; each induced arrow is checked where it is built,
+    and the refutation trace checks commutation at its own named steps.
     """
     diagram_ideal.validate()
     poset = diagram.poset
@@ -172,9 +180,8 @@ def quotient_diagram(diagram, diagram_ideal, validate=True):
     new_arrows = {}
     for (p, q), arrow in diagram.arrows.items():
         new_arrows[(p, q)] = _induced_arrow(arrow, projections[p], projections[q])
-    result = Diagram(poset, new_objects, new_arrows, validate=validate)
-    transform = NaturalTransformation(diagram, result, projections, validate=validate)
-    return result, transform
+    result = Diagram(poset, new_objects, new_arrows)
+    return result, NaturalTransformation(diagram, result, projections)
 
 
 # Each functor's object map and arrow map, by name; an arrow map takes the
@@ -202,7 +209,7 @@ def apply_functor(diagram, name):
             _cong._require_con_bound(diagram.objects[p], _cong.CON_BOUND)
     objs = {p: on_objects(diagram.objects[p]) for p in poset.elements}
     arrows = {(p, q): on_arrows(a, objs[p], objs[q]) for (p, q), a in diagram.arrows.items()}
-    return Diagram(poset, objs, arrows)
+    return checked(Diagram(poset, objs, arrows))
 
 
 def is_operational_diagram(diagram):

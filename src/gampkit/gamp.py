@@ -38,11 +38,9 @@ from . import congruence as _cong
 class Gamp:
     """Inner partial subalgebra together with its ambient pregamp."""
 
-    def __init__(self, inner, pregamp, validate=True):
+    def __init__(self, inner, pregamp):
         self.inner = inner
         self.pregamp = pregamp
-        if validate and not inner.is_partial_sub_of(pregamp.carrier):
-            raise ValueError("inner part is not a partial subalgebra of the carrier")
 
     @property
     def outer(self):
@@ -73,14 +71,17 @@ class GampMorphism:
     """Pregamp morphism whose carrier part maps the inner part inside the
     target's inner part."""
 
-    def __init__(self, source, target, f, fsem, validate=True):
+    def __init__(self, source, target, f, fsem):
         self.source = source
         self.target = target
-        self.pg = PregampMorphism(source.pregamp, target.pregamp, f, fsem, validate=validate)
-        if validate:
-            img = image_palg(f, source.inner)
-            if not img.is_partial_sub_of(target.inner):
-                raise ValueError("inner part not preserved")
+        self.pg = PregampMorphism(source.pregamp, target.pregamp, f, fsem)
+
+    def validate(self):
+        """The pregamp check, then the inner image's; returns the morphism."""
+        self.pg.validate()
+        if not image_palg(self.f, self.source.inner).is_partial_sub_of(self.target.inner):
+            raise ValueError("inner part not preserved")
+        return self
 
     @property
     def f(self):
@@ -92,8 +93,7 @@ class GampMorphism:
 
     def after(self, other):
         return GampMorphism(
-            other.source, self.target, self.f.after(other.f), self.fsem.after(other.fsem),
-            validate=False,
+            other.source, self.target, self.f.after(other.f), self.fsem.after(other.fsem)
         )
 
     def __eq__(self, other):
@@ -104,17 +104,13 @@ class GampMorphism:
 
     @classmethod
     def identity(cls, g):
-        return cls(
-            g, g,
-            PalgMorphism.identity(g.outer), SemMorphism.identity(g.sem),
-            validate=False,
-        )
+        return cls(g, g, PalgMorphism.identity(g.outer), SemMorphism.identity(g.sem))
 
 
 def canonical_embedding(sub, g):
     """Inclusion morphism of a subgamp."""
     pm = pregamp_embedding(sub.pregamp, g.pregamp)
-    return GampMorphism(sub, g, pm.f, pm.fsem, validate=False)
+    return GampMorphism(sub, g, pm.f, pm.fsem)
 
 
 def is_subgamp(sub, g):
@@ -166,14 +162,14 @@ def check_realization(g, r):
 
 def ga(algebra):
     """The gamp of a total algebra: inner part equal to the whole algebra."""
-    return Gamp(algebra, pga(algebra), validate=False)
+    return Gamp(algebra, pga(algebra))
 
 
 def ga_mor(f, source=None, target=None):
     src = source if source is not None else ga(f.source)
     tgt = target if target is not None else ga(f.target)
     pm = pga_mor(f, src.pregamp, tgt.pregamp)
-    return GampMorphism(src, tgt, pm.f, pm.fsem, validate=False)
+    return GampMorphism(src, tgt, pm.f, pm.fsem)
 
 
 def cg(g):
@@ -197,9 +193,8 @@ def pggl_mor(fm):
     inner, at = fm.source.inner, fm.target.inner.point
     return PregampMorphism(
         pggl(fm.source), pggl(fm.target),
-        PalgMorphism(inner, fm.target.inner, [at[fm.f(x)] for x in inner.universe], validate=False),
+        PalgMorphism(inner, fm.target.inner, [at[fm.f(x)] for x in inner.universe]),
         fm.fsem,
-        validate=False,
     )
 
 
@@ -489,15 +484,15 @@ def quotient_gamp(g, ideal):
     checked by the callers and the test suite."""
     qpg, proj = quotient_pregamp(g.pregamp, ideal)
     inner_q = image_palg(proj.f, g.inner)
-    qg = Gamp(inner_q, qpg, validate=False)
-    return qg, GampMorphism(g, qg, proj.f, proj.fsem, validate=False)
+    qg = Gamp(inner_q, qpg)
+    return qg, GampMorphism(g, qg, proj.f, proj.fsem)
 
 
 def induced_gamp_morphism(fm, pi, pj):
     """Descend a gamp morphism along the quotient projections pi and pj of
     its ends (induced_pregamp_morphism on the pregamp parts)."""
     ind = induced_pregamp_morphism(fm.pg, pi.pg, pj.pg)
-    return GampMorphism(pi.target, pj.target, ind.f, ind.fsem, validate=False)
+    return GampMorphism(pi.target, pj.target, ind.f, ind.fsem)
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +576,7 @@ def buttress(
     Postconditions (ideal-induced restrictions, node and arrow properties)
     are re-verified by the property checkers before returning.
     """
-    from .diagram import Diagram
+    from .diagram import Diagram, checked
 
     cs = _cong.conc(algebra)
     for p in poset.elements:
@@ -595,7 +590,7 @@ def buttress(
         if not ok:
             raise ValueError(f"base algebra is not {n_permutable}-permutable")
 
-    whole = Gamp(algebra, pga(algebra, cs), validate=False)
+    whole = Gamp(algebra, pga(algebra, cs))
     if with_chains and not whole.is_lattice_signature():
         raise WrongSignature("chains require the lattice signature")
     nodes = {}
@@ -610,7 +605,7 @@ def buttress(
             for (x, y) in _principal_pair_cover(cs, theta, with_chains, algebra):
                 inner.update((x, y))
         inner_alg = algebra.restrict_full(inner or {algebra.universe[0]})
-        nodes[r] = Gamp(inner_alg, whole.pregamp, validate=False)
+        nodes[r] = Gamp(inner_alg, whole.pregamp)
 
     arrows = {}
     for p in poset.elements:
@@ -618,7 +613,7 @@ def buttress(
             if poset.leq(p, q):
                 arrows[(p, q)] = canonical_embedding(nodes[p], nodes[q])
 
-    diagram = Diagram(poset, nodes, arrows)
+    diagram = checked(Diagram(poset, nodes, arrows))
     _verify_buttress(diagram, phis, cs, with_chains, n_permutable, m_cap)
     return diagram
 

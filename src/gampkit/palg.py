@@ -450,20 +450,21 @@ class PalgMorphism(IndexMap):
         for x in source.universe:
             if mapping.get(x) not in at:
                 raise ValueError(f"map not into target at {x!r}")
-        return cls(source, target, [at[mapping[x]] for x in source.universe])
+        return cls(source, target, [at[mapping[x]] for x in source.universe]).validate()
 
     def validate(self):
         if self.source.stype != self.target.stype:
             raise ValueError("similarity types differ")
         factorwise = self._factorwise_verdict()
         if factorwise and len(self.source) > FACTORWISE_CHECK_BOUND:
-            return
+            return self
         try:
             self._check_tables()
         except ValueError:
             cross_check(factorwise is not True, "factorwise check passed a map the tables refute")
             raise
         cross_check(factorwise is not False, "factorwise check refuted a map the tables pass")
+        return self
 
     def _factorwise_verdict(self):
         """Decide a map out of a recorded product factor by factor.
@@ -496,7 +497,7 @@ class PalgMorphism(IndexMap):
                 return None
         for sf, tf, g in factor_maps:
             try:
-                PalgMorphism(sf, tf, g)
+                PalgMorphism(sf, tf, g).validate()
             except ValueError:
                 return False
         return True
@@ -537,7 +538,7 @@ class PalgMorphism(IndexMap):
         if other.target != self.source:
             raise NotComposable("morphisms not composable")
         first = other.to_between(other.source, self.source)
-        return PalgMorphism(other.source, self.target, map(self.to.__getitem__, first), validate=False)
+        return PalgMorphism(other.source, self.target, map(self.to.__getitem__, first))
 
 
 def is_strong_sub(sub, algebra):

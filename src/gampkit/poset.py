@@ -10,13 +10,11 @@ from .util import assignments, bfs
 
 
 class FinitePoset:
-    """Explicit order relation, validated for the order axioms."""
+    """Explicit order relation; validate checks the order axioms."""
 
-    def __init__(self, elements, leq_pairs, validate=True):
+    def __init__(self, elements, leq_pairs):
         self.elements = tuple(elements)
         self._leq = {(x, x) for x in self.elements} | {tuple(p) for p in leq_pairs}
-        if validate:
-            self.validate()
 
     def validate(self):
         els = set(self.elements)
@@ -32,6 +30,7 @@ class FinitePoset:
             for z in self.elements:
                 if (y, z) in self._leq and (x, z) not in self._leq:
                     raise ValueError(f"transitivity fails at {(x, y, z)}")
+        return self
 
     def leq(self, x, y):
         return (x, y) in self._leq
@@ -79,14 +78,14 @@ class FinitePoset:
 
     @classmethod
     def chain(cls, k):
-        return cls(range(k), [(i, j) for i in range(k) for j in range(i, k)], validate=False)
+        return cls(range(k), [(i, j) for i in range(k) for j in range(i, k)])
 
     @classmethod
     def square(cls):
         """The 2x2 lattice as a poset: bottom, two middles, top."""
         els = ["b", "l", "r", "t"]
         leq = [("b", "l"), ("b", "r"), ("b", "t"), ("l", "t"), ("r", "t")]
-        return cls(els, leq, validate=False)
+        return cls(els, leq)
 
     @classmethod
     def from_covers(cls, elements, cover_pairs):
@@ -98,7 +97,7 @@ class FinitePoset:
         # walk from cover sources outside `elements` too, so that validation
         # still refuses a cover leaving the universe
         leq = [(x, y) for x in {*elements, *up} for y in bfs(x, lambda u: up.get(u, ()), {})]
-        return cls(elements, leq)
+        return cls(elements, leq).validate()
 
 
 @dataclass(frozen=True)
@@ -175,7 +174,7 @@ def kposet(spec, budget=100_000):
             else:
                 if spec.base.leq(p, ys[m]):
                     leq.append(((m, xs, rs, p), (n, ys, ss, q)))
-    return FinitePoset(elements, leq), tree
+    return FinitePoset(elements, leq).validate(), tree
 
 
 def kposet_cover_check(spec, budget=100_000):
@@ -214,7 +213,7 @@ def bm_le2(m):
     subsets.add(full)
     els = sorted(subsets, key=lambda s: (len(s), tuple(sorted(s))))
     leq = [(a, b) for a in els for b in els if a <= b]
-    return FinitePoset(els, leq, validate=False)
+    return FinitePoset(els, leq)
 
 
 # Most linear extensions order_dimension_at_most lists before it refuses.

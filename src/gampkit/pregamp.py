@@ -72,6 +72,8 @@ class Pregamp:
     def __eq__(self, other):
         """Equal carriers and semilattices, compared as sets, and the same
         distance at every pair, whatever the order of points and elements."""
+        if self is other:
+            return True
         if not isinstance(other, Pregamp) or (self.carrier, self.sem) != (other.carrier, other.sem):
             return False
         # other's rows, read in this pregamp's point and element order
@@ -190,13 +192,11 @@ class PregampMorphism:
     """Pair of a partial-algebra morphism and a semilattice morphism that
     intertwines the distances."""
 
-    def __init__(self, source, target, f, fsem, validate=True):
+    def __init__(self, source, target, f, fsem):
         self.source = source
         self.target = target
         self.f = f
         self.fsem = fsem
-        if validate:
-            self.validate()
 
     def validate(self):
         src, tgt = self.source, self.target
@@ -214,11 +214,11 @@ class PregampMorphism:
             if j is not None:
                 universe = src.carrier.universe
                 raise ValueError(f"distance not intertwined at {(universe[i], universe[j])}")
+        return self
 
     def after(self, other):
         return PregampMorphism(
-            other.source, self.target, self.f.after(other.f), self.fsem.after(other.fsem),
-            validate=False,
+            other.source, self.target, self.f.after(other.f), self.fsem.after(other.fsem)
         )
 
     def __eq__(self, other):
@@ -233,10 +233,7 @@ class PregampMorphism:
 
     @classmethod
     def identity(cls, pg):
-        return cls(
-            pg, pg, PalgMorphism.identity(pg.carrier), SemMorphism.identity(pg.sem),
-            validate=False,
-        )
+        return cls(pg, pg, PalgMorphism.identity(pg.carrier), SemMorphism.identity(pg.sem))
 
 
 def pga(algebra, cs=None):
@@ -251,7 +248,7 @@ def pga_mor(f, source_pg=None, target_pg=None):
     src = source_pg if source_pg is not None else pga(f.source)
     tgt = target_pg if target_pg is not None else pga(f.target)
     fsem = _cong.conc_morphism(f, src.sem, tgt.sem)
-    return PregampMorphism(src, tgt, f, fsem, validate=False)
+    return PregampMorphism(src, tgt, f, fsem)
 
 
 def sub_pregamp(pg, subalgebra, subsem=None):
@@ -275,9 +272,8 @@ def canonical_embedding(sub, pg):
     A, S = pg.carrier, pg.sem
     return PregampMorphism(
         sub, pg,
-        PalgMorphism(sub.carrier, A, map(A.point.__getitem__, sub.carrier.universe), validate=False),
-        SemMorphism(sub.sem, S, map(S.index, sub.sem.elements), validate=False),
-        validate=False,
+        PalgMorphism(sub.carrier, A, map(A.point.__getitem__, sub.carrier.universe)),
+        SemMorphism(sub.sem, S, map(S.index, sub.sem.elements)),
     )
 
 
@@ -299,7 +295,7 @@ def _quotient_carrier(pg, ideal):
     push forward (image_palg)."""
     A = pg.carrier
     classes = _ideal_classes(pg, pg.sem.index(ideal.top))
-    return image_palg(PalgMorphism(A, A, classes, validate=False)), classes
+    return image_palg(PalgMorphism(A, A, classes)), classes
 
 
 def quotient_pregamp(pg, ideal):
@@ -315,8 +311,8 @@ def quotient_pregamp(pg, ideal):
     kept = list(dict.fromkeys(classes))  # qalg's points, as carrier indices
     qpg = Pregamp(qalg, [[to_q[D[i][j]] for j in kept] for i in kept], qsem)
     at = {r: k for k, r in enumerate(kept)}
-    onto = PalgMorphism(A, qalg, map(at.__getitem__, classes), validate=False)
-    return qpg, PregampMorphism(pg, qpg, onto, sproj)
+    onto = PalgMorphism(A, qalg, map(at.__getitem__, classes))
+    return qpg, PregampMorphism(pg, qpg, onto, sproj).validate()
 
 
 def induced_pregamp_morphism(fm, pi, pj):
@@ -329,8 +325,8 @@ def induced_pregamp_morphism(fm, pi, pj):
     to, bad = factor_through(pi.f.to_between(src, qsrc.carrier), values, len(qsrc.carrier))
     if bad is not None:
         raise IdealNotMapped(f"carrier map not well-defined at class of {src.universe[bad]!r}")
-    carrier_map = PalgMorphism(qsrc.carrier, qtgt.carrier, to, validate=False)
-    induced = PregampMorphism(qsrc, qtgt, carrier_map, fsem)
+    carrier_map = PalgMorphism(qsrc.carrier, qtgt.carrier, to)
+    induced = PregampMorphism(qsrc, qtgt, carrier_map, fsem).validate()
     cross_check(induced.after(pi) == pj.after(fm), "induced morphism square must commute")
     return induced
 
@@ -632,7 +628,7 @@ def pregamp_isomorphisms(pg1, pg2):
         )
 
     for smap in assignments(s1.elements, s2.elements, sem_fits, ISO_BUDGET):
-        smor = SemMorphism(s1, s2, [s2.index(smap[x]) for x in s1.elements], validate=False)
+        smor = SemMorphism(s1, s2, [s2.index(smap[x]) for x in s1.elements])
 
         def carrier_fits(mapping, x):
             y = mapping[x]
@@ -642,7 +638,7 @@ def pregamp_isomorphisms(pg1, pg2):
 
         for mapping in assignments(A1.universe, A2.universe, carrier_fits, ISO_BUDGET):
             try:
-                m = PregampMorphism(pg1, pg2, PalgMorphism.from_map(A1, A2, mapping), smor)
+                m = PregampMorphism(pg1, pg2, PalgMorphism.from_map(A1, A2, mapping), smor).validate()
             except ValueError:
                 continue
             if is_palg_isomorphism(m.f):

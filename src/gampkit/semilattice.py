@@ -17,7 +17,7 @@ class JoinSemilattice:
     read it through the element index; from_table converts a label table.
     """
 
-    def __init__(self, elements, zero, join_rows, validate=True):
+    def __init__(self, elements, zero, join_rows):
         self.elements = tuple(elements)
         self.zero = zero
         n = len(self.elements)
@@ -27,8 +27,6 @@ class JoinSemilattice:
             raise ValueError("join rows leave the elements")
         self.join_rows = join_rows
         self._index = {x: i for i, x in enumerate(self.elements)}
-        if validate:
-            self.validate()
 
     @classmethod
     def from_table(cls, elements, zero, table):
@@ -45,7 +43,7 @@ class JoinSemilattice:
                 v = table.get((x, y))
                 if v is None or v not in index:
                     raise ValueError(f"join table not total at {(x, y)}")
-        return cls(els, zero, [[index[table[(x, y)]] for y in els] for x in els])
+        return cls(els, zero, [[index[table[(x, y)]] for y in els] for x in els]).validate()
 
     def validate(self):
         els, J = self.elements, self.join_rows
@@ -66,6 +64,7 @@ class JoinSemilattice:
                 z = next(compress(count(), map(ne, J[xy], map(row.__getitem__, J[y]))), None)
                 if z is not None:
                     raise ValueError(f"join not associative at {(els[x], els[y], els[z])}")
+        return self
 
     def join(self, x, y):
         index = self._index
@@ -133,12 +132,12 @@ class JoinSemilattice:
                 if J[i][j] not in position:
                     raise ValueError(f"subset not join-closed at {(els[i], els[j])}")
         rows = [[position[J[i][j]] for j in kept] for i in kept]
-        return JoinSemilattice([els[i] for i in kept], self.zero, rows, validate=False)
+        return JoinSemilattice([els[i] for i in kept], self.zero, rows)
 
     @classmethod
     def chain(cls, k):
         """Chain 0 < 1 < ... < k-1 as a join-semilattice."""
-        return cls(range(k), 0, [[max(x, y) for y in range(k)] for x in range(k)], validate=False)
+        return cls(range(k), 0, [[max(x, y) for y in range(k)] for x in range(k)])
 
     @classmethod
     def product(cls, s, t):
@@ -149,17 +148,15 @@ class JoinSemilattice:
             for s_row in s.join_rows
             for t_row in t.join_rows
         ]
-        return cls(els, (s.zero, t.zero), rows, validate=False)
+        return cls(els, (s.zero, t.zero), rows)
 
 
 class SemIdeal:
     """Downward-closed, join-closed, zero-containing subset of a semilattice."""
 
-    def __init__(self, sem, carrier, validate=True):
+    def __init__(self, sem, carrier):
         self.sem = sem
         self.carrier = frozenset(carrier)
-        if validate:
-            self.validate()
 
     def validate(self):
         sem = self.sem
@@ -175,6 +172,7 @@ class SemIdeal:
             for y in self.carrier:
                 if sem.leq(x, y) and x not in self.carrier:
                     raise InvalidIdeal(f"not downward closed at {x} <= {y}")
+        return self
 
     @cached_property
     def top(self):
@@ -198,13 +196,13 @@ class SemIdeal:
         """Least ideal containing `gens`: the down-set of their join. Every
         ideal of a finite semilattice is principal, the down-set of its top."""
         top = sem.join_all(gens)
-        ideal = cls(sem, {x for x in sem.elements if sem.leq(x, top)}, validate=False)
+        ideal = cls(sem, {x for x in sem.elements if sem.leq(x, top)})
         ideal.top = top
         return ideal
 
     @classmethod
     def zero(cls, sem):
-        return cls(sem, {sem.zero}, validate=False)
+        return cls(sem, {sem.zero})
 
 
 class SemMorphism(IndexMap):
@@ -221,7 +219,7 @@ class SemMorphism(IndexMap):
         for x in source.elements:
             if x not in mapping or mapping[x] not in target:
                 raise ValueError(f"map not total at {x!r}")
-        return cls(source, target, [target.index(mapping[x]) for x in source.elements])
+        return cls(source, target, [target.index(mapping[x]) for x in source.elements]).validate()
 
     def validate(self):
         s, t, to = self.source, self.target, self.to
@@ -234,6 +232,7 @@ class SemMorphism(IndexMap):
             j = next(compress(count(), map(ne, joined, images)), None)
             if j is not None:
                 raise ValueError(f"join not preserved at {(x, s.elements[j])}")
+        return self
 
     def apply_set(self, xs):
         return set(map(self, xs))
@@ -243,7 +242,7 @@ class SemMorphism(IndexMap):
         if other.target != self.source:
             raise ValueError("morphisms not composable")
         first = other.to_between(other.source, self.source)
-        return SemMorphism(other.source, self.target, map(self.to.__getitem__, first), validate=False)
+        return SemMorphism(other.source, self.target, map(self.to.__getitem__, first))
 
     def __hash__(self):
         # what equal maps share in any element order: the ends' sizes and
@@ -253,14 +252,14 @@ class SemMorphism(IndexMap):
     def restrict(self, sub):
         """Restriction to a join-subsemilattice of the source."""
         to = [self.to[self.source.index(x)] for x in sub.elements]
-        return SemMorphism(sub, self.target, to, validate=False)
+        return SemMorphism(sub, self.target, to)
 
 
 def ker0(phi):
     """0-kernel of a morphism: the ideal of elements mapped to zero."""
     zero = phi.target.index(phi.target.zero)
     carrier = {x for x, i in zip(phi.source.elements, phi.to) if i == zero}
-    return SemIdeal(phi.source, carrier, validate=False)
+    return SemIdeal(phi.source, carrier)
 
 
 def quotient(sem, ideal):
@@ -281,8 +280,8 @@ def quotient(sem, ideal):
     position = {i: k for k, i in enumerate(classes)}
     rows = [[position[reps[J[a][b]]] for b in classes] for a in classes]
     zero = els[reps[sem.index(sem.zero)]]
-    q = JoinSemilattice([els[i] for i in classes], zero, rows, validate=False)
-    return q, SemMorphism(sem, q, map(position.__getitem__, reps), validate=False)
+    q = JoinSemilattice([els[i] for i in classes], zero, rows)
+    return q, SemMorphism(sem, q, map(position.__getitem__, reps))
 
 
 def induced_morphism(phi, ps, pt):
@@ -294,7 +293,7 @@ def induced_morphism(phi, ps, pt):
     to, bad = factor_through(ps.to_between(s, ps.target), values, len(ps.target))
     if bad is not None:
         raise IdealNotMapped(f"phi(I) is not inside J: no induced map at class of {s.elements[bad]!r}")
-    return SemMorphism(ps.target, pt.target, to)
+    return SemMorphism(ps.target, pt.target, to).validate()
 
 
 def is_ideal_induced(phi):

@@ -154,7 +154,7 @@ def poset_from_json(data):
         leq = [(decode_el(a), decode_el(b)) for a, b in data["leq"]]
     except (KeyError, TypeError) as e:
         raise SchemaError(f"poset: {e}")
-    return FinitePoset(els, leq)
+    return FinitePoset(els, leq).validate()
 
 
 def pregamp_to_json(pg):
@@ -283,7 +283,7 @@ def diagram_from_json(data):
                 nodes[p], nodes[q],
                 PalgMorphism.from_map(nodes[p].outer, nodes[q].outer, fmap),
                 SemMorphism.from_map(nodes[p].sem, nodes[q].sem, smap),
-            )
+            ).validate()
         else:
             arrows[(p, q)] = PalgMorphism.from_map(nodes[p], nodes[q], fmap)
     return Diagram.from_generators(poset, nodes, arrows)
@@ -317,7 +317,7 @@ def _dot_name(x):
 def _hasse_dot(elements, leq, title):
     order = sorted(elements, key=sort_key)
     rel = [(a, b) for a in order for b in order if leq(a, b)]
-    covers = FinitePoset(order, rel, validate=False).covers()
+    covers = FinitePoset(order, rel).covers()
     lines = [f"digraph {json.dumps(title)} {{", "  rankdir=BT;"]
     for x in order:
         lines.append(f"  {_dot_name(x)};")

@@ -41,9 +41,9 @@ class IndexMap:
     constructor checks that it holds one integer in range per source
     element; calling the map reads a label.
     A subclass names an end's labels in index order (_labels) and their
-    positions (_positions), and validates."""
+    positions (_positions); its validate() checks the homomorphism."""
 
-    def __init__(self, source, target, to, validate=True):
+    def __init__(self, source, target, to):
         self.source = source
         self.target = target
         self.to = to = list(to)
@@ -53,8 +53,6 @@ class IndexMap:
             fits = False
         if not (fits and max(to, default=-1) < len(target)):
             raise ValueError(f"map is not {len(source)} indices below {len(target)}")
-        if validate:
-            self.validate()
 
     def __call__(self, x):
         return self._labels(self.target)[self.to[self._positions(self.source)[x]]]
@@ -86,7 +84,7 @@ class IndexMap:
 
     @classmethod
     def identity(cls, end):
-        return cls(end, end, range(len(end)), validate=False)
+        return cls(end, end, range(len(end)))
 
 
 def factor_through(classes, values, size):

@@ -77,8 +77,8 @@ def unvalidated(source, target, mapping):
     element index."""
     if isinstance(target, JoinSemilattice):
         to = [target.index(mapping[x]) for x in source.elements]
-        return SemMorphism(source, target, to, validate=False)
-    return PalgMorphism(source, target, [target.point[mapping[x]] for x in source.universe], validate=False)
+        return SemMorphism(source, target, to)
+    return PalgMorphism(source, target, [target.point[mapping[x]] for x in source.universe])
 
 
 def label_map(f):

@@ -201,7 +201,7 @@ class TestSquareFacts:
             comps = dict(sq.projections[c])
             comps["l"] = unvalidated(f.source, f.target, mapping)
             with pytest.raises(ValueError) as exc:
-                NaturalTransformation(sq.a_square, sq.x_square, comps)
+                NaturalTransformation(sq.a_square, sq.x_square, comps).validate()
             assert str(exc.value) == f"naturality fails at {first}"
             bad = dataclasses.replace(sq, projections={**sq.projections, c: comps})
             rep = verify_square_facts(bad)
@@ -570,7 +570,7 @@ def _padded_non_commuting_candidate(square):
     arrows[("b", "t")] = arrows[("l", "t")].after(arrows[("b", "l")])
     for p in SQUARE_NODES:
         arrows[(p, p)] = GampMorphism.identity(nodes[p])
-    diagram = Diagram(a_sq.poset, nodes, arrows, validate=False)
+    diagram = Diagram(a_sq.poset, nodes, arrows)
     return CandidateSquare(diagram, "non-commuting-pad")
 
 

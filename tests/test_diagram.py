@@ -15,7 +15,7 @@ from gampkit.errors import DomainMismatch, InvalidIdeal, MissingRealization, Too
 from gampkit.gamp import Realization, ga, ga_mor
 from gampkit.palg import LATTICE_TYPE, PalgMorphism, PartialAlgebra
 from gampkit.poset import FinitePoset
-from gampkit.semilattice import SemIdeal, SemMorphism
+from gampkit.semilattice import JoinSemilattice, SemIdeal, SemMorphism
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +26,14 @@ def square():
 @pytest.fixture(scope="module")
 def ga_square(square):
     return apply_functor(square.a_square, "GA")
+
+
+def checked_quotient(diagram, diagram_ideal):
+    """quotient_diagram, with the functoriality of the quotient and the
+    naturality of the projections checked."""
+    q, transform = quotient_diagram(diagram, diagram_ideal)
+    assert q.validate() == (True, None)
+    return q, transform.validate()
 
 
 class TestValidation:
@@ -39,14 +47,22 @@ class TestValidation:
         ok, _ = square.x_square.validate()
         assert ok
 
+    def test_arrow_between_other_objects_reported(self, m3, chain3):
+        # a verdict naming the arrow, not NotComposable from composing it
+        poset, objects = FinitePoset.chain(2), {0: m3, 1: m3}
+        arrows = {(p, p): PalgMorphism.identity(m3) for p in (0, 1)}
+        arrows[(0, 1)] = PalgMorphism.identity(chain3)
+        assert Diagram(poset, objects, arrows).validate() == (False, ("arrow ends", (0, 1)))
+        with pytest.raises(ValueError, match=r"not a diagram: \('arrow ends', \(0, 1\)\)"):
+            Diagram.from_generators(poset, objects, {(0, 1): arrows[(0, 1)]})
+
     def test_corrupted_arrow_reported(self, square):
         arrows = dict(square.x_square.arrows)
         b, t = square.x_square.objects["b"], square.x_square.objects["t"]
         bad = {x: "0" for x in b.universe}
         arrows[("b", "t")] = PalgMorphism.from_map(b, t, bad)
-        with pytest.raises(ValueError) as exc:
-            Diagram(square.x_square.poset, square.x_square.objects, arrows)
-        assert "composition" in str(exc.value)
+        ok, viol = Diagram(square.x_square.poset, square.x_square.objects, arrows).validate()
+        assert not ok and viol[0] == "composition"
 
 
 class TestQuotientDiagram:
@@ -54,7 +70,7 @@ class TestQuotientDiagram:
         ideals = {
             p: SemIdeal.zero(ga_square.objects[p].sem) for p in ga_square.poset.elements
         }
-        q, transform = quotient_diagram(ga_square, DiagramIdeal(ga_square, ideals))
+        q, transform = checked_quotient(ga_square, DiagramIdeal(ga_square, ideals))
         for p in ga_square.poset.elements:
             assert len(q.objects[p].outer) == len(ga_square.objects[p].outer)
 
@@ -72,7 +88,20 @@ class TestQuotientDiagram:
         ideals["b"] = SemIdeal.generated(g0.sem, {theta})
         # bottom collapses but the wings do not carry the image: invalid
         with pytest.raises(InvalidIdeal):
-            DiagramIdeal(ga_square, ideals)
+            DiagramIdeal(ga_square, ideals).validate()
+
+    def test_ideal_of_another_semilattice_named(self):
+        # the whole of a chain on node t's own Conc elements: an ideal whose
+        # labels all lie in t's Conc, of a semilattice that is not t's
+        d = apply_functor(build_square("M3", 3).a_square, "GA")
+        sem = d.objects["t"].sem
+        els = [sem.zero, *(x for x in sem.elements if x != sem.zero)]
+        chain = JoinSemilattice(els, sem.zero, JoinSemilattice.chain(len(els)).join_rows)
+        assert chain != sem
+        ideals = {p: SemIdeal.zero(d.objects[p].sem) for p in "blr"}
+        ideals["t"] = SemIdeal(chain, els)
+        with pytest.raises(InvalidIdeal, match="ideal at 't' is not of the node's semilattice"):
+            quotient_diagram(d, DiagramIdeal(d, ideals))
 
     def test_quotient_commutes_with_functors(self, square, ga_square):
         # cutting after the inner-pregamp projection equals projecting the cut
@@ -86,10 +115,10 @@ class TestQuotientDiagram:
             gens = {arrow.fsem(t) for t in ideals["b"].carrier}
             ideals[p] = SemIdeal.generated(ga_square.objects[p].sem, gens)
         di = DiagramIdeal(ga_square, ideals)
-        q, _ = quotient_diagram(ga_square, di)
+        q, _ = checked_quotient(ga_square, di)
         left = af(q, "PGGR")
         right_base = af(ga_square, "PGGR")
-        right, _ = quotient_diagram(
+        right, _ = checked_quotient(
             right_base,
             DiagramIdeal(
                 right_base,
@@ -245,9 +274,7 @@ class TestPartialLifting:
         # inner part too small to hold the image strongly
         tgt = Gamp(x1.restrict_full({"0"}), base)
         f_alg = PalgMorphism.from_map(chain3, x1, {0: "0", 1: "x3", 2: "1"})
-        fm = GampMorphism(
-            src, tgt, f_alg, conc_morphism(f_alg, src.sem, base.sem), validate=False
-        )
+        fm = GampMorphism(src, tgt, f_alg, conc_morphism(f_alg, src.sem, base.sem))
         d = Diagram.from_generators(poset, {0: src, 1: tgt}, {(0, 1): fm})
         realizations = {
              0: Realization(chain3, SemMorphism.identity(src.sem)),

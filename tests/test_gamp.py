@@ -658,7 +658,7 @@ def induced_gamp_by_ideals(fm, ideal_i, ideal_j):
     ind = induced_pregamp_by_ideals(fm.pg, ideal_i, ideal_j)
     qsrc, _ = quotient_gamp(fm.source, ideal_i)
     qtgt, _ = quotient_gamp(fm.target, ideal_j)
-    return GampMorphism(qsrc, qtgt, ind.f, ind.fsem, validate=False)
+    return GampMorphism(qsrc, qtgt, ind.f, ind.fsem)
 
 
 def test_descent_matches_the_ideal_reference_on_corpus_maps(corpus_maps):

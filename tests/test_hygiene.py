@@ -373,6 +373,48 @@ def test_no_asserts(path):
     assert assert_lines(path.read_text()) == []
 
 
+def validate_flags(source):
+    """(line, "parameter" or "keyword") of each `validate` parameter of a
+    function or lambda of the source, and of each `validate=` keyword of a
+    call: a flag on whether a constructor checks its axioms, which is a
+    second way to ask for what a validate() method does."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            found += [(p.lineno, "parameter") for p in params if p and p.arg == "validate"]
+        elif isinstance(node, ast.Call):
+            found += [(k.lineno, "keyword") for k in node.keywords if k.arg == "validate"]
+    return sorted(found)
+
+
+def test_validate_flag_detector_flags_parameters_and_keywords_and_keeps_the_method():
+    source = (
+        "class Poset:\n"
+        "    def __init__(self, leq, validate=True):\n"
+        "        self.leq = leq\n"
+        "    def validate(self):\n"
+        "        return self\n"
+        "def build(leq, *, validate):\n"
+        "    return Poset(leq, validate=False).validate()\n"
+        "check = lambda p, validate=None: p.validate()\n"
+        "def wrap(f, /, validate, *args, **kw):\n"
+        "    return f(*args, validate=validate, **kw), Poset.validate, kw['validate']\n"
+    )
+    assert validate_flags(source) == [
+        (2, "parameter"), (6, "parameter"), (7, "keyword"), (8, "parameter"),
+        (9, "parameter"), (10, "keyword"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_validate_flag(path):
+    # a constructor checks shape and range only, and each class's one
+    # semantic check is its validate() method, which callers call
+    assert validate_flags(path.read_text()) == []
+
+
 TABLE_MUTATORS = frozenset({
     "update", "setdefault", "pop", "clear", "append", "extend", "insert", "remove", "sort", "reverse",
 })

@@ -16,9 +16,9 @@ def square_with_bottom():
 class TestFinitePoset:
     def test_validation(self):
         with pytest.raises(ValueError):
-            FinitePoset([0, 1], [(0, 1), (1, 0)])
+            FinitePoset([0, 1], [(0, 1), (1, 0)]).validate()
         with pytest.raises(ValueError):
-            FinitePoset([0, 1, 2], [(0, 1), (1, 2)])  # not transitive
+            FinitePoset([0, 1, 2], [(0, 1), (1, 2)]).validate()  # not transitive
 
     def test_covers_chain(self):
         p = FinitePoset.chain(3)

@@ -1128,7 +1128,6 @@ def induced_pregamp_by_ideals(fm, ideal_i, ideal_j):
         qsrc, qtgt,
         unvalidated(qsrc.carrier, qtgt.carrier, fmap),
         unvalidated(qsrc.sem, qtgt.sem, label_map(smap)),
-        validate=False,
     )
     induced.validate()
     assert induced.after(pi) == pj.after(fm)
@@ -1197,7 +1196,7 @@ def test_pregamp_morphism_validate_matches_the_label_loop(case, data):
     sem = src.sem if data.draw(st.booleans()) else reordered(src.sem, src.sem.elements[::-1])
     f, fsem = unvalidated(carrier, tgt.carrier, fmap), unvalidated(sem, tgt.sem, smap)
     try:
-        PregampMorphism(src, tgt, f, fsem)
+        PregampMorphism(src, tgt, f, fsem).validate()
         got = None
     except ValueError as e:
         got = str(e)

@@ -64,7 +64,7 @@ class TestBasics:
         assert JoinSemilattice("abc", "a", rows).join("b", "c") == "c"
         for bad in (rows[:2], [*rows[:2], [2, 2]], [*rows[:2], [2, 2, 3]], [*rows[:2], [2, 2, -1]]):
             with pytest.raises(ValueError, match="join rows"):
-                JoinSemilattice("abc", "a", bad, validate=False)
+                JoinSemilattice("abc", "a", bad)
 
     def test_leq_from_table(self):
         s = chain3()
@@ -74,9 +74,9 @@ class TestBasics:
         s = chain3()
         SemIdeal(s, {0, 1}).validate()
         with pytest.raises(InvalidIdeal):
-            SemIdeal(s, {0, 2})  # not downward closed
+            SemIdeal(s, {0, 2}).validate()  # not downward closed
         with pytest.raises(InvalidIdeal):
-            SemIdeal(s, {1})  # missing zero
+            SemIdeal(s, {1}).validate()  # missing zero
 
 
 class TestQuotient:
@@ -379,7 +379,7 @@ def test_equality_reads_the_join_tables():
     assert chain == JoinSemilattice.chain(4) and chain != other and other != chain
     reordered = JoinSemilattice.from_table([2, 0, 3, 1], 0, square)
     assert reordered == other and reordered != chain and chain != reordered
-    assert other == other and JoinSemilattice(range(4), 1, other.join_rows, validate=False) != other
+    assert other == other and JoinSemilattice(range(4), 1, other.join_rows) != other
 
 
 def label_validate(elements, zero, table):
@@ -631,5 +631,6 @@ def test_sem_morphisms_match_the_label_loops(case, data):
 
 @pytest.mark.parametrize("to", [[0], [0, 1, 1, 0], [0, 2, 1], [0, 1, -1], [0, None, 2], [0, 1.0, 2]])
 def test_constructor_refuses_a_list_of_the_wrong_length_or_range(to):
+    # [0, 2, 1] fits; validate refuses it, as a map that breaks the joins
     with pytest.raises(ValueError):
-        SemMorphism(chain3(), chain3(), to)
+        SemMorphism(chain3(), chain3(), to).validate()

@@ -585,6 +585,45 @@ class TestCli:
             # a lattice spec is named back, with the forms it may take
             assert repr(argv[-1]) in err and "power:NAME:k" in err
 
+    @pytest.mark.parametrize("argv, bundle, message", [
+        pytest.param(
+            ["poset"], {"elements": [0, 1], "leq": [[0, 1], [1, 0]]},
+            "antisymmetry fails", id="poset-antisymmetry",
+        ),
+        pytest.param(
+            ["poset"], {"elements": [0, 1, 2], "leq": [[0, 1], [1, 2]]},
+            "transitivity fails at (0, 1, 2)", id="poset-transitivity",
+        ),
+        pytest.param(
+            ["poset"], {"elements": [0], "leq": [[0, 1]]},
+            "relation leaves the universe at (0, 1)", id="poset-universe",
+        ),
+        pytest.param(
+            ["gamp-check", "--property", "strong"],
+            {"inner": {"named": "M3"}, "outer": ser.pregamp_to_json(pga(build_named("two").algebra))},
+            "gamp: inner part is not a partial subalgebra of the outer", id="gamp-inner",
+        ),
+        pytest.param(
+            ["diagram-verify", "--kind", "operational"],
+            {
+                "kind": "algebra",
+                "poset": ser.poset_to_json(FinitePoset.chain(3)),
+                "nodes": {p: {"named": "two"} for p in "012"},
+                "arrows": {
+                    "0->1": {"map": [[0, 0], [1, 1]]},
+                    "1->2": {"map": [[0, 0], [1, 1]]},
+                    "0->2": {"map": [[0, 0], [1, 0]]},
+                },
+            },
+            "not a diagram: ('composition', (0, 1, 2))", id="diagram-composition",
+        ),
+    ])
+    def test_invalid_structure_exit_3(self, argv, bundle, message, tmp_path, capsys):
+        # loading validates what the constructors do not
+        assert run([*argv, self.write(tmp_path, "in.json", bundle)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
     @pytest.mark.parametrize("change", [
         pytest.param({"depth": "2"}, id="depth-string"),
         pytest.param({"depth": 2.5}, id="depth-float"),
