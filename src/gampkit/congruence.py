@@ -7,7 +7,7 @@ from itertools import count, product
 from .errors import NotTotal, TooLarge, cross_check
 from .palg import UNDEFINED, PalgMorphism, Term, _irreducibles, image_palg, is_lattice_algebra
 from .semilattice import JoinSemilattice, SemMorphism
-from .util import bfs, shortest_path, sort_key
+from .util import bfs, kept, shortest_path, sort_key
 
 
 class Congruence:
@@ -411,11 +411,10 @@ class ConcSemilattice(JoinSemilattice):
     universe, and the join is passed on as the semilattice's join_rows. One
     Congruence is built per element, so every join, the zero and every
     congruence principal() or generated() returns is the semilattice's own
-    element object.
+    element object. conc keeps one per algebra and checks the size bound.
     """
 
-    def __init__(self, algebra, bound=CON_BOUND):
-        _require_con_bound(algebra, bound)
+    def __init__(self, algebra):
         self.algebra = algebra
         universe = algebra.universe
         build = _lattice_con if is_lattice_algebra(algebra) else _closure_con
@@ -446,25 +445,22 @@ def conc(algebra, bound=CON_BOUND):
 
     For a finite algebra this carries the whole congruence lattice; the
     elements are Congruence values and the generator map is exposed as
-    .principal(x, y).
+    .principal(x, y). Built on the first call and kept on the algebra, one
+    per algebra object; the bound is checked on every call.
     """
-    return ConcSemilattice(algebra, bound)
+    _require_con_bound(algebra, bound)
+    return kept(algebra, "_conc", lambda: ConcSemilattice(algebra))
 
 
-def conc_morphism(f, source_conc=None, target_conc=None):
+def conc_morphism(f):
     """Image of a total-algebra morphism under the compact-congruence functor.
 
     Sends a congruence to the congruence generated by the images of its
     pairs; on principal congruences this is Theta(f(x), f(y)) extended
-    join-linearly. Images are the target's own element objects, generated
-    on the target semilattice's own algebra.
+    join-linearly. It runs from the Conc of f's source to the Conc of f's
+    target, and images are the target's own element objects.
     """
-    src = source_conc if source_conc is not None else conc(f.source)
-    tgt = target_conc if target_conc is not None else conc(f.target)
-    cross_check(
-        f.target is tgt.algebra or f.target == tgt.algebra,
-        "Conc target is not the Conc of the map's target",
-    )
+    src, tgt = conc(f.source), conc(f.target)
     to = []
     for theta in src.elements:
         pairs = {(f(next(iter(b))), f(x)) for b in theta.blocks for x in b}
@@ -795,13 +791,12 @@ def _chain_condition_failures(pg, inner, n, lattice_form=False):
         yield from walk(1, (zero, zero))
 
 
-def _elementwise_n_permutable(algebra, n, cong_sl):
+def _elementwise_n_permutable(algebra, n):
     """Chain condition: every (n+1)-tuple admits interpolants y with the
     parity containments between generated congruences."""
     from .pregamp import pga  # pregamp imports this module
 
-    pg = pga(algebra, cong_sl)
-    for _, xs in _chain_condition_failures(pg, algebra.universe, n):
+    for _, xs in _chain_condition_failures(pga(algebra), algebra.universe, n):
         return False, xs
     return True, None
 
@@ -811,9 +806,9 @@ def _elementwise_n_permutable(algebra, n, cong_sl):
 ELEMENTWISE_LIMIT = 2_000_000
 
 
-def is_n_permutable(algebra, n, cs=None):
+def is_n_permutable(algebra, n):
     """Congruence n-permutability, by relational composition of congruence
-    pairs, over the algebra's Conc, which is cs when given.
+    pairs, over the algebra's Conc.
 
     The element-wise chain characterization is run as well whenever the
     instance fits under ELEMENTWISE_LIMIT, and the two answers must agree.
@@ -838,12 +833,11 @@ def is_n_permutable(algebra, n, cs=None):
         by_factors = all(is_n_permutable(f, n)[0] for f in dict.fromkeys(algebra.factors))
         if by_factors and cost > ELEMENTWISE_LIMIT:
             return True, None
-    cs = conc(algebra) if cs is None else cs
-    congruences = sorted(cs.elements, key=Congruence._sort_key)
+    congruences = sorted(conc(algebra).elements, key=Congruence._sort_key)
     ok_rel, wit_rel = _relational_n_permutable(algebra, n, congruences)
     cross_check(by_factors in (None, ok_rel), "factorwise and relational permutability disagree")
     if cost <= ELEMENTWISE_LIMIT:
-        ok_el, _ = _elementwise_n_permutable(algebra, n, cs)
+        ok_el, _ = _elementwise_n_permutable(algebra, n)
         cross_check(ok_rel == ok_el, "n-permutability characterizations disagree")
     return (ok_rel, wit_rel)
 

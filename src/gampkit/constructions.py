@@ -422,23 +422,22 @@ def verify_square_facts(square):
         factors = square.a_square.objects[node].factors or ()
         if not (is_lattice_algebra(factor) and factors and all(f == factor for f in factors)):
             raise HypothesisFailed(f"node {node} is not a power of a lattice")
-    concs = {node: _cong.conc(alg) for node, alg in lattices.items()}
 
     # (a)
     fact_a = {
-        node: _wing_principals(concs[node], sp[xk], sp)[2]
+        node: _wing_principals(_cong.conc(lattices[node]), sp[xk], sp)[2]
         for node, xk in (("l", "x1"), ("r", "x2"))
     }
     report["facts"]["meet_of_principals_zero"] = fact_a
 
     # (b)
-    cs = concs["b"]
+    cs = _cong.conc(lattices["b"])
     expected = [cs.principal(k, k + 1) for k in range(n)]
     report["facts"]["chain_con_boolean"] = _is_boolean_with_atoms(cs, expected)
 
     # (c)
     fact_c = {
-        node: {"ok": _cong.is_n_permutable(alg, n + 1, concs[node])[0]}
+        node: {"ok": _cong.is_n_permutable(alg, n + 1)[0]}
         for node, alg in lattices.items()
     }
     report["facts"]["nodes_n_plus_1_permutable"] = fact_c
@@ -622,10 +621,7 @@ def refute_candidate(square, cand, n, precheck=True):
 
     # ideal family from the projection kernels
     proj = square.projections[cut]
-    xcs = {p: _cong.conc(square.x_square.objects[p]) for p in SQUARE_NODES}
-    conc_proj = {
-        p: _cong.conc_morphism(proj[p], diagram.objects[p].sem, xcs[p]) for p in SQUARE_NODES
-    }
+    conc_proj = {p: _cong.conc_morphism(proj[p]) for p in SQUARE_NODES}
     ideals = {p: ker0(conc_proj[p]) for p in SQUARE_NODES}
     dideal = DiagramIdeal(diagram, ideals)
     qdiagram, qtransform = quotient_diagram(diagram, dideal)
@@ -707,13 +703,14 @@ def refute_candidate(square, cand, n, precheck=True):
             None,
             S.leq(gk.delta(yk, wk), gk.delta(ek, ck)),
         )
-        t1, t2, meet_zero = _wing_principals(xcs[node], marked[node], square.base.special)
+        xc = _cong.conc(square.x_square.objects[node])
+        t1, t2, meet_zero = _wing_principals(xc, marked[node], square.base.special)
         record(f"claim-meet-fact[{node}]", None, meet_zero)
         chi_val = {v: k for k, v in xi_sem[node].items()}[gk.delta(yk, wk)]
         record(
             f"claim-meet-conclusion[{node}]",
             chi_val,
-            xcs[node].leq(chi_val, t1) and xcs[node].leq(chi_val, t2),
+            xc.leq(chi_val, t1) and xc.leq(chi_val, t2),
         )
         record(f"claim-separation[{node}]", (yk, wk), yk == wk)
         pushed[node] = yk

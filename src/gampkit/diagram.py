@@ -184,16 +184,16 @@ def quotient_diagram(diagram, diagram_ideal):
     return result, NaturalTransformation(diagram, result, projections)
 
 
-# Each functor's object map and arrow map, by name; an arrow map takes the
-# arrow and its two mapped ends. Module functions are read when called, so
-# that a wrapped module function is the one that runs.
+# Each functor's object map and arrow map, by name. An object map gives one
+# object per node object, which the arrow images start and end at. Module
+# functions are read when called, so that a wrapped one is the one that runs.
 _FUNCTORS = {
-    "Conc": (lambda a: _cong.conc(a), lambda f, s, t: _cong.conc_morphism(f, s, t)),
-    "PGA": (lambda a: _pregamp.pga(a), lambda f, s, t: _pregamp.pga_mor(f, s, t)),
-    "GA": (lambda a: _gamp.ga(a), lambda f, s, t: _gamp.ga_mor(f, s, t)),
-    "CG": (lambda g: _gamp.cg(g), lambda fm, s, t: fm.fsem),
-    "PGGL": (lambda g: _gamp.pggl(g), lambda fm, s, t: _gamp.pggl_mor(fm)),
-    "PGGR": (lambda g: _gamp.pggr(g), lambda fm, s, t: _gamp.pggr_mor(fm)),
+    "Conc": (lambda a: _cong.conc(a), lambda f: _cong.conc_morphism(f)),
+    "PGA": (lambda a: _pregamp.pga(a), lambda f: _pregamp.pga_mor(f)),
+    "GA": (lambda a: _gamp.ga(a), lambda f: _gamp.ga_mor(f)),
+    "CG": (lambda g: _gamp.cg(g), lambda fm: fm.fsem),
+    "PGGL": (lambda g: _gamp.pggl(g), lambda fm: _gamp.pggl_mor(fm)),
+    "PGGR": (lambda g: _gamp.pggr(g), lambda fm: _gamp.pggr_mor(fm)),
 }
 
 
@@ -208,7 +208,7 @@ def apply_functor(diagram, name):
         for p in poset.elements:
             _cong._require_con_bound(diagram.objects[p], _cong.CON_BOUND)
     objs = {p: on_objects(diagram.objects[p]) for p in poset.elements}
-    arrows = {(p, q): on_arrows(a, objs[p], objs[q]) for (p, q), a in diagram.arrows.items()}
+    arrows = {pq: on_arrows(a) for pq, a in diagram.arrows.items()}
     return checked(Diagram(poset, objs, arrows))
 
 

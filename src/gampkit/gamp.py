@@ -25,13 +25,12 @@ from .pregamp import (
     induced_pregamp_morphism,
     is_congruence_tractable_morphism,
     pga,
-    pga_mor,
     quotient_pregamp,
     sub_pregamp,
     tractability_verdict,
 )
 from .semilattice import SemMorphism, is_ideal_induced
-from .util import Verdict, bfs, shortest_path, sort_key, sorted_elements
+from .util import Verdict, bfs, kept, shortest_path, sort_key, sorted_elements
 from . import congruence as _cong
 
 
@@ -161,15 +160,14 @@ def check_realization(g, r):
 
 
 def ga(algebra):
-    """The gamp of a total algebra: inner part equal to the whole algebra."""
-    return Gamp(algebra, pga(algebra))
+    """The gamp of a total algebra: inner part equal to the whole algebra.
+    One per algebra object, kept on the algebra like its pregamp."""
+    pg = pga(algebra)
+    return kept(algebra, "_ga", lambda: Gamp(algebra, pg))
 
 
-def ga_mor(f, source=None, target=None):
-    src = source if source is not None else ga(f.source)
-    tgt = target if target is not None else ga(f.target)
-    pm = pga_mor(f, src.pregamp, tgt.pregamp)
-    return GampMorphism(src, tgt, pm.f, pm.fsem)
+def ga_mor(f):
+    return GampMorphism(ga(f.source), ga(f.target), f, _cong.conc_morphism(f))
 
 
 def cg(g):
@@ -183,10 +181,10 @@ def pggr(g):
 def pggl(g):
     """Inner pregamp: the inner part with the restricted distance. When the
     inner part is the whole carrier, as in every ga gamp, that is the
-    pregamp itself."""
+    pregamp itself; otherwise it is built once per gamp object and kept."""
     if g.inner is g.pregamp.carrier:
         return g.pregamp
-    return sub_pregamp(g.pregamp, g.inner, g.sem)
+    return kept(g, "_pggl", lambda: sub_pregamp(g.pregamp, g.inner, g.sem))
 
 
 def pggl_mor(fm):
@@ -586,11 +584,11 @@ def buttress(
         if phis[p].source != cs:
             raise ValueError("phis must start at the algebra's compact congruences")
     if n_permutable is not None:
-        ok, _ = _cong.is_n_permutable(algebra, n_permutable, cs)
+        ok, _ = _cong.is_n_permutable(algebra, n_permutable)
         if not ok:
             raise ValueError(f"base algebra is not {n_permutable}-permutable")
 
-    whole = Gamp(algebra, pga(algebra, cs))
+    whole = ga(algebra)
     if with_chains and not whole.is_lattice_signature():
         raise WrongSignature("chains require the lattice signature")
     nodes = {}
@@ -614,23 +612,23 @@ def buttress(
                 arrows[(p, q)] = canonical_embedding(nodes[p], nodes[q])
 
     diagram = checked(Diagram(poset, nodes, arrows))
-    _verify_buttress(diagram, phis, cs, with_chains, n_permutable, m_cap)
+    _verify_buttress(diagram, phis, with_chains, n_permutable, m_cap)
     return diagram
 
 
-def _verify_buttress(diagram, phis, cs, with_chains, n_permutable, m_cap):
+def _verify_buttress(diagram, phis, with_chains, n_permutable, m_cap):
     """Re-verify buttress's postconditions. Each phis[p] was found
-    ideal-induced on entry and starts at cs, so its restriction to a node
-    whose semilattice is cs is the same map and is not decided again. The
-    checks that do not read phi run once per distinct node object: the
-    nodes above the minimal ones share one gamp."""
+    ideal-induced on entry and starts at the algebra's Conc, so its
+    restriction to a node whose semilattice is that Conc is the same map and
+    is not decided again. The checks that do not read phi run once per
+    distinct node object: the nodes above the minimal ones share one gamp."""
     poset = diagram.poset
     checked = set()  # ids of the node gamps whose phi-free checks ran
     for p in poset.elements:
         g = diagram.objects[p]
         phi_p = phis[p].restrict(g.sem)
         fails = f"buttress node {p!r} fails"
-        ok = g.sem is cs or is_ideal_induced(phi_p)[0]
+        ok = g.sem is _cong.conc(g.outer) or is_ideal_induced(phi_p)[0]
         cross_check(ok, f"{fails}: phi restriction stays ideal-induced")
         first = id(g) not in checked
         checked.add(id(g))

@@ -25,7 +25,7 @@ from .semilattice import (
     ker0,
     quotient,
 )
-from .util import Verdict, assignments, factor_through
+from .util import Verdict, assignments, factor_through, kept
 from . import congruence as _cong
 
 
@@ -236,19 +236,17 @@ class PregampMorphism:
         return cls(pg, pg, PalgMorphism.identity(pg.carrier), SemMorphism.identity(pg.sem))
 
 
-def pga(algebra, cs=None):
+def pga(algebra):
     """The pregamp of a total algebra: its principal-congruence distance into
-    Conc A, which is cs when given. Its dist_rows are Conc's own matrix."""
-    cs = _cong.conc(algebra) if cs is None else cs
-    return Pregamp(algebra, cs.dist_rows, cs)
+    Conc A, whose own matrix its dist_rows are. One per algebra object, kept
+    on the algebra like its Conc."""
+    cs = _cong.conc(algebra)
+    return kept(algebra, "_pga", lambda: Pregamp(algebra, cs.dist_rows, cs))
 
 
-def pga_mor(f, source_pg=None, target_pg=None):
+def pga_mor(f):
     """Functor action on a total-algebra morphism."""
-    src = source_pg if source_pg is not None else pga(f.source)
-    tgt = target_pg if target_pg is not None else pga(f.target)
-    fsem = _cong.conc_morphism(f, src.sem, tgt.sem)
-    return PregampMorphism(src, tgt, f, fsem)
+    return PregampMorphism(pga(f.source), pga(f.target), f, _cong.conc_morphism(f))
 
 
 def sub_pregamp(pg, subalgebra, subsem=None):

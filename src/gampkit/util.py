@@ -1,7 +1,7 @@
-"""Small shared helpers: deterministic ordering, true/false verdicts, the
-morphisms' index lists (`IndexMap`), and the package's one breadth-first
-walk (`bfs`, with `shortest_path` on it) and one backtracking search
-(`assignments`)."""
+"""Small shared helpers: deterministic ordering, structures kept on their
+owner (`kept`), true/false verdicts, the morphisms' index lists
+(`IndexMap`), and the package's one breadth-first walk (`bfs`, with
+`shortest_path` on it) and one backtracking search (`assignments`)."""
 
 from dataclasses import dataclass, field
 
@@ -33,6 +33,15 @@ def sort_key(x):
 
 def sorted_elements(xs):
     return sorted(xs, key=sort_key)
+
+
+def kept(owner, name, build):
+    """owner's attribute name, set to build() on the first call: a structure
+    of owner alone, which nothing changes after construction. Not keyed by
+    owner in a table, since equal algebras can order their universes apart."""
+    if name not in vars(owner):
+        setattr(owner, name, build())
+    return vars(owner)[name]
 
 
 class IndexMap:

@@ -24,6 +24,7 @@ from gampkit.congruence import (
     _relational_n_permutable,
     _upward_paths,
     CON_BOUND,
+    ConcSemilattice,
     ELEMENTWISE_LIMIT,
     Congruence,
     MalcevWitness,
@@ -43,7 +44,7 @@ from gampkit.congruence import (
     principal_congruence,
     quotient_algebra,
 )
-from gampkit.errors import CrossCheckFailed, GampkitError, NotTotal
+from gampkit.errors import CrossCheckFailed, GampkitError, NotTotal, TooLarge
 from gampkit.gamp import check_property, ga
 from gampkit.palg import LATTICE_TYPE, UNDEFINED, PalgMorphism, PartialAlgebra, SimilarityType
 from gampkit.pregamp import Pregamp, pga
@@ -125,7 +126,7 @@ class TestConc:
         for a in x1.universe:
             for b in x1.universe:
                 assert cs.principal(a, b) == principal_congruence(x1, a, b)
-        assert label_dist(pga(x1, cs)) == {
+        assert label_dist(pga(x1)) == {
             (a, b): principal_congruence(x1, a, b) for a in x1.universe for b in x1.universe
         }
 
@@ -150,7 +151,7 @@ class TestConc:
         reduct = _join_reduct(x1)
         closures = _count_calls(monkeypatch, "_closure_labels")
         cs = conc(reduct)
-        dist, zero = label_dist(pga(reduct, cs)), cs.principal("x1", "x1")
+        dist, zero = label_dist(pga(reduct)), cs.principal("x1", "x1")
         n = len(reduct.universe)
         assert len(closures) == n * (n - 1) // 2 and zero is cs.zero
         assert dist == {
@@ -167,10 +168,12 @@ class TestConc:
         closures = _count_calls(monkeypatch, "_closure_labels")
         joins = _count_label_joins(monkeypatch)
         cs = conc(alg)
-        label_dist(pga(alg, cs)), cs.generated([(alg.universe[0], alg.universe[-1])])
+        label_dist(pga(alg)), cs.generated([(alg.universe[0], alg.universe[-1])])
         assert len(closures) == len(_brute_join_irreducibles(alg)) and joins == []
 
-    def test_dropped_day_edge_fails_the_cross_check(self, n5, monkeypatch):
+    def test_dropped_day_edge_fails_the_cross_check(self, monkeypatch):
+        # a fresh N5: the session fixture's Conc may be built and kept already
+        n5 = build_named("N5").algebra
         dropped = _drop_first_day_edge(congruence._day_relation)
         monkeypatch.setattr(congruence, "_day_relation", dropped)
         with pytest.raises(CrossCheckFailed, match="Day's relation"):
@@ -285,8 +288,22 @@ def _assert_canonical(alg):
 def test_conc_objects_are_canonical(name, fixture_lattices):
     _assert_canonical(fixture_lattices[name])
     cs = conc(fixture_lattices[name])
-    image = conc_morphism(PalgMorphism.identity(fixture_lattices[name]), cs, cs)
+    image = conc_morphism(PalgMorphism.identity(fixture_lattices[name]))
     assert all(_is_own_element(cs, image(t)) for t in cs.elements)
+
+
+class TestOneConcPerAlgebra:
+    def test_conc_pga_and_ga_are_kept_on_the_algebra(self):
+        alg = build_named("X1").algebra
+        assert conc(alg) is conc(alg)
+        assert pga(alg) is pga(alg) and pga(alg).sem is conc(alg)
+        assert ga(alg) is ga(alg) and ga(alg).pregamp is pga(alg)
+
+    def test_bound_is_checked_on_every_call(self):
+        alg = build_named("X1").algebra
+        conc(alg)
+        with pytest.raises(TooLarge, match=r"capped at 4 elements \(got 5\)"):
+            conc(alg, bound=len(alg) - 1)
 
 
 class TestConcMorphism:
@@ -309,18 +326,23 @@ class TestConcMorphism:
         below = {t for t in cm.source.elements if con_meet(t, theta) == t}
         assert ker0(cm).carrier == frozenset(below)
 
-    def test_target_universe_order_is_the_target_concs(self, x1, m3):
-        # the images are generated on the target Conc's own algebra, so a
-        # target listing its universe in another order gets the same blocks
+    def test_target_universe_order_is_the_target_concs(self, x1):
+        # an equal algebra listing its universe in another order has a Conc
+        # of its own, with the principal matrix in its own order, and the
+        # images are generated on it
         reordered = PartialAlgebra.from_ops(x1.stype, list(reversed(x1.universe)), x1.ops)
         assert reordered == x1
         cs, target = conc(x1), conc(reordered)
-        image = conc_morphism(PalgMorphism.identity(x1), cs, target)
+        assert target is not cs and target.algebra is reordered
+        point = reordered.point
+        for x in x1.universe:
+            for y in x1.universe:
+                assert target.elements[target.dist_rows[point[x]][point[y]]] == cs.principal(x, y)
+        image = conc_morphism(PalgMorphism.from_map(x1, reordered, {x: x for x in x1.universe}))
+        assert image.source is cs and image.target is target
         for theta in cs.elements:
             assert image(theta).blocks == theta.blocks
             assert _is_own_element(target, image(theta))
-        with pytest.raises(CrossCheckFailed, match="not the Conc of the map's target"):
-            conc_morphism(PalgMorphism.identity(x1), cs, conc(m3))
 
     def test_diagonal_embedding_injective_on_principals(self, chain3):
         prod = PartialAlgebra.product([chain3, chain3])
@@ -480,27 +502,36 @@ def random_lattices(draw):
 
 def closure_conc(alg):
     """Conc built by closures of every pair, as for a non-lattice: the
-    reference the join-irreducible builder is checked against."""
+    reference the join-irreducible builder is checked against. It is built
+    directly, since conc returns the Conc the algebra keeps."""
     with mock.patch.object(congruence, "is_lattice_algebra", return_value=False):
-        return conc(alg), con_lattice(alg)
+        return ConcSemilattice(alg)
+
+
+def image_pairs(f, theta):
+    """The images under f of the pairs that generate theta: each point of a
+    block paired with the block's first point."""
+    return [(f(next(iter(b))), f(x)) for b in theta.blocks for x in b]
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_lattices(), st.data())
 def test_lattice_conc_matches_the_closure_builder(alg, data):
-    fast, (slow, slow_order) = conc(alg), closure_conc(alg)
+    fast, slow = conc(alg), closure_conc(alg)
+    assert slow is not fast
     assert fast.elements == slow.elements and fast.zero == slow.zero
     assert fast.join_rows == slow.join_rows
     assert fast.dist_rows == slow.dist_rows
-    assert label_dist(pga(alg, fast)) == label_dist(pga(alg, slow))
-    assert con_lattice(alg) == slow_order
+    assert label_dist(pga(alg)) == label_dist(Pregamp(alg, slow.dist_rows, slow))
+    assert con_lattice(alg) == sorted(slow.elements, key=Congruence._sort_key)
     points = st.sampled_from(alg.universe)
     for _ in range(3):
         pairs = data.draw(st.lists(st.tuples(points, points), max_size=4))
         assert fast.generated(pairs) == slow.generated(pairs)
     _, q = quotient_algebra(alg, data.draw(st.sampled_from(fast.elements)))
-    fast_q, (slow_q, _) = conc(q.target), closure_conc(q.target)
-    assert label_map(conc_morphism(q, fast, fast_q)) == label_map(conc_morphism(q, slow, slow_q))
+    slow_q = closure_conc(q.target)
+    image = conc_morphism(q)
+    assert all(image(t) == slow_q.generated(image_pairs(q, t)) for t in slow.elements)
     _assert_canonical(alg)
 
 
@@ -534,10 +565,9 @@ def test_generated_matches_the_closure_reference(alg, data):
         assert cs.generated(pairs) is generated_by_closure(cs, pairs)
     _, q = quotient_algebra(alg, data.draw(st.sampled_from(cs.elements)))
     cq = conc(q.target)
-    image = conc_morphism(q, cs, cq)
+    image = conc_morphism(q)
     for theta in cs.elements:
-        pairs = [(q(next(iter(b))), q(x)) for b in theta.blocks for x in b]
-        assert image(theta) is generated_by_closure(cq, pairs)
+        assert image(theta) is generated_by_closure(cq, image_pairs(q, theta))
 
 
 @settings(max_examples=40, deadline=None)
@@ -547,7 +577,7 @@ def test_permutability_characterizations_agree_on_random_algebras(alg):
     # element-wise one itself; comparing here as well keeps the check under -O
     for n in (2, 3):
         ok, _ = is_n_permutable(alg, n)
-        ok_el, _ = _elementwise_n_permutable(alg, n, conc(alg))
+        ok_el, _ = _elementwise_n_permutable(alg, n)
         assert ok == ok_el, n
 
 
@@ -590,7 +620,7 @@ def test_a_permutable_power_over_the_limit_builds_no_conc(monkeypatch):
     chain4 = build_named("chain:4").algebra
     alg = PartialAlgebra.product([chain4] * 3)
     assert len(alg) ** 8 > ELEMENTWISE_LIMIT
-    built = _count_calls(monkeypatch, "conc")
+    built = _count_calls(monkeypatch, "ConcSemilattice")
     assert is_n_permutable(alg, 4) == (True, None)
     assert [args[0] for args in built] == [chain4]
     assert "tables" not in vars(alg)
@@ -684,16 +714,16 @@ def test_conc_joins_match_bruteforce_on_labelled_algebras(alg):
 @given(small_labelled_algebras(), st.data())
 def test_conc_is_a_functor_on_labelled_algebras(alg, data):
     c0 = conc(alg)
-    identity = conc_morphism(PalgMorphism.identity(alg), c0, c0)
+    identity = conc_morphism(PalgMorphism.identity(alg))
     assert all(identity(t) == t for t in c0.elements)
     # two successive quotient projections and their composite
     q1_alg, q1 = quotient_algebra(alg, data.draw(st.sampled_from(c0.elements)))
     c1 = conc(q1_alg)
     q2_alg, q2 = quotient_algebra(q1_alg, data.draw(st.sampled_from(c1.elements)))
     c2 = conc(q2_alg)
-    f1, f2 = conc_morphism(q1, c0, c1), conc_morphism(q2, c1, c2)
+    f1, f2 = conc_morphism(q1), conc_morphism(q2)
     q = q2.after(q1)
-    f = conc_morphism(q, c0, c2)
+    f = conc_morphism(q)
     assert label_map(f) == label_map(f2.after(f1))
     for x in alg.universe:
         for y in alg.universe:
@@ -747,7 +777,7 @@ def _pregamp_over(universe, dist, sem, meets=None, joins=None):
 
 def _assert_memo_exact(alg, n, meets):
     cs = conc(alg)
-    dist = label_dist(pga(alg, cs))
+    dist = label_dist(pga(alg))
     universe = alg.universe
     pg = _pregamp_over(universe, dist, cs, meets)
     for table in (None, meets):
@@ -758,7 +788,7 @@ def _assert_memo_exact(alg, n, meets):
             assert next(found, None) == expected, (xs, table is None)
     failures = brute_chain_condition_failures(cs, dist, universe, universe, n)
     expected = (False, failures[0][1]) if failures else (True, None)
-    assert _elementwise_n_permutable(alg, n, cs) == expected
+    assert _elementwise_n_permutable(alg, n) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -801,7 +831,7 @@ def test_interpolant_search_matches_brute_force_on_partial_tables(alg, data):
     # middle and inner points out of universe order, catch a mix-up
     universe = alg.universe
     cs = conc(alg)
-    dist = label_dist(pga(alg, cs))
+    dist = label_dist(pga(alg))
     meets = data.draw(partial_order_tables(universe))
     joins = data.draw(partial_order_tables(universe))
     pg = _pregamp_over(universe, dist, cs, meets, joins)
@@ -1136,7 +1166,7 @@ class TestCrossChecks:
         real = congruence._elementwise_n_permutable
         monkeypatch.setattr(
             congruence, "_elementwise_n_permutable",
-            lambda alg, n, cs: (not real(alg, n, cs)[0], None),
+            lambda alg, n: (not real(alg, n)[0], None),
         )
         with pytest.raises(CrossCheckFailed):
             is_n_permutable(m3, 2)
@@ -1153,7 +1183,7 @@ class TestCrossChecks:
 
             real = congruence._elementwise_n_permutable
             congruence._elementwise_n_permutable = (
-                lambda alg, n, cs: (not real(alg, n, cs)[0], None)
+                lambda alg, n: (not real(alg, n)[0], None)
             )
             try:
                 congruence.is_n_permutable(build_named("M3").algebra, 2)
@@ -1184,8 +1214,8 @@ class TestCrossChecks:
             real = {name: getattr(congruence, name) for name in (
                 "_elementwise_n_permutable", "_relational_n_permutable")}
             for name, f in real.items():
-                def flipped(alg, n, arg, f=f):
-                    found = f(alg, n, arg)
+                def flipped(alg, n, *args, f=f):
+                    found = f(alg, n, *args)
                     return (not found[0], None) if alg is product else found
                 setattr(congruence, name, flipped)
                 try:

@@ -563,7 +563,7 @@ def _padded_non_commuting_candidate(square):
         arrows[("b", node)] = GampMorphism(
             g0, nodes[node],
             PalgMorphism.from_map(outer, nodes[node].outer, fmap),
-            conc_morphism(base, cs0, nodes[node].sem),
+            conc_morphism(base),
         )
     for node in ("l", "r"):
         arrows[(node, "t")] = ga_sq.arrows[(node, "t")]

@@ -150,6 +150,37 @@ class TestApplyFunctor:
         for p in left.poset.elements:
             assert left.objects[p] == right.objects[p]
 
+    @pytest.mark.parametrize("name", ["Conc", "PGA", "GA"])
+    def test_arrows_end_at_the_node_objects(self, square, name):
+        # each algebra keeps one Conc, pregamp and gamp, so an arrow's image
+        # starts and ends at its nodes' images themselves
+        image = apply_functor(square.a_square, name)
+        for (p, q), arrow in image.arrows.items():
+            assert arrow.source is image.objects[p] and arrow.target is image.objects[q]
+
+    def test_pggl_arrows_end_at_the_node_objects(self):
+        # a buttress node with a proper inner part keeps its inner pregamp:
+        # one sub-pregamp per such node, none per arrow
+        from unittest import mock
+
+        from gampkit import gamp as gamp_module
+        from gampkit.gamp import buttress
+        from gampkit.pregamp import sub_pregamp
+        from gampkit.semilattice import quotient
+
+        alg = build_named("M3").algebra
+        poset = FinitePoset.chain(2)
+        cs = conc(alg)
+        kernel = SemIdeal.generated(cs, {principal_congruence(alg, "0", "x1")})
+        phis = {0: quotient(cs, kernel)[1], 1: quotient(cs, SemIdeal.zero(cs))[1]}
+        d = buttress(alg, poset, phis)
+        assert d.objects[0].inner != alg and d.objects[1].inner is alg
+        with mock.patch.object(gamp_module, "sub_pregamp", wraps=sub_pregamp) as built:
+            image = apply_functor(d, "PGGL")
+        assert built.call_count == 1
+        for (p, q), arrow in image.arrows.items():
+            assert arrow.source is image.objects[p] and arrow.target is image.objects[q]
+
     def test_pggr_of_ga_is_pga(self, square):
         left = apply_functor(apply_functor(square.a_square, "GA"), "PGGR")
         right = apply_functor(square.a_square, "PGA")
@@ -220,7 +251,7 @@ class TestOperational:
         from gampkit.congruence import conc_morphism
 
         fm = GampMorphism(src, tgt, f, conc_morphism(
-            PalgMorphism.from_map(chain3, x1, {0: "0", 1: "x3", 2: "1"}), src.sem, base.sem
+            PalgMorphism.from_map(chain3, x1, {0: "0", 1: "x3", 2: "1"})
         ))
         d = Diagram.from_generators(poset, {0: src, 1: tgt}, {(0, 1): fm})
         ok, witness = is_operational_diagram(d)
@@ -274,7 +305,7 @@ class TestPartialLifting:
         # inner part too small to hold the image strongly
         tgt = Gamp(x1.restrict_full({"0"}), base)
         f_alg = PalgMorphism.from_map(chain3, x1, {0: "0", 1: "x3", 2: "1"})
-        fm = GampMorphism(src, tgt, f_alg, conc_morphism(f_alg, src.sem, base.sem))
+        fm = GampMorphism(src, tgt, f_alg, conc_morphism(f_alg))
         d = Diagram.from_generators(poset, {0: src, 1: tgt}, {(0, 1): fm})
         realizations = {
              0: Realization(chain3, SemMorphism.identity(src.sem)),

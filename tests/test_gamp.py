@@ -63,7 +63,7 @@ class TestFunctors:
         assert cg(gm.source) == conc(chain3)
         assert pggr(gm.source) == pga(chain3)
         assert pggl(gm.source) == pga(chain3)
-        assert pggl_mor(gm).fsem == conc_morphism(f, pggl(gm.source).sem, pggl(gm.target).sem)
+        assert pggl_mor(gm).fsem == conc_morphism(f)
         assert cg(gm.source) == pggl(gm.source).sem == pggr(gm.source).sem
 
     def test_pggl_rebuilds_only_a_proper_inner_part(self, x1):
@@ -298,7 +298,7 @@ class TestQuotientPreservation:
         assert bool(check_morphism_property(fm, "cuttable", x_cap=2))
         assert bool(check_morphism_property(fm, "cuttable_chains", x_cap=2))
         ideal_src = SemIdeal.generated(fm.source.sem, {principal_congruence(chain3, 0, 1)})
-        image_gens = {conc_morphism(f, fm.source.sem, fm.target.sem)(t) for t in ideal_src.carrier}
+        image_gens = {conc_morphism(f)(t) for t in ideal_src.carrier}
         ideal_tgt = SemIdeal.generated(fm.target.sem, image_gens)
         _, proj_src = quotient_gamp(fm.source, ideal_src)
         _, proj_tgt = quotient_gamp(fm.target, ideal_tgt)

@@ -415,6 +415,64 @@ def test_no_validate_flag(path):
     assert validate_flags(path.read_text()) == []
 
 
+# The functors on total algebras and their morphisms, and the checks built
+# on Conc, with their whole parameter lists: each reads the Conc, pregamp or
+# gamp that an algebra keeps, so none takes a prebuilt one.
+FUNCTOR_PARAMETERS = {
+    "conc": ["algebra", "bound"],
+    "pga": ["algebra"],
+    "ga": ["algebra"],
+    "conc_morphism": ["f"],
+    "pga_mor": ["f"],
+    "ga_mor": ["f"],
+    "is_n_permutable": ["algebra", "n"],
+    "_elementwise_n_permutable": ["algebra", "n"],
+}
+
+
+def prebuilt_arguments(source):
+    """(line, name, "parameter" or "argument") of each definition of a
+    FUNCTOR_PARAMETERS function whose parameters differ from its list, and
+    of each call of one, by bare name or attribute, that passes more
+    positional arguments than the list has or a keyword not in it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name in FUNCTOR_PARAMETERS:
+            a = node.args
+            params = [p.arg for p in [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg] if p]
+            if params != FUNCTOR_PARAMETERS[node.name]:
+                found.append((node.lineno, node.name, "parameter"))
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            params = FUNCTOR_PARAMETERS.get(name)
+            if params is not None and (
+                len(node.args) > len(params) or any(k.arg not in params for k in node.keywords)
+            ):
+                found.append((node.lineno, name, "argument"))
+    return sorted(found)
+
+
+def test_prebuilt_argument_detector_flags_parameters_and_calls():
+    source = (
+        "def pga(algebra, cs=None):\n"
+        "    return conc(algebra, bound=9), conc(algebra, 9)\n"
+        "def conc_morphism(f):\n"
+        "    return _pregamp.pga_mor(f, s, t), ga_mor(f, source=s), is_n_permutable(a, 2, cs)\n"
+        "def ga(algebra, *args):\n"
+        "    return other(algebra, cs), _cong.conc(algebra, bound=CON_BOUND)\n"
+    )
+    assert prebuilt_arguments(source) == [
+        (1, "pga", "parameter"), (4, "ga_mor", "argument"), (4, "is_n_permutable", "argument"),
+        (4, "pga_mor", "argument"), (5, "ga", "parameter"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_prebuilt_conc_or_pregamp_is_passed(path):
+    assert prebuilt_arguments(path.read_text()) == []
+
+
 TABLE_MUTATORS = frozenset({
     "update", "setdefault", "pop", "clear", "append", "extend", "insert", "remove", "sort", "reverse",
 })
@@ -738,9 +796,10 @@ def test_quotient_diagram_quotients_each_node_once():
 
 
 def test_one_conc_per_call():
-    # buttress hands the Conc it builds to the permutability check, and the
-    # square facts build one Conc per lattice they are about (the chain and
-    # the factors of the three powers) and run no closure outside them
+    # an algebra keeps its Conc: buttress builds none after the caller's
+    # conc(alg), and the square facts build one Conc per lattice they are
+    # about (the chain and the factors of the three powers), which conc then
+    # returns, and run no closure outside them
     from gampkit import build_named, build_square
     from gampkit.congruence import ConcSemilattice, _closure_labels, conc, principal_congruence
     from gampkit.constructions import verify_square_facts
@@ -758,14 +817,38 @@ def test_one_conc_per_call():
     }
     init = ConcSemilattice.__init__
     counts = call_counts(lambda: buttress(alg, poset, phis, n_permutable=2), [init])
-    assert counts == {"__init__": 1}
+    assert counts == {"__init__": 0}
     for base, n, closures in [("M3", 2, 9), ("M3", 3, 10), ("L2", 3, 13)]:
         square = build_square(base, n)
         lattices = [square.chain_algebra] + [square.x_square.objects[p] for p in "lrt"]
         builds = call_counts(lambda: [conc(a) for a in lattices], [_closure_labels])
         assert builds == {"_closure_labels": closures}
+        square = build_square(base, n)
+        lattices = [square.chain_algebra] + [square.x_square.objects[p] for p in "lrt"]
         counts = call_counts(lambda: verify_square_facts(square), [init, _closure_labels])
         assert counts == {"__init__": 4, "_closure_labels": closures}, (base, n)
+        counts = call_counts(lambda: [conc(a) for a in lattices], [init, _closure_labels])
+        assert counts == {"__init__": 0, "_closure_labels": 0}, (base, n)
+
+
+def test_one_conc_per_algebra_over_a_repro_run(capsys):
+    # a padded repro run builds the Conc of each algebra it asks about once
+    from gampkit.cli import run
+    from gampkit.congruence import ConcSemilattice
+
+    built, code = [], ConcSemilattice.__init__.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            built.append(frame.f_locals["algebra"])
+
+    sys.setprofile(profile)
+    try:
+        assert run(["repro", "unliftable", "--K", "M3", "--n", "2", "--exhaustive-bound", "1"]) == 0
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert len(built) == len(set(map(id, built))) == 7
 
 
 @pytest.mark.parametrize("K", ["M3", "L2", "L3", "L4"])

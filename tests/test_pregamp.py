@@ -371,14 +371,15 @@ class TestPGA:
         g = PalgMorphism.identity(m3)
         pf, pgm = pga_mor(f), pga_mor(g)
         comp = pgm.after(pf)
-        direct = pga_mor(g.after(f), source_pg=pf.source, target_pg=pgm.target)
+        direct = pga_mor(g.after(f))
+        assert direct.source is pf.source and direct.target is pgm.target
         assert comp == direct
 
     def test_cpg_of_pga_is_conc(self, x1):
         pg = pga(x1)
         assert pg.sem == conc(x1)
-        # pga keeps Conc's own matrix, given or built
-        assert pg.dist_rows is pg.sem.dist_rows and pga(x1, pg.sem).dist_rows is pg.sem.dist_rows
+        # pga keeps Conc's own matrix
+        assert pg.dist_rows is pg.sem.dist_rows
 
 
 class TestQuotient:
