@@ -52,7 +52,6 @@ from .pregamp import (
     induced_pregamp_morphism,
     pga,
     pga_mor,
-    pregamp_satisfies_identity,
     quotient_pregamp,
 )
 from .gamp import (

@@ -201,16 +201,6 @@ def all_congruences_bruteforce(algebra, bound=7):
     return sorted(out, key=lambda t: t._sort_key())
 
 
-def least_congruence_bruteforce(algebra, x, y, bound=7):
-    """Oracle for principal congruences: meet of all congruences containing (x, y)."""
-    candidates = [t for t in all_congruences_bruteforce(algebra, bound) if t.same(x, y)]
-    best = candidates[0]
-    for t in candidates[1:]:
-        best = con_meet(best, t)
-    cross_check(is_congruence(algebra, best), "meet of congruences must be a congruence")
-    return best
-
-
 def con_meet(a, b):
     """Meet of congruences: blockwise intersection."""
     blocks = []
@@ -626,15 +616,16 @@ def _stepper(D, J, within=None):
     image = {}  # (bound, mask) -> the points one step under bound from the mask
 
     def step(bound, mask):
-        if bound not in under:
-            rows = [sum(1 << y for y, d in enumerate(row) if J[d][bound] == bound) for row in D]
-            under[bound] = rows if within is None else list(map(int.__and__, rows, within))
-        if (bound, mask) not in image:
+        out = image.get((bound, mask))
+        if out is None:
+            if bound not in under:
+                rows = [sum(1 << y for y, d in enumerate(row) if J[d][bound] == bound) for row in D]
+                under[bound] = rows if within is None else list(map(int.__and__, rows, within))
             rows, out = under[bound], 0
             for x in _bits(mask):
                 out |= rows[x]
             image[(bound, mask)] = out
-        return image[(bound, mask)]
+        return out
 
     return step
 
@@ -664,15 +655,17 @@ def _chain_verdict(D, J, n, inner, zero):
     """The verdict pass of the chain condition, on carrier indices.
 
     D is a pregamp's distance matrix (dist_rows) and J its semilattice's
-    join rows. A prefix of an (n+1)-tuple of inner points has the state (x0,
-    even, odd), the joins of its even and of its odd steps; a forward pass
-    keeps, per state, the mask of the prefixes' last points, each step
-    taken from those points' rows of D grouped by distance. Returns, for
-    each state of a whole tuple, (ends, reached): ends the mask of the
-    tuples' last points, reached the mask of the points reached from x0 by
-    an interpolant, a path of n steps through any carrier points whose k-th
-    step lies under odd for even k and under even for odd k. A tuple has
-    interpolants iff its last point is in reached.
+    join rows. A prefix of an (n+1)-tuple of inner points from x0 has the
+    key (even, odd), the joins of its even and of its odd steps. Returns
+    (forward, reached). forward(x0) is the forward pass from x0: it keeps,
+    per key, the mask of the prefixes' last points, each step taken from
+    those points' rows of D grouped by distance, and returns the masks of
+    the whole tuples' keys. reached(x0, even, odd) is the mask of the
+    points reached from x0 by an interpolant, a path of n steps through any
+    carrier points whose k-th step lies under odd for even k and under even
+    for odd k, found on its state's first call. A tuple has interpolants
+    iff its last point is in reached. Spreads and steps are kept for this
+    call only.
     """
     at = []  # at[x]: distance -> mask of the inner points at that distance from x
     for row in D:
@@ -680,36 +673,42 @@ def _chain_verdict(D, J, n, inner, zero):
         for y in inner:
             by[row[y]] = by.get(row[y], 0) | 1 << y
         at.append(by)
-    spread = {}  # mask of points -> distance -> mask of inner points at it from one of them
+    spread = {}  # mask of points -> (distance, mask of inner points at it from one of them)
+    step, states = _stepper(D, J), {}  # states: (x0, even, odd) -> reached
 
-    def spread_of(mask):
-        if mask not in spread:
-            by = {}
-            for x in _bits(mask):
-                for d, ys in at[x].items():
-                    by[d] = by.get(d, 0) | ys
-            spread[mask] = by.items()
-        return spread[mask]
-
-    states = {(x0, zero, zero): 1 << x0 for x0 in inner}
-    for k in range(n):
-        p, following = k % 2, {}
-        for (x0, *parity), mask in states.items():
-            row = J[parity[p]]
-            for d, ys in spread_of(mask):
-                parity[p] = row[d]
-                state = (x0, *parity)
-                following[state] = following.get(state, 0) | ys
-        states = following
-
-    step = _stepper(D, J)
-    verdict = {}
-    for (x0, even, odd), ends in states.items():
-        reached = 1 << x0
+    def forward(x0):
+        keys = {(zero, zero): 1 << x0}
         for k in range(n):
-            reached = step(odd if k % 2 == 0 else even, reached)
-        verdict[(x0, even, odd)] = ends, reached
-    return verdict
+            following = {}
+            for (even, odd), mask in keys.items():
+                if mask not in spread:
+                    by = {}
+                    for x in _bits(mask):
+                        for d, ys in at[x].items():
+                            by[d] = by.get(d, 0) | ys
+                    spread[mask] = by.items()
+                if k % 2:
+                    row = J[odd]
+                    for d, ys in spread[mask]:
+                        key = (even, row[d])
+                        following[key] = following.get(key, 0) | ys
+                else:
+                    row = J[even]
+                    for d, ys in spread[mask]:
+                        key = (row[d], odd)
+                        following[key] = following.get(key, 0) | ys
+            keys = following
+        return keys
+
+    def reached(x0, even, odd):
+        if (x0, even, odd) not in states:
+            mask = 1 << x0
+            for k in range(n):
+                mask = step(odd if k % 2 == 0 else even, mask)
+            states[(x0, even, odd)] = mask
+        return states[(x0, even, odd)]
+
+    return forward, reached
 
 
 def _chain_condition_failures(pg, inner, n, lattice_form=False):
@@ -724,8 +723,8 @@ def _chain_condition_failures(pg, inner, n, lattice_form=False):
     chains are the upward paths of its order, found by reachability
     (_upward_paths); any other carrier runs the _interpolants search.
     Otherwise they run from x0 to xn, and the verdict pass (_chain_verdict)
-    decides first: the walk below runs only when it finds a failure, and
-    reads its reached masks. The tuples are walked depth first on carrier
+    decides first, per x0: the walk below runs from x0 only when a state
+    from x0 fails, and reads its reached masks. The tuples are walked depth first on carrier
     indices, with the parity joins of each prefix's steps carried as
     indices. The search depends on a tuple only through its endpoints and
     those two joins, so it runs once per such key.
@@ -745,12 +744,10 @@ def _chain_condition_failures(pg, inner, n, lattice_form=False):
                 return next(_interpolants(D, J, M, n, x0, xn, even, odd, middle), None) is not None
     else:
         M = None
-        verdict = _chain_verdict(D, J, n, inner, zero)
-        if all(not ends & ~reached for ends, reached in verdict.values()):
-            return
+        forward, reached = _chain_verdict(D, J, n, inner, zero)
 
         def has(x0, xn, even, odd):
-            return verdict[(x0, even, odd)][1] >> xn & 1
+            return reached(x0, even, odd) >> xn & 1
 
     xs = [None] * (n + 1)
     failing = {}  # (first, last, even, odd) -> no interpolant
@@ -786,6 +783,10 @@ def _chain_condition_failures(pg, inner, n, lattice_form=False):
                 yield "no interpolants", tuple(universe[i] for i in xs)
 
     for x0 in inner:
+        # a tuple from x0 can fail only if some whole-tuple state from x0
+        # does; the states are tried in turn, each reach found on demand
+        if M is None and all(not last & ~reached(x0, *key) for key, last in forward(x0).items()):
+            continue
         xs[0] = x0
         ends = [endpoints(x0, x) for x in inner]
         yield from walk(1, (zero, zero))
@@ -804,6 +805,14 @@ def _elementwise_n_permutable(algebra, n):
 # Largest |A|^(2n) for which is_n_permutable also runs the element-wise
 # chain condition as a cross-check.
 ELEMENTWISE_LIMIT = 2_000_000
+
+
+def elementwise_runs(algebra, n):
+    """Whether is_n_permutable(algebra, n) runs the element-wise chain
+    condition on pga(algebra) over the whole universe: |A|^(2n) is within
+    ELEMENTWISE_LIMIT."""
+    size = len(algebra.universe)
+    return size ** (n + 1) * max(1, size ** (n - 1)) <= ELEMENTWISE_LIMIT
 
 
 def is_n_permutable(algebra, n):
@@ -826,17 +835,16 @@ def is_n_permutable(algebra, n):
     _require_total(algebra)
     if n < 2:
         raise ValueError("n must be at least 2")
-    size = len(algebra.universe)
-    cost = size ** (n + 1) * max(1, size ** (n - 1))
+    elementwise = elementwise_runs(algebra, n)
     by_factors = None
     if algebra.factors is not None and all(map(is_lattice_algebra, algebra.factors)):
         by_factors = all(is_n_permutable(f, n)[0] for f in dict.fromkeys(algebra.factors))
-        if by_factors and cost > ELEMENTWISE_LIMIT:
+        if by_factors and not elementwise:
             return True, None
     congruences = sorted(conc(algebra).elements, key=Congruence._sort_key)
     ok_rel, wit_rel = _relational_n_permutable(algebra, n, congruences)
     cross_check(by_factors in (None, ok_rel), "factorwise and relational permutability disagree")
-    if cost <= ELEMENTWISE_LIMIT:
+    if elementwise:
         ok_el, _ = _elementwise_n_permutable(algebra, n)
         cross_check(ok_rel == ok_el, "n-permutability characterizations disagree")
     return (ok_rel, wit_rel)

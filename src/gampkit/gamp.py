@@ -30,7 +30,7 @@ from .pregamp import (
     tractability_verdict,
 )
 from .semilattice import SemMorphism, is_ideal_induced
-from .util import Verdict, bfs, kept, shortest_path, sort_key, sorted_elements
+from .util import Verdict, kept, shortest_path, sort_key, sorted_elements
 from . import congruence as _cong
 
 
@@ -376,10 +376,11 @@ def _check_cuttable(fm, phi, chains, x_cap):
     join_rows. X matters only through the union of its down-sets, the
     allowed steps, and its join, which picks the pairs and is the join of
     that union; so an X whose union was already checked is skipped, and the
-    first failing X does not change. One bfs finds what an image point
-    reaches, and one chain search runs per endpoints, for each set of
-    allowed steps. The first failing (x, y, X) is named in source-pair
-    order. x_cap must be at least 0 (else ValueError).
+    first failing X does not change. For each set of allowed steps, what an
+    image point reaches is read, as a bit mask, from one adjacency mask
+    per inner point, and one chain search runs per endpoints. The first
+    failing (x, y, X) is named in source-pair order. x_cap must be at least
+    0 (else ValueError).
     """
     if x_cap < 0:
         raise ValueError("x_cap must be at least 0")
@@ -421,21 +422,27 @@ def _check_cuttable(fm, phi, chains, x_cap):
                 continue
             checked.add(allowed)
             xset = tuple(map(S.elements.__getitem__, combo))
-            reach, walks = {}, {}  # by start, by endpoints
+            steps, reach, walks = None, {}, {}  # adjacency masks, reach by start, walks by endpoints
 
             def step_ok(a, b):
                 return allowed >> dist[pos[a]][pos[b]] & 1
-
-            def neighbours(u):
-                return ((v, None) for v, d in enumerate(dist[u]) if allowed >> d & 1)
 
             for x, y, i, j, d, (m, top) in pairs:
                 if J[d][bound] != bound:
                     continue
                 if not chains:
                     if i not in reach:
-                        reach[i] = set(bfs(i, neighbours, {}))
-                    if j not in reach[i]:
+                        if steps is None:
+                            steps = [
+                                sum(1 << v for v, e in enumerate(row) if allowed >> e & 1) for row in dist
+                            ]
+                        seen = todo = 1 << i
+                        while todo:
+                            low = todo & -todo
+                            new = steps[low.bit_length() - 1] & ~seen
+                            seen, todo = seen | new, todo ^ low | new
+                        reach[i] = seen
+                    if not reach[i] >> j & 1:
                         return Verdict.false((x, y, xset), bounds)
                     continue
                 if m is UNDEFINED or top is UNDEFINED:
@@ -572,7 +579,9 @@ def buttress(
     tractability instances checked, must be at least 0 (else ValueError).
 
     Postconditions (ideal-induced restrictions, node and arrow properties)
-    are re-verified by the property checkers before returning.
+    are re-verified by the property checkers before returning, each
+    distinct check once per call (_verify_buttress): a check is a function
+    of its inputs, so nodes and arrows with equal inputs share a verdict.
     """
     from .diagram import Diagram, checked
 
@@ -612,18 +621,29 @@ def buttress(
                 arrows[(p, q)] = canonical_embedding(nodes[p], nodes[q])
 
     diagram = checked(Diagram(poset, nodes, arrows))
-    _verify_buttress(diagram, phis, with_chains, n_permutable, m_cap)
+    # the entry check ran property (8)'s element-wise pass on the whole gamp
+    ran = n_permutable is not None and _cong.elementwise_runs(algebra, n_permutable)
+    decided = whole if ran else None
+    _verify_buttress(diagram, phis, with_chains, n_permutable, m_cap, decided)
     return diagram
 
 
-def _verify_buttress(diagram, phis, with_chains, n_permutable, m_cap):
-    """Re-verify buttress's postconditions. Each phis[p] was found
-    ideal-induced on entry and starts at the algebra's Conc, so its
-    restriction to a node whose semilattice is that Conc is the same map and
-    is not decided again. The checks that do not read phi run once per
-    distinct node object: the nodes above the minimal ones share one gamp."""
+def _verify_buttress(diagram, phis, with_chains, n_permutable, m_cap, decided):
+    """Re-verify buttress's postconditions, deciding each distinct check
+    once: a check is a function of its inputs, so equal inputs share the
+    verdict of the first, and a failure still names the first node or arrow
+    in order. Each phis[p] was found ideal-induced on entry and starts at
+    the algebra's Conc, so its restriction to a node whose semilattice is
+    that Conc is the same map and is not decided again. The checks that do
+    not read phi run once per distinct node object (the nodes above the
+    minimal ones share one gamp); those that read it, once per node object
+    and equal restriction. An arrow is the inclusion of its ends, so its
+    checks run once per pair of end objects and equal phi. Property (8) is
+    not decided again on decided, the node gamp (or None) on which
+    buttress's entry is_n_permutable already ran the element-wise pass."""
     poset = diagram.poset
     checked = set()  # ids of the node gamps whose phi-free checks ran
+    seen = set()  # (ids of the node gamp or arrow ends, restricted phi) already checked
     for p in poset.elements:
         g = diagram.objects[p]
         phi_p = phis[p].restrict(g.sem)
@@ -634,21 +654,27 @@ def _verify_buttress(diagram, phis, with_chains, n_permutable, m_cap):
         checked.add(id(g))
         if first:
             cross_check(check_property(g, "strong"), f"{fails}: strong")
-        for which in ("distance_generated", "congruence_tractable") + (
-            ("distance_generated_chains",) if with_chains else ()
-        ):
-            cross_check(check_property(g, which, m_cap=m_cap, phi=phi_p), f"{fails}: {which}")
+        if (id(g), phi_p) not in seen:
+            seen.add((id(g), phi_p))
+            for which in ("distance_generated", "congruence_tractable") + (
+                ("distance_generated_chains",) if with_chains else ()
+            ):
+                cross_check(check_property(g, which, m_cap=m_cap, phi=phi_p), f"{fails}: {which}")
         if n_permutable is not None and first:
-            cross_check(check_property(g, "n_permutable", n=n_permutable), f"{fails}: permutable")
+            if g is not decided:
+                ok = check_property(g, "n_permutable", n=n_permutable)
+                cross_check(ok, f"{fails}: permutable")
             if g.is_lattice_signature():
                 ok = check_property(g, "lattice_n_permutable", n=n_permutable)
                 cross_check(ok, f"{fails}: lattice permutable")
     for (p, q), arrow in diagram.arrows.items():
-        if p == q:
+        source, target = diagram.objects[p], diagram.objects[q]
+        phi_q = phis[q].restrict(target.sem)
+        if p == q or (id(source), id(target), phi_q) in seen:
             continue
+        seen.add((id(source), id(target), phi_q))
         fails = f"buttress arrow {(p, q)!r} fails"
-        cross_check(is_subgamp(diagram.objects[p], diagram.objects[q]), f"{fails}: subgamp")
-        phi_q = phis[q].restrict(diagram.objects[q].sem)
+        cross_check(is_subgamp(source, target), f"{fails}: subgamp")
         x_cap = len(phi_q.target.elements)
         cross_check(check_morphism_property(arrow, "strong"), f"{fails}: strong")
         for which in ("cuttable",) + (("cuttable_chains",) if with_chains else ()):

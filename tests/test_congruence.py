@@ -39,7 +39,6 @@ from gampkit.congruence import (
     congruence_closure,
     is_congruence,
     is_n_permutable,
-    least_congruence_bruteforce,
     malcev_witness,
     principal_congruence,
     quotient_algebra,
@@ -50,6 +49,7 @@ from gampkit.palg import LATTICE_TYPE, UNDEFINED, PalgMorphism, PartialAlgebra, 
 from gampkit.pregamp import Pregamp, pga
 from gampkit.semilattice import JoinSemilattice, SemIdeal, is_ideal_induced, ker0, quotient
 from conftest import label_dist, label_map
+from oracles import least_congruence_bruteforce
 from test_pregamp import coded_pregamps
 
 
@@ -928,7 +928,12 @@ def test_chain_verdict_matches_the_tuple_walk(pregamp, data):
     for n in range(1, 5 if len(universe) <= 5 else 4):
         indices = [index[x] for x in inner]
         zero = pg.sem.index(pg.sem.zero)
-        verdict = _chain_verdict(pg.dist_rows, pg.sem.join_rows, n, indices, zero)
+        forward, reached = _chain_verdict(pg.dist_rows, pg.sem.join_rows, n, indices, zero)
+        verdict = {
+            (x0, *key): (ends, reached(x0, *key))
+            for x0 in indices
+            for key, ends in forward(x0).items()
+        }
         assert verdict == walk_verdict(pg, indices, n), n
         assert list(_chain_condition_failures(pg, inner, n)) == (
             brute_chain_condition_failures(pg.sem, label_dist(pg), inner, universe, n)

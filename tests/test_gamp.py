@@ -2,10 +2,11 @@ from itertools import combinations
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gampkit import build_named
 from gampkit.congruence import conc, conc_morphism, is_n_permutable, principal_congruence
-from gampkit import gamp as gamp_module
+from gampkit import congruence as congruence_module, gamp as gamp_module
 from gampkit.errors import CrossCheckFailed, NotStrong, WrongSignature
 from gampkit.gamp import (
     Gamp,
@@ -31,7 +32,7 @@ from gampkit.gamp import (
 )
 from gampkit.palg import LATTICE_TYPE, PalgMorphism, PartialAlgebra, SimilarityType
 from gampkit.poset import FinitePoset
-from gampkit.pregamp import Pregamp, pga, pregamp_isomorphisms, sub_pregamp
+from gampkit.pregamp import Pregamp, pga, sub_pregamp
 from gampkit.semilattice import (
     JoinSemilattice,
     SemIdeal,
@@ -42,6 +43,7 @@ from gampkit.semilattice import (
 )
 from gampkit.util import Verdict
 from conftest import label_dist, label_map, unvalidated
+from oracles import pregamp_isomorphisms
 from test_pregamp import induced_pregamp_by_ideals
 from test_semilattice import assert_descent_matches_reference
 
@@ -527,6 +529,102 @@ class TestCuttableAgainstReference:
         assert is_chain(Gamp(target, Pregamp.from_dist(target, dist, S)), ["a", "c", "b"])
 
 
+def bfs_check_cuttable(fm, phi, chains, x_cap):
+    """_check_cuttable as it was before reach was read from adjacency masks:
+    one util.bfs per start, for each set of allowed steps."""
+    from gampkit.gamp import _chain_walk
+    from gampkit.palg import UNDEFINED, image_palg
+    from gampkit.util import bfs, sort_key
+
+    bounds = {"x_cap": x_cap}
+    img = image_palg(fm.f)
+    if not img.is_partial_sub_of(fm.target.inner):
+        return Verdict.false("image not inside the inner part", bounds)
+    tgt, S = fm.target, phi.target
+    J, zero = S.join_rows, S.index(S.zero)
+    inner = list(tgt.inner.universe)
+    outer, at = tgt.outer, tgt.outer.point
+    to_s = phi.to_between(tgt.sem, S)
+    rows = [tgt.pregamp.dist_rows[at[a]] for a in inner]
+    dist = [[to_s[row[at[b]]] for b in inner] for row in rows]
+    downs = [sum(1 << v for v in range(len(S)) if J[v][u] == u) for u in range(len(S))]
+    pos = tgt.inner.point
+    pairs = []
+    for x in fm.source.outer.universe:
+        for y in fm.source.outer.universe:
+            fx, fy = fm.f(x), fm.f(y)
+            ends = (outer.apply("meet", (fx, fy)), outer.apply("join", (fx, fy))) if chains else (None, None)
+            pairs.append((x, y, pos[fx], pos[fy], dist[pos[fx]][pos[fy]], ends))
+    order = sorted(range(len(S)), key=lambda u: sort_key(S.elements[u]))
+    checked = set()
+    for r in range(1, x_cap + 1):
+        for combo in combinations(order, r):
+            bound, allowed = zero, 0
+            for u in combo:
+                bound, allowed = J[bound][u], allowed | downs[u]
+            if allowed in checked:
+                continue
+            checked.add(allowed)
+            xset = tuple(map(S.elements.__getitem__, combo))
+            reach, walks = {}, {}
+
+            def step_ok(a, b, allowed=allowed):
+                return allowed >> dist[pos[a]][pos[b]] & 1
+
+            def neighbours(u, allowed=allowed):
+                return ((v, None) for v, d in enumerate(dist[u]) if allowed >> d & 1)
+
+            for x, y, i, j, d, (m, top) in pairs:
+                if J[d][bound] != bound:
+                    continue
+                if not chains:
+                    if i not in reach:
+                        reach[i] = set(bfs(i, neighbours, {}))
+                    if j not in reach[i]:
+                        return Verdict.false((x, y, xset), bounds)
+                    continue
+                if m is UNDEFINED or top is UNDEFINED:
+                    return Verdict.false(("endpoints undefined", x, y, xset), bounds)
+                if (m, top) not in walks:
+                    walks[(m, top)] = _chain_walk(fm.target, m, top, step_ok)
+                if not walks[(m, top)]:
+                    return Verdict.false((x, y, xset), bounds)
+    return Verdict.true(None, bounds)
+
+
+@st.composite
+def inclusions_through_phi(draw):
+    """The inclusion of a few points into a gamp of a small lattice whose
+    inner part holds them and a few more points, or, now and then, a
+    random inner part; and a phi out of the lattice's Conc: its identity or
+    the projection onto a quotient. A sparse inner part leaves few walks,
+    so some pairs are not cut."""
+    alg = build_named(draw(st.sampled_from(INCLUSION_BASES))).algebra
+    pg = pga(alg)
+    points = st.sampled_from(alg.universe)
+    outer = draw(st.lists(points, min_size=1, max_size=4, unique=True))
+    more = draw(st.lists(points, max_size=3, unique=True))
+    inner = dict.fromkeys(outer + more) if draw(st.integers(0, 4)) else more or outer[:1]
+    small = alg.restrict_full(outer)
+    fm = canonical_embedding(Gamp(small, sub_pregamp(pg, small)), Gamp(alg.restrict_full(inner), pg))
+    ideal = draw(st.sampled_from([None, *enumerate_ideals(pg.sem)]))
+    phi = SemMorphism.identity(pg.sem) if ideal is None else quotient(pg.sem, ideal)[1]
+    return fm, phi
+
+
+INCLUSION_BASES = ["two", "chain:3", "chain:4", "M3", "N5", "X1", "X2", "power:two:3"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(inclusions_through_phi(), st.integers(1, 3))
+def test_cuttable_matches_the_bfs_per_start(inclusion, x_cap):
+    # the verdict, its first (x, y, X) and its bounds, in both chain modes
+    fm, phi = inclusion
+    for which in ("cuttable", "cuttable_chains"):
+        got = check_morphism_property(fm, which, x_cap=x_cap, phi=phi)
+        assert got == bfs_check_cuttable(fm, phi, which == "cuttable_chains", x_cap), which
+
+
 class TestChainColimit:
     def test_constant_sequence(self, m3):
         g = ga(m3)
@@ -602,7 +700,9 @@ class TestButtress:
     def test_square_decides_nothing_twice(self, m3, monkeypatch):
         # each phi is decided ideal-induced once, on entry; the checks that
         # do not read phi run once per distinct node object (b, and the
-        # whole gamp shared by l, r and t), the others once per node
+        # whole gamp shared by l, r and t), the others once per node object
+        # and equal phi (the phis of l, r and t are equal); the whole gamp's
+        # n_permutable was decided by the entry check's element-wise pass
         poset = FinitePoset.square()
         phis = self._phis(m3, poset, {"b": {principal_congruence(m3, "0", "x1")}})
         decided, checked = [], []
@@ -621,9 +721,115 @@ class TestButtress:
         diagram = buttress(m3, poset, phis, with_chains=True, n_permutable=2)
         assert len(decided) == 4 and len({id(g) for g in diagram.objects.values()}) == 2
         assert {w: checked.count(w) for w in checked} == {
-            "strong": 2, "n_permutable": 2, "lattice_n_permutable": 2,
-            "distance_generated": 4, "congruence_tractable": 4, "distance_generated_chains": 4,
+            "strong": 2, "n_permutable": 1, "lattice_n_permutable": 2,
+            "distance_generated": 2, "congruence_tractable": 2, "distance_generated_chains": 2,
         }
+
+    def test_square_checks_each_arrow_class_once(self, m3, monkeypatch):
+        # the five arrows are two inclusions: b into the whole gamp, and the
+        # whole gamp into itself, each under one phi
+        poset = FinitePoset.square()
+        phis = self._phis(m3, poset, {"b": {principal_congruence(m3, "0", "x1")}})
+        arrows, subs = [], []
+        real_check, real_sub = gamp_module.check_morphism_property, gamp_module.is_subgamp
+
+        def check(fm, which, **kwargs):
+            arrows.append((id(fm.source), which))
+            return real_check(fm, which, **kwargs)
+
+        def sub(a, b):
+            subs.append((id(a), id(b)))
+            return real_sub(a, b)
+
+        monkeypatch.setattr(gamp_module, "check_morphism_property", check)
+        monkeypatch.setattr(gamp_module, "is_subgamp", sub)
+        buttress(m3, poset, phis, with_chains=True)
+        assert len(arrows) == 6 and len(set(arrows)) == 6 and len(subs) == len(set(subs)) == 2
+
+    def test_unequal_phis_on_one_node_are_each_checked(self, m3, monkeypatch):
+        # l and r share the whole gamp but not their phis, so the phi checks
+        # run for b, l and r (t repeats r); the arrows b -> l, b -> r and
+        # l -> t are three inclusions under their phis (b -> t and r -> t
+        # repeat two of them)
+        poset = FinitePoset.square()
+        theta = principal_congruence(m3, "0", "x1")
+        phis = self._phis(m3, poset, {"b": {theta}, "l": {theta}})
+        checked, arrows = [], []
+        real_check, real_arrow = gamp_module.check_property, gamp_module.check_morphism_property
+
+        def check(g, which, **kwargs):
+            checked.append(which)
+            return real_check(g, which, **kwargs)
+
+        def arrow(fm, which, **kwargs):
+            arrows.append(which)
+            return real_arrow(fm, which, **kwargs)
+
+        monkeypatch.setattr(gamp_module, "check_property", check)
+        monkeypatch.setattr(gamp_module, "check_morphism_property", arrow)
+        buttress(m3, poset, phis)
+        assert checked.count("distance_generated") == checked.count("congruence_tractable") == 3
+        assert arrows.count("cuttable") == arrows.count("strong") == 3
+
+    def test_whole_node_permutability_runs_past_the_elementwise_limit(self, m3, monkeypatch):
+        # over ELEMENTWISE_LIMIT the entry check skips the element-wise
+        # pass, so the verify step decides the whole gamp's property (8)
+        poset = FinitePoset.square()
+        phis = self._phis(m3, poset, {"b": {principal_congruence(m3, "0", "x1")}})
+        checked = []
+        real_check = gamp_module.check_property
+
+        def check(g, which, **kwargs):
+            checked.append((which, g.inner is m3))
+            return real_check(g, which, **kwargs)
+
+        monkeypatch.setattr(congruence_module, "ELEMENTWISE_LIMIT", 0)
+        monkeypatch.setattr(gamp_module, "check_property", check)
+        buttress(m3, poset, phis, n_permutable=2)
+        assert [whole for which, whole in checked if which == "n_permutable"] == [False, True]
+
+    def test_a_shared_arrow_check_still_fails_the_buttress(self, m3, monkeypatch):
+        # the arrows out of the whole gamp, (l, t) and (r, t), are one
+        # inclusion under one phi: a failure names the first of them
+        poset = FinitePoset.square()
+        phis = self._phis(m3, poset, {"b": {principal_congruence(m3, "0", "x1")}})
+        real_check = gamp_module.check_morphism_property
+        failed = []
+
+        def check(fm, which, **kwargs):
+            verdict = real_check(fm, which, **kwargs)
+            if which == "cuttable" and fm.source.inner is m3:
+                failed.append(fm)
+                return Verdict.false()
+            return verdict
+
+        monkeypatch.setattr(gamp_module, "check_morphism_property", check)
+        with pytest.raises(CrossCheckFailed, match=r"arrow \('l', 't'\) fails: cuttable"):
+            buttress(m3, poset, phis)
+        assert len(failed) == 1
+
+    def test_a_second_buttress_decides_as_much_as_the_first(self, m3, monkeypatch):
+        # no verdict is kept across calls: a second call on the same
+        # algebra and phis runs every check again
+        poset = FinitePoset.square()
+        phis = self._phis(m3, poset, {"b": {principal_congruence(m3, "0", "x1")}})
+        calls = []
+        for module, name in (
+            (gamp_module, "check_property"),
+            (gamp_module, "check_morphism_property"),
+            (congruence_module, "_chain_condition_failures"),
+        ):
+            def counted(*args, real=getattr(module, name), name=name, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            buttress(m3, poset, phis, with_chains=True, n_permutable=2)
+            counts.append({name: calls.count(name) for name in calls})
+        assert counts[0] == counts[1] and len(counts[0]) == 3
 
     def test_a_shared_node_check_still_fails_the_buttress(self, m3, monkeypatch):
         poset = FinitePoset.square()

@@ -165,8 +165,9 @@ def unread_public_methods(sources):
 # package that it serves.
 API_ONLY = {
     ("congruence", "con_lattice"): "perfbench's congruence jobs call it for Con(A) in order",
-    ("congruence", "least_congruence_bruteforce"): (
-        "the brute-force oracle the principal-congruence tests check closure against"
+    ("congruence", "all_congruences_bruteforce"): (
+        "perfbench's congruence jobs draw simple algebras with it, and the tests' "
+        "principal-congruence oracle meets its congruences"
     ),
     ("congruence", "quotient_algebra"): (
         "the acceptance tests: a quotient of GA(A) is GA of the quotient algebra"
@@ -192,13 +193,6 @@ API_ONLY = {
         "the semilattice"
     ),
     ("pregamp", "is_ideal_induced_pg"): "the quotient-of-quotient lemma for pregamps",
-    ("pregamp", "pregamp_isomorphisms"): (
-        "the quotient lemmas' tests, which compare quotients up to isomorphism"
-    ),
-    ("pregamp", "pregamp_satisfies_identity"): (
-        "the identity-satisfaction tests of test_pregamp (TestIdentitySatisfaction, "
-        "test_identity_preserved_by_subs_and_images, test_sub_pregamps_keep_identities)"
-    ),
     ("serialize", "diagram_to_json"): "it writes the diagram-verify input format",
     ("poset", "FinitePoset.chain"): "perfbench's buttress jobs and the tests build chains with it",
     ("semilattice", "JoinSemilattice.chain"): "the tests build chain semilattices with it",
